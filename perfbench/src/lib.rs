@@ -4,6 +4,8 @@
 //! The `perfbench` binary drives these modules; the library half exists so
 //! the tests can drive them too.
 
+pub mod clock;
+pub mod gauge;
 pub mod policy;
 pub mod replay;
 pub mod stats;

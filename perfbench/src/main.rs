@@ -8,7 +8,7 @@
 //! perfbench --steady N [--workload NAME|all] [--seed N] [--seconds S] [--trace 0|1]
 //! ```
 //!
-//! A run simulates the seed's five traces in rounds until `--seconds` have
+//! A run simulates the seed's traces in rounds until `--seconds` have
 //! passed. `--trace 0` (the default) runs them untraced and reports the
 //! end-to-end metrics. `--trace 1` runs each trace untraced and traced and
 //! reports the per-layer split. `--steady N` runs each chosen workload N
@@ -19,14 +19,14 @@
 use mrp_engine::{ClusterReport, ObsConfig, ObsState, SchedulerPolicy};
 use mrp_preempt::json::Json;
 use mrp_sim::{percentile, GIB};
+use perfbench::clock::CpuInstant;
+use perfbench::gauge::Gauge;
 use perfbench::policy::{PolicyCounters, TimedPolicy};
 use perfbench::replay::{replay, ReplayCosts};
 use perfbench::stats::{
     median, metric, peak_rss_mib, quartiles, report_digest, result_line, Metric,
 };
-use perfbench::workloads::{
-    hfsp, setup, trace_seeds, Scale, SetupTimes, Workload, MAX_TIME, TRACES_PER_RUN,
-};
+use perfbench::workloads::{hfsp, setup, trace_seeds, Scale, SetupTimes, Workload, MAX_TIME};
 use std::path::PathBuf;
 use std::process::{Command, ExitCode, Stdio};
 use std::time::{Duration, Instant};
@@ -180,7 +180,10 @@ struct Outcome {
 /// `Cluster::report`.
 struct Run {
     times: SetupTimes,
+    /// Wall-clock seconds of `Cluster::run` through `Cluster::report`.
     run_s: f64,
+    /// CPU seconds of the same span.
+    cpu_s: f64,
     report_s: f64,
     events: u64,
     digest: u64,
@@ -199,11 +202,13 @@ fn run_once(
 ) -> Run {
     let prepared = setup(workload, Scale::Full, seed, policy, obs);
     let mut cluster = prepared.cluster;
+    let cpu_start = CpuInstant::now();
     let start = Instant::now();
     cluster.run(MAX_TIME);
     let report_start = Instant::now();
     let report = cluster.report();
     let end = Instant::now();
+    let cpu_s = cpu_start.elapsed().as_secs_f64();
     let blocks = prepared
         .files
         .iter()
@@ -213,6 +218,7 @@ fn run_once(
     Run {
         times: prepared.times,
         run_s: (end - start).as_secs_f64(),
+        cpu_s,
         report_s: (end - report_start).as_secs_f64(),
         events: cluster.events_processed(),
         digest: report_digest(&report),
@@ -264,8 +270,9 @@ fn problems(run: &Run, reference: Option<&Run>) -> Vec<String> {
 /// Prints one run and its problems; returns whether it passed.
 fn note(label: &str, run: &Run, problems: &[String]) -> bool {
     println!(
-        "{label}: setup {:.4} s, run {:.4} s, {} events, report {:016x}",
+        "{label}: setup {:.4} s, run {:.4} s CPU ({:.4} s wall), {} events, report {:016x}",
         run.times.total(),
+        run.cpu_s,
         run.run_s,
         run.events,
         run.digest
@@ -279,31 +286,47 @@ fn note(label: &str, run: &Run, problems: &[String]) -> bool {
 /// Repeats rounds of untraced runs — one run per trace of the seed — until
 /// `seconds` have passed, and reports the end-to-end metrics: the median
 /// over rounds of the per-trace mean timings, and the per-trace mean of the
-/// simulated outcomes, which every round must reproduce exactly.
+/// simulated outcomes, which every round must reproduce exactly. Timings
+/// are CPU seconds rescaled to the reference host's speed by the [`Gauge`]
+/// read before and after each run.
 fn timed(workload: Workload, seed: u64, seconds: f64) -> Outcome {
     let deadline = Instant::now() + Duration::from_secs_f64(seconds);
     let (mut setups, mut runs) = (Vec::new(), Vec::new());
     let mut first_round: Vec<Run> = Vec::new();
     let (mut attempted, mut failed) = (0, 0);
+    let traces = workload.traces_per_run();
+    let gauge = Gauge;
+    // The first pass also faults the heap in; only the second is a reading.
+    gauge.measure();
+    let mut gauge_before = gauge.measure();
     while setups.len() < MIN_ROUNDS || Instant::now() < deadline {
         let round = setups.len() + 1;
         let (mut setup_s, mut run_s) = (0.0, 0.0);
-        for (k, trace_seed) in trace_seeds(seed).into_iter().enumerate() {
+        for (k, trace_seed) in trace_seeds(seed, traces).into_iter().enumerate() {
             let run = run_once(workload, trace_seed, hfsp(), ObsConfig::default());
+            let gauge_after = gauge.measure();
+            let scale = Gauge::scale(gauge_before, gauge_after);
+            gauge_before = gauge_after;
             attempted += 1;
             let found = problems(&run, first_round.get(k));
             failed += u64::from(!note(&format!("round {round} trace {k}"), &run, &found));
-            setup_s += run.times.total();
-            run_s += run.run_s;
+            println!(
+                "  gauge {:.4} s CPU; at reference speed: setup {:.4} s, run {:.4} s",
+                gauge_after,
+                run.times.total() * scale,
+                run.cpu_s * scale
+            );
+            setup_s += run.times.total() * scale;
+            run_s += run.cpu_s * scale;
             if round == 1 {
                 first_round.push(run);
             }
         }
-        setups.push(setup_s / TRACES_PER_RUN as f64);
-        runs.push(run_s / TRACES_PER_RUN as f64);
+        setups.push(setup_s / traces as f64);
+        runs.push(run_s / traces as f64);
     }
     let per_trace = |f: &dyn Fn(&ClusterReport) -> f64| {
-        first_round.iter().map(|run| f(&run.report)).sum::<f64>() / TRACES_PER_RUN as f64
+        first_round.iter().map(|run| f(&run.report)).sum::<f64>() / traces as f64
     };
     let sojourn = |report: &ClusterReport, p: f64| {
         let sojourns: Vec<f64> = report.jobs.iter().filter_map(|j| j.sojourn_secs).collect();
@@ -350,7 +373,10 @@ fn traced(workload: Workload, seed: u64, seconds: f64) -> Outcome {
         attempted += 1;
         failed += u64::from(costs == ReplayCosts::default());
         let mut traces = Vec::new();
-        for (k, trace_seed) in trace_seeds(seed).into_iter().enumerate() {
+        for (k, trace_seed) in trace_seeds(seed, workload.traces_per_run())
+            .into_iter()
+            .enumerate()
+        {
             let plain = run_once(workload, trace_seed, hfsp(), ObsConfig::default());
             let label = format!("round {round} trace {k}");
             let plain_ok = note(

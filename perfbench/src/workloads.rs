@@ -8,6 +8,7 @@
 //! times each phase. Every workload runs HFSP with suspend/resume
 //! preemption.
 
+use crate::clock::CpuInstant;
 use mrp_engine::{
     Cluster, ClusterConfig, DetectorConfig, FaultEvent, FaultKind, FaultPlan, JobSpec, MapInput,
     NodeId, ObsConfig, RackId, RandomFaults, ReliabilityConfig, SchedulerPolicy, ShuffleConfig,
@@ -16,23 +17,18 @@ use mrp_engine::{
 use mrp_preempt::{EvictionPolicy, HfspScheduler, PreemptionPrimitive};
 use mrp_sim::{SimRng, SimTime, GIB, MIB};
 use mrp_workload::{dfs_backed, SwimConfig, SwimGenerator, TraceJob};
-use std::time::Instant;
 
 /// Virtual-time cap handed to `Cluster::run`; every workload drains long
 /// before it.
 pub const MAX_TIME: SimTime = SimTime::from_secs(24 * 3_600);
 
-/// Traces one benchmark run simulates. Heavy-tailed SWIM job sizes make a
-/// single trace's makespan, tail sojourn and run time swing by 10-25% from
-/// seed to seed; averaging five traces keeps a run's figures steady across
-/// seeds.
-pub const TRACES_PER_RUN: usize = 5;
-
-/// The trace seeds of a run with seed `seed`: the seed itself (so the
-/// default seed's first trace is the bench scenario's own trace), then
+/// The `count` trace seeds of a run with seed `seed`: the seed itself (so
+/// the default seed's first trace is the bench scenario's own trace), then
 /// seeds derived from it.
-pub fn trace_seeds(seed: u64) -> [u64; TRACES_PER_RUN] {
-    std::array::from_fn(|k| seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+pub fn trace_seeds(seed: u64, count: usize) -> Vec<u64> {
+    (0..count as u64)
+        .map(|k| seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect()
 }
 
 /// One benchmark workload.
@@ -100,6 +96,18 @@ impl Workload {
         Workload::ALL.into_iter().find(|w| w.name() == name)
     }
 
+    /// Traces one benchmark run simulates. Heavy-tailed SWIM job sizes make
+    /// a single trace's makespan, tail sojourn and run time swing by 10-25%
+    /// from seed to seed, so a run averages ten traces. `swim_delay` takes
+    /// five, because one of its traces runs for over three seconds, and so
+    /// does `swap_pressure`, whose seed only jitters arrivals.
+    pub fn traces_per_run(self) -> usize {
+        match self {
+            Workload::SwimGreedy | Workload::FaultStack => 10,
+            Workload::SwimDelay | Workload::SwapPressure => 5,
+        }
+    }
+
     /// The seed of the bench scenario the workload derives from; the
     /// default-seed figures in the README were taken on it.
     pub fn default_seed(self) -> u64 {
@@ -140,7 +148,7 @@ pub fn hfsp() -> Box<dyn SchedulerPolicy> {
     ))
 }
 
-/// Wall-clock seconds of each setup phase.
+/// CPU seconds of each setup phase.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SetupTimes {
     /// Trace and configuration generation.
@@ -164,7 +172,7 @@ impl SetupTimes {
 pub struct Setup {
     /// The cluster, every job submitted.
     pub cluster: Cluster,
-    /// Wall-clock seconds of each setup phase.
+    /// CPU seconds of each setup phase.
     pub times: SetupTimes,
     /// Map plus reduce tasks in the trace.
     pub tasks: u64,
@@ -216,7 +224,7 @@ pub fn setup(
 }
 
 fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let start = Instant::now();
+    let start = CpuInstant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
 }
