@@ -33,7 +33,9 @@
 //!   for it.
 
 use crate::attempt::{AttemptPhase, AttemptState, ExecPlan};
-use crate::config::{ClusterConfig, FaultEvent, FaultKind, RefreshMode, TraceLevel};
+use crate::config::{
+    ClusterConfig, FaultEvent, FaultKind, RefreshMode, TraceLevel, MISSED_HEARTBEATS,
+};
 use crate::delay::DelayScoreboard;
 use crate::job::{
     AttemptId, JobId, JobRuntime, JobSpec, JobTable, MapInput, TaskId, TaskKind, TaskRuntime,
@@ -46,6 +48,7 @@ use crate::obs::{ObsState, SpanKey};
 use crate::reliability::ReliabilityTracker;
 use crate::scheduler::{
     NodeView, PendingTotals, RackView, SchedulerAction, SchedulerContext, SchedulerPolicy,
+    MAX_LIVE_SPECULATIONS_PER_JOB,
 };
 use crate::shuffle::ShuffleTracker;
 use crate::tasktracker::{FailedAttempt, TaskTracker};
@@ -81,15 +84,10 @@ enum Event {
     /// A fault-plan event (node kill/decommission/rejoin, rack outage)
     /// strikes; `index` points into the cluster's resolved fault schedule.
     Fault { index: usize },
-    /// A failure-detector timer: `confirm == false` is the missed-heartbeat
-    /// suspicion check, `confirm == true` the post-grace confirmation.
-    /// `epoch` is the node's suspicion epoch at arming time; a timer armed
-    /// before the link state last changed is discarded.
-    Detector {
-        node: NodeId,
-        epoch: u64,
-        confirm: bool,
-    },
+    /// A failure-detector missed-heartbeat timer. `epoch` is the node's
+    /// suspicion epoch at arming time; a timer armed before the link state
+    /// last changed is discarded.
+    Detector { node: NodeId, epoch: u64 },
 }
 
 /// Master-side view of the link to one node under the failure detector.
@@ -405,10 +403,7 @@ impl Cluster {
         let delay = DelayScoreboard::new(config.delay);
         let shuffle = ShuffleTracker::new(config.shuffle, rack_count);
         let reliability = ReliabilityTracker::new(config.reliability, node_count, rack_count);
-        let obs = config
-            .obs
-            .enabled
-            .then(|| Box::new(ObsState::new(config.obs)));
+        let obs = config.obs.enabled.then(|| Box::new(ObsState::new()));
         Cluster {
             config,
             queue,
@@ -1059,9 +1054,7 @@ impl Cluster {
     }
 
     fn schedule_out_of_band_heartbeat(&mut self, node: NodeId, now: SimTime) {
-        if self.config.out_of_band_heartbeats {
-            self.queue.schedule(now, Event::Heartbeat { node });
-        }
+        self.queue.schedule(now, Event::Heartbeat { node });
     }
 
     fn handle_event(&mut self, now: SimTime, event: Event) {
@@ -1107,12 +1100,8 @@ impl Cluster {
             Event::Fault { index } => {
                 self.handle_fault(index, now);
             }
-            Event::Detector {
-                node,
-                epoch,
-                confirm,
-            } => {
-                self.handle_detector(node, epoch, confirm, now);
+            Event::Detector { node, epoch } => {
+                self.handle_detector(node, epoch, now);
             }
         }
     }
@@ -1488,27 +1477,21 @@ impl Cluster {
     /// bounds detection lag by `timeout + one heartbeat interval`.
     fn schedule_suspicion(&mut self, node: NodeId, now: SimTime) {
         let idx = node.0 as usize;
-        let interval = self.config.heartbeat_interval;
-        let missed = self.config.detector.missed_heartbeats;
-        let at = (self.last_heartbeat[idx] + interval.mul_f64(f64::from(missed))).max(now);
+        let timeout = self.config.detector.timeout(self.config.heartbeat_interval);
+        let at = (self.last_heartbeat[idx] + timeout).max(now);
         self.queue.schedule(
             at,
             Event::Detector {
                 node,
                 epoch: self.suspect_epoch[idx],
-                confirm: false,
             },
         );
     }
 
-    fn handle_detector(&mut self, node: NodeId, epoch: u64, confirm: bool, now: SimTime) {
+    fn handle_detector(&mut self, node: NodeId, epoch: u64, now: SimTime) {
         let idx = node.0 as usize;
         if self.suspect_epoch.get(idx) != Some(&epoch) || self.link[idx] == LinkState::Up {
             return; // stale timer: the link state changed since it was armed
-        }
-        if confirm {
-            self.confirm_failure(node, now);
-            return;
         }
         self.fault_stats.nodes_suspected += 1;
         if self.tracing() {
@@ -1518,25 +1501,10 @@ impl Cluster {
                 JobId(0),
                 None,
                 Some(node),
-                format!(
-                    "{} missed heartbeats",
-                    self.config.detector.missed_heartbeats
-                ),
+                format!("{MISSED_HEARTBEATS} missed heartbeats"),
             );
         }
-        let grace = self.config.detector.confirmation_grace;
-        if grace == SimDuration::ZERO {
-            self.confirm_failure(node, now);
-        } else {
-            self.queue.schedule(
-                now + grace,
-                Event::Detector {
-                    node,
-                    epoch,
-                    confirm: true,
-                },
-            );
-        }
+        self.confirm_failure(node, now);
     }
 
     /// The detector gives up on a node: record the detection lag and run the
@@ -2327,7 +2295,6 @@ impl Cluster {
                 // exponential backoff while the JobTracker re-executes the
                 // lost maps, and proceeds once every output is back.
                 if !self.shuffle.complete(task.job) {
-                    let cfg = *self.shuffle.config();
                     let retries = {
                         let Some(tt) = self.tracker_mut(node) else {
                             return;
@@ -2339,11 +2306,7 @@ impl Cluster {
                         a.shuffle_retries = r.saturating_add(1);
                         r
                     };
-                    let mut wait = SimDuration::from_secs_f64(
-                        (cfg.fetch_retry_base.as_secs_f64()
-                            * cfg.fetch_retry_backoff.powi(retries.min(63) as i32))
-                        .min(cfg.fetch_retry_cap.as_secs_f64()),
-                    );
+                    let mut wait = ShuffleTracker::refetch_delay(retries);
                     // A gray-failed NIC stretches every re-fetch round too.
                     let slow_net = self.gray[node.0 as usize].1;
                     if slow_net != 1.0 {
@@ -2903,18 +2866,11 @@ impl Cluster {
         }
     }
 
-    /// Shuffle-duration multiplier for a reduce of `job` launching on `node`:
-    /// cross-rack map-output bytes pay the configured top-of-rack penalty,
-    /// `1 + (penalty - 1) * cross_rack_fraction`. `1.0` while shuffle
-    /// tracking is off (or the penalty is 1), so the default-off
-    /// configuration prices every byte identically.
+    /// Shuffle-duration multiplier for a reduce of `job` launching on `node`
+    /// (see `ShuffleTracker::reduce_contention`).
     fn reduce_contention(&self, job: JobId, node: NodeId) -> f64 {
-        if !self.shuffle.enabled() {
-            return 1.0;
-        }
         let rack = RackId(self.node_rack[node.0 as usize]);
-        let penalty = self.shuffle.config().cross_rack_penalty;
-        1.0 + (penalty - 1.0) * self.shuffle.cross_rack_fraction(job, rack)
+        self.shuffle.reduce_contention(job, rack)
     }
 
     fn launch_task(&mut self, task: TaskId, node: NodeId, now: SimTime) {
@@ -3055,7 +3011,7 @@ impl Cluster {
             let Some(job) = self.jobs.get(&task.job) else {
                 return;
             };
-            if job.speculative_live >= self.config.speculation.max_live_per_job {
+            if job.speculative_live >= MAX_LIVE_SPECULATIONS_PER_JOB {
                 return;
             }
             let Some(t) = job.task(task) else { return };

@@ -351,14 +351,14 @@ impl FaultPlan {
     }
 }
 
-/// Speculative re-execution (straggler mitigation) knobs.
+/// Speculative re-execution (straggler mitigation).
 ///
 /// When enabled, schedulers launch a backup attempt for a map task whose
-/// progress rate has fallen below `slowness_ratio` times its job's mean rate
-/// — including tasks frozen in `Suspended` (their rate decays while they
-/// wait, which is exactly the re-execution opportunity preemption churn and
-/// node failures create). The first attempt to finish wins; the engine kills
-/// the loser.
+/// progress rate has fallen below 0.4 times its job's mean rate, once it has
+/// run for 30 s, at most two live backups per job — including tasks frozen
+/// in `Suspended` (their rate decays while they wait, which is exactly the
+/// re-execution opportunity preemption churn and node failures create). The
+/// first attempt to finish wins; the engine kills the loser.
 ///
 /// ```
 /// use mrp_engine::{ClusterConfig, SpeculationConfig};
@@ -366,57 +366,17 @@ impl FaultPlan {
 /// let mut cfg = ClusterConfig::racked_cluster(2, 4, 2, 1);
 /// cfg.speculation = SpeculationConfig::enabled();
 /// assert!(cfg.validate().is_ok());
-/// // Or tune the thresholds directly:
-/// cfg.speculation.slowness_ratio = 0.25;
-/// cfg.speculation.max_live_per_job = 1;
-/// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SpeculationConfig {
     /// Master switch (default off: the paper's scenarios are speculation-free).
     pub enabled: bool,
-    /// A task is a straggler when its progress rate is below this fraction of
-    /// the job's mean progress rate.
-    pub slowness_ratio: f64,
-    /// Minimum time since a task's first launch before it may be speculated.
-    pub min_runtime: SimDuration,
-    /// Cap on concurrently live backup attempts per job (bounds slot waste).
-    pub max_live_per_job: u32,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        SpeculationConfig {
-            enabled: false,
-            slowness_ratio: 0.4,
-            min_runtime: SimDuration::from_secs(30),
-            max_live_per_job: 2,
-        }
-    }
 }
 
 impl SpeculationConfig {
-    /// Speculation switched on with the default Hadoop-like thresholds.
+    /// Speculation switched on with the Hadoop-like thresholds.
     pub fn enabled() -> Self {
-        SpeculationConfig {
-            enabled: true,
-            ..SpeculationConfig::default()
-        }
-    }
-
-    /// Validates the knobs (no-op while the feature is off), returning the
-    /// first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if !(self.slowness_ratio > 0.0 && self.slowness_ratio <= 1.0) {
-            return Err("speculation slowness ratio must be in (0, 1]".into());
-        }
-        if self.min_runtime.is_zero() {
-            return Err("speculation min runtime must be positive".into());
-        }
-        Ok(())
+        SpeculationConfig { enabled: true }
     }
 }
 
@@ -496,7 +456,7 @@ impl DelayConfig {
     }
 }
 
-/// Fault-tolerant shuffle knobs: map outputs as node-local artifacts that die
+/// Fault-tolerant shuffle: map outputs as node-local artifacts that die
 /// with their node, reduce-side fetch retry with exponential backoff, and a
 /// cross-rack bandwidth contention term in the shuffle phase.
 ///
@@ -504,99 +464,44 @@ impl DelayConfig {
 /// committed map output (per-job registry). A node crash destroys the
 /// outputs it held: completed maps of jobs with unfinished reduces go back
 /// to `Pending` for re-execution — Hadoop's real behaviour — while reduces
-/// stalled in their shuffle phase retry the fetch with exponential backoff
-/// instead of failing the job. A graceful decommission migrates the outputs
-/// to a surviving node instead (no re-execution), mirroring the
-/// graceful-vs-crash block distinction in `mrp_dfs::NameNode::re_replicate`.
+/// stalled in their shuffle phase retry the fetch (2 s, doubling per round,
+/// capped at 30 s) instead of failing the job. A graceful decommission
+/// migrates the outputs to a surviving node instead (no re-execution),
+/// mirroring the graceful-vs-crash block distinction in
+/// `mrp_dfs::NameNode::re_replicate`.
 ///
-/// `cross_rack_penalty` adds the topology term: a reduce launched on a rack
-/// holding little of its job's map-output bytes pays up to
-/// `cross_rack_penalty` times the base shuffle duration, which is what makes
-/// rack-aware reduce placement worth anything.
+/// The switch also adds the topology term: a reduce launched on a rack
+/// holding little of its job's map-output bytes pays up to twice the base
+/// shuffle duration, which is what makes rack-aware reduce placement worth
+/// anything.
 ///
 /// ```
 /// use mrp_engine::{ClusterConfig, ShuffleConfig};
-/// use mrp_sim::SimDuration;
 ///
 /// let mut cfg = ClusterConfig::racked_cluster(2, 4, 2, 1);
 /// cfg.shuffle = ShuffleConfig::fault_tolerant();
 /// assert!(cfg.validate().is_ok());
-/// // Or tune the retry/backoff schedule directly:
-/// cfg.shuffle.fetch_retry_base = SimDuration::from_secs(1);
-/// cfg.shuffle.fetch_retry_backoff = 2.0;
-/// cfg.shuffle.fetch_retry_cap = SimDuration::from_secs(20);
-/// cfg.shuffle.cross_rack_penalty = 2.5;
-/// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ShuffleConfig {
     /// Master switch (default off: map outputs survive node loss silently,
     /// as in the PR 3 fault model, and shuffle duration stays topology-blind).
     pub enabled: bool,
-    /// First re-fetch delay after a reduce finds map outputs missing at the
-    /// end of its shuffle phase.
-    pub fetch_retry_base: SimDuration,
-    /// Multiplier applied to the delay on every further failed fetch round
-    /// (exponential backoff).
-    pub fetch_retry_backoff: f64,
-    /// Upper bound on the per-round re-fetch delay.
-    pub fetch_retry_cap: SimDuration,
-    /// Shuffle-duration multiplier paid when *all* of a job's map-output
-    /// bytes live off the reduce's rack; the effective factor scales linearly
-    /// with the off-rack byte fraction. `1.0` disables the contention term.
-    pub cross_rack_penalty: f64,
-}
-
-impl Default for ShuffleConfig {
-    fn default() -> Self {
-        ShuffleConfig {
-            enabled: false,
-            fetch_retry_base: SimDuration::from_secs(2),
-            fetch_retry_backoff: 2.0,
-            fetch_retry_cap: SimDuration::from_secs(30),
-            cross_rack_penalty: 1.0,
-        }
-    }
 }
 
 impl ShuffleConfig {
     /// Fault-tolerant shuffle switched on with Hadoop-like retry defaults
     /// and a 2x worst-case cross-rack contention term.
     pub fn fault_tolerant() -> Self {
-        ShuffleConfig {
-            enabled: true,
-            cross_rack_penalty: 2.0,
-            ..ShuffleConfig::default()
-        }
-    }
-
-    /// Validates the knobs (no-op while the feature is off), returning the
-    /// first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if self.fetch_retry_base.is_zero() {
-            return Err("shuffle fetch retry base must be positive".into());
-        }
-        // NaN must fail these range checks too.
-        if self.fetch_retry_backoff < 1.0 || self.fetch_retry_backoff.is_nan() {
-            return Err("shuffle fetch retry backoff must be at least 1".into());
-        }
-        if self.fetch_retry_cap < self.fetch_retry_base {
-            return Err("shuffle fetch retry cap must be at least the base delay".into());
-        }
-        if self.cross_rack_penalty < 1.0 || self.cross_rack_penalty.is_nan() {
-            return Err("shuffle cross-rack penalty must be at least 1".into());
-        }
-        Ok(())
+        ShuffleConfig { enabled: true }
     }
 }
 
-/// ATLAS-style node-reliability predictor knobs (Soualhia et al.: feed
-/// failure history back into placement). The engine maintains an EWMA-like
+/// ATLAS-style node-reliability predictor (Soualhia et al.: feed failure
+/// history back into placement). The engine maintains an EWMA-like
 /// flakiness score per node and per rack, bumped on every crash and decaying
-/// exponentially with virtual time since the last one; schedulers consult it
+/// exponentially with virtual time since the last one (see
+/// [`ReliabilityTracker`](crate::ReliabilityTracker)); schedulers consult it
 /// through [`SchedulerContext::reliability_avoid`](crate::SchedulerContext)
 /// to keep fresh launches and speculative backups off recently-flaky nodes
 /// whenever the cluster has capacity elsewhere (the guard that keeps the
@@ -608,84 +513,34 @@ impl ShuffleConfig {
 /// let mut cfg = ClusterConfig::racked_cluster(2, 4, 2, 1);
 /// cfg.reliability = ReliabilityConfig::predictive();
 /// assert!(cfg.validate().is_ok());
-/// // Or tune the predictor directly:
-/// cfg.reliability.failure_boost = 0.6;
-/// cfg.reliability.half_life_secs = 180.0;
-/// cfg.reliability.flaky_threshold = 0.4;
-/// assert!(cfg.validate().is_ok());
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReliabilityConfig {
     /// Master switch (default off: placement ignores failure history).
     pub enabled: bool,
-    /// How far one crash moves the node's score towards 1.0 (the EWMA
-    /// weight of a new failure observation), in `(0, 1]`.
-    pub failure_boost: f64,
-    /// Half-life of the score's exponential decay, in seconds of virtual
-    /// time since the node's last failure: a node that stays up is forgiven.
-    pub half_life_secs: f64,
-    /// Weight of the node's rack score in the combined flakiness estimate
-    /// (rack-level churn — a sick switch — taints all members).
-    pub rack_weight: f64,
-    /// Combined score at or above which a node is considered flaky and
-    /// avoided for fresh launches and speculative backups.
-    pub flaky_threshold: f64,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            enabled: false,
-            failure_boost: 0.5,
-            half_life_secs: 300.0,
-            rack_weight: 0.25,
-            flaky_threshold: 0.35,
-        }
-    }
 }
 
 impl ReliabilityConfig {
     /// The predictor switched on with the default EWMA/decay parameters.
     pub fn predictive() -> Self {
-        ReliabilityConfig {
-            enabled: true,
-            ..ReliabilityConfig::default()
-        }
-    }
-
-    /// Validates the knobs (no-op while the feature is off), returning the
-    /// first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if !(self.failure_boost > 0.0 && self.failure_boost <= 1.0) {
-            return Err("reliability failure boost must be in (0, 1]".into());
-        }
-        if self.half_life_secs <= 0.0 || self.half_life_secs.is_nan() {
-            return Err("reliability half-life must be positive".into());
-        }
-        if self.rack_weight < 0.0 || self.rack_weight.is_nan() {
-            return Err("reliability rack weight must be non-negative".into());
-        }
-        if self.flaky_threshold <= 0.0 || self.flaky_threshold.is_nan() {
-            return Err("reliability flaky threshold must be positive".into());
-        }
-        Ok(())
+        ReliabilityConfig { enabled: true }
     }
 }
 
-/// Suspicion-based failure-detection knobs: how long the master waits
-/// before believing a silent node is dead.
+/// Heartbeat intervals without a heartbeat before the failure detector
+/// suspects a node and tears it down.
+pub(crate) const MISSED_HEARTBEATS: u32 = 3;
+
+/// Suspicion-based failure detection: how long the master waits before
+/// believing a silent node is dead.
 ///
 /// Default-off the master is omniscient, as in PR 3: a fault event and the
 /// scheduler's knowledge of it are simultaneous. With the detector enabled,
 /// a killed or partitioned node merely goes *silent*: its slots stay
 /// occupied in every scheduler view, nothing is re-executed, and only after
-/// [`DetectorConfig::missed_heartbeats`] heartbeat intervals without a sign
-/// of life (measured from the node's last delivered heartbeat, plus an
-/// optional [`DetectorConfig::confirmation_grace`] second look) does the
-/// teardown — attempt loss, map-output loss, block re-replication, the
+/// three heartbeat intervals without a sign of life (measured from the
+/// node's last delivered heartbeat, see [`DetectorConfig::timeout`]) does
+/// the teardown — attempt loss, map-output loss, block re-replication, the
 /// reliability penalty — actually run. Detection lag is recorded in
 /// [`FaultStats`](crate::metrics::FaultStats), because the window between
 /// fault and suspicion is exactly when suspended-to-disk state is silently
@@ -698,67 +553,35 @@ impl ReliabilityConfig {
 /// let mut cfg = ClusterConfig::racked_cluster(2, 4, 2, 1);
 /// cfg.detector = DetectorConfig::enabled();
 /// assert!(cfg.validate().is_ok());
-/// // Or tune the suspicion threshold directly: suspect after 5 missed
-/// // heartbeats, then confirm 2 seconds later.
-/// cfg.detector.missed_heartbeats = 5;
-/// cfg.detector.confirmation_grace = SimDuration::from_secs(2);
-/// assert!(cfg.validate().is_ok());
-/// // The worst-case observation lag is the timeout plus the grace period.
+/// // A silent node is torn down three 3 s heartbeats after its last one.
 /// assert_eq!(
 ///     cfg.detector.timeout(cfg.heartbeat_interval),
-///     SimDuration::from_secs(17),
+///     SimDuration::from_secs(9),
 /// );
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct DetectorConfig {
     /// Master switch (default off: faults are observed instantaneously).
     pub enabled: bool,
-    /// Heartbeat intervals without a heartbeat before a node is suspected
-    /// (must be at least 1 while enabled).
-    pub missed_heartbeats: u32,
-    /// Extra wait between suspicion and confirmed teardown (a second-look
-    /// grace period; zero confirms immediately on suspicion).
-    pub confirmation_grace: SimDuration,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            enabled: false,
-            missed_heartbeats: 3,
-            confirmation_grace: SimDuration::ZERO,
-        }
-    }
 }
 
 impl DetectorConfig {
-    /// The detector switched on with the default Hadoop-like threshold
-    /// (3 missed heartbeats, no confirmation grace).
+    /// The detector switched on with the Hadoop-like threshold of three
+    /// missed heartbeats.
     pub fn enabled() -> Self {
-        DetectorConfig {
-            enabled: true,
-            ..DetectorConfig::default()
-        }
+        DetectorConfig { enabled: true }
     }
 
-    /// The full suspicion-to-teardown timeout for a given heartbeat
-    /// interval: `missed_heartbeats * interval + confirmation_grace`.
+    /// The suspicion-to-teardown timeout for a given heartbeat interval:
+    /// three missed heartbeats.
     pub fn timeout(&self, heartbeat_interval: SimDuration) -> SimDuration {
-        heartbeat_interval.mul_f64(f64::from(self.missed_heartbeats)) + self.confirmation_grace
-    }
-
-    /// Validates the knobs (no-op while the feature is off), returning the
-    /// first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.enabled && self.missed_heartbeats == 0 {
-            return Err("failure detector must wait for at least one missed heartbeat".into());
-        }
-        Ok(())
+        heartbeat_interval.mul_f64(f64::from(MISSED_HEARTBEATS))
     }
 }
 
-/// Observability knobs: the in-cluster metrics registry, virtual-time
-/// series sampler, event-loop profiler and span trace.
+/// Observability: the in-cluster metrics registry, virtual-time series
+/// sampler (one row every 10 s of virtual time), event-loop profiler and
+/// span trace (capped at 2^20 spans).
 ///
 /// Default-off the cluster allocates no observability state at all and every
 /// hot path skips recording behind a single `Option` check, so pinned
@@ -774,76 +597,18 @@ impl DetectorConfig {
 ///
 /// let cfg = ClusterConfig::small_cluster(4, 2, 1).with_obs(ObsConfig::full());
 /// assert!(cfg.validate().is_ok());
-/// assert!(cfg.obs.series && cfg.obs.spans && cfg.obs.profile);
+/// assert!(cfg.obs.enabled);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ObsConfig {
     /// Master switch (default off: zero observability state, zero overhead).
     pub enabled: bool,
-    /// Sample the time-series columns (pending tasks, free slots, suspended
-    /// bytes, swap backlog, suspicions, ...) every `sample_interval`.
-    pub series: bool,
-    /// Record spans (task attempts, suspend cycles, shuffle stalls,
-    /// partition windows) for Chrome-trace export.
-    pub spans: bool,
-    /// Profile the event loop per event kind and scheduler action.
-    pub profile: bool,
-    /// Virtual-time cadence of the series sampler (must be non-zero while
-    /// `series` is on).
-    pub sample_interval: SimDuration,
-    /// Hard cap on recorded spans; once reached, new spans are dropped (and
-    /// counted) rather than growing without bound on week-long runs.
-    pub max_spans: usize,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig {
-            enabled: false,
-            series: true,
-            spans: true,
-            profile: true,
-            sample_interval: SimDuration::from_secs(10),
-            max_spans: 1 << 20,
-        }
-    }
 }
 
 impl ObsConfig {
-    /// Everything on: series sampling (10 s cadence), spans and the
-    /// event-loop profiler.
+    /// Everything on: series sampling, spans and the event-loop profiler.
     pub fn full() -> Self {
-        ObsConfig {
-            enabled: true,
-            ..ObsConfig::default()
-        }
-    }
-
-    /// Only the event-loop profiler — what throughput benches enable, since
-    /// it allocates nothing per event.
-    pub fn profile_only() -> Self {
-        ObsConfig {
-            enabled: true,
-            series: false,
-            spans: false,
-            profile: true,
-            ..ObsConfig::default()
-        }
-    }
-
-    /// Validates the knobs (no-op while the feature is off), returning the
-    /// first problem found.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.enabled {
-            return Ok(());
-        }
-        if self.series && self.sample_interval.is_zero() {
-            return Err("observability sample interval must be non-zero".into());
-        }
-        if self.spans && self.max_spans == 0 {
-            return Err("observability span cap must be at least 1".into());
-        }
-        Ok(())
+        ObsConfig { enabled: true }
     }
 }
 
@@ -860,10 +625,6 @@ pub struct ClusterConfig {
     pub refresh_mode: RefreshMode,
     /// TaskTracker heartbeat interval (`mapreduce.jobtracker.heartbeat.interval`).
     pub heartbeat_interval: SimDuration,
-    /// Whether TaskTrackers send an immediate out-of-band heartbeat when a
-    /// task finishes, is suspended, or is killed
-    /// (`mapreduce.tasktracker.outofband.heartbeat`).
-    pub out_of_band_heartbeats: bool,
     /// HDFS block size used when the harness creates input files.
     pub dfs_block_size: u64,
     /// HDFS replication factor for created files.
@@ -877,18 +638,18 @@ pub struct ClusterConfig {
     pub trace_level: TraceLevel,
     /// Fault-injection plan (default: no faults).
     pub faults: FaultPlan,
-    /// Speculative re-execution knobs (default: off).
+    /// Speculative re-execution switch (default: off).
     pub speculation: SpeculationConfig,
     /// Delay-scheduling knobs for data-local placement (default: off).
     pub delay: DelayConfig,
-    /// Fault-tolerant shuffle knobs (default: off).
+    /// Fault-tolerant shuffle switch (default: off).
     pub shuffle: ShuffleConfig,
-    /// Node-reliability predictor knobs (default: off).
+    /// Node-reliability predictor switch (default: off).
     pub reliability: ReliabilityConfig,
-    /// Suspicion-based failure-detection knobs (default: off — faults are
+    /// Suspicion-based failure-detection switch (default: off — faults are
     /// observed the instant they strike).
     pub detector: DetectorConfig,
-    /// Observability knobs — metrics registry, series sampler, event-loop
+    /// Observability switch — metrics registry, series sampler, event-loop
     /// profiler, span trace (default: off).
     #[serde(default)]
     pub obs: ObsConfig,
@@ -914,7 +675,6 @@ impl ClusterConfig {
             racks: 1,
             refresh_mode: RefreshMode::Sharded,
             heartbeat_interval: SimDuration::from_secs(3),
-            out_of_band_heartbeats: true,
             dfs_block_size: 512 * MIB,
             dfs_replication: 1,
             task: TaskDefaults::default(),
@@ -944,7 +704,6 @@ impl ClusterConfig {
             racks: 1,
             refresh_mode: RefreshMode::Sharded,
             heartbeat_interval: SimDuration::from_secs(3),
-            out_of_band_heartbeats: true,
             dfs_block_size: 128 * MIB,
             dfs_replication: 3.min(nodes),
             task: TaskDefaults::default(),
@@ -996,7 +755,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Replaces the speculative-execution knobs, builder style.
+    /// Replaces the speculative-execution switch, builder style.
     ///
     /// ```
     /// use mrp_engine::{ClusterConfig, SpeculationConfig};
@@ -1010,26 +769,19 @@ impl ClusterConfig {
         self
     }
 
-    /// Replaces the delay-scheduling knobs, builder style (see also
-    /// [`ClusterConfig::with_delay_intervals`] for heartbeat-relative waits).
-    pub fn with_delay(mut self, delay: DelayConfig) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Replaces the fault-tolerant-shuffle knobs, builder style.
+    /// Replaces the fault-tolerant-shuffle switch, builder style.
     pub fn with_shuffle(mut self, shuffle: ShuffleConfig) -> Self {
         self.shuffle = shuffle;
         self
     }
 
-    /// Replaces the node-reliability-predictor knobs, builder style.
+    /// Replaces the node-reliability-predictor switch, builder style.
     pub fn with_reliability(mut self, reliability: ReliabilityConfig) -> Self {
         self.reliability = reliability;
         self
     }
 
-    /// Replaces the failure-detector knobs, builder style.
+    /// Replaces the failure-detector switch, builder style.
     pub fn with_detector(mut self, detector: DetectorConfig) -> Self {
         self.detector = detector;
         self
@@ -1041,7 +793,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Replaces the observability knobs, builder style.
+    /// Replaces the observability switch, builder style.
     ///
     /// ```
     /// use mrp_engine::{ClusterConfig, ObsConfig};
@@ -1102,12 +854,11 @@ impl ClusterConfig {
     }
 
     /// Validates the configuration, returning a description of the first
-    /// problem found. Cluster-shape checks live here; each feature
-    /// sub-config validates its own knobs ([`FaultPlan::validate`],
-    /// [`SpeculationConfig::validate`], [`DelayConfig::validate`],
-    /// [`ShuffleConfig::validate`], [`ReliabilityConfig::validate`],
-    /// [`DetectorConfig::validate`], [`ObsConfig::validate`]) and is invoked
-    /// from this single entry point.
+    /// problem found. Cluster-shape checks live here; the feature
+    /// sub-configs with settable values validate their own
+    /// ([`FaultPlan::validate`], [`DelayConfig::validate`],
+    /// [`mrp_simos::SwapConfig::validate`]) and are invoked from this single
+    /// entry point.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("cluster must have at least one node".into());
@@ -1143,12 +894,7 @@ impl ClusterConfig {
             }
         }
         self.faults.validate(self.nodes.len(), self.racks)?;
-        self.speculation.validate()?;
         self.delay.validate()?;
-        self.shuffle.validate()?;
-        self.reliability.validate()?;
-        self.detector.validate()?;
-        self.obs.validate()?;
         for (i, n) in self.nodes.iter().enumerate() {
             n.os.memory
                 .swap
@@ -1271,10 +1017,6 @@ mod tests {
         bad.faults.random.as_mut().unwrap().rack_mtbf_secs = 0.0;
         assert!(bad.validate().is_err(), "zero MTBF");
 
-        let mut bad = c.clone();
-        bad.speculation.slowness_ratio = 1.5;
-        assert!(bad.validate().is_err(), "slowness ratio out of range");
-
         assert!(ClusterConfig::paper_single_node().faults.is_empty());
     }
 
@@ -1310,39 +1052,9 @@ mod tests {
         c.reliability = ReliabilityConfig::predictive();
         assert!(c.validate().is_ok());
 
-        let mut bad = c.clone();
-        bad.shuffle.fetch_retry_base = SimDuration::ZERO;
-        assert!(bad.validate().is_err(), "zero retry base");
-
-        let mut bad = c.clone();
-        bad.shuffle.fetch_retry_backoff = 0.5;
-        assert!(bad.validate().is_err(), "sub-unit backoff");
-
-        let mut bad = c.clone();
-        bad.shuffle.fetch_retry_cap = SimDuration::from_millis(1);
-        assert!(bad.validate().is_err(), "cap below base");
-
-        let mut bad = c.clone();
-        bad.shuffle.cross_rack_penalty = 0.9;
-        assert!(bad.validate().is_err(), "penalty below 1");
-
-        let mut bad = c.clone();
-        bad.reliability.failure_boost = 0.0;
-        assert!(bad.validate().is_err(), "zero failure boost");
-
-        let mut bad = c.clone();
-        bad.reliability.half_life_secs = 0.0;
-        assert!(bad.validate().is_err(), "zero half-life");
-
-        let mut bad = c.clone();
-        bad.reliability.flaky_threshold = 0.0;
-        assert!(bad.validate().is_err(), "zero flaky threshold");
-
-        // Both off by default: invalid knobs are ignored while disabled.
-        let mut off = ClusterConfig::paper_single_node();
-        off.shuffle.cross_rack_penalty = 0.0;
-        off.reliability.half_life_secs = 0.0;
-        assert!(off.validate().is_ok());
+        // Both off by default.
+        let off = ClusterConfig::paper_single_node();
+        assert!(!off.shuffle.enabled && !off.reliability.enabled);
     }
 
     #[test]
@@ -1403,28 +1115,15 @@ mod tests {
         };
         assert!(bad.validate().is_err(), "NaN slow_net");
 
-        let mut bad = c.clone();
-        bad.detector.missed_heartbeats = 0;
-        assert!(bad.validate().is_err(), "zero-heartbeat suspicion window");
-
-        // Off by default: invalid knobs are ignored while disabled.
-        let mut off = ClusterConfig::paper_single_node();
-        off.detector.missed_heartbeats = 0;
-        assert!(!off.detector.enabled);
-        assert!(off.validate().is_ok());
+        // Off by default.
+        assert!(!ClusterConfig::paper_single_node().detector.enabled);
     }
 
     #[test]
-    fn detector_timeout_combines_threshold_and_grace() {
-        let mut d = DetectorConfig::enabled();
+    fn detector_timeout_is_three_missed_heartbeats() {
         assert_eq!(
-            d.timeout(SimDuration::from_secs(3)),
+            DetectorConfig::enabled().timeout(SimDuration::from_secs(3)),
             SimDuration::from_secs(9)
-        );
-        d.confirmation_grace = SimDuration::from_secs(2);
-        assert_eq!(
-            d.timeout(SimDuration::from_secs(3)),
-            SimDuration::from_secs(11)
         );
     }
 

@@ -16,14 +16,20 @@
 //! (the core crate sits *above* the engine) turn it into Chrome
 //! `trace_event` JSON, series JSON and the profiler table.
 
-use crate::config::ObsConfig;
 use crate::job::AttemptId;
 use mrp_dfs::NodeId;
 use mrp_sim::{
-    HistogramId, LoopProfiler, MetricsRegistry, ProfileReport, SimTime, TimeSeriesSampler,
+    HistogramId, LoopProfiler, MetricsRegistry, ProfileReport, SimDuration, SimTime,
+    TimeSeriesSampler,
 };
 use std::collections::HashMap;
 use std::time::Instant;
+
+/// Virtual-time cadence of the series sampler.
+const SAMPLE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// Hard cap on recorded spans; once reached, new spans are dropped (and
+/// counted) rather than growing without bound on week-long runs.
+const MAX_SPANS: usize = 1 << 20;
 
 /// Event-kind names, indexed by the discriminant the cluster's run loop
 /// passes to `ObsState::note_event`. Index 0 is the heartbeat wheel (the
@@ -133,10 +139,9 @@ pub struct Span {
 
 /// The observability state owned by an observed cluster.
 pub struct ObsState {
-    cfg: ObsConfig,
     registry: MetricsRegistry,
-    profiler: Option<LoopProfiler>,
-    sampler: Option<TimeSeriesSampler>,
+    profiler: LoopProfiler,
+    sampler: TimeSeriesSampler,
     spans: Vec<Span>,
     open: HashMap<SpanKey, usize>,
     dropped_spans: u64,
@@ -149,24 +154,19 @@ pub struct ObsState {
 }
 
 impl ObsState {
-    pub(crate) fn new(cfg: ObsConfig) -> Self {
+    pub(crate) fn new() -> Self {
         let mut registry = MetricsRegistry::new();
         let hist_attempt = registry.histogram("attempt_duration_us");
         let hist_suspend = registry.histogram("suspend_cycle_us");
         let hist_shuffle = registry.histogram("shuffle_stall_us");
         let hist_partition = registry.histogram("partition_window_us");
         ObsState {
-            cfg,
             registry,
-            profiler: cfg
-                .profile
-                .then(|| LoopProfiler::new(&EVENT_KINDS, &ACTION_KINDS)),
-            sampler: cfg.series.then(|| {
-                TimeSeriesSampler::new(
-                    cfg.sample_interval,
-                    SERIES_COLUMNS.iter().map(|c| c.to_string()).collect(),
-                )
-            }),
+            profiler: LoopProfiler::new(&EVENT_KINDS, &ACTION_KINDS),
+            sampler: TimeSeriesSampler::new(
+                SAMPLE_INTERVAL,
+                SERIES_COLUMNS.iter().map(|c| c.to_string()).collect(),
+            ),
             spans: Vec::new(),
             open: HashMap::new(),
             dropped_spans: 0,
@@ -175,11 +175,6 @@ impl ObsState {
             hist_shuffle,
             hist_partition,
         }
-    }
-
-    /// The configuration this state was built from.
-    pub fn config(&self) -> ObsConfig {
-        self.cfg
     }
 
     /// The metrics registry (duration histograms per span family, plus
@@ -193,9 +188,9 @@ impl ObsState {
         &mut self.registry
     }
 
-    /// The sampled time series, when series sampling is on.
+    /// The sampled time series (always present on an observed cluster).
     pub fn series(&self) -> Option<&TimeSeriesSampler> {
-        self.sampler.as_ref()
+        Some(&self.sampler)
     }
 
     /// All recorded spans, in begin order.
@@ -203,70 +198,61 @@ impl ObsState {
         &self.spans
     }
 
-    /// Spans dropped after [`ObsConfig::max_spans`] was reached.
+    /// Spans dropped after the 2^20-span cap was reached.
     pub fn dropped_spans(&self) -> u64 {
         self.dropped_spans
     }
 
-    /// Snapshot of the event-loop profile, when profiling is on.
+    /// Snapshot of the event-loop profile (always present on an observed
+    /// cluster).
     pub fn profile(&self) -> Option<ProfileReport> {
-        self.profiler.as_ref().map(|p| p.report())
+        Some(self.profiler.report())
     }
 
     // ----- recorders called from cluster.rs ---------------------------------
 
     #[inline]
     pub(crate) fn loop_begin(&mut self) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.begin_loop();
-        }
+        self.profiler.begin_loop();
     }
 
     #[inline]
     pub(crate) fn loop_end(&mut self) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.end_loop();
-        }
+        self.profiler.end_loop();
     }
 
     #[inline]
     pub(crate) fn note_event(&mut self, kind: usize) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.note(kind);
-        }
+        self.profiler.note(kind);
     }
 
     #[inline]
     pub(crate) fn action_timer(&mut self) -> Option<Instant> {
-        self.profiler.as_mut().and_then(|p| p.action_timer())
+        self.profiler.action_timer()
     }
 
     #[inline]
     pub(crate) fn record_actions(&mut self, per_kind: &[u32], timer: Option<Instant>) {
-        if let Some(p) = self.profiler.as_mut() {
-            p.record_actions(per_kind, timer);
-        }
+        self.profiler.record_actions(per_kind, timer);
     }
 
     #[inline]
     pub(crate) fn series_due(&self, now: SimTime) -> bool {
-        self.sampler.as_ref().is_some_and(|s| s.due(now))
+        self.sampler.due(now)
     }
 
     pub(crate) fn record_series(&mut self, now: SimTime, values: Vec<u64>) {
-        if let Some(s) = self.sampler.as_mut() {
-            s.record(now, values);
-        }
+        self.sampler.record(now, values);
     }
 
     /// Opens a span. A begin on a key that is already open is ignored (the
     /// first begin wins — matches the engine's first-commit-wins flavor and
     /// keeps the trace balanced).
     pub(crate) fn span_begin(&mut self, key: SpanKey, node: NodeId, name: String, at: SimTime) {
-        if !self.cfg.spans || self.open.contains_key(&key) {
+        if self.open.contains_key(&key) {
             return;
         }
-        if self.spans.len() >= self.cfg.max_spans {
+        if self.spans.len() >= MAX_SPANS {
             self.dropped_spans += 1;
             return;
         }
@@ -284,9 +270,6 @@ impl ObsState {
     /// begun, was dropped at the cap, or was already closed by an earlier
     /// teardown path).
     pub(crate) fn span_end(&mut self, key: SpanKey, at: SimTime) {
-        if !self.cfg.spans {
-            return;
-        }
         let Some(idx) = self.open.remove(&key) else {
             return;
         };

@@ -8,16 +8,17 @@
 //! (scripted events and random churn alike — the predictor sees observations,
 //! not the plan):
 //!
-//! * a crash moves the victim's score towards `1.0` by
-//!   [`failure_boost`](crate::ReliabilityConfig::failure_boost), and its
-//!   rack's score likewise (rack churn — a sick switch — taints members);
+//! * a crash moves the victim's score halfway towards `1.0`
+//!   (`FAILURE_BOOST`), and its rack's score likewise (rack churn — a sick
+//!   switch — taints members);
 //! * between failures the score decays exponentially with **virtual time**,
-//!   halving every [`half_life_secs`](crate::ReliabilityConfig::half_life_secs)
-//!   — a pure function of `now`, so no decay events are needed and the
-//!   simulation stays deterministic and refresh-mode independent;
+//!   halving every five minutes (`HALF_LIFE_SECS`) — a pure function of
+//!   `now`, so no decay events are needed and the simulation stays
+//!   deterministic and refresh-mode independent;
 //! * graceful decommissions are *not* failures and never feed the predictor.
 //!
-//! Schedulers consult the combined node+rack score through
+//! Schedulers consult the combined score — the node's own plus a quarter of
+//! its rack's (`RACK_WEIGHT`), flaky from 0.35 up (`FLAKY_THRESHOLD`) — through
 //! [`SchedulerContext::reliability_avoid`](crate::SchedulerContext), which
 //! only steers **fresh** launches and speculative backups, never resumes, and
 //! only while the cluster has free capacity elsewhere — the guard that keeps
@@ -26,6 +27,18 @@
 use crate::config::ReliabilityConfig;
 use mrp_dfs::{NodeId, RackId};
 use mrp_sim::SimTime;
+
+/// How far one crash moves a score towards 1.0 (the EWMA weight of a new
+/// failure observation).
+const FAILURE_BOOST: f64 = 0.5;
+/// Half-life of a score's exponential decay, in seconds of virtual time
+/// since the last failure: a node that stays up is forgiven.
+const HALF_LIFE_SECS: f64 = 300.0;
+/// Weight of the rack score in a node's combined flakiness estimate.
+const RACK_WEIGHT: f64 = 0.25;
+/// Combined score at or above which a node is flaky and avoided for fresh
+/// launches and speculative backups.
+const FLAKY_THRESHOLD: f64 = 0.35;
 
 /// One decaying failure score: its value at the time of the last failure
 /// plus the timestamp to decay from.
@@ -40,20 +53,20 @@ struct Score {
 impl Score {
     /// Current value: exponential decay from the last failure,
     /// `at_failure * 2^(-elapsed / half_life)`.
-    fn value(&self, now: SimTime, half_life_secs: f64) -> f64 {
+    fn value(&self, now: SimTime) -> f64 {
         match self.last_failure {
             None => 0.0,
             Some(t) => {
                 let elapsed = (now - t).as_secs_f64();
-                self.at_failure * (-elapsed * std::f64::consts::LN_2 / half_life_secs).exp()
+                self.at_failure * (-elapsed * std::f64::consts::LN_2 / HALF_LIFE_SECS).exp()
             }
         }
     }
 
     /// Records a failure at `now`: decay to the present, then EWMA-bump
     /// towards 1.0.
-    fn record(&mut self, now: SimTime, half_life_secs: f64, boost: f64) {
-        let current = self.value(now, half_life_secs);
+    fn record(&mut self, now: SimTime, boost: f64) {
+        let current = self.value(now);
         self.at_failure = current + boost * (1.0 - current);
         self.last_failure = Some(now);
     }
@@ -63,7 +76,7 @@ impl Score {
 /// [`SchedulerContext`](crate::SchedulerContext). See the module docs.
 #[derive(Debug)]
 pub struct ReliabilityTracker {
-    config: ReliabilityConfig,
+    enabled: bool,
     nodes: Vec<Score>,
     racks: Vec<Score>,
 }
@@ -72,7 +85,7 @@ impl ReliabilityTracker {
     /// Creates the tracker for a cluster of the given shape.
     pub fn new(config: ReliabilityConfig, node_count: usize, rack_count: usize) -> Self {
         ReliabilityTracker {
-            config,
+            enabled: config.enabled,
             nodes: vec![Score::default(); node_count],
             racks: vec![Score::default(); rack_count],
         }
@@ -81,22 +94,20 @@ impl ReliabilityTracker {
     /// Whether the predictor is switched on at all.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.config.enabled
+        self.enabled
     }
 
     /// Feeds one observed crash of `node` (rack `rack`) into the scores.
     /// Decommissions are graceful and must not be recorded.
     pub(crate) fn record_failure(&mut self, node: NodeId, rack: RackId, now: SimTime) {
-        if !self.config.enabled {
+        if !self.enabled {
             return;
         }
-        let hl = self.config.half_life_secs;
-        let boost = self.config.failure_boost;
         if let Some(s) = self.nodes.get_mut(node.0 as usize) {
-            s.record(now, hl, boost);
+            s.record(now, FAILURE_BOOST);
         }
         if let Some(s) = self.racks.get_mut(rack.0 as usize) {
-            s.record(now, hl, boost);
+            s.record(now, FAILURE_BOOST);
         }
     }
 
@@ -105,40 +116,37 @@ impl ReliabilityTracker {
     /// placement risk, but a recoverable one. The rack score is untouched —
     /// gray failures are node-local (a sick disk), not switch-wide.
     pub(crate) fn record_degraded(&mut self, node: NodeId, now: SimTime) {
-        if !self.config.enabled {
+        if !self.enabled {
             return;
         }
-        let hl = self.config.half_life_secs;
-        let boost = 0.5 * self.config.failure_boost;
         if let Some(s) = self.nodes.get_mut(node.0 as usize) {
-            s.record(now, hl, boost);
+            s.record(now, 0.5 * FAILURE_BOOST);
         }
     }
 
     /// The node's combined flakiness estimate right now: its own decayed
-    /// score plus `rack_weight` times its rack's.
+    /// score plus `RACK_WEIGHT` times its rack's.
     pub fn score(&self, node: NodeId, rack: RackId, now: SimTime) -> f64 {
-        if !self.config.enabled {
+        if !self.enabled {
             return 0.0;
         }
-        let hl = self.config.half_life_secs;
         let node_score = self
             .nodes
             .get(node.0 as usize)
-            .map(|s| s.value(now, hl))
+            .map(|s| s.value(now))
             .unwrap_or(0.0);
         let rack_score = self
             .racks
             .get(rack.0 as usize)
-            .map(|s| s.value(now, hl))
+            .map(|s| s.value(now))
             .unwrap_or(0.0);
-        node_score + self.config.rack_weight * rack_score
+        node_score + RACK_WEIGHT * rack_score
     }
 
     /// True when the node's combined score is at or above the flaky
     /// threshold — the placement bias trigger.
     pub fn flaky(&self, node: NodeId, rack: RackId, now: SimTime) -> bool {
-        self.config.enabled && self.score(node, rack, now) >= self.config.flaky_threshold
+        self.enabled && self.score(node, rack, now) >= FLAKY_THRESHOLD
     }
 }
 
@@ -192,7 +200,7 @@ mod tests {
         }
         let s = t.score(NodeId(2), RackId(1), SimTime::from_secs(105));
         assert!(s > 0.9, "compounded score {s}");
-        assert!(s < 1.0 + t.config.rack_weight + 1e-9);
+        assert!(s < 1.0 + RACK_WEIGHT + 1e-9);
     }
 
     #[test]
@@ -203,8 +211,7 @@ mod tests {
         let gray = t.score(NodeId(1), RackId(0), now);
         let mut c = tracker();
         c.record_failure(NodeId(1), RackId(0), now);
-        let crash_node_only = 0.5; // failure_boost, node term alone
-        assert!((gray - crash_node_only / 2.0).abs() < 1e-9, "gray={gray}");
+        assert!((gray - FAILURE_BOOST / 2.0).abs() < 1e-9, "gray={gray}");
         assert!(gray < c.score(NodeId(1), RackId(0), now));
         // Rack siblings are untouched by a gray failure.
         assert_eq!(t.score(NodeId(0), RackId(0), now), 0.0);
@@ -216,13 +223,15 @@ mod tests {
 
     #[test]
     fn rack_churn_taints_members() {
-        let mut cfg = ReliabilityConfig::predictive();
-        cfg.rack_weight = 1.0;
-        let mut t = ReliabilityTracker::new(cfg, 4, 2);
+        let mut t = tracker();
         let now = SimTime::from_secs(50);
         t.record_failure(NodeId(0), RackId(0), now);
-        // A sibling that never failed itself is still flaky via the rack term.
-        assert!(t.flaky(NodeId(1), RackId(0), now));
-        assert!(!t.flaky(NodeId(3), RackId(1), now));
+        // A sibling that never failed itself still scores the rack term.
+        let sibling = t.score(NodeId(1), RackId(0), now);
+        assert!(
+            (sibling - RACK_WEIGHT * FAILURE_BOOST).abs() < 1e-12,
+            "sibling={sibling}"
+        );
+        assert_eq!(t.score(NodeId(3), RackId(1), now), 0.0);
     }
 }

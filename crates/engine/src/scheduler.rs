@@ -14,8 +14,16 @@ use crate::job::{JobId, JobRuntime, JobSpec, JobTable, TaskId, TaskKind, TaskRun
 use crate::reliability::ReliabilityTracker;
 use crate::shuffle::ShuffleTracker;
 use mrp_dfs::{Locality, NodeId, RackId, Topology};
-use mrp_sim::SimTime;
+use mrp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+
+/// A map task is a straggler when its progress rate is below this fraction
+/// of its job's mean progress rate.
+const SPECULATION_SLOWNESS_RATIO: f64 = 0.4;
+/// Minimum time since a task's first launch before it may be speculated.
+const SPECULATION_MIN_RUNTIME: SimDuration = SimDuration::from_secs(30);
+/// Cap on concurrently live backup attempts per job (bounds slot waste).
+pub(crate) const MAX_LIVE_SPECULATIONS_PER_JOB: u32 = 2;
 
 /// A command a scheduler hands back to the JobTracker.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -201,7 +209,7 @@ pub struct SchedulerContext<'a> {
     pub topology: &'a Topology,
     /// Cluster-wide pending-work counters (see [`PendingTotals`]).
     pub totals: PendingTotals,
-    /// Speculative-execution knobs (from
+    /// Speculative-execution switch (from
     /// [`ClusterConfig::speculation`](crate::ClusterConfig)); policies use
     /// [`SchedulerContext::push_speculative_candidates`] and never need to
     /// read this directly.
@@ -509,15 +517,14 @@ impl<'a> SchedulerContext<'a> {
         max: usize,
         out: &mut Vec<TaskId>,
     ) {
-        let cfg = self.speculation;
-        if !cfg.enabled
+        if !self.speculation.enabled
             || max == 0
-            || job.speculative_live >= cfg.max_live_per_job
+            || job.speculative_live >= MAX_LIVE_SPECULATIONS_PER_JOB
             || job.schedulable_maps > 0
         {
             return;
         }
-        let min_runtime = cfg.min_runtime.as_secs_f64();
+        let min_runtime = SPECULATION_MIN_RUNTIME.as_secs_f64();
         // Pass 1: the job's mean progress rate. Completed tasks anchor the
         // baseline (their rate is 1/duration), so a job whose remaining
         // attempts are *all* degraded — e.g. every one frozen in `Suspended`
@@ -564,7 +571,7 @@ impl<'a> SchedulerContext<'a> {
         if count < 2 {
             return; // no population to call anything a straggler against
         }
-        let threshold = cfg.slowness_ratio * (rate_sum / f64::from(count));
+        let threshold = SPECULATION_SLOWNESS_RATIO * (rate_sum / f64::from(count));
         // Pass 2: tasks whose rate fell below the threshold and that can
         // take a backup on this node. Only `Suspended` stragglers qualify: a
         // running straggler (e.g. a task restarted after a node failure)
@@ -575,7 +582,7 @@ impl<'a> SchedulerContext<'a> {
         // frees a slot, which is exactly when a backup elsewhere wins. (The
         // engine accepts `LaunchSpeculative` for `MustResume` too, for
         // policies with their own detectors.)
-        let budget = max.min((cfg.max_live_per_job - job.speculative_live) as usize);
+        let budget = max.min((MAX_LIVE_SPECULATIONS_PER_JOB - job.speculative_live) as usize);
         let mut pushed = 0usize;
         for t in &job.tasks {
             if pushed >= budget {

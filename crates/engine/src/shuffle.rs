@@ -22,6 +22,20 @@
 use crate::config::ShuffleConfig;
 use crate::job::JobId;
 use mrp_dfs::{NodeId, RackId};
+use mrp_sim::SimDuration;
+
+/// First re-fetch delay, in seconds, after a reduce finds map outputs
+/// missing at the end of its shuffle phase.
+const FETCH_RETRY_BASE_SECS: f64 = 2.0;
+/// Multiplier applied to the delay on every further failed fetch round
+/// (exponential backoff).
+const FETCH_RETRY_BACKOFF: f64 = 2.0;
+/// Upper bound, in seconds, on the per-round re-fetch delay.
+const FETCH_RETRY_CAP_SECS: f64 = 30.0;
+/// Shuffle-duration multiplier paid when *all* of a job's map-output bytes
+/// live off the reduce's rack; the effective factor scales linearly with the
+/// off-rack byte fraction.
+const CROSS_RACK_PENALTY: f64 = 2.0;
 
 /// Per-job map-output registry (see module docs).
 #[derive(Clone, Debug)]
@@ -43,7 +57,7 @@ struct JobShuffle {
 /// [`SchedulerContext`](crate::SchedulerContext). See the module docs.
 #[derive(Debug)]
 pub struct ShuffleTracker {
-    config: ShuffleConfig,
+    enabled: bool,
     rack_count: usize,
     /// Per-job state, dense by `JobId` (ids are sequential from 1); `None`
     /// for untracked jobs (map-only, or tracking disabled) and for jobs whose
@@ -52,10 +66,10 @@ pub struct ShuffleTracker {
 }
 
 impl ShuffleTracker {
-    /// Creates the tracker for a cluster with the given shuffle knobs.
+    /// Creates the tracker for a cluster with the given shuffle config.
     pub fn new(config: ShuffleConfig, rack_count: usize) -> Self {
         ShuffleTracker {
-            config,
+            enabled: config.enabled,
             rack_count,
             jobs: Vec::new(),
         }
@@ -64,13 +78,27 @@ impl ShuffleTracker {
     /// Whether map-output tracking is switched on at all.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.config.enabled
+        self.enabled
     }
 
-    /// The shuffle knobs the tracker was built with.
-    #[inline]
-    pub fn config(&self) -> &ShuffleConfig {
-        &self.config
+    /// Delay before a stalled reduce's next re-fetch round after `retries`
+    /// failed rounds: exponential backoff from the base delay, capped.
+    pub(crate) fn refetch_delay(retries: u32) -> SimDuration {
+        SimDuration::from_secs_f64(
+            (FETCH_RETRY_BASE_SECS * FETCH_RETRY_BACKOFF.powi(retries.min(63) as i32))
+                .min(FETCH_RETRY_CAP_SECS),
+        )
+    }
+
+    /// Shuffle-duration multiplier for a reduce of `job` launching on
+    /// `rack`: cross-rack map-output bytes pay the top-of-rack penalty,
+    /// `1 + (penalty - 1) * cross_rack_fraction`. `1.0` while tracking is
+    /// off, so the default configuration prices every byte identically.
+    pub(crate) fn reduce_contention(&self, job: JobId, rack: RackId) -> f64 {
+        if !self.enabled {
+            return 1.0;
+        }
+        1.0 + (CROSS_RACK_PENALTY - 1.0) * self.cross_rack_fraction(job, rack)
     }
 
     /// Registers the next job (ids are dense; called by the engine on job
@@ -78,7 +106,7 @@ impl ShuffleTracker {
     /// (and every job while tracking is disabled) stay `None` but still
     /// occupy a slot to keep the vector dense.
     pub(crate) fn register_job(&mut self, map_count: u32, reduce_count: u32) {
-        let tracked = self.config.enabled && reduce_count > 0;
+        let tracked = self.enabled && reduce_count > 0;
         self.jobs.push(tracked.then(|| JobShuffle {
             map_holder: vec![None; map_count as usize],
             map_bytes: vec![0; map_count as usize],

@@ -608,7 +608,8 @@ fn sharded_and_full_refresh_match_under_detector_and_partitions() {
         let heal_at = partition_at + 5 + rng.index(90) as u64;
         let gray_node = rng.index(nodes as usize) as u32;
         let slow_disk = 1.5 + rng.index(3) as f64;
-        let use_grace = rng.chance(0.5);
+        // An unused draw, kept so the values drawn after it stay the same.
+        let _ = rng.chance(0.5);
         let mtbf = 50.0 + rng.index(60) as f64;
         let run = |mode: RefreshMode| {
             let mut cfg =
@@ -619,9 +620,6 @@ fn sharded_and_full_refresh_match_under_detector_and_partitions() {
             cfg.shuffle = ShuffleConfig::fault_tolerant();
             cfg.reliability = ReliabilityConfig::predictive();
             cfg.detector = DetectorConfig::enabled();
-            if use_grace {
-                cfg.detector.confirmation_grace = mrp_sim::SimDuration::from_secs(2);
-            }
             cfg.faults.events.push(FaultEvent {
                 at: SimTime::from_secs(partition_at),
                 kind: FaultKind::Partition {

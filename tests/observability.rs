@@ -163,7 +163,7 @@ fn obs_on_runs_are_byte_identical() {
         assert_eq!(obs.open_spans(), 0, "{name}: spans left open");
         assert_eq!(obs.dropped_spans(), 0, "{name}: span cap hit");
         let series = obs.series().expect("series sampling on");
-        let expected_rows = observed.now().as_micros() / obs.config().sample_interval.as_micros();
+        let expected_rows = observed.now().as_micros() / series.interval().as_micros();
         assert!(
             series.rows().len() as u64 >= expected_rows.saturating_sub(1),
             "{name}: series misses samples ({} rows for {expected_rows} intervals)",
@@ -263,26 +263,13 @@ fn profiler_attributes_loop_wall_time() {
         .any(|r| r.name == "suspend" && r.count > 0));
 }
 
-/// `ObsConfig::default()` (enabled = false) must leave the cluster without
-/// any observability state no matter how the other knobs are set, and
-/// `validate` must reject nonsensical enabled configs.
+/// `ObsConfig::default()` (enabled = false) must validate and leave the
+/// cluster without any observability state.
 #[test]
 fn disabled_and_invalid_configs() {
-    let weird_but_off = ObsConfig {
-        sample_interval: mrp_sim::SimDuration::ZERO,
-        max_spans: 0,
-        ..ObsConfig::default()
-    };
-    let cfg = churn_config().with_obs(weird_but_off);
+    let cfg = churn_config().with_obs(ObsConfig::default());
     cfg.validate().expect("disabled obs validates");
     let mut cluster = churn_cluster(cfg);
     cluster.run(SimTime::from_secs(24 * 3_600));
     assert!(cluster.observability().is_none());
-
-    let mut bad = ObsConfig::full();
-    bad.sample_interval = mrp_sim::SimDuration::ZERO;
-    assert!(churn_config().with_obs(bad).validate().is_err());
-    let mut bad = ObsConfig::full();
-    bad.max_spans = 0;
-    assert!(churn_config().with_obs(bad).validate().is_err());
 }
