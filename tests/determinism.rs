@@ -760,6 +760,170 @@ fn partition_heals_never_double_commit() {
     }
 }
 
+/// FAIR with suspend/resume preemption over `slots` map slots, the
+/// configuration the FAIR pins below run.
+fn fair(slots: usize) -> Box<dyn SchedulerPolicy> {
+    Box::new(FairScheduler::new(
+        PreemptionPrimitive::SuspendResume,
+        EvictionPolicy::ClosestToCompletion,
+        slots,
+        SimDuration::from_secs(10),
+    ))
+}
+
+/// Preemption churn: small cluster, batch + small jobs, lots of
+/// suspend/resume traffic (16 map slots).
+fn fair_churn_cluster() -> Cluster {
+    let mut cluster = Cluster::new(ClusterConfig::small_cluster(8, 2, 1), fair(16));
+    for i in 0..4u32 {
+        cluster.submit_job_at(
+            JobSpec::synthetic(format!("batch-{i}"), 20, 64 * MIB),
+            SimTime::from_secs(u64::from(i)),
+        );
+    }
+    for i in 0..6u32 {
+        cluster.submit_job_at(
+            JobSpec::synthetic(format!("small-{i}"), 2, 16 * MIB),
+            SimTime::from_secs(10 + 5 * u64::from(i)),
+        );
+    }
+    cluster
+}
+
+/// Delay scheduling: racked DFS inputs spread over 4 racks with locality
+/// waits enabled, so FAIR's delay-gated starvation check runs (32 map
+/// slots).
+fn fair_delay_cluster() -> Cluster {
+    let mut cfg = ClusterConfig::racked_cluster(4, 4, 2, 1).with_delay_intervals(1.0, 1.0);
+    cfg.dfs_replication = 2;
+    let mut cluster = Cluster::new(cfg, fair(32));
+    for i in 0..6u32 {
+        let path = format!("/pipe/in-{i}");
+        cluster
+            .create_input_file_from(&path, 384 * MIB, Some(NodeId((i * 5) % 16)))
+            .unwrap();
+        cluster.submit_job_at(
+            JobSpec::map_only(format!("job-{i}"), path),
+            SimTime::from_secs(u64::from(4 * i)),
+        );
+    }
+    cluster
+}
+
+/// Partitions: suspicion-based detector, a healable node partition and a
+/// detector-deferred kill on top of map/reduce work (12 map slots).
+fn fair_partition_cluster() -> Cluster {
+    let mut cfg = ClusterConfig::racked_cluster(3, 4, 1, 1);
+    cfg.trace_level = mrp_engine::TraceLevel::Off;
+    cfg.shuffle = ShuffleConfig::fault_tolerant();
+    cfg.detector = DetectorConfig::enabled();
+    for (at, kind) in [
+        (25, FaultKind::Partition { node: NodeId(4) }),
+        (80, FaultKind::PartitionHeal { node: NodeId(4) }),
+        (40, FaultKind::Kill { node: NodeId(9) }),
+        (110, FaultKind::Rejoin { node: NodeId(9) }),
+    ] {
+        cfg.faults.events.push(FaultEvent {
+            at: SimTime::from_secs(at),
+            kind,
+        });
+    }
+    let mut cluster = Cluster::new(cfg, fair(12));
+    for i in 0..3u32 {
+        cluster.submit_job_at(
+            JobSpec::synthetic(format!("mr-{i}"), 12, 96 * MIB).with_reduces(2),
+            SimTime::from_secs(u64::from(3 * i)),
+        );
+    }
+    for i in 0..4u32 {
+        cluster.submit_job_at(
+            JobSpec::synthetic(format!("small-{i}"), 2, 16 * MIB),
+            SimTime::from_secs(12 + 8 * u64::from(i)),
+        );
+    }
+    cluster
+}
+
+/// A pinned FAIR run: events processed, `finished_at` micros, total suspend
+/// cycles and the (node-local, rack-local, off-rack) launch split.
+type FairPin = (u64, u64, u64, (u64, u64, u64));
+
+const PINNED_FAIR_CHURN: FairPin = (601, 83_417_317, 1, (92, 0, 0));
+const PINNED_FAIR_DELAY: FairPin = (323, 46_122_516, 0, (18, 0, 0));
+const PINNED_FAIR_PARTITION: FairPin = (714, 106_255_122, 16, (48, 0, 0));
+
+/// Fixed-seed outcomes of `FairScheduler` on the churn, delay and partition
+/// suites: deficit-triggered preemption, delay-gated starvation and
+/// detector-deferred kills all feed into these numbers.
+#[test]
+fn fixed_seed_fair_suites_are_pinned() {
+    let suites: [(&str, fn() -> Cluster, FairPin); 3] = [
+        ("churn", fair_churn_cluster, PINNED_FAIR_CHURN),
+        ("delay", fair_delay_cluster, PINNED_FAIR_DELAY),
+        ("partition", fair_partition_cluster, PINNED_FAIR_PARTITION),
+    ];
+    for (suite, build, pinned) in suites {
+        let mut cluster = build();
+        cluster.run(SimTime::from_secs(24 * 3_600));
+        let report = cluster.report();
+        assert!(report.all_jobs_complete(), "{suite} must complete");
+        let suspends: u64 = report
+            .jobs
+            .iter()
+            .flat_map(|j| j.tasks.iter())
+            .map(|t| u64::from(t.suspend_cycles))
+            .sum();
+        let locality = (
+            report.locality.node_local,
+            report.locality.rack_local,
+            report.locality.off_rack,
+        );
+        let got = (
+            cluster.events_processed(),
+            report.finished_at.as_micros(),
+            suspends,
+            locality,
+        );
+        assert_eq!(got, pinned, "FAIR {suite} suite moved");
+    }
+}
+
+/// Fixed-seed outcomes of the multi-tenant DRF + reclaim + backfill stack on
+/// the compact three-tenant scenario, for suspend- and kill-based reclaim:
+/// events processed, makespan, lost work, suspend cycles and each tenant's
+/// mean excess over quota.
+#[test]
+fn fixed_seed_multi_tenant_runs_are_pinned() {
+    use mrp_experiments::{run_tenant_scenario, TenantScenarioConfig};
+    type TenantPin = (u64, f64, f64, u64, [f64; 3]);
+    let cases: [(PreemptionPrimitive, TenantPin); 2] = [
+        (
+            PreemptionPrimitive::SuspendResume,
+            (3_960, 994.483_783, 0.0, 29, [0.0, 0.0, 0.0]),
+        ),
+        (
+            PreemptionPrimitive::Kill,
+            (4_372, 1_124.508_261, 2_011.359_402, 0, [0.0, 0.0, 0.0]),
+        ),
+    ];
+    for (primitive, pinned) in cases {
+        let run = run_tenant_scenario(&TenantScenarioConfig::compact(primitive));
+        let excess: Vec<f64> = run
+            .shares
+            .iter()
+            .map(|s| s.mean_excess_over_quota)
+            .collect();
+        let got = (
+            run.events_processed,
+            run.makespan_secs,
+            run.lost_work_secs,
+            run.suspend_cycles,
+            <[f64; 3]>::try_from(excess).expect("three tenants"),
+        );
+        assert_eq!(got, pinned, "multi-tenant {primitive:?} run moved");
+    }
+}
+
 /// The scheduling-action pipeline redesign re-expresses FIFO, FAIR and
 /// HFSP as plugin bundles (`ActionPipeline::fifo/fair/hfsp`); the legacy
 /// `FairScheduler`/`HfspScheduler` now wrap those bundles, while
