@@ -1,6 +1,6 @@
-//! Multi-tenant scheduling through the pluggable action pipeline: DRF
+//! Multi-tenant scheduling through the `MultiTenantScheduler`: DRF
 //! `allocate`, quota `reclaim` (kill vs OS-assisted suspend — the paper's
-//! trade-off as a plugin knob) and best-effort `backfill` on a weighted
+//! trade-off as a knob) and best-effort `backfill` on a weighted
 //! three-tenant cluster with a saturating burst and staggered streams.
 //!
 //! Asserted on every invocation (including the 8-node `--test` smoke):

@@ -39,8 +39,8 @@
 //!   heartbeat interval (enforced in quick mode too — these are correctness
 //!   bars, not timing bars; `partition_detect` also carries the 1/3
 //!   events/sec hard bar), or
-//! * the multi-tenant quality gate regresses: on the `multi_tenant` action-
-//!   pipeline scenario no tenant's mean dominant share may exceed its quota
+//! * the multi-tenant quality gate regresses: on the `multi_tenant`
+//!   scenario no tenant's mean dominant share may exceed its quota
 //!   by more than 5 percentage points at steady state while another tenant
 //!   is starved, and suspend-based reclaim must strictly beat kill-based
 //!   reclaim on lost work on the same seed (enforced in quick mode too —
@@ -174,7 +174,7 @@ fn main() {
     let pd_runs: Vec<_> = (0..3).map(|_| pd_sc.run(true)).collect();
     let pd_eps = median(pd_runs.iter().map(|o| o.events_per_sec()).collect());
 
-    // multi_tenant also gates the action-pipeline acceptance criteria: DRF
+    // multi_tenant also gates the multi-tenant scheduler's criteria: DRF
     // quota adherence and suspend-beats-kill on lost work, from one
     // suspend/kill pair (enforced in quick mode too — correctness, not
     // timing).

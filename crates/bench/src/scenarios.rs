@@ -635,7 +635,7 @@ pub mod partition_detect {
 }
 
 /// The multi-tenant DRF scenario behind the `multi_tenant` bench: the
-/// pluggable action pipeline (`allocate` under DRF job order, quota
+/// `MultiTenantScheduler` (`allocate` under DRF job order, quota
 /// `reclaim` via kill or OS-assisted suspend, best-effort `backfill`) on a
 /// three-tenant cluster with a saturating burst, staggered per-tenant
 /// streams and a scavenger class. The scenario itself lives in

@@ -207,6 +207,17 @@ fn u64_field(obj: &Json, key: &str) -> Result<u64, PlanJsonError> {
         .ok_or_else(|| invalid(format!("missing integer field '{key}'")))
 }
 
+/// An integer field of type `T`: fractions and values outside `T`'s range
+/// are errors, never truncated.
+fn int_field<T: TryFrom<i64>>(obj: &Json, key: &str) -> Result<T, PlanJsonError> {
+    let n = num_field(obj, key)?;
+    // `as` saturates, so values beyond i64 also fail the `try_from`.
+    (n.fract() == 0.0)
+        .then(|| T::try_from(n as i64).ok())
+        .flatten()
+        .ok_or_else(|| invalid(format!("field '{key}' is not an integer in range: {n}")))
+}
+
 /// Missing array fields default to empty, mirroring `#[serde(default)]`.
 fn arr_field<'j>(obj: &'j Json, key: &str) -> Result<&'j [Json], PlanJsonError> {
     match obj.get(key) {
@@ -314,7 +325,7 @@ fn input_from_json(v: &Json) -> Result<MapInput, PlanJsonError> {
     }
     if let Some(synth) = v.get("Synthetic") {
         return Ok(MapInput::Synthetic {
-            tasks: u64_field(synth, "tasks")? as u32,
+            tasks: int_field(synth, "tasks")?,
             bytes_per_task: u64_field(synth, "bytes_per_task")?,
         });
     }
@@ -341,20 +352,22 @@ fn spec_to_json(spec: &JobSpec) -> Json {
 }
 
 fn spec_from_json(v: &Json) -> Result<JobSpec, PlanJsonError> {
-    let priority = num_field(v, "priority")?;
     Ok(JobSpec {
         name: str_field(v, "name")?.to_string(),
-        priority: priority as i32,
+        priority: int_field(v, "priority")?,
         input: input_from_json(
             v.get("input")
                 .ok_or_else(|| invalid("job spec missing 'input'"))?,
         )?,
-        reduce_tasks: u64_field(v, "reduce_tasks")? as u32,
+        reduce_tasks: int_field(v, "reduce_tasks")?,
         profile: profile_from_json(
             v.get("profile")
                 .ok_or_else(|| invalid("job spec missing 'profile'"))?,
         )?,
-        tenant: v.get("tenant").and_then(Json::as_f64).unwrap_or(0.0) as u32,
+        tenant: match v.get("tenant") {
+            Some(_) => int_field(v, "tenant")?,
+            None => 0,
+        },
         best_effort: matches!(v.get("best_effort"), Some(Json::Bool(true))),
     })
 }
@@ -390,7 +403,7 @@ fn trigger_to_json(rule: &TriggerRule) -> Json {
 fn trigger_from_json(v: &Json) -> Result<TriggerRule, PlanJsonError> {
     Ok(TriggerRule {
         watch_job: str_field(v, "watch_job")?.to_string(),
-        watch_task: u64_field(v, "watch_task")? as u32,
+        watch_task: int_field(v, "watch_task")?,
         fraction: num_field(v, "fraction")?,
         submit: arr_field(v, "submit")?
             .iter()
@@ -638,6 +651,63 @@ mod tests {
         assert_eq!(plan, back);
         assert!(json.contains("SuspendResume"));
         assert!(DummyPlan::from_json("{not json").is_err());
+    }
+
+    /// Replaces the first `from` in a tenant-tagged plan's JSON with `to`
+    /// and parses the result.
+    fn parse_edited(from: &str, to: &str) -> Result<DummyPlan, PlanJsonError> {
+        let high = JobSpec::synthetic("th", 1, 512 * MIB)
+            .with_priority(10)
+            .with_tenant(2)
+            .with_reduces(1);
+        let json = DummyPlan::paper_scenario(PreemptionPrimitive::Kill, "tl", high, 0.5).to_json();
+        assert!(json.contains(from), "{from} not in {json}");
+        DummyPlan::from_json(&json.replacen(from, to, 1))
+    }
+
+    fn assert_rejected(from: &str, to: &str) {
+        let result = parse_edited(from, to);
+        assert!(
+            matches!(result, Err(PlanJsonError::Invalid(_))),
+            "{to} must be rejected, got {result:?}"
+        );
+    }
+
+    #[test]
+    fn out_of_range_task_count_is_rejected() {
+        assert!(parse_edited("\"tasks\": 1", "\"tasks\": 4294967295").is_ok());
+        assert_rejected("\"tasks\": 1", "\"tasks\": 4294967297");
+    }
+
+    #[test]
+    fn out_of_range_reduce_count_is_rejected() {
+        assert_rejected("\"reduce_tasks\": 1", "\"reduce_tasks\": 4294967297");
+    }
+
+    #[test]
+    fn out_of_range_watch_task_is_rejected() {
+        assert_rejected("\"watch_task\": 0", "\"watch_task\": 4294967296");
+    }
+
+    #[test]
+    fn fractional_or_huge_priority_is_rejected() {
+        assert!(parse_edited("\"priority\": 10", "\"priority\": -7").is_ok());
+        assert_rejected("\"priority\": 10", "\"priority\": 1.5");
+        assert_rejected("\"priority\": 10", "\"priority\": 1e12");
+    }
+
+    #[test]
+    fn negative_or_fractional_tenant_is_rejected() {
+        assert_eq!(
+            parse_edited("\"tenant\": 2", "\"tenant\": 3")
+                .unwrap()
+                .triggers[0]
+                .submit[0]
+                .tenant,
+            3
+        );
+        assert_rejected("\"tenant\": 2", "\"tenant\": -3");
+        assert_rejected("\"tenant\": 2", "\"tenant\": 0.5");
     }
 
     #[test]

@@ -15,6 +15,8 @@
 //! * [`FairScheduler`] and [`HfspScheduler`] — preemptive fairness and
 //!   size-based schedulers showing the primitive plugged into realistic
 //!   policies (Section II's motivation and the HFSP follow-up);
+//! * [`MultiTenantScheduler`] — weighted DRF across tenants, with quota
+//!   reclaim by kill or suspend and best-effort backfill;
 //! * [`NatjamModel`] — an analytical cost model of application-level
 //!   checkpointing for the comparison the paper makes qualitatively.
 //!
@@ -62,12 +64,8 @@ mod schedulers;
 pub use dummy::{DummyPlan, DummyScheduler, PlanJsonError, RestoreRule, TriggerRule};
 pub use eviction::{EvictionCandidate, EvictionPolicy};
 pub use natjam::{CheckpointCost, NatjamModel};
-pub use pipeline::{
-    eviction_select, remaining_size, running_tasks_preemptable, Action, ActionPipeline, Allocate,
-    Backfill, DrfJobOrder, FairJobOrder, HfspJobOrder, MultiTenantConfig, Preempt, Reclaim,
-};
 pub use primitive::{PreemptionPrimitive, UnknownPrimitive};
-pub use schedulers::{FairScheduler, HfspScheduler};
+pub use schedulers::{FairScheduler, HfspScheduler, MultiTenantConfig, MultiTenantScheduler};
 
 #[cfg(test)]
 mod randomized_tests {

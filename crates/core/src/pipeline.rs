@@ -1,74 +1,35 @@
-//! The Volcano-style scheduling-action pipeline.
+//! The scheduling stages the preemptive policies are built from.
 //!
-//! A [`SchedulerPolicy`] built from this module is a *composition of
-//! actions* — [`Allocate`], [`Preempt`], [`Reclaim`], [`Backfill`] —
-//! parameterized by the engine's plugin functions ([`mrp_engine::JobOrder`],
-//! [`mrp_engine::TaskOrderFn`], [`mrp_engine::NodeScoreFn`],
-//! [`mrp_engine::PreemptableSetFn`], [`TenantLedger`]). Each JobTracker
-//! event is dispatched through the actions in order over the same immutable
-//! [`SchedulerContext`], concatenating their action outputs — exactly the
-//! fill-then-preempt round structure the legacy schedulers used, now with
-//! the policy logic factored into replaceable plugins.
+//! Each policy in `schedulers.rs` — FAIR, HFSP and the multi-tenant DRF
+//! scheduler — is one type that holds a few of these stages as plain fields
+//! and runs them in order on every `SchedulerPolicy` hook, appending to one
+//! action list over the same immutable [`SchedulerContext`]:
 //!
-//! The legacy `FairScheduler` / `HfspScheduler` types are thin wrappers
-//! over [`ActionPipeline::fair`] / [`ActionPipeline::hfsp`]: the bundles
-//! run the *same* machinery (`fill_node`, `EvictionPolicy::pick` on the
-//! same seeded RNG streams), so plugin-composed and legacy schedulers are
-//! byte-identical on every pinned seed — the determinism suites assert it.
+//! * [`Allocate`] fills a heartbeating node's free slots with the pending
+//!   (or suspended) work of the jobs a [`JobOrder`] ranks first;
+//! * [`FairPreempt`] and [`SizePreempt`] evict running tasks of other jobs
+//!   when FAIR's starvation deficit or HFSP's arrival trigger fires;
+//! * [`Reclaim`] pulls tenants back toward their DRF quotas;
+//! * [`Backfill`] launches best-effort jobs into leftover capacity.
 //!
-//! On top of the re-expressed legacy policies,
-//! [`ActionPipeline::multi_tenant`] composes the scenario family the paper
-//! never touched: DRF dominant-share allocation over tenants, quota
-//! [`Reclaim`] evicting over-quota tenants via kill *or* OS-assisted
-//! suspend (the paper's trade-off as a plugin knob), and [`Backfill`] of
-//! best-effort jobs into leftover capacity.
+//! Every preempting stage owns an [`Evictor`]: the policy's
+//! [`EvictionPolicy`], the configured [`PreemptionPrimitive`] and a
+//! [`SimRng`] seeded per stage, so victim streams are reproducible.
 
 use crate::eviction::{EvictionCandidate, EvictionPolicy};
 use crate::primitive::PreemptionPrimitive;
 use crate::schedulers::{candidates_of, fill_node, LocalityIndex};
 use mrp_engine::{
-    FifoScheduler, JobId, JobOrder, JobOrderFn, JobRuntime, NodeId, NodeScoreFn, PreemptableSetFn,
-    PreemptableTask, SchedulerAction, SchedulerContext, SchedulerPolicy, TaskId, TaskKind,
-    TaskOrderFn, TaskState, TenantLedger,
+    JobId, JobRuntime, NodeId, SchedulerAction, SchedulerContext, TaskKind, TaskState, TenantLedger,
 };
 use mrp_sim::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// One stage of an [`ActionPipeline`]. Actions receive every
-/// [`SchedulerPolicy`] hook with the accumulated output of the actions
-/// before them, so a later action (e.g. [`Backfill`]) can account for slots
-/// an earlier one already claimed this round.
-pub trait Action {
-    /// The action's name, for reports and traces.
-    fn name(&self) -> &'static str;
-
-    /// A node heartbeated with capacity; append launches/evictions to `out`.
-    fn on_heartbeat(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        node: NodeId,
-        out: &mut Vec<SchedulerAction>,
-    );
-
-    /// A job was submitted.
-    fn on_job_submitted(
-        &mut self,
-        _ctx: &SchedulerContext<'_>,
-        _job: JobId,
-        _out: &mut Vec<SchedulerAction>,
-    ) {
-    }
-
-    /// A job completed (cache-eviction hook).
-    fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, _job: JobId) {}
-}
-
-/// Remaining virtual size of a job in bytes (HFSP's ordering metric):
-/// the input bytes of its unfinished tasks scaled by reported progress.
-/// Exposed for custom size-based [`JobOrder`] plugins.
-pub fn remaining_size(job: &JobRuntime) -> u64 {
+/// Remaining virtual size of a job in bytes (HFSP's ordering metric): the
+/// input bytes of its unfinished tasks scaled by reported progress.
+fn remaining_size(job: &JobRuntime) -> u64 {
     job.tasks
         .iter()
         .filter(|t| !t.state.is_terminal())
@@ -76,48 +37,22 @@ pub fn remaining_size(job: &JobRuntime) -> u64 {
         .sum()
 }
 
-/// The default preemptable-set plugin: a job's `Running` tasks, in task
-/// order, with the legacy footprint estimate.
-pub fn running_tasks_preemptable() -> PreemptableSetFn {
-    Box::new(|ctx, job| {
-        ctx.jobs
-            .get(&job)
-            .map(|j| {
-                candidates_of(j)
-                    .into_iter()
-                    .map(|c| PreemptableTask {
-                        task: c.task,
-                        progress: c.progress,
-                        memory_bytes: c.memory_bytes,
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
-    })
+/// Decides which jobs [`Allocate`] serves, and in what order, each time a
+/// node offers slots.
+pub(crate) trait JobOrder {
+    /// Rebuilds `order` (the jobs to serve, first to last) for a round on
+    /// `node`. Returns `false` to skip the round; `order` may then be stale.
+    fn refresh(&mut self, ctx: &SchedulerContext<'_>, node: NodeId, order: &mut Vec<JobId>)
+        -> bool;
+
+    /// A job arrived or finished: drop any cached order.
+    fn jobs_changed(&mut self) {}
 }
 
-/// Wraps an [`EvictionPolicy`] (and its seeded RNG) as a victim-selection
-/// plugin. The RNG is drawn only inside `pick`, so a bundle seeded like its
-/// legacy scheduler reproduces the legacy victim stream exactly.
-pub fn eviction_select(eviction: EvictionPolicy, seed: u64) -> TaskOrderFn {
-    let mut rng = SimRng::new(seed);
-    Box::new(move |_ctx, tasks, take| {
-        let candidates: Vec<EvictionCandidate> = tasks
-            .iter()
-            .map(|t| EvictionCandidate {
-                task: t.task,
-                progress: t.progress,
-                memory_bytes: t.memory_bytes,
-            })
-            .collect();
-        eviction.pick(&candidates, take, &mut rng)
-    })
-}
-
-/// FAIR's job-ordering plugin: jobs with launchable or resumable work,
-/// most-starved (fewest occupied slots) first, then submission order.
+/// FAIR's job order: jobs with launchable or resumable work, most-starved
+/// (fewest occupied slots) first, then submission order.
 #[derive(Default)]
-pub struct FairJobOrder {
+pub(crate) struct FairJobOrder {
     scratch: Vec<(u32, SimTime, JobId)>,
 }
 
@@ -146,13 +81,12 @@ impl JobOrder for FairJobOrder {
     }
 }
 
-/// HFSP's job-ordering plugin: smallest remaining size first, cached for up
-/// to one simulated second. The zero-free-slot gate runs *before* the cache
-/// refresh — exactly like the legacy scheduler — so the once-per-second
-/// refresh happens at the same virtual instants and the order (whose sizes
-/// drift with progress) stays byte-identical.
+/// HFSP's job order: smallest remaining size first, cached for up to one
+/// simulated second. The zero-free-slot gate runs *before* the cache
+/// refresh, so the once-per-second refresh happens only at instants where a
+/// node can take work.
 #[derive(Default)]
-pub struct HfspJobOrder {
+pub(crate) struct HfspJobOrder {
     scratch: Vec<(u64, JobId)>,
     /// Virtual second the cached order was computed in; invalidated on job
     /// arrival/completion.
@@ -186,7 +120,7 @@ impl JobOrder for HfspJobOrder {
                 .filter(|(_, j)| !j.is_finished())
                 // Fully-launched jobs have nothing for `fill_node` to hand
                 // out; dropping them keeps the fill loop proportional to
-                // jobs with actual pending work (see the legacy HFSP notes).
+                // jobs with actual pending work.
                 .filter(|(_, j)| j.schedulable_count() > 0 || j.suspended_count > 0)
                 .map(|(id, j)| (remaining_size(j), *id)),
         );
@@ -196,20 +130,16 @@ impl JobOrder for HfspJobOrder {
         true
     }
 
-    fn job_submitted(&mut self, _job: JobId) {
-        self.stamp = None; // a new job invalidates the cached order
-    }
-
-    fn job_finished(&mut self, _job: JobId) {
-        self.stamp = None; // a finished job invalidates the cached order
+    fn jobs_changed(&mut self) {
+        self.stamp = None;
     }
 }
 
-/// DRF's job-ordering plugin: jobs of the tenant with the lowest dominant
-/// share first (ties by submission order), best-effort jobs excluded — they
-/// only launch through [`Backfill`]. Also the pipeline stage that feeds the
-/// shared [`TenantLedger`] its usage observations.
-pub struct DrfJobOrder {
+/// DRF's job order: jobs of the tenant with the lowest dominant share first
+/// (ties by submission order), best-effort jobs excluded — they only launch
+/// through [`Backfill`]. Also the stage that feeds the shared
+/// [`TenantLedger`] its usage observations.
+pub(crate) struct DrfJobOrder {
     ledger: Rc<RefCell<TenantLedger>>,
     scratch: Vec<(u64, SimTime, JobId)>,
     /// Virtual second of the cached order and ledger observation. Shares
@@ -223,8 +153,7 @@ pub struct DrfJobOrder {
 }
 
 impl DrfJobOrder {
-    /// Creates the plugin around a shared ledger.
-    pub fn new(ledger: Rc<RefCell<TenantLedger>>) -> Self {
+    pub(crate) fn new(ledger: Rc<RefCell<TenantLedger>>) -> Self {
         DrfJobOrder {
             ledger,
             scratch: Vec::new(),
@@ -301,162 +230,90 @@ impl JobOrder for DrfJobOrder {
         true
     }
 
-    fn job_submitted(&mut self, _job: JobId) {
-        self.dirty = true; // new demand must be visible to this round
-    }
-
-    fn job_finished(&mut self, _job: JobId) {
-        self.dirty = true; // freed share should reorder tenants promptly
+    fn jobs_changed(&mut self) {
+        self.dirty = true;
     }
 }
 
-enum AllocateStrategy {
-    /// The engine's FIFO policy verbatim: one global task order, filled
-    /// locality tier by locality tier.
-    LocalityMajor(FifoScheduler),
-    /// Job-major fill: a [`JobOrder`] plugin ranks jobs, `fill_node` serves
-    /// them rack-aware (resume-first, delay- and reliability-gated).
-    JobMajor {
-        job_order: JobOrderFn,
-        order: Vec<JobId>,
-        locality: LocalityIndex,
-    },
+/// The allocate stage: fills a heartbeating node's free slots with pending
+/// (or suspended) work, serving jobs in `O`'s order through `fill_node`
+/// (rack-aware, resume-first, delay- and reliability-gated).
+pub(crate) struct Allocate<O> {
+    job_order: O,
+    order: Vec<JobId>,
+    locality: LocalityIndex,
 }
 
-/// The `allocate` action: fills a heartbeating node's free slots with
-/// pending (or suspended) work.
-pub struct Allocate {
-    strategy: AllocateStrategy,
-}
-
-impl Allocate {
-    /// FIFO's allocation strategy: one global (priority, submission) task
-    /// order, served locality tier by locality tier.
-    pub fn locality_major() -> Self {
+impl<O: JobOrder> Allocate<O> {
+    pub(crate) fn new(job_order: O) -> Self {
         Allocate {
-            strategy: AllocateStrategy::LocalityMajor(FifoScheduler::new()),
+            job_order,
+            order: Vec::new(),
+            locality: LocalityIndex::default(),
         }
     }
 
-    /// Job-major allocation parameterized by a job-ordering plugin (FAIR,
-    /// HFSP and DRF all use this strategy with different orders).
-    pub fn job_major(job_order: JobOrderFn) -> Self {
-        Allocate {
-            strategy: AllocateStrategy::JobMajor {
-                job_order,
-                order: Vec::new(),
-                locality: LocalityIndex::default(),
-            },
-        }
-    }
-}
-
-impl Action for Allocate {
-    fn name(&self) -> &'static str {
-        "allocate"
-    }
-
-    fn on_heartbeat(
+    /// The launches and resumes for a round on `node`; the first stage of
+    /// every policy, so it starts the round's action list.
+    pub(crate) fn on_heartbeat(
         &mut self,
         ctx: &SchedulerContext<'_>,
         node: NodeId,
-        out: &mut Vec<SchedulerAction>,
-    ) {
-        match &mut self.strategy {
-            AllocateStrategy::LocalityMajor(fifo) => out.extend(fifo.on_heartbeat(ctx, node)),
-            AllocateStrategy::JobMajor {
-                job_order,
-                order,
-                locality,
-            } => {
-                if job_order.refresh(ctx, node, order) {
-                    out.extend(fill_node(ctx, node, order, locality));
-                }
-            }
+    ) -> Vec<SchedulerAction> {
+        if self.job_order.refresh(ctx, node, &mut self.order) {
+            fill_node(ctx, node, &self.order, &mut self.locality)
+        } else {
+            Vec::new()
         }
     }
 
-    fn on_job_submitted(
-        &mut self,
-        _ctx: &SchedulerContext<'_>,
-        job: JobId,
-        _out: &mut Vec<SchedulerAction>,
-    ) {
-        if let AllocateStrategy::JobMajor { job_order, .. } = &mut self.strategy {
-            job_order.job_submitted(job);
-        }
+    pub(crate) fn job_submitted(&mut self) {
+        self.job_order.jobs_changed();
     }
 
-    fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) {
-        if let AllocateStrategy::JobMajor {
-            job_order,
-            locality,
-            ..
-        } = &mut self.strategy
-        {
-            job_order.job_finished(job);
-            locality.forget(job);
-        }
+    pub(crate) fn job_finished(&mut self, job: JobId) {
+        self.job_order.jobs_changed();
+        self.locality.forget(job);
     }
 }
 
-enum PreemptTrigger {
-    /// FAIR's starvation deficit: preempt when a job has sat below its fair
-    /// share past the timeout.
-    FairShare {
-        total_map_slots: usize,
-        timeout: SimDuration,
-        starved_since: HashMap<JobId, SimTime>,
-    },
-    /// HFSP's arrival trigger: preempt larger running jobs the moment a
-    /// smaller job arrives and free slots cannot cover its demand.
-    SizeOnSubmit,
-}
-
-/// The `preempt` action: evicts running tasks of other jobs through the
-/// configured [`PreemptionPrimitive`], victims enumerated by a
-/// [`PreemptableSetFn`] and chosen by a [`TaskOrderFn`].
-pub struct Preempt {
+/// Turns victim choices into evictions: `eviction` ranks a job's running
+/// tasks (drawing from `rng` only where the policy is randomized) and
+/// `primitive` says how each victim is evicted.
+struct Evictor {
     primitive: PreemptionPrimitive,
-    preemptable: PreemptableSetFn,
-    select: TaskOrderFn,
-    trigger: PreemptTrigger,
+    eviction: EvictionPolicy,
+    rng: SimRng,
 }
 
-impl Preempt {
-    /// FAIR's preemption: deficit-triggered, victims from over-share jobs.
-    /// Seeded like the legacy `FairScheduler` so victim streams match.
-    pub fn fair_share(
-        primitive: PreemptionPrimitive,
-        eviction: EvictionPolicy,
-        total_map_slots: usize,
-        timeout: SimDuration,
-    ) -> Self {
-        Preempt {
+impl Evictor {
+    fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy, seed: u64) -> Self {
+        Evictor {
             primitive,
-            preemptable: running_tasks_preemptable(),
-            select: eviction_select(eviction, 0xFA1),
-            trigger: PreemptTrigger::FairShare {
-                total_map_slots: total_map_slots.max(1),
-                timeout,
-                starved_since: HashMap::new(),
-            },
+            eviction,
+            rng: SimRng::new(seed),
         }
     }
 
-    /// HFSP's preemption: arrival-triggered, victims from strictly larger
-    /// jobs. Seeded like the legacy `HfspScheduler`.
-    pub fn size_on_submit(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
-        Preempt {
-            primitive,
-            preemptable: running_tasks_preemptable(),
-            select: eviction_select(eviction, 0x45F5),
-            trigger: PreemptTrigger::SizeOnSubmit,
-        }
+    /// Picks up to `take` of `candidates` and appends their evictions,
+    /// returning how many were actually claimed (none under `Wait`).
+    fn evict(
+        &mut self,
+        candidates: &[EvictionCandidate],
+        take: usize,
+        out: &mut Vec<SchedulerAction>,
+    ) -> usize {
+        let before = out.len();
+        out.extend(
+            self.eviction
+                .pick(candidates, take, &mut self.rng)
+                .into_iter()
+                .filter_map(|v| self.primitive.preempt_action(v)),
+        );
+        out.len() - before
     }
 
-    /// Picks up to `take` victims of `job` and appends their evictions,
-    /// returning how many were actually claimed.
+    /// [`Evictor::evict`] over the running tasks of `job`.
     fn evict_from(
         &mut self,
         ctx: &SchedulerContext<'_>,
@@ -464,46 +321,66 @@ impl Preempt {
         take: usize,
         out: &mut Vec<SchedulerAction>,
     ) -> usize {
-        let candidates = (self.preemptable)(ctx, job);
-        let victims = (self.select)(ctx, &candidates, take);
-        let mut claimed = 0;
-        for v in victims {
-            if let Some(a) = self.primitive.preempt_action(v) {
-                out.push(a);
-                claimed += 1;
-            }
+        let candidates = ctx.jobs.get(&job).map(candidates_of).unwrap_or_default();
+        self.evict(&candidates, take, out)
+    }
+
+    /// [`Evictor::evict`] over the running tasks of `kind` in `job`; never
+    /// draws from the RNG when there are none.
+    fn evict_kind(
+        &mut self,
+        job: &JobRuntime,
+        kind: TaskKind,
+        take: usize,
+        out: &mut Vec<SchedulerAction>,
+    ) -> usize {
+        let mut candidates = candidates_of(job);
+        candidates.retain(|c| c.task.kind == kind);
+        if candidates.is_empty() {
+            return 0;
         }
-        claimed
+        self.evict(&candidates, take, out)
     }
 }
 
-impl Action for Preempt {
-    fn name(&self) -> &'static str {
-        "preempt"
+/// FAIR's preemption: once a job has sat below its fair share of map slots
+/// past the timeout, evict tasks of jobs above their share, most-over-share
+/// first.
+pub(crate) struct FairPreempt {
+    evictor: Evictor,
+    total_map_slots: usize,
+    timeout: SimDuration,
+    starved_since: HashMap<JobId, SimTime>,
+}
+
+impl FairPreempt {
+    pub(crate) fn new(
+        primitive: PreemptionPrimitive,
+        eviction: EvictionPolicy,
+        total_map_slots: usize,
+        timeout: SimDuration,
+    ) -> Self {
+        FairPreempt {
+            evictor: Evictor::new(primitive, eviction, 0xFA1),
+            total_map_slots: total_map_slots.max(1),
+            timeout,
+            starved_since: HashMap::new(),
+        }
     }
 
-    fn on_heartbeat(
+    pub(crate) fn on_heartbeat(
         &mut self,
         ctx: &SchedulerContext<'_>,
-        _node: NodeId,
         out: &mut Vec<SchedulerAction>,
     ) {
-        let PreemptTrigger::FairShare {
-            total_map_slots,
-            timeout,
-            ..
-        } = &self.trigger
-        else {
-            return;
-        };
-        let (total_map_slots, timeout) = (*total_map_slots, *timeout);
         // Deficit tracking is O(1) per job via the engine-maintained
         // counters: no task-list scans, no candidate Vecs until a victim
         // job is actually chosen.
         let incomplete = ctx.jobs.values().filter(|j| !j.is_finished()).count();
-        let share = total_map_slots
+        let share = self
+            .total_map_slots
             .checked_div(incomplete)
-            .map_or(total_map_slots, |s| s.max(1));
+            .map_or(self.total_map_slots, |s| s.max(1));
 
         // Track starvation times and find jobs with a legitimate claim. A
         // job voluntarily declining slots under delay scheduling
@@ -515,17 +392,13 @@ impl Action for Preempt {
             let wants_more =
                 job.suspended_count > 0 || (job.schedulable_count() > 0 && !ctx.delay_gated(job));
             let running = job.occupying_count as usize;
-            let starving = wants_more && running < share;
-            let PreemptTrigger::FairShare { starved_since, .. } = &mut self.trigger else {
-                unreachable!("checked above");
-            };
-            if starving {
-                let since = *starved_since.entry(job.id).or_insert(ctx.now);
-                if ctx.now - since >= timeout {
+            if wants_more && running < share {
+                let since = *self.starved_since.entry(job.id).or_insert(ctx.now);
+                if ctx.now - since >= self.timeout {
                     claims += share - running;
                 }
             } else {
-                starved_since.remove(&job.id);
+                self.starved_since.remove(&job.id);
             }
         }
         // No-deficit early return: nothing has starved past the timeout, so
@@ -549,39 +422,48 @@ impl Action for Preempt {
             }
             let surplus = occupying as usize - share;
             let take = surplus.min(claims);
-            claims = claims.saturating_sub(self.evict_from(ctx, job, take, out));
+            claims = claims.saturating_sub(self.evictor.evict_from(ctx, job, take, out));
+        }
+    }
+}
+
+/// HFSP's preemption: the moment a job arrives whose map demand free slots
+/// cannot cover, evict tasks of strictly larger running jobs, largest
+/// first.
+pub(crate) struct SizePreempt {
+    evictor: Evictor,
+}
+
+impl SizePreempt {
+    pub(crate) fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
+        SizePreempt {
+            evictor: Evictor::new(primitive, eviction, 0x45F5),
         }
     }
 
-    fn on_job_submitted(
+    pub(crate) fn on_job_submitted(
         &mut self,
         ctx: &SchedulerContext<'_>,
         job: JobId,
-        out: &mut Vec<SchedulerAction>,
-    ) {
-        if !matches!(self.trigger, PreemptTrigger::SizeOnSubmit) {
-            return;
-        }
+    ) -> Vec<SchedulerAction> {
+        let mut out = Vec::new();
         let Some(new_job) = ctx.jobs.get(&job) else {
-            return;
+            return out;
         };
         // Demand is the job's *map* demand: it is compared against free map
         // slots and satisfied by preempting map tasks below.
         let new_demand = new_job.schedulable_maps as usize;
-        if new_demand == 0 {
-            return;
-        }
         // Cluster-wide capacity from the engine-maintained per-rack
         // counters: O(racks) per arrival.
-        let free_slots = ctx.free_map_slots_total();
-        if free_slots as usize >= new_demand {
-            return;
+        let free_slots = ctx.free_map_slots_total() as usize;
+        if new_demand == 0 || free_slots >= new_demand {
+            return out;
         }
         let new_size = remaining_size(new_job);
         // Preempt tasks of strictly larger running jobs, largest first,
         // until the new job's demand could be satisfied. The O(1)
         // occupying-count filter runs before the O(tasks) size estimate.
-        let mut needed = new_demand - free_slots as usize;
+        let mut needed = new_demand - free_slots;
         let mut larger: Vec<(u64, JobId)> = ctx
             .jobs
             .values()
@@ -595,64 +477,43 @@ impl Action for Preempt {
             if needed == 0 {
                 break;
             }
-            needed = needed.saturating_sub(self.evict_from(ctx, victim_job, needed, out));
+            needed =
+                needed.saturating_sub(self.evictor.evict_from(ctx, victim_job, needed, &mut out));
         }
+        out
     }
 }
 
-/// The `reclaim` action: pulls tenants back toward their DRF quotas. Once
-/// per simulated second it compares each tenant's slot usage against its
-/// quota entitlement; when starved tenants' claims cannot be covered by
-/// free slots, it evicts — best-effort jobs first, then the most over-quota
+/// The reclaim stage: pulls tenants back toward their DRF quotas. Once per
+/// simulated second it compares each tenant's slot usage against its quota
+/// entitlement; when starved tenants' claims cannot be covered by free
+/// slots, it evicts — best-effort jobs first, then the most over-quota
 /// tenants (lowest-priority jobs first within a tenant) — through the
 /// configured primitive. With `SuspendResume` that is the paper's
 /// OS-assisted preemption (no work lost); with `Kill` it is the classic
 /// Hadoop reclaim the paper argues against.
-pub struct Reclaim {
+pub(crate) struct Reclaim {
     ledger: Rc<RefCell<TenantLedger>>,
-    primitive: PreemptionPrimitive,
-    select: TaskOrderFn,
+    evictor: Evictor,
     stamp: Option<u64>,
 }
 
 impl Reclaim {
-    /// Creates the action around the pipeline's shared ledger.
-    pub fn new(
+    pub(crate) fn new(
         ledger: Rc<RefCell<TenantLedger>>,
         primitive: PreemptionPrimitive,
-        select: TaskOrderFn,
+        eviction: EvictionPolicy,
     ) -> Self {
         Reclaim {
             ledger,
-            primitive,
-            select,
+            evictor: Evictor::new(primitive, eviction, 0xD2F),
             stamp: None,
         }
     }
 
-    /// Running tasks of `job` of the given kind, as preemptable candidates.
-    fn candidates_of_kind(job: &JobRuntime, kind: TaskKind) -> Vec<PreemptableTask> {
-        candidates_of(job)
-            .into_iter()
-            .filter(|c| c.task.kind == kind)
-            .map(|c| PreemptableTask {
-                task: c.task,
-                progress: c.progress,
-                memory_bytes: c.memory_bytes,
-            })
-            .collect()
-    }
-}
-
-impl Action for Reclaim {
-    fn name(&self) -> &'static str {
-        "reclaim"
-    }
-
-    fn on_heartbeat(
+    pub(crate) fn on_heartbeat(
         &mut self,
         ctx: &SchedulerContext<'_>,
-        _node: NodeId,
         out: &mut Vec<SchedulerAction>,
     ) {
         // Quota drift moves on task timescales; once per simulated second
@@ -663,23 +524,19 @@ impl Action for Reclaim {
         }
         self.stamp = Some(bucket);
 
-        let ledger = self.ledger.clone();
-        let ledger = ledger.borrow();
+        let ledger = self.ledger.borrow();
         for kind in [TaskKind::Map, TaskKind::Reduce] {
+            let usage_quota = |t: usize| match kind {
+                TaskKind::Map => (ledger.usage_maps(t), ledger.quota_map_slots(t)),
+                TaskKind::Reduce => (ledger.usage_reduces(t), ledger.quota_reduce_slots(t)),
+            };
             // What quota entitles starved tenants to right now.
             let mut claims = 0usize;
             for t in 0..ledger.tenants() {
-                let (usage, quota, demand) = match kind {
-                    TaskKind::Map => (
-                        ledger.usage_maps(t),
-                        ledger.quota_map_slots(t),
-                        ledger.demand_maps(t),
-                    ),
-                    TaskKind::Reduce => (
-                        ledger.usage_reduces(t),
-                        ledger.quota_reduce_slots(t),
-                        ledger.demand_reduces(t),
-                    ),
+                let (usage, quota) = usage_quota(t);
+                let demand = match kind {
+                    TaskKind::Map => ledger.demand_maps(t),
+                    TaskKind::Reduce => ledger.demand_reduces(t),
                 };
                 if demand > 0 && usage < quota {
                     claims += (quota - usage).min(demand) as usize;
@@ -703,16 +560,7 @@ impl Action for Reclaim {
                 if !job.spec.best_effort || job.is_finished() || job.occupying_count == 0 {
                     continue;
                 }
-                let candidates = Reclaim::candidates_of_kind(job, kind);
-                if candidates.is_empty() {
-                    continue;
-                }
-                for v in (self.select)(ctx, &candidates, claims) {
-                    if let Some(a) = self.primitive.preempt_action(v) {
-                        out.push(a);
-                        claims = claims.saturating_sub(1);
-                    }
-                }
+                claims = claims.saturating_sub(self.evictor.evict_kind(job, kind, claims, out));
             }
             if claims == 0 {
                 continue;
@@ -722,10 +570,7 @@ impl Action for Reclaim {
             // excess so reclaim never pushes a tenant *below* quota.
             let mut over: Vec<(u32, usize)> = (0..ledger.tenants())
                 .filter_map(|t| {
-                    let (usage, quota) = match kind {
-                        TaskKind::Map => (ledger.usage_maps(t), ledger.quota_map_slots(t)),
-                        TaskKind::Reduce => (ledger.usage_reduces(t), ledger.quota_reduce_slots(t)),
-                    };
+                    let (usage, quota) = usage_quota(t);
                     (usage > quota).then(|| (usage - quota, t))
                 })
                 .collect();
@@ -757,32 +602,23 @@ impl Action for Reclaim {
                     let Some(job) = ctx.jobs.get(&job_id) else {
                         continue;
                     };
-                    let candidates = Reclaim::candidates_of_kind(job, kind);
-                    if candidates.is_empty() {
-                        continue;
-                    }
-                    for v in (self.select)(ctx, &candidates, budget) {
-                        if let Some(a) = self.primitive.preempt_action(v) {
-                            out.push(a);
-                            budget -= 1;
-                            claims = claims.saturating_sub(1);
-                        }
-                    }
+                    let claimed = self.evictor.evict_kind(job, kind, budget, out);
+                    budget -= claimed;
+                    claims = claims.saturating_sub(claimed);
                 }
             }
         }
     }
 }
 
-/// The `backfill` action: launches best-effort (scavenger-class) jobs into
-/// whatever capacity is left after the actions before it — including slots
+/// The backfill stage: launches best-effort (scavenger-class) jobs into
+/// whatever capacity is left after the stages before it — including slots
 /// freed by suspension, the paper's key enabler: a suspended task's memory
 /// pages out, its slot backfills, and no work is lost when the suspension
-/// ends. Resumes its own suspended tasks first, scores candidate placements
-/// through a [`NodeScoreFn`] (negative vetoes the node), and respects the
-/// engine's placement vetoes for fresh launches.
-pub struct Backfill {
-    score: NodeScoreFn,
+/// ends. Resumes its own suspended tasks first and respects the engine's
+/// reliability veto for fresh launches.
+#[derive(Default)]
+pub(crate) struct Backfill {
     /// Live best-effort jobs in submission order, maintained through the
     /// submit/finish hooks: a backfill round visits exactly these instead
     /// of scanning the whole job table, and a heartbeat with no scavenger
@@ -791,27 +627,7 @@ pub struct Backfill {
 }
 
 impl Backfill {
-    /// Backfill with a node-scoring plugin.
-    pub fn new(score: NodeScoreFn) -> Self {
-        Backfill {
-            score,
-            best_effort_alive: Vec::new(),
-        }
-    }
-
-    /// Backfill that scores every node equally (placement governed solely
-    /// by the engine's vetoes).
-    pub fn any_node() -> Self {
-        Backfill::new(Box::new(|_, _, _| 0))
-    }
-}
-
-impl Action for Backfill {
-    fn name(&self) -> &'static str {
-        "backfill"
-    }
-
-    fn on_heartbeat(
+    pub(crate) fn on_heartbeat(
         &mut self,
         ctx: &SchedulerContext<'_>,
         node: NodeId,
@@ -823,7 +639,7 @@ impl Action for Backfill {
         let Some(view) = ctx.node(node) else {
             return;
         };
-        // Slots the actions before us already claimed this round (actions
+        // Slots the stages before us already claimed this round (actions
         // apply only after the whole round returns, so the view alone
         // over-counts).
         let mut free_map = view.free_map_slots as usize;
@@ -867,9 +683,6 @@ impl Action for Backfill {
             if !can_launch && job.suspended_count == 0 {
                 continue;
             }
-            if (self.score)(ctx, job.id, node) < 0 {
-                continue;
-            }
             // Resume-first: this node already holds the suspended task's
             // paged-out state.
             if job.suspended_count > 0 {
@@ -910,157 +723,54 @@ impl Action for Backfill {
         }
     }
 
-    fn on_job_submitted(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        job: JobId,
-        _out: &mut Vec<SchedulerAction>,
-    ) {
+    pub(crate) fn job_submitted(&mut self, ctx: &SchedulerContext<'_>, job: JobId) {
         if ctx.jobs.get(&job).is_some_and(|j| j.spec.best_effort) {
             self.best_effort_alive.push(job);
         }
     }
 
-    fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) {
+    pub(crate) fn job_finished(&mut self, job: JobId) {
         self.best_effort_alive.retain(|id| *id != job);
     }
 }
 
-/// Configuration of the multi-tenant bundle
-/// ([`ActionPipeline::multi_tenant`]).
-pub struct MultiTenantConfig {
-    /// Per-tenant weights; quota is `weight / Σ weights`.
-    pub weights: Vec<f64>,
-    /// Map slots in the cluster (DRF denominator).
-    pub total_map_slots: u32,
-    /// Reduce slots in the cluster (DRF denominator).
-    pub total_reduce_slots: u32,
-    /// Warm-up horizon excluded from the ledger's steady-state statistics.
-    pub steady_after: SimTime,
-    /// How reclaim evicts: `Kill` (work lost) or `SuspendResume` (the
-    /// paper's OS-assisted primitive, work preserved).
-    pub primitive: PreemptionPrimitive,
-    /// Victim selection within a job.
-    pub eviction: EvictionPolicy,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mrp_engine::{JobSpec, TaskId, TaskRuntime};
+    use mrp_sim::MIB;
 
-/// A [`SchedulerPolicy`] that is a composition of [`Action`]s dispatched in
-/// order over the same immutable context, their outputs concatenated.
-pub struct ActionPipeline {
-    label: &'static str,
-    actions: Vec<Box<dyn Action>>,
-}
-
-impl ActionPipeline {
-    /// Composes a pipeline from actions, dispatched in the given order.
-    pub fn new(label: &'static str, actions: Vec<Box<dyn Action>>) -> Self {
-        ActionPipeline { label, actions }
-    }
-
-    /// FIFO as a plugin bundle: a single locality-major [`Allocate`].
-    /// Byte-identical to [`FifoScheduler`] (it *is* the same code).
-    pub fn fifo() -> Self {
-        ActionPipeline::new("fifo", vec![Box::new(Allocate::locality_major())])
-    }
-
-    /// FAIR as a plugin bundle: job-major [`Allocate`] under
-    /// [`FairJobOrder`], then deficit-triggered [`Preempt`]. Byte-identical
-    /// to the legacy `FairScheduler` (which now wraps this).
-    pub fn fair(
-        primitive: PreemptionPrimitive,
-        eviction: EvictionPolicy,
-        total_map_slots: usize,
-        preemption_timeout: SimDuration,
-    ) -> Self {
-        ActionPipeline::new(
-            "fair",
-            vec![
-                Box::new(Allocate::job_major(Box::new(FairJobOrder::default()))),
-                Box::new(Preempt::fair_share(
-                    primitive,
-                    eviction,
-                    total_map_slots,
-                    preemption_timeout,
-                )),
-            ],
-        )
-    }
-
-    /// HFSP as a plugin bundle: job-major [`Allocate`] under
-    /// [`HfspJobOrder`], then arrival-triggered [`Preempt`]. Byte-identical
-    /// to the legacy `HfspScheduler` (which now wraps this).
-    pub fn hfsp(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
-        ActionPipeline::new(
-            "hfsp",
-            vec![
-                Box::new(Allocate::job_major(Box::new(HfspJobOrder::default()))),
-                Box::new(Preempt::size_on_submit(primitive, eviction)),
-            ],
-        )
-    }
-
-    /// The multi-tenant bundle: DRF [`Allocate`], quota [`Reclaim`] (kill
-    /// or suspend — the paper's trade-off as a knob), and best-effort
-    /// [`Backfill`]. Returns the pipeline plus the shared [`TenantLedger`]
-    /// for end-of-run share statistics.
-    pub fn multi_tenant(config: MultiTenantConfig) -> (Self, Rc<RefCell<TenantLedger>>) {
-        let ledger = Rc::new(RefCell::new(TenantLedger::new(
-            config.weights,
-            config.total_map_slots,
-            config.total_reduce_slots,
-            config.steady_after,
-        )));
-        let pipeline = ActionPipeline::new(
-            "multi_tenant",
-            vec![
-                Box::new(Allocate::job_major(Box::new(DrfJobOrder::new(
-                    ledger.clone(),
-                )))),
-                Box::new(Reclaim::new(
-                    ledger.clone(),
-                    config.primitive,
-                    eviction_select(config.eviction, 0xD2F),
-                )),
-                Box::new(Backfill::any_node()),
-            ],
-        );
-        (pipeline, ledger)
-    }
-}
-
-impl SchedulerPolicy for ActionPipeline {
-    fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
-        let mut out = Vec::new();
-        for action in &mut self.actions {
-            action.on_heartbeat(ctx, node, &mut out);
-        }
-        out
-    }
-
-    fn on_job_submitted(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
-        let mut out = Vec::new();
-        for action in &mut self.actions {
-            action.on_job_submitted(ctx, job, &mut out);
-        }
-        out
-    }
-
-    fn on_job_finished(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
-        for action in &mut self.actions {
-            action.on_job_finished(ctx, job);
-        }
-        Vec::new()
-    }
-
-    fn on_task_finished(
-        &mut self,
-        _ctx: &SchedulerContext<'_>,
-        _task: TaskId,
-    ) -> Vec<SchedulerAction> {
-        Vec::new()
-    }
-
-    fn name(&self) -> &str {
-        self.label
+    #[test]
+    fn remaining_size_shrinks_with_progress() {
+        let task = |index| {
+            TaskRuntime::new(
+                TaskId {
+                    job: JobId(1),
+                    kind: TaskKind::Map,
+                    index,
+                },
+                100 * MIB,
+                vec![],
+            )
+        };
+        let mut job = JobRuntime {
+            id: JobId(1),
+            spec: JobSpec::synthetic("x", 2, 100 * MIB),
+            submitted_at: SimTime::ZERO,
+            completed_at: None,
+            schedulable_maps: 0,
+            schedulable_reduces: 0,
+            suspended_count: 0,
+            occupying_count: 0,
+            speculative_live: 0,
+            tasks: vec![task(0), task(1)],
+        };
+        let full = remaining_size(&job);
+        job.tasks[0].progress = 0.5;
+        let half = remaining_size(&job);
+        assert!(half < full);
+        job.tasks[0].set_state(TaskState::Running);
+        job.tasks[0].set_state(TaskState::Succeeded);
+        assert_eq!(remaining_size(&job), 100 * MIB);
     }
 }

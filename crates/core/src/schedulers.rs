@@ -4,20 +4,29 @@
 //! (Section II): fairness schedulers (Hadoop FAIR/Capacity), deadline
 //! schedulers, and size-based schedulers such as the authors' own HFSP. This
 //! module provides working preemptive implementations of a FAIR-style
-//! scheduler and an HFSP-style size-based scheduler, both parameterised by
-//! the [`PreemptionPrimitive`] and the [`EvictionPolicy`], so the ablation
+//! scheduler, an HFSP-style size-based scheduler and a multi-tenant DRF
+//! scheduler with quota reclaim, all parameterised by the
+//! [`PreemptionPrimitive`] and the [`EvictionPolicy`], so the ablation
 //! benches can measure how the choice of primitive affects realistic
 //! scheduling policies rather than only the paper's two-job scenario.
+//!
+//! Each scheduler is one type whose allocate/preempt/reclaim/backfill
+//! stages (`pipeline.rs`) are plain fields, run in order on every hook.
+//! Allocation goes through [`fill_node`], the rack-aware slot filler below.
 
 use crate::eviction::{EvictionCandidate, EvictionPolicy};
-use crate::pipeline::ActionPipeline;
+use crate::pipeline::{
+    Allocate, Backfill, DrfJobOrder, FairJobOrder, FairPreempt, HfspJobOrder, Reclaim, SizePreempt,
+};
 use crate::primitive::PreemptionPrimitive;
 use mrp_engine::{
     JobId, JobRuntime, Locality, NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy,
-    TaskKind, TaskState,
+    TaskKind, TaskState, TenantLedger,
 };
-use mrp_sim::SimDuration;
+use mrp_sim::{SimDuration, SimTime};
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 
 const BASE_TASK_FOOTPRINT: u64 = 192 * 1024 * 1024;
 
@@ -556,18 +565,11 @@ pub(crate) fn fill_node(
 /// policy (this is how the Hadoop FAIR scheduler warrants fairness, with
 /// kill replaced by suspend/resume).
 ///
-/// Since the action-pipeline redesign this type is a thin wrapper over
-/// [`ActionPipeline::fair`] — a job-major `allocate` under the fair-share
-/// job order, followed by a deficit-triggered `preempt`. Constructing the
-/// bundle directly is equivalent; this wrapper exists for API stability.
+/// Each heartbeat allocates free slots to the most-starved jobs first, then
+/// runs the deficit-triggered preemption.
 pub struct FairScheduler {
-    /// Primitive used to evict tasks of over-share jobs.
-    pub primitive: PreemptionPrimitive,
-    /// Victim selection policy.
-    pub eviction: EvictionPolicy,
-    /// How long a job may stay under its fair share before preemption kicks in.
-    pub preemption_timeout: SimDuration,
-    pipeline: ActionPipeline,
+    allocate: Allocate<FairJobOrder>,
+    preempt: FairPreempt,
 }
 
 impl FairScheduler {
@@ -579,30 +581,31 @@ impl FairScheduler {
         preemption_timeout: SimDuration,
     ) -> Self {
         FairScheduler {
-            primitive,
-            eviction,
-            preemption_timeout,
-            pipeline: ActionPipeline::fair(
-                primitive,
-                eviction,
-                total_map_slots,
-                preemption_timeout,
-            ),
+            allocate: Allocate::new(FairJobOrder::default()),
+            preempt: FairPreempt::new(primitive, eviction, total_map_slots, preemption_timeout),
         }
     }
 }
 
 impl SchedulerPolicy for FairScheduler {
     fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
-        self.pipeline.on_heartbeat(ctx, node)
+        let mut out = self.allocate.on_heartbeat(ctx, node);
+        self.preempt.on_heartbeat(ctx, &mut out);
+        out
     }
 
-    fn on_job_submitted(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
-        self.pipeline.on_job_submitted(ctx, job)
+    fn on_job_submitted(
+        &mut self,
+        _ctx: &SchedulerContext<'_>,
+        _job: JobId,
+    ) -> Vec<SchedulerAction> {
+        self.allocate.job_submitted();
+        Vec::new()
     }
 
-    fn on_job_finished(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
-        self.pipeline.on_job_finished(ctx, job)
+    fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
+        self.allocate.job_finished(job);
+        Vec::new()
     }
 
     fn name(&self) -> &str {
@@ -617,46 +620,34 @@ impl SchedulerPolicy for FairScheduler {
 /// runs first. When a newly submitted job is smaller than what is currently
 /// running and no slots are free, tasks of the largest running job are
 /// preempted with the configured primitive.
-/// Since the action-pipeline redesign this type is a thin wrapper over
-/// [`ActionPipeline::hfsp`] — a job-major `allocate` under the cached
-/// smallest-remaining-size job order, followed by an arrival-triggered
-/// `preempt`. Constructing the bundle directly is equivalent; this wrapper
-/// exists for API stability.
 pub struct HfspScheduler {
-    /// Primitive used to evict tasks of larger jobs.
-    pub primitive: PreemptionPrimitive,
-    /// Victim selection policy.
-    pub eviction: EvictionPolicy,
-    pipeline: ActionPipeline,
+    allocate: Allocate<HfspJobOrder>,
+    preempt: SizePreempt,
 }
 
 impl HfspScheduler {
     /// Creates an HFSP-style scheduler.
     pub fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
         HfspScheduler {
-            primitive,
-            eviction,
-            pipeline: ActionPipeline::hfsp(primitive, eviction),
+            allocate: Allocate::new(HfspJobOrder::default()),
+            preempt: SizePreempt::new(primitive, eviction),
         }
-    }
-
-    /// Remaining virtual size of a job in bytes (HFSP's ordering metric).
-    pub fn remaining_size(job: &JobRuntime) -> u64 {
-        crate::pipeline::remaining_size(job)
     }
 }
 
 impl SchedulerPolicy for HfspScheduler {
     fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
-        self.pipeline.on_heartbeat(ctx, node)
+        self.allocate.on_heartbeat(ctx, node)
     }
 
     fn on_job_submitted(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
-        self.pipeline.on_job_submitted(ctx, job)
+        self.allocate.job_submitted();
+        self.preempt.on_job_submitted(ctx, job)
     }
 
-    fn on_job_finished(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
-        self.pipeline.on_job_finished(ctx, job)
+    fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
+        self.allocate.job_finished(job);
+        Vec::new()
     }
 
     fn name(&self) -> &str {
@@ -664,10 +655,88 @@ impl SchedulerPolicy for HfspScheduler {
     }
 }
 
+/// Configuration of a [`MultiTenantScheduler`].
+pub struct MultiTenantConfig {
+    /// Per-tenant weights; quota is `weight / Σ weights`.
+    pub weights: Vec<f64>,
+    /// Map slots in the cluster (DRF denominator).
+    pub total_map_slots: u32,
+    /// Reduce slots in the cluster (DRF denominator).
+    pub total_reduce_slots: u32,
+    /// Warm-up horizon excluded from the ledger's steady-state statistics.
+    pub steady_after: SimTime,
+    /// How reclaim evicts: `Kill` (work lost) or `SuspendResume` (the
+    /// paper's OS-assisted primitive, work preserved).
+    pub primitive: PreemptionPrimitive,
+    /// Victim selection within a job.
+    pub eviction: EvictionPolicy,
+}
+
+/// A multi-tenant scheduler: weighted DRF over tenants, with quota reclaim
+/// and best-effort backfill — the shared-cluster setting the paper's
+/// primitive was built for.
+///
+/// Each heartbeat allocates free slots to the tenant with the lowest
+/// dominant share relative to its quota, then (once per simulated second)
+/// evicts from best-effort jobs and over-quota tenants while starved tenants'
+/// claims exceed free capacity — by kill or by OS-assisted suspend, the
+/// paper's trade-off as the `primitive` knob — and finally backfills
+/// best-effort jobs into whatever capacity is left, including slots freed
+/// by suspension.
+pub struct MultiTenantScheduler {
+    allocate: Allocate<DrfJobOrder>,
+    reclaim: Reclaim,
+    backfill: Backfill,
+}
+
+impl MultiTenantScheduler {
+    /// Creates the scheduler plus the [`TenantLedger`] it shares with its
+    /// stages, for end-of-run share statistics.
+    pub fn new(config: MultiTenantConfig) -> (Self, Rc<RefCell<TenantLedger>>) {
+        let ledger = Rc::new(RefCell::new(TenantLedger::new(
+            config.weights,
+            config.total_map_slots,
+            config.total_reduce_slots,
+            config.steady_after,
+        )));
+        let scheduler = MultiTenantScheduler {
+            allocate: Allocate::new(DrfJobOrder::new(ledger.clone())),
+            reclaim: Reclaim::new(ledger.clone(), config.primitive, config.eviction),
+            backfill: Backfill::default(),
+        };
+        (scheduler, ledger)
+    }
+}
+
+impl SchedulerPolicy for MultiTenantScheduler {
+    fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
+        let mut out = self.allocate.on_heartbeat(ctx, node);
+        self.reclaim.on_heartbeat(ctx, &mut out);
+        self.backfill.on_heartbeat(ctx, node, &mut out);
+        out
+    }
+
+    fn on_job_submitted(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
+        self.allocate.job_submitted();
+        self.backfill.job_submitted(ctx, job);
+        Vec::new()
+    }
+
+    fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
+        self.allocate.job_finished(job);
+        self.backfill.job_finished(job);
+        Vec::new()
+    }
+
+    fn name(&self) -> &str {
+        "multi_tenant"
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrp_engine::{Cluster, ClusterConfig, JobSpec, TaskId};
+    use mrp_engine::{Cluster, ClusterConfig, JobSpec};
     use mrp_sim::{SimTime, MIB};
 
     fn two_job_cluster(scheduler: Box<dyn SchedulerPolicy>) -> mrp_engine::ClusterReport {
@@ -885,50 +954,5 @@ mod tests {
             with_spec.makespan_secs().unwrap(),
             without.makespan_secs().unwrap()
         );
-    }
-
-    #[test]
-    fn remaining_size_shrinks_with_progress() {
-        // Direct unit check of the HFSP size estimator.
-        let spec = JobSpec::synthetic("x", 2, 100 * MIB);
-        let mut job = JobRuntime {
-            id: JobId(1),
-            spec,
-            submitted_at: SimTime::ZERO,
-            completed_at: None,
-            schedulable_maps: 0,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            tasks: vec![
-                mrp_engine::TaskRuntime::new(
-                    TaskId {
-                        job: JobId(1),
-                        kind: TaskKind::Map,
-                        index: 0,
-                    },
-                    100 * MIB,
-                    vec![],
-                ),
-                mrp_engine::TaskRuntime::new(
-                    TaskId {
-                        job: JobId(1),
-                        kind: TaskKind::Map,
-                        index: 1,
-                    },
-                    100 * MIB,
-                    vec![],
-                ),
-            ],
-        };
-        let full = HfspScheduler::remaining_size(&job);
-        job.tasks[0].progress = 0.5;
-        let half = HfspScheduler::remaining_size(&job);
-        assert!(half < full);
-        job.tasks[0].set_state(TaskState::Running);
-        job.tasks[0].set_state(TaskState::Succeeded);
-        let done_one = HfspScheduler::remaining_size(&job);
-        assert_eq!(done_one, 100 * MIB);
     }
 }

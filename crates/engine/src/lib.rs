@@ -64,14 +64,11 @@ pub use metrics::{
     TraceKind, DELAY_WAIT_BUCKET_SECS,
 };
 pub use obs::{ObsState, Span, SpanKind, ACTION_KINDS, EVENT_KINDS, SERIES_COLUMNS};
-pub use plugin::{
-    JobOrder, JobOrderFn, NodeScoreFn, PreemptableSetFn, PreemptableTask, TaskOrderFn,
-    TenantLedger, TenantShareStats,
-};
+pub use plugin::{TenantLedger, TenantShareStats};
 pub use reliability::ReliabilityTracker;
 pub use scheduler::{
-    FifoScheduler, NodeView, PendingTotals, PlacementQuery, PlacementVerdict, RackView,
-    SchedulerAction, SchedulerContext, SchedulerPolicy,
+    FifoScheduler, NodeView, PendingTotals, RackView, SchedulerAction, SchedulerContext,
+    SchedulerPolicy,
 };
 pub use shuffle::ShuffleTracker;
 pub use tasktracker::{

@@ -1,96 +1,15 @@
-//! Plugin points for action-pipeline schedulers.
+//! Multi-tenant share accounting for DRF schedulers.
 //!
-//! The Volcano/kube-batch lineage structures a scheduling round as a fixed
-//! sequence of *actions* (`allocate`, `preempt`, `reclaim`, `backfill`)
-//! whose decisions are delegated to *plugin functions*. This module defines
-//! the plugin vocabulary the engine exposes to such pipelines: job-ordering
-//! ([`JobOrder`]), victim selection ([`TaskOrderFn`] over
-//! [`PreemptableTask`]s produced by a [`PreemptableSetFn`]), node scoring
-//! ([`NodeScoreFn`]), and multi-tenant share accounting ([`TenantLedger`]).
-//! The pipeline itself — and the concrete plugin bundles that reproduce the
-//! FIFO/FAIR/HFSP policies — lives in the `mrp-preempt` crate, next to the
-//! preemption primitives it dispatches.
-//!
-//! Everything here is policy-side vocabulary: the engine never consults
-//! these types on its own, it only hands pipelines the
-//! [`SchedulerContext`] they read.
+//! [`TenantLedger`] tracks each tenant's dominant share of the cluster's map
+//! and reduce slots against its weighted quota. The multi-tenant scheduler
+//! in the `mrp-preempt` crate orders jobs and reclaims capacity by it, and
+//! the experiment harness reads its end-of-run [`TenantShareStats`]. The
+//! engine never consults the ledger on its own; policies feed it the
+//! [`SchedulerContext`] they are handed.
 
-use crate::job::{JobId, TaskId, TaskKind};
+use crate::job::TaskKind;
 use crate::scheduler::SchedulerContext;
-use mrp_dfs::NodeId;
 use mrp_sim::{SimDuration, SimTime};
-
-/// A running task a preempt/reclaim action may evict, with the attributes
-/// victim-selection plugins rank by.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PreemptableTask {
-    /// The candidate task.
-    pub task: TaskId,
-    /// Its last reported progress in `[0, 1]`.
-    pub progress: f64,
-    /// Approximate resident memory of the attempt (state memory plus the
-    /// base task footprint) — what a suspension would page out.
-    pub memory_bytes: u64,
-}
-
-/// Job-ordering plugin: decides which jobs an `allocate` action serves, and
-/// in what order, each time a node offers slots.
-///
-/// `refresh` may keep internal caches (the HFSP bundle refreshes its
-/// size-based order at most once per simulated second); returning `false`
-/// skips the allocation round for this node entirely, caches untouched.
-///
-/// ```
-/// use mrp_engine::{JobId, JobOrder, NodeId, SchedulerContext};
-///
-/// /// Plain submission order, skipping finished jobs.
-/// struct SubmissionOrder;
-///
-/// impl JobOrder for SubmissionOrder {
-///     fn refresh(
-///         &mut self,
-///         ctx: &SchedulerContext<'_>,
-///         _node: NodeId,
-///         order: &mut Vec<JobId>,
-///     ) -> bool {
-///         order.clear();
-///         order.extend(ctx.jobs.values().filter(|j| !j.is_finished()).map(|j| j.id));
-///         true
-///     }
-/// }
-/// ```
-pub trait JobOrder {
-    /// Rebuilds `order` (the jobs to serve, first to last) for a round on
-    /// `node`. Return `false` to skip the round without touching `order`.
-    fn refresh(&mut self, ctx: &SchedulerContext<'_>, node: NodeId, order: &mut Vec<JobId>)
-        -> bool;
-
-    /// Notifies the plugin of a job submission (cache invalidation hook).
-    fn job_submitted(&mut self, _job: JobId) {}
-
-    /// Notifies the plugin of a job completion (cache invalidation hook).
-    fn job_finished(&mut self, _job: JobId) {}
-}
-
-/// Boxed [`JobOrder`] — the form action pipelines store.
-pub type JobOrderFn = Box<dyn JobOrder>;
-
-/// Victim-selection plugin: given the preemptable tasks of one job, picks up
-/// to `take` victims, best-to-evict first. The FAIR/HFSP bundles wrap their
-/// `EvictionPolicy` (and its seeded RNG) in one of these.
-pub type TaskOrderFn =
-    Box<dyn FnMut(&SchedulerContext<'_>, &[PreemptableTask], usize) -> Vec<TaskId>>;
-
-/// Node-scoring plugin: ranks `node` as a backfill target for `job`. A
-/// negative score vetoes the node; among non-negative scores, higher is
-/// better. The default multi-tenant bundle scores every node `0` and leans
-/// on the engine's placement vetoes instead.
-pub type NodeScoreFn = Box<dyn FnMut(&SchedulerContext<'_>, JobId, NodeId) -> i64>;
-
-/// Preemptable-set plugin: enumerates the tasks of `job` an eviction may
-/// target (the FAIR/HFSP bundles list the job's `Running` tasks; a gentler
-/// plugin could exclude tasks past a progress threshold).
-pub type PreemptableSetFn = Box<dyn FnMut(&SchedulerContext<'_>, JobId) -> Vec<PreemptableTask>>;
 
 /// Per-tenant share statistics summarized from a [`TenantLedger`] at the
 /// end of a run.
@@ -391,10 +310,10 @@ impl TenantLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobId, JobRuntime, JobSpec, JobTable, TaskRuntime, TaskState};
+    use crate::job::{JobId, JobRuntime, JobSpec, JobTable, TaskId, TaskRuntime, TaskState};
     use crate::scheduler::{NodeView, PendingTotals};
     use crate::SpeculationConfig;
-    use mrp_dfs::Topology;
+    use mrp_dfs::{NodeId, Topology};
 
     fn make_job(id: u32, tenant: u32, best_effort: bool, maps: u32, running: u32) -> JobRuntime {
         let mut spec = JobSpec::synthetic(format!("j{id}"), maps, 1024).with_tenant(tenant);

@@ -137,62 +137,6 @@ impl PendingTotals {
     }
 }
 
-/// A placement question for [`SchedulerContext::placement_verdict`] — the
-/// single decision surface behind the grown set of placement-veto helpers
-/// (`reliability_avoid`, `prefer_reduce_elsewhere`, `delay_gated`), which
-/// are now thin wrappers over it.
-#[derive(Clone, Copy, Debug)]
-pub enum PlacementQuery<'q> {
-    /// Would a fresh `Launch`/`LaunchSpeculative` of a task of `kind` on
-    /// `node` be steered away by the node-reliability predictor?
-    FreshTask {
-        /// The candidate node.
-        node: NodeId,
-        /// Map or reduce.
-        kind: TaskKind,
-    },
-    /// Should a reduce of `job` decline a slot on `node` because the rack
-    /// holding most of the job's map output is elsewhere and has capacity?
-    ReducePlacement {
-        /// The job whose reduce is being placed.
-        job: JobId,
-        /// The candidate node.
-        node: NodeId,
-    },
-    /// Is `job` voluntarily declining slots under delay scheduling right
-    /// now (so preempting victims on its behalf would be pure churn)?
-    DelayGate {
-        /// The job under consideration.
-        job: &'q JobRuntime,
-    },
-}
-
-/// The answer to a [`PlacementQuery`]: either the placement is fine, or the
-/// specific veto that applies. Policies that only care whether to proceed
-/// use [`PlacementVerdict::allows`]; the variant says *why* when they want
-/// to record or trade off the reason.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PlacementVerdict {
-    /// No veto: place the work.
-    Allow,
-    /// The reliability predictor flags the node flaky and capacity exists
-    /// elsewhere — steer fresh launches away.
-    AvoidFlakyNode,
-    /// The job's map-output bytes concentrate in a different rack with free
-    /// reduce capacity — prefer launching the reduce there.
-    PreferReduceElsewhere,
-    /// The job is inside its delay-scheduling wait window — it would
-    /// decline this slot anyway while waiting for locality.
-    WaitForLocality,
-}
-
-impl PlacementVerdict {
-    /// True when no veto applies.
-    pub fn allows(self) -> bool {
-        self == PlacementVerdict::Allow
-    }
-}
-
 /// Read-only view of the cluster handed to scheduler policies.
 pub struct SchedulerContext<'a> {
     /// Current virtual time.
@@ -286,88 +230,21 @@ impl<'a> SchedulerContext<'a> {
     /// and `LaunchSpeculative` decisions only, never to resumes (a suspended
     /// task's memory already lives on its node).
     pub fn reliability_avoid(&self, node: NodeId, kind: TaskKind) -> bool {
-        !self
-            .placement_verdict(PlacementQuery::FreshTask { node, kind })
-            .allows()
-    }
-
-    /// Answers a [`PlacementQuery`]: the one decision surface all placement
-    /// vetoes go through, for legacy helpers and action-pipeline plugins
-    /// alike. Returns [`PlacementVerdict::Allow`] when no veto applies.
-    pub fn placement_verdict(&self, query: PlacementQuery<'_>) -> PlacementVerdict {
-        match query {
-            PlacementQuery::FreshTask { node, kind } => {
-                let Some(r) = self.reliability else {
-                    return PlacementVerdict::Allow;
-                };
-                if !r.enabled() {
-                    return PlacementVerdict::Allow;
-                }
-                let Some(rack) = self.topology.rack_of(node) else {
-                    return PlacementVerdict::Allow;
-                };
-                if !r.flaky(node, rack, self.now) {
-                    return PlacementVerdict::Allow;
-                }
-                let free_here = self.node(node).map(|v| v.free_slots(kind)).unwrap_or(0);
-                let total = match kind {
-                    TaskKind::Map => self.free_map_slots_total(),
-                    TaskKind::Reduce => self.free_reduce_slots_total(),
-                };
-                if total > free_here {
-                    PlacementVerdict::AvoidFlakyNode
-                } else {
-                    PlacementVerdict::Allow
-                }
-            }
-            PlacementQuery::ReducePlacement { job, node } => {
-                let Some(s) = self.shuffle else {
-                    return PlacementVerdict::Allow;
-                };
-                if !s.enabled() {
-                    return PlacementVerdict::Allow;
-                }
-                let Some(pref) = s.preferred_rack(job) else {
-                    return PlacementVerdict::Allow;
-                };
-                let Some(here) = self.topology.rack_of(node) else {
-                    return PlacementVerdict::Allow;
-                };
-                if pref != here && self.rack(pref).is_some_and(|r| r.free_reduce_slots > 0) {
-                    PlacementVerdict::PreferReduceElsewhere
-                } else {
-                    PlacementVerdict::Allow
-                }
-            }
-            PlacementQuery::DelayGate { job } => {
-                let Some(d) = self.delay else {
-                    return PlacementVerdict::Allow;
-                };
-                if !d.enabled() || job.schedulable_maps == 0 {
-                    return PlacementVerdict::Allow;
-                }
-                // Reduce work can launch anywhere, so a job with pending
-                // reduces always has a legitimate claim on slots.
-                if job.schedulable_reduces > 0 {
-                    return PlacementVerdict::Allow;
-                }
-                // Tasks are laid out maps-first; a preference-less first map
-                // means the whole job is synthetic and never
-                // delay-restricted.
-                if job
-                    .tasks
-                    .first()
-                    .is_none_or(|t| t.preferred_nodes.is_empty())
-                {
-                    return PlacementVerdict::Allow;
-                }
-                if d.gated(job.id, self.now) {
-                    PlacementVerdict::WaitForLocality
-                } else {
-                    PlacementVerdict::Allow
-                }
-            }
+        let Some(r) = self.reliability.filter(|r| r.enabled()) else {
+            return false;
+        };
+        let Some(rack) = self.topology.rack_of(node) else {
+            return false;
+        };
+        if !r.flaky(node, rack, self.now) {
+            return false;
         }
+        let free_here = self.node(node).map_or(0, |v| v.free_slots(kind));
+        let total = match kind {
+            TaskKind::Map => self.free_map_slots_total(),
+            TaskKind::Reduce => self.free_reduce_slots_total(),
+        };
+        total > free_here
     }
 
     /// True when a reduce of `job` should decline a slot on `node` because
@@ -378,9 +255,13 @@ impl<'a> SchedulerContext<'a> {
     /// wherever it can). Always false while fault-tolerant shuffle is off or
     /// the job has no committed map output yet.
     pub fn prefer_reduce_elsewhere(&self, job: JobId, node: NodeId) -> bool {
-        !self
-            .placement_verdict(PlacementQuery::ReducePlacement { job, node })
-            .allows()
+        let Some(s) = self.shuffle.filter(|s| s.enabled()) else {
+            return false;
+        };
+        let (Some(pref), Some(here)) = (s.preferred_rack(job), self.topology.rack_of(node)) else {
+            return false;
+        };
+        pref != here && self.rack(pref).is_some_and(|r| r.free_reduce_slots > 0)
     }
 
     /// Input locality a launch of `task` on `node` would get: the best
@@ -496,9 +377,23 @@ impl<'a> SchedulerContext<'a> {
     /// churn. A job that was never offered a slot (clock not running) is
     /// *not* gated: it may be genuinely starved.
     pub fn delay_gated(&self, job: &JobRuntime) -> bool {
-        !self
-            .placement_verdict(PlacementQuery::DelayGate { job })
-            .allows()
+        let Some(d) = self.delay.filter(|d| d.enabled()) else {
+            return false;
+        };
+        // Reduce work can launch anywhere, so a job with pending reduces
+        // always has a legitimate claim on slots. Tasks are laid out
+        // maps-first; a preference-less first map means the whole job is
+        // synthetic and never delay-restricted.
+        if job.schedulable_maps == 0
+            || job.schedulable_reduces > 0
+            || job
+                .tasks
+                .first()
+                .is_none_or(|t| t.preferred_nodes.is_empty())
+        {
+            return false;
+        }
+        d.gated(job.id, self.now)
     }
 
     /// Appends up to `max` speculative-launch candidates from `job` for a

@@ -1,9 +1,9 @@
-//! Multi-tenant scheduling scenarios for the action pipeline.
+//! Multi-tenant scheduling scenarios for the `MultiTenantScheduler`.
 //!
 //! The paper evaluates its suspend/resume primitive on a two-job priority
 //! scenario; this module exercises it where production Hadoop actually
 //! needed it — a shared cluster. Three tenants with DRF dominant-share
-//! quotas submit staggered streams of jobs, the `reclaim` action pulls
+//! quotas submit staggered streams of jobs, the `reclaim` stage pulls
 //! over-quota tenants back (via kill *or* OS-assisted suspend — the paper's
 //! trade-off as a knob), and best-effort scavenger jobs `backfill` leftover
 //! capacity, including the slots freed by suspension.
@@ -14,7 +14,7 @@
 //! throws away and a suspend preserves.
 
 use mrp_engine::{Cluster, ClusterConfig, JobSpec, TenantShareStats, TraceLevel};
-use mrp_preempt::{ActionPipeline, EvictionPolicy, MultiTenantConfig, PreemptionPrimitive};
+use mrp_preempt::{EvictionPolicy, MultiTenantConfig, MultiTenantScheduler, PreemptionPrimitive};
 use mrp_sim::{SimDuration, SimTime, MIB};
 
 /// Configuration of one multi-tenant scenario run.
@@ -197,7 +197,7 @@ pub fn run_tenant_scenario(config: &TenantScenarioConfig) -> TenantScenarioOutco
         ClusterConfig::racked_cluster(config.racks, config.nodes_per_rack, config.map_slots, 1)
             .with_trace_level(TraceLevel::Off)
             .with_seed(config.seed);
-    let (pipeline, ledger) = ActionPipeline::multi_tenant(MultiTenantConfig {
+    let (scheduler, ledger) = MultiTenantScheduler::new(MultiTenantConfig {
         weights: config.weights.clone(),
         total_map_slots: config.total_map_slots(),
         total_reduce_slots: config.racks * config.nodes_per_rack,
@@ -205,7 +205,7 @@ pub fn run_tenant_scenario(config: &TenantScenarioConfig) -> TenantScenarioOutco
         primitive: config.primitive,
         eviction: EvictionPolicy::ClosestToCompletion,
     });
-    let mut cluster = Cluster::new(cfg, Box::new(pipeline));
+    let mut cluster = Cluster::new(cfg, Box::new(scheduler));
     submit_workload(&mut cluster, config);
     cluster.run(SimTime::from_secs(24 * 3_600));
     let events_processed = cluster.events_processed();

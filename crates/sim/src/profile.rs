@@ -12,7 +12,7 @@
 //!
 //! A second, independent view covers scheduler actions: every action is
 //! counted, and one in [`ACTION_SAMPLE_EVERY`] scheduler invocations is
-//! timed directly and scaled up. Action wall time overlaps the event-kind
+//! timed directly and scaled up. Their wall time overlaps the event-kind
 //! view (actions run *inside* event handlers) and is reported separately,
 //! not added to the loop total.
 //!

@@ -857,8 +857,12 @@ const PINNED_FAIR_PARTITION: FairPin = (714, 106_255_122, 16, (48, 0, 0));
 /// detector-deferred kills all feed into these numbers.
 #[test]
 fn fixed_seed_fair_suites_are_pinned() {
-    let suites: [(&str, fn() -> Cluster, FairPin); 3] = [
-        ("churn", fair_churn_cluster, PINNED_FAIR_CHURN),
+    let suites = [
+        (
+            "churn",
+            fair_churn_cluster as fn() -> Cluster,
+            PINNED_FAIR_CHURN,
+        ),
         ("delay", fair_delay_cluster, PINNED_FAIR_DELAY),
         ("partition", fair_partition_cluster, PINNED_FAIR_PARTITION),
     ];
@@ -921,159 +925,6 @@ fn fixed_seed_multi_tenant_runs_are_pinned() {
             <[f64; 3]>::try_from(excess).expect("three tenants"),
         );
         assert_eq!(got, pinned, "multi-tenant {primitive:?} run moved");
-    }
-}
-
-/// The scheduling-action pipeline redesign re-expresses FIFO, FAIR and
-/// HFSP as plugin bundles (`ActionPipeline::fifo/fair/hfsp`); the legacy
-/// `FairScheduler`/`HfspScheduler` now wrap those bundles, while
-/// `FifoScheduler` remains an independent engine-side implementation. Both
-/// constructions must stay byte-identical on pinned seeds — same event
-/// count, same `ClusterReport` — across three suites: suspend/resume
-/// preemption churn, delay-scheduled DFS placement on a racked cluster,
-/// and detector-confirmed partitions with scripted faults.
-#[test]
-fn plugin_pipelines_match_legacy_schedulers() {
-    use mrp_preempt::ActionPipeline;
-
-    type Factory<'a> = &'a dyn Fn(usize) -> Box<dyn SchedulerPolicy>;
-
-    // Preemption churn: small cluster, batch + small jobs, lots of
-    // suspend/resume traffic under FAIR/HFSP (16 map slots).
-    fn churn_suite(make: Factory) -> (u64, ClusterReport) {
-        let mut cluster = Cluster::new(ClusterConfig::small_cluster(8, 2, 1), make(16));
-        for i in 0..4u32 {
-            cluster.submit_job_at(
-                JobSpec::synthetic(format!("batch-{i}"), 20, 64 * MIB),
-                SimTime::from_secs(u64::from(i)),
-            );
-        }
-        for i in 0..6u32 {
-            cluster.submit_job_at(
-                JobSpec::synthetic(format!("small-{i}"), 2, 16 * MIB),
-                SimTime::from_secs(10 + 5 * u64::from(i)),
-            );
-        }
-        cluster.run(SimTime::from_secs(24 * 3_600));
-        (cluster.events_processed(), cluster.report())
-    }
-
-    // Delay scheduling: racked DFS inputs spread over 4 racks, locality
-    // waits enabled, so the placement-verdict path is exercised (32 map
-    // slots).
-    fn delay_suite(make: Factory) -> (u64, ClusterReport) {
-        let mut cfg = ClusterConfig::racked_cluster(4, 4, 2, 1).with_delay_intervals(1.0, 1.0);
-        cfg.dfs_replication = 2;
-        let mut cluster = Cluster::new(cfg, make(32));
-        for i in 0..6u32 {
-            let path = format!("/pipe/in-{i}");
-            cluster
-                .create_input_file_from(&path, 384 * MIB, Some(NodeId((i * 5) % 16)))
-                .unwrap();
-            cluster.submit_job_at(
-                JobSpec::map_only(format!("job-{i}"), path),
-                SimTime::from_secs(u64::from(4 * i)),
-            );
-        }
-        cluster.run(SimTime::from_secs(24 * 3_600));
-        (cluster.events_processed(), cluster.report())
-    }
-
-    // Partitions: suspicion-based detector, a healable node partition and a
-    // detector-deferred kill on top of map/reduce work (12 map slots).
-    fn partition_suite(make: Factory) -> (u64, ClusterReport) {
-        let mut cfg = ClusterConfig::racked_cluster(3, 4, 1, 1);
-        cfg.trace_level = mrp_engine::TraceLevel::Off;
-        cfg.shuffle = ShuffleConfig::fault_tolerant();
-        cfg.detector = DetectorConfig::enabled();
-        cfg.faults.events.push(FaultEvent {
-            at: SimTime::from_secs(25),
-            kind: FaultKind::Partition { node: NodeId(4) },
-        });
-        cfg.faults.events.push(FaultEvent {
-            at: SimTime::from_secs(80),
-            kind: FaultKind::PartitionHeal { node: NodeId(4) },
-        });
-        cfg.faults.events.push(FaultEvent {
-            at: SimTime::from_secs(40),
-            kind: FaultKind::Kill { node: NodeId(9) },
-        });
-        cfg.faults.events.push(FaultEvent {
-            at: SimTime::from_secs(110),
-            kind: FaultKind::Rejoin { node: NodeId(9) },
-        });
-        let mut cluster = Cluster::new(cfg, make(12));
-        for i in 0..3u32 {
-            cluster.submit_job_at(
-                JobSpec::synthetic(format!("mr-{i}"), 12, 96 * MIB).with_reduces(2),
-                SimTime::from_secs(u64::from(3 * i)),
-            );
-        }
-        for i in 0..4u32 {
-            cluster.submit_job_at(
-                JobSpec::synthetic(format!("small-{i}"), 2, 16 * MIB),
-                SimTime::from_secs(12 + 8 * u64::from(i)),
-            );
-        }
-        cluster.run(SimTime::from_secs(24 * 3_600));
-        (cluster.events_processed(), cluster.report())
-    }
-
-    let legacy_fifo = |_: usize| -> Box<dyn SchedulerPolicy> { Box::new(FifoScheduler::new()) };
-    let pipeline_fifo = |_: usize| -> Box<dyn SchedulerPolicy> { Box::new(ActionPipeline::fifo()) };
-    let legacy_fair = |slots: usize| -> Box<dyn SchedulerPolicy> {
-        Box::new(FairScheduler::new(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-            slots,
-            SimDuration::from_secs(10),
-        ))
-    };
-    let pipeline_fair = |slots: usize| -> Box<dyn SchedulerPolicy> {
-        Box::new(ActionPipeline::fair(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-            slots,
-            SimDuration::from_secs(10),
-        ))
-    };
-    let legacy_hfsp = |_: usize| -> Box<dyn SchedulerPolicy> {
-        Box::new(HfspScheduler::new(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-        ))
-    };
-    let pipeline_hfsp = |_: usize| -> Box<dyn SchedulerPolicy> {
-        Box::new(ActionPipeline::hfsp(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-        ))
-    };
-
-    let pairs: [(&str, Factory, Factory); 3] = [
-        ("fifo", &legacy_fifo, &pipeline_fifo),
-        ("fair", &legacy_fair, &pipeline_fair),
-        ("hfsp", &legacy_hfsp, &pipeline_hfsp),
-    ];
-    type Suite = for<'a> fn(Factory<'a>) -> (u64, ClusterReport);
-    let suites: [(&str, Suite); 3] = [
-        ("churn", churn_suite),
-        ("delay", delay_suite),
-        ("partition", partition_suite),
-    ];
-    for (policy, legacy, pipeline) in pairs {
-        for (suite, run) in suites {
-            let reference = run(legacy);
-            let composed = run(pipeline);
-            assert!(
-                reference.1.all_jobs_complete(),
-                "{policy}/{suite}: legacy run must complete"
-            );
-            assert_eq!(
-                reference, composed,
-                "{policy} plugin bundle diverged from the legacy scheduler in the {suite} suite"
-            );
-        }
     }
 }
 
