@@ -19,8 +19,8 @@
 //!    is enforced ratio-wise by the `check_bench` CI gate on fresh runs.
 //!
 //! The scenario lives in `mrp_bench::scenarios::fault_churn` so the CI gate
-//! runs exactly the same workload. Full runs write
-//! `BENCH_fault_churn.json`.
+//! runs exactly the same workload. Full runs with `--write-baseline`
+//! write `BENCH_fault_churn.json`.
 
 use mrp_bench::scenarios::fault_churn::FaultChurnScenario;
 use mrp_bench::Bench;
@@ -30,10 +30,6 @@ use mrp_workload::{summarize, SwimGenerator};
 
 fn sim_throughput_baseline() -> Option<f64> {
     mrp_bench::scenarios::baseline_events_per_sec("BENCH_sim_throughput.json")
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_fault_churn.json")
 }
 
 fn main() {
@@ -252,10 +248,6 @@ fn main() {
             ));
         }
         let json = Json::obj(fields);
-        let path = baseline_path();
-        match std::fs::write(&path, json.pretty() + "\n") {
-            Ok(()) => println!("baseline written to {}", path.display()),
-            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-        }
+        bench.write_baseline("BENCH_fault_churn.json", &json.pretty());
     }
 }

@@ -27,10 +27,6 @@ use mrp_preempt::json::Json;
 use mrp_sim::GIB;
 use mrp_workload::{summarize, SwimGenerator};
 
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_locality_delay.json")
-}
-
 fn main() {
     let bench = Bench::from_args();
     let sc = if bench.is_test() {
@@ -203,10 +199,6 @@ fn main() {
             ));
         }
         let json = Json::obj(fields);
-        let path = baseline_path();
-        match std::fs::write(&path, json.pretty() + "\n") {
-            Ok(()) => println!("baseline written to {}", path.display()),
-            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-        }
+        bench.write_baseline("BENCH_locality_delay.json", &json.pretty());
     }
 }

@@ -23,7 +23,8 @@
 //!
 //! The scenario lives in `mrp_bench::scenarios::memory_pressure` (backed by
 //! `mrp_experiments::MemoryPressureConfig`) so the CI gate runs exactly the
-//! same workload. Full runs write `BENCH_memory_pressure.json`.
+//! same workload. Full runs with `--write-baseline` write
+//! `BENCH_memory_pressure.json`.
 
 use mrp_bench::scenarios::memory_pressure::{self, assert_quality};
 use mrp_bench::Bench;
@@ -33,10 +34,6 @@ use mrp_sim::MIB;
 
 fn sim_throughput_baseline() -> Option<f64> {
     mrp_bench::scenarios::baseline_events_per_sec("BENCH_sim_throughput.json")
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_memory_pressure.json")
 }
 
 fn main() {
@@ -216,10 +213,6 @@ fn main() {
             ));
         }
         let json = Json::obj(fields);
-        let path = baseline_path();
-        match std::fs::write(&path, json.pretty() + "\n") {
-            Ok(()) => println!("baseline written to {}", path.display()),
-            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-        }
+        bench.write_baseline("BENCH_memory_pressure.json", &json.pretty());
     }
 }

@@ -19,7 +19,8 @@
 //!
 //! The scenario lives in `mrp_bench::scenarios::multi_tenant` (backed by
 //! `mrp_experiments::TenantScenarioConfig`) so the CI gate runs exactly the
-//! same workload. Full runs write `BENCH_multi_tenant.json`.
+//! same workload. Full runs with `--write-baseline` write
+//! `BENCH_multi_tenant.json`.
 
 use mrp_bench::scenarios::multi_tenant::{self, assert_quality};
 use mrp_bench::Bench;
@@ -28,10 +29,6 @@ use mrp_preempt::PreemptionPrimitive;
 
 fn sim_throughput_baseline() -> Option<f64> {
     mrp_bench::scenarios::baseline_events_per_sec("BENCH_sim_throughput.json")
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_multi_tenant.json")
 }
 
 fn main() {
@@ -189,10 +186,6 @@ fn main() {
             ));
         }
         let json = Json::obj(fields);
-        let path = baseline_path();
-        match std::fs::write(&path, json.pretty() + "\n") {
-            Ok(()) => println!("baseline written to {}", path.display()),
-            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-        }
+        bench.write_baseline("BENCH_multi_tenant.json", &json.pretty());
     }
 }

@@ -23,8 +23,8 @@
 //!    is enforced ratio-wise by the `check_bench` CI gate on fresh runs.
 //!
 //! The scenario lives in `mrp_bench::scenarios::partition_detect` so the CI
-//! gate runs exactly the same workload. Full runs write
-//! `BENCH_partition_detect.json`.
+//! gate runs exactly the same workload. Full runs with `--write-baseline`
+//! write `BENCH_partition_detect.json`.
 
 use mrp_bench::scenarios::partition_detect::{assert_quality, PartitionDetectScenario};
 use mrp_bench::Bench;
@@ -34,10 +34,6 @@ use mrp_workload::{summarize, SwimGenerator};
 
 fn sim_throughput_baseline() -> Option<f64> {
     mrp_bench::scenarios::baseline_events_per_sec("BENCH_sim_throughput.json")
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_partition_detect.json")
 }
 
 fn main() {
@@ -224,10 +220,6 @@ fn main() {
             ));
         }
         let json = Json::obj(fields);
-        let path = baseline_path();
-        match std::fs::write(&path, json.pretty() + "\n") {
-            Ok(()) => println!("baseline written to {}", path.display()),
-            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-        }
+        bench.write_baseline("BENCH_partition_detect.json", &json.pretty());
     }
 }

@@ -21,7 +21,8 @@
 //!
 //! The scenario lives in `mrp_experiments::RackOutageConfig` (pinned shapes
 //! in `mrp_bench::scenarios::rack_outage`) so the CI gate runs exactly the
-//! same workload. Full runs write `BENCH_rack_outage.json`.
+//! same workload. Full runs with `--write-baseline` write
+//! `BENCH_rack_outage.json`.
 
 use mrp_bench::scenarios::rack_outage;
 use mrp_bench::Bench;
@@ -30,10 +31,6 @@ use mrp_workload::{summarize, SwimGenerator};
 
 fn sim_throughput_baseline() -> Option<f64> {
     mrp_bench::scenarios::baseline_events_per_sec("BENCH_sim_throughput.json")
-}
-
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_rack_outage.json")
 }
 
 fn main() {
@@ -223,10 +220,6 @@ fn main() {
             ));
         }
         let json = Json::obj(fields);
-        let path = baseline_path();
-        match std::fs::write(&path, json.pretty() + "\n") {
-            Ok(()) => println!("baseline written to {}", path.display()),
-            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-        }
+        bench.write_baseline("BENCH_rack_outage.json", &json.pretty());
     }
 }

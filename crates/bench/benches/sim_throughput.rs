@@ -94,10 +94,6 @@ fn queue_microbench(ops: usize) -> (f64, f64) {
     (fast, naive)
 }
 
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sim_throughput.json")
-}
-
 fn main() {
     let bench = Bench::from_args();
     println!(
@@ -225,10 +221,6 @@ fn main() {
                 mrp_preempt::json::Json::Num((queue_speedup * 10.0).round() / 10.0),
             ),
         ]);
-        let path = baseline_path();
-        match std::fs::write(&path, json.pretty() + "\n") {
-            Ok(()) => println!("baseline written to {}", path.display()),
-            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-        }
+        bench.write_baseline("BENCH_sim_throughput.json", &json.pretty());
     }
 }

@@ -30,10 +30,6 @@ fn sim_throughput_baseline() -> Option<f64> {
     mrp_bench::scenarios::baseline_events_per_sec("BENCH_sim_throughput.json")
 }
 
-fn baseline_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_swim_cluster.json")
-}
-
 fn main() {
     let bench = Bench::from_args();
     let sc = if bench.is_test() {
@@ -187,10 +183,6 @@ fn main() {
             ));
         }
         let json = Json::obj(fields);
-        let path = baseline_path();
-        match std::fs::write(&path, json.pretty() + "\n") {
-            Ok(()) => println!("baseline written to {}", path.display()),
-            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
-        }
+        bench.write_baseline("BENCH_swim_cluster.json", &json.pretty());
     }
 }

@@ -9,7 +9,9 @@
 //! Run them with `cargo bench --workspace`; each bench prints the reproduced
 //! table so the captured output doubles as the data behind `EXPERIMENTS.md`.
 //! `cargo bench --bench <name> -- --test` runs one smoke iteration without
-//! timing (used by CI).
+//! timing (used by CI). Full runs of the benches with a checked-in
+//! `BENCH_*.json` baseline leave it untouched unless run with
+//! `-- --write-baseline`.
 
 #![warn(missing_docs)]
 
@@ -22,18 +24,39 @@ use std::time::Instant;
 pub struct Bench {
     /// `--test`: run each benchmark body exactly once, skip timing output.
     test_mode: bool,
+    /// `--write-baseline`: let [`Bench::write_baseline`] overwrite the
+    /// checked-in baseline.
+    write_baseline: bool,
     /// Number of measured iterations per benchmark.
     iterations: usize,
 }
 
 impl Bench {
-    /// Parses `--test` (smoke mode) from the command line; every other
-    /// argument (e.g. the `--bench` flag cargo appends) is ignored.
+    /// Parses `--test` (smoke mode) and `--write-baseline` from the command
+    /// line; every other argument (e.g. the `--bench` flag cargo appends) is
+    /// ignored.
     pub fn from_args() -> Self {
-        let test_mode = std::env::args().any(|a| a == "--test");
         Bench {
-            test_mode,
+            test_mode: std::env::args().any(|a| a == "--test"),
+            write_baseline: std::env::args().any(|a| a == "--write-baseline"),
             iterations: 5,
+        }
+    }
+
+    /// Writes `json` to the checked-in baseline `file` at the repository
+    /// root, but only when the bench was run with `--write-baseline`: a
+    /// plain full run prints its numbers and leaves the baseline as it is.
+    pub fn write_baseline(&self, file: &str, json: &str) {
+        if !self.write_baseline {
+            println!("baseline {file} left unchanged (pass --write-baseline to update it)");
+            return;
+        }
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        match std::fs::write(&path, format!("{json}\n")) {
+            Ok(()) => println!("baseline written to {}", path.display()),
+            Err(e) => eprintln!("could not write baseline {}: {e}", path.display()),
         }
     }
 
@@ -78,6 +101,7 @@ mod tests {
     fn measure_returns_positive_time() {
         let bench = Bench {
             test_mode: true,
+            write_baseline: false,
             iterations: 1,
         };
         let secs = bench.measure("noop", || 1 + 1);
@@ -89,10 +113,29 @@ mod tests {
     fn timed_mode_runs_all_iterations() {
         let bench = Bench {
             test_mode: false,
+            write_baseline: false,
             iterations: 3,
         };
         let mut runs = 0;
         bench.measure("count", || runs += 1);
         assert_eq!(runs, 4, "one warmup + three timed iterations");
+    }
+
+    #[test]
+    fn baselines_are_written_only_on_request() {
+        let bench = Bench {
+            test_mode: false,
+            write_baseline: false,
+            iterations: 1,
+        };
+        let file = "BENCH_unrequested_write.json";
+        bench.write_baseline(file, "{}");
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(file);
+        assert!(
+            !path.exists(),
+            "a run without --write-baseline wrote {file}"
+        );
     }
 }

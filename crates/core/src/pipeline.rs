@@ -27,16 +27,6 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-/// Remaining virtual size of a job in bytes (HFSP's ordering metric): the
-/// input bytes of its unfinished tasks scaled by reported progress.
-fn remaining_size(job: &JobRuntime) -> u64 {
-    job.tasks
-        .iter()
-        .filter(|t| !t.state.is_terminal())
-        .map(|t| ((1.0 - t.progress).max(0.0) * t.input_bytes as f64) as u64)
-        .sum()
-}
-
 /// Decides which jobs [`Allocate`] serves, and in what order, each time a
 /// node offers slots.
 pub(crate) trait JobOrder {
@@ -81,10 +71,12 @@ impl JobOrder for FairJobOrder {
     }
 }
 
-/// HFSP's job order: smallest remaining size first, cached for up to one
-/// simulated second. The zero-free-slot gate runs *before* the cache
-/// refresh, so the once-per-second refresh happens only at instants where a
-/// node can take work.
+/// HFSP's job order: smallest remaining size
+/// ([`JobRuntime::remaining_bytes`], engine-maintained) first, cached within
+/// one simulated second. Job arrivals and completions drop the cache, so a
+/// busy trace rebuilds it far more often than once per second; a rebuild is
+/// O(jobs). The zero-free-slot gate runs *before* the cache check, so
+/// rebuilds happen only at instants where a node can take work.
 #[derive(Default)]
 pub(crate) struct HfspJobOrder {
     scratch: Vec<(u64, JobId)>,
@@ -100,8 +92,8 @@ impl JobOrder for HfspJobOrder {
         node: NodeId,
         order: &mut Vec<JobId>,
     ) -> bool {
-        // Skip the O(jobs x tasks) size estimation entirely when this node
-        // has nothing to hand out — the common case at cluster scale.
+        // Skip the rebuild entirely when this node has nothing to hand
+        // out — the common case at cluster scale.
         let Some(view) = ctx.node(node) else {
             return false;
         };
@@ -122,7 +114,7 @@ impl JobOrder for HfspJobOrder {
                 // out; dropping them keeps the fill loop proportional to
                 // jobs with actual pending work.
                 .filter(|(_, j)| j.schedulable_count() > 0 || j.suspended_count > 0)
-                .map(|(id, j)| (remaining_size(j), *id)),
+                .map(|(id, j)| (j.remaining_bytes, *id)),
         );
         self.scratch.sort_unstable();
         order.clear();
@@ -459,17 +451,16 @@ impl SizePreempt {
         if new_demand == 0 || free_slots >= new_demand {
             return out;
         }
-        let new_size = remaining_size(new_job);
+        let new_size = new_job.remaining_bytes;
         // Preempt tasks of strictly larger running jobs, largest first,
-        // until the new job's demand could be satisfied. The O(1)
-        // occupying-count filter runs before the O(tasks) size estimate.
+        // until the new job's demand could be satisfied.
         let mut needed = new_demand - free_slots;
         let mut larger: Vec<(u64, JobId)> = ctx
             .jobs
             .values()
             .filter(|j| j.id != job && !j.is_finished())
             .filter(|j| j.occupying_count > 0)
-            .map(|j| (remaining_size(j), j.id))
+            .map(|j| (j.remaining_bytes, j.id))
             .filter(|(size, _)| *size > new_size)
             .collect();
         larger.sort_by_key(|(size, _)| std::cmp::Reverse(*size));
@@ -731,46 +722,5 @@ impl Backfill {
 
     pub(crate) fn job_finished(&mut self, job: JobId) {
         self.best_effort_alive.retain(|id| *id != job);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mrp_engine::{JobSpec, TaskId, TaskRuntime};
-    use mrp_sim::MIB;
-
-    #[test]
-    fn remaining_size_shrinks_with_progress() {
-        let task = |index| {
-            TaskRuntime::new(
-                TaskId {
-                    job: JobId(1),
-                    kind: TaskKind::Map,
-                    index,
-                },
-                100 * MIB,
-                vec![],
-            )
-        };
-        let mut job = JobRuntime {
-            id: JobId(1),
-            spec: JobSpec::synthetic("x", 2, 100 * MIB),
-            submitted_at: SimTime::ZERO,
-            completed_at: None,
-            schedulable_maps: 0,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            tasks: vec![task(0), task(1)],
-        };
-        let full = remaining_size(&job);
-        job.tasks[0].progress = 0.5;
-        let half = remaining_size(&job);
-        assert!(half < full);
-        job.tasks[0].set_state(TaskState::Running);
-        job.tasks[0].set_state(TaskState::Succeeded);
-        assert_eq!(remaining_size(&job), 100 * MIB);
     }
 }

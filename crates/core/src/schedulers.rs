@@ -615,9 +615,9 @@ impl SchedulerPolicy for FairScheduler {
 
 /// An HFSP-style size-based scheduler with preemption.
 ///
-/// Jobs are ordered by remaining size (estimated from the input bytes of
-/// their unfinished tasks, scaled by reported progress); the smallest job
-/// runs first. When a newly submitted job is smaller than what is currently
+/// Jobs are ordered by remaining size (the input bytes of their unfinished
+/// tasks scaled by reported progress, which the engine maintains as
+/// `JobRuntime::remaining_bytes`); the smallest job runs first. When a newly submitted job is smaller than what is currently
 /// running and no slots are free, tasks of the largest running job are
 /// preempted with the configured primitive.
 pub struct HfspScheduler {

@@ -934,23 +934,36 @@ impl Cluster {
         }
     }
 
-    /// Transitions `task` through the legality-checked state machine and
-    /// keeps the owning job's schedulable/suspended/occupying counters in
-    /// sync. Every engine-side task state change goes through here (or
-    /// through [`Cluster::force_task_pending`] for the reset paths), so the
-    /// counters schedulers rely on for O(1) job skipping stay exact.
+    /// Applies `edit` to `task` and moves the owning job's maintained
+    /// counters — the per-state counts, the cluster-wide pending totals and
+    /// `remaining_bytes` — by the task's before/after difference. Every
+    /// engine-side write of a task's state or progress goes through here, so
+    /// the counters schedulers rely on for O(1) job skipping and HFSP's size
+    /// order stay exact without a rescan. `None` if the task is unknown.
+    #[inline]
+    fn edit_task<R>(
+        &mut self,
+        task: TaskId,
+        edit: impl FnOnce(&mut TaskRuntime) -> R,
+    ) -> Option<R> {
+        let job = self.jobs.get_mut(&task.job)?;
+        let t = job.task_mut(task)?;
+        let (state, bytes) = (t.state, t.remaining_bytes());
+        let out = edit(t);
+        let (after_state, after_bytes) = (t.state, t.remaining_bytes());
+        job.remaining_bytes = job.remaining_bytes - bytes + after_bytes;
+        // Most edits are progress reports that leave the state alone.
+        if after_state != state {
+            let (before, after) = (Self::state_classes(state), Self::state_classes(after_state));
+            Self::apply_state_delta(job, &mut self.totals, task.kind, before, after);
+        }
+        Some(out)
+    }
+
+    /// Transitions `task` through the legality-checked state machine,
+    /// keeping the job counters in sync.
     fn set_task_state(&mut self, task: TaskId, next: TaskState) {
-        let Some(job) = self.jobs.get_mut(&task.job) else {
-            return;
-        };
-        let before = {
-            let Some(t) = job.task_mut(task) else { return };
-            let before = Self::state_classes(t.state);
-            t.set_state(next);
-            before
-        };
-        let after = Self::state_classes(next);
-        Self::apply_state_delta(job, &mut self.totals, task.kind, before, after);
+        self.edit_task(task, |t| t.set_state(next));
     }
 
     /// Resets a task whose attempt vanished underneath the JobTracker (OOM
@@ -958,20 +971,12 @@ impl Cluster {
     /// check exactly like the old field assignments did, while keeping the
     /// job counters in sync.
     fn force_task_pending(&mut self, task: TaskId) {
-        let Some(job) = self.jobs.get_mut(&task.job) else {
-            return;
-        };
-        let before = {
-            let Some(t) = job.task_mut(task) else { return };
-            let before = Self::state_classes(t.state);
+        self.edit_task(task, |t| {
             t.state = TaskState::Pending;
             t.progress = 0.0;
             t.node = None;
             t.current_attempt = None;
-            before
-        };
-        let after = Self::state_classes(TaskState::Pending);
-        Self::apply_state_delta(job, &mut self.totals, task.kind, before, after);
+        });
     }
 
     /// Forces a task into `next` without the legality check, keeping the job
@@ -979,17 +984,7 @@ impl Cluster {
     /// under a task produces transitions the heartbeat protocol never would
     /// (e.g. `Suspended` → `Running` when a speculative backup is promoted).
     fn force_task_state(&mut self, task: TaskId, next: TaskState) {
-        let Some(job) = self.jobs.get_mut(&task.job) else {
-            return;
-        };
-        let before = {
-            let Some(t) = job.task_mut(task) else { return };
-            let before = Self::state_classes(t.state);
-            t.state = next;
-            before
-        };
-        let after = Self::state_classes(next);
-        Self::apply_state_delta(job, &mut self.totals, task.kind, before, after);
+        self.edit_task(task, |t| t.state = next);
     }
 
     /// Clears a task's speculative-attempt fields and decrements the owning
@@ -1015,21 +1010,9 @@ impl Cluster {
             let mut fresh = j.clone();
             fresh.recount_task_states();
             assert_eq!(
-                (
-                    j.schedulable_maps,
-                    j.schedulable_reduces,
-                    j.suspended_count,
-                    j.occupying_count,
-                    j.speculative_live
-                ),
-                (
-                    fresh.schedulable_maps,
-                    fresh.schedulable_reduces,
-                    fresh.suspended_count,
-                    fresh.occupying_count,
-                    fresh.speculative_live
-                ),
-                "maintained task-state counters drifted for {job:?}"
+                j.counters(),
+                fresh.counters(),
+                "maintained job counters drifted for {job:?}"
             );
         }
         assert_eq!(
@@ -1903,6 +1886,7 @@ impl Cluster {
         // Freshly registered tasks are all Pending, hence schedulable.
         let map_count = tasks.iter().filter(|t| t.id.kind == TaskKind::Map).count() as u32;
         let reduce_count = tasks.len() as u32 - map_count;
+        let remaining_bytes = tasks.iter().map(TaskRuntime::remaining_bytes).sum();
         self.totals.schedulable_maps += map_count;
         self.totals.schedulable_reduces += reduce_count;
         self.delay.register_job();
@@ -1920,6 +1904,7 @@ impl Cluster {
                 suspended_count: 0,
                 occupying_count: 0,
                 speculative_live: 0,
+                remaining_bytes,
             },
         );
         self.incomplete_jobs += 1;
@@ -1974,13 +1959,13 @@ impl Cluster {
             }
         }
         for &(attempt, task, progress) in &buf {
-            if let Some(t) = self.task_mut(task) {
+            self.edit_task(task, |t| {
                 // Only attempts the JobTracker still tracks may report: an
                 // orphan left running on a healed partition victim must not
                 // overwrite the progress of a task that already succeeded
                 // (or re-ran) elsewhere.
                 if t.current_attempt != Some(attempt) && t.spec_attempt != Some(attempt) {
-                    continue;
+                    return;
                 }
                 // With a live backup attempt the task's progress is the best
                 // of the two attempts, whichever node reports it.
@@ -1989,7 +1974,7 @@ impl Cluster {
                 } else {
                     t.progress = progress;
                 }
-            }
+            });
         }
         buf.clear();
         self.progress_buf = buf;
@@ -2076,11 +2061,11 @@ impl Cluster {
                     self.queue.cancel(ev);
                 }
                 self.unarm_triggers(task);
-                self.set_task_state(task, TaskState::Suspended);
-                if let Some(t) = self.task_mut(task) {
+                self.edit_task(task, |t| {
+                    t.set_state(TaskState::Suspended);
                     t.progress = progress;
                     t.suspend_cycles += 1;
-                }
+                });
                 if let Some(obs) = self.obs.as_mut() {
                     obs.span_begin(
                         SpanKey::Suspend(attempt_id),
@@ -2209,17 +2194,17 @@ impl Cluster {
                 },
             );
         }
-        self.set_task_state(task, TaskState::Killed);
-        if let Some(t) = self.task_mut(task) {
+        self.edit_task(task, |t| {
+            t.set_state(TaskState::Killed);
             t.wasted_work += invested;
             t.paged_out_bytes += outcome.paged_out_bytes;
             t.paged_in_bytes += outcome.paged_in_bytes;
             t.progress = 0.0;
             t.node = None;
             t.current_attempt = None;
-        }
-        // The task itself is rescheduled from scratch.
-        self.set_task_state(task, TaskState::Pending);
+            // The task itself is rescheduled from scratch.
+            t.set_state(TaskState::Pending);
+        });
         if self.tracing() {
             self.trace_event(
                 now,
@@ -2486,15 +2471,15 @@ impl Cluster {
                 self.fault_stats.speculative_won += 1;
             }
         }
-        self.set_task_state(task, TaskState::Succeeded);
-        if let Some(t) = self.task_mut(task) {
+        self.edit_task(task, |t| {
+            t.set_state(TaskState::Succeeded);
             t.progress = 1.0;
             t.finished_at = Some(now);
             t.current_attempt = None;
             t.node = Some(node);
             t.paged_out_bytes += outcome.paged_out_bytes;
             t.paged_in_bytes += outcome.paged_in_bytes;
-        }
+        });
         // A committed map leaves its output on this node's local disks; the
         // registry is what makes that output a fault domain (and what feeds
         // rack-aware reduce placement).
@@ -2654,15 +2639,15 @@ impl Cluster {
             self.fault_stats.duplicate_commits += 1;
         }
         self.fault_stats.reconciled_commits += 1;
-        self.force_task_state(task, TaskState::Succeeded);
-        if let Some(t) = self.task_mut(task) {
+        self.edit_task(task, |t| {
+            t.state = TaskState::Succeeded;
             t.progress = 1.0;
             t.finished_at = Some(now);
             t.current_attempt = None;
             t.node = Some(node);
             t.paged_out_bytes += outcome.paged_out_bytes;
             t.paged_in_bytes += outcome.paged_in_bytes;
-        }
+        });
         if task.kind == TaskKind::Map && self.shuffle.tracked(task.job) {
             let rack = RackId(self.node_rack[node.0 as usize]);
             self.shuffle
@@ -2946,16 +2931,16 @@ impl Cluster {
                 }
             }
         }
-        self.set_task_state(task, TaskState::Running);
-        {
-            let t = self.task_mut(task).expect("task exists");
+        self.edit_task(task, |t| {
+            t.set_state(TaskState::Running);
             t.node = Some(node);
             t.current_attempt = Some(attempt_id);
             t.progress = 0.0;
             if t.first_launched_at.is_none() {
                 t.first_launched_at = Some(now);
             }
-        }
+        })
+        .expect("task exists");
         // Schedule the end of the setup phase.
         let setup = self
             .tracker(node)
@@ -3942,24 +3927,45 @@ mod tests {
         let mut fresh = job.clone();
         fresh.recount_task_states();
         assert_eq!(
-            (
-                job.schedulable_maps,
-                job.schedulable_reduces,
-                job.suspended_count,
-                job.occupying_count,
-                job.speculative_live
-            ),
-            (
-                fresh.schedulable_maps,
-                fresh.schedulable_reduces,
-                fresh.suspended_count,
-                fresh.occupying_count,
-                fresh.speculative_live
-            ),
+            job.counters(),
+            fresh.counters(),
             "maintained counters drifted across the kill-after-failure loop"
         );
+        // A pending task counts its whole input again.
+        assert_eq!(job.remaining_bytes, 64 * MIB);
         assert_eq!(c.pending_totals(), PendingTotals::from_jobs(c.jobs()));
         assert!(report.nodes[0].oom_kills >= 1);
+    }
+
+    #[test]
+    fn remaining_bytes_follow_heartbeats_and_force_pending() {
+        let mut c = Cluster::new(
+            ClusterConfig::paper_single_node(),
+            Box::new(FifoScheduler::new()),
+        );
+        c.submit_job(JobSpec::synthetic("sized", 1, 512 * MIB));
+        let remaining = |c: &Cluster| {
+            let j = c.jobs().values().next().expect("job arrived");
+            let mut fresh = j.clone();
+            fresh.recount_task_states();
+            assert_eq!(j.counters(), fresh.counters());
+            j.remaining_bytes
+        };
+        c.run(SimTime::ZERO);
+        assert_eq!(remaining(&c), 512 * MIB, "a pending task counts in full");
+        c.run(SimTime::from_secs(40));
+        let mid = remaining(&c);
+        assert!(
+            0 < mid && mid < 512 * MIB,
+            "heartbeats report progress: {mid}"
+        );
+        let task = c.jobs().values().next().unwrap().tasks[0].id;
+        c.force_task_pending(task);
+        assert_eq!(
+            remaining(&c),
+            512 * MIB,
+            "a reset task counts in full again"
+        );
     }
 
     #[test]

@@ -407,6 +407,18 @@ impl TaskRuntime {
         self.state = next;
     }
 
+    /// Input bytes this task still has to process (HFSP's size metric): `0`
+    /// once it succeeded, otherwise its input scaled by the progress not yet
+    /// reported. Each task contributes a whole number of bytes, so a job's
+    /// sum ([`JobRuntime::remaining_bytes`]) moves by exact deltas.
+    pub fn remaining_bytes(&self) -> u64 {
+        if self.state.is_terminal() {
+            0
+        } else {
+            ((1.0 - self.progress).max(0.0) * self.input_bytes as f64) as u64
+        }
+    }
+
     /// The next attempt id for this task.
     pub fn next_attempt(&mut self) -> AttemptId {
         let id = AttemptId {
@@ -451,6 +463,10 @@ pub struct JobRuntime {
     /// Number of live speculative (backup) attempts across the job's tasks
     /// (same maintenance contract); bounds speculation slot waste in O(1).
     pub speculative_live: u32,
+    /// Sum of [`TaskRuntime::remaining_bytes`] over the job's tasks: its
+    /// remaining size, which HFSP orders jobs by. Maintained by the engine
+    /// on every task state *and progress* write (same contract otherwise).
+    pub remaining_bytes: u64,
 }
 
 impl JobRuntime {
@@ -459,7 +475,7 @@ impl JobRuntime {
         self.schedulable_maps + self.schedulable_reduces
     }
 
-    /// Recomputes the maintained per-state task counters from the task list.
+    /// Recomputes the maintained counters from the task list.
     /// The engine keeps them in sync incrementally; tests and harnesses that
     /// build or mutate `JobRuntime` values by hand call this afterwards.
     pub fn recount_task_states(&mut self) {
@@ -488,7 +504,25 @@ impl JobRuntime {
             .iter()
             .filter(|t| t.spec_attempt.is_some())
             .count() as u32;
+        self.remaining_bytes = self.tasks.iter().map(TaskRuntime::remaining_bytes).sum();
     }
+
+    /// The engine-maintained counters, in declaration order:
+    /// `(schedulable_maps, schedulable_reduces, suspended_count,
+    /// occupying_count, speculative_live, remaining_bytes)`. Compare against
+    /// the same tuple of a clone after [`JobRuntime::recount_task_states`]
+    /// to check for drift.
+    pub fn counters(&self) -> (u32, u32, u32, u32, u32, u64) {
+        (
+            self.schedulable_maps,
+            self.schedulable_reduces,
+            self.suspended_count,
+            self.occupying_count,
+            self.speculative_live,
+            self.remaining_bytes,
+        )
+    }
+
     /// Looks up a task by id.
     ///
     /// Map tasks sit at `tasks[index]` by construction (maps first, then
@@ -633,6 +667,7 @@ impl std::ops::Index<&JobId> for JobTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrp_sim::MIB;
 
     fn tid() -> TaskId {
         TaskId {
@@ -731,6 +766,75 @@ mod tests {
     }
 
     #[test]
+    fn remaining_bytes_follows_progress_and_state() {
+        let mut t = TaskRuntime::new(tid(), 100 * MIB, vec![]);
+        // A pending task counts its full input.
+        assert_eq!(t.remaining_bytes(), 100 * MIB);
+        t.set_state(TaskState::Running);
+        t.progress = 0.25;
+        assert_eq!(t.remaining_bytes(), 75 * MIB);
+        // Suspension keeps the progress made so far.
+        t.set_state(TaskState::MustSuspend);
+        t.set_state(TaskState::Suspended);
+        assert_eq!(t.remaining_bytes(), 75 * MIB);
+        // A kill throws the progress away: the full input is back.
+        t.set_state(TaskState::MustResume);
+        t.set_state(TaskState::Running);
+        t.set_state(TaskState::MustKill);
+        t.set_state(TaskState::Killed);
+        t.progress = 0.0;
+        assert_eq!(t.remaining_bytes(), 100 * MIB);
+        t.set_state(TaskState::Pending);
+        t.set_state(TaskState::Running);
+        t.progress = 0.5;
+        assert_eq!(t.remaining_bytes(), 50 * MIB);
+        // Overshooting progress never goes negative.
+        t.progress = 1.5;
+        assert_eq!(t.remaining_bytes(), 0);
+        t.progress = 0.9;
+        t.set_state(TaskState::Succeeded);
+        assert_eq!(t.remaining_bytes(), 0);
+    }
+
+    #[test]
+    fn recount_sums_remaining_bytes_over_tasks() {
+        let task = |index| {
+            TaskRuntime::new(
+                TaskId {
+                    job: JobId(1),
+                    kind: TaskKind::Map,
+                    index,
+                },
+                100 * MIB,
+                vec![],
+            )
+        };
+        let mut job = JobRuntime {
+            id: JobId(1),
+            spec: JobSpec::synthetic("x", 2, 100 * MIB),
+            submitted_at: SimTime::ZERO,
+            completed_at: None,
+            tasks: vec![task(0), task(1)],
+            schedulable_maps: 0,
+            schedulable_reduces: 0,
+            suspended_count: 0,
+            occupying_count: 0,
+            speculative_live: 0,
+            remaining_bytes: 0,
+        };
+        job.recount_task_states();
+        assert_eq!(job.remaining_bytes, 200 * MIB);
+        job.tasks[0].set_state(TaskState::Running);
+        job.tasks[0].progress = 0.5;
+        job.recount_task_states();
+        assert_eq!(job.remaining_bytes, 150 * MIB);
+        job.tasks[0].set_state(TaskState::Succeeded);
+        job.recount_task_states();
+        assert_eq!(job.remaining_bytes, 100 * MIB);
+        assert_eq!(job.counters(), (1, 0, 0, 0, 0, 100 * MIB));
+    }
+
+    #[test]
     fn job_runtime_completion_and_sojourn() {
         let spec = JobSpec::synthetic("j", 1, 100);
         let mut job = JobRuntime {
@@ -744,6 +848,7 @@ mod tests {
             suspended_count: 0,
             occupying_count: 0,
             speculative_live: 0,
+            remaining_bytes: 0,
         };
         job.recount_task_states();
         assert_eq!(job.schedulable_count(), 1);

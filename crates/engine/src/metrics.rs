@@ -545,6 +545,7 @@ mod tests {
                 suspended_count: 0,
                 occupying_count: 0,
                 speculative_live: 0,
+                remaining_bytes: 0,
             };
             if complete.is_some() {
                 job.tasks[0].set_state(TaskState::Running);

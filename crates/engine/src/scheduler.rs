@@ -793,6 +793,7 @@ mod tests {
             suspended_count: 0,
             occupying_count: 0,
             speculative_live: 0,
+            remaining_bytes: 0,
         };
         job.recount_task_states();
         job
@@ -1073,6 +1074,7 @@ mod tests {
             suspended_count: 0,
             occupying_count: 0,
             speculative_live: 0,
+            remaining_bytes: 0,
         };
         job.recount_task_states();
         jobs.insert(job_id, job);

@@ -46,8 +46,8 @@ pub use figures::{
 };
 pub use locality::{delay_locality_sweep, delay_sweep_table, DelaySweepConfig, DelaySweepRow};
 pub use memory::{
-    resume_ablation, resume_cost_curve, run_memory_pressure, MemoryPressureConfig,
-    MemoryPressureOutcome, ResumeCostPoint,
+    memory_pressure_cluster, resume_ablation, resume_cost_curve, run_memory_pressure,
+    MemoryPressureConfig, MemoryPressureOutcome, ResumeCostPoint,
 };
 pub use priority::PriorityPreemptingScheduler;
 pub use rack_outage::{

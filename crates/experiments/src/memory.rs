@@ -213,8 +213,9 @@ fn submit_workload(cluster: &mut Cluster, config: &MemoryPressureConfig) {
     }
 }
 
-/// Runs one memory-pressure scenario to completion.
-pub fn run_memory_pressure(config: &MemoryPressureConfig) -> MemoryPressureOutcome {
+/// Builds the memory-pressure scenario's cluster with its workload
+/// submitted, ready for [`Cluster::run`].
+pub fn memory_pressure_cluster(config: &MemoryPressureConfig) -> Cluster {
     let mut cfg = ClusterConfig::small_cluster(config.nodes, config.map_slots, 1)
         .with_trace_level(TraceLevel::Off)
         .with_seed(config.seed)
@@ -254,6 +255,12 @@ pub fn run_memory_pressure(config: &MemoryPressureConfig) -> MemoryPressureOutco
         }
     }
     submit_workload(&mut cluster, config);
+    cluster
+}
+
+/// Runs one memory-pressure scenario to completion.
+pub fn run_memory_pressure(config: &MemoryPressureConfig) -> MemoryPressureOutcome {
+    let mut cluster = memory_pressure_cluster(config);
     cluster.run(SimTime::from_secs(24 * 3_600));
     let events_processed = cluster.events_processed();
     let report = cluster.report();

@@ -11,10 +11,12 @@
 
 use hadoop_os_preempt::prelude::*;
 use mrp_engine::{
-    Cluster, DetectorConfig, FaultEvent, FaultKind, NodeId, RackId, RandomFaults, RefreshMode,
-    ReliabilityConfig, ShuffleConfig, SpeculationConfig, SwapConfig,
+    Cluster, DetectorConfig, FaultEvent, FaultKind, NodeId, PendingTotals, RackId, RandomFaults,
+    RefreshMode, ReliabilityConfig, ShuffleConfig, SpeculationConfig, SwapConfig,
 };
-use mrp_experiments::{run_memory_pressure, run_once, MemoryPressureConfig};
+use mrp_experiments::{
+    memory_pressure_cluster, run_memory_pressure, run_once, MemoryPressureConfig,
+};
 use mrp_sim::{SimRng, SimTime};
 
 #[test]
@@ -37,14 +39,17 @@ fn fixed_seed_paper_scenario_is_pinned() {
 }
 
 fn churn_cluster() -> Cluster {
-    churn_cluster_cfg(ClusterConfig::small_cluster(8, 2, 1))
+    churn_cluster_cfg(
+        ClusterConfig::small_cluster(8, 2, 1),
+        PreemptionPrimitive::SuspendResume,
+    )
 }
 
-fn churn_cluster_cfg(cfg: ClusterConfig) -> Cluster {
+fn churn_cluster_cfg(cfg: ClusterConfig, primitive: PreemptionPrimitive) -> Cluster {
     let mut cluster = Cluster::new(
         cfg,
         Box::new(HfspScheduler::new(
-            PreemptionPrimitive::SuspendResume,
+            primitive,
             EvictionPolicy::ClosestToCompletion,
         )),
     );
@@ -1036,8 +1041,10 @@ fn disabled_swap_device_is_byte_identical() {
     // Preemption-churn shape (the sim_throughput-style suspend/resume mix).
     let mut stock = churn_cluster();
     stock.run(SimTime::from_secs(24 * 3_600));
-    let mut tweaked =
-        churn_cluster_cfg(ClusterConfig::small_cluster(8, 2, 1).with_swap(weird_but_off));
+    let mut tweaked = churn_cluster_cfg(
+        ClusterConfig::small_cluster(8, 2, 1).with_swap(weird_but_off),
+        PreemptionPrimitive::SuspendResume,
+    );
     tweaked.run(SimTime::from_secs(24 * 3_600));
     assert_eq!(tweaked.report(), stock.report());
     assert_eq!(tweaked.events_processed(), stock.events_processed());
@@ -1049,4 +1056,77 @@ fn disabled_swap_device_is_byte_identical() {
     tweaked.run(SimTime::from_secs(24 * 3_600));
     assert_eq!(tweaked.report(), stock.report());
     assert_eq!(tweaked.events_processed(), stock.events_processed());
+}
+
+/// Drives `build`'s cluster in one-second slices of virtual time through
+/// repeated `Cluster::run` calls. After every slice, each job's six
+/// engine-maintained counters must equal a recount from its task list, and
+/// the cluster-wide pending totals a recount from the jobs. The sliced run
+/// must also end with the same report and event count as one uninterrupted
+/// run, which is returned.
+fn assert_counters_match_recount_per_second(
+    name: &str,
+    build: impl Fn() -> Cluster,
+) -> ClusterReport {
+    let mut whole = build();
+    whole.run(SimTime::from_secs(24 * 3_600));
+    let expected = whole.report();
+    assert!(expected.all_jobs_complete(), "{name}: run must drain");
+
+    let mut sliced = build();
+    let mut until = SimTime::ZERO;
+    loop {
+        sliced.run(until);
+        for job in sliced.jobs().values() {
+            let mut fresh = job.clone();
+            fresh.recount_task_states();
+            assert_eq!(
+                job.counters(),
+                fresh.counters(),
+                "{name}: counters of {:?} drifted by {until:?}",
+                job.id
+            );
+        }
+        assert_eq!(
+            sliced.pending_totals(),
+            PendingTotals::from_jobs(sliced.jobs()),
+            "{name}: pending totals drifted by {until:?}"
+        );
+        if until >= expected.finished_at {
+            break;
+        }
+        until += SimDuration::from_secs(1);
+    }
+    assert_eq!(sliced.report(), expected, "{name}: slicing changed the run");
+    assert_eq!(sliced.events_processed(), whole.events_processed());
+    expected
+}
+
+/// The maintained job counters (`schedulable_maps`, `schedulable_reduces`,
+/// `suspended_count`, `occupying_count`, `speculative_live`,
+/// `remaining_bytes`) checked against a recount throughout the fixed-seed
+/// suites that exercise every path writing task state or progress: kill and
+/// suspend churn, faults and partitions with speculation, and the swap
+/// device. Unlike the debug-only check at job completion, this also runs in
+/// release builds.
+#[test]
+fn maintained_job_counters_match_a_recount_throughout_runs() {
+    let suspend = assert_counters_match_recount_per_second("suspend churn", churn_cluster);
+    let kill = assert_counters_match_recount_per_second("kill churn", || {
+        churn_cluster_cfg(
+            ClusterConfig::small_cluster(8, 2, 1),
+            PreemptionPrimitive::Kill,
+        )
+    });
+    assert_eq!(suspend.total_wasted_work_secs(), 0.0);
+    assert!(
+        kill.total_wasted_work_secs() > 0.0,
+        "the kill churn must kill running tasks"
+    );
+    assert_counters_match_recount_per_second("fault churn", fault_churn_cluster);
+    assert_counters_match_recount_per_second("shuffle outage", shuffle_outage_cluster);
+    assert_counters_match_recount_per_second("detector + partitions", detector_partition_cluster);
+    assert_counters_match_recount_per_second("swap device", || {
+        memory_pressure_cluster(&MemoryPressureConfig::small(SwapConfig::enabled()))
+    });
 }
