@@ -896,10 +896,19 @@ impl ClusterConfig {
         self.faults.validate(self.nodes.len(), self.racks)?;
         self.delay.validate()?;
         for (i, n) in self.nodes.iter().enumerate() {
-            n.os.memory
+            let memory = &n.os.memory;
+            memory
                 .swap
                 .validate()
                 .map_err(|e| format!("node {i}: {e}"))?;
+            if memory.swap.enabled
+                && memory.swap_capacity / memory.swap.block_size > u64::from(u32::MAX)
+            {
+                return Err(format!(
+                    "node {i}: swap_capacity / swap.block_size exceeds {} blocks",
+                    u32::MAX
+                ));
+            }
             let share = n.os.disk.background_share;
             if !(0.0..1.0).contains(&share) {
                 return Err(format!("node {i}: disk background_share must be in [0, 1)"));
@@ -987,6 +996,23 @@ mod tests {
         let mut c = ClusterConfig::paper_single_node();
         c.racks = 2;
         assert!(c.validate().is_err(), "more racks than nodes is invalid");
+    }
+
+    #[test]
+    fn oversized_swap_device_is_rejected() {
+        use mrp_sim::GIB;
+        use mrp_simos::SwapConfig;
+        let mut c = ClusterConfig::paper_single_node();
+        let memory = &mut c.nodes[0].os.memory;
+        memory.swap = SwapConfig::enabled();
+        memory.swap_capacity = 16 * GIB;
+        memory.swap.block_size = 1;
+        let err = c.validate().expect_err("2^34 one-byte blocks overflow u32");
+        assert!(err.contains("swap_capacity"), "{err}");
+        c.nodes[0].os.memory.swap.block_size = 4;
+        assert!(c.validate().is_err(), "2^32 blocks are one too many");
+        c.nodes[0].os.memory.swap.block_size = 8;
+        assert!(c.validate().is_ok(), "2^31 blocks fit");
     }
 
     #[test]

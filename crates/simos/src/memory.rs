@@ -294,11 +294,11 @@ impl MemoryManager {
         self.swapdev.as_mut()
     }
 
-    /// Reconciles `pid`'s device extent with its byte-level `swapped` total
-    /// and refreshes `swap_used` from block occupancy. `to_cache` routes a
-    /// shrink into the swap cache (page-in: content now lives in RAM *and*
-    /// on disk) instead of the free list (release). No-op while the device
-    /// is disabled.
+    /// Reconciles `pid`'s device block counts with its byte-level `swapped`
+    /// total and refreshes `swap_used` from block occupancy. `to_cache`
+    /// routes a shrink into the swap cache (page-in: content now lives in
+    /// RAM *and* on disk) instead of the free list (release). No-op while
+    /// the device is disabled.
     fn sync_backing(&mut self, pid: Pid, to_cache: bool) {
         if let Some(dev) = self.swapdev.as_mut() {
             let pm = &self.procs[&pid];

@@ -7,15 +7,18 @@
 //! structures that can express them: an unsorted process vector scanned and
 //! fully re-sorted on every victim selection, byte totals recomputed from
 //! scratch on every query, and the swap area as one `Vec<Option<(Pid,
-//! cached)>>` slot per block. No LRU index, no bitmaps, no incremental
-//! counters — every derived value is an O(n) scan, so any bookkeeping bug in
-//! the fast model's indexes shows up as a divergence.
+//! cached)>>` slot per block. No LRU index, no incremental counters — every
+//! derived value is an O(n) scan, so any bookkeeping bug in the fast model's
+//! indexes shows up as a divergence. The fast device keeps only per-process
+//! block counts; this slot-per-block model is the oracle for them, and its
+//! slot choices never reach an output.
 //!
 //! The randomized differential test in this module drives both models
 //! through thousands of seeded allocate / touch / suspend / resume /
 //! release / page-in / OOM steps and asserts identical charges, errors,
-//! victim order, per-process accounting and statistics after every step —
-//! the same methodology as the reference event queue of PR 1.
+//! victim order, per-process accounting, per-process active and cached
+//! block counts and statistics after every step — the same methodology as
+//! the reference event queue.
 
 use crate::memory::{MemoryCharge, MemoryConfig, MemoryStats, ProcMemory};
 use crate::process::Pid;
@@ -599,6 +602,26 @@ mod tests {
                     reference.cached_total() as u64,
                     "{ctx}: cached blocks"
                 );
+                let slots = reference.blocks.as_ref().map_or(0, Vec::len);
+                assert_eq!(
+                    dev.allocated_blocks() as usize,
+                    slots - reference.free_blocks(),
+                    "{ctx}: allocated blocks"
+                );
+                // Live pids only: with the totals equal, what removed pids
+                // hold (nothing, in the reference) agrees too.
+                for &pid in &pids {
+                    assert_eq!(
+                        dev.active_blocks_of(pid) as usize,
+                        reference.count_blocks(pid, false),
+                        "{ctx}: active blocks of {pid:?}"
+                    );
+                    assert_eq!(
+                        dev.cached_blocks_of(pid) as usize,
+                        reference.count_blocks(pid, true),
+                        "{ctx}: cached blocks of {pid:?}"
+                    );
+                }
                 assert_eq!(
                     dev.stats().cache_reactivated_blocks,
                     reference.cache_reactivated_blocks(),
@@ -638,5 +661,23 @@ mod tests {
             ..SwapConfig::enabled()
         };
         differential_case(0xB10C_5EED, swap, 400);
+    }
+
+    /// A wider sweep: 6 more seeds at each of two small block sizes, 256 KiB
+    /// and an odd 384 KiB (6,000 steps). The naive reference makes this
+    /// take minutes unoptimized, so it runs in release builds only
+    /// (`cargo test --release -p mrp-simos differential`).
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "slow unoptimized; run with --release")]
+    fn differential_seed_sweep_small_blocks() {
+        for block_size in [256 * 1024, 384 * 1024] {
+            for case in 0..6u64 {
+                let swap = SwapConfig {
+                    block_size,
+                    ..SwapConfig::enabled()
+                };
+                differential_case(0x5EEB_0000 + case, swap, 500);
+            }
+        }
     }
 }

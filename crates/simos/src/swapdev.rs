@@ -1,15 +1,21 @@
 //! Block-granular swap-device model.
 //!
-//! [`SwapDevice`] models the swap area as an array of fixed-size blocks with
-//! a word-packed allocation bitmap, a parallel *cached* bitmap (a cached
-//! block holds content that is **also** resident in RAM — the swap cache),
-//! per-process block extents, and KernelX-style swap-in/swap-out timing
-//! counters. The device is an *occupancy* model layered under
+//! [`SwapDevice`] models the swap area as a number of fixed-size blocks. It
+//! keeps, per process, how many blocks back swapped-out bytes (*active*)
+//! and how many are swap cache (*cached*: content also resident in RAM),
+//! the device-wide totals of both, and KernelX-style swap-in/swap-out
+//! timing counters. The device is an *occupancy* model layered under
 //! [`crate::MemoryManager`]: byte-exact charge accounting stays in the
 //! manager, while the device answers block-granular capacity questions
-//! (fragmentation makes swap fill earlier than the byte total suggests),
-//! retains freed backing store as reclaimable swap cache after page-ins,
-//! and records the I/O counters the benches report.
+//! (each process's swapped bytes round up to whole blocks, so swap fills
+//! earlier than the byte total suggests), retains freed backing store as
+//! reclaimable swap cache after page-ins, and records the I/O counters the
+//! benches report.
+//!
+//! Nothing reads which block holds which page, so the device keeps counts,
+//! not a block map: every operation is O(1) except dropping other
+//! processes' cache, which walks them in pid order. The differential tests
+//! hold these counts to the slot-per-block [`crate::ReferenceMemoryModel`].
 //!
 //! Everything is gated behind [`SwapConfig::enabled`], which defaults to
 //! `false` so every pre-existing fixed-seed pin stays byte-identical.
@@ -145,12 +151,18 @@ pub struct SwapStats {
     pub cache_dropped_blocks: u64,
 }
 
-/// Per-process block extent: which blocks back swapped-out bytes (`active`)
-/// and which are swap cache (`cached` — content also resident in RAM).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-struct Extent {
-    active: Vec<u32>,
-    cached: Vec<u32>,
+/// Blocks one process holds: `active` blocks back its swapped-out bytes,
+/// `cached` blocks are swap cache (content also resident in RAM).
+#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+struct Held {
+    active: u32,
+    cached: u32,
+}
+
+impl Held {
+    fn is_empty(&self) -> bool {
+        self.active == 0 && self.cached == 0
+    }
 }
 
 /// The block-granular swap device. See the module docs.
@@ -158,27 +170,13 @@ struct Extent {
 pub struct SwapDevice {
     block_size: u64,
     total_blocks: u32,
-    /// Word-packed allocation bitmap: bit set = block in use (active or
-    /// cached).
-    allocated: Vec<u64>,
-    /// Word-packed cache bitmap: bit set = block content also lives in RAM.
-    /// Always a subset of `allocated`.
-    cached: Vec<u64>,
-    extents: BTreeMap<Pid, Extent>,
+    /// Blocks in use (active + cached), summed over `held`.
+    allocated: u32,
+    /// Swap-cache blocks, summed over `held`. Never above `allocated`.
+    cached: u32,
+    /// Per-process block counts; processes holding no block have no entry.
+    held: BTreeMap<Pid, Held>,
     stats: SwapStats,
-}
-
-fn bit(words: &[u64], idx: u32) -> bool {
-    words[(idx / 64) as usize] >> (idx % 64) & 1 == 1
-}
-
-fn set_bit(words: &mut [u64], idx: u32, value: bool) {
-    let word = &mut words[(idx / 64) as usize];
-    if value {
-        *word |= 1 << (idx % 64);
-    } else {
-        *word &= !(1 << (idx % 64));
-    }
 }
 
 impl SwapDevice {
@@ -187,13 +185,12 @@ impl SwapDevice {
     pub fn new(capacity: u64, block_size: u64) -> Self {
         assert!(block_size > 0, "swap block size must be positive");
         let total_blocks = u32::try_from(capacity / block_size).expect("swap area fits in u32");
-        let words = (total_blocks as usize).div_ceil(64);
         SwapDevice {
             block_size,
             total_blocks,
-            allocated: vec![0; words],
-            cached: vec![0; words],
-            extents: BTreeMap::new(),
+            allocated: 0,
+            cached: 0,
+            held: BTreeMap::new(),
             stats: SwapStats::default(),
         }
     }
@@ -210,17 +207,17 @@ impl SwapDevice {
 
     /// Blocks currently allocated (active + cached).
     pub fn allocated_blocks(&self) -> u32 {
-        self.allocated.iter().map(|w| w.count_ones()).sum()
+        self.allocated
     }
 
     /// Bytes of swap area occupied (`allocated_blocks * block_size`).
     pub fn allocated_bytes(&self) -> u64 {
-        u64::from(self.allocated_blocks()) * self.block_size
+        u64::from(self.allocated) * self.block_size
     }
 
     /// Blocks currently held as swap cache across all processes.
     pub fn cached_blocks(&self) -> u32 {
-        self.cached.iter().map(|w| w.count_ones()).sum()
+        self.cached
     }
 
     /// The device's I/O and cache counters.
@@ -242,60 +239,49 @@ impl SwapDevice {
 
     /// Blocks backing `pid`'s swapped-out bytes.
     pub fn active_blocks_of(&self, pid: Pid) -> u32 {
-        self.extents.get(&pid).map_or(0, |e| e.active.len() as u32)
+        self.held.get(&pid).map_or(0, |h| h.active)
     }
 
     /// Swap-cache blocks held for `pid`.
     pub fn cached_blocks_of(&self, pid: Pid) -> u32 {
-        self.extents.get(&pid).map_or(0, |e| e.cached.len() as u32)
+        self.held.get(&pid).map_or(0, |h| h.cached)
     }
 
     fn blocks_for(&self, bytes: u64) -> u32 {
-        u32::try_from(bytes.div_ceil(self.block_size)).expect("extent fits in u32")
+        u32::try_from(bytes.div_ceil(self.block_size)).expect("block count fits in u32")
     }
 
-    fn free_blocks(&self) -> u32 {
-        self.total_blocks - self.allocated_blocks()
-    }
-
-    /// Lowest-index free block, if any (first-fit keeps runs deterministic).
-    fn alloc_block(&mut self) -> Option<u32> {
-        for (w, word) in self.allocated.iter().enumerate() {
-            if *word != u64::MAX {
-                let idx = w as u32 * 64 + word.trailing_ones();
-                if idx < self.total_blocks {
-                    set_bit(&mut self.allocated, idx, true);
-                    return Some(idx);
-                }
+    /// Drops up to `need` cached blocks of the processes in `held` (the
+    /// caller has taken its own entry out), lowest pid first, and returns
+    /// how many are still missing. The dropped blocks go straight to the
+    /// caller, so `allocated` does not change.
+    fn shed_cache(&mut self, mut need: u32) -> u32 {
+        if need == 0 {
+            return 0;
+        }
+        for held in self.held.values_mut() {
+            let dropped = need.min(held.cached);
+            held.cached -= dropped;
+            self.cached -= dropped;
+            self.stats.cache_dropped_blocks += u64::from(dropped);
+            need -= dropped;
+            if need == 0 {
+                break;
             }
         }
-        None
-    }
-
-    /// Drops one cached block (lowest pid, most recently cached first) to
-    /// make room. Returns false when no cache is left to shed.
-    fn drop_one_cached(&mut self) -> bool {
-        for extent in self.extents.values_mut() {
-            if let Some(block) = extent.cached.pop() {
-                set_bit(&mut self.cached, block, false);
-                set_bit(&mut self.allocated, block, false);
-                self.stats.cache_dropped_blocks += 1;
-                return true;
-            }
-        }
-        false
+        self.held.retain(|_, held| !held.is_empty());
+        need
     }
 
     /// Could `pid`'s backing grow to cover `swapped_bytes`, counting free
     /// blocks plus every droppable cached block (its own included)?
     pub fn can_back(&self, pid: Pid, swapped_bytes: u64) -> bool {
         let want = self.blocks_for(swapped_bytes);
-        let have = self.active_blocks_of(pid);
-        let need = want.saturating_sub(have);
-        need <= self.free_blocks() + self.cached_blocks()
+        let need = want.saturating_sub(self.active_blocks_of(pid));
+        need <= self.total_blocks - self.allocated + self.cached
     }
 
-    /// Grows or shrinks `pid`'s active extent to cover `swapped_bytes`.
+    /// Grows or shrinks `pid`'s active blocks to cover `swapped_bytes`.
     ///
     /// Growth consumes the process's own swap cache first (re-activation:
     /// the clean copy on disk is still valid, no new block needed), then
@@ -312,107 +298,86 @@ impl SwapDevice {
         if !self.can_back(pid, swapped_bytes) {
             return Err(OsError::OutOfMemory);
         }
-        let mut extent = self.extents.remove(&pid).unwrap_or_default();
-        while (extent.active.len() as u32) < want {
-            if let Some(block) = extent.cached.pop() {
-                set_bit(&mut self.cached, block, false);
-                self.stats.cache_reactivated_blocks += 1;
-                extent.active.push(block);
-            } else if let Some(block) = self.alloc_block() {
-                extent.active.push(block);
-            } else {
-                let dropped = self.drop_one_cached();
-                debug_assert!(dropped, "can_back admitted an unbackable extent");
-                if !dropped {
-                    self.extents.insert(pid, extent);
-                    return Err(OsError::OutOfMemory);
-                }
+        let mut own = self.held.remove(&pid).unwrap_or_default();
+        let mut result = Ok(());
+        if want > own.active {
+            let need = want - own.active;
+            let reactivated = need.min(own.cached);
+            own.cached -= reactivated;
+            self.cached -= reactivated;
+            self.stats.cache_reactivated_blocks += u64::from(reactivated);
+            let fresh = (need - reactivated).min(self.total_blocks - self.allocated);
+            self.allocated += fresh;
+            let missing = self.shed_cache(need - reactivated - fresh);
+            debug_assert_eq!(missing, 0, "can_back admitted an unbackable growth");
+            if missing > 0 {
+                result = Err(OsError::OutOfMemory);
             }
-        }
-        while (extent.active.len() as u32) > want {
-            let block = extent.active.pop().expect("len checked above");
-            if to_cache {
-                set_bit(&mut self.cached, block, true);
-                extent.cached.push(block);
-            } else {
-                set_bit(&mut self.allocated, block, false);
-            }
-        }
-        if extent.active.is_empty() && extent.cached.is_empty() {
-            self.extents.remove(&pid);
+            own.active = want - missing;
         } else {
-            self.extents.insert(pid, extent);
+            let released = own.active - want;
+            own.active = want;
+            if to_cache {
+                own.cached += released;
+                self.cached += released;
+            } else {
+                self.allocated -= released;
+            }
         }
-        Ok(())
+        if !own.is_empty() {
+            self.held.insert(pid, own);
+        }
+        result
     }
 
     /// Caps `pid`'s swap cache at what `resident_clean_bytes` can still
     /// mirror; excess blocks are freed.
     pub fn trim_cache(&mut self, pid: Pid, resident_clean_bytes: u64) {
         let cap = self.blocks_for(resident_clean_bytes);
-        let Some(extent) = self.extents.get_mut(&pid) else {
+        let Some(held) = self.held.get_mut(&pid) else {
             return;
         };
-        while (extent.cached.len() as u32) > cap {
-            let block = extent.cached.pop().expect("len checked above");
-            set_bit(&mut self.cached, block, false);
-            set_bit(&mut self.allocated, block, false);
-            self.stats.cache_dropped_blocks += 1;
-        }
-        if extent.active.is_empty() && extent.cached.is_empty() {
-            self.extents.remove(&pid);
+        let excess = held.cached.saturating_sub(cap);
+        held.cached -= excess;
+        self.cached -= excess;
+        self.allocated -= excess;
+        self.stats.cache_dropped_blocks += u64::from(excess);
+        if held.is_empty() {
+            self.held.remove(&pid);
         }
     }
 
     /// Frees everything the process held (exit / OOM kill).
     pub fn remove(&mut self, pid: Pid) {
-        if let Some(extent) = self.extents.remove(&pid) {
-            for block in extent.active.into_iter().chain(extent.cached) {
-                set_bit(&mut self.cached, block, false);
-                set_bit(&mut self.allocated, block, false);
-            }
+        if let Some(held) = self.held.remove(&pid) {
+            self.allocated -= held.active + held.cached;
+            self.cached -= held.cached;
         }
     }
 
-    /// Internal consistency: bitmap popcounts match the extents, the cached
-    /// bitmap is a subset of the allocated bitmap, and no block appears in
-    /// two extents.
+    /// Internal consistency: the per-process counts sum to the device-wide
+    /// totals, no entry is empty, and cached <= allocated <= total blocks.
     ///
     /// # Panics
     /// On any violated invariant (used by tests and debug assertions).
     pub fn check_invariants(&self) {
-        let mut seen = vec![false; self.total_blocks as usize];
-        let mut active_total = 0u32;
-        let mut cached_total = 0u32;
-        for (pid, extent) in &self.extents {
-            for &block in &extent.active {
-                assert!(bit(&self.allocated, block), "{pid:?}: active block free");
-                assert!(!bit(&self.cached, block), "{pid:?}: active block cached");
-                assert!(!seen[block as usize], "{pid:?}: block double-owned");
-                seen[block as usize] = true;
-                active_total += 1;
-            }
-            for &block in &extent.cached {
-                assert!(bit(&self.allocated, block), "{pid:?}: cached block free");
-                assert!(bit(&self.cached, block), "{pid:?}: cache bit missing");
-                assert!(!seen[block as usize], "{pid:?}: block double-owned");
-                seen[block as usize] = true;
-                cached_total += 1;
-            }
+        let (mut active, mut cached) = (0u64, 0u64);
+        for (pid, held) in &self.held {
+            assert!(!held.is_empty(), "{pid:?}: entry holds no block");
+            active += u64::from(held.active);
+            cached += u64::from(held.cached);
         }
         assert_eq!(
-            self.allocated_blocks(),
-            active_total + cached_total,
-            "allocation bitmap disagrees with the extents"
+            u64::from(self.allocated),
+            active + cached,
+            "allocated total disagrees with the per-process counts"
         );
         assert_eq!(
-            self.cached_blocks(),
-            cached_total,
-            "cache bitmap disagrees with the extents"
+            u64::from(self.cached),
+            cached,
+            "cached total disagrees with the per-process counts"
         );
-        for (w, (a, c)) in self.allocated.iter().zip(&self.cached).enumerate() {
-            assert_eq!(c & !a, 0, "word {w}: cached block not allocated");
-        }
+        assert!(self.cached <= self.allocated && self.allocated <= self.total_blocks);
     }
 }
 
@@ -464,16 +429,38 @@ mod tests {
     }
 
     #[test]
-    fn cache_is_shed_under_capacity_pressure() {
-        let mut dev = SwapDevice::new(4 * MIB, MIB);
-        dev.set_backing(PID, 3 * MIB, false).unwrap();
-        dev.set_backing(PID, 0, true).unwrap(); // 3 cached blocks
-        assert!(dev.can_back(OTHER, 4 * MIB), "cache is droppable");
-        dev.set_backing(OTHER, 4 * MIB, false).unwrap();
-        assert_eq!(dev.cached_blocks(), 0, "cache shed for real backing");
-        assert!(dev.stats().cache_dropped_blocks >= 1);
-        assert!(!dev.can_back(PID, MIB), "device genuinely full now");
-        assert!(dev.set_backing(PID, MIB, false).is_err());
+    fn cache_is_shed_under_capacity_pressure_lowest_pid_first() {
+        let (low, mid, grower) = (Pid(1), Pid(2), Pid(3));
+        let mut dev = SwapDevice::new(10 * MIB, MIB);
+        dev.set_backing(low, 3 * MIB, false).unwrap();
+        dev.set_backing(low, 0, true).unwrap(); // 3 cached
+        dev.set_backing(mid, 4 * MIB, false).unwrap();
+        dev.set_backing(mid, 0, true).unwrap(); // 4 cached
+        dev.set_backing(grower, 3 * MIB, false).unwrap();
+        dev.set_backing(grower, 2 * MIB, true).unwrap(); // 2 active, 1 cached
+        assert_eq!(dev.allocated_blocks(), 10, "device full");
+        assert!(dev.can_back(grower, 8 * MIB), "cache is droppable");
+        // 6 more blocks: 1 from its own cache, then 3 from `low`, 2 from `mid`.
+        dev.set_backing(grower, 8 * MIB, false).unwrap();
+        assert_eq!(dev.cached_blocks_of(low), 0);
+        assert_eq!(dev.cached_blocks_of(mid), 2);
+        assert_eq!(dev.cached_blocks_of(grower), 0);
+        assert_eq!(dev.active_blocks_of(grower), 8);
+        assert_eq!(dev.allocated_blocks(), 10);
+        assert_eq!(dev.stats().cache_reactivated_blocks, 1);
+        assert_eq!(dev.stats().cache_dropped_blocks, 5);
+        dev.check_invariants();
+        // 3 more blocks exceed the 2 cached ones left: refused, nothing moves.
+        let stats = *dev.stats();
+        assert!(!dev.can_back(grower, 11 * MIB));
+        assert_eq!(
+            dev.set_backing(grower, 11 * MIB, false),
+            Err(OsError::OutOfMemory)
+        );
+        assert_eq!(dev.active_blocks_of(grower), 8);
+        assert_eq!(dev.cached_blocks_of(mid), 2);
+        assert_eq!((dev.allocated_blocks(), dev.cached_blocks()), (10, 2));
+        assert_eq!(*dev.stats(), stats);
         dev.check_invariants();
     }
 

@@ -996,8 +996,8 @@ fn sharded_and_full_refresh_produce_identical_reports() {
 
 /// Fixed-seed pinned outcome of the block-granular swap device. The
 /// memory-pressure scenario (HFSP suspend/resume churn with working sets
-/// larger than RAM) exercises the whole device — bitmap allocation, LRU
-/// block reuse, swap-out/swap-in timing — so pinning its exact counters
+/// larger than RAM) exercises the whole device — block counts, swap-cache
+/// reuse and shedding, swap-out/swap-in timing — so pinning its exact counters
 /// catches any perturbation of the swap path, not just of the scheduler.
 #[test]
 fn fixed_seed_swap_device_run_is_pinned() {
