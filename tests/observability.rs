@@ -273,3 +273,173 @@ fn disabled_and_invalid_configs() {
     cluster.run(SimTime::from_secs(24 * 3_600));
     assert!(cluster.observability().is_none());
 }
+
+/// The schedule-trace kinds the trace recorded before the typed record
+/// stream; the text digest below covers these kinds only, so kinds added
+/// since are pinned by count alone.
+const PINNED_KINDS: [&str; 18] = [
+    "JobSubmitted",
+    "Launched",
+    "Suspended",
+    "Resumed",
+    "Killed",
+    "Completed",
+    "JobCompleted",
+    "NodeFailed",
+    "NodeDecommissioned",
+    "NodeRejoined",
+    "Speculated",
+    "ShuffleStalled",
+    "MapOutputLost",
+    "NodeSuspected",
+    "NodePartitioned",
+    "PartitionHealed",
+    "NodeDegraded",
+    "DegradationHealed",
+];
+
+/// FNV-1a over the bytes of `text`.
+fn fnv1a(text: &str) -> u64 {
+    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn trace_lines(cluster: &Cluster) -> Vec<String> {
+    cluster.trace().iter().map(|e| e.to_line()).collect()
+}
+
+/// The kind name of a rendered trace line (`[   12.0s] Launched job_0001 ...`).
+fn line_kind(line: &str) -> &str {
+    let rest = line.split_once("] ").expect("timestamped line").1;
+    rest.split(' ').next().expect("kind")
+}
+
+/// What one suite's two observation streams must reproduce.
+struct StreamPins {
+    /// Trace lines per kind.
+    kinds: &'static [(&'static str, usize)],
+    /// Digest of the trace text over [`PINNED_KINDS`].
+    trace: u64,
+    /// Digest of the pretty Chrome-trace export.
+    chrome: u64,
+    /// Spans per kind: attempt, suspend cycle, shuffle stall, partition.
+    spans: [usize; 4],
+    /// Samples in the four span-duration histograms, same order.
+    histograms: [u64; 4],
+}
+
+/// The schedule trace and the span trace are two views of the same run:
+/// both are pinned per suite, kind by kind, so a change to how either is
+/// recorded must reproduce them exactly.
+#[test]
+fn trace_and_span_streams_are_pinned() {
+    use mrp_engine::{SpanKind, TraceLevel};
+    let suites: [(Suite, StreamPins); 3] = [
+        (
+            ("churn", churn_config, churn_cluster),
+            StreamPins {
+                kinds: &[
+                    ("Completed", 92),
+                    ("JobCompleted", 10),
+                    ("JobSubmitted", 10),
+                    ("Launched", 92),
+                    ("Resumed", 6),
+                    ("Suspended", 6),
+                ],
+                trace: 0x505e_221a_72c5_d369,
+                chrome: 0x349e_d1a3_e8d7_6a81,
+                spans: [92, 6, 0, 0],
+                histograms: [92, 6, 0, 0],
+            },
+        ),
+        (
+            ("partition", partition_config, partition_cluster),
+            StreamPins {
+                kinds: &[
+                    ("Completed", 83),
+                    ("JobCompleted", 9),
+                    ("JobSubmitted", 9),
+                    ("Killed", 1),
+                    ("Launched", 92),
+                    ("MapOutputLost", 9),
+                    ("NodeFailed", 5),
+                    ("NodePartitioned", 1),
+                    ("NodeRejoined", 4),
+                    ("NodeSuspected", 5),
+                    ("PartitionHealed", 1),
+                    ("Resumed", 6),
+                    ("ShuffleStalled", 63),
+                    ("Suspended", 7),
+                ],
+                trace: 0x7253_91d3_632d_34b1,
+                chrome: 0xdc52_f77a_3ecf_c31c,
+                spans: [92, 7, 10, 1],
+                histograms: [92, 7, 10, 1],
+            },
+        ),
+        (
+            ("swap", swap_config, swap_cluster),
+            StreamPins {
+                kinds: &[
+                    ("Completed", 24),
+                    ("JobCompleted", 6),
+                    ("JobSubmitted", 6),
+                    ("Launched", 24),
+                    ("Resumed", 2),
+                    ("Suspended", 2),
+                ],
+                trace: 0x0daf_5fbc_e47b_2cd5,
+                chrome: 0x6001_ce80_e747_c213,
+                spans: [24, 2, 0, 0],
+                histograms: [24, 2, 0, 0],
+            },
+        ),
+    ];
+    for ((name, config, build), pins) in suites {
+        let cfg = config()
+            .with_trace_level(TraceLevel::Schedule)
+            .with_obs(ObsConfig::full());
+        let mut cluster = build(cfg);
+        cluster.run(SimTime::from_secs(24 * 3_600));
+        let lines = trace_lines(&cluster);
+
+        let mut kinds: Vec<(&str, usize)> = Vec::new();
+        for line in &lines {
+            let kind = line_kind(line);
+            match kinds.iter_mut().find(|(k, _)| *k == kind) {
+                Some((_, n)) => *n += 1,
+                None => kinds.push((kind, 1)),
+            }
+        }
+        kinds.sort_unstable();
+        let text: String = lines
+            .iter()
+            .filter(|l| PINNED_KINDS.contains(&line_kind(l)))
+            .map(|l| format!("{l}\n"))
+            .collect();
+
+        let obs = cluster.observability().expect("obs enabled");
+        let chrome = fnv1a(&chrome_trace_json(obs.spans(), cluster.now()).pretty());
+        let spans = [
+            SpanKind::Attempt,
+            SpanKind::SuspendCycle,
+            SpanKind::ShuffleStall,
+            SpanKind::Partition,
+        ]
+        .map(|kind| obs.spans().iter().filter(|s| s.kind == kind).count());
+        let histograms = [
+            "attempt_duration_us",
+            "suspend_cycle_us",
+            "shuffle_stall_us",
+            "partition_window_us",
+        ]
+        .map(|h| obs.registry().histogram_stats(h).map_or(0, |s| s.count));
+
+        assert_eq!(kinds, pins.kinds, "{name}: trace lines per kind");
+        assert_eq!(fnv1a(&text), pins.trace, "{name}: trace text");
+        assert_eq!(chrome, pins.chrome, "{name}: Chrome trace");
+        assert_eq!(spans, pins.spans, "{name}: spans per kind");
+        assert_eq!(histograms, pins.histograms, "{name}: histogram counts");
+    }
+}
