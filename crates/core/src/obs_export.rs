@@ -45,7 +45,7 @@ pub fn chrome_trace_json(spans: &[Span], finished_at: SimTime) -> Json {
         let end = span.end.unwrap_or(finished_at).max(span.begin);
         for (ph, ts) in [("B", span.begin), ("E", end)] {
             events.push(Json::obj(vec![
-                ("name", Json::Str(span.name.clone())),
+                ("name", Json::Str(span.name())),
                 ("cat", Json::Str(span.kind.category().to_string())),
                 ("ph", Json::Str(ph.to_string())),
                 ("ts", Json::Num(ts.as_micros() as f64)),

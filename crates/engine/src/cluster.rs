@@ -28,23 +28,23 @@
 //!   O(jobs) scan per event;
 //! * execution plans are built from borrowed config/profile state — no
 //!   per-launch clones of profiles, disk configs or preferred-node lists;
-//! * trace recording (and its string formatting) is gated behind
-//!   [`TraceLevel`](crate::config::TraceLevel) so throughput runs pay nothing
-//!   for it.
+//! * every lifecycle fact (launch, suspend, resume, kill, completion, node
+//!   faults) is one typed, string-free [`Record`] handed to a single
+//!   recorder, which returns at once when both the schedule trace
+//!   ([`TraceLevel`](crate::config::TraceLevel)) and observability are off,
+//!   so throughput runs pay nothing for either.
 
 use crate::attempt::{AttemptPhase, AttemptState, ExecPlan};
-use crate::config::{
-    ClusterConfig, FaultEvent, FaultKind, RefreshMode, TraceLevel, MISSED_HEARTBEATS,
-};
+use crate::config::{ClusterConfig, FaultEvent, FaultKind, RefreshMode, TraceLevel};
 use crate::delay::DelayScoreboard;
 use crate::job::{
     AttemptId, JobId, JobRuntime, JobSpec, JobTable, MapInput, TaskId, TaskKind, TaskRuntime,
     TaskState,
 };
 use crate::metrics::{
-    ClusterReport, FaultStats, JobReport, LocalityStats, NodeReport, TraceEntry, TraceKind,
+    ClusterReport, FaultStats, JobReport, KillCause, LocalityStats, NodeLoss, NodeReport, Record,
 };
-use crate::obs::{ObsState, SpanKey};
+use crate::obs::ObsState;
 use crate::reliability::ReliabilityTracker;
 use crate::scheduler::{
     NodeView, PendingTotals, RackView, SchedulerAction, SchedulerContext, SchedulerPolicy,
@@ -196,7 +196,7 @@ pub struct Cluster {
     pending_arrivals: Vec<(SimTime, Option<JobSpec>)>,
     arrivals_remaining: usize,
     triggers: Vec<ProgressTrigger>,
-    trace: Vec<TraceEntry>,
+    trace: Vec<Record>,
     next_job_id: u32,
     /// Reusable per-node scheduler views, refreshed via dirty tracking.
     views: Vec<NodeView>,
@@ -461,8 +461,8 @@ impl Cluster {
     }
 
     /// The recorded schedule trace (empty when tracing is
-    /// [`TraceLevel::Off`]).
-    pub fn trace(&self) -> &[TraceEntry] {
+    /// [`TraceLevel::Off`]); render a line with [`Record::to_line`].
+    pub fn trace(&self) -> &[Record] {
         &self.trace
     }
 
@@ -757,34 +757,17 @@ impl Cluster {
 
     // ----- internal helpers -------------------------------------------------
 
-    /// Whether schedule tracing is enabled; callers gate both the
-    /// [`TraceEntry`] push and the detail-string formatting behind this, so a
-    /// throughput run allocates nothing for tracing.
+    /// Records one lifecycle fact: pushes it onto the schedule trace when
+    /// tracing is on and hands it to the observability layer when that is
+    /// on; with both off it does nothing.
     #[inline]
-    fn tracing(&self) -> bool {
-        self.config.trace_level != TraceLevel::Off
-    }
-
-    fn trace_event(
-        &mut self,
-        at: SimTime,
-        kind: TraceKind,
-        job: JobId,
-        task: Option<TaskId>,
-        node: Option<NodeId>,
-        detail: impl Into<String>,
-    ) {
-        if !self.tracing() {
-            return;
+    fn record(&mut self, record: Record) {
+        if self.config.trace_level != TraceLevel::Off {
+            self.trace.push(record);
         }
-        self.trace.push(TraceEntry {
-            at,
-            kind,
-            job,
-            task,
-            node,
-            detail: detail.into(),
-        });
+        if let Some(obs) = self.obs.as_mut() {
+            obs.observe(&record);
+        }
     }
 
     /// Marks `node`'s view stale; the next [`Cluster::refresh_views`] rebuilds
@@ -1203,7 +1186,7 @@ impl Cluster {
             cmds.clear();
         }
         for failed in torn_down {
-            self.resolve_failed_attempt(failed, now);
+            self.resolve_failed_attempt(failed, node, now);
         }
         // Map outputs are node-local artifacts, not HDFS blocks: a crash
         // destroys them and the affected *completed* maps go back to Pending
@@ -1256,24 +1239,12 @@ impl Cluster {
         } else {
             self.fault_stats.node_failures += 1;
         }
-        if self.tracing() {
-            let kind = if decommission {
-                TraceKind::NodeDecommissioned
-            } else {
-                TraceKind::NodeFailed
-            };
-            self.trace_event(
-                now,
-                kind,
-                JobId(0),
-                None,
-                Some(node),
-                format!(
-                    "{} replicas re-created, {} blocks lost",
-                    repair.re_replicated, repair.lost_blocks
-                ),
-            );
-        }
+        let (replicas, lost) = (repair.re_replicated, repair.lost_blocks);
+        self.record(if decommission {
+            Record::NodeDecommissioned(now, node, replicas, lost)
+        } else {
+            Record::NodeFailed(now, node, NodeLoss::Crash(replicas, lost))
+        });
         true
     }
 
@@ -1327,16 +1298,7 @@ impl Cluster {
                 self.force_task_pending(map);
                 self.fault_stats.lost_map_outputs += 1;
                 self.fault_stats.re_executed_tasks += 1;
-                if self.tracing() {
-                    self.trace_event(
-                        now,
-                        TraceKind::MapOutputLost,
-                        job,
-                        Some(map),
-                        Some(node),
-                        "output died with its node; map re-executes",
-                    );
-                }
+                self.record(Record::MapOutputLost(now, map, node));
             }
         }
     }
@@ -1344,14 +1306,10 @@ impl Cluster {
     /// Reconciles one attempt torn down by node loss with the JobTracker
     /// state: promotes a surviving speculative backup, or resets the task to
     /// `Pending` for re-execution.
-    fn resolve_failed_attempt(&mut self, failed: FailedAttempt, now: SimTime) {
+    fn resolve_failed_attempt(&mut self, failed: FailedAttempt, node: NodeId, now: SimTime) {
         let task = failed.id.task;
         self.fault_stats.attempts_lost += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(failed.id), now);
-            obs.span_end(SpanKey::Shuffle(failed.id), now);
-            obs.span_end(SpanKey::Attempt(failed.id), now);
-        }
+        self.record(Record::AttemptLost(now, failed.id, node));
         if let Some(ev) = failed.segment_event {
             self.queue.cancel(ev);
         }
@@ -1422,12 +1380,11 @@ impl Cluster {
             return false; // duplicate fault on an already-dead node
         }
         match self.link[idx] {
-            LinkState::Silent { .. } => false, // already dark
+            LinkState::Silent { .. } => return false, // already dark
             LinkState::Up => {
                 self.link[idx] = LinkState::Silent { since: now };
                 self.suspect_epoch[idx] += 1;
                 self.schedule_suspicion(node, now);
-                true
             }
             LinkState::Partitioned { since } => {
                 // The partitioned node dies for real. The master cannot tell
@@ -1450,9 +1407,12 @@ impl Cluster {
                 }
                 // Not torn down: the suspicion timer armed at partition time
                 // (same epoch) is still counting and will confirm this death.
-                true
+                // Either way the heal finds the link dark and returns early,
+                // so the record below is what ends the partition window.
             }
         }
+        self.record(Record::NodeSilent(now, node));
+        true
     }
 
     /// Arms the missed-heartbeat timer for a newly dark node, anchored on
@@ -1477,16 +1437,7 @@ impl Cluster {
             return; // stale timer: the link state changed since it was armed
         }
         self.fault_stats.nodes_suspected += 1;
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::NodeSuspected,
-                JobId(0),
-                None,
-                Some(node),
-                format!("{MISSED_HEARTBEATS} missed heartbeats"),
-            );
-        }
+        self.record(Record::NodeSuspected(now, node));
         self.confirm_failure(node, now);
     }
 
@@ -1553,27 +1504,10 @@ impl Cluster {
         self.link[idx] = LinkState::Partitioned { since: now };
         self.suspect_epoch[idx] += 1;
         self.fault_stats.partitions += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_begin(
-                SpanKey::Partition(node),
-                node,
-                format!("node-{}", node.0),
-                now,
-            );
-        }
         if self.config.detector.enabled {
             self.schedule_suspicion(node, now);
         }
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::NodePartitioned,
-                JobId(0),
-                None,
-                Some(node),
-                "",
-            );
-        }
+        self.record(Record::NodePartitioned(now, node));
     }
 
     /// The master gives up on a partitioned node: every attempt it knows of
@@ -1602,7 +1536,7 @@ impl Cluster {
             cmds.clear();
         }
         for f in failed {
-            self.resolve_failed_attempt(f, now);
+            self.resolve_failed_attempt(f, node, now);
         }
         self.lose_map_outputs(node, now);
         let rack = RackId(self.node_rack[idx]);
@@ -1612,16 +1546,7 @@ impl Cluster {
         self.fault_stats.re_replicated_blocks += repair.re_replicated;
         self.fault_stats.lost_blocks += repair.lost_blocks;
         self.charge_re_replication_io(repair.re_replicated);
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::NodeFailed,
-                JobId(0),
-                None,
-                Some(node),
-                "partition confirmed; node torn down",
-            );
-        }
+        self.record(Record::NodeFailed(now, node, NodeLoss::PartitionConfirmed));
     }
 
     /// Charges re-replication write traffic against the survivors' spindles:
@@ -1658,9 +1583,6 @@ impl Cluster {
         self.link[idx] = LinkState::Up;
         self.suspect_epoch[idx] += 1;
         self.fault_stats.partition_heals += 1;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Partition(node), now);
-        }
         let torn_down = !self.trackers[idx].is_reachable();
         if torn_down {
             self.trackers[idx].set_reachable(true);
@@ -1683,16 +1605,7 @@ impl Cluster {
         }
         self.mark_node_dirty(node);
         self.last_heartbeat[idx] = now;
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::PartitionHealed,
-                JobId(0),
-                None,
-                Some(node),
-                "",
-            );
-        }
+        self.record(Record::PartitionHealed(now, node));
         // The node reconnects: an immediate heartbeat reintroduces it to the
         // scheduler.
         self.queue.schedule(now, Event::Heartbeat { node });
@@ -1713,16 +1626,7 @@ impl Cluster {
         self.gray[idx] = (slow_disk.max(1.0), slow_net.max(1.0));
         self.fault_stats.gray_failures += 1;
         self.reliability.record_degraded(node, now);
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::NodeDegraded,
-                JobId(0),
-                None,
-                Some(node),
-                format!("disk x{slow_disk:.1}, net x{slow_net:.1}"),
-            );
-        }
+        self.record(Record::NodeDegraded(now, node, slow_disk, slow_net));
     }
 
     /// Stretches a freshly built [`ExecPlan`] by the node's gray-failure
@@ -1755,16 +1659,7 @@ impl Cluster {
         }
         self.gray[idx] = (1.0, 1.0);
         self.fault_stats.gray_heals += 1;
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::DegradationHealed,
-                JobId(0),
-                None,
-                Some(node),
-                "",
-            );
-        }
+        self.record(Record::DegradationHealed(now, node));
     }
 
     /// Returns a failed node to service with empty disks and all slots free.
@@ -1800,9 +1695,7 @@ impl Cluster {
         self.namenode.rejoin(node);
         self.mark_node_dirty(node);
         self.fault_stats.node_rejoins += 1;
-        if self.tracing() {
-            self.trace_event(now, TraceKind::NodeRejoined, JobId(0), None, Some(node), "");
-        }
+        self.record(Record::NodeRejoined(now, node));
     }
 
     fn register_job(&mut self, spec: JobSpec, now: SimTime) -> JobId {
@@ -1878,11 +1771,6 @@ impl Cluster {
         }
         assert!(!tasks.is_empty(), "job {} has no tasks", spec.name);
 
-        let name = if self.tracing() {
-            spec.name.clone()
-        } else {
-            String::new()
-        };
         // Freshly registered tasks are all Pending, hence schedulable.
         let map_count = tasks.iter().filter(|t| t.id.kind == TaskKind::Map).count() as u32;
         let reduce_count = tasks.len() as u32 - map_count;
@@ -1908,7 +1796,7 @@ impl Cluster {
             },
         );
         self.incomplete_jobs += 1;
-        self.trace_event(now, TraceKind::JobSubmitted, id, None, None, name);
+        self.record(Record::JobSubmitted(now, id));
 
         self.refresh_views();
         let actions = {
@@ -2066,24 +1954,7 @@ impl Cluster {
                     t.progress = progress;
                     t.suspend_cycles += 1;
                 });
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.span_begin(
-                        SpanKey::Suspend(attempt_id),
-                        node,
-                        attempt_id.to_string(),
-                        now,
-                    );
-                }
-                if self.tracing() {
-                    self.trace_event(
-                        now,
-                        TraceKind::Suspended,
-                        task.job,
-                        Some(task),
-                        Some(node),
-                        format!("SIGTSTP at {:.0}% progress", progress * 100.0),
-                    );
-                }
+                self.record(Record::Suspended(now, attempt_id, node, progress));
                 self.schedule_out_of_band_heartbeat(node, now);
             }
         }
@@ -2128,19 +1999,7 @@ impl Cluster {
         self.mark_node_dirty(node);
         self.set_task_state(task, TaskState::Running);
         self.arm_triggers(task, node, attempt_id, now);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt_id), now);
-        }
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::Resumed,
-                task.job,
-                Some(task),
-                Some(node),
-                format!("SIGCONT, page-in stall {:.2}s", stall.as_secs_f64()),
-            );
-        }
+        self.record(Record::Resumed(now, attempt_id, node, stall));
     }
 
     fn deliver_kill(&mut self, task: TaskId, node: NodeId, now: SimTime) {
@@ -2171,11 +2030,6 @@ impl Cluster {
             Err(_) => return,
         };
         self.mark_node_dirty(node);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt_id), now);
-            obs.span_end(SpanKey::Shuffle(attempt_id), now);
-            obs.span_end(SpanKey::Attempt(attempt_id), now);
-        }
         if let Some(ev) = pending_event {
             self.queue.cancel(ev);
         }
@@ -2205,16 +2059,8 @@ impl Cluster {
             // The task itself is rescheduled from scratch.
             t.set_state(TaskState::Pending);
         });
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::Killed,
-                task.job,
-                Some(task),
-                Some(node),
-                format!("SIGKILL, {:.1}s of work lost", invested.as_secs_f64()),
-            );
-        }
+        let cause = KillCause::Signal(invested);
+        self.record(Record::Killed(now, attempt_id, node, cause));
     }
 
     fn handle_phase_done(
@@ -2313,30 +2159,21 @@ impl Cluster {
                         }
                     }
                     self.fault_stats.shuffle_refetches += 1;
-                    if retries == 0 {
-                        if let Some(obs) = self.obs.as_mut() {
-                            obs.span_begin(
-                                SpanKey::Shuffle(attempt_id),
-                                node,
-                                attempt_id.to_string(),
-                                now,
-                            );
-                        }
-                    }
-                    if self.tracing() {
-                        self.trace_event(
-                            now,
-                            TraceKind::ShuffleStalled,
-                            task.job,
-                            Some(task),
-                            Some(node),
-                            format!("retry {} in {:.1}s", retries + 1, wait.as_secs_f64()),
-                        );
-                    }
+                    self.record(Record::ShuffleStalled(
+                        now,
+                        attempt_id,
+                        node,
+                        retries + 1,
+                        wait,
+                    ));
                     return;
                 }
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.span_end(SpanKey::Shuffle(attempt_id), now);
+                let stalled = self
+                    .tracker(node)
+                    .and_then(|tt| tt.attempt(attempt_id))
+                    .is_some_and(|a| a.shuffle_retries > 0);
+                if stalled {
+                    self.record(Record::ShuffleRecovered(now, attempt_id, node));
                 }
                 self.enter_phase(node, attempt_id, AttemptPhase::Work, SimDuration::ZERO, now);
             }
@@ -2440,11 +2277,6 @@ impl Cluster {
             Err(_) => return,
         };
         self.mark_node_dirty(node);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt_id), now);
-            obs.span_end(SpanKey::Shuffle(attempt_id), now);
-            obs.span_end(SpanKey::Attempt(attempt_id), now);
-        }
         // First finisher wins: a completing attempt kills its sibling (the
         // original kills the backup; a winning backup kills the original,
         // wherever — running or suspended — it currently sits).
@@ -2488,14 +2320,7 @@ impl Cluster {
             self.shuffle
                 .record_map_output(task.job, task.index as usize, node, rack, output_bytes);
         }
-        self.trace_event(
-            now,
-            TraceKind::Completed,
-            task.job,
-            Some(task),
-            Some(node),
-            "",
-        );
+        self.record(Record::Completed(now, attempt_id, node, false));
 
         self.after_task_success(task, node, now);
     }
@@ -2518,7 +2343,7 @@ impl Cluster {
             self.incomplete_jobs = self.incomplete_jobs.saturating_sub(1);
             #[cfg(debug_assertions)]
             self.debug_check_job_counters(task.job);
-            self.trace_event(now, TraceKind::JobCompleted, task.job, None, None, "");
+            self.record(Record::JobCompleted(now, task.job));
         }
 
         // Scheduler hooks.
@@ -2584,16 +2409,12 @@ impl Cluster {
             }
             self.mark_node_dirty(node);
             self.fault_stats.reconciled_discards += 1;
-            if self.tracing() {
-                self.trace_event(
-                    now,
-                    TraceKind::Killed,
-                    task.job,
-                    Some(task),
-                    Some(node),
-                    "stale completion discarded at heal",
-                );
-            }
+            self.record(Record::Killed(
+                now,
+                attempt_id,
+                node,
+                KillCause::StaleCompletion,
+            ));
             return;
         }
         // Commit: this attempt is the first finisher. Kill whatever
@@ -2653,14 +2474,7 @@ impl Cluster {
             self.shuffle
                 .record_map_output(task.job, task.index as usize, node, rack, output_bytes);
         }
-        self.trace_event(
-            now,
-            TraceKind::Completed,
-            task.job,
-            Some(task),
-            Some(node),
-            "reconciled",
-        );
+        self.record(Record::Completed(now, attempt_id, node, true));
         self.after_task_success(task, node, now);
     }
 
@@ -2668,11 +2482,6 @@ impl Cluster {
     /// another task was allocating memory.
     fn handle_oom_victim(&mut self, attempt_id: AttemptId, node: NodeId, now: SimTime) {
         let task = attempt_id.task;
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt_id), now);
-            obs.span_end(SpanKey::Shuffle(attempt_id), now);
-            obs.span_end(SpanKey::Attempt(attempt_id), now);
-        }
         let (is_current, is_spec, backup, wasted) = {
             let Some(t) = self.task(task) else { return };
             (
@@ -2682,18 +2491,16 @@ impl Cluster {
                 t.progress,
             )
         };
+        let cause = if is_spec {
+            KillCause::SpeculativeOom
+        } else {
+            KillCause::Oom
+        };
+        self.record(Record::Killed(now, attempt_id, node, cause));
         if is_spec {
             // Only the backup died (its process is already gone); the
             // original attempt is untouched.
             self.clear_speculation_fields(task);
-            self.trace_event(
-                now,
-                TraceKind::Killed,
-                task.job,
-                Some(task),
-                Some(node),
-                "speculative attempt OOM-killed",
-            );
             return;
         }
         if !is_current {
@@ -2720,14 +2527,6 @@ impl Cluster {
                 t.wasted_work += SimDuration::from_secs_f64(wasted * 10.0);
             }
         }
-        self.trace_event(
-            now,
-            TraceKind::Killed,
-            task.job,
-            Some(task),
-            Some(node),
-            "OOM-killed while another task allocated memory",
-        );
     }
 
     /// Resolves an unrecoverable memory-allocation failure for `attempt_id`.
@@ -2962,24 +2761,7 @@ impl Cluster {
                 a.segment_duration = setup;
             }
         }
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_begin(
-                SpanKey::Attempt(attempt_id),
-                node,
-                attempt_id.to_string(),
-                now,
-            );
-        }
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::Launched,
-                task.job,
-                Some(task),
-                Some(node),
-                format!("attempt {}", attempt_id.number),
-            );
-        }
+        self.record(Record::Launched(now, attempt_id, node));
     }
 
     // ----- speculative re-execution -----------------------------------------
@@ -3078,24 +2860,7 @@ impl Cluster {
                 a.segment_duration = setup;
             }
         }
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_begin(
-                SpanKey::Attempt(attempt_id),
-                node,
-                attempt_id.to_string(),
-                now,
-            );
-        }
-        if self.tracing() {
-            self.trace_event(
-                now,
-                TraceKind::Speculated,
-                task.job,
-                Some(task),
-                Some(node),
-                format!("backup attempt {}", attempt_id.number),
-            );
-        }
+        self.record(Record::Speculated(now, attempt_id, node));
     }
 
     /// Kills the losing attempt of a first-finisher-wins race (or of an
@@ -3123,15 +2888,11 @@ impl Cluster {
             );
         }
         self.mark_node_dirty(node);
-        if let Some(obs) = self.obs.as_mut() {
-            obs.span_end(SpanKey::Suspend(attempt), now);
-            obs.span_end(SpanKey::Shuffle(attempt), now);
-            obs.span_end(SpanKey::Attempt(attempt), now);
-        }
         if let Some(ev) = pending_event {
             self.queue.cancel(ev);
         }
         self.fault_stats.speculative_wasted_secs += invested.as_secs_f64();
+        self.record(Record::SiblingKilled(now, attempt, node, invested));
         self.schedule_out_of_band_heartbeat(node, now);
     }
 
@@ -3375,12 +3136,12 @@ mod tests {
         c.create_input_file("/input", 512 * MIB).unwrap();
         c.submit_job(JobSpec::map_only("traced", "/input"));
         c.run(SimTime::from_secs(3_600));
-        let kinds: Vec<TraceKind> = c.trace().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&TraceKind::JobSubmitted));
-        assert!(kinds.contains(&TraceKind::Launched));
-        assert!(kinds.contains(&TraceKind::Completed));
-        assert!(kinds.contains(&TraceKind::JobCompleted));
-        assert!(c.trace().iter().all(|e| !e.to_line().is_empty()));
+        let trace = c.trace();
+        assert!(matches!(trace[0], Record::JobSubmitted(..)));
+        assert!(trace.iter().any(|r| matches!(r, Record::Launched(..))));
+        assert!(trace.iter().any(|r| matches!(r, Record::Completed(..))));
+        assert!(matches!(trace.last(), Some(Record::JobCompleted(..))));
+        assert!(trace.iter().all(|r| !r.to_line(c.jobs()).is_empty()));
     }
 
     #[test]
@@ -3493,8 +3254,10 @@ mod tests {
             .max()
             .unwrap();
         assert!(max_attempts >= 2);
-        let kinds: Vec<TraceKind> = c.trace().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&TraceKind::NodeFailed));
+        assert!(c
+            .trace()
+            .iter()
+            .any(|r| matches!(r, Record::NodeFailed(..))));
     }
 
     #[test]
@@ -3600,8 +3363,10 @@ mod tests {
             report.faults
         );
         assert!(report.faults.re_executed_tasks >= report.faults.lost_map_outputs);
-        let kinds: Vec<TraceKind> = c.trace().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&TraceKind::MapOutputLost));
+        assert!(c
+            .trace()
+            .iter()
+            .any(|r| matches!(r, Record::MapOutputLost(..))));
         // The registry retires with the job.
         assert!(!c.shuffle_tracker().tracked(JobId(1)));
     }
@@ -3693,14 +3458,18 @@ mod tests {
         let suspected_at = c
             .trace()
             .iter()
-            .find(|e| e.kind == TraceKind::NodeSuspected)
-            .map(|e| e.at)
+            .find_map(|r| match *r {
+                Record::NodeSuspected(at, _) => Some(at),
+                _ => None,
+            })
             .expect("suspicion trace");
         let failed_at = c
             .trace()
             .iter()
-            .find(|e| e.kind == TraceKind::NodeFailed)
-            .map(|e| e.at)
+            .find_map(|r| match *r {
+                Record::NodeFailed(at, ..) => Some(at),
+                _ => None,
+            })
             .expect("teardown trace");
         // Zero confirmation grace: suspicion is confirmation.
         assert_eq!(suspected_at, failed_at);

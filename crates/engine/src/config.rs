@@ -78,11 +78,12 @@ impl NodeConfig {
 
 /// How much schedule tracing the cluster records.
 ///
-/// Recording a [`TraceEntry`](crate::metrics::TraceEntry) allocates (the
-/// human-readable detail string in particular), so throughput-sensitive runs
-/// — the `sim_throughput` bench, large-scale sweeps — switch tracing off and
-/// pay nothing for it; the paper-scale presets keep it on because the
-/// examples print Figure-1-style schedules from the trace.
+/// The trace is the cluster's [`Record`](crate::Record) stream kept in
+/// memory: one small, string-free value per lifecycle fact, rendered only
+/// when printed. The trace still grows with the run, so throughput-sensitive
+/// runs — the `sim_throughput` bench, large-scale sweeps — switch it off and
+/// keep nothing; the paper-scale presets keep it on because the examples
+/// print Figure-1-style schedules from the trace.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
 pub enum TraceLevel {
     /// Record nothing; `Cluster::trace()` stays empty.

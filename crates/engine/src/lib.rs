@@ -60,8 +60,8 @@ pub use job::{
     TaskRuntime, TaskState,
 };
 pub use metrics::{
-    ClusterReport, FaultStats, JobReport, LocalityStats, NodeReport, TaskReport, TraceEntry,
-    TraceKind, DELAY_WAIT_BUCKET_SECS,
+    ClusterReport, FaultStats, JobReport, KillCause, LocalityStats, NodeLoss, NodeReport, Record,
+    TaskReport, DELAY_WAIT_BUCKET_SECS,
 };
 pub use obs::{ObsState, Span, SpanKind, ACTION_KINDS, EVENT_KINDS, SERIES_COLUMNS};
 pub use plugin::{TenantLedger, TenantShareStats};

@@ -10,9 +10,10 @@
 //! plus, for the overhead analysis of Figure 4, the number of bytes paged
 //! out for the preempted task's process.
 
-use crate::job::{JobId, JobRuntime, TaskId};
+use crate::config::MISSED_HEARTBEATS;
+use crate::job::{AttemptId, JobId, JobRuntime, JobTable, TaskId};
 use mrp_dfs::NodeId;
-use mrp_sim::SimTime;
+use mrp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Per-task outcome of a simulation run.
@@ -435,87 +436,213 @@ impl ClusterReport {
     }
 }
 
-/// The kinds of schedule events recorded in the run trace (used by the
-/// examples to print Figure-1-style task execution schedules).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum TraceKind {
-    /// A job was submitted.
-    JobSubmitted,
-    /// A task attempt was launched.
-    Launched,
-    /// A task was suspended (`SIGTSTP` delivered).
-    Suspended,
-    /// A task was resumed (`SIGCONT` delivered).
-    Resumed,
-    /// A task attempt was killed.
-    Killed,
-    /// A task completed successfully.
-    Completed,
-    /// A job completed.
-    JobCompleted,
-    /// A node crashed (fault injection).
-    NodeFailed,
-    /// A node was administratively decommissioned.
-    NodeDecommissioned,
-    /// A node returned to service.
-    NodeRejoined,
-    /// A speculative (backup) attempt was launched for a straggler.
-    Speculated,
-    /// A reduce finished copying but some map outputs are gone; it stalls
-    /// in Shuffle and re-fetches with exponential backoff.
-    ShuffleStalled,
-    /// A committed map's node-local output died with its node; the map goes
-    /// back to `Pending` for re-execution.
-    MapOutputLost,
-    /// The failure detector's missed-heartbeat timeout fired for a node; the
-    /// master now suspects it dead.
-    NodeSuspected,
-    /// A node was cut off from the master by a network partition (it keeps
-    /// executing, but heartbeats and completions no longer arrive).
-    NodePartitioned,
-    /// A partitioned node reconnected; buffered completions reconcile
-    /// first-commit-wins.
-    PartitionHealed,
-    /// A node entered gray failure: alive, heartbeating, but with its disk
-    /// and/or network slowed by the configured multipliers.
-    NodeDegraded,
-    /// A gray-failed node was restored to full speed.
-    DegradationHealed,
+/// One fact the cluster observed, at the moment it happened: the typed
+/// stream that both the schedule trace ([`Cluster::trace`]) and the
+/// observability spans are derived from. Records hold ids and numbers only,
+/// never strings; [`Record::to_line`] renders the human-readable form the
+/// examples print as Figure-1-style schedules.
+///
+/// Every variant starts with the virtual time of the fact, followed by its
+/// subject (a job, an attempt, a task or a node) and then its numbers.
+///
+/// [`Cluster::trace`]: crate::Cluster::trace
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Record {
+    /// `(at, job)`: a job was submitted.
+    JobSubmitted(SimTime, JobId),
+    /// `(at, job)`: a job completed.
+    JobCompleted(SimTime, JobId),
+    /// `(at, attempt, node)`: a task attempt was launched.
+    Launched(SimTime, AttemptId, NodeId),
+    /// `(at, attempt, node)`: a speculative (backup) attempt was launched.
+    Speculated(SimTime, AttemptId, NodeId),
+    /// `(at, attempt, node, progress)`: `SIGTSTP` delivered at `progress`
+    /// (0–1).
+    Suspended(SimTime, AttemptId, NodeId, f64),
+    /// `(at, attempt, node, stall)`: `SIGCONT` delivered; the attempt stalls
+    /// `stall` paging its state back in.
+    Resumed(SimTime, AttemptId, NodeId, SimDuration),
+    /// `(at, attempt, node, cause)`: a task's attempt was killed.
+    Killed(SimTime, AttemptId, NodeId, KillCause),
+    /// `(at, attempt, node, reconciled)`: a task committed; `reconciled`
+    /// when the completion was buffered behind a partition or finished by
+    /// an orphaned attempt.
+    Completed(SimTime, AttemptId, NodeId, bool),
+    /// `(at, attempt, node, retry, wait)`: a reduce finished copying but
+    /// map outputs are missing; it re-fetches (`retry` counts from 1) after
+    /// `wait`.
+    ShuffleStalled(SimTime, AttemptId, NodeId, u32, SimDuration),
+    /// `(at, attempt, node)`: a reduce that had stalled in its shuffle has
+    /// every map output back.
+    ShuffleRecovered(SimTime, AttemptId, NodeId),
+    /// `(at, attempt, node)`: an attempt was lost with its node (crash or
+    /// partition teardown).
+    AttemptLost(SimTime, AttemptId, NodeId),
+    /// `(at, attempt, node, lost)`: the loser of a first-finisher race, or
+    /// an aborted backup, was killed with `lost` of invested work.
+    SiblingKilled(SimTime, AttemptId, NodeId, SimDuration),
+    /// `(at, map, node)`: a committed map's output died with its node; the
+    /// map re-executes.
+    MapOutputLost(SimTime, TaskId, NodeId),
+    /// `(at, node, cause)`: the master took a node out of service.
+    NodeFailed(SimTime, NodeId, NodeLoss),
+    /// `(at, node, replicas, lost_blocks)`: a node was decommissioned;
+    /// `replicas` blocks were re-created and `lost_blocks` had no survivor.
+    NodeDecommissioned(SimTime, NodeId, u64, u64),
+    /// `(at, node)`: a node died under the failure detector; the master
+    /// does not know yet.
+    NodeSilent(SimTime, NodeId),
+    /// `(at, node)`: a node returned to service.
+    NodeRejoined(SimTime, NodeId),
+    /// `(at, node)`: the detector's missed-heartbeat timeout fired.
+    NodeSuspected(SimTime, NodeId),
+    /// `(at, node)`: a network partition cut the node off from the master.
+    NodePartitioned(SimTime, NodeId),
+    /// `(at, node)`: a partitioned node reconnected.
+    PartitionHealed(SimTime, NodeId),
+    /// `(at, node, slow_disk, slow_net)`: a node entered gray failure, its
+    /// disk and network slowed by the given multipliers.
+    NodeDegraded(SimTime, NodeId, f64, f64),
+    /// `(at, node)`: a gray-failed node was restored to full speed.
+    DegradationHealed(SimTime, NodeId),
 }
 
-/// One entry of the run trace.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TraceEntry {
-    /// When it happened.
-    pub at: SimTime,
-    /// What happened.
-    pub kind: TraceKind,
-    /// The job involved.
-    pub job: JobId,
-    /// The task involved, if the event is task-level.
-    pub task: Option<TaskId>,
-    /// The node involved, if any.
-    pub node: Option<NodeId>,
-    /// Extra context (progress at suspension, paging stall, …).
-    pub detail: String,
+/// Why an attempt was killed.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum KillCause {
+    /// `SIGKILL` from a kill command, throwing away the given invested work.
+    Signal(SimDuration),
+    /// A completion reconciled at a partition heal lost first-commit-wins.
+    StaleCompletion,
+    /// The OOM killer took the attempt while another task allocated memory.
+    Oom,
+    /// The OOM killer took a speculative backup.
+    SpeculativeOom,
 }
 
-impl TraceEntry {
-    /// Renders the entry as a single human-readable line.
-    pub fn to_line(&self) -> String {
-        let task = self.task.map(|t| format!(" {t}")).unwrap_or_default();
-        let node = self.node.map(|n| format!(" on {n}")).unwrap_or_default();
-        let detail = if self.detail.is_empty() {
-            String::new()
-        } else {
-            format!(" ({})", self.detail)
+/// How the master lost a node.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum NodeLoss {
+    /// `(replicas, lost_blocks)`: the node crashed; `replicas` blocks were
+    /// re-created and `lost_blocks` had no surviving replica.
+    Crash(u64, u64),
+    /// The detector confirmed a partitioned node and tore it down.
+    PartitionConfirmed,
+}
+
+impl Record {
+    /// Renders the record as a single human-readable line, taking job names
+    /// from `jobs`.
+    pub fn to_line(&self, jobs: &JobTable) -> String {
+        let (kind, detail) = match *self {
+            Record::JobSubmitted(_, job) => (
+                "JobSubmitted",
+                jobs.get(&job)
+                    .map(|j| j.spec.name.clone())
+                    .unwrap_or_default(),
+            ),
+            Record::JobCompleted(..) => ("JobCompleted", String::new()),
+            Record::Launched(_, a, _) => ("Launched", format!("attempt {}", a.number)),
+            Record::Speculated(_, a, _) => ("Speculated", format!("backup attempt {}", a.number)),
+            Record::Suspended(.., progress) => (
+                "Suspended",
+                format!("SIGTSTP at {:.0}% progress", progress * 100.0),
+            ),
+            Record::Resumed(.., stall) => (
+                "Resumed",
+                format!("SIGCONT, page-in stall {:.2}s", stall.as_secs_f64()),
+            ),
+            Record::Killed(.., cause) => (
+                "Killed",
+                match cause {
+                    KillCause::Signal(lost) => {
+                        format!("SIGKILL, {:.1}s of work lost", lost.as_secs_f64())
+                    }
+                    KillCause::StaleCompletion => "stale completion discarded at heal".into(),
+                    KillCause::Oom => "OOM-killed while another task allocated memory".into(),
+                    KillCause::SpeculativeOom => "speculative attempt OOM-killed".into(),
+                },
+            ),
+            Record::Completed(.., reconciled) => (
+                "Completed",
+                if reconciled { "reconciled" } else { "" }.into(),
+            ),
+            Record::ShuffleStalled(.., retry, wait) => (
+                "ShuffleStalled",
+                format!("retry {retry} in {:.1}s", wait.as_secs_f64()),
+            ),
+            Record::ShuffleRecovered(..) => ("ShuffleRecovered", "map outputs back".into()),
+            Record::AttemptLost(_, a, _) => (
+                "AttemptLost",
+                format!("attempt {} lost with its node", a.number),
+            ),
+            Record::SiblingKilled(_, a, _, lost) => (
+                "SiblingKilled",
+                format!(
+                    "attempt {}, {:.1}s of work lost",
+                    a.number,
+                    lost.as_secs_f64()
+                ),
+            ),
+            Record::MapOutputLost(..) => (
+                "MapOutputLost",
+                "output died with its node; map re-executes".into(),
+            ),
+            Record::NodeFailed(.., NodeLoss::Crash(replicas, lost)) => (
+                "NodeFailed",
+                format!("{replicas} replicas re-created, {lost} blocks lost"),
+            ),
+            Record::NodeFailed(.., NodeLoss::PartitionConfirmed) => {
+                ("NodeFailed", "partition confirmed; node torn down".into())
+            }
+            Record::NodeDecommissioned(.., replicas, lost) => (
+                "NodeDecommissioned",
+                format!("{replicas} replicas re-created, {lost} blocks lost"),
+            ),
+            Record::NodeSilent(..) => ("NodeSilent", "died; master not yet aware".into()),
+            Record::NodeRejoined(..) => ("NodeRejoined", String::new()),
+            Record::NodeSuspected(..) => (
+                "NodeSuspected",
+                format!("{MISSED_HEARTBEATS} missed heartbeats"),
+            ),
+            Record::NodePartitioned(..) => ("NodePartitioned", String::new()),
+            Record::PartitionHealed(..) => ("PartitionHealed", String::new()),
+            Record::NodeDegraded(.., disk, net) => {
+                ("NodeDegraded", format!("disk x{disk:.1}, net x{net:.1}"))
+            }
+            Record::DegradationHealed(..) => ("DegradationHealed", String::new()),
         };
-        format!(
-            "[{:>9}] {:?} {}{task}{node}{detail}",
-            format!("{}", self.at),
-            self.kind,
-            self.job
-        )
+        let (at, job, task, node) = match *self {
+            Record::JobSubmitted(at, job) | Record::JobCompleted(at, job) => (at, job, None, None),
+            Record::Launched(at, a, node)
+            | Record::Speculated(at, a, node)
+            | Record::Suspended(at, a, node, _)
+            | Record::Resumed(at, a, node, _)
+            | Record::Killed(at, a, node, _)
+            | Record::Completed(at, a, node, _)
+            | Record::ShuffleStalled(at, a, node, ..)
+            | Record::ShuffleRecovered(at, a, node)
+            | Record::AttemptLost(at, a, node)
+            | Record::SiblingKilled(at, a, node, _) => (at, a.task.job, Some(a.task), Some(node)),
+            Record::MapOutputLost(at, map, node) => (at, map.job, Some(map), Some(node)),
+            Record::NodeFailed(at, node, _)
+            | Record::NodeDecommissioned(at, node, ..)
+            | Record::NodeSilent(at, node)
+            | Record::NodeRejoined(at, node)
+            | Record::NodeSuspected(at, node)
+            | Record::NodePartitioned(at, node)
+            | Record::PartitionHealed(at, node)
+            | Record::NodeDegraded(at, node, ..)
+            | Record::DegradationHealed(at, node) => (at, JobId(0), None, Some(node)),
+        };
+        let task = task.map(|t| format!(" {t}")).unwrap_or_default();
+        let node = node.map(|n| format!(" on {n}")).unwrap_or_default();
+        let detail = if detail.is_empty() {
+            detail
+        } else {
+            format!(" ({detail})")
+        };
+        format!("[{:>9}] {kind} {job}{task}{node}{detail}", at.to_string())
     }
 }
 
@@ -524,34 +651,38 @@ mod tests {
     use super::*;
     use crate::job::{JobSpec, TaskKind, TaskRuntime, TaskState};
 
+    fn job_runtime(id: u32, name: &str, submit: u64, complete: Option<u64>) -> JobRuntime {
+        let mut job = JobRuntime {
+            id: JobId(id),
+            spec: JobSpec::synthetic(name, 1, 100),
+            submitted_at: SimTime::from_secs(submit),
+            completed_at: complete.map(SimTime::from_secs),
+            tasks: vec![TaskRuntime::new(
+                TaskId {
+                    job: JobId(id),
+                    kind: TaskKind::Map,
+                    index: 0,
+                },
+                100,
+                vec![],
+            )],
+            schedulable_maps: 1,
+            schedulable_reduces: 0,
+            suspended_count: 0,
+            occupying_count: 0,
+            speculative_live: 0,
+            remaining_bytes: 0,
+        };
+        if complete.is_some() {
+            job.tasks[0].set_state(TaskState::Running);
+            job.tasks[0].set_state(TaskState::Succeeded);
+        }
+        job
+    }
+
     fn report_with_two_jobs() -> ClusterReport {
-        let make = |id: u32, name: &str, submit: u64, complete: Option<u64>| {
-            let mut job = JobRuntime {
-                id: JobId(id),
-                spec: JobSpec::synthetic(name, 1, 100),
-                submitted_at: SimTime::from_secs(submit),
-                completed_at: complete.map(SimTime::from_secs),
-                tasks: vec![TaskRuntime::new(
-                    TaskId {
-                        job: JobId(id),
-                        kind: TaskKind::Map,
-                        index: 0,
-                    },
-                    100,
-                    vec![],
-                )],
-                schedulable_maps: 1,
-                schedulable_reduces: 0,
-                suspended_count: 0,
-                occupying_count: 0,
-                speculative_live: 0,
-                remaining_bytes: 0,
-            };
-            if complete.is_some() {
-                job.tasks[0].set_state(TaskState::Running);
-                job.tasks[0].set_state(TaskState::Succeeded);
-            }
-            JobReport::from_runtime(&job)
+        let make = |id, name, submit, complete| {
+            JobReport::from_runtime(&job_runtime(id, name, submit, complete))
         };
         ClusterReport {
             jobs: vec![make(1, "tl", 0, Some(170)), make(2, "th", 40, Some(125))],
@@ -592,24 +723,175 @@ mod tests {
         assert!(!r.all_jobs_complete());
     }
 
+    /// One record of every kind renders to the exact line the schedule
+    /// trace has always printed (the examples' output depends on it).
     #[test]
-    fn trace_lines_are_readable() {
-        let e = TraceEntry {
-            at: SimTime::from_secs(42),
-            kind: TraceKind::Suspended,
-            job: JobId(1),
-            task: Some(TaskId {
-                job: JobId(1),
-                kind: TaskKind::Map,
-                index: 0,
-            }),
-            node: Some(NodeId(0)),
-            detail: "progress 62%".into(),
+    fn every_record_renders_its_trace_line() {
+        use mrp_sim::SimDuration;
+        let mut jobs = JobTable::new();
+        jobs.insert(JobId(1), job_runtime(1, "tl", 0, None));
+        let job = JobId(1);
+        let map = TaskId {
+            job,
+            kind: TaskKind::Map,
+            index: 3,
         };
-        let line = e.to_line();
-        assert!(line.contains("Suspended"));
-        assert!(line.contains("job_0001"));
-        assert!(line.contains("progress 62%"));
+        let reduce = TaskId {
+            kind: TaskKind::Reduce,
+            index: 0,
+            ..map
+        };
+        let m0 = AttemptId {
+            task: map,
+            number: 0,
+        };
+        let m1 = AttemptId { number: 1, ..m0 };
+        let r0 = AttemptId {
+            task: reduce,
+            number: 0,
+        };
+        let n = NodeId(2);
+        let t = SimTime::from_secs_f64;
+        let cases = [
+            (
+                Record::JobSubmitted(t(0.0), job),
+                "[   0.000s] JobSubmitted job_0001 (tl)",
+            ),
+            (
+                Record::Launched(t(1.5), m0, n),
+                "[   1.500s] Launched job_0001 task_0001_m_000003 on node2 (attempt 0)",
+            ),
+            (
+                Record::Speculated(t(2.0), m1, n),
+                "[   2.000s] Speculated job_0001 task_0001_m_000003 on node2 (backup attempt 1)",
+            ),
+            (
+                Record::Suspended(t(41.25), m0, n, 0.514),
+                "[  41.250s] Suspended job_0001 task_0001_m_000003 on node2 \
+                 (SIGTSTP at 51% progress)",
+            ),
+            (
+                Record::Resumed(t(85.0), m0, n, SimDuration::from_millis(1250)),
+                "[  85.000s] Resumed job_0001 task_0001_m_000003 on node2 \
+                 (SIGCONT, page-in stall 1.25s)",
+            ),
+            (
+                Record::Killed(
+                    t(90.0),
+                    m0,
+                    n,
+                    KillCause::Signal(SimDuration::from_millis(3040)),
+                ),
+                "[  90.000s] Killed job_0001 task_0001_m_000003 on node2 \
+                 (SIGKILL, 3.0s of work lost)",
+            ),
+            (
+                Record::Killed(t(91.0), m0, n, KillCause::StaleCompletion),
+                "[  91.000s] Killed job_0001 task_0001_m_000003 on node2 \
+                 (stale completion discarded at heal)",
+            ),
+            (
+                Record::Killed(t(92.0), m1, n, KillCause::SpeculativeOom),
+                "[  92.000s] Killed job_0001 task_0001_m_000003 on node2 \
+                 (speculative attempt OOM-killed)",
+            ),
+            (
+                Record::Killed(t(93.0), m0, n, KillCause::Oom),
+                "[  93.000s] Killed job_0001 task_0001_m_000003 on node2 \
+                 (OOM-killed while another task allocated memory)",
+            ),
+            (
+                Record::Completed(t(100.0), m0, n, false),
+                "[ 100.000s] Completed job_0001 task_0001_m_000003 on node2",
+            ),
+            (
+                Record::Completed(t(101.0), m0, n, true),
+                "[ 101.000s] Completed job_0001 task_0001_m_000003 on node2 (reconciled)",
+            ),
+            (
+                Record::JobCompleted(t(102.0), job),
+                "[ 102.000s] JobCompleted job_0001",
+            ),
+            (
+                Record::ShuffleStalled(t(60.0), r0, n, 2, SimDuration::from_secs(4)),
+                "[  60.000s] ShuffleStalled job_0001 task_0001_r_000000 on node2 (retry 2 in 4.0s)",
+            ),
+            (
+                Record::ShuffleRecovered(t(64.0), r0, n),
+                "[  64.000s] ShuffleRecovered job_0001 task_0001_r_000000 on node2 \
+                 (map outputs back)",
+            ),
+            (
+                Record::AttemptLost(t(65.0), m0, n),
+                "[  65.000s] AttemptLost job_0001 task_0001_m_000003 on node2 \
+                 (attempt 0 lost with its node)",
+            ),
+            (
+                Record::SiblingKilled(t(66.0), m1, n, SimDuration::from_millis(2500)),
+                "[  66.000s] SiblingKilled job_0001 task_0001_m_000003 on node2 \
+                 (attempt 1, 2.5s of work lost)",
+            ),
+            (
+                Record::MapOutputLost(t(61.0), map, n),
+                "[  61.000s] MapOutputLost job_0001 task_0001_m_000003 on node2 \
+                 (output died with its node; map re-executes)",
+            ),
+            (
+                Record::NodeFailed(t(50.0), n, NodeLoss::Crash(3, 1)),
+                "[  50.000s] NodeFailed job_0000 on node2 (3 replicas re-created, 1 blocks lost)",
+            ),
+            (
+                Record::NodeFailed(t(51.0), n, NodeLoss::PartitionConfirmed),
+                "[  51.000s] NodeFailed job_0000 on node2 (partition confirmed; node torn down)",
+            ),
+            (
+                Record::NodeDecommissioned(t(52.0), n, 4, 0),
+                "[  52.000s] NodeDecommissioned job_0000 on node2 \
+                 (4 replicas re-created, 0 blocks lost)",
+            ),
+            (
+                Record::NodeSilent(t(49.0), n),
+                "[  49.000s] NodeSilent job_0000 on node2 (died; master not yet aware)",
+            ),
+            (
+                Record::NodeRejoined(t(53.0), n),
+                "[  53.000s] NodeRejoined job_0000 on node2",
+            ),
+            (
+                Record::NodeSuspected(t(54.0), n),
+                "[  54.000s] NodeSuspected job_0000 on node2 (3 missed heartbeats)",
+            ),
+            (
+                Record::NodePartitioned(t(55.0), n),
+                "[  55.000s] NodePartitioned job_0000 on node2",
+            ),
+            (
+                Record::PartitionHealed(t(56.0), n),
+                "[  56.000s] PartitionHealed job_0000 on node2",
+            ),
+            (
+                Record::NodeDegraded(t(57.0), n, 2.5, 1.0),
+                "[  57.000s] NodeDegraded job_0000 on node2 (disk x2.5, net x1.0)",
+            ),
+            (
+                Record::DegradationHealed(t(58.0), n),
+                "[  58.000s] DegradationHealed job_0000 on node2",
+            ),
+            (
+                Record::Launched(
+                    t(12_345.678),
+                    AttemptId {
+                        task: reduce,
+                        number: 12,
+                    },
+                    NodeId(17),
+                ),
+                "[12345.678s] Launched job_0001 task_0001_r_000000 on node17 (attempt 12)",
+            ),
+        ];
+        for (record, line) in cases {
+            assert_eq!(record.to_line(&jobs), line);
+        }
     }
 
     #[test]

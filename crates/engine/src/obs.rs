@@ -10,13 +10,16 @@
 //! observed run computes byte-identical reports and event counts to an
 //! unobserved one.
 //!
-//! Data flow: `cluster.rs` hot paths call the `note_*`/`span_*` recorders
-//! here; [`Cluster::observability`](crate::Cluster::observability) exposes
+//! Data flow: the cluster's event loop calls the profiler and sampler hooks
+//! here, and hands every [`Record`] it makes to [`ObsState::observe`], the
+//! one place that turns those facts into span begins and ends;
+//! [`Cluster::observability`](crate::Cluster::observability) exposes
 //! the accumulated state; and the exporters in `mrp_preempt::obs_export`
 //! (the core crate sits *above* the engine) turn it into Chrome
 //! `trace_event` JSON, series JSON and the profiler table.
 
 use crate::job::AttemptId;
+use crate::metrics::{NodeLoss, Record};
 use mrp_dfs::NodeId;
 use mrp_sim::{
     HistogramId, LoopProfiler, MetricsRegistry, ProfileReport, SimDuration, SimTime,
@@ -103,7 +106,7 @@ impl SpanKind {
 
 /// Identity of an open span; closing uses the same key that opened it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum SpanKey {
+enum SpanKey {
     Attempt(AttemptId),
     Suspend(AttemptId),
     Shuffle(AttemptId),
@@ -122,12 +125,13 @@ impl SpanKey {
 }
 
 /// One recorded span: a named virtual-time window on a node's lane.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Span {
     /// Span family.
     pub kind: SpanKind,
-    /// Human-readable name (`attempt_0001_m_000003_0`, `node-17`, ...).
-    pub name: String,
+    /// The attempt the span belongs to; `None` for a partition window,
+    /// which belongs to `node`.
+    pub attempt: Option<AttemptId>,
     /// Node the span happened on — the Chrome-trace thread lane.
     pub node: NodeId,
     /// Virtual begin timestamp.
@@ -135,6 +139,17 @@ pub struct Span {
     /// Virtual end timestamp; `None` while still open (the exporter clamps
     /// open spans to the run's final time).
     pub end: Option<SimTime>,
+}
+
+impl Span {
+    /// Human-readable name: the attempt (`attempt_0001_m_000003_0`) or, for
+    /// a partition window, the node (`node-17`).
+    pub fn name(&self) -> String {
+        match self.attempt {
+            Some(attempt) => attempt.to_string(),
+            None => format!("node-{}", self.node.0),
+        }
+    }
 }
 
 /// The observability state owned by an observed cluster.
@@ -245,10 +260,44 @@ impl ObsState {
         self.sampler.record(now, values);
     }
 
+    /// Folds one record into the span trace: the only mapping from the
+    /// facts the cluster records to span begins and ends.
+    pub(crate) fn observe(&mut self, record: &Record) {
+        match *record {
+            Record::Launched(at, a, node) | Record::Speculated(at, a, node) => {
+                self.begin(SpanKey::Attempt(a), node, at)
+            }
+            Record::Suspended(at, a, node, _) => self.begin(SpanKey::Suspend(a), node, at),
+            Record::Resumed(at, a, ..) => self.end(SpanKey::Suspend(a), at),
+            Record::ShuffleStalled(at, a, node, 1, _) => self.begin(SpanKey::Shuffle(a), node, at),
+            Record::ShuffleRecovered(at, a, _) => self.end(SpanKey::Shuffle(a), at),
+            Record::Killed(at, a, ..)
+            | Record::Completed(at, a, ..)
+            | Record::AttemptLost(at, a, _)
+            | Record::SiblingKilled(at, a, ..) => {
+                for key in [
+                    SpanKey::Suspend(a),
+                    SpanKey::Shuffle(a),
+                    SpanKey::Attempt(a),
+                ] {
+                    self.end(key, at);
+                }
+            }
+            Record::NodePartitioned(at, node) => self.begin(SpanKey::Partition(node), node, at),
+            // The partition window closes at the heal or at the node's
+            // death, whichever comes first.
+            Record::PartitionHealed(at, node)
+            | Record::NodeSilent(at, node)
+            | Record::NodeFailed(at, node, NodeLoss::Crash(..))
+            | Record::NodeDecommissioned(at, node, ..) => self.end(SpanKey::Partition(node), at),
+            _ => {}
+        }
+    }
+
     /// Opens a span. A begin on a key that is already open is ignored (the
     /// first begin wins — matches the engine's first-commit-wins flavor and
     /// keeps the trace balanced).
-    pub(crate) fn span_begin(&mut self, key: SpanKey, node: NodeId, name: String, at: SimTime) {
+    fn begin(&mut self, key: SpanKey, node: NodeId, at: SimTime) {
         if self.open.contains_key(&key) {
             return;
         }
@@ -256,10 +305,14 @@ impl ObsState {
             self.dropped_spans += 1;
             return;
         }
+        let attempt = match key {
+            SpanKey::Attempt(a) | SpanKey::Suspend(a) | SpanKey::Shuffle(a) => Some(a),
+            SpanKey::Partition(_) => None,
+        };
         self.open.insert(key, self.spans.len());
         self.spans.push(Span {
             kind: key.kind(),
-            name,
+            attempt,
             node,
             begin: at,
             end: None,
@@ -269,7 +322,7 @@ impl ObsState {
     /// Closes a span; a no-op when the key is not open (the span was never
     /// begun, was dropped at the cap, or was already closed by an earlier
     /// teardown path).
-    pub(crate) fn span_end(&mut self, key: SpanKey, at: SimTime) {
+    fn end(&mut self, key: SpanKey, at: SimTime) {
         let Some(idx) = self.open.remove(&key) else {
             return;
         };

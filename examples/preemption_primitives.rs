@@ -8,7 +8,7 @@
 //! where `r` is the tl progress (0–1) at which th is launched, default 0.5.
 
 use hadoop_os_preempt::prelude::*;
-use mrp_engine::TraceKind;
+use mrp_engine::Record;
 
 fn run(primitive: PreemptionPrimitive, fraction: f64) -> (ClusterReport, Vec<String>) {
     let (tl, th) = two_job_scenario(0, 0);
@@ -27,17 +27,17 @@ fn run(primitive: PreemptionPrimitive, fraction: f64) -> (ClusterReport, Vec<Str
     let lines = cluster
         .trace()
         .iter()
-        .filter(|e| {
+        .filter(|r| {
             matches!(
-                e.kind,
-                TraceKind::Launched
-                    | TraceKind::Suspended
-                    | TraceKind::Resumed
-                    | TraceKind::Killed
-                    | TraceKind::Completed
+                r,
+                Record::Launched(..)
+                    | Record::Suspended(..)
+                    | Record::Resumed(..)
+                    | Record::Killed(..)
+                    | Record::Completed(..)
             )
         })
-        .map(|e| e.to_line())
+        .map(|r| r.to_line(cluster.jobs()))
         .collect();
     (cluster.report(), lines)
 }

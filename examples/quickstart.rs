@@ -48,8 +48,8 @@ fn main() {
     // 5. Inspect the outcome.
     let report = cluster.report();
     println!("== schedule trace ==");
-    for entry in cluster.trace() {
-        println!("{}", entry.to_line());
+    for record in cluster.trace() {
+        println!("{}", record.to_line(cluster.jobs()));
     }
     println!("\n== metrics ==");
     println!(

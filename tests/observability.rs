@@ -306,7 +306,8 @@ fn fnv1a(text: &str) -> u64 {
 }
 
 fn trace_lines(cluster: &Cluster) -> Vec<String> {
-    cluster.trace().iter().map(|e| e.to_line()).collect()
+    let jobs = cluster.jobs();
+    cluster.trace().iter().map(|r| r.to_line(jobs)).collect()
 }
 
 /// The kind name of a rendered trace line (`[   12.0s] Launched job_0001 ...`).
@@ -357,6 +358,7 @@ fn trace_and_span_streams_are_pinned() {
             ("partition", partition_config, partition_cluster),
             StreamPins {
                 kinds: &[
+                    ("AttemptLost", 9),
                     ("Completed", 83),
                     ("JobCompleted", 9),
                     ("JobSubmitted", 9),
@@ -366,10 +368,13 @@ fn trace_and_span_streams_are_pinned() {
                     ("NodeFailed", 5),
                     ("NodePartitioned", 1),
                     ("NodeRejoined", 4),
+                    ("NodeSilent", 4),
                     ("NodeSuspected", 5),
                     ("PartitionHealed", 1),
                     ("Resumed", 6),
+                    ("ShuffleRecovered", 8),
                     ("ShuffleStalled", 63),
+                    ("SiblingKilled", 1),
                     ("Suspended", 7),
                 ],
                 trace: 0x7253_91d3_632d_34b1,
@@ -441,5 +446,54 @@ fn trace_and_span_streams_are_pinned() {
         assert_eq!(chrome, pins.chrome, "{name}: Chrome trace");
         assert_eq!(spans, pins.spans, "{name}: spans per kind");
         assert_eq!(histograms, pins.histograms, "{name}: histogram counts");
+    }
+}
+
+/// A node that dies behind a partition ends its partition window at the
+/// death: the heal that follows finds the link already dark and does
+/// nothing, so the window must not wait for it. Covers a death before the
+/// detector confirms the partition (12 s), one after (28 s), and the plain
+/// partition-then-heal run.
+#[test]
+fn partition_window_closes_when_the_node_dies_behind_it() {
+    for kill_at in [None, Some(12), Some(28)] {
+        let mut cfg = ClusterConfig::racked_cluster(2, 4, 1, 1).with_obs(ObsConfig::full());
+        cfg.detector = DetectorConfig::enabled();
+        let node = NodeId(1);
+        let mut faults = vec![
+            (10, FaultKind::Partition { node }),
+            (30, FaultKind::PartitionHeal { node }),
+            (40, FaultKind::Rejoin { node }),
+        ];
+        if let Some(at) = kill_at {
+            faults.push((at, FaultKind::Kill { node }));
+        }
+        for (at, kind) in faults {
+            cfg.faults.events.push(FaultEvent {
+                at: SimTime::from_secs(at),
+                kind,
+            });
+        }
+        let mut cluster = Cluster::new(cfg, hfsp());
+        for i in 0..3u32 {
+            cluster.submit_job_at(
+                JobSpec::synthetic(format!("job-{i}"), 12, 64 * MIB),
+                SimTime::from_secs(u64::from(i)),
+            );
+        }
+        cluster.run(SimTime::from_secs(24 * 3_600));
+        assert!(cluster.report().all_jobs_complete(), "kill at {kill_at:?}");
+        let obs = cluster.observability().expect("obs enabled");
+        assert_eq!(obs.open_spans(), 0, "kill at {kill_at:?}: spans left open");
+        let windows = obs
+            .registry()
+            .histogram_stats("partition_window_us")
+            .map(|h| (h.count, h.sum));
+        let closed_at = kill_at.unwrap_or(30);
+        assert_eq!(
+            windows,
+            Some((1, (closed_at - 10) * 1_000_000)),
+            "kill at {kill_at:?}: one window, partition to heal or death"
+        );
     }
 }
