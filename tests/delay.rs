@@ -319,3 +319,95 @@ fn fixed_seed_delay_locality_rate_is_pinned() {
 const PINNED_DELAY_LOCALITY: (u64, u64, u64) = (18, 0, 0);
 const PINNED_DELAY_EVENTS: u64 = 323;
 const PINNED_DELAY_FINISH: u64 = 46_122_516;
+
+/// FNV-1a over a report's `Debug` rendering: two reports share a digest
+/// exactly when they are byte-identical (barring collisions).
+fn report_digest(report: &mrp_engine::ClusterReport) -> u64 {
+    format!("{report:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+}
+
+/// Pinned fixed-seed run where the per-round decline cap binds: 96 small
+/// jobs arrive within five seconds on a 16-node, 4-rack cluster with one
+/// map slot per node. Seven in eight of them read input written (one
+/// replica) in rack 0, so a free slot in racks 1-3 meets far more than 64
+/// jobs in a row that may not use it. Both wait tiers are live (rack 0
+/// serves rack-local launches), HFSP suspends larger jobs for smaller
+/// arrivals, a node crash sends the attempts running on it back to
+/// pending, and the node rejoins later. Everything the delay path decides
+/// is pinned.
+#[test]
+fn fixed_seed_capped_delay_run_is_pinned() {
+    let run = || {
+        let mut cfg = mrp_engine::ClusterConfig::racked_cluster(4, 4, 1, 1);
+        cfg.dfs_replication = 1;
+        cfg.trace_level = mrp_engine::TraceLevel::Off;
+        cfg = cfg.with_delay_intervals(2.0, 2.0);
+        cfg.faults.events.push(FaultEvent {
+            at: SimTime::from_secs(45),
+            kind: FaultKind::Kill { node: NodeId(9) },
+        });
+        cfg.faults.events.push(FaultEvent {
+            at: SimTime::from_secs(240),
+            kind: FaultKind::Rejoin { node: NodeId(9) },
+        });
+        let mut cluster = Cluster::new(cfg, hfsp());
+        let mut rng = SimRng::new(0xCA9);
+        for i in 0..96u32 {
+            let path = format!("/capped/in-{i}");
+            let blocks = 1 + rng.index(3) as u64;
+            let writer = if i % 8 == 7 {
+                rng.index(16)
+            } else {
+                rng.index(4)
+            };
+            cluster
+                .create_input_file_from(&path, blocks * 128 * MIB, Some(NodeId(writer as u32)))
+                .unwrap();
+            let mut spec = JobSpec::map_only(format!("job-{i}"), path);
+            if i % 8 == 0 {
+                spec = spec.with_reduces(1);
+            }
+            // A burst, then a trickle of later arrivals that HFSP ranks
+            // ahead of the larger jobs already running.
+            let at_ms = if i < 80 {
+                rng.index(5_000)
+            } else {
+                20_000 + rng.index(100_000)
+            };
+            cluster.submit_job_at(spec, SimTime::from_millis(at_ms as u64));
+        }
+        cluster.run(SimTime::from_secs(24 * 3_600));
+        (cluster.events_processed(), cluster.report())
+    };
+    let (events, report) = run();
+    assert!(report.all_jobs_complete());
+    assert_eq!(report.faults.node_failures, 1, "{:?}", report.faults);
+    assert!(report.faults.attempts_lost >= 1, "{:?}", report.faults);
+    assert!(report.locality.rack_local > 0, "{:?}", report.locality);
+    let suspends: u32 = report
+        .jobs
+        .iter()
+        .flat_map(|j| j.tasks.iter())
+        .map(|t| t.suspend_cycles)
+        .sum();
+    assert!(suspends > 0, "HFSP must preempt for smaller arrivals");
+    let pinned = (
+        events,
+        report_digest(&report),
+        report.locality.delayed_skips,
+        report.locality.delay_waits_total(),
+        (
+            report.locality.node_local,
+            report.locality.rack_local,
+            report.locality.off_rack,
+        ),
+    );
+    assert_eq!(pinned, PINNED_CAPPED);
+}
+
+const PINNED_CAPPED: (u64, u64, u64, u64, (u64, u64, u64)) =
+    (2_668, 0x2987_27E2_D629_AE44, 2_055, 23, (24, 46, 130));
