@@ -37,6 +37,13 @@ pub(crate) trait JobOrder {
 
     /// A job arrived or finished: drop any cached order.
     fn jobs_changed(&mut self) {}
+
+    /// Identifies the order `refresh` last produced, for caches over it:
+    /// changes whenever the order is rebuilt. `None` for an order rebuilt on
+    /// every placing round, which leaves nothing to cache.
+    fn generation(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// FAIR's job order: jobs with launchable or resumable work, most-starved
@@ -83,6 +90,8 @@ pub(crate) struct HfspJobOrder {
     /// Virtual second the cached order was computed in; invalidated on job
     /// arrival/completion.
     stamp: Option<u64>,
+    /// Rebuilds so far: the order's generation.
+    rebuilds: u64,
 }
 
 impl JobOrder for HfspJobOrder {
@@ -105,6 +114,7 @@ impl JobOrder for HfspJobOrder {
             return true;
         }
         self.stamp = Some(bucket);
+        self.rebuilds += 1;
         self.scratch.clear();
         self.scratch.extend(
             ctx.jobs
@@ -124,6 +134,10 @@ impl JobOrder for HfspJobOrder {
 
     fn jobs_changed(&mut self) {
         self.stamp = None;
+    }
+
+    fn generation(&self) -> Option<u64> {
+        Some(self.rebuilds)
     }
 }
 
@@ -253,7 +267,8 @@ impl<O: JobOrder> Allocate<O> {
         node: NodeId,
     ) -> Vec<SchedulerAction> {
         if self.job_order.refresh(ctx, node, &mut self.order) {
-            fill_node(ctx, node, &self.order, &mut self.locality)
+            let generation = self.job_order.generation();
+            fill_node(ctx, node, &self.order, generation, &mut self.locality)
         } else {
             Vec::new()
         }

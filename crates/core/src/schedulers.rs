@@ -20,8 +20,8 @@ use crate::pipeline::{
 };
 use crate::primitive::PreemptionPrimitive;
 use mrp_engine::{
-    JobId, JobRuntime, Locality, NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy,
-    TaskKind, TaskState, TenantLedger,
+    DelayScoreboard, JobId, JobRuntime, Locality, NodeId, RackId, SchedulerAction,
+    SchedulerContext, SchedulerPolicy, TaskKind, TaskState, TenantLedger,
 };
 use mrp_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -116,6 +116,16 @@ fn clear_bit(bits: &mut [u64], key: u32) {
     }
 }
 
+/// ORs `src` into `dst`, growing `dst` as needed.
+fn or_into(dst: &mut Vec<u64>, src: &[u64]) {
+    if dst.len() < src.len() {
+        dst.resize(src.len(), 0);
+    }
+    for (d, w) in dst.iter_mut().zip(src) {
+        *d |= w;
+    }
+}
+
 fn bitset_of(keys: impl Iterator<Item = u32> + Clone) -> Vec<u64> {
     let max = keys.clone().max().map(|m| m as usize + 1).unwrap_or(0);
     let mut bits = vec![0u64; max.div_ceil(64)];
@@ -157,6 +167,98 @@ impl JobIndex {
     }
 }
 
+/// Bound on declining jobs visited per `fill_node` round. Without it, a
+/// round where every backlogged job waits for locality scans the whole job
+/// order on every heartbeat — O(jobs) of pure declines. Past the cap the
+/// slot simply stays free until the next heartbeat (by which point waits
+/// have escalated); capped-out jobs' clocks start a few heartbeats later,
+/// which only shifts their bounded wait, never starves them.
+const MAX_DECLINES_PER_ROUND: usize = 64;
+
+/// Declining jobs per [`DeclineWindow`] block.
+const WINDOW_BLOCK: usize = 8;
+
+/// Jobs without a placement preference (synthetic input) are never
+/// delay-restricted; tasks are laid out maps-first, so the first task tells.
+fn prefers_local(job: &JobRuntime) -> bool {
+    job.tasks
+        .first()
+        .is_some_and(|t| !t.preferred_nodes.is_empty())
+}
+
+/// Whether `job` takes `fill_node`'s fast-decline branch on `node` right
+/// now, recomputed from scratch: the debug-build check behind every block
+/// the decline window skips.
+fn fast_declines(
+    indices: &[Option<JobIndex>],
+    ctx: &SchedulerContext<'_>,
+    board: &DelayScoreboard,
+    job: JobId,
+    node: NodeId,
+    rack: Option<RackId>,
+) -> bool {
+    let Some(runtime) = ctx.jobs.get(&job) else {
+        return false;
+    };
+    let Some(Some(index)) = indices.get((job.0 as usize).wrapping_sub(1)) else {
+        return false;
+    };
+    let allowed = board.allowed(job, ctx.now);
+    runtime.schedulable_maps > 0
+        && runtime.schedulable_reduces == 0
+        && runtime.suspended_count == 0
+        && prefers_local(runtime)
+        && allowed < Locality::OffRack
+        && !test_bit(&index.node_bits, node.0)
+        && !(allowed >= Locality::RackLocal
+            && rack.is_some_and(|r| test_bit(&index.rack_bits, r.0)))
+}
+
+/// Up to [`WINDOW_BLOCK`] consecutive jobs of a [`DeclineWindow`].
+#[derive(Default)]
+struct WindowBlock {
+    /// Order position of the block's first job: just past the previous
+    /// block's last job, so the idle jobs in between belong to this block.
+    from: usize,
+    jobs: Vec<JobId>,
+    /// Union of the jobs' `JobIndex::node_bits`.
+    node_bits: Vec<u64>,
+    /// Union of `JobIndex::rack_bits` over the jobs allowed rack-local.
+    rack_bits: Vec<u64>,
+    /// What [`DelayScoreboard::note_skips`] returned when the block last
+    /// counted its declines.
+    skip_stamp: Option<u64>,
+}
+
+/// A cached summary of the head of a cached job order under delay
+/// scheduling: the leading jobs that take `fill_node`'s fast-decline branch
+/// on every node outside their replica sets, grouped into blocks whose
+/// replica bitsets are OR-ed. A round skips each leading block whose unions
+/// exclude its node and rack — every job in it would decline — in a couple
+/// of dense reads, and walks the order from the first block that might act.
+///
+/// A window job has schedulable maps, no schedulable reduces, no suspended
+/// tasks, replica preferences and an allowed level below `OffRack`; jobs
+/// with no work at all may sit between them. That stays true while the
+/// order generation and the scoreboard's shape epoch are unchanged, and the
+/// levels hold until the earliest escalation instant (`expires`): a reset
+/// only tightens a level, and a clock started later escalates later. Replica
+/// bits are only ever cleared after the build, so stale unions are too wide
+/// (slower), never too narrow (wrong).
+#[derive(Default)]
+struct DeclineWindow {
+    /// Order generation and shape epoch the window was built for.
+    key: Option<(u64, u64)>,
+    /// Earliest instant some window job's allowed level may loosen.
+    expires: SimTime,
+    /// The first `live` are the window's; the rest keep their buffers for
+    /// later rebuilds, which happen thousands of times per run.
+    blocks: Vec<WindowBlock>,
+    live: usize,
+    /// Order position just past the window's last job.
+    end: usize,
+}
+
 /// The per-job indices of one scheduler instance, built lazily per job and
 /// dropped when the job finishes. Job ids are dense (sequential from 1), so
 /// the table is a `Vec` indexed by `id - 1` — the per-job lookup on the
@@ -164,6 +266,8 @@ impl JobIndex {
 #[derive(Default)]
 pub(crate) struct LocalityIndex {
     jobs: Vec<Option<JobIndex>>,
+    /// The decline window over the policy's cached order.
+    window: DeclineWindow,
     /// Reusable per-round buffer of task positions already chosen for launch
     /// from the current job (guards against double-launching a task that
     /// appears on several candidate lists).
@@ -184,13 +288,115 @@ impl LocalityIndex {
         }
     }
 
-    /// The job's index, built on first touch.
+    /// The job's index, built on first touch. A new index drops the decline
+    /// window, which only ever covers jobs already indexed here: the next
+    /// round's rebuild may then reach past the new job.
     fn entry(&mut self, job: &JobRuntime, ctx: &SchedulerContext<'_>) -> &mut JobIndex {
         let idx = (job.id.0 as usize).saturating_sub(1);
         if idx >= self.jobs.len() {
             self.jobs.resize_with(idx + 1, || None);
         }
-        self.jobs[idx].get_or_insert_with(|| JobIndex::build(job, ctx))
+        let slot = &mut self.jobs[idx];
+        if slot.is_none() {
+            self.window.key = None;
+        }
+        slot.get_or_insert_with(|| JobIndex::build(job, ctx))
+    }
+
+    /// Rebuilds the decline window over `order` from position 0.
+    fn build_window(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        board: &DelayScoreboard,
+        order: &[JobId],
+        key: (u64, u64),
+    ) {
+        let window = &mut self.window;
+        window.key = Some(key);
+        window.expires = SimTime::MAX;
+        window.live = 0;
+        window.end = 0;
+        let mut jobs = 0usize;
+        for (pos, job_id) in order.iter().enumerate() {
+            let Some(job) = ctx.jobs.get(job_id) else {
+                continue;
+            };
+            if job.schedulable_count() == 0 && job.suspended_count == 0 {
+                continue;
+            }
+            if job.schedulable_reduces > 0 || job.suspended_count > 0 || !prefers_local(job) {
+                break;
+            }
+            let (allowed, until) = board.allowed_until(*job_id, ctx.now);
+            if allowed == Locality::OffRack || until <= ctx.now {
+                break;
+            }
+            // Indexing is left to the walk, so the window adds no memory.
+            let Some(Some(job_index)) = self.jobs.get((job_id.0 as usize).wrapping_sub(1)) else {
+                break;
+            };
+            window.expires = window.expires.min(until);
+            if jobs.is_multiple_of(WINDOW_BLOCK) {
+                if window.live == window.blocks.len() {
+                    window.blocks.push(WindowBlock::default());
+                }
+                let block = &mut window.blocks[window.live];
+                block.from = window.end;
+                block.jobs.clear();
+                block.node_bits.clear();
+                block.rack_bits.clear();
+                block.skip_stamp = None;
+                window.live += 1;
+            }
+            let block = &mut window.blocks[window.live - 1];
+            or_into(&mut block.node_bits, &job_index.node_bits);
+            if allowed >= Locality::RackLocal {
+                or_into(&mut block.rack_bits, &job_index.rack_bits);
+            }
+            block.jobs.push(*job_id);
+            window.end = pos + 1;
+            jobs += 1;
+            if jobs == MAX_DECLINES_PER_ROUND {
+                break;
+            }
+        }
+    }
+
+    /// Declines, in whole blocks, the leading window jobs that provably
+    /// decline a map slot on `node`, rebuilding the window first when it is
+    /// stale. Returns the order position the round's walk resumes at and the
+    /// declines recorded so far.
+    fn skip_declines(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        board: &DelayScoreboard,
+        node: NodeId,
+        rack: Option<RackId>,
+        order: &[JobId],
+        generation: u64,
+    ) -> (usize, usize) {
+        let key = (generation, board.shape_epoch());
+        if self.window.key != Some(key) || ctx.now >= self.window.expires {
+            self.build_window(ctx, board, order, key);
+        }
+        let mut declines = 0;
+        for block in &mut self.window.blocks[..self.window.live] {
+            if test_bit(&block.node_bits, node.0)
+                || rack.is_some_and(|r| test_bit(&block.rack_bits, r.0))
+            {
+                return (block.from, declines);
+            }
+            debug_assert!(
+                block
+                    .jobs
+                    .iter()
+                    .all(|job| fast_declines(&self.jobs, ctx, board, *job, node, rack)),
+                "a skipped window job could act on {node:?}"
+            );
+            block.skip_stamp = Some(board.note_skips(&block.jobs, ctx.now, block.skip_stamp));
+            declines += block.jobs.len();
+        }
+        (self.window.end, declines)
     }
 }
 
@@ -209,10 +415,16 @@ impl LocalityIndex {
 /// because the allowed level is a pure function of elapsed wait: every
 /// declining job reaches `OffRack` within the configured waits, even when
 /// all its replica holders are dead.
+///
+/// `generation` identifies `ordered_jobs` across rounds (see
+/// [`JobOrder::generation`](crate::pipeline::JobOrder)); when given, the
+/// round first skips the order's provably declining head through the
+/// index's [`DeclineWindow`], with the same outcome as walking it.
 pub(crate) fn fill_node(
     ctx: &SchedulerContext<'_>,
     node: NodeId,
     ordered_jobs: &[JobId],
+    generation: Option<u64>,
     index: &mut LocalityIndex,
 ) -> Vec<SchedulerAction> {
     let Some(view) = ctx.node(node) else {
@@ -238,7 +450,8 @@ pub(crate) fn fill_node(
         return Vec::new();
     }
     let rack = ctx.topology.rack_of(node);
-    let delay_on = ctx.delay_enabled();
+    let board = ctx.delay.filter(|d| d.enabled());
+    let delay_on = board.is_some();
     // Failure-aware placement: while this node's failure history marks it
     // flaky *and* capacity exists elsewhere, withhold fresh launches (and
     // speculative backups) from it. Resumes are never gated — the suspended
@@ -249,15 +462,19 @@ pub(crate) fn fill_node(
     let mut free_reduce = view.free_reduce_slots;
     let mut resumable = view.suspended.len();
     let mut actions = Vec::new();
-    // Bound on declining jobs visited per round. Without it, a round where
-    // every backlogged job waits for locality scans the whole job order on
-    // every heartbeat — O(jobs) of pure declines. Past the cap the slot
-    // simply stays free until the next heartbeat (by which point waits have
-    // escalated); capped-out jobs' clocks start a few heartbeats later,
-    // which only shifts their bounded wait, never starves them.
-    const MAX_DECLINES_PER_ROUND: usize = 64;
-    let mut declines = 0usize;
-    for job_id in ordered_jobs {
+    // The window only answers for rounds with a map slot to decline.
+    let (start, mut declines) = match (board, generation) {
+        (Some(board), Some(generation)) if can_launch_map => {
+            index.skip_declines(ctx, board, node, rack, ordered_jobs, generation)
+        }
+        _ => (0, 0),
+    };
+    let walk = if declines < MAX_DECLINES_PER_ROUND {
+        &ordered_jobs[start..]
+    } else {
+        &[]
+    };
+    for job_id in walk {
         // Stop as soon as the remaining slots provably cannot be used by
         // anything further down the list (per-kind: a free reduce slot must
         // not keep the loop scanning map-only jobs).
@@ -314,19 +531,14 @@ pub(crate) fn fill_node(
         // right now, decided *before* any index work — at scale most
         // delayed rounds visit many declining jobs, and the decline path
         // must stay a few dense reads, not hash lookups. Jobs with no
-        // replica preferences (synthetic input; tasks are maps-first, so
-        // the first task tells) are never restricted, and neither is a job
+        // replica preferences are never restricted, and neither is a job
         // with no schedulable maps at all: the gate only ever withholds map
         // launches, and treating a pure-reduce-phase job as restricted
         // would also suppress the tier-3 rewind below — stranding a reduce
         // killed back to pending behind the cursor forever, since a job
         // without schedulable maps never declines anything and so never
         // escalates.
-        let prefers_local = job
-            .tasks
-            .first()
-            .is_some_and(|t| !t.preferred_nodes.is_empty());
-        let allowed = if delay_on && prefers_local && job.schedulable_maps > 0 {
+        let allowed = if delay_on && prefers_local(job) && job.schedulable_maps > 0 {
             ctx.delay_allowed(*job_id)
         } else {
             Locality::OffRack
@@ -954,5 +1166,341 @@ mod tests {
             with_spec.makespan_secs().unwrap(),
             without.makespan_secs().unwrap()
         );
+    }
+
+    /// The decline window against the plain walk from position 0: one
+    /// hand-built job table, two scoreboards and two indices, every round
+    /// run both ways and held to the same actions and the same delay state.
+    struct WindowHarness {
+        jobs: mrp_engine::JobTable,
+        order: Vec<JobId>,
+        generation: u64,
+        topology: mrp_engine::Topology,
+        views: Vec<mrp_engine::NodeView>,
+        /// `[window, walk]`.
+        boards: [mrp_engine::DelayScoreboard; 2],
+        indices: [LocalityIndex; 2],
+    }
+
+    impl WindowHarness {
+        /// 16 nodes in 4 racks (nodes 0-3 in rack 0, ...) with one free map
+        /// slot each, waits of 3 s + 3 s, and one single-map job per entry
+        /// of `holders`, its one replica on that node.
+        fn new(holders: &[u32]) -> Self {
+            let board = || {
+                mrp_engine::DelayScoreboard::new(mrp_engine::DelayConfig::waits(
+                    SimDuration::from_secs(3),
+                    SimDuration::from_secs(3),
+                ))
+            };
+            let mut h = WindowHarness {
+                jobs: mrp_engine::JobTable::new(),
+                order: Vec::new(),
+                generation: 0,
+                topology: mrp_engine::Topology::blocked(16, 4),
+                views: (0..16)
+                    .map(|n| mrp_engine::NodeView {
+                        id: NodeId(n),
+                        free_map_slots: 1,
+                        free_reduce_slots: 0,
+                        running: vec![],
+                        suspended: vec![],
+                    })
+                    .collect(),
+                boards: [board(), board()],
+                indices: Default::default(),
+            };
+            for &holder in holders {
+                h.add_job(&[holder]);
+            }
+            h
+        }
+
+        /// Adds a map-only job with one task per entry of `holders` (its
+        /// replica node) at the end of the order.
+        fn add_job(&mut self, holders: &[u32]) -> JobId {
+            let id = JobId(self.jobs.len() as u32 + 1);
+            let tasks = holders
+                .iter()
+                .zip(0..)
+                .map(|(&holder, index)| {
+                    let task = mrp_engine::TaskId {
+                        job: id,
+                        kind: TaskKind::Map,
+                        index,
+                    };
+                    mrp_engine::TaskRuntime::new(task, 128 * MIB, vec![NodeId(holder)])
+                })
+                .collect();
+            let mut job = JobRuntime {
+                id,
+                spec: JobSpec::map_only(format!("job{}", id.0), "/in"),
+                submitted_at: SimTime::ZERO,
+                completed_at: None,
+                tasks,
+                schedulable_maps: 0,
+                schedulable_reduces: 0,
+                suspended_count: 0,
+                occupying_count: 0,
+                speculative_live: 0,
+                remaining_bytes: 0,
+            };
+            job.recount_task_states();
+            self.jobs.insert(id, job);
+            for board in &self.boards {
+                board.register_job();
+            }
+            self.order.push(id);
+            id
+        }
+
+        /// Forces task `index` of `job` into `state` the way
+        /// `Cluster::edit_task` does: recount, and report a zero crossing of
+        /// the job's counters to both scoreboards.
+        fn set_state(&mut self, job: JobId, index: usize, state: TaskState) {
+            let runtime = self.jobs.get_mut(&job).expect("known job");
+            let shape = |j: &JobRuntime| {
+                (
+                    j.schedulable_maps > 0,
+                    j.schedulable_reduces > 0,
+                    j.suspended_count > 0,
+                )
+            };
+            let before = shape(runtime);
+            runtime.tasks[index].state = state;
+            runtime.recount_task_states();
+            if shape(runtime) != before {
+                for board in &self.boards {
+                    board.note_shape_change();
+                }
+            }
+        }
+
+        /// Offers `node`'s free map slot at second `secs` to the window and
+        /// to the walk, asserts they agree, and applies the launches (a
+        /// node-local one resets the job's wait, as the engine does).
+        fn round(&mut self, secs: u64, node: u32) -> Vec<SchedulerAction> {
+            let now = SimTime::from_secs(secs);
+            let mut outcomes = Vec::new();
+            for side in 0..2 {
+                let ctx = SchedulerContext {
+                    now,
+                    jobs: &self.jobs,
+                    nodes: &self.views,
+                    racks: &[],
+                    topology: &self.topology,
+                    totals: mrp_engine::PendingTotals::from_jobs(&self.jobs),
+                    speculation: mrp_engine::SpeculationConfig::default(),
+                    delay: Some(&self.boards[side]),
+                    shuffle: None,
+                    reliability: None,
+                };
+                let generation = (side == 0).then_some(self.generation);
+                outcomes.push(fill_node(
+                    &ctx,
+                    NodeId(node),
+                    &self.order,
+                    generation,
+                    &mut self.indices[side],
+                ));
+            }
+            assert_eq!(
+                outcomes[0], outcomes[1],
+                "actions at {now:?} on node {node}"
+            );
+            let [window, walk] = &self.boards;
+            assert_eq!(window.total_skips(), walk.total_skips(), "skips at {now:?}");
+            for job in self.jobs.values() {
+                assert_eq!(
+                    window.allowed_until(job.id, now),
+                    walk.allowed_until(job.id, now),
+                    "{:?} at {now:?}",
+                    job.id
+                );
+                assert_eq!(window.job_waiting(job.id), walk.job_waiting(job.id));
+            }
+            let actions = outcomes.pop().expect("two sides");
+            for action in &actions {
+                let SchedulerAction::Launch { task, node } = *action else {
+                    continue;
+                };
+                self.set_state(task.job, task.index as usize, TaskState::Running);
+                let t = &self.jobs.get(&task.job).expect("known job").tasks[task.index as usize];
+                if t.preferred_nodes.contains(&node) {
+                    for board in &self.boards {
+                        board.local_launch(task.job, now);
+                    }
+                }
+            }
+            actions
+        }
+
+        fn launched(actions: &[SchedulerAction]) -> Vec<(JobId, NodeId)> {
+            actions
+                .iter()
+                .filter_map(|a| match *a {
+                    SchedulerAction::Launch { task, node } => Some((task.job, node)),
+                    _ => None,
+                })
+                .collect()
+        }
+    }
+
+    #[test]
+    fn window_rebuilds_when_the_order_generation_moves() {
+        // Twenty jobs local to node 0, then a two-map job local to node 8,
+        // which takes node 8's slot for one of its maps.
+        let mut h = WindowHarness::new(&[0; 20]);
+        let local = h.add_job(&[8, 8]);
+        assert_eq!(
+            WindowHarness::launched(&h.round(0, 8)),
+            [(local, NodeId(8))]
+        );
+        // All 21 decline node 12 (rack 3); the second round skips them in
+        // three blocks.
+        assert!(h.round(1, 12).is_empty());
+        assert!(h.round(1, 12).is_empty());
+        assert_eq!(h.indices[0].window.live, 3);
+        assert_eq!(h.boards[0].total_skips(), 20 + 2 * 21);
+        // HFSP re-sorts and ranks the last job first. Over the old order
+        // the window's first block would skip it on node 8; the new
+        // generation drops that window.
+        h.order.rotate_right(1);
+        h.generation += 1;
+        assert_eq!(
+            WindowHarness::launched(&h.round(2, 8)),
+            [(local, NodeId(8))]
+        );
+        assert_eq!(h.indices[0].window.key.map(|k| k.0), Some(1));
+    }
+
+    #[test]
+    fn window_rebuilds_when_the_shape_epoch_moves() {
+        // Job 4 has two maps local to node 8 and takes its slot for one;
+        // the other nineteen jobs are local to node 0.
+        let mut h = WindowHarness::new(&[0; 3]);
+        h.add_job(&[8, 8]);
+        for _ in 0..16 {
+            h.add_job(&[0]);
+        }
+        assert_eq!(
+            WindowHarness::launched(&h.round(0, 8)),
+            [(JobId(4), NodeId(8))]
+        );
+        // Its second map starts elsewhere, so job 4 sits idle inside the
+        // window's first block while the others decline node 12.
+        h.set_state(JobId(4), 1, TaskState::Running);
+        assert!(h.round(1, 12).is_empty());
+        assert!(h.round(1, 12).is_empty());
+        assert_eq!(h.indices[0].window.blocks[0].jobs.len(), WINDOW_BLOCK);
+        let epoch = h.boards[0].shape_epoch();
+        // That attempt dies and the map is schedulable again: the job's
+        // schedulable-map count crosses zero and the epoch moves. The stale
+        // window would skip job 4 on node 8; the rebuilt one holds it.
+        h.set_state(JobId(4), 1, TaskState::Pending);
+        assert_eq!(h.boards[0].shape_epoch(), epoch + 1);
+        assert_eq!(
+            WindowHarness::launched(&h.round(2, 8)),
+            [(JobId(4), NodeId(8))]
+        );
+        assert_eq!(h.indices[0].window.key.map(|k| k.1), Some(epoch + 1));
+    }
+
+    #[test]
+    fn window_expires_at_the_earliest_escalation() {
+        // Ten jobs local to node 0 decline node 1, in the same rack, while
+        // they are node-local only: clocks start at 0 s.
+        let mut h = WindowHarness::new(&[0; 10]);
+        assert!(h.round(0, 1).is_empty());
+        assert!(h.round(2, 1).is_empty());
+        assert_eq!(h.indices[0].window.live, 2);
+        assert_eq!(h.indices[0].window.expires, SimTime::from_secs(3));
+        // At 3 s they escalate to rack-local: the window expires and node 1
+        // gets a rack-local launch.
+        assert_eq!(
+            WindowHarness::launched(&h.round(3, 1)),
+            [(JobId(1), NodeId(1))]
+        );
+        // Other racks are declined until 6 s, then taken off-rack.
+        assert!(h.round(5, 8).is_empty());
+        assert_eq!(h.indices[0].window.expires, SimTime::from_secs(6));
+        assert_eq!(
+            WindowHarness::launched(&h.round(6, 8)),
+            [(JobId(2), NodeId(8))]
+        );
+        assert_eq!(h.indices[0].window.live, 0, "nothing to skip");
+    }
+
+    #[test]
+    fn window_restarts_clocks_that_a_local_launch_reset() {
+        // Ten two-map jobs local to node 0 decline node 8: clocks start, and
+        // the second round counts the declines of the window's blocks.
+        let mut h = WindowHarness::new(&[]);
+        for _ in 0..10 {
+            h.add_job(&[0, 0]);
+        }
+        assert!(h.round(0, 8).is_empty());
+        assert!(h.round(1, 8).is_empty());
+        let key = h.indices[0].window.key;
+        // Job 1 launches node-local: its wait resets, but it keeps a
+        // schedulable map, so the window stays valid.
+        assert_eq!(
+            WindowHarness::launched(&h.round(1, 0)),
+            [(JobId(1), NodeId(0))]
+        );
+        assert!(!h.boards[0].job_waiting(JobId(1)));
+        // The next skip of its block must restart the clock, not only count.
+        assert!(h.round(2, 8).is_empty());
+        assert_eq!(h.indices[0].window.key, key);
+        assert_eq!(
+            h.boards[0].allowed_until(JobId(1), SimTime::from_secs(2)),
+            (Locality::NodeLocal, SimTime::from_secs(5))
+        );
+        assert_eq!(h.boards[0].total_skips(), 30);
+    }
+
+    #[test]
+    fn window_stops_at_the_decline_cap_like_the_walk() {
+        // 64 decliners, then a job local to node 8 that the cap hides.
+        let mut holders = vec![0; MAX_DECLINES_PER_ROUND];
+        holders.push(8);
+        let mut h = WindowHarness::new(&holders);
+        assert!(h.round(0, 8).is_empty());
+        assert!(h.round(1, 8).is_empty());
+        assert_eq!(h.boards[0].total_skips(), 2 * MAX_DECLINES_PER_ROUND as u64);
+        assert_eq!(h.indices[0].window.end, MAX_DECLINES_PER_ROUND);
+    }
+
+    #[test]
+    fn window_matches_the_walk_over_random_rounds() {
+        for seed in 0..12 {
+            let mut rng = mrp_sim::SimRng::new(0x51D0 + seed);
+            let mut h = WindowHarness::new(&[]);
+            for _ in 0..80 {
+                let holders: Vec<u32> = (0..1 + rng.index(3))
+                    .map(|_| rng.index(16) as u32)
+                    .collect();
+                h.add_job(&holders);
+            }
+            let mut secs = 0;
+            for _ in 0..200 {
+                secs += rng.index(2) as u64;
+                if rng.chance(0.05) {
+                    rng.shuffle(&mut h.order);
+                    h.generation += 1;
+                }
+                if rng.chance(0.1) {
+                    let job = JobId(1 + rng.index(h.jobs.len()) as u32);
+                    let tasks = h.jobs.get(&job).expect("known job").tasks.len();
+                    let state = if rng.chance(0.5) {
+                        TaskState::Pending
+                    } else {
+                        TaskState::Running
+                    };
+                    h.set_state(job, rng.index(tasks), state);
+                }
+                h.round(secs, rng.index(16) as u32);
+            }
+        }
     }
 }

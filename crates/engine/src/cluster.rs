@@ -937,8 +937,19 @@ impl Cluster {
         job.remaining_bytes = job.remaining_bytes - bytes + after_bytes;
         // Most edits are progress reports that leave the state alone.
         if after_state != state {
+            let shape = |j: &JobRuntime| {
+                (
+                    j.schedulable_maps > 0,
+                    j.schedulable_reduces > 0,
+                    j.suspended_count > 0,
+                )
+            };
+            let shape_before = shape(job);
             let (before, after) = (Self::state_classes(state), Self::state_classes(after_state));
             Self::apply_state_delta(job, &mut self.totals, task.kind, before, after);
+            if shape(job) != shape_before {
+                self.delay.note_shape_change();
+            }
         }
         Some(out)
     }

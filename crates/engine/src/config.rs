@@ -450,8 +450,19 @@ impl DelayConfig {
     /// Validates the knobs (no-op while the feature is off), returning the
     /// first problem found.
     pub fn validate(&self) -> Result<(), String> {
-        if self.enabled && self.node_local_wait.is_zero() && self.rack_local_wait.is_zero() {
+        if !self.enabled {
+            return Ok(());
+        }
+        if self.node_local_wait.is_zero() && self.rack_local_wait.is_zero() {
             return Err("delay scheduling needs a positive wait at some locality level".into());
+        }
+        if self
+            .node_local_wait
+            .as_micros()
+            .checked_add(self.rack_local_wait.as_micros())
+            .is_none()
+        {
+            return Err("delay scheduling waits overflow when added".into());
         }
         Ok(())
     }
@@ -1070,6 +1081,23 @@ mod tests {
         // Disabled delay with zero waits is the default and fine.
         assert!(!ClusterConfig::paper_single_node().delay.enabled);
         assert!(ClusterConfig::paper_single_node().validate().is_ok());
+    }
+
+    #[test]
+    fn overflowing_delay_waits_are_rejected() {
+        let huge = SimDuration::from_micros(u64::MAX);
+        let mut cfg = ClusterConfig::paper_single_node();
+        cfg.delay = DelayConfig::waits(huge, SimDuration::from_micros(1));
+        assert!(cfg.delay.validate().is_err());
+        assert!(cfg.validate().is_err());
+        // The largest waits that still add up are accepted.
+        cfg.delay = DelayConfig::waits(huge, SimDuration::ZERO);
+        assert!(cfg.validate().is_ok());
+        cfg.delay = DelayConfig::waits(
+            SimDuration::from_micros(u64::MAX - 1),
+            SimDuration::from_micros(1),
+        );
+        assert!(cfg.validate().is_ok());
     }
 
     #[test]

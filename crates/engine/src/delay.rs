@@ -12,7 +12,7 @@
 //! can never starve.
 //!
 //! The [`DelayScoreboard`] is the engine-owned state behind the policy — one
-//! wait clock and skip counter per job:
+//! wait clock per job:
 //!
 //! * the clock **starts** the first time the job declines an offered slot
 //!   (never before: a job that was never offered anything is genuinely
@@ -24,17 +24,30 @@
 //!   [`DelayConfig::rack_local_wait`](crate::DelayConfig) — so escalation
 //!   needs no extra events and keeps working even when every replica holder
 //!   of a job's pending tasks is dead (the fault-injection case: a dead node
-//!   must not strand the job's skip counter);
+//!   must not strand the job's wait);
 //! * the clock **resets** when the job launches a node-local map task
 //!   (reset-on-local-launch), making the job wait again for its next task.
 //!
-//! Scheduling policies never touch the scoreboard directly; they go through
-//! the [`SchedulerContext`](crate::SchedulerContext) helpers
-//! (`delay_allowed`, `note_delay_skip`, `delay_gated`), which keeps FIFO,
-//! FAIR and HFSP on the exact same placement policy with no per-scheduler
-//! forks. Interior mutability (`RefCell`/`Cell`) lets the policies record
-//! skips through the shared context; the simulation is single-threaded and
-//! every mutation is a deterministic function of the event sequence, so
+//! Two counters let a policy cache "these jobs decline here" across rounds
+//! and stay exact:
+//!
+//! * the **shape epoch** moves whenever some job's schedulable-map,
+//!   schedulable-reduce or suspended count crosses zero (the engine reports
+//!   it from `Cluster::edit_task`), i.e. whenever a job may start or stop
+//!   having work of a kind;
+//! * the **reset count** moves whenever a node-local launch resets a
+//!   running wait. While it stands still, every clock once seen running is
+//!   still running, so a batch of declines by such jobs is a plain addition
+//!   to the skip total ([`DelayScoreboard::note_skips`]).
+//!
+//! Scheduling policies reach the scoreboard through the
+//! [`SchedulerContext`](crate::SchedulerContext) helpers (`delay_allowed`,
+//! `note_delay_skip`, `delay_gated`), which keeps FIFO, FAIR and HFSP on the
+//! exact same placement policy with no per-scheduler forks; the HFSP decline
+//! window reads the epochs through `SchedulerContext::delay` directly.
+//! Interior mutability (`RefCell`/`Cell`) lets the policies record skips
+//! through the shared context; the simulation is single-threaded and every
+//! mutation is a deterministic function of the event sequence, so
 //! fixed-seed determinism and `RefreshMode::Sharded == Full` equivalence are
 //! preserved.
 
@@ -44,25 +57,22 @@ use mrp_dfs::Locality;
 use mrp_sim::{SimDuration, SimTime};
 use std::cell::{Cell, RefCell};
 
-/// Per-job delay state: the wait clock and the skip counter.
-#[derive(Clone, Copy, Debug, Default)]
-struct JobDelay {
-    /// When the job first declined an offered slot since its last
-    /// node-local launch; `None` while the job has nothing to wait for.
-    wait_started: Option<SimTime>,
-    /// Scheduling opportunities declined since the last reset.
-    skips: u32,
-}
-
 /// Engine-owned delay-scheduling state shared with policies through
 /// [`SchedulerContext`](crate::SchedulerContext). See the module docs.
 #[derive(Debug)]
 pub struct DelayScoreboard {
     config: DelayConfig,
-    /// Per-job state, dense by `JobId` (ids are sequential from 1).
-    states: RefCell<Vec<JobDelay>>,
+    /// Per-job wait clock, dense by `JobId` (ids are sequential from 1):
+    /// when the job first declined an offered slot since its last
+    /// node-local launch; `None` while the job has nothing to wait for.
+    waits: RefCell<Vec<Option<SimTime>>>,
     /// Total declined opportunities, for [`LocalityStats`](crate::LocalityStats).
     total_skips: Cell<u64>,
+    /// Running waits reset by a node-local launch so far.
+    resets: Cell<u64>,
+    /// Zero crossings of any job's schedulable-map, schedulable-reduce or
+    /// suspended count so far.
+    shape_epoch: Cell<u64>,
 }
 
 impl DelayScoreboard {
@@ -70,8 +80,10 @@ impl DelayScoreboard {
     pub fn new(config: DelayConfig) -> Self {
         DelayScoreboard {
             config,
-            states: RefCell::new(Vec::new()),
+            waits: RefCell::new(Vec::new()),
             total_skips: Cell::new(0),
+            resets: Cell::new(0),
+            shape_epoch: Cell::new(0),
         }
     }
 
@@ -82,52 +94,78 @@ impl DelayScoreboard {
         self.config.enabled
     }
 
-    /// Registers the next job (ids are dense; called by the engine on job
-    /// registration).
-    pub(crate) fn register_job(&self) {
-        self.states.borrow_mut().push(JobDelay::default());
+    /// Registers the next job (ids are dense; the engine calls this on job
+    /// registration, hand-built harnesses once per job they create).
+    pub fn register_job(&self) {
+        self.waits.borrow_mut().push(None);
     }
 
     /// The loosest locality level the job may launch map tasks at right now.
     /// `NodeLocal` means node-local only; `OffRack` means anything goes
     /// (also the answer whenever delay scheduling is disabled).
     pub fn allowed(&self, job: JobId, now: SimTime) -> Locality {
+        self.allowed_until(job, now).0
+    }
+
+    /// [`DelayScoreboard::allowed`], plus the earliest instant the level may
+    /// loosen ([`SimTime::MAX`] once it is `OffRack`). A clock that has not
+    /// started yet starts no earlier than `now`, so such a job holds
+    /// `NodeLocal` at least until `now + node_local_wait`; a reset only ever
+    /// tightens the level. Additions saturate, so huge waits mean "never".
+    pub fn allowed_until(&self, job: JobId, now: SimTime) -> (Locality, SimTime) {
         if !self.config.enabled {
-            return Locality::OffRack;
+            return (Locality::OffRack, SimTime::MAX);
         }
-        let states = self.states.borrow();
-        let Some(state) = states.get((job.0 as usize).wrapping_sub(1)) else {
-            return Locality::OffRack;
+        let waits = self.waits.borrow();
+        let Some(&wait) = waits.get((job.0 as usize).wrapping_sub(1)) else {
+            return (Locality::OffRack, SimTime::MAX);
         };
-        let Some(started) = state.wait_started else {
-            return Locality::NodeLocal;
-        };
-        let waited = now - started;
-        if waited >= self.config.node_local_wait + self.config.rack_local_wait {
-            Locality::OffRack
-        } else if waited >= self.config.node_local_wait {
-            Locality::RackLocal
+        let rack_at = wait
+            .unwrap_or(now)
+            .saturating_add(self.config.node_local_wait);
+        let any_at = rack_at.saturating_add(self.config.rack_local_wait);
+        if wait.is_none() || now < rack_at {
+            (Locality::NodeLocal, rack_at)
+        } else if now < any_at {
+            (Locality::RackLocal, any_at)
         } else {
-            Locality::NodeLocal
+            (Locality::OffRack, SimTime::MAX)
         }
     }
 
     /// Records that `job` declined a launch opportunity it could have used
     /// (a free slot of the right kind on a node below its allowed locality):
-    /// starts the wait clock if it is not running and bumps the counters.
+    /// starts the wait clock if it is not running and counts the skip.
     pub fn note_skip(&self, job: JobId, now: SimTime) {
         if !self.config.enabled {
             return;
         }
-        let mut states = self.states.borrow_mut();
-        let Some(state) = states.get_mut((job.0 as usize).wrapping_sub(1)) else {
+        let mut waits = self.waits.borrow_mut();
+        let Some(wait) = waits.get_mut((job.0 as usize).wrapping_sub(1)) else {
             return;
         };
-        if state.wait_started.is_none() {
-            state.wait_started = Some(now);
-        }
-        state.skips = state.skips.saturating_add(1);
+        wait.get_or_insert(now);
         self.total_skips.set(self.total_skips.get() + 1);
+    }
+
+    /// [`DelayScoreboard::note_skip`] for each of `jobs` (all registered).
+    /// `stamp` is what this call returned the last time it was given the
+    /// same jobs, or `None`: when no running wait was reset since, every one
+    /// of their clocks is still running and the call is one addition.
+    /// Returns the stamp for the next call.
+    pub fn note_skips(&self, jobs: &[JobId], now: SimTime, stamp: Option<u64>) -> u64 {
+        if !self.config.enabled {
+            return self.resets.get();
+        }
+        if stamp != Some(self.resets.get()) {
+            let mut waits = self.waits.borrow_mut();
+            for job in jobs {
+                waits[(job.0 as usize).wrapping_sub(1)].get_or_insert(now);
+            }
+        }
+        self.total_skips
+            .set(self.total_skips.get() + jobs.len() as u64);
+        self.resets.get()
     }
 
     /// True while the job is *actively* waiting by its own choice: its wait
@@ -138,30 +176,40 @@ impl DelayScoreboard {
     /// A job whose clock never started was never offered anything and *is*
     /// starved.
     pub fn gated(&self, job: JobId, now: SimTime) -> bool {
-        if !self.config.enabled {
-            return false;
-        }
-        let waiting = {
-            let states = self.states.borrow();
-            states
-                .get((job.0 as usize).wrapping_sub(1))
-                .is_some_and(|s| s.wait_started.is_some())
-        };
-        waiting && self.allowed(job, now) != Locality::OffRack
+        self.job_waiting(job) && self.allowed(job, now) != Locality::OffRack
     }
 
     /// Resets the job's wait after a node-local map launch, returning how
     /// long the job had been waiting (for the wait-time histogram), or
-    /// `None` if no wait was running.
-    pub(crate) fn local_launch(&self, job: JobId, now: SimTime) -> Option<SimDuration> {
+    /// `None` if no wait was running. The engine calls this on every
+    /// node-local map launch.
+    pub fn local_launch(&self, job: JobId, now: SimTime) -> Option<SimDuration> {
         if !self.config.enabled {
             return None;
         }
-        let mut states = self.states.borrow_mut();
-        let state = states.get_mut((job.0 as usize).wrapping_sub(1))?;
-        let started = state.wait_started.take()?;
-        state.skips = 0;
+        let started = self
+            .waits
+            .borrow_mut()
+            .get_mut((job.0 as usize).wrapping_sub(1))?
+            .take()?;
+        self.resets.set(self.resets.get() + 1);
         Some(now - started)
+    }
+
+    /// Records that some job's schedulable-map, schedulable-reduce or
+    /// suspended count just crossed zero (a no-op while delay scheduling is
+    /// off). The engine calls this from its single task-edit path.
+    pub fn note_shape_change(&self) {
+        if self.config.enabled {
+            self.shape_epoch.set(self.shape_epoch.get() + 1);
+        }
+    }
+
+    /// The shape epoch: changes whenever some job may have started or
+    /// stopped having schedulable maps, schedulable reduces or suspended
+    /// tasks.
+    pub fn shape_epoch(&self) -> u64 {
+        self.shape_epoch.get()
     }
 
     /// Total declined launch opportunities so far (all jobs).
@@ -169,21 +217,12 @@ impl DelayScoreboard {
         self.total_skips.get()
     }
 
-    /// The job's current skip counter (test observability).
-    pub fn job_skips(&self, job: JobId) -> u32 {
-        self.states
-            .borrow()
-            .get((job.0 as usize).wrapping_sub(1))
-            .map(|s| s.skips)
-            .unwrap_or(0)
-    }
-
     /// Whether the job's wait clock is currently running (test observability).
     pub fn job_waiting(&self, job: JobId) -> bool {
-        self.states
+        self.waits
             .borrow()
             .get((job.0 as usize).wrapping_sub(1))
-            .is_some_and(|s| s.wait_started.is_some())
+            .is_some_and(|w| w.is_some())
     }
 }
 
@@ -251,20 +290,109 @@ mod tests {
     }
 
     #[test]
-    fn local_launch_resets_the_clock_and_the_skip_counter() {
+    fn local_launch_resets_the_clock() {
         let sb = board(3, 3);
         let job = JobId(1);
         sb.note_skip(job, SimTime::from_secs(10));
         sb.note_skip(job, SimTime::from_secs(11));
-        assert_eq!(sb.job_skips(job), 2);
+        assert!(sb.job_waiting(job));
         assert_eq!(sb.total_skips(), 2);
         let waited = sb.local_launch(job, SimTime::from_secs(14));
         assert_eq!(waited, Some(SimDuration::from_secs(4)));
-        assert_eq!(sb.job_skips(job), 0);
         assert!(!sb.job_waiting(job));
+        assert_eq!(sb.total_skips(), 2, "the total survives the reset");
         // The wait starts over for the next task.
         assert_eq!(sb.allowed(job, SimTime::from_secs(20)), Locality::NodeLocal);
         assert_eq!(sb.local_launch(job, SimTime::from_secs(20)), None);
+    }
+
+    #[test]
+    fn allowed_until_names_the_next_escalation() {
+        let sb = board(3, 3);
+        let job = JobId(1);
+        // An idle clock starts no earlier than now.
+        assert_eq!(
+            sb.allowed_until(job, SimTime::from_secs(10)),
+            (Locality::NodeLocal, SimTime::from_secs(13))
+        );
+        sb.note_skip(job, SimTime::from_secs(10));
+        assert_eq!(
+            sb.allowed_until(job, SimTime::from_secs(12)),
+            (Locality::NodeLocal, SimTime::from_secs(13))
+        );
+        assert_eq!(
+            sb.allowed_until(job, SimTime::from_secs(13)),
+            (Locality::RackLocal, SimTime::from_secs(16))
+        );
+        assert_eq!(
+            sb.allowed_until(job, SimTime::from_secs(16)),
+            (Locality::OffRack, SimTime::MAX)
+        );
+    }
+
+    #[test]
+    fn waits_too_long_to_add_saturate_to_never() {
+        let sb = DelayScoreboard::new(DelayConfig::waits(
+            SimDuration::from_micros(u64::MAX),
+            SimDuration::from_micros(1),
+        ));
+        sb.register_job();
+        let job = JobId(1);
+        sb.note_skip(job, SimTime::from_secs(5));
+        let late = SimTime::from_micros(u64::MAX - 1);
+        assert_eq!(
+            sb.allowed_until(job, late),
+            (Locality::NodeLocal, SimTime::MAX)
+        );
+        assert!(sb.gated(job, late));
+    }
+
+    #[test]
+    fn batched_skips_restart_clocks_only_after_a_reset() {
+        let sb = board(3, 3);
+        sb.register_job();
+        let jobs = [JobId(1), JobId(2)];
+        let stamp = sb.note_skips(&jobs, SimTime::from_secs(1), None);
+        assert!(sb.job_waiting(JobId(1)) && sb.job_waiting(JobId(2)));
+        assert_eq!(sb.total_skips(), 2);
+        // Nothing reset: the same stamp comes back and only the total moves.
+        assert_eq!(
+            sb.note_skips(&jobs, SimTime::from_secs(2), Some(stamp)),
+            stamp
+        );
+        assert_eq!(sb.total_skips(), 4);
+        // A reset moves the stamp, so the next batch restarts the clock.
+        sb.local_launch(JobId(2), SimTime::from_secs(2));
+        assert!(!sb.job_waiting(JobId(2)));
+        let next = sb.note_skips(&jobs, SimTime::from_secs(3), Some(stamp));
+        assert_ne!(next, stamp);
+        assert_eq!(
+            sb.allowed_until(JobId(2), SimTime::from_secs(3)),
+            (Locality::NodeLocal, SimTime::from_secs(6))
+        );
+        assert_eq!(
+            sb.allowed_until(JobId(1), SimTime::from_secs(3)),
+            (Locality::NodeLocal, SimTime::from_secs(4)),
+            "a running clock keeps its start"
+        );
+        assert_eq!(sb.total_skips(), 6);
+        // A launch that ends no wait is not a reset.
+        assert_eq!(
+            sb.local_launch(JobId(2), SimTime::from_secs(3)),
+            Some(SimDuration::ZERO)
+        );
+        assert_eq!(sb.local_launch(JobId(2), SimTime::from_secs(3)), None);
+        assert_eq!(sb.note_skips(&jobs, SimTime::from_secs(4), None), next + 1);
+    }
+
+    #[test]
+    fn shape_epoch_moves_only_while_enabled() {
+        let sb = board(3, 3);
+        sb.note_shape_change();
+        assert_eq!(sb.shape_epoch(), 1);
+        let off = DelayScoreboard::new(DelayConfig::default());
+        off.note_shape_change();
+        assert_eq!(off.shape_epoch(), 0);
     }
 
     #[test]

@@ -162,8 +162,9 @@ pub struct SchedulerContext<'a> {
     /// [`ClusterConfig::delay`](crate::ClusterConfig)), if the cluster has
     /// one. Policies consult it through [`SchedulerContext::delay_allowed`],
     /// [`SchedulerContext::note_delay_skip`] and
-    /// [`SchedulerContext::delay_gated`]; hand-built harness contexts pass
-    /// `None` (delay scheduling off).
+    /// [`SchedulerContext::delay_gated`]; a cache of declining jobs may read
+    /// its epochs and batch its skips directly. Hand-built harness contexts
+    /// pass `None` (delay scheduling off).
     pub delay: Option<&'a DelayScoreboard>,
     /// The engine-owned map-output registry (from
     /// [`ClusterConfig::shuffle`](crate::ClusterConfig)), if the cluster has
@@ -971,7 +972,7 @@ mod tests {
             .on_heartbeat(&ctx_at(SimTime::ZERO), NodeId(0))
             .is_empty());
         assert!(sb.job_waiting(JobId(1)));
-        assert_eq!(sb.job_skips(JobId(1)), 1);
+        assert_eq!(sb.total_skips(), 1);
         // Rack-local phase: node 0 is still in the wrong rack — declined.
         assert!(fifo
             .on_heartbeat(&ctx_at(SimTime::from_secs(4)), NodeId(0))
