@@ -187,7 +187,7 @@ fn prefers_local(job: &JobRuntime) -> bool {
 }
 
 /// Whether `job` takes `fill_node`'s fast-decline branch on `node` right
-/// now, recomputed from scratch: the debug-build check behind every block
+/// now, recomputed without the window: the debug-build check behind every block
 /// the decline window skips.
 fn fast_declines(
     indices: &[Option<JobIndex>],
