@@ -23,12 +23,13 @@
 //! Trigger plans can also be loaded from JSON files, mirroring the paper's
 //! static configuration files.
 
-use crate::eviction::{EvictionCandidate, EvictionPolicy};
+use crate::eviction::EvictionPolicy;
 use crate::json::{Json, JsonError};
 use crate::primitive::PreemptionPrimitive;
+use crate::schedulers::candidates_of;
 use mrp_engine::{
     FifoScheduler, JobSpec, MapInput, NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy,
-    TaskId, TaskProfile, TaskState,
+    TaskId, TaskProfile,
 };
 use mrp_sim::SimRng;
 use serde::{Deserialize, Serialize};
@@ -514,16 +515,7 @@ impl DummyScheduler {
             return Vec::new();
         };
         let job = &ctx.jobs[&job_id];
-        let candidates: Vec<EvictionCandidate> = job
-            .tasks
-            .iter()
-            .filter(|t| t.state == TaskState::Running)
-            .map(|t| EvictionCandidate {
-                task: t.id,
-                progress: t.progress,
-                memory_bytes: job.spec.profile.state_memory + 192 * 1024 * 1024, // base task footprint estimate
-            })
-            .collect();
+        let candidates = candidates_of(job);
         let count = max_victims.unwrap_or(candidates.len());
         self.plan
             .eviction

@@ -21,14 +21,12 @@ use crate::pipeline::{
 use crate::primitive::PreemptionPrimitive;
 use mrp_engine::{
     DelayScoreboard, JobId, JobRuntime, Locality, NodeId, RackId, SchedulerAction,
-    SchedulerContext, SchedulerPolicy, TaskKind, TaskState, TenantLedger,
+    SchedulerContext, SchedulerPolicy, TaskKind, TaskState, TenantLedger, BASE_TASK_MEMORY,
 };
 use mrp_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-
-const BASE_TASK_FOOTPRINT: u64 = 192 * 1024 * 1024;
 
 pub(crate) fn candidates_of(job: &JobRuntime) -> Vec<EvictionCandidate> {
     job.tasks
@@ -37,7 +35,7 @@ pub(crate) fn candidates_of(job: &JobRuntime) -> Vec<EvictionCandidate> {
         .map(|t| EvictionCandidate {
             task: t.id,
             progress: t.progress,
-            memory_bytes: job.spec.profile.state_memory + BASE_TASK_FOOTPRINT,
+            memory_bytes: job.spec.profile.state_memory + BASE_TASK_MEMORY,
         })
         .collect()
 }

@@ -20,12 +20,38 @@
 //! * `Finalize` — fault back in anything the task itself had swapped, write
 //!   the output, commit.
 
-use crate::config::TaskDefaults;
 use crate::job::{AttemptId, TaskId, TaskKind, TaskProfile};
 use mrp_dfs::Locality;
-use mrp_sim::{EventId, SimDuration, SimTime};
-use mrp_simos::{DiskConfig, Pid};
+use mrp_sim::{EventId, SimDuration, SimTime, MIB};
+use mrp_simos::{Pid, SEQ_READ_BYTES_PER_SEC, SEQ_WRITE_BYTES_PER_SEC};
 use serde::{Deserialize, Serialize};
+
+// Execution-model constants shared by every task, calibrated to the paper's
+// testbed (Section IV-A): together they give ≈80 s map tasks over 512 MB
+// splits. A job overrides only the parse rate and the output ratio, through
+// its `TaskProfile`.
+
+/// Time to fork and initialise the child task JVM.
+pub(crate) const JVM_STARTUP: SimDuration = SimDuration::from_millis(3_000);
+/// Memory footprint of the Hadoop execution engine inside every task (JVM,
+/// I/O buffers, sort buffers) regardless of user code.
+pub const BASE_TASK_MEMORY: u64 = 192 * MIB;
+/// Fraction of the base footprint that is dirty anonymous memory (the rest
+/// is mapped code and read-only data that can be dropped for free).
+const BASE_MEMORY_DIRTY_FRACTION: f64 = 0.6;
+/// Rate at which the synthetic mappers read **and parse** their input; this,
+/// not raw disk bandwidth, bounds task duration (≈6.7 MiB/s gives the
+/// paper's ≈80 s tasks over 512 MB splits).
+pub(crate) const PARSE_RATE_BYTES_PER_SEC: f64 = 6.7 * MIB as f64;
+/// Output size as a fraction of input size.
+pub(crate) const OUTPUT_RATIO: f64 = 0.05;
+/// Fixed cost of task commit (renaming output, reporting completion).
+pub(crate) const COMMIT_OVERHEAD: SimDuration = SimDuration::from_millis(1_200);
+/// Duration of the cleanup attempt that removes the partial output of a
+/// killed task; it occupies the task's slot before the slot is released.
+pub(crate) const CLEANUP_DURATION: SimDuration = SimDuration::from_millis(3_000);
+/// Shuffle copy rate for reduce tasks (network-bound).
+const SHUFFLE_BYTES_PER_SEC: f64 = 80.0 * MIB as f64;
 
 /// Execution phases of an attempt.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -54,6 +80,12 @@ pub enum AttemptState {
 }
 
 /// Pre-computed durations and memory plan for an attempt.
+///
+/// Plans come from the execution model's fixed constants, calibrated to the
+/// paper's testbed: a 3 s JVM startup, a 6.7 MiB/s parse rate and a 1.2 s
+/// commit make a 512 MB map task take ≈80 s, and every task carries the
+/// engine's [`BASE_TASK_MEMORY`] footprint. A job's [`TaskProfile`] can
+/// override the parse rate and the output ratio and add state memory.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ExecPlan {
     /// Duration of the setup phase (before any paging stall).
@@ -77,84 +109,66 @@ pub struct ExecPlan {
 impl ExecPlan {
     /// Builds the plan for a map attempt reading `input_bytes` with the given
     /// data locality.
-    pub fn for_map(
-        defaults: &TaskDefaults,
-        disk: &DiskConfig,
-        profile: &TaskProfile,
-        input_bytes: u64,
-        locality: Locality,
-    ) -> ExecPlan {
+    pub fn for_map(profile: &TaskProfile, input_bytes: u64, locality: Locality) -> ExecPlan {
         let parse_rate = profile
             .parse_rate_bytes_per_sec
-            .unwrap_or(defaults.parse_rate_bytes_per_sec);
+            .unwrap_or(PARSE_RATE_BYTES_PER_SEC);
         // The map task streams its input; the effective rate is bounded by
         // both the parse loop and the (locality-degraded) disk/network read.
-        let read_rate = disk.seq_read_bytes_per_sec * locality.throughput_factor();
+        let read_rate = SEQ_READ_BYTES_PER_SEC * locality.throughput_factor();
         let rate = parse_rate.min(read_rate).max(1.0);
-        let output_ratio = profile.output_ratio.unwrap_or(defaults.output_ratio);
+        let output_ratio = profile.output_ratio.unwrap_or(OUTPUT_RATIO);
         let output_bytes = (input_bytes as f64 * output_ratio) as u64;
-        let write_time = output_bytes as f64 / disk.seq_write_bytes_per_sec;
+        let write_time = output_bytes as f64 / SEQ_WRITE_BYTES_PER_SEC;
         ExecPlan {
-            setup: defaults.jvm_startup,
+            setup: JVM_STARTUP,
             shuffle: SimDuration::ZERO,
             work: SimDuration::from_secs_f64(input_bytes as f64 / rate),
-            finalize: defaults.commit_overhead + SimDuration::from_secs_f64(write_time),
-            memory: defaults.base_memory + profile.state_memory,
-            dirty_fraction: ExecPlan::combined_dirty_fraction(defaults, profile),
+            finalize: COMMIT_OVERHEAD + SimDuration::from_secs_f64(write_time),
+            memory: BASE_TASK_MEMORY + profile.state_memory,
+            dirty_fraction: ExecPlan::combined_dirty_fraction(profile),
             input_bytes,
             output_bytes,
         }
     }
 
-    /// Builds the plan for a reduce attempt shuffling `shuffle_bytes` of map
-    /// output at the nominal (uncontended) copy rate.
-    pub fn for_reduce(
-        defaults: &TaskDefaults,
-        disk: &DiskConfig,
-        profile: &TaskProfile,
-        shuffle_bytes: u64,
-    ) -> ExecPlan {
-        ExecPlan::for_reduce_contended(defaults, disk, profile, shuffle_bytes, 1.0)
-    }
-
     /// Builds the plan for a reduce attempt whose shuffle phase is stretched
-    /// by `contention` (≥ 1): the cross-rack bandwidth term of
-    /// [`ShuffleConfig`](crate::ShuffleConfig). Only the shuffle phase pays —
-    /// once the bytes are local, the sort/reduce work is network-independent.
+    /// by `contention` (≥ 1; `1.0` is the nominal copy rate): the cross-rack
+    /// bandwidth term of [`ShuffleConfig`](crate::ShuffleConfig). Only the
+    /// shuffle phase pays — once the bytes are local, the sort/reduce work
+    /// is network-independent.
     pub fn for_reduce_contended(
-        defaults: &TaskDefaults,
-        disk: &DiskConfig,
         profile: &TaskProfile,
         shuffle_bytes: u64,
         contention: f64,
     ) -> ExecPlan {
         let parse_rate = profile
             .parse_rate_bytes_per_sec
-            .unwrap_or(defaults.parse_rate_bytes_per_sec)
+            .unwrap_or(PARSE_RATE_BYTES_PER_SEC)
             .max(1.0);
-        let output_ratio = profile.output_ratio.unwrap_or(defaults.output_ratio);
+        let output_ratio = profile.output_ratio.unwrap_or(OUTPUT_RATIO);
         let output_bytes = (shuffle_bytes as f64 * output_ratio) as u64;
-        let write_time = output_bytes as f64 / disk.seq_write_bytes_per_sec;
+        let write_time = output_bytes as f64 / SEQ_WRITE_BYTES_PER_SEC;
         ExecPlan {
-            setup: defaults.jvm_startup,
+            setup: JVM_STARTUP,
             shuffle: SimDuration::from_secs_f64(
-                shuffle_bytes as f64 / defaults.shuffle_bytes_per_sec * contention.max(1.0),
+                shuffle_bytes as f64 / SHUFFLE_BYTES_PER_SEC * contention.max(1.0),
             ),
             work: SimDuration::from_secs_f64(shuffle_bytes as f64 / parse_rate),
-            finalize: defaults.commit_overhead + SimDuration::from_secs_f64(write_time),
-            memory: defaults.base_memory + profile.state_memory,
-            dirty_fraction: ExecPlan::combined_dirty_fraction(defaults, profile),
+            finalize: COMMIT_OVERHEAD + SimDuration::from_secs_f64(write_time),
+            memory: BASE_TASK_MEMORY + profile.state_memory,
+            dirty_fraction: ExecPlan::combined_dirty_fraction(profile),
             input_bytes: shuffle_bytes,
             output_bytes,
         }
     }
 
-    fn combined_dirty_fraction(defaults: &TaskDefaults, profile: &TaskProfile) -> f64 {
-        let total = (defaults.base_memory + profile.state_memory) as f64;
+    fn combined_dirty_fraction(profile: &TaskProfile) -> f64 {
+        let total = (BASE_TASK_MEMORY + profile.state_memory) as f64;
         if total == 0.0 {
             return 0.0;
         }
-        (defaults.base_memory as f64 * defaults.base_memory_dirty_fraction
+        (BASE_TASK_MEMORY as f64 * BASE_MEMORY_DIRTY_FRACTION
             + profile.state_memory as f64 * profile.state_dirty_fraction)
             / total
     }
@@ -274,11 +288,6 @@ impl Attempt {
 mod tests {
     use super::*;
     use crate::job::JobId;
-    use mrp_sim::MIB;
-
-    fn defaults() -> TaskDefaults {
-        TaskDefaults::default()
-    }
 
     fn attempt_id() -> AttemptId {
         AttemptId {
@@ -293,13 +302,7 @@ mod tests {
 
     #[test]
     fn map_plan_is_parse_bound_for_local_reads() {
-        let plan = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            512 * MIB,
-            Locality::NodeLocal,
-        );
+        let plan = ExecPlan::for_map(&TaskProfile::lightweight(), 512 * MIB, Locality::NodeLocal);
         let work = plan.work.as_secs_f64();
         assert!(
             (70.0..90.0).contains(&work),
@@ -307,27 +310,15 @@ mod tests {
         );
         assert!(plan.nominal_duration().as_secs_f64() > work);
         assert_eq!(plan.shuffle, SimDuration::ZERO);
-        assert_eq!(plan.memory, defaults().base_memory);
+        assert_eq!(plan.memory, BASE_TASK_MEMORY);
     }
 
     #[test]
     fn remote_reads_are_not_slower_when_parse_bound() {
         // Parse rate (6.7 MB/s) is far below even off-rack read bandwidth, so
         // locality barely matters for the paper's synthetic jobs.
-        let local = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            512 * MIB,
-            Locality::NodeLocal,
-        );
-        let remote = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            512 * MIB,
-            Locality::OffRack,
-        );
+        let local = ExecPlan::for_map(&TaskProfile::lightweight(), 512 * MIB, Locality::NodeLocal);
+        let remote = ExecPlan::for_map(&TaskProfile::lightweight(), 512 * MIB, Locality::OffRack);
         assert_eq!(local.work, remote.work);
     }
 
@@ -335,94 +326,46 @@ mod tests {
     fn locality_matters_when_io_bound() {
         let mut profile = TaskProfile::lightweight();
         profile.parse_rate_bytes_per_sec = Some(1e12); // effectively IO-bound
-        let local = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &profile,
-            512 * MIB,
-            Locality::NodeLocal,
-        );
-        let remote = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &profile,
-            512 * MIB,
-            Locality::OffRack,
-        );
+        let local = ExecPlan::for_map(&profile, 512 * MIB, Locality::NodeLocal);
+        let remote = ExecPlan::for_map(&profile, 512 * MIB, Locality::OffRack);
         assert!(remote.work > local.work);
     }
 
     #[test]
     fn memory_hungry_profile_increases_memory_not_duration() {
-        let light = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            512 * MIB,
-            Locality::NodeLocal,
-        );
+        let light = ExecPlan::for_map(&TaskProfile::lightweight(), 512 * MIB, Locality::NodeLocal);
         let heavy = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
             &TaskProfile::memory_hungry(2048 * MIB),
             512 * MIB,
             Locality::NodeLocal,
         );
         assert_eq!(light.work, heavy.work);
-        assert_eq!(heavy.memory, defaults().base_memory + 2048 * MIB);
+        assert_eq!(heavy.memory, BASE_TASK_MEMORY + 2048 * MIB);
         assert!(heavy.dirty_fraction > light.dirty_fraction);
     }
 
     #[test]
     fn reduce_plan_has_shuffle() {
-        let plan = ExecPlan::for_reduce(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            256 * MIB,
-        );
+        let plan = ExecPlan::for_reduce_contended(&TaskProfile::lightweight(), 256 * MIB, 1.0);
         assert!(plan.shuffle > SimDuration::ZERO);
         assert!(plan.work > SimDuration::ZERO);
     }
 
     #[test]
     fn contended_reduce_stretches_only_the_shuffle_phase() {
-        let base = ExecPlan::for_reduce(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            256 * MIB,
-        );
-        let contended = ExecPlan::for_reduce_contended(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            256 * MIB,
-            1.5,
-        );
+        let base = ExecPlan::for_reduce_contended(&TaskProfile::lightweight(), 256 * MIB, 1.0);
+        let contended = ExecPlan::for_reduce_contended(&TaskProfile::lightweight(), 256 * MIB, 1.5);
         assert!((contended.shuffle.as_secs_f64() - base.shuffle.as_secs_f64() * 1.5).abs() < 1e-6);
         assert_eq!(contended.work, base.work);
         assert_eq!(contended.finalize, base.finalize);
         // Sub-unit contention is clamped to the nominal rate.
-        let clamped = ExecPlan::for_reduce_contended(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            256 * MIB,
-            0.25,
-        );
+        let clamped = ExecPlan::for_reduce_contended(&TaskProfile::lightweight(), 256 * MIB, 0.25);
         assert_eq!(clamped, base);
     }
 
     #[test]
     fn progress_accrues_only_in_work_phase() {
-        let plan = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            512 * MIB,
-            Locality::NodeLocal,
-        );
+        let plan = ExecPlan::for_map(&TaskProfile::lightweight(), 512 * MIB, Locality::NodeLocal);
         let work = plan.work;
         let mut a = Attempt::new(attempt_id(), TaskKind::Map, Pid(1), plan, SimTime::ZERO);
         // During setup progress stays 0.
@@ -446,13 +389,7 @@ mod tests {
 
     #[test]
     fn interrupt_clamps_at_full_work() {
-        let plan = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            64 * MIB,
-            Locality::NodeLocal,
-        );
+        let plan = ExecPlan::for_map(&TaskProfile::lightweight(), 64 * MIB, Locality::NodeLocal);
         let work = plan.work;
         let mut a = Attempt::new(attempt_id(), TaskKind::Map, Pid(1), plan, SimTime::ZERO);
         a.phase = AttemptPhase::Work;
@@ -464,13 +401,7 @@ mod tests {
 
     #[test]
     fn zero_work_progress_is_phase_based() {
-        let mut plan = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            0,
-            Locality::NodeLocal,
-        );
+        let mut plan = ExecPlan::for_map(&TaskProfile::lightweight(), 0, Locality::NodeLocal);
         plan.work = SimDuration::ZERO;
         let mut a = Attempt::new(attempt_id(), TaskKind::Map, Pid(1), plan, SimTime::ZERO);
         assert_eq!(a.progress(SimTime::ZERO), 0.0);
@@ -480,13 +411,7 @@ mod tests {
 
     #[test]
     fn invested_time_accounts_setup_and_work() {
-        let plan = ExecPlan::for_map(
-            &defaults(),
-            &DiskConfig::default(),
-            &TaskProfile::lightweight(),
-            512 * MIB,
-            Locality::NodeLocal,
-        );
+        let plan = ExecPlan::for_map(&TaskProfile::lightweight(), 512 * MIB, Locality::NodeLocal);
         let mut a = Attempt::new(
             attempt_id(),
             TaskKind::Map,

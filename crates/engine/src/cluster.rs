@@ -34,7 +34,7 @@
 //!   ([`TraceLevel`](crate::config::TraceLevel)) and observability are off,
 //!   so throughput runs pay nothing for either.
 
-use crate::attempt::{AttemptPhase, AttemptState, ExecPlan};
+use crate::attempt::{AttemptPhase, AttemptState, ExecPlan, CLEANUP_DURATION, OUTPUT_RATIO};
 use crate::config::{ClusterConfig, FaultEvent, FaultKind, RefreshMode, TraceLevel};
 use crate::delay::DelayScoreboard;
 use crate::job::{
@@ -583,7 +583,14 @@ impl Cluster {
     }
 
     /// Registers a job to arrive at `at`.
+    ///
+    /// # Panics
+    ///
+    /// If [`JobSpec::validate`] rejects the job.
     pub fn submit_job_at(&mut self, spec: JobSpec, at: SimTime) {
+        if let Err(e) = spec.validate() {
+            panic!("invalid job {:?}: {e}", spec.name);
+        }
         let index = self.pending_arrivals.len();
         self.pending_arrivals.push((at, Some(spec)));
         self.arrivals_remaining += 1;
@@ -1762,10 +1769,7 @@ impl Cluster {
             }
         }
         if spec.reduce_tasks > 0 {
-            let output_ratio = spec
-                .profile
-                .output_ratio
-                .unwrap_or(self.config.task.output_ratio);
+            let output_ratio = spec.profile.output_ratio.unwrap_or(OUTPUT_RATIO);
             let shuffle_per_reduce =
                 ((total_map_input as f64 * output_ratio) / spec.reduce_tasks as f64) as u64;
             for i in 0..spec.reduce_tasks {
@@ -2045,13 +2049,12 @@ impl Cluster {
             self.queue.cancel(ev);
         }
         self.unarm_triggers(task);
-        let cleanup = self.config.task.cleanup_duration;
         if outcome.held_slot {
             // The cleanup attempt holds the slot while it deletes the killed
             // task's partial output.
             let epoch = self.tracker(node).map(|tt| tt.epoch()).unwrap_or(0);
             self.queue.schedule(
-                now + cleanup,
+                now + CLEANUP_DURATION,
                 Event::CleanupDone {
                     node,
                     kind: task.kind,
@@ -2698,21 +2701,12 @@ impl Cluster {
                     .min()
                     .unwrap_or(Locality::OffRack)
             };
-            let disk = &tt.kernel().config().disk;
             let profile = &job.spec.profile;
             let plan = match task.kind {
-                TaskKind::Map => {
-                    ExecPlan::for_map(&self.config.task, disk, profile, t.input_bytes, locality)
-                }
+                TaskKind::Map => ExecPlan::for_map(profile, t.input_bytes, locality),
                 TaskKind::Reduce => {
                     let contention = self.reduce_contention(task.job, node);
-                    ExecPlan::for_reduce_contended(
-                        &self.config.task,
-                        disk,
-                        profile,
-                        t.input_bytes,
-                        contention,
-                    )
+                    ExecPlan::for_reduce_contended(profile, t.input_bytes, contention)
                 }
             };
             (plan, locality)
@@ -2815,21 +2809,12 @@ impl Cluster {
                     .min()
                     .unwrap_or(Locality::OffRack)
             };
-            let disk = &tt.kernel().config().disk;
             let profile = &job.spec.profile;
             match task.kind {
-                TaskKind::Map => {
-                    ExecPlan::for_map(&self.config.task, disk, profile, t.input_bytes, locality)
-                }
+                TaskKind::Map => ExecPlan::for_map(profile, t.input_bytes, locality),
                 TaskKind::Reduce => {
                     let contention = self.reduce_contention(task.job, node);
-                    ExecPlan::for_reduce_contended(
-                        &self.config.task,
-                        disk,
-                        profile,
-                        t.input_bytes,
-                        contention,
-                    )
+                    ExecPlan::for_reduce_contended(profile, t.input_bytes, contention)
                 }
             }
         };
@@ -2890,7 +2875,7 @@ impl Cluster {
             // kill.
             let epoch = self.tracker(node).map(|tt| tt.epoch()).unwrap_or(0);
             self.queue.schedule(
-                now + self.config.task.cleanup_duration,
+                now + CLEANUP_DURATION,
                 Event::CleanupDone {
                     node,
                     kind: attempt.task.kind,
@@ -3037,7 +3022,7 @@ mod tests {
     use super::*;
     use crate::job::TaskProfile;
     use crate::scheduler::FifoScheduler;
-    use mrp_sim::MIB;
+    use mrp_sim::{GIB, MIB};
 
     fn single_node_cluster() -> Cluster {
         Cluster::new(
@@ -3189,6 +3174,15 @@ mod tests {
         let mut c = single_node_cluster();
         c.submit_job(JobSpec::map_only("broken", "/nope"));
         c.run(SimTime::from_secs(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "state_dirty_fraction")]
+    fn out_of_range_dirty_fraction_panics_at_submission() {
+        let mut c = single_node_cluster();
+        let mut profile = TaskProfile::memory_hungry(GIB);
+        profile.state_dirty_fraction = 1.5;
+        c.submit_job(JobSpec::synthetic("dirty", 1, 64 * MIB).with_profile(profile));
     }
 
     #[test]

@@ -1,55 +1,15 @@
-//! Cluster and task-execution configuration.
+//! Cluster configuration.
 //!
 //! Defaults are calibrated to the paper's testbed (Section IV-A): a node with
 //! 4 GB of RAM running synthetic map-only jobs over single-block 512 MB HDFS
-//! files, with task durations around 80 seconds, a 3-second heartbeat, and
-//! `swappiness = 0`.
+//! files, with a 3-second heartbeat and `swappiness = 0`. The task execution
+//! model behind the paper's ≈80 s tasks is fixed: see
+//! [`ExecPlan`](crate::ExecPlan).
 
 use mrp_dfs::{NodeId, RackId};
 use mrp_sim::{SimDuration, SimTime, MIB};
 use mrp_simos::NodeOsConfig;
 use serde::{Deserialize, Serialize};
-
-/// Execution-model defaults shared by all tasks unless a job overrides them.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TaskDefaults {
-    /// Time to fork and initialise the child task JVM.
-    pub jvm_startup: SimDuration,
-    /// Memory footprint of the Hadoop execution engine inside every task
-    /// (JVM, I/O buffers, sort buffers) regardless of user code.
-    pub base_memory: u64,
-    /// Fraction of the base footprint that is dirty anonymous memory (the
-    /// rest is mapped code and read-only data that can be dropped for free).
-    pub base_memory_dirty_fraction: f64,
-    /// Rate at which the synthetic mappers read **and parse** their input;
-    /// this, not raw disk bandwidth, bounds task duration (≈6.6 MiB/s gives
-    /// the paper's ≈80 s tasks over 512 MB splits).
-    pub parse_rate_bytes_per_sec: f64,
-    /// Output size as a fraction of input size for map tasks.
-    pub output_ratio: f64,
-    /// Fixed cost of task commit (renaming output, reporting completion).
-    pub commit_overhead: SimDuration,
-    /// Duration of the cleanup attempt that removes the partial output of a
-    /// killed task; it occupies the task's slot before the slot is released.
-    pub cleanup_duration: SimDuration,
-    /// Shuffle copy rate for reduce tasks (network-bound).
-    pub shuffle_bytes_per_sec: f64,
-}
-
-impl Default for TaskDefaults {
-    fn default() -> Self {
-        TaskDefaults {
-            jvm_startup: SimDuration::from_millis(3_000),
-            base_memory: 192 * MIB,
-            base_memory_dirty_fraction: 0.6,
-            parse_rate_bytes_per_sec: 6.7 * MIB as f64,
-            output_ratio: 0.05,
-            commit_overhead: SimDuration::from_millis(1_200),
-            cleanup_duration: SimDuration::from_millis(3_000),
-            shuffle_bytes_per_sec: 80.0 * MIB as f64,
-        }
-    }
-}
 
 /// Configuration of a single cluster node.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -641,8 +601,6 @@ pub struct ClusterConfig {
     pub dfs_block_size: u64,
     /// HDFS replication factor for created files.
     pub dfs_replication: u32,
-    /// Task execution defaults.
-    pub task: TaskDefaults,
     /// Seed for all randomised decisions (placement, tie-breaking).
     pub seed: u64,
     /// Schedule-trace verbosity (default [`TraceLevel::Schedule`]; set to
@@ -689,7 +647,6 @@ impl ClusterConfig {
             heartbeat_interval: SimDuration::from_secs(3),
             dfs_block_size: 512 * MIB,
             dfs_replication: 1,
-            task: TaskDefaults::default(),
             seed: 1,
             trace_level: TraceLevel::Schedule,
             faults: FaultPlan::default(),
@@ -718,7 +675,6 @@ impl ClusterConfig {
             heartbeat_interval: SimDuration::from_secs(3),
             dfs_block_size: 128 * MIB,
             dfs_replication: 3.min(nodes),
-            task: TaskDefaults::default(),
             seed: 1,
             trace_level: TraceLevel::Schedule,
             faults: FaultPlan::default(),
@@ -894,12 +850,6 @@ impl ClusterConfig {
         if self.dfs_replication == 0 {
             return Err("replication factor must be at least 1".into());
         }
-        if self.task.parse_rate_bytes_per_sec <= 0.0 {
-            return Err("parse rate must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.task.base_memory_dirty_fraction) {
-            return Err("dirty fraction must be in [0, 1]".into());
-        }
         for (i, n) in self.nodes.iter().enumerate() {
             if n.map_slots == 0 && n.reduce_slots == 0 {
                 return Err(format!("node {i} has no task slots"));
@@ -909,6 +859,9 @@ impl ClusterConfig {
         self.delay.validate()?;
         for (i, n) in self.nodes.iter().enumerate() {
             let memory = &n.os.memory;
+            if memory.total_ram <= memory.os_reserve {
+                return Err(format!("node {i}: total_ram must exceed os_reserve"));
+            }
             memory
                 .swap
                 .validate()
@@ -961,9 +914,9 @@ mod tests {
 
     #[test]
     fn paper_task_duration_is_about_80_seconds() {
-        let t = TaskDefaults::default();
-        let work = 512.0 * MIB as f64 / t.parse_rate_bytes_per_sec;
-        let total = t.jvm_startup.as_secs_f64() + work + t.commit_overhead.as_secs_f64();
+        use crate::attempt::{COMMIT_OVERHEAD, JVM_STARTUP, PARSE_RATE_BYTES_PER_SEC};
+        let work = 512.0 * MIB as f64 / PARSE_RATE_BYTES_PER_SEC;
+        let total = JVM_STARTUP.as_secs_f64() + work + COMMIT_OVERHEAD.as_secs_f64();
         assert!(
             (75.0..95.0).contains(&total),
             "paper tasks should take ~80s, got {total}"
@@ -989,14 +942,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = ClusterConfig::paper_single_node();
-        c.task.parse_rate_bytes_per_sec = 0.0;
-        assert!(c.validate().is_err());
-
-        let mut c = ClusterConfig::paper_single_node();
-        c.task.base_memory_dirty_fraction = 1.5;
-        assert!(c.validate().is_err());
-
-        let mut c = ClusterConfig::paper_single_node();
         c.nodes[0].map_slots = 0;
         c.nodes[0].reduce_slots = 0;
         assert!(c.validate().is_err());
@@ -1008,6 +953,17 @@ mod tests {
         let mut c = ClusterConfig::paper_single_node();
         c.racks = 2;
         assert!(c.validate().is_err(), "more racks than nodes is invalid");
+    }
+
+    #[test]
+    fn ram_not_above_os_reserve_is_rejected() {
+        let mut c = ClusterConfig::small_cluster(2, 1, 1);
+        let memory = &mut c.nodes[1].os.memory;
+        memory.os_reserve = memory.total_ram;
+        let err = c.validate().expect_err("no RAM left for tasks");
+        assert_eq!(err, "node 1: total_ram must exceed os_reserve");
+        c.nodes[1].os.memory.os_reserve -= 1;
+        assert!(c.validate().is_ok());
     }
 
     #[test]

@@ -113,8 +113,9 @@ pub struct TaskProfile {
     /// mappers/reducers (the paper's memory-hungry worst case allocates
     /// 2–2.5 GB here).
     pub state_memory: u64,
-    /// Fraction of the state memory written (dirty); the paper's tasks write
-    /// random values to all of it, so the default is 1.0.
+    /// Fraction of the state memory written (dirty), in `[0, 1]`; the
+    /// paper's tasks write random values to all of it, so the default is
+    /// 1.0.
     pub state_dirty_fraction: f64,
     /// Overrides the output/input size ratio, if set.
     pub output_ratio: Option<f64>,
@@ -252,6 +253,17 @@ impl JobSpec {
     pub fn with_best_effort(mut self) -> Self {
         self.best_effort = true;
         self
+    }
+
+    /// Validates the job's user-supplied values, returning the first problem
+    /// found. [`Cluster::submit_job_at`](crate::Cluster::submit_job_at)
+    /// panics on a job this rejects.
+    pub fn validate(&self) -> Result<(), String> {
+        // NaN must fail this check.
+        if !(0.0..=1.0).contains(&self.profile.state_dirty_fraction) {
+            return Err("state_dirty_fraction must be in [0, 1]".into());
+        }
+        Ok(())
     }
 }
 
@@ -674,6 +686,23 @@ mod tests {
             job: JobId(1),
             kind: TaskKind::Map,
             index: 0,
+        }
+    }
+
+    #[test]
+    fn dirty_fraction_outside_unit_interval_is_rejected() {
+        let with = |fraction: f64| {
+            let mut profile = TaskProfile::memory_hungry(MIB);
+            profile.state_dirty_fraction = fraction;
+            JobSpec::synthetic("j", 1, MIB)
+                .with_profile(profile)
+                .validate()
+        };
+        for ok in [0.0, 0.5, 1.0] {
+            assert!(with(ok).is_ok(), "{ok}");
+        }
+        for bad in [-0.1, 1.5, f64::NAN] {
+            assert!(with(bad).is_err(), "{bad}");
         }
     }
 

@@ -47,12 +47,12 @@ mod scheduler;
 mod shuffle;
 mod tasktracker;
 
-pub use attempt::{Attempt, AttemptPhase, AttemptState, ExecPlan};
+pub use attempt::{Attempt, AttemptPhase, AttemptState, ExecPlan, BASE_TASK_MEMORY};
 pub use cluster::Cluster;
 pub use config::{
     ClusterConfig, DelayConfig, DetectorConfig, FaultEvent, FaultKind, FaultPlan, NodeConfig,
     ObsConfig, RandomFaults, RefreshMode, ReliabilityConfig, ShuffleConfig, SpeculationConfig,
-    TaskDefaults, TraceLevel,
+    TraceLevel,
 };
 pub use delay::DelayScoreboard;
 pub use job::{

@@ -562,11 +562,9 @@ impl TaskTracker {
 mod tests {
     use super::*;
     use crate::attempt::AttemptPhase;
-    use crate::config::TaskDefaults;
     use crate::job::{JobId, TaskId, TaskProfile};
     use mrp_dfs::Locality;
     use mrp_sim::{GIB, MIB};
-    use mrp_simos::DiskConfig;
 
     fn attempt_id(n: u32) -> AttemptId {
         AttemptId {
@@ -581,8 +579,6 @@ mod tests {
 
     fn plan(state_memory: u64) -> ExecPlan {
         ExecPlan::for_map(
-            &TaskDefaults::default(),
-            &DiskConfig::default(),
             &TaskProfile::memory_hungry(state_memory),
             512 * MIB,
             Locality::NodeLocal,
@@ -1060,7 +1056,6 @@ mod tests {
                 os_reserve: 512 * MIB,
                 swap_capacity: 64 * MIB,
                 swap: mrp_simos::SwapConfig::lazy(),
-                ..Default::default()
             },
             ..Default::default()
         };

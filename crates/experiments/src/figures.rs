@@ -3,7 +3,7 @@
 
 use crate::priority::PriorityPreemptingScheduler;
 use crate::scenario::{run_scenario, ScenarioConfig};
-use mrp_engine::{Cluster, ClusterConfig, JobSpec, TaskProfile};
+use mrp_engine::{Cluster, ClusterConfig, JobSpec, TaskProfile, BASE_TASK_MEMORY};
 use mrp_preempt::{EvictionPolicy, NatjamModel, PreemptionPrimitive};
 use mrp_sim::{SimDuration, SimTime, GIB, MIB};
 use serde::{Deserialize, Serialize};
@@ -235,7 +235,7 @@ pub fn natjam_comparison(repetitions: usize) -> FigureData {
         // jobs this is the Hadoop engine footprint (~192 MB buffers).
         let natjam_makespan = model.predicted_makespan_secs(
             wait.makespan_secs.mean,
-            192 * MIB,
+            BASE_TASK_MEMORY,
             SimDuration::from_secs(78),
         );
         let natjam_overhead_pct =

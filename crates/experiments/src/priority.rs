@@ -8,12 +8,10 @@
 
 use mrp_engine::{
     FifoScheduler, JobRuntime, NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy,
-    TaskState,
+    TaskState, BASE_TASK_MEMORY,
 };
 use mrp_preempt::{EvictionCandidate, EvictionPolicy, PreemptionPrimitive};
 use mrp_sim::SimRng;
-
-const BASE_TASK_FOOTPRINT: u64 = 192 * 1024 * 1024;
 
 /// Priority scheduler with preemption of lower-priority tasks.
 pub struct PriorityPreemptingScheduler {
@@ -110,7 +108,7 @@ impl PriorityPreemptingScheduler {
                         .map(|t| EvictionCandidate {
                             task: t.id,
                             progress: t.progress,
-                            memory_bytes: j.spec.profile.state_memory + BASE_TASK_FOOTPRINT,
+                            memory_bytes: j.spec.profile.state_memory + BASE_TASK_MEMORY,
                         })
                 })
                 .collect();

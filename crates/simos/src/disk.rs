@@ -11,25 +11,32 @@
 //! Linux clusters page-out operations into large sequential writes to amortise
 //! seek costs (Section III-A of the paper), so swap writes run near sequential
 //! bandwidth; page-ins on resume are also mostly sequential because the
-//! process touches its whole working set while warming back up, but we model a
-//! configurable efficiency factor for both directions.
+//! process touches its whole working set while warming back up, but each
+//! direction still runs at a fixed fraction of sequential bandwidth.
 
 use mrp_sim::{SimDuration, MIB};
 use serde::{Deserialize, Serialize};
 
-/// Static description of a node-local disk.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+// The paper's node has a single 7.2k RPM SATA disk of the kind used in
+// 2013-era Hadoop nodes: ~120 MB/s streaming, a few ms of positioning time.
+
+/// Sequential read bandwidth in bytes/second (HDFS block reads).
+pub const SEQ_READ_BYTES_PER_SEC: f64 = 130.0 * MIB as f64;
+/// Sequential write bandwidth in bytes/second (task output, spills).
+pub const SEQ_WRITE_BYTES_PER_SEC: f64 = 120.0 * MIB as f64;
+/// Fraction of sequential bandwidth achieved by clustered page-out writes.
+const SWAP_OUT_EFFICIENCY: f64 = 0.9;
+/// Fraction of sequential bandwidth achieved by page-in reads.
+const SWAP_IN_EFFICIENCY: f64 = 0.75;
+/// Fixed per-operation latency (seek + queueing), in seconds.
+const ACCESS_LATENCY_SECS: f64 = 0.008;
+
+/// Static description of a node-local disk. Bandwidths, swap efficiencies
+/// and latency are the paper's spindle ([`SEQ_READ_BYTES_PER_SEC`],
+/// [`SEQ_WRITE_BYTES_PER_SEC`] and private constants); only the
+/// re-replication contention share is settable.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct DiskConfig {
-    /// Sequential read bandwidth in bytes/second (HDFS block reads).
-    pub seq_read_bytes_per_sec: f64,
-    /// Sequential write bandwidth in bytes/second (task output, spills).
-    pub seq_write_bytes_per_sec: f64,
-    /// Fraction of sequential bandwidth achieved by clustered page-out writes.
-    pub swap_out_efficiency: f64,
-    /// Fraction of sequential bandwidth achieved by page-in reads.
-    pub swap_in_efficiency: f64,
-    /// Fixed per-operation latency (seek + queueing), in seconds.
-    pub access_latency_secs: f64,
     /// Fraction of the spindle's bandwidth that queued background traffic
     /// (DFS re-replication after a node failure) steals from swap I/O while
     /// a backlog is pending, in `[0, 1)`. `0.0` (the default) disables the
@@ -37,21 +44,6 @@ pub struct DiskConfig {
     /// and swap timings are byte-identical to the legacy model.
     #[serde(default)]
     pub background_share: f64,
-}
-
-impl Default for DiskConfig {
-    fn default() -> Self {
-        // A single 7.2k RPM SATA disk of the kind used in 2013-era Hadoop
-        // nodes: ~120 MB/s streaming, a few ms of positioning time.
-        DiskConfig {
-            seq_read_bytes_per_sec: 130.0 * MIB as f64,
-            seq_write_bytes_per_sec: 120.0 * MIB as f64,
-            swap_out_efficiency: 0.9,
-            swap_in_efficiency: 0.75,
-            access_latency_secs: 0.008,
-            background_share: 0.0,
-        }
-    }
 }
 
 /// Cumulative I/O accounting for a disk.
@@ -70,6 +62,14 @@ pub struct DiskStats {
     pub background_bytes: u64,
 }
 
+fn transfer_time(bytes: u64, bytes_per_sec: f64) -> SimDuration {
+    if bytes == 0 {
+        return SimDuration::ZERO;
+    }
+    let secs = ACCESS_LATENCY_SECS + bytes as f64 / bytes_per_sec;
+    SimDuration::from_secs_f64(secs)
+}
+
 /// A disk with a bandwidth/latency cost model and cumulative statistics.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Disk {
@@ -83,11 +83,7 @@ pub struct Disk {
 impl Disk {
     /// Creates a disk with the given configuration.
     pub fn new(config: DiskConfig) -> Self {
-        assert!(config.seq_read_bytes_per_sec > 0.0);
-        assert!(config.seq_write_bytes_per_sec > 0.0);
-        assert!(config.swap_out_efficiency > 0.0 && config.swap_out_efficiency <= 1.0);
         assert!(config.background_share >= 0.0 && config.background_share < 1.0);
-        assert!(config.swap_in_efficiency > 0.0 && config.swap_in_efficiency <= 1.0);
         Disk {
             config,
             stats: DiskStats::default(),
@@ -105,24 +101,16 @@ impl Disk {
         &self.stats
     }
 
-    fn transfer_time(&self, bytes: u64, bytes_per_sec: f64) -> SimDuration {
-        if bytes == 0 {
-            return SimDuration::ZERO;
-        }
-        let secs = self.config.access_latency_secs + bytes as f64 / bytes_per_sec;
-        SimDuration::from_secs_f64(secs)
-    }
-
     /// Time to sequentially read `bytes` (e.g. an HDFS block), and records it.
     pub fn read(&mut self, bytes: u64) -> SimDuration {
         self.stats.bytes_read += bytes;
-        self.transfer_time(bytes, self.config.seq_read_bytes_per_sec)
+        transfer_time(bytes, SEQ_READ_BYTES_PER_SEC)
     }
 
     /// Time to sequentially write `bytes` (e.g. task output), and records it.
     pub fn write(&mut self, bytes: u64) -> SimDuration {
         self.stats.bytes_written += bytes;
-        self.transfer_time(bytes, self.config.seq_write_bytes_per_sec)
+        transfer_time(bytes, SEQ_WRITE_BYTES_PER_SEC)
     }
 
     /// Slows `bw` down while a background backlog holds part of the spindle,
@@ -130,11 +118,11 @@ impl Disk {
     /// during the foreground operation.
     fn contended(&mut self, bytes: u64, bw: f64) -> SimDuration {
         if self.background_pending == 0 || self.config.background_share <= 0.0 {
-            return self.transfer_time(bytes, bw);
+            return transfer_time(bytes, bw);
         }
         let share = self.config.background_share;
-        let time = self.transfer_time(bytes, bw * (1.0 - share));
-        let drained = (time.as_secs_f64() * self.config.seq_write_bytes_per_sec * share) as u64;
+        let time = transfer_time(bytes, bw * (1.0 - share));
+        let drained = (time.as_secs_f64() * SEQ_WRITE_BYTES_PER_SEC * share) as u64;
         self.background_pending = self.background_pending.saturating_sub(drained.max(1));
         time
     }
@@ -142,14 +130,14 @@ impl Disk {
     /// Time to page out `bytes` of dirty anonymous memory to swap.
     pub fn swap_out(&mut self, bytes: u64) -> SimDuration {
         self.stats.swap_bytes_out += bytes;
-        let bw = self.config.seq_write_bytes_per_sec * self.config.swap_out_efficiency;
+        let bw = SEQ_WRITE_BYTES_PER_SEC * SWAP_OUT_EFFICIENCY;
         self.contended(bytes, bw)
     }
 
     /// Time to page `bytes` back in from swap.
     pub fn swap_in(&mut self, bytes: u64) -> SimDuration {
         self.stats.swap_bytes_in += bytes;
-        let bw = self.config.seq_read_bytes_per_sec * self.config.swap_in_efficiency;
+        let bw = SEQ_READ_BYTES_PER_SEC * SWAP_IN_EFFICIENCY;
         self.contended(bytes, bw)
     }
 
@@ -170,14 +158,14 @@ impl Disk {
 
     /// Estimates (without recording) how long paging out `bytes` would take.
     pub fn estimate_swap_out(&self, bytes: u64) -> SimDuration {
-        let bw = self.config.seq_write_bytes_per_sec * self.config.swap_out_efficiency;
-        self.transfer_time(bytes, bw)
+        let bw = SEQ_WRITE_BYTES_PER_SEC * SWAP_OUT_EFFICIENCY;
+        transfer_time(bytes, bw)
     }
 
     /// Estimates (without recording) how long paging in `bytes` would take.
     pub fn estimate_swap_in(&self, bytes: u64) -> SimDuration {
-        let bw = self.config.seq_read_bytes_per_sec * self.config.swap_in_efficiency;
-        self.transfer_time(bytes, bw)
+        let bw = SEQ_READ_BYTES_PER_SEC * SWAP_IN_EFFICIENCY;
+        transfer_time(bytes, bw)
     }
 }
 
@@ -255,11 +243,9 @@ mod tests {
 
     #[test]
     fn background_contention_slows_swap_then_drains() {
-        let cfg = DiskConfig {
+        let mut d = Disk::new(DiskConfig {
             background_share: 0.5,
-            ..DiskConfig::default()
-        };
-        let mut d = Disk::new(cfg);
+        });
         let calm = d.swap_out(256 * MIB);
         d.queue_background(100 * MIB);
         assert!(d.background_pending() > 0);
@@ -286,15 +272,5 @@ mod tests {
         assert_eq!(d.stats().background_bytes, 0);
         let calm = d.estimate_swap_out(GIB);
         assert_eq!(d.swap_out(GIB), calm);
-    }
-
-    #[test]
-    #[should_panic]
-    fn invalid_config_rejected() {
-        let cfg = DiskConfig {
-            swap_out_efficiency: 0.0,
-            ..DiskConfig::default()
-        };
-        let _ = Disk::new(cfg);
     }
 }

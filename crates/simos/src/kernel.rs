@@ -15,6 +15,7 @@ use crate::disk::{Disk, DiskConfig, DiskStats};
 use crate::memory::{MemoryCharge, MemoryConfig, MemoryManager, MemoryStats, ProcMemory};
 use crate::process::{Pid, Process};
 use crate::signal::{transition, OsError, ProcessState, Signal, SignalEffect};
+use crate::swapdev::RESUME_PREFETCH;
 use mrp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -255,17 +256,15 @@ impl Kernel {
         Ok(MemOutcome { charge, stall })
     }
 
-    /// The lazy-resume fault path: brings in only the configured prefetch
-    /// window of `pid`'s swapped memory
-    /// ([`resume_prefetch`](crate::SwapConfig::resume_prefetch)); the rest
+    /// The lazy-resume fault path: brings in only the prefetch window of
+    /// `pid`'s swapped memory (`RESUME_PREFETCH`, a quarter of it); the rest
     /// faults back in on touch — at the latest through
     /// [`Kernel::fault_in_all`] when the task re-reads its state.
     pub fn fault_in_prefetch(&mut self, pid: Pid, now: SimTime) -> Result<MemOutcome, OsError> {
         if !self.state(pid)?.is_alive() {
             return Err(OsError::NoSuchProcess);
         }
-        let prefetch = self.config.memory.swap.resume_prefetch;
-        let want = (self.swapped_bytes(pid) as f64 * prefetch).ceil() as u64;
+        let want = (self.swapped_bytes(pid) as f64 * RESUME_PREFETCH).ceil() as u64;
         let charge = self.memory.page_in_partial(pid, want, now)?;
         let stall = self.stall_for(&charge);
         debug_assert!(self.memory.check_invariants().is_ok());

@@ -50,7 +50,7 @@ mod refmodel;
 mod signal;
 mod swapdev;
 
-pub use disk::{Disk, DiskConfig, DiskStats};
+pub use disk::{Disk, DiskConfig, DiskStats, SEQ_READ_BYTES_PER_SEC, SEQ_WRITE_BYTES_PER_SEC};
 pub use kernel::{Kernel, MemOutcome, NodeOsConfig, SignalOutcome};
 pub use memory::{MemoryCharge, MemoryConfig, MemoryManager, MemoryStats, ProcMemory};
 pub use process::{Pid, Process};

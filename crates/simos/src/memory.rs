@@ -4,9 +4,10 @@
 //! This module captures the Linux behaviours the paper's evaluation depends
 //! on (Section III-A):
 //!
-//! * With `swappiness = 0` (the recommended Hadoop configuration) the kernel
-//!   reclaims file-cache pages before it pages out anonymous memory, so
-//!   paging of task memory only happens to avoid out-of-memory conditions.
+//! * With `swappiness = 0` (the recommended Hadoop configuration, and the
+//!   only one modelled) the kernel reclaims file-cache pages before it pages
+//!   out anonymous memory, so paging of task memory only happens to avoid
+//!   out-of-memory conditions.
 //! * Pages belonging to **suspended** processes are preferential eviction
 //!   victims: they are outside every working set, so an LRU-style policy
 //!   evicts them before pages of running processes.
@@ -28,6 +29,15 @@ use mrp_sim::{SimTime, GIB, MIB};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, HashMap};
 
+/// Extra fraction of pages reclaimed beyond the immediate shortfall when the
+/// kernel is under pressure, modelling watermark-based batched reclaim. This
+/// produces the super-linear swapped-bytes growth of Figure 4.
+pub(crate) const OVER_EVICTION_FACTOR: f64 = 0.18;
+
+/// Granularity of page-out batches; reclaim amounts are rounded up to a
+/// multiple of this (Linux `page-cluster` behaviour).
+pub(crate) const PAGE_CLUSTER_BYTES: u64 = 2 * MIB;
+
 /// Static memory configuration of a simulated node.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MemoryConfig {
@@ -38,19 +48,6 @@ pub struct MemoryConfig {
     pub os_reserve: u64,
     /// Capacity of the swap area, in bytes.
     pub swap_capacity: u64,
-    /// Linux `vm.swappiness`: 0 means file cache is always reclaimed before
-    /// anonymous memory (the Hadoop best practice the paper follows); larger
-    /// values make the kernel page out anonymous memory proportionally
-    /// earlier.
-    pub swappiness: u8,
-    /// Extra fraction of pages reclaimed beyond the immediate shortfall when
-    /// the kernel is under pressure, modelling watermark-based batched
-    /// reclaim. This produces the super-linear swapped-bytes growth of
-    /// Figure 4.
-    pub over_eviction_factor: f64,
-    /// Granularity of page-out batches; reclaim amounts are rounded up to a
-    /// multiple of this (Linux `page-cluster` behaviour).
-    pub page_cluster_bytes: u64,
     /// Block-granular swap-device model (see [`SwapConfig`]); off by default,
     /// in which case swap occupancy stays byte-granular.
     #[serde(default)]
@@ -65,9 +62,6 @@ impl Default for MemoryConfig {
             total_ram: 4 * GIB,
             os_reserve: 600 * MIB,
             swap_capacity: 8 * GIB,
-            swappiness: 0,
-            over_eviction_factor: 0.18,
-            page_cluster_bytes: 2 * MIB,
             swap: SwapConfig::default(),
         }
     }
@@ -194,6 +188,11 @@ fn victim_key(pm: &ProcMemory, pid: Pid) -> VictimKey {
     (u8::from(!pm.suspended), pm.last_touch, pid)
 }
 
+/// Rounds a reclaim amount up to whole page-out batches.
+fn round_cluster(bytes: u64) -> u64 {
+    bytes.div_ceil(PAGE_CLUSTER_BYTES) * PAGE_CLUSTER_BYTES
+}
+
 /// The per-node memory manager.
 ///
 /// Victim selection is backed by an ordered index (`lru`) maintained
@@ -228,7 +227,6 @@ impl MemoryManager {
             config.total_ram > config.os_reserve,
             "RAM must exceed the OS reserve"
         );
-        assert!(config.over_eviction_factor >= 0.0);
         config
             .swap
             .validate()
@@ -360,11 +358,6 @@ impl MemoryManager {
         self.file_cache += bytes.min(room);
     }
 
-    fn round_cluster(&self, bytes: u64) -> u64 {
-        let c = self.config.page_cluster_bytes.max(1);
-        bytes.div_ceil(c) * c
-    }
-
     /// Orders eviction victims: suspended processes first (their pages are
     /// outside every working set), then stopped-but-not-suspended or idle
     /// processes by least-recent touch. The allocating process itself is
@@ -399,9 +392,9 @@ impl MemoryManager {
 
     /// Reclaims at least `needed` bytes of RAM for the benefit of `for_pid`.
     ///
-    /// Reclaim order: file cache (modulated by swappiness), then pages of
-    /// other processes with suspended ones first, then — as a last resort —
-    /// the requesting process thrashes against its own pages.
+    /// Reclaim order: file cache, then pages of other processes with
+    /// suspended ones first, then — as a last resort — the requesting
+    /// process thrashes against its own pages.
     fn reclaim(&mut self, for_pid: Pid, needed: u64) -> Result<MemoryCharge, OsError> {
         let mut charge = MemoryCharge::default();
         if needed == 0 {
@@ -411,16 +404,8 @@ impl MemoryManager {
         let mut shortfall = needed;
 
         // 1. Reclaim file cache. With swappiness 0 the whole shortfall is taken
-        //    from the cache if possible; with higher swappiness a proportional
-        //    share is deliberately left to anonymous-page eviction.
-        let cache_share = 1.0 - f64::from(self.config.swappiness.min(100)) / 200.0;
-        let from_cache = ((shortfall as f64 * cache_share) as u64)
-            .max(if self.config.swappiness == 0 {
-                shortfall
-            } else {
-                0
-            })
-            .min(self.file_cache);
+        //    from the cache if possible.
+        let from_cache = shortfall.min(self.file_cache);
         self.file_cache -= from_cache;
         self.stats.cache_reclaimed_bytes += from_cache;
         charge.cache_reclaimed = from_cache;
@@ -434,10 +419,9 @@ impl MemoryManager {
         //    need under pressure (approximate LRU), hence the over-eviction
         //    factor scaled by how large the shortfall is relative to RAM.
         let pressure = shortfall as f64 / self.config.usable_ram().max(1) as f64;
-        let target_total = self.round_cluster(
-            (shortfall as f64 * (1.0 + self.config.over_eviction_factor * (1.0 + pressure))) as u64,
+        let mut to_reclaim = round_cluster(
+            (shortfall as f64 * (1.0 + OVER_EVICTION_FACTOR * (1.0 + pressure))) as u64,
         );
-        let mut to_reclaim = target_total;
         for victim in self.victim_order(for_pid) {
             if to_reclaim == 0 || shortfall == 0 {
                 break;
@@ -951,28 +935,6 @@ mod tests {
         assert_eq!(
             m.touch(Pid(9), SimTime::ZERO).unwrap_err(),
             OsError::NoSuchProcess
-        );
-    }
-
-    #[test]
-    fn higher_swappiness_pages_anon_even_with_cache_available() {
-        let cfg = MemoryConfig {
-            swappiness: 100,
-            ..MemoryConfig::default()
-        };
-        let mut m = MemoryManager::new(cfg);
-        m.register(Pid(1), SimTime::ZERO);
-        m.register(Pid(2), SimTime::ZERO);
-        m.allocate(Pid(1), GIB, 1.0, SimTime::ZERO).unwrap();
-        m.set_suspended(Pid(1), true).unwrap();
-        m.populate_file_cache(3 * GIB);
-        let charge = m
-            .allocate(Pid(2), 2 * GIB, 1.0, SimTime::from_secs(1))
-            .unwrap();
-        // With swappiness=100 only ~half the shortfall is taken from the cache.
-        assert!(
-            charge.dirty_paged_out > 0,
-            "expected anonymous paging with high swappiness"
         );
     }
 }

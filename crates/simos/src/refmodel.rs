@@ -20,7 +20,9 @@
 //! block counts and statistics after every step — the same methodology as
 //! the reference event queue.
 
-use crate::memory::{MemoryCharge, MemoryConfig, MemoryStats, ProcMemory};
+use crate::memory::{
+    MemoryCharge, MemoryConfig, MemoryStats, ProcMemory, OVER_EVICTION_FACTOR, PAGE_CLUSTER_BYTES,
+};
 use crate::process::Pid;
 use crate::signal::OsError;
 
@@ -252,11 +254,6 @@ impl ReferenceMemoryModel {
         Ok(())
     }
 
-    fn round_cluster(&self, bytes: u64) -> u64 {
-        let c = self.config.page_cluster_bytes.max(1);
-        bytes.div_ceil(c) * c
-    }
-
     /// Victim order, rebuilt by fully sorting the process table every call.
     pub fn victim_order_snapshot(&self) -> Vec<Pid> {
         let mut keyed: Vec<_> = self
@@ -276,14 +273,7 @@ impl ReferenceMemoryModel {
         self.stats.pressure_events += 1;
         let mut shortfall = needed;
 
-        let cache_share = 1.0 - f64::from(self.config.swappiness.min(100)) / 200.0;
-        let from_cache = ((shortfall as f64 * cache_share) as u64)
-            .max(if self.config.swappiness == 0 {
-                shortfall
-            } else {
-                0
-            })
-            .min(self.file_cache);
+        let from_cache = shortfall.min(self.file_cache);
         self.file_cache -= from_cache;
         self.stats.cache_reclaimed_bytes += from_cache;
         charge.cache_reclaimed = from_cache;
@@ -293,10 +283,8 @@ impl ReferenceMemoryModel {
         }
 
         let pressure = shortfall as f64 / self.config.usable_ram().max(1) as f64;
-        let target_total = self.round_cluster(
-            (shortfall as f64 * (1.0 + self.config.over_eviction_factor * (1.0 + pressure))) as u64,
-        );
-        let mut to_reclaim = target_total;
+        let target = (shortfall as f64 * (1.0 + OVER_EVICTION_FACTOR * (1.0 + pressure))) as u64;
+        let mut to_reclaim = target.div_ceil(PAGE_CLUSTER_BYTES) * PAGE_CLUSTER_BYTES;
         let victims: Vec<Pid> = self
             .victim_order_snapshot()
             .into_iter()
@@ -482,7 +470,6 @@ mod tests {
             // partial trailing block when the device is on.
             swap_capacity: GIB + 3 * MIB,
             swap,
-            ..MemoryConfig::default()
         };
         let mut fast = MemoryManager::new(config.clone());
         let mut reference = ReferenceMemoryModel::new(config);

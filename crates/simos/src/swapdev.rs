@@ -26,6 +26,9 @@ use mrp_sim::{SimDuration, MIB};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
+/// Fraction of swapped bytes paged in eagerly on a lazy resume.
+pub(crate) const RESUME_PREFETCH: f64 = 0.25;
+
 /// Knobs of the block-granular swap-device model. Default-off.
 ///
 /// ```
@@ -42,10 +45,11 @@ use std::collections::BTreeMap;
 /// let eager = SwapConfig::enabled();
 /// assert!(eager.enabled && !eager.lazy_resume);
 ///
-/// // `lazy()` additionally makes resume lazy: only `resume_prefetch` of the
-/// // swapped bytes page in up front, the rest faults back in on touch.
+/// // `lazy()` additionally makes resume lazy: only `RESUME_PREFETCH` (a
+/// // quarter) of the swapped bytes page in up front, the rest faults back
+/// // in on touch.
 /// let lazy = SwapConfig::lazy();
-/// assert!(lazy.lazy_resume && lazy.resume_prefetch < 1.0);
+/// assert!(lazy.enabled && lazy.lazy_resume);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SwapConfig {
@@ -55,14 +59,11 @@ pub struct SwapConfig {
     /// Size of one swap block in bytes. Occupancy is charged in whole
     /// blocks, so a process with 1 byte swapped holds a full block.
     pub block_size: u64,
-    /// When `true`, a resumed process pages in only
-    /// [`resume_prefetch`](Self::resume_prefetch) of its swapped bytes at
-    /// SIGCONT time; the remainder faults back in on touch (and at the
-    /// latest when the task finalizes and re-reads its state).
+    /// When `true`, a resumed process pages in only `RESUME_PREFETCH` (a
+    /// quarter) of its swapped bytes at SIGCONT time; the remainder faults
+    /// back in on touch (and at the latest when the task finalizes and
+    /// re-reads its state).
     pub lazy_resume: bool,
-    /// Fraction of swapped bytes paged in eagerly on a lazy resume, in
-    /// `[0, 1]`. Ignored unless [`lazy_resume`](Self::lazy_resume) is set.
-    pub resume_prefetch: f64,
 }
 
 impl Default for SwapConfig {
@@ -71,7 +72,6 @@ impl Default for SwapConfig {
             enabled: false,
             block_size: MIB,
             lazy_resume: false,
-            resume_prefetch: 0.25,
         }
     }
 }
@@ -109,7 +109,7 @@ impl SwapConfig {
     /// ```
     /// use mrp_simos::SwapConfig;
     /// let mut cfg = SwapConfig::lazy();
-    /// cfg.resume_prefetch = 1.5;
+    /// cfg.block_size = 0;
     /// assert!(cfg.validate().is_err());
     /// cfg.enabled = false; // disabled configs are never rejected
     /// assert!(cfg.validate().is_ok());
@@ -123,9 +123,6 @@ impl SwapConfig {
         }
         if self.block_size > 64 * MIB {
             return Err("swap.block_size above 64 MiB defeats the model".into());
-        }
-        if !(self.resume_prefetch >= 0.0 && self.resume_prefetch <= 1.0) {
-            return Err("swap.resume_prefetch must be in [0, 1]".into());
         }
         Ok(())
     }
@@ -395,9 +392,6 @@ mod tests {
         assert!(SwapConfig::lazy().validate().is_ok());
         let mut bad = SwapConfig::enabled();
         bad.block_size = 0;
-        assert!(bad.validate().is_err());
-        bad = SwapConfig::lazy();
-        bad.resume_prefetch = f64::NAN;
         assert!(bad.validate().is_err());
     }
 

@@ -1035,7 +1035,6 @@ fn disabled_swap_device_is_byte_identical() {
         enabled: false,
         block_size: 256 * 1024,
         lazy_resume: true,
-        resume_prefetch: 0.75,
     };
 
     // Preemption-churn shape (the sim_throughput-style suspend/resume mix).
