@@ -34,9 +34,10 @@
 //!   ([`TraceLevel`](crate::config::TraceLevel)) and observability are off,
 //!   so throughput runs pay nothing for either.
 
-use crate::attempt::{AttemptPhase, AttemptState, ExecPlan, CLEANUP_DURATION, OUTPUT_RATIO};
-use crate::config::{ClusterConfig, FaultEvent, FaultKind, RefreshMode, TraceLevel};
+use crate::attempt::{AttemptPhase, AttemptState, ExecPlan, OUTPUT_RATIO};
+use crate::config::{ClusterConfig, FaultKind, FaultTarget, RefreshMode, TraceLevel};
 use crate::delay::DelayScoreboard;
+use crate::failure::{FailureDomain, Strike, Timer, Verdict};
 use crate::job::{
     AttemptId, JobId, JobRuntime, JobSpec, JobTable, MapInput, TaskId, TaskKind, TaskRuntime,
     TaskState,
@@ -51,10 +52,9 @@ use crate::scheduler::{
     MAX_LIVE_SPECULATIONS_PER_JOB,
 };
 use crate::shuffle::ShuffleTracker;
-use crate::tasktracker::{FailedAttempt, TaskTracker};
+use crate::tasktracker::{FailedAttempt, TaskTracker, TerminationOutcome};
 use mrp_dfs::{Locality, NameNode, NodeId, RackId, Topology};
 use mrp_sim::{EventId, EventQueue, SimDuration, SimRng, SimTime};
-use std::collections::VecDeque;
 
 /// Events driving the cluster simulation.
 #[derive(Clone, Debug)]
@@ -90,18 +90,20 @@ enum Event {
     Detector { node: NodeId, epoch: u64 },
 }
 
-/// Master-side view of the link to one node under the failure detector.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum LinkState {
-    /// Heartbeats flowing normally.
-    Up,
-    /// The node is dead but the master has not noticed yet: no heartbeats
-    /// arrive and no node-side events fire. `since` is when the fault struck.
-    Silent { since: SimTime },
-    /// The node is alive but cut off from the master: it keeps executing,
-    /// yet the master hears nothing from it. `since` is when the partition
-    /// struck.
-    Partitioned { since: SimTime },
+impl Event {
+    /// Profiler index of a queue event; index 0 is the heartbeat wheel (see
+    /// [`crate::obs::EVENT_KINDS`]).
+    fn kind(&self) -> usize {
+        match self {
+            Self::JobArrival { .. } => 1,
+            Self::Heartbeat { .. } => 2,
+            Self::PhaseDone { .. } => 3,
+            Self::CleanupDone { .. } => 4,
+            Self::ProgressTrigger { .. } => 5,
+            Self::Fault { .. } => 6,
+            Self::Detector { .. } => 7,
+        }
+    }
 }
 
 #[derive(Clone, Debug)]
@@ -227,18 +229,8 @@ pub struct Cluster {
     totals: PendingTotals,
     /// Computed periodic-heartbeat schedule (see [`HeartbeatWheel`]).
     wheel: HeartbeatWheel,
-    /// Resolved fault schedule (scripted events plus pre-drawn random churn),
-    /// referenced by [`Event::Fault`] indexes.
-    fault_events: Vec<FaultEvent>,
-    /// Number of leading `fault_events` entries that came from the user's
-    /// script (the rest are generated churn).
-    scripted_faults: usize,
-    /// Nodes whose current outage was caused by a *churn* kill. A churn
-    /// rejoin only revives these: an absorbed churn strike on a node that a
-    /// scripted kill, rack outage or decommission took down must not let its
-    /// paired recovery cut the scripted outage short. Scripted rejoins (an
-    /// operator action) revive anything.
-    churn_down: Vec<bool>,
+    /// Fault schedule, link states, gray failures and outage ownership.
+    failure: FailureDomain,
     /// Fault-injection and speculation counters for the report.
     fault_stats: FaultStats,
     /// Delay-scheduling state (per-job wait clocks and skip counters),
@@ -251,23 +243,6 @@ pub struct Cluster {
     /// ATLAS-style failure-history scores per node and rack, fed by observed
     /// crashes and shared read-only with policies.
     reliability: ReliabilityTracker,
-    /// Master-side link state per node (suspicion-based failure detection
-    /// and network partitions). All `Up` while those fault kinds are unused.
-    link: Vec<LinkState>,
-    /// Per-node suspicion epoch: detector timers carry the epoch they were
-    /// armed in and are discarded if the link state changed since.
-    suspect_epoch: Vec<u64>,
-    /// When each node's last heartbeat reached the master (`SimTime::ZERO`
-    /// before the first); anchors the missed-heartbeat timeout so detection
-    /// lag is bounded by the timeout plus one heartbeat interval.
-    last_heartbeat: Vec<SimTime>,
-    /// Completions finished on a node behind a partition, buffered until the
-    /// heal reconciles them first-commit-wins.
-    partition_buffer: Vec<Vec<AttemptId>>,
-    /// Per-node gray-failure multipliers `(slow_disk, slow_net)`; `(1.0,
-    /// 1.0)` while healthy. Applied to new launches only: a degraded node
-    /// stretches the plans of work placed on it, it does not rewrite history.
-    gray: Vec<(f64, f64)>,
     /// Observability state (metrics registry, series sampler, event-loop
     /// profiler, span trace); `None` unless [`ObsConfig`](crate::ObsConfig)
     /// is enabled, so the default path pays one null check per site.
@@ -342,70 +317,13 @@ impl Cluster {
         let namenode = NameNode::new(topology, config.dfs_block_size, config.dfs_replication);
         let rng = SimRng::new(config.seed);
         let rack_count = shards.len();
-        // Resolve the fault plan: scripted events first, then per-rack random
-        // churn drawn from a dedicated seed (one derived stream per rack, so
-        // adding a rack never perturbs another rack's failure times). All
-        // fault events go through the ordinary event heap; whether they fire
+        // Fault events go through the ordinary event heap; whether they fire
         // is decided by the run loop like any other event.
-        let mut fault_events = config.faults.events.clone();
-        // Events below this index are the user's scripted ones; everything
-        // appended by the random generator is churn. The distinction matters
-        // at fire time: a churn rejoin must never resurrect a node an
-        // operator decommissioned.
-        let scripted_faults = fault_events.len();
-        if let Some(rf) = config.faults.random {
-            let frng = SimRng::new(rf.seed);
-            for (rack, shard) in shards.iter().enumerate() {
-                if shard.members.is_empty() {
-                    continue;
-                }
-                let mut rrng = frng.derive(rack as u64);
-                let mut clock = 0.0f64;
-                // Scheduled recovery time per member: a strike on a node
-                // still down from an earlier strike is absorbed (no Kill, and
-                // crucially no orphaned Rejoin that would cut the first
-                // outage short).
-                let mut down_until = vec![f64::NEG_INFINITY; shard.members.len()];
-                loop {
-                    clock += rrng.exponential(rf.rack_mtbf_secs);
-                    let at = SimTime::from_secs_f64(clock);
-                    if at > rf.horizon {
-                        break;
-                    }
-                    let member = rrng.index(shard.members.len());
-                    if clock < down_until[member] {
-                        continue;
-                    }
-                    let node = NodeId(shard.members[member]);
-                    // Single construction point for churn events: a strike is
-                    // a kill plus, when recovery is configured, its paired
-                    // rejoin.
-                    let mut push_churn = |at: SimTime, kind: FaultKind| {
-                        fault_events.push(FaultEvent { at, kind });
-                    };
-                    push_churn(at, FaultKind::Kill { node });
-                    if let Some(recovery) = rf.mean_recovery_secs {
-                        let downtime = rrng.exponential(recovery).max(1.0);
-                        down_until[member] = clock + downtime;
-                        push_churn(
-                            at + SimDuration::from_secs_f64(downtime),
-                            FaultKind::Rejoin { node },
-                        );
-                    } else {
-                        down_until[member] = f64::INFINITY;
-                    }
-                }
-            }
+        let failure = FailureDomain::new(&config, shards.iter().map(|s| s.members.as_slice()));
+        for (index, at) in failure.schedule() {
+            queue.schedule(at, Event::Fault { index });
         }
-        for (index, ev) in fault_events.iter().enumerate() {
-            queue.schedule(ev.at, Event::Fault { index });
-        }
-        let delay = DelayScoreboard::new(config.delay);
-        let shuffle = ShuffleTracker::new(config.shuffle, rack_count);
-        let reliability = ReliabilityTracker::new(config.reliability, node_count, rack_count);
-        let obs = config.obs.enabled.then(|| Box::new(ObsState::new()));
         Cluster {
-            config,
             queue,
             namenode,
             trackers,
@@ -429,19 +347,13 @@ impl Cluster {
             locality: LocalityStats::default(),
             totals: PendingTotals::default(),
             wheel,
-            fault_events,
-            scripted_faults,
-            churn_down: vec![false; node_count],
+            failure,
             fault_stats: FaultStats::default(),
-            delay,
-            shuffle,
-            reliability,
-            link: vec![LinkState::Up; node_count],
-            suspect_epoch: vec![0; node_count],
-            last_heartbeat: vec![SimTime::ZERO; node_count],
-            partition_buffer: vec![Vec::new(); node_count],
-            gray: vec![(1.0, 1.0); node_count],
-            obs,
+            delay: DelayScoreboard::new(config.delay),
+            shuffle: ShuffleTracker::new(config.shuffle, rack_count),
+            reliability: ReliabilityTracker::new(config.reliability, node_count, rack_count),
+            obs: config.obs.enabled.then(|| Box::new(ObsState::new())),
+            config,
         }
     }
 
@@ -657,7 +569,7 @@ impl Cluster {
             } else {
                 let (now, event) = self.queue.pop().expect("peeked event must exist");
                 if let Some(obs) = self.obs.as_mut() {
-                    obs.note_event(Self::event_kind(&event));
+                    obs.note_event(event.kind());
                 }
                 self.handle_event(now, event);
             }
@@ -672,20 +584,6 @@ impl Cluster {
             obs.loop_end();
         }
         self.queue.now()
-    }
-
-    /// Profiler index of a queue event; index 0 is the heartbeat wheel (see
-    /// [`crate::obs::EVENT_KINDS`]).
-    fn event_kind(event: &Event) -> usize {
-        match event {
-            Event::JobArrival { .. } => 1,
-            Event::Heartbeat { .. } => 2,
-            Event::PhaseDone { .. } => 3,
-            Event::CleanupDone { .. } => 4,
-            Event::ProgressTrigger { .. } => 5,
-            Event::Fault { .. } => 6,
-            Event::Detector { .. } => 7,
-        }
     }
 
     /// Polls the series sampler at `now`, recording one row when a sampling
@@ -887,6 +785,15 @@ impl Cluster {
         before: (bool, bool, bool),
         after: (bool, bool, bool),
     ) {
+        // Counts a task entering (+1) or leaving (-1) a class.
+        let step = |counter: &mut u32, entered: bool| {
+            if entered {
+                *counter += 1;
+            } else {
+                debug_assert!(*counter > 0);
+                *counter -= 1;
+            }
+        };
         if before.0 != after.0 {
             let (job_field, total_field) = match kind {
                 TaskKind::Map => (&mut job.schedulable_maps, &mut totals.schedulable_maps),
@@ -895,32 +802,15 @@ impl Cluster {
                     &mut totals.schedulable_reduces,
                 ),
             };
-            if after.0 {
-                *job_field += 1;
-                *total_field += 1;
-            } else {
-                debug_assert!(*job_field > 0 && *total_field > 0);
-                *job_field -= 1;
-                *total_field -= 1;
-            }
+            step(job_field, after.0);
+            step(total_field, after.0);
         }
         if before.1 != after.1 {
-            if after.1 {
-                job.suspended_count += 1;
-                totals.suspended += 1;
-            } else {
-                debug_assert!(job.suspended_count > 0 && totals.suspended > 0);
-                job.suspended_count -= 1;
-                totals.suspended -= 1;
-            }
+            step(&mut job.suspended_count, after.1);
+            step(&mut totals.suspended, after.1);
         }
         if before.2 != after.2 {
-            if after.2 {
-                job.occupying_count += 1;
-            } else {
-                debug_assert!(job.occupying_count > 0);
-                job.occupying_count -= 1;
-            }
+            step(&mut job.occupying_count, after.2);
         }
     }
 
@@ -1059,13 +949,13 @@ impl Cluster {
                 attempt,
                 phase,
             } => {
-                if self.node_is_silent(node) {
+                if self.failure.is_silent(node) {
                     return; // the node died with the fault; teardown follows
                 }
                 self.handle_phase_done(node, attempt, phase, now);
             }
             Event::CleanupDone { node, kind, epoch } => {
-                if self.node_is_silent(node) {
+                if self.failure.is_silent(node) {
                     return; // dead but undetected; the teardown frees slots
                 }
                 let Some(tt) = self.tracker_mut(node) else {
@@ -1092,154 +982,173 @@ impl Cluster {
 
     // ----- fault injection --------------------------------------------------
 
+    /// A fault strikes: a rack fault applies to every member of the rack.
     fn handle_fault(&mut self, index: usize, now: SimTime) {
-        let scripted = index < self.scripted_faults;
-        match self.fault_events[index].kind {
-            FaultKind::Kill { node } => {
-                // With the detector on, the kill only silences the node: the
-                // master keeps scheduling around its stale view until the
-                // missed-heartbeat timeout confirms the death.
-                let downed = if self.config.detector.enabled {
-                    self.begin_silence(node, now)
-                } else {
-                    self.fail_node(node, now, false)
-                };
-                if downed && !scripted {
-                    self.churn_down[node.0 as usize] = true;
-                }
-            }
-            FaultKind::Decommission { node } => {
-                // An operator action: the master knows immediately, detector
-                // or not.
-                self.fail_node(node, now, true);
-            }
-            FaultKind::Rejoin { node } => self.rejoin_node(node, now, scripted),
-            FaultKind::RackOutage { rack } => {
+        let (kind, scripted) = self.failure.fault(index);
+        match kind.target() {
+            FaultTarget::Node(node) => self.apply_fault(kind, node, scripted, now),
+            FaultTarget::Rack(rack) => {
                 let members = self
                     .shards
                     .get(rack.0 as usize)
                     .map(|s| s.members.clone())
                     .unwrap_or_default();
                 for m in members {
-                    // Rack outages are scripted-only: a member already down
-                    // from churn now belongs to the scripted outage, so its
-                    // pending churn recovery must not revive it.
-                    if self.config.detector.enabled {
-                        self.begin_silence(NodeId(m), now);
-                    } else {
-                        self.fail_node(NodeId(m), now, false);
-                    }
-                    self.churn_down[m as usize] = false;
+                    self.apply_fault(kind, NodeId(m), scripted, now);
                 }
             }
-            FaultKind::RackRejoin { rack } => {
-                let members = self
-                    .shards
-                    .get(rack.0 as usize)
-                    .map(|s| s.members.clone())
-                    .unwrap_or_default();
-                for m in members {
-                    self.rejoin_node(NodeId(m), now, scripted);
-                }
-            }
-            FaultKind::Partition { node } => self.partition_node(node, now),
-            FaultKind::PartitionHeal { node } => self.heal_partition(node, now),
-            FaultKind::RackPartition { rack } => {
-                let members = self
-                    .shards
-                    .get(rack.0 as usize)
-                    .map(|s| s.members.clone())
-                    .unwrap_or_default();
-                for m in members {
-                    self.partition_node(NodeId(m), now);
-                }
-            }
-            FaultKind::RackPartitionHeal { rack } => {
-                let members = self
-                    .shards
-                    .get(rack.0 as usize)
-                    .map(|s| s.members.clone())
-                    .unwrap_or_default();
-                for m in members {
-                    self.heal_partition(NodeId(m), now);
-                }
-            }
-            FaultKind::Gray {
-                node,
-                slow_disk,
-                slow_net,
-            } => self.degrade_node(node, slow_disk, slow_net, now),
-            FaultKind::GrayHeal { node } => self.heal_degradation(node, now),
         }
     }
 
-    /// Whether the node is dead-but-undetected: its node-side events are
-    /// discarded until the detector confirms the death.
-    #[inline]
-    fn node_is_silent(&self, node: NodeId) -> bool {
-        matches!(
-            self.link.get(node.0 as usize),
-            Some(LinkState::Silent { .. })
-        )
+    fn apply_fault(&mut self, kind: FaultKind, node: NodeId, scripted: bool, now: SimTime) {
+        match kind {
+            FaultKind::Kill { .. } => {
+                if self.strike(node, now) && !scripted {
+                    self.failure.own_outage(node, true);
+                }
+            }
+            FaultKind::RackOutage { .. } => {
+                // Rack outages are scripted-only: a member already down from
+                // churn now belongs to the scripted outage, so its pending
+                // churn recovery must not revive it.
+                self.strike(node, now);
+                self.failure.own_outage(node, false);
+            }
+            // An operator action: the master knows immediately, detector or
+            // not.
+            FaultKind::Decommission { .. } => {
+                self.fail_node(node, now, true);
+            }
+            FaultKind::Rejoin { .. } | FaultKind::RackRejoin { .. } => {
+                self.rejoin_node(node, now, scripted)
+            }
+            FaultKind::Partition { .. } | FaultKind::RackPartition { .. } => {
+                self.partition_node(node, now)
+            }
+            FaultKind::PartitionHeal { .. } | FaultKind::RackPartitionHeal { .. } => {
+                self.heal_partition(node, now)
+            }
+            FaultKind::Gray {
+                slow_disk,
+                slow_net,
+                ..
+            } => self.degrade_node(node, slow_disk, slow_net, now),
+            FaultKind::GrayHeal { .. } => self.heal_degradation(node, now),
+        }
+    }
+
+    /// A node dies. Without the detector the master tears it down at once;
+    /// with it the node only goes dark until the missed-heartbeat timeout.
+    /// Returns whether the node was up and went down.
+    fn strike(&mut self, node: NodeId, now: SimTime) -> bool {
+        let Some(tt) = self.tracker(node) else {
+            return false;
+        };
+        let (alive, reachable) = (tt.is_alive(), tt.is_reachable());
+        match self.failure.strike(node, now, alive) {
+            Strike::Absorbed => return false,
+            Strike::Fail => return self.fail_node(node, now, false),
+            Strike::Silence(timer) => self.arm_detector(node, timer),
+            // Not torn down yet: the timer armed at partition time is still
+            // counting and will confirm this death.
+            Strike::BehindPartition if reachable => {}
+            Strike::BehindPartition => {
+                // The master already resolved every attempt at the partition
+                // teardown; the node-side remnants die quietly.
+                for f in self.stop_node(node, now) {
+                    if let Some(ev) = f.segment_event {
+                        self.queue.cancel(ev);
+                    }
+                }
+                self.mark_node_dirty(node);
+            }
+        }
+        self.record(Record::NodeSilent(now, node));
+        true
+    }
+
+    fn arm_detector(&mut self, node: NodeId, timer: Timer) {
+        let epoch = timer.epoch;
+        self.queue
+            .schedule(timer.at, Event::Detector { node, epoch });
+    }
+
+    /// Kills every process on the node; the completions it buffered behind a
+    /// partition die with them.
+    fn stop_node(&mut self, node: NodeId, now: SimTime) -> Vec<FailedAttempt> {
+        self.failure.node_died(node);
+        self.trackers[node.0 as usize].fail(now)
     }
 
     /// Takes a node out of service: tears down its attempts (suspended-to-
-    /// disk state is lost — the paper's key cost under failure), drops its
-    /// pending commands, routes block loss through the NameNode with
-    /// re-replication, and reconciles every incremental index so sharded and
-    /// full refresh stay equivalent under churn.
-    /// Returns `true` when the node was alive and actually taken down.
+    /// disk state is lost — the paper's key cost under failure) and writes
+    /// off the master's view of it. Returns `true` when the node was alive
+    /// and actually taken down.
     fn fail_node(&mut self, node: NodeId, now: SimTime, decommission: bool) -> bool {
-        let Some(tt) = self.tracker_mut(node) else {
-            return false;
-        };
-        if !tt.is_alive() {
+        if !self.node_is_alive(node) {
             return false; // duplicate fault (e.g. random churn hit a dead node)
         }
-        let torn_down = tt.fail(now);
+        let torn_down = self.stop_node(node, now);
+        let (replicas, lost) = self.write_off(node, torn_down, decommission, now);
+        let record = if decommission {
+            self.fault_stats.node_decommissions += 1;
+            Record::NodeDecommissioned(now, node, replicas, lost)
+        } else {
+            self.fault_stats.node_failures += 1;
+            Record::NodeFailed(now, node, NodeLoss::Crash(replicas, lost))
+        };
+        self.record(record);
+        true
+    }
+
+    /// Writes off the master's view of a lost node: resolves the attempts it
+    /// knew there, drops the node's pending commands, drains or loses its map
+    /// outputs, feeds crashes to the reliability predictor and repairs its
+    /// blocks. Keeps every incremental index reconciled so sharded and full
+    /// refresh stay equivalent under churn. Returns the re-replicated and
+    /// lost block counts.
+    fn write_off(
+        &mut self,
+        node: NodeId,
+        failed: Vec<FailedAttempt>,
+        decommission: bool,
+        now: SimTime,
+    ) -> (u64, u64) {
+        let idx = node.0 as usize;
         self.mark_node_dirty(node);
         // Commands addressed to this node can never be delivered now; the
         // teardown below resets their tasks, so drop them wholesale.
-        if let Some(cmds) = self.pending_cmds.get_mut(node.0 as usize) {
+        if let Some(cmds) = self.pending_cmds.get_mut(idx) {
             cmds.clear();
         }
-        for failed in torn_down {
-            self.resolve_failed_attempt(failed, node, now);
+        for f in failed {
+            self.resolve_failed_attempt(f, node, now);
         }
         // Map outputs are node-local artifacts, not HDFS blocks: a crash
         // destroys them and the affected *completed* maps go back to Pending
         // for re-execution, while a graceful decommission drains them to a
         // live node first so no re-execution is needed — mirroring the
         // NameNode's graceful-vs-crash block handling below.
-        if self.shuffle.enabled() {
-            let drain = if decommission {
-                self.drain_target(node)
-            } else {
-                None
-            };
-            match drain {
-                Some((to, to_rack)) => {
-                    let rack = RackId(self.node_rack[node.0 as usize]);
-                    let jobs: Vec<JobId> = self
-                        .jobs
-                        .values()
-                        .filter(|j| j.completed_at.is_none())
-                        .map(|j| j.id)
-                        .collect();
-                    for job in jobs {
-                        let moved = self.shuffle.migrate(job, node, rack, to, to_rack);
-                        self.fault_stats.map_outputs_migrated += moved;
-                    }
+        let rack = RackId(self.node_rack[idx]);
+        let drain = if decommission && self.shuffle.enabled() {
+            self.drain_target(node)
+        } else {
+            None
+        };
+        match drain {
+            Some((to, to_rack)) => {
+                for job in self.live_jobs() {
+                    let moved = self.shuffle.migrate(job, node, rack, to, to_rack);
+                    self.fault_stats.map_outputs_migrated += moved;
                 }
-                // A crash — or a decommission with nowhere left to drain
-                // to — loses the outputs.
-                None => self.lose_map_outputs(node, now),
             }
+            // A crash — or a decommission with nowhere left to drain to —
+            // loses the outputs.
+            None => self.lose_map_outputs(node, now),
         }
         // Only crashes feed the reliability predictor: a decommission is an
         // operator action, not evidence of flakiness.
         if !decommission {
-            let rack = RackId(self.node_rack[node.0 as usize]);
             self.reliability.record_failure(node, rack, now);
         }
         // Block loss goes through the NameNode: replicas on the node vanish
@@ -1252,18 +1161,16 @@ impl Cluster {
         self.fault_stats.re_replicated_blocks += repair.re_replicated;
         self.fault_stats.lost_blocks += repair.lost_blocks;
         self.charge_re_replication_io(repair.re_replicated);
-        if decommission {
-            self.fault_stats.node_decommissions += 1;
-        } else {
-            self.fault_stats.node_failures += 1;
-        }
-        let (replicas, lost) = (repair.re_replicated, repair.lost_blocks);
-        self.record(if decommission {
-            Record::NodeDecommissioned(now, node, replicas, lost)
-        } else {
-            Record::NodeFailed(now, node, NodeLoss::Crash(replicas, lost))
-        });
-        true
+        (repair.re_replicated, repair.lost_blocks)
+    }
+
+    /// Ids of the jobs that have not completed yet.
+    fn live_jobs(&self) -> Vec<JobId> {
+        self.jobs
+            .values()
+            .filter(|j| j.completed_at.is_none())
+            .map(|j| j.id)
+            .collect()
     }
 
     /// Deterministic target for a decommission drain of map outputs: the
@@ -1288,20 +1195,13 @@ impl Cluster {
     }
 
     /// Declares every map output on `node` destroyed: affected *completed*
-    /// maps go back to `Pending` for re-execution. Shared by the crash path
-    /// of [`Cluster::fail_node`] and the partition teardown.
+    /// maps go back to `Pending` for re-execution.
     fn lose_map_outputs(&mut self, node: NodeId, now: SimTime) {
         if !self.shuffle.enabled() {
             return;
         }
         let rack = RackId(self.node_rack[node.0 as usize]);
-        let jobs: Vec<JobId> = self
-            .jobs
-            .values()
-            .filter(|j| j.completed_at.is_none())
-            .map(|j| j.id)
-            .collect();
-        for job in jobs {
+        for job in self.live_jobs() {
             for index in self.shuffle.on_node_lost(job, node, rack) {
                 let map = TaskId {
                     job,
@@ -1322,224 +1222,116 @@ impl Cluster {
     }
 
     /// Reconciles one attempt torn down by node loss with the JobTracker
-    /// state: promotes a surviving speculative backup, or resets the task to
-    /// `Pending` for re-execution.
+    /// state (see [`Cluster::lose_attempt`]).
     fn resolve_failed_attempt(&mut self, failed: FailedAttempt, node: NodeId, now: SimTime) {
-        let task = failed.id.task;
         self.fault_stats.attempts_lost += 1;
         self.record(Record::AttemptLost(now, failed.id, node));
         if let Some(ev) = failed.segment_event {
             self.queue.cancel(ev);
         }
-        self.unarm_triggers(task);
+        self.unarm_triggers(failed.id.task);
         if failed.state == AttemptState::Suspended {
             self.fault_stats.suspended_tasks_lost += 1;
             self.fault_stats.lost_suspended_work_secs += failed.invested.as_secs_f64();
         }
-        let (is_current, is_spec, backup) = {
-            let Some(t) = self.task(task) else { return };
-            (
-                t.current_attempt == Some(failed.id),
-                t.spec_attempt == Some(failed.id),
-                t.spec_attempt.zip(t.spec_node),
-            )
-        };
-        if is_current {
-            match backup {
-                Some((spec_attempt, spec_node)) if self.node_in_service(spec_node) => {
-                    // The speculative backup survives the failure: promote it
-                    // to be the task's attempt. This is exactly the payoff of
-                    // speculative re-execution under churn. Progress watches
-                    // re-arm against the promoted attempt.
-                    self.clear_speculation_fields(task);
-                    if let Some(t) = self.task_mut(task) {
-                        t.current_attempt = Some(spec_attempt);
-                        t.node = Some(spec_node);
-                        t.wasted_work += failed.invested;
-                    }
-                    self.force_task_state(task, TaskState::Running);
-                    self.arm_triggers(task, spec_node, spec_attempt, now);
-                }
-                _ => {
-                    // No live backup: the task restarts from scratch
-                    // elsewhere. (A backup on a node torn down by the same
-                    // rack outage is resolved by its own FailedAttempt entry;
-                    // only the fields are cleared here.)
-                    self.fault_stats.re_executed_tasks += 1;
-                    if backup.is_some() {
-                        self.clear_speculation_fields(task);
-                    }
-                    self.force_task_pending(task);
-                    if let Some(t) = self.task_mut(task) {
-                        t.wasted_work += failed.invested;
-                    }
-                }
+        self.lose_attempt(failed.id, failed.invested, true);
+    }
+
+    /// The JobTracker's side of losing `attempt` — with its node
+    /// (`node_lost`) or to the OOM killer on a live node. A lost backup only
+    /// clears the task's speculation fields; the original attempt continues.
+    /// A lost original promotes the task's backup — the payoff of
+    /// speculative re-execution under churn — if there is one (after a node
+    /// loss, only if the backup's node is in service: a backup torn down by
+    /// the same rack outage is resolved by its own entry); otherwise the task
+    /// restarts from scratch as `Pending`. The original's `wasted` time is
+    /// charged to the task; node losses also count the waste and the
+    /// re-execution in the fault stats.
+    fn lose_attempt(&mut self, attempt: AttemptId, wasted: SimDuration, node_lost: bool) {
+        let task = attempt.task;
+        let Some(t) = self.task(task) else { return };
+        let (is_current, backup) = (
+            t.current_attempt == Some(attempt),
+            t.spec_attempt.zip(t.spec_node),
+        );
+        if t.spec_attempt == Some(attempt) {
+            if node_lost {
+                self.fault_stats.speculative_wasted_secs += wasted.as_secs_f64();
             }
-        } else if is_spec {
-            // Only the backup died; the original attempt continues.
-            self.fault_stats.speculative_wasted_secs += failed.invested.as_secs_f64();
             self.clear_speculation_fields(task);
+            return;
+        }
+        if !is_current {
+            return;
+        }
+        self.unarm_triggers(task);
+        if backup.is_some() {
+            self.clear_speculation_fields(task);
+        }
+        if let Some(t) = self.task_mut(task) {
+            t.wasted_work += wasted;
+        }
+        match backup {
+            Some((spec_attempt, spec_node)) if !node_lost || self.node_in_service(spec_node) => {
+                // Progress watches re-arm against the promoted attempt.
+                if let Some(t) = self.task_mut(task) {
+                    t.current_attempt = Some(spec_attempt);
+                    t.node = Some(spec_node);
+                }
+                self.force_task_state(task, TaskState::Running);
+                self.arm_triggers(task, spec_node, spec_attempt);
+            }
+            _ => {
+                if node_lost {
+                    self.fault_stats.re_executed_tasks += 1;
+                }
+                self.force_task_pending(task);
+            }
         }
     }
 
     // ----- suspicion-based failure detection & partitions -------------------
 
-    /// A kill under the failure detector: the node goes dark but the master
-    /// does not know yet, so its slots stay "occupied" in every scheduler
-    /// view until the missed-heartbeat timeout confirms the death. Returns
-    /// whether the node was actually up (mirrors [`Cluster::fail_node`]'s
-    /// return for churn bookkeeping).
-    fn begin_silence(&mut self, node: NodeId, now: SimTime) -> bool {
-        let idx = node.0 as usize;
-        let Some(tt) = self.trackers.get(idx) else {
-            return false;
-        };
-        if !tt.is_alive() {
-            return false; // duplicate fault on an already-dead node
-        }
-        match self.link[idx] {
-            LinkState::Silent { .. } => return false, // already dark
-            LinkState::Up => {
-                self.link[idx] = LinkState::Silent { since: now };
-                self.suspect_epoch[idx] += 1;
-                self.schedule_suspicion(node, now);
-            }
-            LinkState::Partitioned { since } => {
-                // The partitioned node dies for real. The master cannot tell
-                // the difference — from its side the silence simply
-                // continues, dated from the original partition.
-                let torn_down = !tt.is_reachable();
-                self.link[idx] = LinkState::Silent { since };
-                if torn_down {
-                    // The master already resolved every attempt at the
-                    // partition teardown; the node-side remnants die quietly,
-                    // and the buffered completions die with the node.
-                    let failed = self.trackers[idx].fail(now);
-                    for f in failed {
-                        if let Some(ev) = f.segment_event {
-                            self.queue.cancel(ev);
-                        }
-                    }
-                    self.partition_buffer[idx].clear();
-                    self.mark_node_dirty(node);
-                }
-                // Not torn down: the suspicion timer armed at partition time
-                // (same epoch) is still counting and will confirm this death.
-                // Either way the heal finds the link dark and returns early,
-                // so the record below is what ends the partition window.
-            }
-        }
-        self.record(Record::NodeSilent(now, node));
-        true
-    }
-
-    /// Arms the missed-heartbeat timer for a newly dark node, anchored on
-    /// the last heartbeat the master actually received — which is what
-    /// bounds detection lag by `timeout + one heartbeat interval`.
-    fn schedule_suspicion(&mut self, node: NodeId, now: SimTime) {
-        let idx = node.0 as usize;
-        let timeout = self.config.detector.timeout(self.config.heartbeat_interval);
-        let at = (self.last_heartbeat[idx] + timeout).max(now);
-        self.queue.schedule(
-            at,
-            Event::Detector {
-                node,
-                epoch: self.suspect_epoch[idx],
-            },
-        );
-    }
-
     fn handle_detector(&mut self, node: NodeId, epoch: u64, now: SimTime) {
-        let idx = node.0 as usize;
-        if self.suspect_epoch.get(idx) != Some(&epoch) || self.link[idx] == LinkState::Up {
+        let Some((verdict, lag)) = self.failure.suspect(node, epoch, now) else {
             return; // stale timer: the link state changed since it was armed
-        }
+        };
         self.fault_stats.nodes_suspected += 1;
         self.record(Record::NodeSuspected(now, node));
-        self.confirm_failure(node, now);
-    }
-
-    /// The detector gives up on a node: record the detection lag and run the
-    /// teardown the fault deferred.
-    fn confirm_failure(&mut self, node: NodeId, now: SimTime) {
-        let idx = node.0 as usize;
-        let since = match self.link[idx] {
-            LinkState::Up => return,
-            LinkState::Silent { since } | LinkState::Partitioned { since } => since,
-        };
-        let lag = (now - since).as_secs_f64();
-        self.fault_stats.failures_detected += 1;
-        self.fault_stats.detection_lag_secs_sum += lag;
-        self.fault_stats.detection_lag_secs_max = self.fault_stats.detection_lag_secs_max.max(lag);
-        match self.link[idx] {
-            LinkState::Silent { .. } => {
-                self.link[idx] = LinkState::Up;
-                self.suspect_epoch[idx] += 1;
+        self.fault_stats.record_detection(lag);
+        match verdict {
+            Verdict::Dead => {
                 self.fail_node(node, now, false);
             }
-            LinkState::Partitioned { .. } => {
-                // The node stays partitioned — it is alive out there — but
-                // the master tears down its view of it.
-                self.teardown_partitioned(node, now);
-            }
-            LinkState::Up => unreachable!("matched above"),
+            Verdict::Partitioned => self.teardown_partitioned(node, now),
         }
-    }
-
-    /// A rejoining node that was still under (unconfirmed) silence: the
-    /// reconnect itself reveals the outage. Record the detection lag and run
-    /// the deferred teardown so the revive starts from a clean slate.
-    fn resolve_silent_rejoin(&mut self, node: NodeId, now: SimTime) {
-        let idx = node.0 as usize;
-        let Some(&LinkState::Silent { since }) = self.link.get(idx) else {
-            return;
-        };
-        self.link[idx] = LinkState::Up;
-        self.suspect_epoch[idx] += 1;
-        if !self.trackers[idx].is_alive() {
-            // Already torn down node-side (a partition victim that died after
-            // the master confirmed the partition): nothing new to observe.
-            return;
-        }
-        let lag = (now - since).as_secs_f64();
-        self.fault_stats.failures_detected += 1;
-        self.fault_stats.detection_lag_secs_sum += lag;
-        self.fault_stats.detection_lag_secs_max = self.fault_stats.detection_lag_secs_max.max(lag);
-        self.fail_node(node, now, false);
     }
 
     /// Cuts a node off from the master. It keeps executing — completions
     /// buffer for the heal — while the detector (if on) counts down toward
     /// tearing it down.
     fn partition_node(&mut self, node: NodeId, now: SimTime) {
-        let idx = node.0 as usize;
-        let Some(tt) = self.trackers.get(idx) else {
-            return;
-        };
-        if !tt.is_alive() || self.link[idx] != LinkState::Up {
+        let alive = self.node_is_alive(node);
+        let Some(timer) = self.failure.partition(node, now, alive) else {
             return; // dead, dark, or already partitioned
-        }
-        self.link[idx] = LinkState::Partitioned { since: now };
-        self.suspect_epoch[idx] += 1;
+        };
         self.fault_stats.partitions += 1;
-        if self.config.detector.enabled {
-            self.schedule_suspicion(node, now);
+        if let Some(timer) = timer {
+            self.arm_detector(node, timer);
         }
         self.record(Record::NodePartitioned(now, node));
     }
 
-    /// The master gives up on a partitioned node: every attempt it knows of
-    /// there is resolved as lost, the node's capacity disappears from the
-    /// scheduler views, its map outputs are declared gone and its blocks
-    /// re-replicated — exactly a crash, except the node itself keeps running
-    /// toward the heal and `node_failures` stays untouched (the partition
-    /// counter family tracks it instead).
+    /// The master gives up on a partitioned node: exactly a crash as far as
+    /// the master can tell, except the node itself keeps running toward the
+    /// heal and `node_failures` stays untouched (the partition counter
+    /// family tracks it instead).
     fn teardown_partitioned(&mut self, node: NodeId, now: SimTime) {
-        let idx = node.0 as usize;
+        let tt = &mut self.trackers[node.0 as usize];
         // Synthesize the master-side view of the teardown. `segment_event`
         // stays `None`: the attempts really are still running out there, and
         // their node-side phase events keep firing toward the heal.
-        let failed: Vec<FailedAttempt> = self.trackers[idx]
+        let failed: Vec<FailedAttempt> = tt
             .attempts()
             .map(|a| FailedAttempt {
                 id: a.id,
@@ -1548,22 +1340,8 @@ impl Cluster {
                 segment_event: None,
             })
             .collect();
-        self.trackers[idx].set_reachable(false);
-        self.mark_node_dirty(node);
-        if let Some(cmds) = self.pending_cmds.get_mut(idx) {
-            cmds.clear();
-        }
-        for f in failed {
-            self.resolve_failed_attempt(f, node, now);
-        }
-        self.lose_map_outputs(node, now);
-        let rack = RackId(self.node_rack[idx]);
-        self.reliability.record_failure(node, rack, now);
-        let affected = self.namenode.decommission(node);
-        let repair = self.namenode.re_replicate(&affected, false, &mut self.rng);
-        self.fault_stats.re_replicated_blocks += repair.re_replicated;
-        self.fault_stats.lost_blocks += repair.lost_blocks;
-        self.charge_re_replication_io(repair.re_replicated);
+        tt.set_reachable(false);
+        self.write_off(node, failed, false, now);
         self.record(Record::NodeFailed(now, node, NodeLoss::PartitionConfirmed));
     }
 
@@ -1591,15 +1369,10 @@ impl Cluster {
     /// partition reconcile first-commit-wins; if the master had torn it
     /// down, its capacity and replicas return to service.
     fn heal_partition(&mut self, node: NodeId, now: SimTime) {
-        let idx = node.0 as usize;
-        let Some(&LinkState::Partitioned { .. }) = self.link.get(idx) else {
-            // Never partitioned — or the node died behind the partition
-            // (now `Silent`): the pending timer or its rejoin resolves that
-            // death, not the heal.
+        let Some(buffered) = self.failure.heal(node, now) else {
             return;
         };
-        self.link[idx] = LinkState::Up;
-        self.suspect_epoch[idx] += 1;
+        let idx = node.0 as usize;
         self.fault_stats.partition_heals += 1;
         let torn_down = !self.trackers[idx].is_reachable();
         if torn_down {
@@ -1608,7 +1381,6 @@ impl Cluster {
         }
         // Reconcile in completion order: the first committed attempt of a
         // task wins, later ones are discarded.
-        let buffered = std::mem::take(&mut self.partition_buffer[idx]);
         for attempt in buffered {
             self.reconcile_completion(attempt, node, now);
         }
@@ -1622,11 +1394,10 @@ impl Cluster {
             }
         }
         self.mark_node_dirty(node);
-        self.last_heartbeat[idx] = now;
         self.record(Record::PartitionHealed(now, node));
         // The node reconnects: an immediate heartbeat reintroduces it to the
         // scheduler.
-        self.queue.schedule(now, Event::Heartbeat { node });
+        self.schedule_out_of_band_heartbeat(node, now);
     }
 
     /// Slows a node down without killing it: new launches there stretch by
@@ -1634,50 +1405,22 @@ impl Cluster {
     /// re-fetch backoff). Feeds the reliability predictor at half a crash's
     /// weight.
     fn degrade_node(&mut self, node: NodeId, slow_disk: f64, slow_net: f64, now: SimTime) {
-        let idx = node.0 as usize;
-        let Some(tt) = self.trackers.get(idx) else {
-            return;
-        };
-        if !tt.is_alive() {
+        if !self.node_is_alive(node) {
             return;
         }
-        self.gray[idx] = (slow_disk.max(1.0), slow_net.max(1.0));
+        self.failure.degrade(node, slow_disk, slow_net);
         self.fault_stats.gray_failures += 1;
         self.reliability.record_degraded(node, now);
         self.record(Record::NodeDegraded(now, node, slow_disk, slow_net));
     }
 
-    /// Stretches a freshly built [`ExecPlan`] by the node's gray-failure
-    /// multipliers: a slow disk stretches the I/O-bound segments (work,
-    /// finalize), a slow NIC stretches the shuffle copy. Healthy nodes pass
-    /// through untouched — the `!= 1.0` guards also keep the default path
-    /// byte-identical (an f64 round-trip of the micros is never taken).
-    fn apply_gray_stretch(&self, mut plan: ExecPlan, node: NodeId) -> ExecPlan {
-        let (slow_disk, slow_net) = self
-            .gray
-            .get(node.0 as usize)
-            .copied()
-            .unwrap_or((1.0, 1.0));
-        if slow_disk != 1.0 {
-            plan.work = plan.work.mul_f64(slow_disk);
-            plan.finalize = plan.finalize.mul_f64(slow_disk);
-        }
-        if slow_net != 1.0 {
-            plan.shuffle = plan.shuffle.mul_f64(slow_net);
-        }
-        plan
-    }
-
     /// Restores a gray-failed node to full speed (new launches only;
     /// attempts planned while degraded keep their stretched plans).
     fn heal_degradation(&mut self, node: NodeId, now: SimTime) {
-        let idx = node.0 as usize;
-        if self.gray.get(idx).copied().unwrap_or((1.0, 1.0)) == (1.0, 1.0) {
-            return;
+        if self.failure.heal_degradation(node) {
+            self.fault_stats.gray_heals += 1;
+            self.record(Record::DegradationHealed(now, node));
         }
-        self.gray[idx] = (1.0, 1.0);
-        self.fault_stats.gray_heals += 1;
-        self.record(Record::DegradationHealed(now, node));
     }
 
     /// Returns a failed node to service with empty disks and all slots free.
@@ -1686,30 +1429,25 @@ impl Cluster {
     /// decommission took down. Scripted rejoins (operator actions) revive
     /// anything.
     fn rejoin_node(&mut self, node: NodeId, now: SimTime, scripted: bool) {
-        if !scripted
-            && !self
-                .churn_down
-                .get(node.0 as usize)
-                .copied()
-                .unwrap_or(false)
-        {
+        if !self.failure.may_rejoin(node, scripted) {
             return;
         }
         // Under the failure detector a dead node may still be *silent* —
-        // never confirmed. Its reconnect is itself the detection: resolve the
-        // deferred teardown first, then revive from that clean slate.
-        self.resolve_silent_rejoin(node, now);
-        {
-            let Some(tt) = self.tracker_mut(node) else {
-                return;
-            };
-            if tt.is_alive() {
-                return;
+        // never confirmed. Its reconnect is itself the detection: run the
+        // deferred teardown first, then revive from that clean slate. (A
+        // partition victim that died after the master confirmed the
+        // partition was torn down node-side already: nothing new to observe.)
+        if let Some(lag) = self.failure.reconnect(node, now) {
+            if self.node_is_alive(node) {
+                self.fault_stats.record_detection(lag);
+                self.fail_node(node, now, false);
             }
-            tt.revive();
         }
-        self.churn_down[node.0 as usize] = false;
-        self.last_heartbeat[node.0 as usize] = now;
+        match self.tracker_mut(node) {
+            Some(tt) if !tt.is_alive() => tt.revive(),
+            _ => return,
+        }
+        self.failure.revived(node, now);
         self.namenode.rejoin(node);
         self.mark_node_dirty(node);
         self.fault_stats.node_rejoins += 1;
@@ -1720,70 +1458,50 @@ impl Cluster {
         let id = JobId(self.next_job_id);
         self.next_job_id += 1;
 
-        let mut tasks = Vec::new();
-        let mut total_map_input: u64 = 0;
-        match &spec.input {
+        // One map per input split: (bytes, replica holders).
+        let splits: Vec<(u64, Vec<NodeId>)> = match &spec.input {
             MapInput::DfsFile { path } => {
-                let file = self
-                    .namenode
-                    .lookup(path)
-                    .unwrap_or_else(|| {
-                        panic!("input file {path} does not exist in the simulated HDFS")
+                let nn = &self.namenode;
+                let file = nn.lookup(path).unwrap_or_else(|| {
+                    panic!("input file {path} does not exist in the simulated HDFS")
+                });
+                file.blocks
+                    .iter()
+                    .map(|&b| {
+                        let size = nn.block(b).expect("block metadata").size;
+                        (size, nn.replicas_of(b).to_vec())
                     })
-                    .clone();
-                for (i, block_id) in file.blocks.iter().enumerate() {
-                    let block = self
-                        .namenode
-                        .block(*block_id)
-                        .expect("block metadata")
-                        .clone();
-                    let preferred = self.namenode.replicas_of(*block_id).to_vec();
-                    total_map_input += block.size;
-                    tasks.push(TaskRuntime::new(
-                        TaskId {
-                            job: id,
-                            kind: TaskKind::Map,
-                            index: i as u32,
-                        },
-                        block.size,
-                        preferred,
-                    ));
-                }
+                    .collect()
             }
             MapInput::Synthetic {
                 tasks: n,
                 bytes_per_task,
-            } => {
-                for i in 0..*n {
-                    total_map_input += bytes_per_task;
-                    tasks.push(TaskRuntime::new(
-                        TaskId {
-                            job: id,
-                            kind: TaskKind::Map,
-                            index: i,
-                        },
-                        *bytes_per_task,
-                        Vec::new(),
-                    ));
-                }
-            }
-        }
-        if spec.reduce_tasks > 0 {
-            let output_ratio = spec.profile.output_ratio.unwrap_or(OUTPUT_RATIO);
-            let shuffle_per_reduce =
-                ((total_map_input as f64 * output_ratio) / spec.reduce_tasks as f64) as u64;
-            for i in 0..spec.reduce_tasks {
-                tasks.push(TaskRuntime::new(
+            } => vec![(*bytes_per_task, Vec::new()); *n as usize],
+        };
+        // Reduces split the map output evenly (unused without reduces).
+        let total_map_input: u64 = splits.iter().map(|(bytes, _)| bytes).sum();
+        let output_ratio = spec.profile.output_ratio.unwrap_or(OUTPUT_RATIO);
+        let per_reduce =
+            ((total_map_input as f64 * output_ratio) / spec.reduce_tasks as f64) as u64;
+        let maps = (0..)
+            .zip(splits)
+            .map(|(i, split)| (TaskKind::Map, i, split));
+        let reduces =
+            (0..spec.reduce_tasks).map(|i| (TaskKind::Reduce, i, (per_reduce.max(1), Vec::new())));
+        let tasks: Vec<TaskRuntime> = maps
+            .chain(reduces)
+            .map(|(kind, index, (bytes, preferred))| {
+                TaskRuntime::new(
                     TaskId {
                         job: id,
-                        kind: TaskKind::Reduce,
-                        index: i,
+                        kind,
+                        index,
                     },
-                    shuffle_per_reduce.max(1),
-                    Vec::new(),
-                ));
-            }
-        }
+                    bytes,
+                    preferred,
+                )
+            })
+            .collect();
         assert!(!tasks.is_empty(), "job {} has no tasks", spec.name);
 
         // Freshly registered tasks are all Pending, hence schedulable.
@@ -1813,44 +1531,18 @@ impl Cluster {
         self.incomplete_jobs += 1;
         self.record(Record::JobSubmitted(now, id));
 
-        self.refresh_views();
-        let actions = {
-            let ctx = SchedulerContext {
-                now,
-                jobs: &self.jobs,
-                nodes: &self.views,
-                racks: &self.rack_views,
-                topology: self.namenode.topology(),
-                totals: self.totals,
-                speculation: self.config.speculation,
-                delay: Some(&self.delay),
-                shuffle: Some(&self.shuffle),
-                reliability: Some(&self.reliability),
-            };
-            self.scheduler.on_job_submitted(&ctx, id)
-        };
-        self.apply_actions(actions, now);
+        self.consult(now, |s, ctx| s.on_job_submitted(ctx, id));
         id
     }
 
     fn handle_heartbeat(&mut self, node: NodeId, now: SimTime) {
-        let node_idx = node.0 as usize;
-        if node_idx >= self.trackers.len() {
-            return;
-        }
         // Dead nodes do not heartbeat. The wheel keeps computing their
         // periodic slots (same event count in every refresh mode), but the
         // cluster ignores them until the node rejoins.
-        if !self.trackers[node_idx].is_alive() {
+        if !self.node_is_alive(node) || !self.failure.heartbeat(node, now) {
             return;
         }
-        // A silent or partitioned node's heartbeats never arrive; the
-        // detector timer (if armed) counts down against the last one that
-        // did.
-        if self.link[node_idx] != LinkState::Up {
-            return;
-        }
-        self.last_heartbeat[node_idx] = now;
+        let node_idx = node.0 as usize;
 
         // 1. Refresh reported progress for tasks on this node (reusable
         //    buffer: no per-heartbeat allocation).
@@ -1916,23 +1608,7 @@ impl Cluster {
         }
 
         // 3. Let the scheduling policy hand out work for this node.
-        self.refresh_views();
-        let actions = {
-            let ctx = SchedulerContext {
-                now,
-                jobs: &self.jobs,
-                nodes: &self.views,
-                racks: &self.rack_views,
-                topology: self.namenode.topology(),
-                totals: self.totals,
-                speculation: self.config.speculation,
-                delay: Some(&self.delay),
-                shuffle: Some(&self.shuffle),
-                reliability: Some(&self.reliability),
-            };
-            self.scheduler.on_heartbeat(&ctx, node)
-        };
-        self.apply_actions(actions, now);
+        self.consult(now, |s, ctx| s.on_heartbeat(ctx, node));
     }
 
     fn deliver_suspend(&mut self, task: TaskId, node: NodeId, now: SimTime) {
@@ -1988,32 +1664,9 @@ impl Cluster {
             // next heartbeat from this tracker.
             Err(_) => return,
         };
-        let (segment_start, remaining) = {
-            let attempt = tt
-                .attempt_mut(attempt_id)
-                .expect("attempt present after resume");
-            debug_assert_eq!(attempt.phase, AttemptPhase::Work);
-            let remaining = attempt.remaining_work();
-            attempt.segment_start = now + stall;
-            attempt.segment_duration = remaining;
-            (attempt.segment_start, remaining)
-        };
-        let event = self.queue.schedule(
-            segment_start + remaining,
-            Event::PhaseDone {
-                node,
-                attempt: attempt_id,
-                phase: AttemptPhase::Work,
-            },
-        );
-        if let Some(tt) = self.tracker_mut(node) {
-            if let Some(attempt) = tt.attempt_mut(attempt_id) {
-                attempt.segment_event = Some(event);
-            }
-        }
+        self.enter_phase(node, attempt_id, AttemptPhase::Work, stall, now);
         self.mark_node_dirty(node);
         self.set_task_state(task, TaskState::Running);
-        self.arm_triggers(task, node, attempt_id, now);
         self.record(Record::Resumed(now, attempt_id, node, stall));
     }
 
@@ -2026,16 +1679,10 @@ impl Cluster {
         let Some(tt) = self.tracker_mut(node) else {
             return;
         };
-        if tt.attempt(attempt_id).is_none() {
+        let Some(attempt) = tt.attempt(attempt_id) else {
             // The attempt vanished underneath us (e.g. the OOM killer took
             // it); make the task schedulable again so it restarts from scratch.
             self.force_task_pending(task);
-            return;
-        }
-        let Some(tt) = self.tracker_mut(node) else {
-            return;
-        };
-        let Some(attempt) = tt.attempt(attempt_id) else {
             return;
         };
         let pending_event = attempt.segment_event;
@@ -2050,17 +1697,7 @@ impl Cluster {
         }
         self.unarm_triggers(task);
         if outcome.held_slot {
-            // The cleanup attempt holds the slot while it deletes the killed
-            // task's partial output.
-            let epoch = self.tracker(node).map(|tt| tt.epoch()).unwrap_or(0);
-            self.queue.schedule(
-                now + CLEANUP_DURATION,
-                Event::CleanupDone {
-                    node,
-                    kind: task.kind,
-                    epoch,
-                },
-            );
+            self.hold_cleanup_slot(node, task.kind, now);
         }
         self.edit_task(task, |t| {
             t.set_state(TaskState::Killed);
@@ -2122,8 +1759,25 @@ impl Cluster {
                         self.handle_oom_victim(*victim, node, now);
                     }
                 }
+                // An unrecoverable allocation failure: an allocating attempt
+                // the OOM killer took is one more victim; a backup that
+                // failed is dropped while the original continues; an
+                // original still on the tracker goes through the kill path.
                 if alloc.failed {
-                    self.handle_allocation_failure(task, attempt_id, node, self_killed, now);
+                    if self_killed {
+                        self.handle_oom_victim(attempt_id, node, now);
+                    } else if self.task(task).and_then(|t| t.spec_attempt) == Some(attempt_id) {
+                        self.abort_speculation(task, now);
+                    } else {
+                        // Index the command in case the immediate delivery
+                        // cannot complete (the retry rides the next heartbeat).
+                        let state = self.task(task).map(|t| t.state);
+                        if matches!(state, Some(TaskState::Running | TaskState::MustSuspend)) {
+                            self.set_task_state(task, TaskState::MustKill);
+                            self.enqueue_command(node, task);
+                        }
+                        self.deliver_kill(task, node, now);
+                    }
                     return;
                 }
                 let next_phase = if task.kind == TaskKind::Reduce {
@@ -2140,38 +1794,19 @@ impl Cluster {
                 // exponential backoff while the JobTracker re-executes the
                 // lost maps, and proceeds once every output is back.
                 if !self.shuffle.complete(task.job) {
-                    let retries = {
-                        let Some(tt) = self.tracker_mut(node) else {
-                            return;
-                        };
-                        let Some(a) = tt.attempt_mut(attempt_id) else {
-                            return;
-                        };
-                        let r = a.shuffle_retries;
-                        a.shuffle_retries = r.saturating_add(1);
-                        r
+                    let Some(a) = self
+                        .tracker_mut(node)
+                        .and_then(|tt| tt.attempt_mut(attempt_id))
+                    else {
+                        return;
                     };
-                    let mut wait = ShuffleTracker::refetch_delay(retries);
+                    let retries = a.shuffle_retries;
+                    a.shuffle_retries = retries.saturating_add(1);
                     // A gray-failed NIC stretches every re-fetch round too.
-                    let slow_net = self.gray[node.0 as usize].1;
-                    if slow_net != 1.0 {
-                        wait = wait.mul_f64(slow_net);
-                    }
-                    let event = self.queue.schedule(
-                        now + wait,
-                        Event::PhaseDone {
-                            node,
-                            attempt: attempt_id,
-                            phase: AttemptPhase::Shuffle,
-                        },
-                    );
-                    if let Some(tt) = self.tracker_mut(node) {
-                        if let Some(a) = tt.attempt_mut(attempt_id) {
-                            a.segment_start = now;
-                            a.segment_duration = wait;
-                            a.segment_event = Some(event);
-                        }
-                    }
+                    let wait = ShuffleTracker::refetch_delay(retries);
+                    let wait = self.failure.stretch_net(wait, node);
+                    let phase = AttemptPhase::Shuffle;
+                    self.schedule_segment(node, attempt_id, phase, now, wait);
                     self.fault_stats.shuffle_refetches += 1;
                     self.record(Record::ShuffleStalled(
                         now,
@@ -2236,34 +1871,45 @@ impl Cluster {
             AttemptPhase::Work => attempt.remaining_work(),
             AttemptPhase::Finalize => attempt.plan.finalize,
         };
-        attempt.segment_start = now + stall;
-        attempt.segment_duration = duration;
-        let fire_at = attempt.segment_start + duration;
+        self.schedule_segment(node, attempt_id, phase, now + stall, duration);
+        if phase == AttemptPhase::Work {
+            self.arm_triggers(attempt_id.task, node, attempt_id);
+        }
+    }
+
+    /// Starts a phase segment of `duration` at `start`: schedules its
+    /// completion and records the segment on the attempt.
+    fn schedule_segment(
+        &mut self,
+        node: NodeId,
+        attempt: AttemptId,
+        phase: AttemptPhase,
+        start: SimTime,
+        duration: SimDuration,
+    ) {
         let event = self.queue.schedule(
-            fire_at,
+            start + duration,
             Event::PhaseDone {
                 node,
-                attempt: attempt_id,
+                attempt,
                 phase,
             },
         );
-        if let Some(tt) = self.tracker_mut(node) {
-            if let Some(attempt) = tt.attempt_mut(attempt_id) {
-                attempt.segment_event = Some(event);
-            }
-        }
-        if phase == AttemptPhase::Work {
-            self.arm_triggers(attempt_id.task, node, attempt_id, now);
+        if let Some(a) = self
+            .tracker_mut(node)
+            .and_then(|tt| tt.attempt_mut(attempt))
+        {
+            a.segment_start = start;
+            a.segment_duration = duration;
+            a.segment_event = Some(event);
         }
     }
 
     fn complete_attempt(&mut self, node: NodeId, attempt_id: AttemptId, now: SimTime) {
         let task = attempt_id.task;
-        let idx = node.0 as usize;
         // Behind a partition the node finishes work the master cannot see:
         // the completion buffers until the heal reconciles it.
-        if matches!(self.link.get(idx), Some(LinkState::Partitioned { .. })) {
-            self.partition_buffer[idx].push(attempt_id);
+        if self.failure.buffer_completion(node, attempt_id) {
             return;
         }
         // An attempt the JobTracker no longer tracks (its task was re-run
@@ -2277,48 +1923,69 @@ impl Cluster {
             self.reconcile_completion(attempt_id, node, now);
             return;
         }
-        let Some(tt) = self.tracker_mut(node) else {
+        let Some(finished) = self.finish_attempt(node, attempt_id, now) else {
             return;
         };
-        // Captured before `complete` consumes the attempt: a committing map
-        // registers its output size with the shuffle tracker below.
-        let output_bytes = tt
-            .attempt(attempt_id)
-            .map(|a| a.plan.output_bytes)
-            .unwrap_or(0);
-        let outcome = match tt.complete(attempt_id, now) {
-            Ok(o) => o,
-            Err(_) => return,
-        };
-        self.mark_node_dirty(node);
         // First finisher wins: a completing attempt kills its sibling (the
         // original kills the backup; a winning backup kills the original,
         // wherever — running or suspended — it currently sits).
-        let (is_current, is_spec, sibling) = {
-            match self.task(task) {
-                Some(t) => {
-                    let is_current = t.current_attempt == Some(attempt_id);
-                    let sibling = if is_current {
-                        t.spec_attempt.zip(t.spec_node)
-                    } else {
-                        t.current_attempt.zip(t.node)
-                    };
-                    (is_current, t.spec_attempt == Some(attempt_id), sibling)
-                }
-                None => (false, false, None),
-            }
+        let (is_spec, sibling) = {
+            let t = self.task(task).expect("tracked above");
+            let sibling = if t.current_attempt == Some(attempt_id) {
+                t.spec_attempt.zip(t.spec_node)
+            } else {
+                t.current_attempt.zip(t.node)
+            };
+            (t.spec_attempt == Some(attempt_id), sibling)
         };
-        if is_current || is_spec {
-            if let Some((loser, loser_node)) = sibling {
-                self.kill_sibling_attempt(loser, loser_node, now);
-            }
-            self.clear_speculation_fields(task);
-            if is_spec {
-                self.fault_stats.speculative_won += 1;
-            }
+        if let Some((loser, loser_node)) = sibling {
+            self.kill_sibling_attempt(loser, loser_node, now);
         }
+        self.clear_speculation_fields(task);
+        if is_spec {
+            self.fault_stats.speculative_won += 1;
+        }
+        self.commit(attempt_id, node, finished, false, now);
+    }
+
+    /// Takes a finished attempt off its tracker. Returns its termination
+    /// outcome and the output bytes it leaves on the node, captured before
+    /// `complete` consumes the attempt.
+    fn finish_attempt(
+        &mut self,
+        node: NodeId,
+        attempt: AttemptId,
+        now: SimTime,
+    ) -> Option<(TerminationOutcome, u64)> {
+        let tt = self.tracker_mut(node)?;
+        let output_bytes = tt
+            .attempt(attempt)
+            .map(|a| a.plan.output_bytes)
+            .unwrap_or(0);
+        let outcome = tt.complete(attempt, now).ok()?;
+        self.mark_node_dirty(node);
+        Some((outcome, output_bytes))
+    }
+
+    /// Commits a task's success: marks it `Succeeded` — through the checked
+    /// state machine on the live path, forced for a `reconciled` completion,
+    /// whose task may sit in any state — registers a map's output, then runs
+    /// job-completion bookkeeping and the scheduler hooks.
+    fn commit(
+        &mut self,
+        attempt: AttemptId,
+        node: NodeId,
+        (outcome, output_bytes): (TerminationOutcome, u64),
+        reconciled: bool,
+        now: SimTime,
+    ) {
+        let task = attempt.task;
         self.edit_task(task, |t| {
-            t.set_state(TaskState::Succeeded);
+            if reconciled {
+                t.state = TaskState::Succeeded;
+            } else {
+                t.set_state(TaskState::Succeeded);
+            }
             t.progress = 1.0;
             t.finished_at = Some(now);
             t.current_attempt = None;
@@ -2334,16 +2001,7 @@ impl Cluster {
             self.shuffle
                 .record_map_output(task.job, task.index as usize, node, rack, output_bytes);
         }
-        self.record(Record::Completed(now, attempt_id, node, false));
-
-        self.after_task_success(task, node, now);
-    }
-
-    /// The shared tail of a task success — job-completion bookkeeping plus
-    /// the scheduler hooks. Used by the normal commit path and by
-    /// reconciled commits after a partition heal.
-    fn after_task_success(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        // Job completion check.
+        self.record(Record::Completed(now, attempt, node, reconciled));
         let job_complete = self
             .jobs
             .get(&task.job)
@@ -2359,43 +2017,13 @@ impl Cluster {
             self.debug_check_job_counters(task.job);
             self.record(Record::JobCompleted(now, task.job));
         }
-
-        // Scheduler hooks.
-        self.refresh_views();
-        let mut actions = {
-            let ctx = SchedulerContext {
-                now,
-                jobs: &self.jobs,
-                nodes: &self.views,
-                racks: &self.rack_views,
-                topology: self.namenode.topology(),
-                totals: self.totals,
-                speculation: self.config.speculation,
-                delay: Some(&self.delay),
-                shuffle: Some(&self.shuffle),
-                reliability: Some(&self.reliability),
-            };
-            self.scheduler.on_task_finished(&ctx, task)
-        };
-        if job_complete {
-            let more = {
-                let ctx = SchedulerContext {
-                    now,
-                    jobs: &self.jobs,
-                    nodes: &self.views,
-                    racks: &self.rack_views,
-                    topology: self.namenode.topology(),
-                    totals: self.totals,
-                    speculation: self.config.speculation,
-                    delay: Some(&self.delay),
-                    shuffle: Some(&self.shuffle),
-                    reliability: Some(&self.reliability),
-                };
-                self.scheduler.on_job_finished(&ctx, task.job)
-            };
-            actions.extend(more);
-        }
-        self.apply_actions(actions, now);
+        self.consult(now, |s, ctx| {
+            let mut actions = s.on_task_finished(ctx, task);
+            if job_complete {
+                actions.extend(s.on_job_finished(ctx, task.job));
+            }
+            actions
+        });
         self.schedule_out_of_band_heartbeat(node, now);
     }
 
@@ -2440,33 +2068,16 @@ impl Cluster {
                 t.spec_attempt.zip(t.spec_node),
             )
         };
-        if let Some((a, n)) = current {
-            if a != attempt_id {
-                self.kill_sibling_attempt(a, n, now);
-            }
-        }
-        if let Some((a, n)) = spec {
+        for (a, n) in current.into_iter().chain(spec) {
             if a != attempt_id {
                 self.kill_sibling_attempt(a, n, now);
             }
         }
         self.clear_speculation_fields(task);
         self.unarm_triggers(task);
-        let output_bytes = self
-            .tracker(node)
-            .and_then(|tt| tt.attempt(attempt_id))
-            .map(|a| a.plan.output_bytes)
-            .unwrap_or(0);
-        let outcome = {
-            let Some(tt) = self.tracker_mut(node) else {
-                return;
-            };
-            match tt.complete(attempt_id, now) {
-                Ok(o) => o,
-                Err(_) => return,
-            }
+        let Some(finished) = self.finish_attempt(node, attempt_id, now) else {
+            return;
         };
-        self.mark_node_dirty(node);
         // Tripwire, not control flow: if the task somehow reached Succeeded
         // between the routing check above and here, committing again would
         // be a double commit. The bench quality gate asserts this is zero.
@@ -2474,116 +2085,49 @@ impl Cluster {
             self.fault_stats.duplicate_commits += 1;
         }
         self.fault_stats.reconciled_commits += 1;
-        self.edit_task(task, |t| {
-            t.state = TaskState::Succeeded;
-            t.progress = 1.0;
-            t.finished_at = Some(now);
-            t.current_attempt = None;
-            t.node = Some(node);
-            t.paged_out_bytes += outcome.paged_out_bytes;
-            t.paged_in_bytes += outcome.paged_in_bytes;
-        });
-        if task.kind == TaskKind::Map && self.shuffle.tracked(task.job) {
-            let rack = RackId(self.node_rack[node.0 as usize]);
-            self.shuffle
-                .record_map_output(task.job, task.index as usize, node, rack, output_bytes);
-        }
-        self.record(Record::Completed(now, attempt_id, node, true));
-        self.after_task_success(task, node, now);
+        self.commit(attempt_id, node, finished, true, now);
     }
 
     /// Handles a task whose process was sacrificed by the OOM killer while
-    /// another task was allocating memory.
+    /// another task was allocating memory (see [`Cluster::lose_attempt`]).
     fn handle_oom_victim(&mut self, attempt_id: AttemptId, node: NodeId, now: SimTime) {
-        let task = attempt_id.task;
-        let (is_current, is_spec, backup, wasted) = {
-            let Some(t) = self.task(task) else { return };
-            (
-                t.current_attempt == Some(attempt_id),
-                t.spec_attempt == Some(attempt_id),
-                t.spec_attempt.zip(t.spec_node),
-                t.progress,
-            )
+        let Some(t) = self.task(attempt_id.task) else {
+            return;
         };
-        let cause = if is_spec {
+        let cause = if t.spec_attempt == Some(attempt_id) {
             KillCause::SpeculativeOom
         } else {
             KillCause::Oom
         };
+        let wasted = SimDuration::from_secs_f64(t.progress * 10.0);
         self.record(Record::Killed(now, attempt_id, node, cause));
-        if is_spec {
-            // Only the backup died (its process is already gone); the
-            // original attempt is untouched.
-            self.clear_speculation_fields(task);
-            return;
-        }
-        if !is_current {
-            return;
-        }
-        self.unarm_triggers(task);
-        if let Some((spec_attempt, spec_node)) = backup {
-            // The original died but its backup lives on another node (the
-            // OOM happened on the original's node): promote the backup and
-            // re-arm any progress watches against it.
-            self.clear_speculation_fields(task);
-            if let Some(t) = self.task_mut(task) {
-                t.current_attempt = Some(spec_attempt);
-                t.node = Some(spec_node);
-                t.wasted_work += SimDuration::from_secs_f64(wasted * 10.0);
-            }
-            self.force_task_state(task, TaskState::Running);
-            self.arm_triggers(task, spec_node, spec_attempt, now);
-        } else {
-            // Whatever state the task was in, its attempt is gone: it goes
-            // back to pending and will be rescheduled from scratch.
-            self.force_task_pending(task);
-            if let Some(t) = self.task_mut(task) {
-                t.wasted_work += SimDuration::from_secs_f64(wasted * 10.0);
-            }
-        }
+        // The OOM happened on this node, so a backup elsewhere is promoted.
+        self.lose_attempt(attempt_id, wasted, false);
     }
 
-    /// Resolves an unrecoverable memory-allocation failure for `attempt_id`.
-    /// `attempt_gone` means the OOM killer already took the allocating
-    /// attempt's process; otherwise the attempt is still on the tracker and
-    /// goes through the ordinary kill path.
-    fn handle_allocation_failure(
+    /// Consults the scheduling policy: refreshes the views, hands `hook` the
+    /// policy and a context over the current state, and applies the actions
+    /// it returns.
+    fn consult(
         &mut self,
-        task: TaskId,
-        attempt_id: AttemptId,
-        node: NodeId,
-        attempt_gone: bool,
         now: SimTime,
+        hook: impl FnOnce(&mut dyn SchedulerPolicy, &SchedulerContext<'_>) -> Vec<SchedulerAction>,
     ) {
-        if attempt_gone {
-            // Same resolution as any other OOM victim: reschedule the task
-            // (or promote its backup).
-            self.handle_oom_victim(attempt_id, node, now);
-            return;
-        }
-        let is_spec = self
-            .task(task)
-            .is_some_and(|t| t.spec_attempt == Some(attempt_id));
-        if is_spec {
-            // Only the backup failed to allocate; the original continues.
-            self.abort_speculation(task, now);
-        } else {
-            self.force_kill_after_failure(task, node, now);
-        }
-    }
-
-    fn force_kill_after_failure(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        let marked = matches!(
-            self.task(task).map(|t| t.state),
-            Some(TaskState::Running | TaskState::MustSuspend)
-        );
-        if marked {
-            self.set_task_state(task, TaskState::MustKill);
-            // Index the command in case the immediate delivery below cannot
-            // complete (the retry then rides the next heartbeat).
-            self.enqueue_command(node, task);
-        }
-        self.deliver_kill(task, node, now);
+        self.refresh_views();
+        let ctx = SchedulerContext {
+            now,
+            jobs: &self.jobs,
+            nodes: &self.views,
+            racks: &self.rack_views,
+            topology: self.namenode.topology(),
+            totals: self.totals,
+            speculation: self.config.speculation,
+            delay: Some(&self.delay),
+            shuffle: Some(&self.shuffle),
+            reliability: Some(&self.reliability),
+        };
+        let actions = hook(self.scheduler.as_mut(), &ctx);
+        self.apply_actions(actions, now);
     }
 
     fn apply_actions(&mut self, actions: Vec<SchedulerAction>, now: SimTime) {
@@ -2592,8 +2136,7 @@ impl Cluster {
         // array indices mirror [`crate::obs::ACTION_KINDS`].
         let timer = self.obs.as_mut().and_then(|o| o.action_timer());
         let mut acted = [0u32; 6];
-        let mut queue: VecDeque<SchedulerAction> = actions.into();
-        while let Some(action) = queue.pop_front() {
+        for action in actions {
             if self.obs.is_some() {
                 let idx = match &action {
                     SchedulerAction::SubmitJob(_) => 0,
@@ -2618,44 +2161,21 @@ impl Cluster {
                     self.launch_speculative(task, node, now);
                 }
                 SchedulerAction::Suspend { task } => {
-                    let node = match self.task(task) {
-                        Some(t) if t.state == TaskState::Running => t.node,
-                        _ => None,
-                    };
-                    if let Some(node) = node {
-                        self.set_task_state(task, TaskState::MustSuspend);
-                        self.enqueue_command(node, task);
-                    }
+                    self.issue_command(task, TaskState::MustSuspend, |s| s == TaskState::Running)
                 }
                 SchedulerAction::Resume { task } => {
-                    let node = match self.task(task) {
-                        Some(t) if t.state == TaskState::Suspended => t.node,
-                        _ => None,
-                    };
-                    if let Some(node) = node {
-                        self.set_task_state(task, TaskState::MustResume);
-                        self.enqueue_command(node, task);
-                    }
+                    self.issue_command(task, TaskState::MustResume, |s| s == TaskState::Suspended)
                 }
                 SchedulerAction::Kill { task } => {
-                    let node = match self.task(task) {
-                        Some(t)
-                            if matches!(
-                                t.state,
-                                TaskState::Running
-                                    | TaskState::Suspended
-                                    | TaskState::MustSuspend
-                                    | TaskState::MustResume
-                            ) =>
-                        {
-                            t.node
-                        }
-                        _ => None,
-                    };
-                    if let Some(node) = node {
-                        self.set_task_state(task, TaskState::MustKill);
-                        self.enqueue_command(node, task);
-                    }
+                    self.issue_command(task, TaskState::MustKill, |s| {
+                        matches!(
+                            s,
+                            TaskState::Running
+                                | TaskState::Suspended
+                                | TaskState::MustSuspend
+                                | TaskState::MustResume
+                        )
+                    })
                 }
             }
         }
@@ -2664,65 +2184,71 @@ impl Cluster {
         }
     }
 
-    /// Shuffle-duration multiplier for a reduce of `job` launching on `node`
-    /// (see `ShuffleTracker::reduce_contention`).
-    fn reduce_contention(&self, job: JobId, node: NodeId) -> f64 {
-        let rack = RackId(self.node_rack[node.0 as usize]);
-        self.shuffle.reduce_contention(job, rack)
+    /// Moves a task whose state `from` accepts to the `MUST_*` state `next`;
+    /// its node gets the command at its next heartbeat.
+    fn issue_command(&mut self, task: TaskId, next: TaskState, from: impl Fn(TaskState) -> bool) {
+        let Some(node) = self
+            .task(task)
+            .filter(|t| from(t.state))
+            .and_then(|t| t.node)
+        else {
+            return;
+        };
+        self.set_task_state(task, next);
+        self.enqueue_command(node, task);
+    }
+
+    /// Starts a new attempt of `task` on `node` if the link is up, `admit`
+    /// accepts the task and the node has a free slot of its kind: plans it
+    /// for the input locality it gets there (stretched on a gray-failed
+    /// node) and launches it on the tracker, in its setup phase. Returns the
+    /// attempt and its locality.
+    fn start_attempt(
+        &mut self,
+        task: TaskId,
+        node: NodeId,
+        now: SimTime,
+        admit: impl FnOnce(&JobRuntime, &TaskRuntime) -> bool,
+    ) -> Option<(AttemptId, Locality)> {
+        // A dark node cannot receive a launch: the scheduler's view of it is
+        // stale until the detector tears it down or the link heals.
+        if !self.failure.is_up(node) {
+            return None;
+        }
+        // Build the execution plan from borrowed state: no clones of the
+        // profile or the preferred-node list on this path.
+        let job = self.jobs.get(&task.job)?;
+        let t = job.task(task)?;
+        if !admit(job, t) || self.tracker(node)?.free_slots(task.kind) == 0 {
+            return None;
+        }
+        let locality = t.locality(self.namenode.topology(), node);
+        let profile = &job.spec.profile;
+        let plan = match task.kind {
+            TaskKind::Map => ExecPlan::for_map(profile, t.input_bytes, locality),
+            TaskKind::Reduce => {
+                let rack = RackId(self.node_rack[node.0 as usize]);
+                let contention = self.shuffle.reduce_contention(task.job, rack);
+                ExecPlan::for_reduce_contended(profile, t.input_bytes, contention)
+            }
+        };
+        let plan = self.failure.stretch(plan, node);
+        let attempt = self.task_mut(task)?.next_attempt();
+        // A failed launch leaves the attempt counter bumped: attempt ids only
+        // need to be unique.
+        self.trackers[node.0 as usize]
+            .launch(attempt, task.kind, plan, now)
+            .ok()?;
+        self.mark_node_dirty(node);
+        self.enter_phase(node, attempt, AttemptPhase::Setup, SimDuration::ZERO, now);
+        Some((attempt, locality))
     }
 
     fn launch_task(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        // A dark node cannot receive a launch: the scheduler's view of it is
-        // stale until the detector tears it down or the link heals.
-        if self.link.get(node.0 as usize) != Some(&LinkState::Up) {
+        let admit = |_: &JobRuntime, t: &TaskRuntime| t.state.is_schedulable();
+        let Some((attempt_id, locality)) = self.start_attempt(task, node, now, admit) else {
             return;
-        }
-        // Build the execution plan from borrowed state: no clones of the
-        // profile, the preferred-node list or the disk config on this path.
-        let (plan, locality) = {
-            let Some(job) = self.jobs.get(&task.job) else {
-                return;
-            };
-            let Some(t) = job.task(task) else { return };
-            if !t.state.is_schedulable() {
-                return;
-            }
-            let Some(tt) = self.tracker(node) else { return };
-            if tt.free_slots(task.kind) == 0 {
-                return;
-            }
-            // O(replicas): the topology's rack lookups are O(1).
-            let locality = if t.preferred_nodes.is_empty() {
-                Locality::NodeLocal
-            } else {
-                t.preferred_nodes
-                    .iter()
-                    .map(|holder| self.namenode.topology().locality(node, *holder))
-                    .min()
-                    .unwrap_or(Locality::OffRack)
-            };
-            let profile = &job.spec.profile;
-            let plan = match task.kind {
-                TaskKind::Map => ExecPlan::for_map(profile, t.input_bytes, locality),
-                TaskKind::Reduce => {
-                    let contention = self.reduce_contention(task.job, node);
-                    ExecPlan::for_reduce_contended(profile, t.input_bytes, contention)
-                }
-            };
-            (plan, locality)
         };
-        let plan = self.apply_gray_stretch(plan, node);
-        let attempt_id = {
-            let Some(t) = self.task_mut(task) else { return };
-            t.next_attempt()
-        };
-        let tt = self.tracker_mut(node).expect("checked above");
-        if tt.launch(attempt_id, task.kind, plan, now).is_err() {
-            // Roll back the attempt counter bump is not necessary: attempt ids
-            // only need to be unique.
-            return;
-        }
-        self.mark_node_dirty(node);
         if task.kind == TaskKind::Map {
             self.locality.record(locality);
             // Delay scheduling: a node-local launch ends the job's wait
@@ -2745,27 +2271,6 @@ impl Cluster {
             }
         })
         .expect("task exists");
-        // Schedule the end of the setup phase.
-        let setup = self
-            .tracker(node)
-            .and_then(|tt| tt.attempt(attempt_id))
-            .map(|a| a.plan.setup)
-            .unwrap_or(SimDuration::ZERO);
-        let event = self.queue.schedule(
-            now + setup,
-            Event::PhaseDone {
-                node,
-                attempt: attempt_id,
-                phase: AttemptPhase::Setup,
-            },
-        );
-        if let Some(tt) = self.tracker_mut(node) {
-            if let Some(a) = tt.attempt_mut(attempt_id) {
-                a.segment_event = Some(event);
-                a.segment_start = now;
-                a.segment_duration = setup;
-            }
-        }
         self.record(Record::Launched(now, attempt_id, node));
     }
 
@@ -2776,86 +2281,24 @@ impl Cluster {
     /// tracked through [`TaskRuntime::spec_attempt`] and the first attempt to
     /// finish wins.
     fn launch_speculative(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        if self.link.get(node.0 as usize) != Some(&LinkState::Up) {
-            return;
-        }
-        let plan = {
-            let Some(job) = self.jobs.get(&task.job) else {
-                return;
-            };
-            if job.speculative_live >= MAX_LIVE_SPECULATIONS_PER_JOB {
-                return;
-            }
-            let Some(t) = job.task(task) else { return };
-            if t.spec_attempt.is_some()
-                || !matches!(
+        let admit = |job: &JobRuntime, t: &TaskRuntime| {
+            job.speculative_live < MAX_LIVE_SPECULATIONS_PER_JOB
+                && t.spec_attempt.is_none()
+                && matches!(
                     t.state,
                     TaskState::Running | TaskState::Suspended | TaskState::MustResume
                 )
-                || t.node == Some(node)
-            {
-                return;
-            }
-            let Some(tt) = self.tracker(node) else { return };
-            if !tt.is_alive() || tt.free_slots(task.kind) == 0 {
-                return;
-            }
-            let locality = if t.preferred_nodes.is_empty() {
-                Locality::NodeLocal
-            } else {
-                t.preferred_nodes
-                    .iter()
-                    .map(|holder| self.namenode.topology().locality(node, *holder))
-                    .min()
-                    .unwrap_or(Locality::OffRack)
-            };
-            let profile = &job.spec.profile;
-            match task.kind {
-                TaskKind::Map => ExecPlan::for_map(profile, t.input_bytes, locality),
-                TaskKind::Reduce => {
-                    let contention = self.reduce_contention(task.job, node);
-                    ExecPlan::for_reduce_contended(profile, t.input_bytes, contention)
-                }
-            }
+                && t.node != Some(node)
         };
-        let plan = self.apply_gray_stretch(plan, node);
-        let attempt_id = {
-            let Some(t) = self.task_mut(task) else { return };
-            t.next_attempt()
-        };
-        let tt = self.tracker_mut(node).expect("checked above");
-        if tt.launch(attempt_id, task.kind, plan, now).is_err() {
+        let Some((attempt_id, _)) = self.start_attempt(task, node, now, admit) else {
             return;
-        }
-        self.mark_node_dirty(node);
-        {
-            let job = self.jobs.get_mut(&task.job).expect("checked above");
-            job.speculative_live += 1;
-            let t = job.task_mut(task).expect("checked above");
-            t.spec_attempt = Some(attempt_id);
-            t.spec_node = Some(node);
-        }
+        };
+        let job = self.jobs.get_mut(&task.job).expect("checked above");
+        job.speculative_live += 1;
+        let t = job.task_mut(task).expect("checked above");
+        t.spec_attempt = Some(attempt_id);
+        t.spec_node = Some(node);
         self.fault_stats.speculative_launched += 1;
-        let setup = self
-            .tracker(node)
-            .and_then(|tt| tt.attempt(attempt_id))
-            .map(|a| a.plan.setup)
-            .unwrap_or(SimDuration::ZERO);
-        let event = self.queue.schedule(
-            now + setup,
-            Event::PhaseDone {
-                node,
-                attempt: attempt_id,
-                phase: AttemptPhase::Setup,
-            },
-        );
-        if let Some(tt) = self.tracker_mut(node) {
-            if let Some(a) = tt.attempt_mut(attempt_id) {
-                a.segment_event = Some(event);
-                a.segment_start = now;
-                a.segment_duration = setup;
-            }
-        }
         self.record(Record::Speculated(now, attempt_id, node));
     }
 
@@ -2870,18 +2313,7 @@ impl Cluster {
         let pending_event = a.segment_event;
         let invested = a.invested_time(now);
         if tt.kill(attempt, now).map(|o| o.held_slot).unwrap_or(false) {
-            // The killed loser held a slot: a cleanup attempt occupies it
-            // until the partial output is deleted, exactly like a scheduler
-            // kill.
-            let epoch = self.tracker(node).map(|tt| tt.epoch()).unwrap_or(0);
-            self.queue.schedule(
-                now + CLEANUP_DURATION,
-                Event::CleanupDone {
-                    node,
-                    kind: attempt.task.kind,
-                    epoch,
-                },
-            );
+            self.hold_cleanup_slot(node, attempt.task.kind, now);
         }
         self.mark_node_dirty(node);
         if let Some(ev) = pending_event {
@@ -2890,6 +2322,16 @@ impl Cluster {
         self.fault_stats.speculative_wasted_secs += invested.as_secs_f64();
         self.record(Record::SiblingKilled(now, attempt, node, invested));
         self.schedule_out_of_band_heartbeat(node, now);
+    }
+
+    /// A killed attempt that held a slot leaves it to a cleanup attempt,
+    /// which occupies it until the partial output is deleted.
+    fn hold_cleanup_slot(&mut self, node: NodeId, kind: TaskKind, now: SimTime) {
+        let epoch = self.tracker(node).map(|tt| tt.epoch()).unwrap_or(0);
+        self.queue.schedule(
+            now + crate::attempt::CLEANUP_DURATION,
+            Event::CleanupDone { node, kind, epoch },
+        );
     }
 
     /// Tears down a task's live backup attempt (if any) and clears the
@@ -2906,42 +2348,31 @@ impl Cluster {
 
     // ----- progress triggers -----------------------------------------------
 
-    fn arm_triggers(&mut self, task: TaskId, node: NodeId, attempt_id: AttemptId, _now: SimTime) {
+    fn arm_triggers(&mut self, task: TaskId, node: NodeId, attempt_id: AttemptId) {
         if self.triggers.is_empty() || task.kind != TaskKind::Map {
             return;
         }
+        let Some(a) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
+            return;
+        };
+        let (segment_start, work, work_completed) =
+            (a.segment_start, a.plan.work, a.work_completed);
         let Some(job) = self.jobs.get(&task.job) else {
             return;
         };
-        let job_name = job.spec.name.clone();
-        let (segment_start, work, work_completed) = {
-            let Some(tt) = self.tracker(node) else { return };
-            let Some(a) = tt.attempt(attempt_id) else {
-                return;
-            };
-            (a.segment_start, a.plan.work, a.work_completed)
-        };
-        for index in 0..self.triggers.len() {
-            let matches = {
-                let t = &self.triggers[index];
-                matches!(t.state, TriggerState::Waiting)
-                    && t.job_name == job_name
-                    && t.task_index == task.index
-            };
-            if !matches {
+        for (index, trigger) in self.triggers.iter_mut().enumerate() {
+            if !matches!(trigger.state, TriggerState::Waiting)
+                || trigger.job_name != job.spec.name
+                || trigger.task_index != task.index
+            {
                 continue;
             }
-            let fraction = self.triggers[index].fraction;
-            let target = work.mul_f64(fraction);
-            let fire_at = if work_completed >= target {
-                segment_start
-            } else {
-                segment_start + target.saturating_sub(work_completed)
-            };
+            let target = work.mul_f64(trigger.fraction);
+            let fire_at = segment_start + target.saturating_sub(work_completed);
             let event = self
                 .queue
                 .schedule(fire_at, Event::ProgressTrigger { index });
-            self.triggers[index].state = TriggerState::Armed { event, task };
+            trigger.state = TriggerState::Armed { event, task };
         }
     }
 
@@ -2966,23 +2397,7 @@ impl Cluster {
             _ => return,
         };
         self.triggers[index].state = TriggerState::Fired;
-        self.refresh_views();
-        let actions = {
-            let ctx = SchedulerContext {
-                now,
-                jobs: &self.jobs,
-                nodes: &self.views,
-                racks: &self.rack_views,
-                topology: self.namenode.topology(),
-                totals: self.totals,
-                speculation: self.config.speculation,
-                delay: Some(&self.delay),
-                shuffle: Some(&self.shuffle),
-                reliability: Some(&self.reliability),
-            };
-            self.scheduler.on_progress_trigger(&ctx, task, fraction)
-        };
-        self.apply_actions(actions, now);
+        self.consult(now, |s, ctx| s.on_progress_trigger(ctx, task, fraction));
     }
 }
 
@@ -3230,444 +2645,6 @@ mod tests {
     }
 
     #[test]
-    fn node_failure_reschedules_tasks_and_the_job_still_completes() {
-        let mut cfg = ClusterConfig::small_cluster(2, 1, 1);
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(30),
-            kind: crate::config::FaultKind::Kill { node: NodeId(1) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.create_input_file("/in", 512 * MIB).unwrap();
-        c.submit_job(JobSpec::map_only("churn", "/in"));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete(), "survivor node finishes the job");
-        assert_eq!(report.faults.node_failures, 1);
-        assert!(
-            report.faults.attempts_lost >= 1,
-            "node 1 was running a task at t=30: {:?}",
-            report.faults
-        );
-        assert!(report.faults.attempts_lost >= report.faults.re_executed_tasks);
-        assert!(!c.node_is_alive(NodeId(1)));
-        assert!(!c.namenode().is_live(NodeId(1)));
-        // The re-executed task needed a second attempt.
-        let max_attempts = report.jobs[0]
-            .tasks
-            .iter()
-            .map(|t| t.attempts)
-            .max()
-            .unwrap();
-        assert!(max_attempts >= 2);
-        assert!(c
-            .trace()
-            .iter()
-            .any(|r| matches!(r, Record::NodeFailed(..))));
-    }
-
-    #[test]
-    fn failed_node_rejoins_and_takes_work_again() {
-        let mut cfg = ClusterConfig::small_cluster(2, 1, 1);
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(10),
-            kind: crate::config::FaultKind::Kill { node: NodeId(1) },
-        });
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(40),
-            kind: crate::config::FaultKind::Rejoin { node: NodeId(1) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.create_input_file("/in", 512 * MIB).unwrap();
-        c.submit_job(JobSpec::map_only("rejoin", "/in"));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete());
-        assert_eq!(report.faults.node_failures, 1);
-        assert_eq!(report.faults.node_rejoins, 1);
-        assert!(c.node_is_alive(NodeId(1)));
-        assert!(c.namenode().is_live(NodeId(1)));
-        // Both nodes active again at the end: total free map slots add up.
-        let total_free: u32 = c.rack_views().iter().map(|r| r.free_map_slots).sum();
-        assert_eq!(total_free, 2);
-    }
-
-    #[test]
-    fn decommission_drains_replicas_and_counts_separately() {
-        let mut cfg = ClusterConfig::small_cluster(4, 1, 1);
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(5),
-            kind: crate::config::FaultKind::Decommission { node: NodeId(0) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        // Written from node 0, replication 3: node 0 holds a replica of
-        // every block, so decommissioning it forces re-replication.
-        c.create_input_file("/in", 512 * MIB).unwrap();
-        c.submit_job(JobSpec::map_only("drain", "/in"));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete());
-        assert_eq!(report.faults.node_decommissions, 1);
-        assert_eq!(report.faults.node_failures, 0);
-        assert!(
-            report.faults.re_replicated_blocks >= 1,
-            "node 0 held first replicas: {:?}",
-            report.faults
-        );
-        assert_eq!(
-            report.faults.lost_blocks, 0,
-            "decommission never loses blocks"
-        );
-    }
-
-    #[test]
-    fn rack_outage_fails_every_member_and_rack_rejoin_restores_them() {
-        let mut cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(20),
-            kind: crate::config::FaultKind::RackOutage { rack: RackId(1) },
-        });
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(50),
-            kind: crate::config::FaultKind::RackRejoin { rack: RackId(1) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.submit_job(JobSpec::synthetic("outage", 8, 128 * MIB));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete());
-        assert_eq!(report.faults.node_failures, 2, "both rack members fail");
-        assert_eq!(report.faults.node_rejoins, 2);
-        assert!(c.node_is_alive(NodeId(2)) && c.node_is_alive(NodeId(3)));
-    }
-
-    #[test]
-    fn lost_map_outputs_stall_reduces_and_reexecute_maps() {
-        // Fault-tolerant shuffle on: killing a node after its map committed
-        // destroys the node-local output; the affected map re-executes, the
-        // reduces stall in Shuffle with backoff instead of failing, and the
-        // job still completes.
-        let mut cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
-        cfg.shuffle = crate::config::ShuffleConfig::fault_tolerant();
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(30),
-            kind: crate::config::FaultKind::Kill { node: NodeId(3) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.submit_job(JobSpec::synthetic("mr", 4, 128 * MIB).with_reduces(2));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete(), "{:?}", report.faults);
-        assert!(
-            report.faults.lost_map_outputs >= 1,
-            "node 3 held a committed map output at t=30: {:?}",
-            report.faults
-        );
-        assert!(
-            report.faults.shuffle_refetches >= 1,
-            "reduces must have waited on missing outputs: {:?}",
-            report.faults
-        );
-        assert!(report.faults.re_executed_tasks >= report.faults.lost_map_outputs);
-        assert!(c
-            .trace()
-            .iter()
-            .any(|r| matches!(r, Record::MapOutputLost(..))));
-        // The registry retires with the job.
-        assert!(!c.shuffle_tracker().tracked(JobId(1)));
-    }
-
-    #[test]
-    fn decommission_drains_map_outputs_without_reexecution() {
-        // A graceful decommission migrates the leaving node's map outputs to
-        // a live node — no map output is lost and no completed map restarts,
-        // mirroring the NameNode's graceful block drain.
-        let mut cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
-        cfg.shuffle = crate::config::ShuffleConfig::fault_tolerant();
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(30),
-            kind: crate::config::FaultKind::Decommission { node: NodeId(3) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.submit_job(JobSpec::synthetic("drain", 4, 128 * MIB).with_reduces(2));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete());
-        assert_eq!(report.faults.lost_map_outputs, 0);
-        assert!(
-            report.faults.map_outputs_migrated >= 1,
-            "node 3 held a committed map output at t=30: {:?}",
-            report.faults
-        );
-        // Every map committed exactly once: the drain made re-execution
-        // unnecessary.
-        for task in report.jobs[0]
-            .tasks
-            .iter()
-            .filter(|t| t.id.kind == TaskKind::Map)
-        {
-            assert_eq!(task.attempts, 1, "map {:?} restarted", task.id);
-        }
-    }
-
-    #[test]
-    fn crashes_feed_the_reliability_predictor_but_decommissions_do_not() {
-        let run = |kind: crate::config::FaultKind| {
-            let mut cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
-            cfg.reliability = crate::config::ReliabilityConfig::predictive();
-            cfg.faults.events.push(crate::config::FaultEvent {
-                at: SimTime::from_secs(10),
-                kind,
-            });
-            let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-            c.submit_job(JobSpec::synthetic("r", 8, 128 * MIB));
-            c.run(SimTime::from_secs(60));
-            c
-        };
-        let crashed = run(crate::config::FaultKind::Kill { node: NodeId(1) });
-        assert!(crashed
-            .reliability_tracker()
-            .flaky(NodeId(1), RackId(0), SimTime::from_secs(11)));
-        let drained = run(crate::config::FaultKind::Decommission { node: NodeId(1) });
-        assert_eq!(
-            drained
-                .reliability_tracker()
-                .score(NodeId(1), RackId(0), SimTime::from_secs(11)),
-            0.0,
-            "an operator action is not evidence of flakiness"
-        );
-    }
-
-    #[test]
-    fn detector_defers_kill_until_missed_heartbeat_timeout() {
-        // Detector on, node 1 killed at t=30. Heartbeats come every 3s and
-        // suspicion needs 3 missed ones, so the master keeps believing in
-        // the dead node — slots occupied, no teardown — until the timeout
-        // anchored on the last delivered heartbeat expires.
-        let mut cfg = ClusterConfig::small_cluster(2, 1, 1);
-        cfg.detector = crate::config::DetectorConfig::enabled();
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(30),
-            kind: crate::config::FaultKind::Kill { node: NodeId(1) },
-        });
-        let timeout = cfg.detector.timeout(cfg.heartbeat_interval);
-        let interval = cfg.heartbeat_interval;
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.create_input_file("/in", 512 * MIB).unwrap();
-        c.submit_job(JobSpec::map_only("late-news", "/in"));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete(), "{:?}", report.faults);
-        assert_eq!(report.faults.nodes_suspected, 1);
-        assert_eq!(report.faults.failures_detected, 1);
-        assert_eq!(report.faults.node_failures, 1);
-        let suspected_at = c
-            .trace()
-            .iter()
-            .find_map(|r| match *r {
-                Record::NodeSuspected(at, _) => Some(at),
-                _ => None,
-            })
-            .expect("suspicion trace");
-        let failed_at = c
-            .trace()
-            .iter()
-            .find_map(|r| match *r {
-                Record::NodeFailed(at, ..) => Some(at),
-                _ => None,
-            })
-            .expect("teardown trace");
-        // Zero confirmation grace: suspicion is confirmation.
-        assert_eq!(suspected_at, failed_at);
-        let killed_at = SimTime::from_secs(30);
-        assert!(
-            failed_at > killed_at,
-            "the kill must be observed strictly after it struck"
-        );
-        assert!(
-            failed_at <= killed_at + timeout,
-            "detection lag is bounded by the timeout: failed at {failed_at:?}"
-        );
-        // The last heartbeat landed at most one interval before the kill.
-        assert!(failed_at >= killed_at + timeout.saturating_sub(interval));
-        let lag = report.faults.detection_lag_secs_max;
-        assert!(
-            (lag - (failed_at - killed_at).as_secs_f64()).abs() < 1e-9,
-            "lag accounting matches the trace: {lag}"
-        );
-        assert!(report.faults.detection_lag_secs_sum >= lag);
-    }
-
-    #[test]
-    fn healed_partition_recontributes_work_without_duplicate_commits() {
-        // Node 3 is cut off at t=30 with the detector on: the master tears
-        // it down after the timeout and re-runs its work, while the node
-        // keeps executing behind the partition. The heal at t=60 drains its
-        // buffered completions through first-commit-wins reconciliation.
-        let mut cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
-        cfg.detector = crate::config::DetectorConfig::enabled();
-        cfg.shuffle = crate::config::ShuffleConfig::fault_tolerant();
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(30),
-            kind: crate::config::FaultKind::Partition { node: NodeId(3) },
-        });
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(60),
-            kind: crate::config::FaultKind::PartitionHeal { node: NodeId(3) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.submit_job(JobSpec::synthetic("split-brain", 12, 128 * MIB));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete(), "{:?}", report.faults);
-        assert_eq!(report.faults.partitions, 1);
-        assert_eq!(report.faults.partition_heals, 1);
-        // A partition teardown is not a crash.
-        assert_eq!(report.faults.node_failures, 0);
-        assert_eq!(report.faults.nodes_suspected, 1);
-        assert_eq!(report.faults.failures_detected, 1);
-        // The node was mid-task when cut off, so the heal reconciles at
-        // least one completion (commit or discard) — and never commits any
-        // task twice.
-        assert!(
-            report.faults.reconciled_commits + report.faults.reconciled_discards >= 1,
-            "{:?}",
-            report.faults
-        );
-        assert_eq!(report.faults.duplicate_commits, 0);
-        assert!(c.node_is_alive(NodeId(3)));
-        for task in &report.jobs[0].tasks {
-            assert!((task.progress - 1.0).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn partition_healed_before_timeout_never_penalizes_the_node() {
-        // The heal lands before the suspicion timer fires: the master never
-        // learns anything was wrong, so no teardown, no detection, and —
-        // the satellite pin — no reliability-score penalty.
-        let mut cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
-        cfg.detector = crate::config::DetectorConfig::enabled();
-        cfg.reliability = crate::config::ReliabilityConfig::predictive();
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(10),
-            kind: crate::config::FaultKind::Partition { node: NodeId(1) },
-        });
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(12),
-            kind: crate::config::FaultKind::PartitionHeal { node: NodeId(1) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.submit_job(JobSpec::synthetic("blip", 8, 128 * MIB));
-        c.run(SimTime::from_secs(3_600));
-        let report = c.report();
-        assert!(report.all_jobs_complete(), "{:?}", report.faults);
-        assert_eq!(report.faults.partitions, 1);
-        assert_eq!(report.faults.partition_heals, 1);
-        assert_eq!(report.faults.nodes_suspected, 0, "timer went stale");
-        assert_eq!(report.faults.failures_detected, 0);
-        assert_eq!(report.faults.node_failures, 0);
-        assert_eq!(report.faults.duplicate_commits, 0);
-        assert_eq!(
-            c.reliability_tracker()
-                .score(NodeId(1), RackId(0), SimTime::from_secs(13)),
-            0.0,
-            "a heal before the timeout leaves the failure score untouched"
-        );
-    }
-
-    #[test]
-    fn gray_failure_stretches_new_launches_and_heals() {
-        // A slow disk triples the I/O-bound segments of everything node 1
-        // launches while degraded — no crash, no teardown, just a straggler.
-        let run = |gray: bool| {
-            let mut cfg = ClusterConfig::small_cluster(2, 1, 1);
-            cfg.reliability = crate::config::ReliabilityConfig::predictive();
-            if gray {
-                cfg.faults.events.push(crate::config::FaultEvent {
-                    at: SimTime::from_secs(5),
-                    kind: crate::config::FaultKind::Gray {
-                        node: NodeId(1),
-                        slow_disk: 3.0,
-                        slow_net: 1.0,
-                    },
-                });
-            }
-            let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-            c.submit_job(JobSpec::synthetic("sick-disk", 8, 128 * MIB));
-            c.run(SimTime::from_secs(24 * 3_600));
-            c
-        };
-        let healthy = run(false).report();
-        let gray = run(true);
-        let report = gray.report();
-        assert!(report.all_jobs_complete());
-        assert_eq!(report.faults.gray_failures, 1);
-        assert_eq!(report.faults.node_failures, 0);
-        assert!(
-            report.makespan_secs().unwrap() > healthy.makespan_secs().unwrap(),
-            "a degraded node must slow the job down: {} vs {}",
-            report.makespan_secs().unwrap(),
-            healthy.makespan_secs().unwrap()
-        );
-        assert!(
-            gray.reliability_tracker()
-                .score(NodeId(1), RackId(0), SimTime::from_secs(6))
-                > 0.0,
-            "gray failures feed the placement predictor"
-        );
-        // A heal restores full speed for later launches.
-        let mut cfg = ClusterConfig::small_cluster(2, 1, 1);
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(5),
-            kind: crate::config::FaultKind::Gray {
-                node: NodeId(1),
-                slow_disk: 3.0,
-                slow_net: 2.0,
-            },
-        });
-        cfg.faults.events.push(crate::config::FaultEvent {
-            at: SimTime::from_secs(6),
-            kind: crate::config::FaultKind::GrayHeal { node: NodeId(1) },
-        });
-        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-        c.submit_job(JobSpec::synthetic("recovered", 8, 128 * MIB));
-        c.run(SimTime::from_secs(24 * 3_600));
-        let healed = c.report();
-        assert!(healed.all_jobs_complete());
-        assert_eq!(healed.faults.gray_heals, 1);
-    }
-
-    #[test]
-    fn random_mtbf_churn_is_deterministic_and_survivable() {
-        let run = || {
-            let mut cfg = ClusterConfig::racked_cluster(2, 3, 1, 1);
-            cfg.faults.random = Some(crate::config::RandomFaults {
-                rack_mtbf_secs: 25.0,
-                mean_recovery_secs: Some(20.0),
-                horizon: SimTime::from_secs(600),
-                seed: 0xFA11,
-            });
-            let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-            c.submit_job(JobSpec::synthetic("churny", 24, 128 * MIB));
-            c.run(SimTime::from_secs(24 * 3_600));
-            (c.events_processed(), c.report())
-        };
-        let (events_a, report_a) = run();
-        let (events_b, report_b) = run();
-        assert!(report_a.all_jobs_complete());
-        assert!(
-            report_a.faults.node_failures >= 2,
-            "a 60s-per-rack MTBF over a multi-minute run must strike: {:?}",
-            report_a.faults
-        );
-        assert_eq!(events_a, events_b);
-        assert_eq!(
-            report_a, report_b,
-            "fault injection must stay deterministic"
-        );
-    }
-
-    #[test]
     fn unrecoverable_allocation_failure_keeps_counters_consistent() {
         // Pinned regression test for `force_kill_after_failure` and the
         // allocation-failure path: a task whose allocation can never succeed
@@ -3677,8 +2654,7 @@ mod tests {
         // PendingTotals must survive this loop without drifting.
         let mut cfg = ClusterConfig::paper_single_node();
         cfg.nodes[0].os.memory = mrp_simos::MemoryConfig {
-            total_ram: 3 * 1024 * MIB,
-            os_reserve: 512 * MIB,
+            total_ram: 3 * 1024 * MIB + 88 * MIB,
             swap_capacity: 64 * MIB,
             ..Default::default()
         };

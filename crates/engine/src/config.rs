@@ -187,6 +187,32 @@ pub enum FaultKind {
     },
 }
 
+/// What a fault strikes: one node, or every member of a rack.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum FaultTarget {
+    Node(NodeId),
+    Rack(RackId),
+}
+
+impl FaultKind {
+    /// The node or rack this fault strikes.
+    pub(crate) fn target(self) -> FaultTarget {
+        match self {
+            FaultKind::Kill { node }
+            | FaultKind::Decommission { node }
+            | FaultKind::Rejoin { node }
+            | FaultKind::Partition { node }
+            | FaultKind::PartitionHeal { node }
+            | FaultKind::Gray { node, .. }
+            | FaultKind::GrayHeal { node } => FaultTarget::Node(node),
+            FaultKind::RackOutage { rack }
+            | FaultKind::RackRejoin { rack }
+            | FaultKind::RackPartition { rack }
+            | FaultKind::RackPartitionHeal { rack } => FaultTarget::Rack(rack),
+        }
+    }
+}
+
 /// One scripted fault-injection event.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FaultEvent {
@@ -259,42 +285,28 @@ impl FaultPlan {
     /// Validates the plan against the cluster shape it will be injected
     /// into, returning the first problem found.
     pub fn validate(&self, node_count: usize, racks: u32) -> Result<(), String> {
-        let node_in_range = |n: NodeId| (n.0 as usize) < node_count;
         for ev in &self.events {
-            match ev.kind {
-                FaultKind::Kill { node }
-                | FaultKind::Decommission { node }
-                | FaultKind::Rejoin { node }
-                | FaultKind::Partition { node }
-                | FaultKind::PartitionHeal { node }
-                | FaultKind::GrayHeal { node } => {
-                    if !node_in_range(node) {
-                        return Err(format!("fault event targets unknown node {node:?}"));
-                    }
+            match ev.kind.target() {
+                FaultTarget::Node(node) if node.0 as usize >= node_count => {
+                    return Err(format!("fault event targets unknown node {node:?}"));
                 }
-                FaultKind::RackOutage { rack }
-                | FaultKind::RackRejoin { rack }
-                | FaultKind::RackPartition { rack }
-                | FaultKind::RackPartitionHeal { rack } => {
-                    if rack.0 >= racks {
-                        return Err(format!("fault event targets unknown rack {rack:?}"));
-                    }
+                FaultTarget::Rack(rack) if rack.0 >= racks => {
+                    return Err(format!("fault event targets unknown rack {rack:?}"));
                 }
-                FaultKind::Gray {
-                    node,
-                    slow_disk,
-                    slow_net,
-                } => {
-                    if !node_in_range(node) {
-                        return Err(format!("fault event targets unknown node {node:?}"));
-                    }
-                    // NaN and sub-unit multipliers must fail these checks.
-                    if !(slow_disk >= 1.0 && slow_disk.is_finite()) {
-                        return Err("gray-failure slow_disk must be finite and at least 1".into());
-                    }
-                    if !(slow_net >= 1.0 && slow_net.is_finite()) {
-                        return Err("gray-failure slow_net must be finite and at least 1".into());
-                    }
+                _ => {}
+            }
+            if let FaultKind::Gray {
+                slow_disk,
+                slow_net,
+                ..
+            } = ev.kind
+            {
+                // NaN and sub-unit multipliers must fail these checks.
+                if !(slow_disk >= 1.0 && slow_disk.is_finite()) {
+                    return Err("gray-failure slow_disk must be finite and at least 1".into());
+                }
+                if !(slow_net >= 1.0 && slow_net.is_finite()) {
+                    return Err("gray-failure slow_net must be finite and at least 1".into());
                 }
             }
         }
@@ -303,8 +315,9 @@ impl FaultPlan {
                 return Err("random-fault MTBF must be positive".into());
             }
             if let Some(rec) = rf.mean_recovery_secs {
-                if rec <= 0.0 || rec.is_nan() {
-                    return Err("random-fault mean recovery must be positive".into());
+                // Recovery draws become durations: NaN and infinity must fail.
+                if !(rec > 0.0 && rec.is_finite()) {
+                    return Err("random-fault mean recovery must be positive and finite".into());
                 }
             }
         }
@@ -859,8 +872,8 @@ impl ClusterConfig {
         self.delay.validate()?;
         for (i, n) in self.nodes.iter().enumerate() {
             let memory = &n.os.memory;
-            if memory.total_ram <= memory.os_reserve {
-                return Err(format!("node {i}: total_ram must exceed os_reserve"));
+            if memory.total_ram <= mrp_simos::OS_RESERVE {
+                return Err(format!("node {i}: total_ram must exceed the OS reserve"));
             }
             memory
                 .swap
@@ -958,11 +971,10 @@ mod tests {
     #[test]
     fn ram_not_above_os_reserve_is_rejected() {
         let mut c = ClusterConfig::small_cluster(2, 1, 1);
-        let memory = &mut c.nodes[1].os.memory;
-        memory.os_reserve = memory.total_ram;
+        c.nodes[1].os.memory.total_ram = mrp_simos::OS_RESERVE;
         let err = c.validate().expect_err("no RAM left for tasks");
-        assert_eq!(err, "node 1: total_ram must exceed os_reserve");
-        c.nodes[1].os.memory.os_reserve -= 1;
+        assert_eq!(err, "node 1: total_ram must exceed the OS reserve");
+        c.nodes[1].os.memory.total_ram += 1;
         assert!(c.validate().is_ok());
     }
 
@@ -1010,6 +1022,16 @@ mod tests {
         let mut bad = c.clone();
         bad.faults.random.as_mut().unwrap().rack_mtbf_secs = 0.0;
         assert!(bad.validate().is_err(), "zero MTBF");
+
+        for recovery in [0.0, f64::NAN, f64::INFINITY] {
+            let mut bad = c.clone();
+            bad.faults.random.as_mut().unwrap().mean_recovery_secs = Some(recovery);
+            assert_eq!(
+                bad.validate(),
+                Err("random-fault mean recovery must be positive and finite".into()),
+                "mean recovery {recovery}"
+            );
+        }
 
         assert!(ClusterConfig::paper_single_node().faults.is_empty());
     }

@@ -6,7 +6,7 @@
 //! command is received, and the actual transition happens when the involved
 //! TaskTracker acts on the command piggybacked on its next heartbeat).
 
-use mrp_dfs::NodeId;
+use mrp_dfs::{Locality, NodeId, Topology};
 use mrp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -429,6 +429,22 @@ impl TaskRuntime {
         } else {
             ((1.0 - self.progress).max(0.0) * self.input_bytes as f64) as u64
         }
+    }
+
+    /// Input locality an attempt of this task gets on `node`: the best
+    /// locality over its preferred (replica-holding) nodes. A task with no
+    /// placement preference (synthetic input, reduces) counts as node-local,
+    /// since every node is equally good. O(replicas) via the topology's
+    /// dense rack index.
+    pub fn locality(&self, topology: &Topology, node: NodeId) -> Locality {
+        if self.preferred_nodes.is_empty() {
+            return Locality::NodeLocal;
+        }
+        self.preferred_nodes
+            .iter()
+            .map(|holder| topology.locality(node, *holder))
+            .min()
+            .unwrap_or(Locality::OffRack)
     }
 
     /// The next attempt id for this task.

@@ -38,6 +38,7 @@ mod attempt;
 mod cluster;
 mod config;
 mod delay;
+mod failure;
 mod job;
 mod metrics;
 mod obs;

@@ -273,6 +273,15 @@ pub struct FaultStats {
     pub gray_heals: u64,
 }
 
+impl FaultStats {
+    /// Counts one failure the master detected, `lag_secs` after it struck.
+    pub(crate) fn record_detection(&mut self, lag_secs: f64) {
+        self.failures_detected += 1;
+        self.detection_lag_secs_sum += lag_secs;
+        self.detection_lag_secs_max = self.detection_lag_secs_max.max(lag_secs);
+    }
+}
+
 /// Per-node OS statistics at the end of a run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NodeReport {

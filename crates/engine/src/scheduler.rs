@@ -265,22 +265,6 @@ impl<'a> SchedulerContext<'a> {
         pref != here && self.rack(pref).is_some_and(|r| r.free_reduce_slots > 0)
     }
 
-    /// Input locality a launch of `task` on `node` would get: the best
-    /// locality over the task's preferred (replica-holding) nodes. Tasks with
-    /// no placement preference (synthetic input) count as node-local, since
-    /// every node is equally good. O(replicas) via the topology's dense rack
-    /// index.
-    pub fn task_locality(&self, task: &TaskRuntime, node: NodeId) -> Locality {
-        if task.preferred_nodes.is_empty() {
-            return Locality::NodeLocal;
-        }
-        task.preferred_nodes
-            .iter()
-            .map(|holder| self.topology.locality(node, *holder))
-            .min()
-            .unwrap_or(Locality::OffRack)
-    }
-
     /// All tasks in a schedulable state, ordered by (priority desc, job
     /// submission order, task index): the order a priority-aware FIFO
     /// scheduler would serve them in.
@@ -647,7 +631,7 @@ impl SchedulerPolicy for FifoScheduler {
         let mut tiers: [Vec<TaskId>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         for &task in &schedulable {
             let Some(t) = ctx.task(task) else { continue };
-            let bucket = match ctx.task_locality(t, node) {
+            let bucket = match t.locality(ctx.topology, node) {
                 Locality::NodeLocal => 0,
                 Locality::RackLocal => 1,
                 Locality::OffRack => 2,

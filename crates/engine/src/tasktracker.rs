@@ -858,8 +858,7 @@ mod tests {
     fn oom_killer_sacrifices_a_suspended_attempt_when_swap_is_tiny() {
         let os = NodeOsConfig {
             memory: mrp_simos::MemoryConfig {
-                total_ram: 3 * GIB,
-                os_reserve: 512 * MIB,
+                total_ram: 3 * GIB + 88 * MIB,
                 swap_capacity: 64 * MIB,
                 ..Default::default()
             },
@@ -900,8 +899,7 @@ mod tests {
     fn os_with_swap(swap: mrp_simos::SwapConfig) -> NodeOsConfig {
         NodeOsConfig {
             memory: mrp_simos::MemoryConfig {
-                total_ram: 3 * GIB,
-                os_reserve: 512 * MIB,
+                total_ram: 3 * GIB + 88 * MIB,
                 swap,
                 ..Default::default()
             },
@@ -1052,8 +1050,7 @@ mod tests {
     fn oom_accounting_stays_exact_with_block_device_and_lazy_resume() {
         let os = NodeOsConfig {
             memory: mrp_simos::MemoryConfig {
-                total_ram: 3 * GIB,
-                os_reserve: 512 * MIB,
+                total_ram: 3 * GIB + 88 * MIB,
                 swap_capacity: 64 * MIB,
                 swap: mrp_simos::SwapConfig::lazy(),
             },

@@ -470,8 +470,7 @@ mod tests {
     fn oom_killer_picks_a_victim() {
         let cfg = NodeOsConfig {
             memory: MemoryConfig {
-                total_ram: 2 * GIB,
-                os_reserve: 256 * MIB,
+                total_ram: 2 * GIB + 344 * MIB,
                 swap_capacity: 128 * MIB,
                 ..MemoryConfig::default()
             },

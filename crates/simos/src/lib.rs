@@ -52,7 +52,7 @@ mod swapdev;
 
 pub use disk::{Disk, DiskConfig, DiskStats, SEQ_READ_BYTES_PER_SEC, SEQ_WRITE_BYTES_PER_SEC};
 pub use kernel::{Kernel, MemOutcome, NodeOsConfig, SignalOutcome};
-pub use memory::{MemoryCharge, MemoryConfig, MemoryManager, MemoryStats, ProcMemory};
+pub use memory::{MemoryCharge, MemoryConfig, MemoryManager, MemoryStats, ProcMemory, OS_RESERVE};
 pub use process::{Pid, Process};
 pub use refmodel::ReferenceMemoryModel;
 pub use signal::{transition, OsError, ProcessState, Signal, SignalEffect};
@@ -75,8 +75,7 @@ mod randomized_tests {
             let mut rng = SimRng::new(0x5105 + case);
             let mut k = Kernel::new(NodeOsConfig {
                 memory: MemoryConfig {
-                    total_ram: 4 * GIB,
-                    os_reserve: 512 * MIB,
+                    total_ram: 4 * GIB + 88 * MIB,
                     swap_capacity: 16 * GIB,
                     ..MemoryConfig::default()
                 },

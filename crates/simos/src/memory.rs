@@ -38,14 +38,17 @@ pub(crate) const OVER_EVICTION_FACTOR: f64 = 0.18;
 /// multiple of this (Linux `page-cluster` behaviour).
 pub(crate) const PAGE_CLUSTER_BYTES: u64 = 2 * MIB;
 
+/// Memory permanently claimed by the OS, the DataNode and the TaskTracker
+/// daemons on the paper's evaluation machine; never available to task
+/// processes.
+pub const OS_RESERVE: u64 = 600 * MIB;
+
 /// Static memory configuration of a simulated node.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MemoryConfig {
-    /// Physical RAM installed, in bytes.
+    /// Physical RAM installed, in bytes; [`OS_RESERVE`] of it is never
+    /// available to task processes.
     pub total_ram: u64,
-    /// Memory permanently claimed by the OS, the DataNode and the TaskTracker
-    /// daemons; never available to task processes.
-    pub os_reserve: u64,
     /// Capacity of the swap area, in bytes.
     pub swap_capacity: u64,
     /// Block-granular swap-device model (see [`SwapConfig`]); off by default,
@@ -60,7 +63,6 @@ impl Default for MemoryConfig {
         // is used by the OS and the Hadoop daemons, swap on a local disk.
         MemoryConfig {
             total_ram: 4 * GIB,
-            os_reserve: 600 * MIB,
             swap_capacity: 8 * GIB,
             swap: SwapConfig::default(),
         }
@@ -70,7 +72,7 @@ impl Default for MemoryConfig {
 impl MemoryConfig {
     /// RAM usable by task processes and the file cache.
     pub fn usable_ram(&self) -> u64 {
-        self.total_ram.saturating_sub(self.os_reserve)
+        self.total_ram.saturating_sub(OS_RESERVE)
     }
 }
 
@@ -224,7 +226,7 @@ impl MemoryManager {
     /// Creates a memory manager for a node with the given configuration.
     pub fn new(config: MemoryConfig) -> Self {
         assert!(
-            config.total_ram > config.os_reserve,
+            config.total_ram > OS_RESERVE,
             "RAM must exceed the OS reserve"
         );
         config
@@ -886,8 +888,7 @@ mod tests {
     #[test]
     fn swap_exhaustion_is_oom() {
         let cfg = MemoryConfig {
-            total_ram: 2 * GIB,
-            os_reserve: 256 * MIB,
+            total_ram: 2 * GIB + 344 * MIB,
             swap_capacity: 256 * MIB,
             ..MemoryConfig::default()
         };

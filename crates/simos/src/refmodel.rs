@@ -464,8 +464,7 @@ mod tests {
     /// sequence, comparing every output after every step.
     fn differential_case(seed: u64, swap: SwapConfig, steps: usize) {
         let config = MemoryConfig {
-            total_ram: 2 * GIB,
-            os_reserve: 256 * MIB,
+            total_ram: 2 * GIB + 344 * MIB,
             // Small swap so OOM paths are exercised; an odd size leaves a
             // partial trailing block when the device is on.
             swap_capacity: GIB + 3 * MIB,
