@@ -15,10 +15,11 @@ use mrp_engine::{
     Cluster, ClusterConfig, ClusterReport, DetectorConfig, FaultPlan, RandomFaults,
     SpeculationConfig, TraceLevel,
 };
-use mrp_preempt::{EvictionPolicy, HfspScheduler, PreemptionPrimitive};
 use mrp_sim::{SimTime, MIB};
 use mrp_workload::{SwimConfig, SwimGenerator};
 use serde::{Deserialize, Serialize};
+
+use crate::catalogue::hfsp;
 
 /// Configuration of one fault-injection scenario run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -108,13 +109,7 @@ pub fn run_fault_scenario(config: &FaultScenarioConfig) -> FaultScenarioOutcome 
     if config.speculation {
         cfg = cfg.with_speculation(SpeculationConfig::enabled());
     }
-    let mut cluster = Cluster::new(
-        cfg,
-        Box::new(HfspScheduler::new(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-        )),
-    );
+    let mut cluster = Cluster::new(cfg, hfsp());
     for job in SwimGenerator::new(config.swim.clone(), config.seed).generate() {
         cluster.submit_job_at(job.spec, job.arrival);
     }

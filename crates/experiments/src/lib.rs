@@ -12,9 +12,14 @@
 //! | Eviction-policy discussion (Sec. V-A) | [`eviction_ablation`] |
 //! | Resume-locality discussion (Sec. V-A) | [`resume_locality_ablation`] |
 //!
-//! Each experiment returns a [`FigureData`] table that the `mrp-bench`
-//! Criterion harness regenerates and that [`to_table`] / [`to_csv`] render for
-//! `EXPERIMENTS.md`.
+//! Each experiment returns a [`FigureData`] table that [`to_table`] /
+//! [`to_csv`] render; the `paper_figures` example prints them all.
+//!
+//! The crate also holds the scenario catalogue: the fixed-seed cluster
+//! shapes ([`SwimClusterConfig`], [`PartitionDetectConfig`],
+//! [`FaultChurnConfig`], `sim_throughput`, plus [`RackOutageConfig`],
+//! [`TenantScenarioConfig`] and [`MemoryPressureConfig`]) that the
+//! quality-bar tests pin and the `check_bench` timing gate runs.
 //!
 //! ```no_run
 //! use mrp_experiments::{run_figure, Figure, to_table};
@@ -26,6 +31,7 @@
 
 #![warn(missing_docs)]
 
+mod catalogue;
 mod faults;
 mod figures;
 mod locality;
@@ -36,6 +42,10 @@ mod report;
 mod scenario;
 mod tenants;
 
+pub use catalogue::{
+    sim_throughput_cluster, sim_throughput_config, FaultChurnConfig, PartitionDetectConfig,
+    SwimClusterConfig, CATALOGUE_HORIZON,
+};
 pub use faults::{
     detection_ablation, run_fault_scenario, sojourn_quantile, speculation_ablation,
     FaultScenarioConfig, FaultScenarioOutcome,

@@ -7,15 +7,15 @@
 //! under HFSP suspend/resume once per delay setting (`0` = greedy
 //! placement) and reports, per point, the node-local launch rate against
 //! the p99 job sojourn and the makespan, plus the scoreboard's decline
-//! counters. The `locality_delay` bench pins the two-point (off/on)
+//! counters. The `locality_delay` quality test pins the two-point (off/on)
 //! version of this curve; this sweep draws the whole trade-off for
 //! `docs/PERF.md`.
 
+use crate::catalogue::dfs_backed_cluster;
 use crate::faults::sojourn_quantile;
-use mrp_engine::{Cluster, ClusterConfig, NodeId, TraceLevel};
-use mrp_preempt::{EvictionPolicy, HfspScheduler, PreemptionPrimitive};
+use mrp_engine::{ClusterConfig, TraceLevel};
 use mrp_sim::SimTime;
-use mrp_workload::{dfs_backed, SwimConfig, SwimGenerator};
+use mrp_workload::{SwimConfig, SwimGenerator};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of one delay-scheduling sweep.
@@ -78,8 +78,6 @@ pub struct DelaySweepRow {
 /// workload throughout.
 pub fn delay_locality_sweep(config: &DelaySweepConfig) -> Vec<DelaySweepRow> {
     let trace = SwimGenerator::new(config.swim.clone(), config.seed).generate();
-    let (jobs, files) = dfs_backed(&trace, "/delay-sweep");
-    let nodes = u64::from(config.racks * config.nodes_per_rack);
     config
         .delay_intervals
         .iter()
@@ -94,22 +92,7 @@ pub fn delay_locality_sweep(config: &DelaySweepConfig) -> Vec<DelaySweepRow> {
             if intervals > 0.0 {
                 cfg = cfg.with_delay_intervals(intervals / 2.0, intervals / 2.0);
             }
-            let mut cluster = Cluster::new(
-                cfg,
-                Box::new(HfspScheduler::new(
-                    PreemptionPrimitive::SuspendResume,
-                    EvictionPolicy::ClosestToCompletion,
-                )),
-            );
-            for (i, (path, bytes)) in files.iter().enumerate() {
-                let writer = NodeId(((i as u64 * 37) % nodes) as u32);
-                cluster
-                    .create_input_file_from(path, *bytes, Some(writer))
-                    .expect("sweep input files are unique");
-            }
-            for job in &jobs {
-                cluster.submit_job_at(job.spec.clone(), job.arrival);
-            }
+            let mut cluster = dfs_backed_cluster(cfg, &trace, "/delay-sweep");
             cluster.run(SimTime::from_secs(48 * 3_600));
             let report = cluster.report();
             assert!(

@@ -29,8 +29,9 @@ use mrp_engine::{
     Cluster, ClusterConfig, ClusterReport, FaultEvent, FaultKind, FaultPlan, JobSpec, NodeId,
     SwapConfig, TaskProfile, TraceLevel,
 };
-use mrp_preempt::{EvictionPolicy, HfspScheduler, PreemptionPrimitive};
 use mrp_sim::{SimDuration, SimTime, GIB, MIB};
+
+use crate::catalogue::hfsp;
 
 /// Configuration of one memory-pressure scenario run.
 #[derive(Clone, Debug)]
@@ -236,13 +237,7 @@ pub fn memory_pressure_cluster(config: &MemoryPressureConfig) -> Cluster {
             random: None,
         });
     }
-    let mut cluster = Cluster::new(
-        cfg,
-        Box::new(HfspScheduler::new(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-        )),
-    );
+    let mut cluster = Cluster::new(cfg, hfsp());
     if config.fault {
         // DFS ballast whose first replica sits on the doomed node: its death
         // forces re-replication, which the survivors' disks serve as

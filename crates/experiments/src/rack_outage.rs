@@ -8,18 +8,18 @@
 //! and re-fetch with backoff, and the reliability predictor learns to keep
 //! fresh work off the rack's nodes when they rejoin still-flaky. The
 //! [`predictor_ablation`] entry point runs the same seeded scenario with the
-//! ATLAS-style predictor on and off, so the `rack_outage` bench can gate on
-//! the p99 sojourn improvement.
+//! ATLAS-style predictor on and off, so the `rack_outage` quality test can
+//! gate on the p99 sojourn improvement.
 
 use mrp_engine::{
     Cluster, ClusterConfig, ClusterReport, FaultEvent, FaultKind, FaultPlan, RackId, RandomFaults,
     ReliabilityConfig, ShuffleConfig, SpeculationConfig, TraceLevel,
 };
-use mrp_preempt::{EvictionPolicy, HfspScheduler, PreemptionPrimitive};
-use mrp_sim::{SimTime, MIB};
+use mrp_sim::{SimTime, GIB, MIB};
 use mrp_workload::{SwimConfig, SwimGenerator};
 use serde::{Deserialize, Serialize};
 
+use crate::catalogue::hfsp;
 use crate::faults::sojourn_quantile;
 
 /// One scripted dark window: the rack goes down `at` and rejoins `until`.
@@ -100,6 +100,44 @@ impl RackOutageConfig {
             seed: 0x0514,
         }
     }
+
+    /// The repeat-offender shape: 72 nodes in 6 racks under a reduce-heavy
+    /// trace at moderate load, rack 1 dark twice with a rejoin in between,
+    /// plus light background churn. Between the windows the rack is up but
+    /// still flaky; predictor-off re-populates it with map outputs (about a
+    /// sixth of the cluster's) that the second outage destroys, while the
+    /// load leaves enough slack elsewhere that declining flaky slots costs
+    /// little.
+    pub fn full() -> Self {
+        RackOutageConfig {
+            racks: 6,
+            nodes_per_rack: 12,
+            map_slots: 2,
+            reduce_slots: 1,
+            swim: SwimConfig {
+                jobs: 240,
+                mean_interarrival_secs: 4.5,
+                size_shape: 0.9,
+                min_job_bytes: 512 * MIB,
+                max_job_bytes: 24 * GIB,
+                reduce_ratio: 0.4,
+                ..SwimConfig::default()
+            },
+            outage_rack: 1,
+            outages: vec![
+                OutageWindow::from_secs(120, 300),
+                OutageWindow::from_secs(390, 540),
+            ],
+            churn: Some(RandomFaults {
+                rack_mtbf_secs: 300.0,
+                mean_recovery_secs: Some(45.0),
+                horizon: SimTime::from_secs(600),
+                seed: 0xACED,
+            }),
+            predictor: true,
+            seed: 0x0A7A,
+        }
+    }
 }
 
 /// What one rack-outage run produced.
@@ -153,13 +191,7 @@ pub fn run_rack_outage(config: &RackOutageConfig) -> RackOutageOutcome {
     if config.predictor {
         cfg = cfg.with_reliability(ReliabilityConfig::predictive());
     }
-    let mut cluster = Cluster::new(
-        cfg,
-        Box::new(HfspScheduler::new(
-            PreemptionPrimitive::SuspendResume,
-            EvictionPolicy::ClosestToCompletion,
-        )),
-    );
+    let mut cluster = Cluster::new(cfg, hfsp());
     for job in SwimGenerator::new(config.swim.clone(), config.seed).generate() {
         cluster.submit_job_at(job.spec, job.arrival);
     }

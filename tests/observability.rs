@@ -1,9 +1,10 @@
 //! The observability layer must be a pure observer: switching it on may
 //! never change *what* the simulator computes — only record it. These tests
 //! run the determinism suites' scenario shapes (preemption churn,
-//! detector/partition faults, swap-device memory pressure) twice, obs-off
-//! and obs-on, and require byte-identical reports and event counts; then
-//! they sanity-check what the observer captured (spans balance and export
+//! detector/partition faults, swap-device memory pressure) and two catalogue
+//! shapes (`sim_throughput` and the small `swim_cluster` trace) twice,
+//! obs-off and obs-on, and require byte-identical reports and event counts;
+//! then they sanity-check what the observer captured (spans balance and export
 //! as valid Chrome traces, the series covers the run, the profiler accounts
 //! for the loop's wall time).
 
@@ -12,6 +13,7 @@ use mrp_engine::{
     Cluster, DetectorConfig, FaultEvent, FaultKind, NodeId, RackId, ShuffleConfig,
     SpeculationConfig, SwapConfig,
 };
+use mrp_experiments::{sim_throughput_cluster, sim_throughput_config, SwimClusterConfig};
 use mrp_preempt::obs_export::{chrome_trace_json, validate_chrome_trace};
 use mrp_sim::SimTime;
 
@@ -122,8 +124,18 @@ fn swap_cluster(cfg: ClusterConfig) -> Cluster {
     cluster
 }
 
+/// The catalogue's `swim_cluster` trace at 64 nodes in 8 racks: HFSP churn
+/// over DFS-backed inputs.
+fn swim_config() -> ClusterConfig {
+    SwimClusterConfig::small().config()
+}
+
+fn swim_cluster(cfg: ClusterConfig) -> Cluster {
+    SwimClusterConfig::small().build(cfg)
+}
+
 /// Observing a run may not change it: same events, same report, byte for
-/// byte, across all three scenario families.
+/// byte, across all five scenario families.
 type Suite = (
     &'static str,
     fn() -> ClusterConfig,
@@ -132,10 +144,16 @@ type Suite = (
 
 #[test]
 fn obs_on_runs_are_byte_identical() {
-    let suites: [Suite; 3] = [
+    let suites: [Suite; 5] = [
         ("churn", churn_config, churn_cluster),
         ("partition", partition_config, partition_cluster),
         ("swap", swap_config, swap_cluster),
+        ("swim", swim_config, swim_cluster),
+        (
+            "sim_throughput",
+            sim_throughput_config,
+            sim_throughput_cluster,
+        ),
     ];
     for (name, config, build) in suites {
         let mut plain = build(config());
@@ -179,7 +197,7 @@ fn obs_on_runs_are_byte_identical() {
 /// the per-family duration histograms agree with the span counts.
 #[test]
 fn span_traces_export_as_valid_chrome_json() {
-    let suites: [(&str, Cluster); 3] = [
+    let suites: [(&str, Cluster); 4] = [
         (
             "churn",
             churn_cluster(churn_config().with_obs(ObsConfig::full())),
@@ -191,6 +209,10 @@ fn span_traces_export_as_valid_chrome_json() {
         (
             "swap",
             swap_cluster(swap_config().with_obs(ObsConfig::full())),
+        ),
+        (
+            "swim",
+            swim_cluster(swim_config().with_obs(ObsConfig::full())),
         ),
     ];
     for (name, mut cluster) in suites {
@@ -235,32 +257,48 @@ fn span_traces_export_as_valid_chrome_json() {
 /// batch per window), and its counts must cover every processed event.
 #[test]
 fn profiler_attributes_loop_wall_time() {
-    let mut cluster = churn_cluster(churn_config().with_obs(ObsConfig::full()));
-    cluster.run(SimTime::from_secs(24 * 3_600));
-    let events_processed = cluster.events_processed();
-    let obs = cluster.observability().expect("obs enabled");
-    let profile = obs.profile().expect("profiling on");
-    assert!(
-        profile.attribution() >= 0.95,
-        "only {:.1}% of loop wall time attributed",
-        100.0 * profile.attribution()
-    );
-    // The profiler sees the queue events plus the computed wheel heartbeats.
-    assert!(
-        profile.total_events() >= events_processed,
-        "profiler counted {} events for {events_processed} processed",
-        profile.total_events()
-    );
-    let table = profile.table();
-    assert!(table.contains("heartbeat_wheel"));
-    assert!(table.contains("loop wall"));
-    // Scheduler actions were counted: churn launches and suspends tasks.
-    let actions: u64 = profile.actions.iter().map(|r| r.count).sum();
-    assert!(actions > 0, "no scheduler actions recorded");
-    assert!(profile
-        .actions
-        .iter()
-        .any(|r| r.name == "suspend" && r.count > 0));
+    let suites: [Suite; 3] = [
+        ("churn", churn_config, churn_cluster),
+        ("swim", swim_config, swim_cluster),
+        (
+            "sim_throughput",
+            sim_throughput_config,
+            sim_throughput_cluster,
+        ),
+    ];
+    for (name, config, build) in suites {
+        let mut cluster = build(config().with_obs(ObsConfig::full()));
+        cluster.run(SimTime::from_secs(24 * 3_600));
+        let events_processed = cluster.events_processed();
+        let obs = cluster.observability().expect("obs enabled");
+        let profile = obs.profile().expect("profiling on");
+        assert!(
+            profile.attribution() >= 0.95,
+            "{name}: only {:.1}% of loop wall time attributed",
+            100.0 * profile.attribution()
+        );
+        // The profiler sees the queue events plus the computed wheel
+        // heartbeats.
+        assert!(
+            profile.total_events() >= events_processed,
+            "{name}: profiler counted {} events for {events_processed} processed",
+            profile.total_events()
+        );
+        let table = profile.table();
+        assert!(table.contains("heartbeat_wheel"));
+        assert!(table.contains("loop wall"));
+        // Scheduler actions were counted: every suite launches and suspends
+        // tasks.
+        let actions: u64 = profile.actions.iter().map(|r| r.count).sum();
+        assert!(actions > 0, "{name}: no scheduler actions recorded");
+        assert!(
+            profile
+                .actions
+                .iter()
+                .any(|r| r.name == "suspend" && r.count > 0),
+            "{name}: no suspensions"
+        );
+    }
 }
 
 /// `ObsConfig::default()` (enabled = false) must validate and leave the
@@ -336,7 +374,7 @@ struct StreamPins {
 #[test]
 fn trace_and_span_streams_are_pinned() {
     use mrp_engine::{SpanKind, TraceLevel};
-    let suites: [(Suite, StreamPins); 3] = [
+    let suites: [(Suite, StreamPins); 4] = [
         (
             ("churn", churn_config, churn_cluster),
             StreamPins {
@@ -398,6 +436,23 @@ fn trace_and_span_streams_are_pinned() {
                 chrome: 0x6001_ce80_e747_c213,
                 spans: [24, 2, 0, 0],
                 histograms: [24, 2, 0, 0],
+            },
+        ),
+        (
+            ("swim", swim_config, swim_cluster),
+            StreamPins {
+                kinds: &[
+                    ("Completed", 424),
+                    ("JobCompleted", 60),
+                    ("JobSubmitted", 60),
+                    ("Launched", 424),
+                    ("Resumed", 31),
+                    ("Suspended", 31),
+                ],
+                trace: 0x5acd_2170_a814_e313,
+                chrome: 0x350f_9af2_6d10_9507,
+                spans: [424, 31, 0, 0],
+                histograms: [424, 31, 0, 0],
             },
         ),
     ];
