@@ -155,22 +155,32 @@ struct HeartbeatWheel {
     idx: u64,
     /// Completed full rotations.
     cycle: u64,
+    /// Timestamp of the next heartbeat, computed once per [`Self::advance`]
+    /// because the event loop peeks at it on every iteration.
+    next_at: SimTime,
 }
 
 impl HeartbeatWheel {
     fn new(interval_us: u64, nodes: u64) -> Self {
-        HeartbeatWheel {
+        let mut wheel = HeartbeatWheel {
             interval_us,
             nodes,
             idx: 0,
             cycle: 0,
-        }
+            next_at: SimTime::ZERO,
+        };
+        wheel.next_at = wheel.fire_time();
+        wheel
+    }
+
+    fn fire_time(&self) -> SimTime {
+        let offset = (self.interval_us * (self.idx + 1) / (self.nodes + 1)).max(1);
+        SimTime::from_micros(self.cycle * self.interval_us + offset)
     }
 
     /// Timestamp of the next periodic heartbeat.
     fn peek(&self) -> SimTime {
-        let offset = (self.interval_us * (self.idx + 1) / (self.nodes + 1)).max(1);
-        SimTime::from_micros(self.cycle * self.interval_us + offset)
+        self.next_at
     }
 
     /// Consumes the next periodic heartbeat, returning its node.
@@ -181,6 +191,7 @@ impl HeartbeatWheel {
             self.idx = 0;
             self.cycle += 1;
         }
+        self.next_at = self.fire_time();
         node
     }
 }
@@ -546,14 +557,9 @@ impl Cluster {
             // computed periodic heartbeat; on a timestamp tie the heartbeat
             // fires first (either order would be deterministic).
             let wheel_at = self.wheel.peek();
-            let take_wheel = match self.queue.peek_time() {
-                Some(queue_at) => wheel_at <= queue_at,
-                None => true,
-            };
-            let next_at = if take_wheel {
-                wheel_at
-            } else {
-                self.queue.peek_time().expect("checked above")
+            let (next_at, take_wheel) = match self.queue.peek_time() {
+                Some(queue_at) if queue_at < wheel_at => (queue_at, false),
+                _ => (wheel_at, true),
             };
             if next_at > max_time {
                 break;
@@ -1753,10 +1759,12 @@ impl Cluster {
                 // The allocating attempt itself may be among the victims (the
                 // OOM killer sacrificed it); the failure path below resolves
                 // it, so only the *other* victims are handled here.
-                let self_killed = alloc.oom_killed.contains(&attempt_id);
-                for victim in &alloc.oom_killed {
-                    if *victim != attempt_id {
-                        self.handle_oom_victim(*victim, node, now);
+                let mut self_killed = None;
+                for &(victim, invested) in &alloc.oom_killed {
+                    if victim == attempt_id {
+                        self_killed = Some(invested);
+                    } else {
+                        self.handle_oom_victim(victim, invested, node, now);
                     }
                 }
                 // An unrecoverable allocation failure: an allocating attempt
@@ -1764,8 +1772,8 @@ impl Cluster {
                 // failed is dropped while the original continues; an
                 // original still on the tracker goes through the kill path.
                 if alloc.failed {
-                    if self_killed {
-                        self.handle_oom_victim(attempt_id, node, now);
+                    if let Some(invested) = self_killed {
+                        self.handle_oom_victim(attempt_id, invested, node, now);
                     } else if self.task(task).and_then(|t| t.spec_attempt) == Some(attempt_id) {
                         self.abort_speculation(task, now);
                     } else {
@@ -2089,8 +2097,16 @@ impl Cluster {
     }
 
     /// Handles a task whose process was sacrificed by the OOM killer while
-    /// another task was allocating memory (see [`Cluster::lose_attempt`]).
-    fn handle_oom_victim(&mut self, attempt_id: AttemptId, node: NodeId, now: SimTime) {
+    /// a task was allocating memory (see [`Cluster::lose_attempt`]).
+    /// `invested` is the attempt's running time when it died, which the kill
+    /// wasted, as [`Cluster::deliver_kill`] charges it.
+    fn handle_oom_victim(
+        &mut self,
+        attempt_id: AttemptId,
+        invested: SimDuration,
+        node: NodeId,
+        now: SimTime,
+    ) {
         let Some(t) = self.task(attempt_id.task) else {
             return;
         };
@@ -2099,10 +2115,9 @@ impl Cluster {
         } else {
             KillCause::Oom
         };
-        let wasted = SimDuration::from_secs_f64(t.progress * 10.0);
         self.record(Record::Killed(now, attempt_id, node, cause));
         // The OOM happened on this node, so a backup elsewhere is promoted.
-        self.lose_attempt(attempt_id, wasted, false);
+        self.lose_attempt(attempt_id, invested, false);
     }
 
     /// Consults the scheduling policy: refreshes the views, hands `hook` the
@@ -2685,6 +2700,55 @@ mod tests {
         assert_eq!(job.remaining_bytes, 64 * MIB);
         assert_eq!(c.pending_totals(), PendingTotals::from_jobs(c.jobs()));
         assert!(report.nodes[0].oom_kills >= 1);
+    }
+
+    #[test]
+    fn oom_victim_is_charged_its_invested_time_as_wasted_work() {
+        // Two 2 GiB tasks on a node whose 64 MiB of swap cannot absorb
+        // either: when the second one allocates at the end of its setup, the
+        // OOM killer takes the first, which has been working for a while.
+        let build = || {
+            let mut cfg = ClusterConfig::paper_single_node();
+            cfg.nodes[0].map_slots = 2;
+            cfg.nodes[0].os.memory.swap_capacity = 64 * MIB;
+            let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
+            c.submit_job(
+                JobSpec::synthetic("victim", 1, 256 * MIB)
+                    .with_profile(TaskProfile::memory_hungry(2 * GIB)),
+            );
+            c.submit_job_at(
+                JobSpec::synthetic("allocator", 1, 256 * MIB)
+                    .with_profile(TaskProfile::memory_hungry(2 * GIB)),
+                SimTime::from_secs(20),
+            );
+            c
+        };
+        let victim_task = |c: &Cluster| c.jobs().values().next().unwrap().tasks[0].clone();
+
+        let mut probe = build();
+        probe.run(SimTime::from_secs(600));
+        let (killed_at, attempt) = probe
+            .trace()
+            .iter()
+            .find_map(|r| match r {
+                Record::Killed(at, a, _, KillCause::Oom) => Some((*at, *a)),
+                _ => None,
+            })
+            .expect("the OOM killer must fire");
+        assert_eq!(attempt.task, victim_task(&probe).id);
+
+        // Stop just before the kill and read what the attempt has invested by
+        // then; the kill must charge exactly that.
+        let mut c = build();
+        c.run(SimTime::from_micros(killed_at.as_micros() - 1));
+        let invested = c.trackers[0]
+            .attempt(attempt)
+            .expect("the victim is still running")
+            .invested_time(killed_at);
+        assert!(invested > SimDuration::from_secs(10), "{invested:?}");
+        assert_eq!(victim_task(&c).wasted_work, SimDuration::ZERO);
+        c.run(killed_at);
+        assert_eq!(victim_task(&c).wasted_work, invested);
     }
 
     #[test]

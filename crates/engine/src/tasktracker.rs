@@ -13,9 +13,8 @@
 use crate::attempt::{Attempt, AttemptState, ExecPlan};
 use crate::job::{AttemptId, TaskKind};
 use mrp_dfs::NodeId;
-use mrp_sim::{SimDuration, SimTime};
+use mrp_sim::{SimDuration, SimTime, VecMap};
 use mrp_simos::{Kernel, NodeOsConfig, OsError, Pid, Signal};
-use std::collections::BTreeMap;
 
 /// Result of allocating a task's memory at the end of its setup phase.
 #[derive(Clone, Debug, Default)]
@@ -24,9 +23,10 @@ pub struct AllocationOutcome {
     pub stall: SimDuration,
     /// Bytes of other processes' memory paged out to make room.
     pub paged_out_bytes: u64,
-    /// Tasks whose processes were killed by the OOM killer to satisfy the
-    /// allocation (rare; only when swap is exhausted).
-    pub oom_killed: Vec<AttemptId>,
+    /// Attempts whose processes were killed by the OOM killer to satisfy the
+    /// allocation (rare; only when swap is exhausted), each with the running
+    /// time it had invested when it died — the work the kill wasted.
+    pub oom_killed: Vec<(AttemptId, SimDuration)>,
     /// The allocation ultimately failed (RAM and swap exhausted with no
     /// further OOM victim, or the OOM killer sacrificed the allocating task
     /// itself). Victims in `oom_killed` were still killed and must still be
@@ -95,12 +95,14 @@ impl From<OsError> for TrackerError {
 
 /// The per-node TaskTracker.
 ///
-/// Attempts are kept in a `BTreeMap` so every iteration over them is
-/// deterministic (std `HashMap` ordering varies per process run, which would
-/// leak nondeterminism into scheduler decisions and reports). The tracker also
-/// maintains a `dirty` flag so the cluster can refresh only the per-node
-/// scheduler views whose slot occupancy actually changed since the last
-/// heartbeat, instead of rebuilding every view on every event.
+/// Attempts are kept in a [`VecMap`] sorted by attempt id: a node holds a
+/// handful of live attempts, so a binary search over one contiguous vector
+/// beats any keyed tree or hash on the per-task path, and every iteration is
+/// in deterministic id order (std `HashMap` ordering varies per process run,
+/// which would leak nondeterminism into scheduler decisions and reports).
+/// The tracker also maintains a `dirty` flag so the cluster can refresh only
+/// the per-node scheduler views whose slot occupancy actually changed since
+/// the last heartbeat, instead of rebuilding every view on every event.
 #[derive(Debug)]
 pub struct TaskTracker {
     /// The node this tracker runs on.
@@ -110,7 +112,7 @@ pub struct TaskTracker {
     reduce_slots: u32,
     used_map_slots: u32,
     used_reduce_slots: u32,
-    attempts: BTreeMap<AttemptId, Attempt>,
+    attempts: VecMap<AttemptId, Attempt>,
     dirty: bool,
     /// False while the node is failed or decommissioned: a dead tracker
     /// reports zero free slots, accepts no launches, and its heartbeats are
@@ -139,7 +141,7 @@ impl TaskTracker {
             reduce_slots,
             used_map_slots: 0,
             used_reduce_slots: 0,
-            attempts: BTreeMap::new(),
+            attempts: VecMap::new(),
             dirty: true,
             alive: true,
             epoch: 0,
@@ -289,16 +291,6 @@ impl TaskTracker {
         self.attempts.values()
     }
 
-    /// Attempts currently running (holding a slot) on this node, in
-    /// deterministic (id) order. Allocation-free: returns an iterator rather
-    /// than a fresh `Vec` (this is on the per-heartbeat hot path).
-    pub fn running_attempts(&self) -> impl Iterator<Item = AttemptId> + '_ {
-        self.attempts
-            .values()
-            .filter(|a| a.state == AttemptState::Running)
-            .map(|a| a.id)
-    }
-
     /// Attempts currently suspended on this node, in deterministic (id) order.
     pub fn suspended_attempts(&self) -> impl Iterator<Item = AttemptId> + '_ {
         self.attempts
@@ -369,30 +361,27 @@ impl TaskTracker {
                         outcome.failed = true;
                         return Ok(outcome);
                     };
-                    if let Some(victim) = self
+                    let victim = self
                         .attempts
                         .values()
                         .find(|a| a.pid == victim_pid)
-                        .map(|a| a.id)
-                    {
+                        .map(|a| a.id);
+                    if let Some(victim) = victim {
                         self.dirty = true;
-                        if let Some(v) = self.attempts.get_mut(&victim) {
-                            if v.state == AttemptState::Running {
-                                // It held a slot; the caller must reschedule it.
-                                match v.kind {
-                                    TaskKind::Map => {
-                                        self.used_map_slots = self.used_map_slots.saturating_sub(1)
-                                    }
-                                    TaskKind::Reduce => {
-                                        self.used_reduce_slots =
-                                            self.used_reduce_slots.saturating_sub(1)
-                                    }
+                        let v = self.attempts.remove(&victim).expect("found above");
+                        if v.state == AttemptState::Running {
+                            // It held a slot; the caller must reschedule it.
+                            match v.kind {
+                                TaskKind::Map => {
+                                    self.used_map_slots = self.used_map_slots.saturating_sub(1)
+                                }
+                                TaskKind::Reduce => {
+                                    self.used_reduce_slots =
+                                        self.used_reduce_slots.saturating_sub(1)
                                 }
                             }
-                            v.state = AttemptState::Killed;
                         }
-                        self.attempts.remove(&victim);
-                        outcome.oom_killed.push(victim);
+                        outcome.oom_killed.push((victim, v.invested_time(now)));
                         if victim == id {
                             // The OOM killer took the allocating attempt
                             // itself; there is nothing left to retry for.
@@ -589,6 +578,12 @@ mod tests {
         TaskTracker::new(NodeId(0), NodeOsConfig::default(), 1, 1)
     }
 
+    fn running(tt: &TaskTracker) -> usize {
+        tt.attempts()
+            .filter(|a| a.state == AttemptState::Running)
+            .count()
+    }
+
     #[test]
     fn launch_occupies_a_slot() {
         let mut tt = tracker();
@@ -597,7 +592,7 @@ mod tests {
             .unwrap();
         assert_eq!(tt.free_map_slots(), 0);
         assert_eq!(tt.free_reduce_slots(), 1);
-        assert_eq!(tt.running_attempts().count(), 1);
+        assert_eq!(running(&tt), 1);
         // Second map launch fails: no free slot.
         assert_eq!(
             tt.launch(attempt_id(1), TaskKind::Map, plan(0), SimTime::ZERO)
@@ -848,7 +843,7 @@ mod tests {
             TrackerError::NoFreeSlot
         );
         // ...but the node-side attempt is still there, still running.
-        assert_eq!(tt.running_attempts().count(), 1);
+        assert_eq!(running(&tt), 1);
         tt.set_reachable(true);
         assert_eq!(tt.free_map_slots(), 1);
         assert_eq!(tt.free_reduce_slots(), 1);
@@ -887,10 +882,20 @@ mod tests {
             SimTime::from_secs(11),
         )
         .unwrap();
+        let invested = tt
+            .attempt(attempt_id(0))
+            .unwrap()
+            .invested_time(SimTime::from_secs(14));
+        // Setup plus the ten seconds of work done before the suspension.
+        assert!(invested > SimDuration::from_secs(10));
         let out = tt
             .allocate_task_memory(attempt_id(1), SimTime::from_secs(14))
             .unwrap();
-        assert_eq!(out.oom_killed, vec![attempt_id(0)]);
+        assert_eq!(
+            out.oom_killed,
+            vec![(attempt_id(0), invested)],
+            "the victim is reported with the time it had invested"
+        );
         assert!(tt.attempt(attempt_id(0)).is_none());
     }
 
@@ -1083,7 +1088,7 @@ mod tests {
             .allocate_task_memory(attempt_id(1), SimTime::from_secs(14))
             .unwrap();
         assert_eq!(
-            out.oom_killed,
+            out.oom_killed.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
             vec![attempt_id(0)],
             "exactly the suspended hog dies, exactly once"
         );

@@ -6,27 +6,53 @@
 //! events fire in timestamp order, and events with equal timestamps fire in
 //! insertion order (FIFO), which keeps simulations reproducible.
 //!
+//! # Layout
+//!
+//! The binary heap holds only 16-byte ordering keys: the timestamp, and one
+//! `u64` packing the insertion sequence number above the event's slot
+//! number. Payloads live in a slab of slots beside the heap, so a sift moves
+//! keys alone, however large the payload type is. Sequence numbers are
+//! unique, so ordering keys by `(time, packed)` is ordering events by
+//! `(time, seq)`: the slot bits below never decide a comparison, and a
+//! recycled low slot number cannot overtake an earlier event at the same
+//! timestamp. `SLOT_BITS` (24) bounds the number of events pending at once
+//! and `SEQ_LIMIT` (2^40) the number ever scheduled on one queue; `schedule`
+//! panics with a message rather than wrap past either.
+//!
 //! # Cancellation design
 //!
 //! Cancellation is slab/generation based rather than tombstone based. Every
-//! scheduled event owns a slot in a slab; the slot records a generation
-//! counter and a liveness bit, and the [`EventId`] handed to the caller packs
-//! `(slot, generation)`. Cancelling flips the liveness bit (O(1)); the heap
-//! entry is discarded lazily when it surfaces, at which point the slot's
-//! generation is bumped and the slot is recycled. Consequences:
+//! scheduled event owns a slot in the slab; the slot records a generation
+//! counter and holds the payload while the event is pending, and the
+//! [`EventId`] handed to the caller packs `(slot, generation)`. Cancelling
+//! drops the payload (O(1)); the heap key is discarded lazily when it
+//! surfaces, at which point the slot's generation is bumped and the slot is
+//! recycled. Consequences:
 //!
 //! * `cancel()` of an id whose event already fired (or whose slot was
 //!   recycled) is a guaranteed no-op — the generation no longer matches, so
 //!   nothing leaks and nothing is mis-cancelled;
 //! * [`EventQueue::len`] is an exact counter maintained on schedule / cancel /
 //!   pop, never an approximation derived from tombstone bookkeeping;
-//! * memory for cancelled events is reclaimed as the heap drains, and slots
-//!   are reused, so long-running simulations with heavy cancellation churn
-//!   (suspend/resume preemption cancels a timer per preemption) stay compact.
+//! * memory for cancelled events is reclaimed at once (payload) or as the
+//!   heap drains (key), and slots are reused, so long-running simulations
+//!   with heavy cancellation churn (suspend/resume preemption cancels a timer
+//!   per preemption) stay compact.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+
+/// Bits of a heap key's packed word that hold the slot number; at most
+/// `2^SLOT_BITS` events can be pending (or cancelled but not yet popped) at
+/// once.
+const SLOT_BITS: u32 = 24;
+
+/// Sequence numbers are the packed word's upper `64 - SLOT_BITS` bits, so a
+/// queue can schedule at most this many events over its lifetime.
+const SEQ_LIMIT: u64 = 1 << (64 - SLOT_BITS);
+
+const SLOT_LIMIT: u64 = 1 << SLOT_BITS;
 
 /// Handle that identifies a scheduled event so it can be cancelled.
 ///
@@ -53,46 +79,48 @@ impl EventId {
     }
 }
 
-/// One slab slot: the current generation and whether the event that owns the
-/// slot is still pending.
-#[derive(Clone, Copy, Debug)]
-struct Slot {
-    generation: u32,
-    live: bool,
-}
-
-struct Scheduled<E> {
+/// A heap entry: the event's timestamp and `seq << SLOT_BITS | slot`.
+/// Derived ordering compares the timestamp first, then the sequence number.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Key {
     at: SimTime,
-    seq: u64,
-    slot: u32,
-    payload: E,
+    seq_slot: u64,
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl Key {
+    #[inline]
+    fn new(at: SimTime, seq: u64, slot: u32) -> Self {
+        debug_assert!(seq < SEQ_LIMIT && u64::from(slot) < SLOT_LIMIT);
+        Key {
+            at,
+            seq_slot: (seq << SLOT_BITS) | u64::from(slot),
+        }
+    }
+
+    #[cfg(test)]
+    fn seq(self) -> u64 {
+        self.seq_slot >> SLOT_BITS
+    }
+
+    #[inline]
+    fn slot(self) -> u32 {
+        (self.seq_slot & (SLOT_LIMIT - 1)) as u32
     }
 }
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is popped first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+
+/// One slab slot: the current generation and, while the event that owns
+/// the slot is pending, its payload.
+#[derive(Debug)]
+struct Slot<E> {
+    generation: u32,
+    payload: Option<E>,
 }
 
 /// A deterministic, cancellable event queue keyed by [`SimTime`].
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    slots: Vec<Slot>,
+    /// Min-heap of ordering keys (see the module docs).
+    heap: BinaryHeap<Reverse<Key>>,
+    slots: Vec<Slot<E>>,
     free_slots: Vec<u32>,
     next_seq: u64,
     pending: usize,
@@ -111,18 +139,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             slots: Vec::new(),
-            free_slots: Vec::new(),
-            next_seq: 0,
-            pending: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// Creates an empty queue sized for roughly `capacity` in-flight events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(capacity),
-            slots: Vec::with_capacity(capacity),
             free_slots: Vec::new(),
             next_seq: 0,
             pending: 0,
@@ -156,40 +172,44 @@ impl<E> EventQueue<E> {
     ///
     /// # Panics
     /// Panics if `at` is in the past (before [`Self::now`]); scheduling in the
-    /// past would silently reorder history and is always a logic error.
+    /// past would silently reorder history and is always a logic error. Also
+    /// panics once the queue has scheduled 2^40 events, or when 2^24 events
+    /// are pending (or cancelled but not yet popped) at once.
     pub fn schedule(&mut self, at: SimTime, payload: E) -> EventId {
         assert!(
             at >= self.now,
             "cannot schedule an event at {at:?} before the current time {:?}",
             self.now
         );
+        let seq = self.next_seq;
+        assert!(
+            seq < SEQ_LIMIT,
+            "event queue ran out of sequence numbers after {SEQ_LIMIT} events"
+        );
         let slot = match self.free_slots.pop() {
             Some(slot) => {
                 let entry = &mut self.slots[slot as usize];
-                debug_assert!(!entry.live, "free slot must not be live");
-                entry.live = true;
+                debug_assert!(entry.payload.is_none(), "free slot must not be live");
+                entry.payload = Some(payload);
                 slot
             }
             None => {
-                let slot = self.slots.len() as u32;
+                let slot = self.slots.len() as u64;
+                assert!(
+                    slot < SLOT_LIMIT,
+                    "event queue cannot hold more than {SLOT_LIMIT} pending events"
+                );
                 self.slots.push(Slot {
                     generation: 0,
-                    live: true,
+                    payload: Some(payload),
                 });
-                slot
+                slot as u32
             }
         };
-        let generation = self.slots[slot as usize].generation;
-        let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            seq,
-            slot,
-            payload,
-        });
+        self.heap.push(Reverse(Key::new(at, seq, slot)));
         self.pending += 1;
-        EventId::new(slot, generation)
+        EventId::new(slot, self.slots[slot as usize].generation)
     }
 
     /// Cancels a previously scheduled event. Cancelling an event that already
@@ -197,34 +217,30 @@ impl<E> EventQueue<E> {
     /// the id no longer matches the slot, so the handle is simply stale.
     pub fn cancel(&mut self, id: EventId) {
         if let Some(slot) = self.slots.get_mut(id.slot() as usize) {
-            if slot.live && slot.generation == id.generation() {
-                slot.live = false;
+            if slot.generation == id.generation() && slot.payload.take().is_some() {
                 self.pending -= 1;
             }
         }
     }
 
-    /// Recycles the slot of a heap entry that has just been removed from the
-    /// heap. Returns whether the event was still live (not cancelled).
+    /// Recycles the slot of a key that has just been removed from the heap,
+    /// returning the payload if the event was still live (not cancelled).
     #[inline]
-    fn retire_slot(&mut self, slot: u32) -> bool {
+    fn retire_slot(&mut self, slot: u32) -> Option<E> {
         let entry = &mut self.slots[slot as usize];
-        let was_live = entry.live;
-        entry.live = false;
         entry.generation = entry.generation.wrapping_add(1);
         self.free_slots.push(slot);
-        was_live
+        entry.payload.take()
     }
 
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Cancelled events are skipped silently.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(ev) = self.heap.pop() {
-            let live = self.retire_slot(ev.slot);
-            if live {
+        while let Some(Reverse(key)) = self.heap.pop() {
+            if let Some(payload) = self.retire_slot(key.slot()) {
                 self.pending -= 1;
-                self.now = ev.at;
-                return Some((ev.at, ev.payload));
+                self.now = key.at;
+                return Some((key.at, payload));
             }
         }
         None
@@ -234,12 +250,12 @@ impl<E> EventQueue<E> {
     /// advance the clock.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled events lazily so peek is accurate.
-        while let Some(ev) = self.heap.peek() {
-            if self.slots[ev.slot as usize].live {
-                return Some(ev.at);
+        while let Some(&Reverse(key)) = self.heap.peek() {
+            if self.slots[key.slot() as usize].payload.is_some() {
+                return Some(key.at);
             }
-            let ev = self.heap.pop().expect("peeked event must exist");
-            self.retire_slot(ev.slot);
+            self.heap.pop();
+            self.retire_slot(key.slot());
         }
         None
     }
@@ -384,6 +400,57 @@ mod tests {
         q.cancel(ids[3]);
         assert_eq!(q.len(), 3);
         let _ = SimDuration::ZERO; // keep the import exercised
+    }
+
+    #[test]
+    fn recycled_lower_slot_does_not_overtake_an_equal_timestamp() {
+        let mut q = EventQueue::new();
+        let t = SimTime::from_secs(5);
+        q.schedule(SimTime::from_secs(1), "first"); // slot 0
+        q.schedule(t, "early"); // slot 1
+        q.schedule(t, "middle"); // slot 2
+        assert_eq!(q.pop(), Some((SimTime::from_secs(1), "first")));
+        // Slot 0 is free again: the next event takes it, a lower slot number
+        // than the two pending events at the same timestamp.
+        q.schedule(t, "late");
+        assert_eq!(q.slots.len(), 3, "the late event must reuse slot 0");
+        assert_eq!(q.pop(), Some((t, "early")));
+        assert_eq!(q.pop(), Some((t, "middle")));
+        assert_eq!(q.pop(), Some((t, "late")));
+    }
+
+    #[test]
+    fn key_packing_holds_at_its_limits() {
+        let t = SimTime::from_secs(1);
+        let max_seq = SEQ_LIMIT - 1;
+        let max_slot = (SLOT_LIMIT - 1) as u32;
+        let top = Key::new(t, max_seq, max_slot);
+        assert_eq!((top.seq(), top.slot()), (max_seq, max_slot));
+        let bottom = Key::new(t, 0, 0);
+        assert_eq!((bottom.seq(), bottom.slot()), (0, 0));
+        // The sequence number decides, never the slot bits below it.
+        assert!(Key::new(t, 0, max_slot) < Key::new(t, 1, 0));
+        assert!(Key::new(t, max_seq - 1, max_slot) < Key::new(t, max_seq, 0));
+        // The timestamp decides before either.
+        assert!(Key::new(t, max_seq, max_slot) < Key::new(SimTime::from_secs(2), 0, 0));
+    }
+
+    #[test]
+    fn last_sequence_number_is_usable() {
+        let mut q = EventQueue::new();
+        q.next_seq = SEQ_LIMIT - 2;
+        q.schedule(SimTime::from_secs(2), "a");
+        q.schedule(SimTime::from_secs(2), "b");
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "a")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
+    }
+
+    #[test]
+    #[should_panic(expected = "ran out of sequence numbers")]
+    fn scheduling_past_the_sequence_limit_panics() {
+        let mut q = EventQueue::new();
+        q.next_seq = SEQ_LIMIT;
+        q.schedule(SimTime::ZERO, ());
     }
 
     #[test]

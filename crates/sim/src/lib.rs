@@ -3,7 +3,8 @@
 //! The foundation shared by every simulated substrate in the
 //! `hadoop-os-preempt` workspace: a virtual clock ([`SimTime`] /
 //! [`SimDuration`]), a deterministic cancellable event queue
-//! ([`EventQueue`]), a seeded random number generator ([`SimRng`]), the
+//! ([`EventQueue`]), a sorted-vector map for small per-node tables
+//! ([`VecMap`]), a seeded random number generator ([`SimRng`]), the
 //! statistics helpers ([`Summary`], [`OnlineStats`]) used by the experiment
 //! harness to reproduce the paper's figures, and the observability
 //! primitives ([`MetricsRegistry`], [`TimeSeriesSampler`], [`LoopProfiler`])
@@ -31,6 +32,7 @@ mod profile;
 mod rng;
 mod stats;
 mod time;
+mod vecmap;
 
 pub use events::{EventId, EventQueue};
 pub use metrics::{
@@ -40,6 +42,7 @@ pub use profile::{LoopProfiler, ProfileReport, ProfileRow, ACTION_SAMPLE_EVERY};
 pub use rng::SimRng;
 pub use stats::{percentile, OnlineStats, Summary};
 pub use time::{SimDuration, SimTime};
+pub use vecmap::VecMap;
 
 /// Number of bytes in one mebibyte; sizes throughout the workspace are plain
 /// `u64` byte counts and these constants keep call sites readable.
@@ -170,6 +173,76 @@ mod randomized_tests {
                 }
             }
             assert_eq!(fast.len(), 0);
+        }
+    }
+
+    /// `VecMap` answers every get, insert, remove, retain and in-order walk
+    /// exactly as `BTreeMap` does across randomized interleavings. Keys come from a
+    /// small range so inserts hit present keys and removes hit absent ones
+    /// often; some cases let the map grow past the handful of entries the
+    /// engine's tables usually hold.
+    #[test]
+    fn vecmap_matches_btreemap_under_random_interleavings() {
+        use std::collections::BTreeMap;
+        for case in 0..200u64 {
+            let mut rng = SimRng::new(0x5EC7 + case);
+            let mut fast: VecMap<u32, u64> = VecMap::new();
+            let mut reference: BTreeMap<u32, u64> = BTreeMap::new();
+            let key_range = 4 + rng.index(60);
+            let ops = 50 + rng.index(250);
+            for op in 0..ops {
+                let key = rng.index(key_range) as u32;
+                match rng.index(10) {
+                    0..=3 => {
+                        let value = rng.next_u64();
+                        assert_eq!(
+                            fast.insert(key, value),
+                            reference.insert(key, value),
+                            "insert mismatch (case {case}, op {op})"
+                        );
+                    }
+                    4..=5 => assert_eq!(
+                        fast.remove(&key),
+                        reference.remove(&key),
+                        "remove mismatch (case {case}, op {op})"
+                    ),
+                    6 => {
+                        let bump = rng.next_u64();
+                        if let Some(v) = fast.get_mut(&key) {
+                            *v = v.wrapping_add(bump);
+                        }
+                        if let Some(v) = reference.get_mut(&key) {
+                            *v = v.wrapping_add(bump);
+                        }
+                    }
+                    7 => {
+                        for v in fast.values_mut() {
+                            *v ^= 1;
+                        }
+                        for v in reference.values_mut() {
+                            *v ^= 1;
+                        }
+                    }
+                    8 if rng.chance(0.2) => {
+                        let cut = rng.index(key_range) as u32;
+                        fast.retain(|k, v| *k < cut || *v % 3 != 0);
+                        reference.retain(|k, v| *k < cut || *v % 3 != 0);
+                    }
+                    _ => {
+                        assert_eq!(fast.get(&key), reference.get(&key));
+                        assert_eq!(fast.contains_key(&key), reference.contains_key(&key));
+                    }
+                }
+                assert_eq!(fast.len(), reference.len(), "len drift (case {case})");
+                assert!(
+                    fast.iter().eq(reference.iter()),
+                    "walk order mismatch (case {case}, op {op})"
+                );
+            }
+            assert!(fast.keys().eq(reference.keys()));
+            assert!(fast.values().eq(reference.values()));
+            fast.clear();
+            assert!(fast.is_empty());
         }
     }
 

@@ -18,7 +18,6 @@ use crate::signal::{transition, OsError, ProcessState, Signal, SignalEffect};
 use crate::swapdev::RESUME_PREFETCH;
 use mrp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Full OS configuration of one simulated node.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
@@ -48,14 +47,20 @@ pub struct SignalOutcome {
     pub released_bytes: u64,
 }
 
+/// The first pid a kernel hands out; pids then count up by one and are
+/// never reused.
+const FIRST_PID: u32 = 1000;
+
 /// The simulated per-node operating system kernel.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Kernel {
     config: NodeOsConfig,
-    processes: HashMap<Pid, Process>,
+    /// The process table, indexed by `pid - FIRST_PID`. Terminated
+    /// processes keep their entry, so [`Kernel::state`] still answers for
+    /// them, and the next pid is always `FIRST_PID + processes.len()`.
+    processes: Vec<Process>,
     memory: MemoryManager,
     disk: Disk,
-    next_pid: u32,
 }
 
 impl Kernel {
@@ -65,8 +70,7 @@ impl Kernel {
             memory: MemoryManager::new(config.memory.clone()),
             disk: Disk::new(config.disk.clone()),
             config,
-            processes: HashMap::new(),
-            next_pid: 1000,
+            processes: Vec::new(),
         }
     }
 
@@ -97,29 +101,28 @@ impl Kernel {
         &self.disk
     }
 
-    /// Iterates over all process table entries (including terminated ones).
-    pub fn processes(&self) -> impl Iterator<Item = &Process> {
-        self.processes.values()
-    }
-
     /// Spawns a new process (a task JVM forked by the TaskTracker).
     pub fn spawn(&mut self, name: impl Into<String>, now: SimTime) -> Pid {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.processes.insert(pid, Process::new(pid, name, now));
+        let pid = Pid(FIRST_PID + self.processes.len() as u32);
+        self.processes.push(Process::new(pid, name, now));
         self.memory.register(pid, now);
         pid
     }
 
     /// Looks up a process table entry.
     pub fn process(&self, pid: Pid) -> Option<&Process> {
-        self.processes.get(&pid)
+        let index = pid.0.checked_sub(FIRST_PID)?;
+        self.processes.get(index as usize)
+    }
+
+    fn process_mut(&mut self, pid: Pid) -> Option<&mut Process> {
+        let index = pid.0.checked_sub(FIRST_PID)?;
+        self.processes.get_mut(index as usize)
     }
 
     /// The run state of a process, or an error if it never existed.
     pub fn state(&self, pid: Pid) -> Result<ProcessState, OsError> {
-        self.processes
-            .get(&pid)
+        self.process(pid)
             .map(|p| p.state)
             .ok_or(OsError::NoSuchProcess)
     }
@@ -183,10 +186,7 @@ impl Kernel {
             }
             SignalEffect::Ignored => {}
         }
-        let entry = self
-            .processes
-            .get_mut(&pid)
-            .expect("state() checked existence");
+        let entry = self.process_mut(pid).expect("state() checked existence");
         match new_state {
             ProcessState::Killed(sig) => entry.killed_by(sig, now),
             other => entry.set_state(other, now),
@@ -209,8 +209,7 @@ impl Kernel {
             .map(|m| m.virtual_size())
             .unwrap_or(0);
         self.memory.remove(pid)?;
-        self.processes
-            .get_mut(&pid)
+        self.process_mut(pid)
             .expect("checked above")
             .exit(code, now);
         Ok(released)
@@ -491,9 +490,25 @@ mod tests {
     }
 
     #[test]
+    fn dead_pids_keep_answering_and_pids_are_not_reused() {
+        let mut k = kernel();
+        let a = k.spawn("a", SimTime::ZERO);
+        let b = k.spawn("b", SimTime::ZERO);
+        k.exit(a, 3, SimTime::from_secs(1)).unwrap();
+        k.signal(b, Signal::Sigkill, SimTime::from_secs(2)).unwrap();
+        assert_eq!(k.state(a).unwrap(), ProcessState::Exited(3));
+        assert_eq!(k.state(b).unwrap(), ProcessState::Killed(Signal::Sigkill));
+        let c = k.spawn("c", SimTime::from_secs(3));
+        assert!(c != a && c != b, "a new process must get a fresh pid");
+        assert_eq!(k.process(c).unwrap().pid, c);
+        assert_eq!(k.state(c).unwrap(), ProcessState::Running);
+    }
+
+    #[test]
     fn unknown_pid_errors() {
         let mut k = kernel();
         let ghost = Pid(9999);
+        assert_eq!(k.state(Pid(7)).unwrap_err(), OsError::NoSuchProcess);
         assert!(k.signal(ghost, Signal::Sigtstp, SimTime::ZERO).is_err());
         assert!(k.allocate(ghost, 1, 1.0, SimTime::ZERO).is_err());
         assert!(k.fault_in_all(ghost, SimTime::ZERO).is_err());

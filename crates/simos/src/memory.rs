@@ -21,13 +21,19 @@
 //! The manager is pure bookkeeping: it returns *byte quantities*; the
 //! [`crate::kernel::Kernel`] turns them into virtual-time charges using the
 //! [`crate::disk::Disk`] model.
+//!
+//! Its two tables, the per-process accounting and the eviction-victim index
+//! (suspended first, then least-recent touch, then pid), are sorted vectors
+//! ([`mrp_sim::VecMap`]). A node runs a handful of task processes, and every
+//! spawn, allocation, signal and exit looks one up, so a binary search over
+//! a few contiguous entries replaces a hash probe or a tree walk; the victim
+//! walk reads the index front to back.
 
 use crate::process::Pid;
 use crate::signal::OsError;
 use crate::swapdev::{SwapConfig, SwapDevice};
-use mrp_sim::{SimTime, GIB, MIB};
+use mrp_sim::{SimTime, VecMap, GIB, MIB};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, HashMap};
 
 /// Extra fraction of pages reclaimed beyond the immediate shortfall when the
 /// kernel is under pressure, modelling watermark-based batched reclaim. This
@@ -197,7 +203,9 @@ fn round_cluster(bytes: u64) -> u64 {
 
 /// The per-node memory manager.
 ///
-/// Victim selection is backed by an ordered index (`lru`) maintained
+/// Both tables are sorted vectors (see the module docs). Pids are arbitrary
+/// keys here: the kernel hands them out densely, but tests register any
+/// pid. Victim selection is backed by the ordered index (`lru`) maintained
 /// incrementally on register / touch / suspend / remove, so each `reclaim`
 /// walks candidates in eviction order directly instead of collecting and
 /// sorting every process table entry per call. Total resident bytes are a
@@ -207,9 +215,10 @@ fn round_cluster(bytes: u64) -> u64 {
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MemoryManager {
     config: MemoryConfig,
-    procs: HashMap<Pid, ProcMemory>,
-    /// Ordered eviction-victim index; one entry per registered process.
-    lru: BTreeSet<VictimKey>,
+    procs: VecMap<Pid, ProcMemory>,
+    /// Eviction-victim index in victim order; one entry per registered
+    /// process.
+    lru: VecMap<VictimKey, ()>,
     /// Sum of `resident()` over all registered processes.
     resident_total: u64,
     file_cache: u64,
@@ -239,8 +248,8 @@ impl MemoryManager {
             .then(|| SwapDevice::new(config.swap_capacity, config.swap.block_size));
         MemoryManager {
             config,
-            procs: HashMap::new(),
-            lru: BTreeSet::new(),
+            procs: VecMap::new(),
+            lru: VecMap::new(),
             resident_total: 0,
             file_cache: 0,
             swap_used: 0,
@@ -257,9 +266,13 @@ impl MemoryManager {
         mutate: impl FnOnce(&mut ProcMemory) -> R,
     ) -> Result<R, OsError> {
         let pm = self.procs.get_mut(&pid).ok_or(OsError::NoSuchProcess)?;
-        self.lru.remove(&victim_key(pm, pid));
+        let old = victim_key(pm, pid);
         let out = mutate(pm);
-        self.lru.insert(victim_key(pm, pid));
+        let new = victim_key(pm, pid);
+        if new != old {
+            self.lru.remove(&old);
+            self.lru.insert(new, ());
+        }
         Ok(out)
     }
 
@@ -325,7 +338,7 @@ impl MemoryManager {
             last_touch: now,
             ..ProcMemory::default()
         };
-        self.lru.insert(victim_key(&pm, pid));
+        self.lru.insert(victim_key(&pm, pid), ());
         self.procs.insert(pid, pm);
     }
 
@@ -367,8 +380,8 @@ impl MemoryManager {
     /// per-reclaim sort of the process table.
     fn victim_order(&self, exclude: Pid) -> Vec<Pid> {
         self.lru
-            .iter()
-            .map(|(_, _, pid)| *pid)
+            .keys()
+            .map(|&(_, _, pid)| pid)
             .filter(|pid| *pid != exclude && self.procs[pid].resident() > 0)
             .collect()
     }
@@ -667,8 +680,8 @@ impl MemoryManager {
                 self.config.usable_ram()
             ));
         }
-        for (pid, pm) in &self.procs {
-            if !self.lru.contains(&victim_key(pm, *pid)) {
+        for (pid, pm) in self.procs.iter() {
+            if !self.lru.contains_key(&victim_key(pm, *pid)) {
                 return Err(format!(
                     "victim index disagrees with last_touch/suspended of {pid:?}"
                 ));
@@ -697,7 +710,7 @@ impl MemoryManager {
                     return Err("device occupancy not block-aligned".into());
                 }
                 let bs = dev.block_size();
-                for (pid, pm) in &self.procs {
+                for (pid, pm) in self.procs.iter() {
                     if u64::from(dev.active_blocks_of(*pid)) != pm.swapped.div_ceil(bs) {
                         return Err(format!(
                             "{pid:?}: active blocks != ceil(swapped / block_size)"
@@ -719,7 +732,7 @@ impl MemoryManager {
     /// first, then least-recently touched, pid as the tiebreaker. Exposed so
     /// the differential tests can compare victim order across models.
     pub fn victim_order_snapshot(&self) -> Vec<Pid> {
-        self.lru.iter().map(|&(_, _, pid)| pid).collect()
+        self.lru.keys().map(|&(_, _, pid)| pid).collect()
     }
 }
 

@@ -22,9 +22,8 @@
 
 use crate::process::Pid;
 use crate::signal::OsError;
-use mrp_sim::{SimDuration, MIB};
+use mrp_sim::{SimDuration, VecMap, MIB};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Fraction of swapped bytes paged in eagerly on a lazy resume.
 pub(crate) const RESUME_PREFETCH: f64 = 0.25;
@@ -172,7 +171,7 @@ pub struct SwapDevice {
     /// Swap-cache blocks, summed over `held`. Never above `allocated`.
     cached: u32,
     /// Per-process block counts; processes holding no block have no entry.
-    held: BTreeMap<Pid, Held>,
+    held: VecMap<Pid, Held>,
     stats: SwapStats,
 }
 
@@ -187,7 +186,7 @@ impl SwapDevice {
             total_blocks,
             allocated: 0,
             cached: 0,
-            held: BTreeMap::new(),
+            held: VecMap::new(),
             stats: SwapStats::default(),
         }
     }
@@ -359,7 +358,7 @@ impl SwapDevice {
     /// On any violated invariant (used by tests and debug assertions).
     pub fn check_invariants(&self) {
         let (mut active, mut cached) = (0u64, 0u64);
-        for (pid, held) in &self.held {
+        for (pid, held) in self.held.iter() {
             assert!(!held.is_empty(), "{pid:?}: entry holds no block");
             active += u64::from(held.active);
             cached += u64::from(held.cached);
