@@ -23,9 +23,8 @@ use mrp_engine::{
     DelayScoreboard, JobId, JobRuntime, Locality, NodeId, RackId, SchedulerAction,
     SchedulerContext, SchedulerPolicy, TaskKind, TaskState, TenantLedger, BASE_TASK_MEMORY,
 };
-use mrp_sim::{SimDuration, SimTime};
+use mrp_sim::{SimDuration, SimTime, VecMap};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 pub(crate) fn candidates_of(job: &JobRuntime) -> Vec<EvictionCandidate> {
@@ -40,34 +39,70 @@ pub(crate) fn candidates_of(job: &JobRuntime) -> Vec<EvictionCandidate> {
         .collect()
 }
 
-/// A lazily-consumed list of candidate task positions (indices into
-/// `JobRuntime::tasks`). Entries are skipped — and permanently consumed — when
-/// their task is no longer schedulable by the time the cursor reaches them,
-/// so each entry is visited at most once over the job's lifetime.
+/// Per-key lists of candidate task positions (indices into
+/// `JobRuntime::tasks`) in one flat layout: a key's positions sit in `items`
+/// in task order, from its span's start (the next unread) to its end.
+/// Entries are skipped — and permanently consumed — when their task is no
+/// longer schedulable by the time they are read, so each is visited at most
+/// once over the job's lifetime.
 #[derive(Default)]
-struct PendingList {
+struct LocalityLists {
+    spans: VecMap<u32, (u32, u32)>,
     items: Vec<u32>,
-    cursor: usize,
+    /// Bit per key, cleared once the key's list is exhausted: a delay round
+    /// visits many jobs with nothing local on the heartbeating node, and the
+    /// bit answers that in one dense read instead of a search.
+    bits: Vec<u64>,
 }
 
-impl PendingList {
-    /// Next entry whose task is still schedulable and not already chosen in
-    /// this round (a task picked from the node list may also sit on the rack
-    /// list; the context's task states only change once the round's actions
-    /// are applied, so the guard prevents double-launching).
-    fn next_schedulable(&mut self, job: &JobRuntime, chosen: &[usize]) -> Option<usize> {
-        while self.cursor < self.items.len() {
-            let pos = self.items[self.cursor] as usize;
-            self.cursor += 1;
-            if chosen.contains(&pos) {
-                continue;
-            }
-            if job.tasks.get(pos).is_some_and(|t| t.state.is_schedulable()) {
-                return Some(pos);
-            }
+impl LocalityLists {
+    /// Builds the lists from `(key, task position)` pairs packed as
+    /// `key << 32 | pos`: sorting them groups the positions by key and
+    /// keeps each key's positions in task order.
+    fn build(mut pairs: Vec<u64>) -> Self {
+        pairs.sort_unstable();
+        let mut lists = LocalityLists::default();
+        let mut from = 0u32;
+        for group in pairs.chunk_by(|a, b| a >> 32 == b >> 32) {
+            let key = (group[0] >> 32) as u32;
+            let to = from + group.len() as u32;
+            // Keys arrive in ascending order, so each insert appends.
+            lists.spans.insert(key, (from, to));
+            let word = (key / 64) as usize;
+            lists.bits.resize(lists.bits.len().max(word + 1), 0);
+            lists.bits[word] |= 1u64 << (key % 64);
+            from = to;
         }
-        None
+        lists.items = pairs.into_iter().map(|pair| pair as u32).collect();
+        lists
     }
+
+    /// Reads `key`'s list up to its next entry that `take` accepts; `None`
+    /// once the list is exhausted, or if `key` has none.
+    fn next_where(&mut self, key: u32, mut take: impl FnMut(usize) -> bool) -> Option<usize> {
+        if !test_bit(&self.bits, key) {
+            return None;
+        }
+        let span = self.spans.get_mut(&key)?;
+        let mut found = None;
+        while span.0 < span.1 && found.is_none() {
+            let pos = self.items[span.0 as usize] as usize;
+            span.0 += 1;
+            found = Some(pos).filter(|&pos| take(pos));
+        }
+        if span.0 == span.1 {
+            clear_bit(&mut self.bits, key);
+        }
+        found
+    }
+}
+
+/// Whether a list entry may launch: its task is still schedulable and not
+/// already chosen in this round (a task picked from the node list may also
+/// sit on the rack list; the context's task states only change once the
+/// round's actions are applied, so the guard prevents double-launching).
+fn launchable(job: &JobRuntime, chosen: &[usize], pos: usize) -> bool {
+    !chosen.contains(&pos) && job.tasks.get(pos).is_some_and(|t| t.state.is_schedulable())
 }
 
 /// Per-job rack-aware pending-task index, in the spirit of Hadoop's
@@ -77,25 +112,16 @@ impl PendingList {
 /// O(launches) instead of O(job tasks): without it, every launch on a
 /// 1000-task job re-scanned the whole task list per locality tier.
 ///
-/// The lists are consume-once (see [`PendingList`]): a task killed after its
-/// entry was consumed is simply no longer found *locally* — the fallback
-/// scan, which rewinds when the job still reports schedulable work that the
-/// cursor cannot see, guarantees it is found at all. Determinism holds
-/// because the maps are only ever indexed by key, never iterated.
+/// The lists are consume-once (see [`LocalityLists`]): a task killed after
+/// its entry was consumed is simply no longer found *locally* — the
+/// fallback scan, which rewinds when the job still reports schedulable work
+/// that the cursor cannot see, guarantees it is found at all.
 #[derive(Default)]
 struct JobIndex {
     /// node id -> pending map tasks with a replica on that node.
-    by_node: HashMap<u32, PendingList>,
+    by_node: LocalityLists,
     /// rack id -> pending map tasks with a replica in that rack.
-    by_rack: HashMap<u32, PendingList>,
-    /// Bit per node id: set while `by_node` *may* still hold unconsumed
-    /// entries for that node, cleared once the node's list is exhausted. A
-    /// delay-scheduling round visits many jobs that have nothing local on
-    /// the heartbeating node; the bit test answers that in a dense read
-    /// instead of a (SipHash) map lookup per job per heartbeat.
-    node_bits: Vec<u64>,
-    /// Same for rack ids over `by_rack`.
-    rack_bits: Vec<u64>,
+    by_rack: LocalityLists,
     /// First position of `tasks` that may still be schedulable; only ever
     /// advanced past non-schedulable tasks (and rewound after kills).
     cursor: usize,
@@ -124,44 +150,27 @@ fn or_into(dst: &mut Vec<u64>, src: &[u64]) {
     }
 }
 
-fn bitset_of(keys: impl Iterator<Item = u32> + Clone) -> Vec<u64> {
-    let max = keys.clone().max().map(|m| m as usize + 1).unwrap_or(0);
-    let mut bits = vec![0u64; max.div_ceil(64)];
-    for key in keys {
-        bits[(key / 64) as usize] |= 1u64 << (key % 64);
-    }
-    bits
-}
-
 impl JobIndex {
     fn build(job: &JobRuntime, ctx: &SchedulerContext<'_>) -> Self {
-        let mut index = JobIndex::default();
+        let (mut nodes, mut racks) = (Vec::new(), Vec::new());
         let mut racks_seen: Vec<u32> = Vec::with_capacity(4);
-        for (pos, t) in job.tasks.iter().enumerate() {
+        for (pos, t) in (0u64..).zip(&job.tasks) {
             racks_seen.clear();
             for holder in &t.preferred_nodes {
-                index
-                    .by_node
-                    .entry(holder.0)
-                    .or_default()
-                    .items
-                    .push(pos as u32);
+                nodes.push(u64::from(holder.0) << 32 | pos);
                 if let Some(rack) = ctx.topology.rack_of(*holder) {
                     if !racks_seen.contains(&rack.0) {
                         racks_seen.push(rack.0);
-                        index
-                            .by_rack
-                            .entry(rack.0)
-                            .or_default()
-                            .items
-                            .push(pos as u32);
+                        racks.push(u64::from(rack.0) << 32 | pos);
                     }
                 }
             }
         }
-        index.node_bits = bitset_of(index.by_node.keys().copied());
-        index.rack_bits = bitset_of(index.by_rack.keys().copied());
-        index
+        JobIndex {
+            by_node: LocalityLists::build(nodes),
+            by_rack: LocalityLists::build(racks),
+            cursor: 0,
+        }
     }
 }
 
@@ -207,9 +216,9 @@ fn fast_declines(
         && runtime.suspended_count == 0
         && prefers_local(runtime)
         && allowed < Locality::OffRack
-        && !test_bit(&index.node_bits, node.0)
+        && !test_bit(&index.by_node.bits, node.0)
         && !(allowed >= Locality::RackLocal
-            && rack.is_some_and(|r| test_bit(&index.rack_bits, r.0)))
+            && rack.is_some_and(|r| test_bit(&index.by_rack.bits, r.0)))
 }
 
 /// Up to [`WINDOW_BLOCK`] consecutive jobs of a [`DeclineWindow`].
@@ -219,9 +228,9 @@ struct WindowBlock {
     /// block's last job, so the idle jobs in between belong to this block.
     from: usize,
     jobs: Vec<JobId>,
-    /// Union of the jobs' `JobIndex::node_bits`.
+    /// Union of the jobs' node-list bits.
     node_bits: Vec<u64>,
-    /// Union of `JobIndex::rack_bits` over the jobs allowed rack-local.
+    /// Union of the rack-list bits of the jobs allowed rack-local.
     rack_bits: Vec<u64>,
     /// What [`DelayScoreboard::note_skips`] returned when the block last
     /// counted its declines.
@@ -347,9 +356,9 @@ impl LocalityIndex {
                 window.live += 1;
             }
             let block = &mut window.blocks[window.live - 1];
-            or_into(&mut block.node_bits, &job_index.node_bits);
+            or_into(&mut block.node_bits, &job_index.by_node.bits);
             if allowed >= Locality::RackLocal {
-                or_into(&mut block.rack_bits, &job_index.rack_bits);
+                or_into(&mut block.rack_bits, &job_index.by_rack.bits);
             }
             block.jobs.push(*job_id);
             window.end = pos + 1;
@@ -552,9 +561,9 @@ pub(crate) fn fill_node(
         // skipped opportunity. This is the common case of a delayed round at
         // scale, so it must stay a handful of dense reads.
         if !maps_any && free_map > 0 && job.schedulable_maps > 0 && !job_reduces {
-            let node_possible = test_bit(&job_index.node_bits, node.0);
+            let node_possible = test_bit(&job_index.by_node.bits, node.0);
             let rack_possible = allowed >= Locality::RackLocal
-                && rack.is_some_and(|r| test_bit(&job_index.rack_bits, r.0));
+                && rack.is_some_and(|r| test_bit(&job_index.by_rack.bits, r.0));
             if !node_possible && !rack_possible {
                 index.chosen = chosen;
                 ctx.note_delay_skip(*job_id);
@@ -565,55 +574,35 @@ pub(crate) fn fill_node(
                 continue;
             }
         }
-        // Tier 1: map tasks with a replica on this very node. The bit test
-        // keeps the overwhelmingly common "nothing local here" answer off
-        // the hash; an exhausted list clears its bit so it is never probed
-        // again.
+        // Tiers 1 and 2: map tasks with a replica on this very node, then
+        // somewhere in its rack — the rack tier skipped entirely (lists
+        // untouched) while the job's delay level is still node-local-only.
+        // A list's bit keeps the overwhelmingly common "nothing local here"
+        // answer off the search; an exhausted list clears its bit so it is
+        // never probed again.
         let mut node_local_chosen = false;
-        if free_map > 0 && !avoid_map && test_bit(&job_index.node_bits, node.0) {
-            if let Some(list) = job_index.by_node.get_mut(&node.0) {
-                while free_map > 0 {
-                    let Some(pos) = list.next_schedulable(job, &chosen) else {
-                        break;
-                    };
-                    free_map -= 1;
-                    maps_unclaimed = maps_unclaimed.saturating_sub(1);
-                    maps_chosen += 1;
-                    node_local_chosen = true;
-                    chosen.push(pos);
-                    actions.push(SchedulerAction::Launch {
-                        task: job.tasks[pos].id,
-                        node,
-                    });
-                }
-                if list.cursor >= list.items.len() {
-                    clear_bit(&mut job_index.node_bits, node.0);
-                }
-            }
-        }
-        // Tier 2: map tasks with a replica somewhere in this node's rack —
-        // skipped entirely (lists untouched) while the job's delay level is
-        // still node-local-only.
-        if free_map > 0 && !avoid_map && allowed >= Locality::RackLocal {
-            if let Some(r) = rack.filter(|r| test_bit(&job_index.rack_bits, r.0)) {
-                if let Some(list) = job_index.by_rack.get_mut(&r.0) {
-                    while free_map > 0 {
-                        let Some(pos) = list.next_schedulable(job, &chosen) else {
-                            break;
-                        };
-                        free_map -= 1;
-                        maps_unclaimed = maps_unclaimed.saturating_sub(1);
-                        maps_chosen += 1;
-                        chosen.push(pos);
-                        actions.push(SchedulerAction::Launch {
-                            task: job.tasks[pos].id,
-                            node,
-                        });
-                    }
-                    if list.cursor >= list.items.len() {
-                        clear_bit(&mut job_index.rack_bits, r.0);
-                    }
-                }
+        let rack_key = rack.filter(|_| allowed >= Locality::RackLocal).map(|r| r.0);
+        let tiers = [
+            (&mut job_index.by_node, Some(node.0), true),
+            (&mut job_index.by_rack, rack_key, false),
+        ];
+        for (lists, key, node_local) in tiers {
+            let Some(key) = key.filter(|_| !avoid_map) else {
+                continue;
+            };
+            while free_map > 0 {
+                let Some(pos) = lists.next_where(key, |p| launchable(job, &chosen, p)) else {
+                    break;
+                };
+                free_map -= 1;
+                maps_unclaimed = maps_unclaimed.saturating_sub(1);
+                maps_chosen += 1;
+                node_local_chosen |= node_local;
+                chosen.push(pos);
+                actions.push(SchedulerAction::Launch {
+                    task: job.tasks[pos].id,
+                    node,
+                });
             }
         }
         // Tier 3: anything still schedulable (off-rack maps, reduces, and
@@ -1241,6 +1230,7 @@ mod tests {
                 suspended_count: 0,
                 occupying_count: 0,
                 speculative_live: 0,
+                terminal_count: 0,
                 remaining_bytes: 0,
             };
             job.recount_task_states();
@@ -1498,6 +1488,80 @@ mod tests {
                     h.set_state(job, rng.index(tasks), state);
                 }
                 h.round(secs, rng.index(16) as u32);
+            }
+        }
+    }
+
+    /// The flat locality lists against the map of per-key lists they
+    /// replaced: the same keys and bits, each key's positions in the same
+    /// order, and the same reads and exhaustion while lists are drained in
+    /// random interleavings, task positions turn unlaunchable and back, and
+    /// keys without a list are asked for.
+    #[test]
+    fn flat_locality_lists_match_a_map_of_lists() {
+        use std::collections::HashMap;
+        for seed in 0..24u64 {
+            let mut rng = mrp_sim::SimRng::new(0xF1A7 + seed);
+            let key_space = 1 + rng.index(if seed % 2 == 0 { 8 } else { 4096 });
+            let tasks = rng.index(300);
+            let mut pairs = Vec::new();
+            let mut reference: HashMap<u32, (Vec<u32>, usize)> = HashMap::new();
+            for pos in 0..tasks as u32 {
+                // Up to three keys per position, repeats included.
+                for _ in 0..rng.index(4) {
+                    let key = rng.index(key_space) as u32;
+                    pairs.push(u64::from(key) << 32 | u64::from(pos));
+                    reference.entry(key).or_default().0.push(pos);
+                }
+            }
+            rng.shuffle(&mut pairs);
+            let mut lists = LocalityLists::build(pairs);
+            let mut keys: Vec<u32> = reference.keys().copied().collect();
+            keys.sort_unstable();
+            assert!(lists.spans.keys().eq(&keys), "seed {seed}");
+            for key in 0..key_space as u32 + 70 {
+                assert_eq!(test_bit(&lists.bits, key), reference.contains_key(&key));
+            }
+            for (key, &(from, to)) in lists.spans.iter() {
+                let items = &lists.items[from as usize..to as usize];
+                assert_eq!(items, reference[key].0, "seed {seed}, key {key}");
+            }
+            let mut blocked = vec![false; tasks];
+            // One read of `key` on both sides; false once its list is done.
+            let mut read = |lists: &mut LocalityLists, key: u32, blocked: &[bool]| {
+                let live = test_bit(&lists.bits, key);
+                let Some((items, cursor)) = reference.get_mut(&key) else {
+                    assert!(!live, "seed {seed}: key {key} has no list");
+                    assert_eq!(lists.next_where(key, |_| true), None);
+                    return false;
+                };
+                assert_eq!(live, *cursor < items.len(), "key {key}");
+                let mut expected = None;
+                while *cursor < items.len() && expected.is_none() {
+                    let pos = items[*cursor] as usize;
+                    *cursor += 1;
+                    expected = Some(pos).filter(|&pos| !blocked[pos]);
+                }
+                let got = lists.next_where(key, |p| !blocked[p]);
+                assert_eq!(got, expected, "seed {seed}, key {key}");
+                assert_eq!(test_bit(&lists.bits, key), *cursor < items.len());
+                *cursor < items.len()
+            };
+            for _ in 0..1500 {
+                if tasks > 0 && rng.chance(0.2) {
+                    let pos = rng.index(tasks);
+                    blocked[pos] = !blocked[pos];
+                }
+                let key = match rng.pick(&keys) {
+                    Some(&key) if rng.chance(0.8) => key,
+                    _ => rng.index(key_space + 2) as u32,
+                };
+                read(&mut lists, key, &blocked);
+            }
+            blocked.fill(false);
+            for &key in &keys {
+                while read(&mut lists, key, &blocked) {}
+                assert_eq!(lists.next_where(key, |_| true), None);
             }
         }
     }

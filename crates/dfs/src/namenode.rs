@@ -59,14 +59,26 @@ pub struct ReplicationRepair {
     pub lost_blocks: u64,
 }
 
-/// The simulated NameNode.
+/// Position of an id in a dense table. File and block ids are handed out
+/// from 1 in sequence and never removed, so id `n` sits at `n - 1`; id 0
+/// has no slot.
+fn slot(id: u64) -> Option<usize> {
+    id.checked_sub(1).and_then(|i| usize::try_from(i).ok())
+}
+
+/// The simulated NameNode. Files, blocks and replica lists are dense
+/// tables indexed by id - 1, read once per block of every job's input.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct NameNode {
     topology: Topology,
-    files: HashMap<FileId, FileMeta>,
+    /// One slot per file id handed out; `None` for an id whose create
+    /// failed before the file existed.
+    files: Vec<Option<FileMeta>>,
     paths: HashMap<String, FileId>,
-    blocks: HashMap<BlockId, Block>,
-    replicas: HashMap<BlockId, Vec<NodeId>>,
+    /// One entry per block id handed out, pushed before its placement.
+    blocks: Vec<Block>,
+    /// The replica holders of each block, parallel to `blocks`.
+    replicas: Vec<Vec<NodeId>>,
     /// Dense liveness map (indexed by node id); dead DataNodes hold no
     /// replicas and are never chosen for placement.
     dead: Vec<bool>,
@@ -82,8 +94,6 @@ pub struct NameNode {
     live: usize,
     default_block_size: u64,
     default_replication: u32,
-    next_file: u64,
-    next_block: u64,
 }
 
 impl NameNode {
@@ -96,17 +106,15 @@ impl NameNode {
         let live = topology.len();
         NameNode {
             topology,
-            files: HashMap::new(),
+            files: Vec::new(),
             paths: HashMap::new(),
-            blocks: HashMap::new(),
-            replicas: HashMap::new(),
+            blocks: Vec::new(),
+            replicas: Vec::new(),
             dead,
             node_blocks,
             live,
             default_block_size,
             default_replication,
-            next_file: 1,
-            next_block: 1,
         }
     }
 
@@ -117,27 +125,29 @@ impl NameNode {
 
     /// Number of files in the namespace.
     pub fn file_count(&self) -> usize {
-        self.files.len()
+        self.paths.len()
     }
 
     /// Looks up a file by path.
     pub fn lookup(&self, path: &str) -> Option<&FileMeta> {
-        self.paths.get(path).and_then(|id| self.files.get(id))
+        self.paths.get(path).and_then(|id| self.file(*id))
     }
 
     /// File metadata by id.
     pub fn file(&self, id: FileId) -> Option<&FileMeta> {
-        self.files.get(&id)
+        self.files.get(slot(id.0)?)?.as_ref()
     }
 
     /// Block metadata by id.
     pub fn block(&self, id: BlockId) -> Option<&Block> {
-        self.blocks.get(&id)
+        self.blocks.get(slot(id.0)?)
     }
 
     /// The DataNodes holding replicas of a block.
     pub fn replicas_of(&self, block: BlockId) -> &[NodeId] {
-        self.replicas.get(&block).map(Vec::as_slice).unwrap_or(&[])
+        slot(block.0)
+            .and_then(|i| self.replicas.get(i))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Whether `node` is a live DataNode (in the topology and not
@@ -286,26 +296,26 @@ impl NameNode {
         if self.topology.is_empty() {
             return Err(DfsError::NoDataNodes);
         }
-        let file_id = FileId(self.next_file);
-        self.next_file += 1;
+        // The id is used up even if placement fails below: its slot stays
+        // `None`, and a block whose placement failed keeps its metadata
+        // with no replicas.
+        let file_id = FileId(self.files.len() as u64 + 1);
+        self.files.push(None);
         let mut block_ids = Vec::new();
         for (index, size) in split_into_blocks(len, block_size).into_iter().enumerate() {
-            let block_id = BlockId(self.next_block);
-            self.next_block += 1;
-            self.blocks.insert(
-                block_id,
-                Block {
-                    id: block_id,
-                    file: file_id,
-                    index: index as u32,
-                    size,
-                },
-            );
+            let block_id = BlockId(self.blocks.len() as u64 + 1);
+            self.blocks.push(Block {
+                id: block_id,
+                file: file_id,
+                index: index as u32,
+                size,
+            });
+            self.replicas.push(Vec::new());
             let placement = self.place_replicas(writer, replication, rng)?;
             for holder in &placement {
                 self.record_holder(*holder, block_id);
             }
-            self.replicas.insert(block_id, placement);
+            *self.replicas.last_mut().expect("pushed above") = placement;
             block_ids.push(block_id);
         }
         let meta = FileMeta {
@@ -316,7 +326,7 @@ impl NameNode {
             replication,
             blocks: block_ids,
         };
-        self.files.insert(file_id, meta);
+        *self.files.last_mut().expect("pushed above") = Some(meta);
         self.paths.insert(path.to_string(), file_id);
         Ok(file_id)
     }
@@ -324,8 +334,7 @@ impl NameNode {
     /// Plans a read of `block` from `reader`: chooses the closest replica.
     pub fn plan_read(&self, block: BlockId, reader: NodeId) -> Result<ReadPlan, DfsError> {
         let meta = self
-            .blocks
-            .get(&block)
+            .block(block)
             .ok_or_else(|| DfsError::NotFound(format!("{block:?}")))?;
         let replicas = self.replicas_of(block);
         if replicas.is_empty() {
@@ -347,7 +356,7 @@ impl NameNode {
     /// Nodes that hold a replica of any block of `file`, used by the
     /// JobTracker to prefer data-local task placement.
     pub fn preferred_nodes(&self, file: FileId) -> Vec<NodeId> {
-        let Some(meta) = self.files.get(&file) else {
+        let Some(meta) = self.file(file) else {
             return Vec::new();
         };
         let mut nodes = Vec::new();
@@ -386,7 +395,7 @@ impl NameNode {
             .map(std::mem::take)
             .unwrap_or_default();
         for block in &affected {
-            if let Some(replicas) = self.replicas.get_mut(block) {
+            if let Some(replicas) = slot(block.0).and_then(|i| self.replicas.get_mut(i)) {
                 replicas.retain(|n| *n != node);
             }
         }
@@ -423,16 +432,15 @@ impl NameNode {
         let mut repair = ReplicationRepair::default();
         let live = self.live_count();
         for block in affected {
-            let Some(meta) = self.blocks.get(block) else {
+            let Some(i) = slot(block.0).filter(|&i| i < self.blocks.len()) else {
                 continue;
             };
             let target = self
-                .files
-                .get(&meta.file)
+                .file(self.blocks[i].file)
                 .map(|f| f.replication)
                 .unwrap_or(self.default_replication) as usize;
             let target = target.min(live);
-            let mut holders = self.replicas.get(block).cloned().unwrap_or_default();
+            let mut holders = std::mem::take(&mut self.replicas[i]);
             if holders.is_empty() && !graceful {
                 repair.lost_blocks += 1;
                 continue;
@@ -447,7 +455,7 @@ impl NameNode {
                     None => break,
                 }
             }
-            self.replicas.insert(*block, holders);
+            self.replicas[i] = holders;
         }
         repair
     }
@@ -668,6 +676,49 @@ mod tests {
             .unwrap();
         let block2 = nn.file(id2).unwrap().blocks[0];
         assert_eq!(nn.replicas_of(block2)[0], NodeId(2));
+    }
+
+    #[test]
+    fn failed_create_uses_up_its_ids_and_later_files_still_resolve() {
+        let mut nn = namenode(1, 2);
+        let mut r = rng();
+        let first = nn.create_file("/a", MIB, Some(NodeId(0)), &mut r).unwrap();
+        nn.decommission(NodeId(0));
+        nn.decommission(NodeId(1));
+        // Placement fails on the first block: the file and block ids are
+        // used up, the path and the file never appear, and the block keeps
+        // its metadata with no replicas.
+        assert_eq!(
+            nn.create_file("/b", 300 * MIB, Some(NodeId(0)), &mut r),
+            Err(DfsError::NoDataNodes)
+        );
+        assert!(nn.lookup("/b").is_none());
+        assert!(nn.file(FileId(2)).is_none());
+        assert_eq!(nn.file_count(), 1);
+        let stranded = nn.block(BlockId(2)).expect("placed before placement");
+        assert_eq!((stranded.file, stranded.index), (FileId(2), 0));
+        assert!(nn.replicas_of(BlockId(2)).is_empty());
+        assert!(nn.block(BlockId(3)).is_none());
+        assert!(nn.block(BlockId(0)).is_none() && nn.file(FileId(0)).is_none());
+
+        nn.rejoin(NodeId(0));
+        nn.rejoin(NodeId(1));
+        let third = nn
+            .create_file("/c", 200 * MIB, Some(NodeId(1)), &mut r)
+            .unwrap();
+        assert_eq!(third, FileId(3));
+        let meta = nn.lookup("/c").unwrap();
+        assert_eq!(meta.blocks, vec![BlockId(3), BlockId(4)]);
+        for (i, b) in meta.blocks.iter().enumerate() {
+            let block = nn.block(*b).unwrap();
+            assert_eq!((block.id, block.file, block.index), (*b, third, i as u32));
+            assert_eq!(nn.replicas_of(*b)[0], NodeId(1));
+        }
+        assert_eq!(nn.file(first).unwrap().path, "/a");
+        assert_eq!(nn.file_count(), 2);
+        // The failed path is free for a later create.
+        assert_eq!(nn.create_file("/b", MIB, None, &mut r).unwrap(), FileId(4));
+        assert_eq!(nn.file_count(), 3);
     }
 
     #[test]

@@ -768,13 +768,14 @@ impl Cluster {
     }
 
     /// The counter-relevant classification of a task state:
-    /// (schedulable, suspended, occupies a slot).
+    /// (schedulable, suspended, occupies a slot, terminal).
     #[inline]
-    fn state_classes(state: TaskState) -> (bool, bool, bool) {
+    fn state_classes(state: TaskState) -> (bool, bool, bool, bool) {
         (
             state.is_schedulable(),
             state == TaskState::Suspended,
             state.occupies_slot(),
+            state.is_terminal(),
         )
     }
 
@@ -788,8 +789,8 @@ impl Cluster {
         job: &mut JobRuntime,
         totals: &mut PendingTotals,
         kind: TaskKind,
-        before: (bool, bool, bool),
-        after: (bool, bool, bool),
+        before: (bool, bool, bool, bool),
+        after: (bool, bool, bool, bool),
     ) {
         // Counts a task entering (+1) or leaving (-1) a class.
         let step = |counter: &mut u32, entered: bool| {
@@ -817,6 +818,9 @@ impl Cluster {
         }
         if before.2 != after.2 {
             step(&mut job.occupying_count, after.2);
+        }
+        if before.3 != after.3 {
+            step(&mut job.terminal_count, after.3);
         }
     }
 
@@ -1531,6 +1535,7 @@ impl Cluster {
                 suspended_count: 0,
                 occupying_count: 0,
                 speculative_live: 0,
+                terminal_count: 0,
                 remaining_bytes,
             },
         );

@@ -491,6 +491,10 @@ pub struct JobRuntime {
     /// Number of live speculative (backup) attempts across the job's tasks
     /// (same maintenance contract); bounds speculation slot waste in O(1).
     pub speculative_live: u32,
+    /// Number of tasks in a terminal state ([`TaskState::is_terminal`];
+    /// same maintenance contract): the job is complete when it equals the
+    /// task count.
+    pub terminal_count: u32,
     /// Sum of [`TaskRuntime::remaining_bytes`] over the job's tasks: its
     /// remaining size, which HFSP orders jobs by. Maintained by the engine
     /// on every task state *and progress* write (same contract otherwise).
@@ -532,69 +536,79 @@ impl JobRuntime {
             .iter()
             .filter(|t| t.spec_attempt.is_some())
             .count() as u32;
+        self.terminal_count = self.tasks.iter().filter(|t| t.state.is_terminal()).count() as u32;
         self.remaining_bytes = self.tasks.iter().map(TaskRuntime::remaining_bytes).sum();
     }
 
     /// The engine-maintained counters, in declaration order:
     /// `(schedulable_maps, schedulable_reduces, suspended_count,
-    /// occupying_count, speculative_live, remaining_bytes)`. Compare against
-    /// the same tuple of a clone after [`JobRuntime::recount_task_states`]
-    /// to check for drift.
-    pub fn counters(&self) -> (u32, u32, u32, u32, u32, u64) {
+    /// occupying_count, speculative_live, terminal_count, remaining_bytes)`.
+    /// Compare against the same tuple of a clone after
+    /// [`JobRuntime::recount_task_states`] to check for drift.
+    pub fn counters(&self) -> (u32, u32, u32, u32, u32, u32, u64) {
         (
             self.schedulable_maps,
             self.schedulable_reduces,
             self.suspended_count,
             self.occupying_count,
             self.speculative_live,
+            self.terminal_count,
             self.remaining_bytes,
         )
     }
 
+    /// Where `id` sits in the task list by construction: maps first at
+    /// their index, then the spec's reduces at theirs.
+    fn layout_position(&self, id: TaskId) -> Option<usize> {
+        match id.kind {
+            TaskKind::Map => Some(id.index as usize),
+            TaskKind::Reduce => self
+                .tasks
+                .len()
+                .checked_sub(self.spec.reduce_tasks as usize)?
+                .checked_add(id.index as usize),
+        }
+    }
+
     /// Looks up a task by id.
     ///
-    /// Map tasks sit at `tasks[index]` by construction (maps first, then
-    /// reduces), so the common lookup is O(1); the linear scan only remains as
-    /// a fallback for reduce tasks and hand-built task vectors in tests.
+    /// O(1) for tasks where the engine lays them out (maps first, then
+    /// reduces, each at its index); the linear scan only remains as a
+    /// fallback for hand-built task vectors in tests.
     pub fn task(&self, id: TaskId) -> Option<&TaskRuntime> {
-        if id.kind == TaskKind::Map {
-            if let Some(t) = self.tasks.get(id.index as usize) {
-                if t.id == id {
-                    return Some(t);
-                }
-            }
+        match self.layout_position(id).and_then(|i| self.tasks.get(i)) {
+            Some(t) if t.id == id => Some(t),
+            _ => self.tasks.iter().find(|t| t.id == id),
         }
-        self.tasks.iter().find(|t| t.id == id)
     }
 
     /// Mutable task lookup (same O(1) fast path as [`JobRuntime::task`]).
     pub fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskRuntime> {
-        if id.kind == TaskKind::Map {
-            let direct = self
-                .tasks
-                .get(id.index as usize)
-                .map(|t| t.id == id)
-                .unwrap_or(false);
-            if direct {
-                return self.tasks.get_mut(id.index as usize);
-            }
+        match self.layout_position(id) {
+            Some(i) if self.tasks.get(i).is_some_and(|t| t.id == id) => self.tasks.get_mut(i),
+            _ => self.tasks.iter_mut().find(|t| t.id == id),
         }
-        self.tasks.iter_mut().find(|t| t.id == id)
     }
 
-    /// True when every task has succeeded.
-    ///
-    /// O(tasks): scans the task list. On scheduler hot paths prefer
-    /// [`JobRuntime::is_finished`], which reads the engine-maintained
-    /// completion stamp in O(1).
+    /// True when every task has succeeded: O(1) from
+    /// [`JobRuntime::terminal_count`], so that counter must be current —
+    /// maintained by the engine, or recounted with
+    /// [`JobRuntime::recount_task_states`] after editing tasks by hand.
+    /// Debug builds check it against a scan of the tasks.
     pub fn is_complete(&self) -> bool {
-        !self.tasks.is_empty() && self.tasks.iter().all(|t| t.state.is_terminal())
+        let complete = !self.tasks.is_empty() && self.terminal_count as usize == self.tasks.len();
+        debug_assert_eq!(
+            complete,
+            !self.tasks.is_empty() && self.tasks.iter().all(|t| t.state.is_terminal()),
+            "terminal_count is stale; call recount_task_states after editing tasks"
+        );
+        complete
     }
 
-    /// O(1) completion check: the engine stamps `completed_at` the moment the
-    /// last task succeeds, so for jobs observed through a
+    /// The engine stamps `completed_at` the moment the last task succeeds,
+    /// so for jobs observed through a
     /// [`SchedulerContext`](crate::SchedulerContext) this is equivalent to
-    /// [`JobRuntime::is_complete`] without the task scan.
+    /// [`JobRuntime::is_complete`].
     pub fn is_finished(&self) -> bool {
         self.completed_at.is_some()
     }
@@ -865,6 +879,7 @@ mod tests {
             suspended_count: 0,
             occupying_count: 0,
             speculative_live: 0,
+            terminal_count: 0,
             remaining_bytes: 0,
         };
         job.recount_task_states();
@@ -876,7 +891,7 @@ mod tests {
         job.tasks[0].set_state(TaskState::Succeeded);
         job.recount_task_states();
         assert_eq!(job.remaining_bytes, 100 * MIB);
-        assert_eq!(job.counters(), (1, 0, 0, 0, 0, 100 * MIB));
+        assert_eq!(job.counters(), (1, 0, 0, 0, 0, 1, 100 * MIB));
     }
 
     #[test]
@@ -893,6 +908,7 @@ mod tests {
             suspended_count: 0,
             occupying_count: 0,
             speculative_live: 0,
+            terminal_count: 0,
             remaining_bytes: 0,
         };
         job.recount_task_states();
@@ -905,10 +921,79 @@ mod tests {
         assert!(job.sojourn().is_none());
         job.tasks[0].set_state(TaskState::Running);
         job.tasks[0].set_state(TaskState::Succeeded);
+        job.recount_task_states();
         job.completed_at = Some(SimTime::from_secs(110));
         assert!(job.is_complete());
         assert_eq!(job.sojourn().unwrap(), SimDuration::from_secs(100));
         assert!(job.task(tid()).is_some());
         assert!(job.task_mut(tid()).is_some());
+    }
+
+    #[test]
+    fn reduce_lookup_is_direct_in_the_engine_layout_and_scans_otherwise() {
+        let id = |kind, index| TaskId {
+            job: JobId(1),
+            kind,
+            index,
+        };
+        let task = |kind, index, bytes| TaskRuntime::new(id(kind, index), bytes, vec![]);
+        let job = |reduces, tasks| JobRuntime {
+            id: JobId(1),
+            spec: JobSpec::synthetic("r", 2, MIB).with_reduces(reduces),
+            submitted_at: SimTime::ZERO,
+            completed_at: None,
+            tasks,
+            schedulable_maps: 0,
+            schedulable_reduces: 0,
+            suspended_count: 0,
+            occupying_count: 0,
+            speculative_live: 0,
+            terminal_count: 0,
+            remaining_bytes: 0,
+        };
+        let (m, r) = (TaskKind::Map, TaskKind::Reduce);
+        let all = [id(m, 0), id(m, 1), id(r, 0), id(r, 1), id(r, 2)];
+
+        // Engine layout, with a decoy copy of reduce 1 in the map region: a
+        // scan would return the decoy, the direct lookup returns the task
+        // at the reduce's layout position.
+        let mut engine = job(
+            3,
+            vec![
+                task(m, 0, 1),
+                task(r, 1, 99),
+                task(r, 0, 3),
+                task(r, 1, 4),
+                task(r, 2, 5),
+            ],
+        );
+        assert_eq!(engine.task(id(r, 1)).unwrap().input_bytes, 4);
+        engine.task_mut(id(r, 1)).unwrap().progress = 0.5;
+        assert_eq!(engine.tasks[3].progress, 0.5);
+        assert_eq!(engine.task(id(r, 2)).unwrap().input_bytes, 5);
+        assert_eq!(engine.task(id(m, 0)).unwrap().input_bytes, 1);
+
+        // Hand-built lists: reduces first, or a spec naming more reduces
+        // than the list holds. Every task is still found by the scan.
+        let shuffled = || {
+            vec![
+                task(r, 2, 5),
+                task(r, 0, 3),
+                task(m, 1, 2),
+                task(r, 1, 4),
+                task(m, 0, 1),
+            ]
+        };
+        for reduces in [3, 2, 9] {
+            let mut hand = job(reduces, shuffled());
+            for (want, tid) in all.iter().enumerate() {
+                let want = want as u64 + 1;
+                assert_eq!(hand.task(*tid).unwrap().input_bytes, want, "{tid:?}");
+                assert_eq!(hand.task_mut(*tid).unwrap().input_bytes, want);
+            }
+            assert!(hand.task(id(r, 3)).is_none());
+            assert!(hand.task_mut(id(r, u32::MAX)).is_none());
+            assert!(hand.task(id(m, 2)).is_none());
+        }
     }
 }

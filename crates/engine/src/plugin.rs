@@ -348,6 +348,7 @@ mod tests {
             suspended_count: 0,
             occupying_count: 0,
             speculative_live: 0,
+            terminal_count: 0,
             remaining_bytes: 0,
         };
         job.recount_task_states();

@@ -778,6 +778,7 @@ mod tests {
             suspended_count: 0,
             occupying_count: 0,
             speculative_live: 0,
+            terminal_count: 0,
             remaining_bytes: 0,
         };
         job.recount_task_states();
@@ -1059,6 +1060,7 @@ mod tests {
             suspended_count: 0,
             occupying_count: 0,
             speculative_live: 0,
+            terminal_count: 0,
             remaining_bytes: 0,
         };
         job.recount_task_states();

@@ -1058,7 +1058,7 @@ fn disabled_swap_device_is_byte_identical() {
 }
 
 /// Drives `build`'s cluster in one-second slices of virtual time through
-/// repeated `Cluster::run` calls. After every slice, each job's six
+/// repeated `Cluster::run` calls. After every slice, each job's seven
 /// engine-maintained counters must equal a recount from its task list, and
 /// the cluster-wide pending totals a recount from the jobs. The sliced run
 /// must also end with the same report and event count as one uninterrupted
