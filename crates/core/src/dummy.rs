@@ -37,60 +37,50 @@ use std::fmt;
 
 /// One trigger of the dummy scheduler's static plan.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct TriggerRule {
+pub(crate) struct TriggerRule {
     /// Name of the job whose task is watched (e.g. `tl`).
-    pub watch_job: String,
+    pub(crate) watch_job: String,
     /// Index of the watched map task within that job.
-    pub watch_task: u32,
+    pub(crate) watch_task: u32,
     /// Progress fraction at which the trigger fires (the paper's `r`).
-    pub fraction: f64,
+    pub(crate) fraction: f64,
     /// Jobs to submit when the trigger fires (e.g. `th`).
     #[serde(default)]
-    pub submit: Vec<JobSpec>,
+    pub(crate) submit: Vec<JobSpec>,
     /// Names of jobs whose running tasks are preempted when the trigger fires.
     #[serde(default)]
-    pub preempt_jobs: Vec<String>,
+    pub(crate) preempt_jobs: Vec<String>,
     /// Maximum number of tasks to preempt per job (`None` = all running).
     #[serde(default)]
-    pub max_victims: Option<usize>,
+    pub(crate) max_victims: Option<usize>,
 }
 
 /// A restore rule: when `when_job_completes` finishes, give slots back to the
 /// previously preempted jobs listed in `restore_jobs`.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RestoreRule {
+pub(crate) struct RestoreRule {
     /// Job whose completion triggers the restore (e.g. `th`).
-    pub when_job_completes: String,
+    pub(crate) when_job_completes: String,
     /// Jobs whose suspended tasks should be resumed (e.g. `tl`).
-    pub restore_jobs: Vec<String>,
+    pub(crate) restore_jobs: Vec<String>,
 }
 
 /// The full static plan: primitive, eviction policy, triggers and restores.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DummyPlan {
     /// Which preemption primitive the plan uses.
-    pub primitive: PreemptionPrimitive,
+    pub(crate) primitive: PreemptionPrimitive,
     /// Which tasks to evict first when a trigger preempts a job.
-    pub eviction: EvictionPolicy,
+    pub(crate) eviction: EvictionPolicy,
     /// The trigger rules.
     #[serde(default)]
-    pub triggers: Vec<TriggerRule>,
+    pub(crate) triggers: Vec<TriggerRule>,
     /// The restore rules.
     #[serde(default)]
-    pub restores: Vec<RestoreRule>,
+    pub(crate) restores: Vec<RestoreRule>,
 }
 
 impl DummyPlan {
-    /// A plan with no triggers: plain priority FIFO behaviour.
-    pub fn empty(primitive: PreemptionPrimitive) -> Self {
-        DummyPlan {
-            primitive,
-            eviction: EvictionPolicy::ClosestToCompletion,
-            triggers: Vec::new(),
-            restores: Vec::new(),
-        }
-    }
-
     /// The paper's two-job scenario: when map 0 of `low_job` reaches
     /// `fraction`, submit `high_spec` and preempt `low_job` with `primitive`;
     /// when `high_spec` completes, restore `low_job`.
@@ -477,11 +467,6 @@ impl DummyScheduler {
         }
     }
 
-    /// The plan this scheduler executes.
-    pub fn plan(&self) -> &DummyPlan {
-        &self.plan
-    }
-
     /// The progress triggers the cluster must register (job name, task index,
     /// fraction) for this plan to work; convenience for experiment harnesses:
     ///
@@ -805,7 +790,12 @@ mod tests {
 
     #[test]
     fn empty_plan_behaves_like_fifo() {
-        let scheduler = DummyScheduler::new(DummyPlan::empty(PreemptionPrimitive::SuspendResume));
+        let scheduler = DummyScheduler::new(DummyPlan {
+            primitive: PreemptionPrimitive::SuspendResume,
+            eviction: EvictionPolicy::ClosestToCompletion,
+            triggers: Vec::new(),
+            restores: Vec::new(),
+        });
         assert!(scheduler.required_triggers().is_empty());
         let mut cluster = Cluster::new(ClusterConfig::paper_single_node(), Box::new(scheduler));
         cluster.create_input_file("/a", 256 * MIB).unwrap();

@@ -47,31 +47,11 @@ pub enum EvictionPolicy {
 }
 
 impl EvictionPolicy {
-    /// All policies, for ablation sweeps.
-    pub const ALL: [EvictionPolicy; 5] = [
-        EvictionPolicy::ClosestToCompletion,
-        EvictionPolicy::LeastProgress,
-        EvictionPolicy::SmallestMemory,
-        EvictionPolicy::LargestMemory,
-        EvictionPolicy::Random,
-    ];
-
-    /// Short label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            EvictionPolicy::ClosestToCompletion => "closest-to-completion",
-            EvictionPolicy::LeastProgress => "least-progress",
-            EvictionPolicy::SmallestMemory => "smallest-memory",
-            EvictionPolicy::LargestMemory => "largest-memory",
-            EvictionPolicy::Random => "random",
-        }
-    }
-
     /// Orders `candidates` from first-to-evict to last-to-evict.
     ///
     /// Ties are broken by task id so the ordering is deterministic; the
     /// `Random` policy uses the provided seeded generator.
-    pub fn rank(self, candidates: &[EvictionCandidate], rng: &mut SimRng) -> Vec<TaskId> {
+    pub(crate) fn rank(self, candidates: &[EvictionCandidate], rng: &mut SimRng) -> Vec<TaskId> {
         let mut ranked: Vec<EvictionCandidate> = candidates.to_vec();
         match self {
             EvictionPolicy::ClosestToCompletion => {
@@ -231,7 +211,5 @@ mod tests {
             order.iter().map(|t| t.index).collect::<Vec<_>>(),
             vec![1, 2, 3]
         );
-        assert_eq!(EvictionPolicy::ALL.len(), 5);
-        assert_eq!(EvictionPolicy::SmallestMemory.label(), "smallest-memory");
     }
 }

@@ -8,6 +8,11 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so a bound keeps malformed input (`[[[[…`) from
+/// overflowing the stack; plan files nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Json {
@@ -27,7 +32,7 @@ pub enum Json {
 
 impl Json {
     /// Convenience constructor for an object.
-    pub fn obj(fields: Vec<(&str, Json)>) -> Json {
+    pub(crate) fn obj(fields: Vec<(&str, Json)>) -> Json {
         Json::Obj(
             fields
                 .into_iter()
@@ -137,11 +142,13 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document; trailing non-whitespace is an error.
+    /// Parses a JSON document; trailing non-whitespace and nesting deeper
+    /// than 128 arrays/objects are errors.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -175,9 +182,9 @@ fn write_escaped(out: &mut String, s: &str) {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset of the error.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl std::fmt::Display for JsonError {
@@ -191,6 +198,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -235,8 +244,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -244,6 +253,19 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -462,6 +484,17 @@ mod tests {
         assert!(Json::parse("[1, 2").is_err());
         assert!(Json::parse("{\"a\": 1} trailing").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |levels: usize| "[".repeat(levels) + &"]".repeat(levels);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
+        assert!(Json::parse(&"{\"a\":".repeat(100_000)).is_err());
+        assert!(crate::DummyPlan::from_json(&"[".repeat(5_000)).is_err());
     }
 
     #[test]

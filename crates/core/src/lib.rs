@@ -50,7 +50,7 @@
 //! assert_eq!(report.job("tl").unwrap().tasks[0].suspend_cycles, 1);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod dummy;
 mod eviction;
@@ -61,9 +61,9 @@ mod pipeline;
 mod primitive;
 mod schedulers;
 
-pub use dummy::{DummyPlan, DummyScheduler, PlanJsonError, RestoreRule, TriggerRule};
+pub use dummy::{DummyPlan, DummyScheduler, PlanJsonError};
 pub use eviction::{EvictionCandidate, EvictionPolicy};
-pub use natjam::{CheckpointCost, NatjamModel};
+pub use natjam::NatjamModel;
 pub use primitive::{PreemptionPrimitive, UnknownPrimitive};
 pub use schedulers::{FairScheduler, HfspScheduler, MultiTenantConfig, MultiTenantScheduler};
 

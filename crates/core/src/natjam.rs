@@ -24,18 +24,18 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NatjamModel {
     /// Rate at which task state is serialized (CPU-bound), bytes/second.
-    pub serialize_bytes_per_sec: f64,
+    pub(crate) serialize_bytes_per_sec: f64,
     /// Disk write bandwidth for the checkpoint file, bytes/second.
-    pub disk_write_bytes_per_sec: f64,
+    pub(crate) disk_write_bytes_per_sec: f64,
     /// Disk read bandwidth when loading the checkpoint, bytes/second.
-    pub disk_read_bytes_per_sec: f64,
+    pub(crate) disk_read_bytes_per_sec: f64,
     /// Rate at which state is deserialized, bytes/second.
-    pub deserialize_bytes_per_sec: f64,
+    pub(crate) deserialize_bytes_per_sec: f64,
     /// Fixed per-checkpoint overhead (RPCs, file creation, commit), seconds.
-    pub fixed_overhead_secs: f64,
+    pub(crate) fixed_overhead_secs: f64,
     /// Fraction of a task's work that is redone after resuming from the last
     /// saved progress counter (checkpoint granularity).
-    pub replay_fraction: f64,
+    pub(crate) replay_fraction: f64,
 }
 
 impl Default for NatjamModel {
@@ -53,19 +53,19 @@ impl Default for NatjamModel {
 
 /// Cost breakdown of one checkpoint-based suspend/resume cycle.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct CheckpointCost {
+pub(crate) struct CheckpointCost {
     /// Time to serialize and write the state at suspension.
-    pub suspend: SimDuration,
+    pub(crate) suspend: SimDuration,
     /// Time to read and deserialize the state at resumption.
-    pub resume: SimDuration,
+    pub(crate) resume: SimDuration,
     /// Extra work-phase time re-executed because the checkpoint is coarser
     /// than the exact interruption point.
-    pub replay: SimDuration,
+    pub(crate) replay: SimDuration,
 }
 
 impl CheckpointCost {
     /// Total overhead of the cycle.
-    pub fn total(&self) -> SimDuration {
+    pub(crate) fn total(&self) -> SimDuration {
         self.suspend + self.resume + self.replay
     }
 }
@@ -74,7 +74,11 @@ impl NatjamModel {
     /// Cost of suspending and later resuming a task whose serializable state
     /// is `state_bytes` and whose uninterrupted work phase lasts
     /// `work_duration`.
-    pub fn cycle_cost(&self, state_bytes: u64, work_duration: SimDuration) -> CheckpointCost {
+    pub(crate) fn cycle_cost(
+        &self,
+        state_bytes: u64,
+        work_duration: SimDuration,
+    ) -> CheckpointCost {
         let b = state_bytes as f64;
         let suspend = self.fixed_overhead_secs
             + b / self.serialize_bytes_per_sec
@@ -102,23 +106,6 @@ impl NatjamModel {
             + self
                 .cycle_cost(state_bytes, work_duration)
                 .total()
-                .as_secs_f64()
-    }
-
-    /// Predicted sojourn time of the high-priority task under checkpointing:
-    /// it must wait for the victim's state to be serialized and written
-    /// before the slot frees (suspend part of the cycle), on top of the
-    /// latency floor measured with the kill primitive minus its cleanup.
-    pub fn predicted_sojourn_secs(
-        &self,
-        suspend_sojourn_floor_secs: f64,
-        state_bytes: u64,
-        work_duration: SimDuration,
-    ) -> f64 {
-        suspend_sojourn_floor_secs
-            + self
-                .cycle_cost(state_bytes, work_duration)
-                .suspend
                 .as_secs_f64()
     }
 }
@@ -163,8 +150,6 @@ mod tests {
         let m = NatjamModel::default();
         let makespan = m.predicted_makespan_secs(170.0, 256 * MIB, SimDuration::from_secs(78));
         assert!(makespan > 170.0);
-        let sojourn = m.predicted_sojourn_secs(84.0, 256 * MIB, SimDuration::from_secs(78));
-        assert!(sojourn > 84.0);
         // Natjam's reported ballpark: mid-single-digit percent overhead on the
         // light-weight workload.
         let overhead = (makespan - 170.0) / 170.0;

@@ -1,6 +1,6 @@
 //! Exporters for the engine's observability state: Chrome `trace_event`
-//! JSON for the span trace, plain JSON dumps for the sampled time series and
-//! the event-loop profile, and a schema validator for exported traces.
+//! JSON for the span trace, a plain JSON dump of the sampled time series,
+//! and a schema validator for exported traces.
 //!
 //! The exporters sit here rather than in `mrp-engine` because this crate is
 //! the one that already owns a JSON value type ([`crate::json::Json`]) and
@@ -15,7 +15,7 @@
 
 use crate::json::Json;
 use mrp_engine::Span;
-use mrp_sim::{ProfileReport, SimTime, TimeSeriesSampler};
+use mrp_sim::{SimTime, TimeSeriesSampler};
 use std::collections::HashMap;
 
 /// Renders spans as a Chrome `trace_event` JSON array of `B`/`E` pairs.
@@ -90,32 +90,6 @@ pub fn series_json(sampler: &TimeSeriesSampler) -> Json {
             ),
         ),
         ("rows", Json::Arr(rows)),
-    ])
-}
-
-/// Renders an event-loop profile as JSON, mirroring
-/// [`ProfileReport::table`] but machine-readable.
-pub fn profile_json(report: &ProfileReport) -> Json {
-    let rows = |rows: &[mrp_sim::ProfileRow]| {
-        Json::Arr(
-            rows.iter()
-                .map(|r| {
-                    Json::obj(vec![
-                        ("name", Json::Str(r.name.clone())),
-                        ("count", Json::Num(r.count as f64)),
-                        ("wall_secs", Json::Num(r.wall_secs)),
-                    ])
-                })
-                .collect(),
-        )
-    };
-    Json::obj(vec![
-        ("loop_wall_secs", Json::Num(report.loop_wall_secs)),
-        ("attributed_secs", Json::Num(report.attributed_secs)),
-        ("idle_secs", Json::Num(report.idle_secs)),
-        ("attribution", Json::Num(report.attribution())),
-        ("events", rows(&report.events)),
-        ("actions", rows(&report.actions)),
     ])
 }
 
@@ -238,7 +212,7 @@ mod tests {
     }
 
     #[test]
-    fn series_and_profile_render() {
+    fn series_renders() {
         use mrp_sim::{SimDuration, SimTime, TimeSeriesSampler};
         let mut sampler = TimeSeriesSampler::new(
             SimDuration::from_secs(1),
@@ -250,25 +224,5 @@ mod tests {
         let rows = json.get("rows").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(rows[0].as_arr().unwrap()[0].as_u64(), Some(1_000_000));
-
-        let report = ProfileReport {
-            events: vec![mrp_sim::ProfileRow {
-                name: "heartbeat_wheel".to_string(),
-                count: 10,
-                wall_secs: 0.5,
-            }],
-            actions: vec![],
-            loop_wall_secs: 0.5,
-            attributed_secs: 0.5,
-            idle_secs: 0.0,
-        };
-        let json = profile_json(&report);
-        assert_eq!(
-            json.get("events").unwrap().as_arr().unwrap()[0]
-                .get("count")
-                .unwrap()
-                .as_u64(),
-            Some(10)
-        );
     }
 }

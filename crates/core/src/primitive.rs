@@ -58,7 +58,7 @@ impl PreemptionPrimitive {
 
     /// The action (if any) that gives the slot back to a previously preempted
     /// task in `state` under this primitive.
-    pub fn restore_action(self, task: TaskId, state: TaskState) -> Option<SchedulerAction> {
+    pub(crate) fn restore_action(self, task: TaskId, state: TaskState) -> Option<SchedulerAction> {
         match self {
             PreemptionPrimitive::Wait => None,
             // A killed task is already schedulable; the launch policy will
@@ -74,20 +74,9 @@ impl PreemptionPrimitive {
         }
     }
 
-    /// Whether this primitive preserves the work done before preemption.
-    pub fn preserves_work(self) -> bool {
-        !matches!(self, PreemptionPrimitive::Kill)
-    }
-
-    /// Whether this primitive releases the slot promptly (bounded by a
-    /// heartbeat plus, for kill, the cleanup attempt).
-    pub fn releases_slot_promptly(self) -> bool {
-        !matches!(self, PreemptionPrimitive::Wait)
-    }
-
     /// Short label used in plots, traces and CSV output (`wait`, `kill`,
     /// `susp`, `natjam`) — matching the paper's figure legends.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             PreemptionPrimitive::Wait => "wait",
             PreemptionPrimitive::Kill => "kill",
@@ -179,16 +168,6 @@ mod tests {
             PreemptionPrimitive::Wait.restore_action(task(), TaskState::Suspended),
             None
         );
-    }
-
-    #[test]
-    fn semantic_predicates() {
-        assert!(PreemptionPrimitive::Wait.preserves_work());
-        assert!(!PreemptionPrimitive::Kill.preserves_work());
-        assert!(PreemptionPrimitive::SuspendResume.preserves_work());
-        assert!(!PreemptionPrimitive::Wait.releases_slot_promptly());
-        assert!(PreemptionPrimitive::Kill.releases_slot_promptly());
-        assert!(PreemptionPrimitive::SuspendResume.releases_slot_promptly());
     }
 
     #[test]

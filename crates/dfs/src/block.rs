@@ -26,11 +26,11 @@ pub struct FileId(pub u64);
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Block {
     /// The block's identifier.
-    pub id: BlockId,
+    pub(crate) id: BlockId,
     /// The file this block belongs to.
-    pub file: FileId,
+    pub(crate) file: FileId,
     /// Index of this block within the file.
-    pub index: u32,
+    pub(crate) index: u32,
     /// Size in bytes (the last block of a file may be short).
     pub size: u64,
 }
@@ -39,21 +39,21 @@ pub struct Block {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FileMeta {
     /// The file's identifier.
-    pub id: FileId,
+    pub(crate) id: FileId,
     /// Path in the simulated namespace (e.g. `/user/test/input-512mb`).
-    pub path: String,
+    pub(crate) path: String,
     /// Total length in bytes.
-    pub len: u64,
+    pub(crate) len: u64,
     /// Block size used when the file was written.
-    pub block_size: u64,
+    pub(crate) block_size: u64,
     /// Replication factor requested for the file.
-    pub replication: u32,
+    pub(crate) replication: u32,
     /// The file's blocks, in order.
     pub blocks: Vec<BlockId>,
 }
 
 /// Splits a file of `len` bytes into block sizes of at most `block_size`.
-pub fn split_into_blocks(len: u64, block_size: u64) -> Vec<u64> {
+pub(crate) fn split_into_blocks(len: u64, block_size: u64) -> Vec<u64> {
     assert!(block_size > 0, "block size must be positive");
     if len == 0 {
         return Vec::new();

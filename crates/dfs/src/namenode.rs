@@ -3,27 +3,14 @@
 //! Only the pieces the MapReduce engine needs are modelled: creating files
 //! with a replication factor, the default replica-placement policy (first
 //! replica on the writer's node, second on a different rack when possible,
-//! third on yet another node), and answering "where can I read block B from,
-//! and how local is that to node N?".
+//! third on yet another node), answering "which nodes hold block B?", and
+//! re-replicating blocks whose holders died.
 
 use crate::block::{split_into_blocks, Block, BlockId, FileId, FileMeta};
-use crate::topology::{Locality, NodeId, Topology};
+use crate::topology::{NodeId, Topology};
 use mrp_sim::SimRng;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-
-/// Where a block can be read from, with the locality relative to a reader.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ReadPlan {
-    /// The block being read.
-    pub block: BlockId,
-    /// Size of the block in bytes.
-    pub size: u64,
-    /// The replica chosen for the read.
-    pub source: NodeId,
-    /// Locality of the chosen replica with respect to the reader.
-    pub locality: Locality,
-}
 
 /// Errors from namespace operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -123,18 +110,13 @@ impl NameNode {
         &self.topology
     }
 
-    /// Number of files in the namespace.
-    pub fn file_count(&self) -> usize {
-        self.paths.len()
-    }
-
     /// Looks up a file by path.
     pub fn lookup(&self, path: &str) -> Option<&FileMeta> {
         self.paths.get(path).and_then(|id| self.file(*id))
     }
 
     /// File metadata by id.
-    pub fn file(&self, id: FileId) -> Option<&FileMeta> {
+    pub(crate) fn file(&self, id: FileId) -> Option<&FileMeta> {
         self.files.get(slot(id.0)?)?.as_ref()
     }
 
@@ -158,7 +140,7 @@ impl NameNode {
 
     /// Number of live DataNodes (O(1): maintained by
     /// [`NameNode::decommission`] / [`NameNode::rejoin`]).
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.live
     }
 
@@ -281,7 +263,7 @@ impl NameNode {
     }
 
     /// Creates a file with explicit block size and replication factor.
-    pub fn create_file_with(
+    pub(crate) fn create_file_with(
         &mut self,
         path: &str,
         len: u64,
@@ -329,45 +311,6 @@ impl NameNode {
         *self.files.last_mut().expect("pushed above") = Some(meta);
         self.paths.insert(path.to_string(), file_id);
         Ok(file_id)
-    }
-
-    /// Plans a read of `block` from `reader`: chooses the closest replica.
-    pub fn plan_read(&self, block: BlockId, reader: NodeId) -> Result<ReadPlan, DfsError> {
-        let meta = self
-            .block(block)
-            .ok_or_else(|| DfsError::NotFound(format!("{block:?}")))?;
-        let replicas = self.replicas_of(block);
-        if replicas.is_empty() {
-            return Err(DfsError::NoDataNodes);
-        }
-        let best = replicas
-            .iter()
-            .copied()
-            .min_by_key(|holder| self.topology.locality(reader, *holder))
-            .expect("non-empty replicas");
-        Ok(ReadPlan {
-            block,
-            size: meta.size,
-            source: best,
-            locality: self.topology.locality(reader, best),
-        })
-    }
-
-    /// Nodes that hold a replica of any block of `file`, used by the
-    /// JobTracker to prefer data-local task placement.
-    pub fn preferred_nodes(&self, file: FileId) -> Vec<NodeId> {
-        let Some(meta) = self.file(file) else {
-            return Vec::new();
-        };
-        let mut nodes = Vec::new();
-        for b in &meta.blocks {
-            for n in self.replicas_of(*b) {
-                if !nodes.contains(n) {
-                    nodes.push(*n);
-                }
-            }
-        }
-        nodes
     }
 
     /// Records `holder` as holding `block` in the per-node index.
@@ -464,7 +407,7 @@ impl NameNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrp_sim::{GIB, MIB};
+    use mrp_sim::MIB;
 
     fn rng() -> SimRng {
         SimRng::new(7)
@@ -483,7 +426,7 @@ mod tests {
         let meta = nn.lookup("/input").unwrap();
         assert_eq!(meta.id, id);
         assert_eq!(meta.blocks.len(), 4);
-        assert_eq!(nn.file_count(), 1);
+        assert_eq!(nn.paths.len(), 1);
         assert!(nn.lookup("/missing").is_none());
     }
 
@@ -548,47 +491,6 @@ mod tests {
             .unwrap();
         let block = nn.file(id).unwrap().blocks[0];
         assert_eq!(nn.replicas_of(block), &[NodeId(0)]);
-    }
-
-    #[test]
-    fn plan_read_picks_closest_replica() {
-        let mut nn = namenode(2, 2);
-        let id = nn
-            .create_file("/data", MIB, Some(NodeId(0)), &mut rng())
-            .unwrap();
-        let block = nn.file(id).unwrap().blocks[0];
-        let local = nn.plan_read(block, NodeId(0)).unwrap();
-        assert_eq!(local.locality, Locality::NodeLocal);
-        assert_eq!(local.source, NodeId(0));
-        // A reader elsewhere still gets a plan whose source is a real replica
-        // and whose locality matches the topology's verdict.
-        let other = nn.plan_read(block, NodeId(3)).unwrap();
-        assert!(nn.replicas_of(block).contains(&other.source));
-        assert_eq!(
-            other.locality,
-            nn.topology().locality(NodeId(3), other.source)
-        );
-    }
-
-    #[test]
-    fn plan_read_unknown_block_fails() {
-        let nn = namenode(1, 1);
-        assert!(matches!(
-            nn.plan_read(BlockId(99), NodeId(0)),
-            Err(DfsError::NotFound(_))
-        ));
-    }
-
-    #[test]
-    fn preferred_nodes_cover_all_blocks() {
-        let mut nn = namenode(1, 4);
-        let id = nn
-            .create_file("/big", GIB, Some(NodeId(1)), &mut rng())
-            .unwrap();
-        let preferred = nn.preferred_nodes(id);
-        assert!(preferred.contains(&NodeId(1)));
-        assert!(!preferred.is_empty());
-        assert!(nn.preferred_nodes(FileId(999)).is_empty());
     }
 
     #[test]
@@ -694,7 +596,7 @@ mod tests {
         );
         assert!(nn.lookup("/b").is_none());
         assert!(nn.file(FileId(2)).is_none());
-        assert_eq!(nn.file_count(), 1);
+        assert_eq!(nn.paths.len(), 1);
         let stranded = nn.block(BlockId(2)).expect("placed before placement");
         assert_eq!((stranded.file, stranded.index), (FileId(2), 0));
         assert!(nn.replicas_of(BlockId(2)).is_empty());
@@ -715,10 +617,10 @@ mod tests {
             assert_eq!(nn.replicas_of(*b)[0], NodeId(1));
         }
         assert_eq!(nn.file(first).unwrap().path, "/a");
-        assert_eq!(nn.file_count(), 2);
+        assert_eq!(nn.paths.len(), 2);
         // The failed path is free for a later create.
         assert_eq!(nn.create_file("/b", MIB, None, &mut r).unwrap(), FileId(4));
-        assert_eq!(nn.file_count(), 3);
+        assert_eq!(nn.paths.len(), 3);
     }
 
     #[test]

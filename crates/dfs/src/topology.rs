@@ -81,13 +81,13 @@ pub struct Topology {
 
 impl Topology {
     /// Creates an empty topology.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Topology::default()
     }
 
     /// Builds a topology with `racks` racks of `nodes_per_rack` nodes each,
     /// numbering nodes sequentially starting at 0.
-    pub fn regular(racks: u32, nodes_per_rack: u32) -> Self {
+    pub(crate) fn regular(racks: u32, nodes_per_rack: u32) -> Self {
         let mut t = Topology::new();
         let mut next = 0;
         for r in 0..racks {
@@ -102,8 +102,8 @@ impl Topology {
     /// Splits `nodes` sequentially numbered nodes over exactly `racks` racks
     /// in contiguous blocks whose sizes differ by at most one (rack `r` gets
     /// the `r`-th block). This is how the engine maps a flat node list onto a
-    /// requested rack count; when `racks` divides `nodes` it is identical to
-    /// [`Topology::regular`].
+    /// requested rack count; when `racks` divides `nodes` every rack gets
+    /// `nodes / racks` nodes.
     ///
     /// # Panics
     /// Panics if `racks` is zero or exceeds `nodes`.
@@ -131,7 +131,7 @@ impl Topology {
     }
 
     /// Registers a node in a rack.
-    pub fn add_node(&mut self, node: NodeId, rack: RackId) {
+    pub(crate) fn add_node(&mut self, node: NodeId, rack: RackId) {
         let idx = node.0 as usize;
         if self.rack_by_node.get(idx).copied().unwrap_or(NO_RACK) != NO_RACK {
             return;
@@ -148,23 +148,18 @@ impl Topology {
         self.assignments.push((node, rack));
     }
 
-    /// All nodes, in registration order.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.assignments.iter().map(|(n, _)| *n).collect()
-    }
-
     /// The `i`-th registered node (registration order), if it exists.
     pub fn node_at(&self, i: usize) -> Option<NodeId> {
         self.assignments.get(i).map(|(n, _)| *n)
     }
 
     /// Number of registered nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.assignments.len()
     }
 
     /// True if no nodes are registered.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.assignments.is_empty()
     }
 
@@ -175,7 +170,7 @@ impl Topology {
     }
 
     /// True when a node with this id is registered.
-    pub fn contains(&self, node: NodeId) -> bool {
+    pub(crate) fn contains(&self, node: NodeId) -> bool {
         self.rack_of(node).is_some()
     }
 
@@ -193,12 +188,6 @@ impl Topology {
             .get(rack.0 as usize)
             .map(Vec::as_slice)
             .unwrap_or(&[])
-    }
-
-    /// Nodes in the given rack (owned; see [`Topology::members_of`] for the
-    /// allocation-free variant).
-    pub fn nodes_in_rack(&self, rack: RackId) -> Vec<NodeId> {
-        self.members_of(rack).to_vec()
     }
 
     /// Locality of `reader` with respect to `holder`. O(1).
@@ -221,8 +210,8 @@ mod tests {
     fn regular_topology_shape() {
         let t = Topology::regular(2, 3);
         assert_eq!(t.len(), 6);
-        assert_eq!(t.nodes_in_rack(RackId(0)).len(), 3);
-        assert_eq!(t.nodes_in_rack(RackId(1)).len(), 3);
+        assert_eq!(t.members_of(RackId(0)).len(), 3);
+        assert_eq!(t.members_of(RackId(1)).len(), 3);
         assert_eq!(t.rack_of(NodeId(4)), Some(RackId(1)));
         assert_eq!(t.rack_of(NodeId(99)), None);
         assert_eq!(t.rack_count(), 2);
@@ -297,6 +286,9 @@ mod tests {
         assert_eq!(t.rack_of(NodeId(2)), Some(RackId(0)));
         assert_eq!(t.rack_of(NodeId(3)), None);
         assert_eq!(t.locality(NodeId(7), NodeId(2)), Locality::OffRack);
-        assert_eq!(t.nodes(), vec![NodeId(7), NodeId(2)]);
+        assert_eq!(
+            (t.node_at(0), t.node_at(1)),
+            (Some(NodeId(7)), Some(NodeId(2)))
+        );
     }
 }

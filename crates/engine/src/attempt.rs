@@ -55,7 +55,7 @@ const SHUFFLE_BYTES_PER_SEC: f64 = 80.0 * MIB as f64;
 
 /// Execution phases of an attempt.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum AttemptPhase {
+pub(crate) enum AttemptPhase {
     /// JVM startup and memory allocation.
     Setup,
     /// Copying map outputs (reduce tasks only).
@@ -68,7 +68,7 @@ pub enum AttemptPhase {
 
 /// TaskTracker-side state of an attempt.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub enum AttemptState {
+pub(crate) enum AttemptState {
     /// Executing one of its phases.
     Running,
     /// Stopped by `SIGTSTP`; keeps its memory, holds no slot.
@@ -87,29 +87,29 @@ pub enum AttemptState {
 /// engine's [`BASE_TASK_MEMORY`] footprint. A job's [`TaskProfile`] can
 /// override the parse rate and the output ratio and add state memory.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct ExecPlan {
+pub(crate) struct ExecPlan {
     /// Duration of the setup phase (before any paging stall).
-    pub setup: SimDuration,
+    pub(crate) setup: SimDuration,
     /// Duration of the shuffle phase (zero for maps).
-    pub shuffle: SimDuration,
+    pub(crate) shuffle: SimDuration,
     /// Duration of the work phase if never interrupted.
-    pub work: SimDuration,
+    pub(crate) work: SimDuration,
     /// Duration of the finalize phase (before any page-in stall).
-    pub finalize: SimDuration,
+    pub(crate) finalize: SimDuration,
     /// Total memory allocated at the end of setup (base + state).
-    pub memory: u64,
+    pub(crate) memory: u64,
     /// Dirty fraction of that allocation.
-    pub dirty_fraction: f64,
+    pub(crate) dirty_fraction: f64,
     /// Input bytes consumed.
-    pub input_bytes: u64,
+    pub(crate) input_bytes: u64,
     /// Output bytes produced at finalize.
-    pub output_bytes: u64,
+    pub(crate) output_bytes: u64,
 }
 
 impl ExecPlan {
     /// Builds the plan for a map attempt reading `input_bytes` with the given
     /// data locality.
-    pub fn for_map(profile: &TaskProfile, input_bytes: u64, locality: Locality) -> ExecPlan {
+    pub(crate) fn for_map(profile: &TaskProfile, input_bytes: u64, locality: Locality) -> ExecPlan {
         let parse_rate = profile
             .parse_rate_bytes_per_sec
             .unwrap_or(PARSE_RATE_BYTES_PER_SEC);
@@ -137,7 +137,7 @@ impl ExecPlan {
     /// bandwidth term of [`ShuffleConfig`](crate::ShuffleConfig). Only the
     /// shuffle phase pays — once the bytes are local, the sort/reduce work
     /// is network-independent.
-    pub fn for_reduce_contended(
+    pub(crate) fn for_reduce_contended(
         profile: &TaskProfile,
         shuffle_bytes: u64,
         contention: f64,
@@ -172,49 +172,48 @@ impl ExecPlan {
             + profile.state_memory as f64 * profile.state_dirty_fraction)
             / total
     }
-
-    /// Total duration if never interrupted and never paging.
-    pub fn nominal_duration(&self) -> SimDuration {
-        self.setup + self.shuffle + self.work + self.finalize
-    }
 }
 
 /// A live attempt on a TaskTracker.
 #[derive(Clone, Debug)]
 pub struct Attempt {
     /// The attempt's identifier.
-    pub id: AttemptId,
+    pub(crate) id: AttemptId,
     /// The task it belongs to.
-    pub task: TaskId,
+    pub(crate) task: TaskId,
     /// Kind (map/reduce), cached to pick the right slot pool.
-    pub kind: TaskKind,
+    pub(crate) kind: TaskKind,
     /// The OS process running the attempt.
-    pub pid: Pid,
+    pub(crate) pid: Pid,
     /// Current phase.
-    pub phase: AttemptPhase,
+    pub(crate) phase: AttemptPhase,
     /// TaskTracker-side state.
-    pub state: AttemptState,
+    pub(crate) state: AttemptState,
     /// Pre-computed execution plan.
-    pub plan: ExecPlan,
-    /// When the attempt started (setup begin).
-    pub started_at: SimTime,
+    pub(crate) plan: ExecPlan,
     /// When the current phase segment started.
-    pub segment_start: SimTime,
+    pub(crate) segment_start: SimTime,
     /// Planned duration of the current phase segment.
-    pub segment_duration: SimDuration,
+    pub(crate) segment_duration: SimDuration,
     /// Event that will fire when the current segment completes, if running.
-    pub segment_event: Option<EventId>,
+    pub(crate) segment_event: Option<EventId>,
     /// Work-phase time already completed across previous segments.
-    pub work_completed: SimDuration,
+    pub(crate) work_completed: SimDuration,
     /// Shuffle re-fetch rounds this attempt has gone through while waiting
     /// for lost map outputs to be re-executed (reduces only; drives the
     /// exponential backoff schedule).
-    pub shuffle_retries: u32,
+    pub(crate) shuffle_retries: u32,
 }
 
 impl Attempt {
     /// Creates a new attempt about to begin its setup phase.
-    pub fn new(id: AttemptId, kind: TaskKind, pid: Pid, plan: ExecPlan, now: SimTime) -> Self {
+    pub(crate) fn new(
+        id: AttemptId,
+        kind: TaskKind,
+        pid: Pid,
+        plan: ExecPlan,
+        now: SimTime,
+    ) -> Self {
         Attempt {
             id,
             task: id.task,
@@ -223,7 +222,6 @@ impl Attempt {
             phase: AttemptPhase::Setup,
             state: AttemptState::Running,
             plan,
-            started_at: now,
             segment_start: now,
             segment_duration: SimDuration::ZERO,
             segment_event: None,
@@ -234,7 +232,7 @@ impl Attempt {
 
     /// Fraction of the work phase completed at `now` (what the TaskTracker
     /// reports as progress, and what the paper's `r%` refers to).
-    pub fn progress(&self, now: SimTime) -> f64 {
+    pub(crate) fn progress(&self, now: SimTime) -> f64 {
         if self.plan.work.is_zero() {
             return match self.phase {
                 AttemptPhase::Setup | AttemptPhase::Shuffle => 0.0,
@@ -252,13 +250,13 @@ impl Attempt {
     }
 
     /// Work-phase time still to run.
-    pub fn remaining_work(&self) -> SimDuration {
+    pub(crate) fn remaining_work(&self) -> SimDuration {
         self.plan.work.saturating_sub(self.work_completed)
     }
 
     /// Records that the work segment running since `segment_start` was
     /// interrupted at `now` (suspension or kill), accumulating completed work.
-    pub fn interrupt_work(&mut self, now: SimTime) {
+    pub(crate) fn interrupt_work(&mut self, now: SimTime) {
         if self.phase == AttemptPhase::Work && self.state == AttemptState::Running {
             self.work_completed += now - self.segment_start;
             if self.work_completed > self.plan.work {
@@ -270,7 +268,7 @@ impl Attempt {
     /// Time this attempt has spent running (excluding suspension), assuming
     /// it is currently at the start of `now`'s segment; used for wasted-work
     /// accounting when an attempt is killed.
-    pub fn invested_time(&self, now: SimTime) -> SimDuration {
+    pub(crate) fn invested_time(&self, now: SimTime) -> SimDuration {
         let phase_time = match self.phase {
             AttemptPhase::Setup => now - self.segment_start,
             _ => self.plan.setup,
@@ -308,7 +306,6 @@ mod tests {
             (70.0..90.0).contains(&work),
             "512MB at ~6.7MB/s ≈ 76s, got {work}"
         );
-        assert!(plan.nominal_duration().as_secs_f64() > work);
         assert_eq!(plan.shuffle, SimDuration::ZERO);
         assert_eq!(plan.memory, BASE_TASK_MEMORY);
     }

@@ -254,8 +254,8 @@ pub struct Cluster {
     /// ATLAS-style failure-history scores per node and rack, fed by observed
     /// crashes and shared read-only with policies.
     reliability: ReliabilityTracker,
-    /// Observability state (metrics registry, series sampler, event-loop
-    /// profiler, span trace); `None` unless [`ObsConfig`](crate::ObsConfig)
+    /// Observability state (span trace and histograms, series sampler,
+    /// event-loop profiler); `None` unless [`ObsConfig`](crate::ObsConfig)
     /// is enabled, so the default path pays one null check per site.
     obs: Option<Box<ObsState>>,
 }
@@ -368,11 +368,6 @@ impl Cluster {
         }
     }
 
-    /// The cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
-    }
-
     /// Read access to the simulated NameNode.
     pub fn namenode(&self) -> &NameNode {
         &self.namenode
@@ -403,7 +398,7 @@ impl Cluster {
     /// Map-task launch counts by input locality so far (also part of the
     /// end-of-run [`ClusterReport`]), including the delay-scheduling skip
     /// count maintained on the scoreboard.
-    pub fn locality_stats(&self) -> LocalityStats {
+    pub(crate) fn locality_stats(&self) -> LocalityStats {
         let mut stats = self.locality;
         stats.delayed_skips = self.delay.total_skips();
         stats
@@ -416,33 +411,14 @@ impl Cluster {
         &self.delay
     }
 
-    /// Read access to the per-job map-output registry (which node holds each
-    /// committed map's output), for tests and harnesses asserting on the
-    /// shuffle fault path directly.
-    pub fn shuffle_tracker(&self) -> &ShuffleTracker {
-        &self.shuffle
-    }
-
-    /// Read access to the node-reliability predictor's failure-history
-    /// scores.
-    pub fn reliability_tracker(&self) -> &ReliabilityTracker {
-        &self.reliability
-    }
-
-    /// Fault-injection and speculation counters so far (also part of the
-    /// end-of-run [`ClusterReport`]).
-    pub fn fault_stats(&self) -> FaultStats {
-        self.fault_stats
-    }
-
     /// The engine-maintained cluster-wide pending-work counters; exposed so
     /// tests can assert they match a recount from the job table.
     pub fn pending_totals(&self) -> PendingTotals {
         self.totals
     }
 
-    /// The observability state — metrics registry, sampled time series,
-    /// event-loop profile and span trace — accumulated so far; `None` unless
+    /// The observability state — span trace and histograms, sampled time
+    /// series and event-loop profile — accumulated so far; `None` unless
     /// [`ObsConfig`](crate::ObsConfig) is enabled.
     pub fn observability(&self) -> Option<&ObsState> {
         self.obs.as_deref()
@@ -456,7 +432,7 @@ impl Cluster {
     }
 
     /// Whether `node` is currently in service.
-    pub fn node_is_alive(&self, node: NodeId) -> bool {
+    pub(crate) fn node_is_alive(&self, node: NodeId) -> bool {
         self.tracker(node).map(|tt| tt.is_alive()).unwrap_or(false)
     }
 
@@ -467,12 +443,6 @@ impl Cluster {
         self.tracker(node)
             .map(|tt| tt.is_alive() && tt.is_reachable())
             .unwrap_or(false)
-    }
-
-    /// The per-rack aggregate free-slot counters, as schedulers see them
-    /// after the most recent refresh.
-    pub fn rack_views(&self) -> &[RackView] {
-        &self.rack_views
     }
 
     fn tracker(&self, node: NodeId) -> Option<&TaskTracker> {
@@ -509,7 +479,7 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// If [`JobSpec::validate`] rejects the job.
+    /// If the job's `state_dirty_fraction` is outside `[0, 1]`.
     pub fn submit_job_at(&mut self, spec: JobSpec, at: SimTime) {
         if let Err(e) = spec.validate() {
             panic!("invalid job {:?}: {e}", spec.name);
@@ -2458,6 +2428,26 @@ mod tests {
     use crate::job::TaskProfile;
     use crate::scheduler::FifoScheduler;
     use mrp_sim::{GIB, MIB};
+
+    impl Cluster {
+        /// The per-rack aggregate free-slot counters, as schedulers see them
+        /// after the most recent refresh.
+        pub(crate) fn rack_views(&self) -> &[RackView] {
+            &self.rack_views
+        }
+
+        /// Read access to the node-reliability predictor's failure-history
+        /// scores.
+        pub(crate) fn reliability_tracker(&self) -> &ReliabilityTracker {
+            &self.reliability
+        }
+
+        /// Read access to the per-job map-output registry (which node holds
+        /// each committed map's output).
+        pub(crate) fn shuffle_tracker(&self) -> &ShuffleTracker {
+            &self.shuffle
+        }
+    }
 
     fn single_node_cluster() -> Cluster {
         Cluster::new(

@@ -20,14 +20,14 @@ pub struct NodeConfig {
     /// (`mapred.tasktracker.map.tasks.maximum`).
     pub map_slots: u32,
     /// Number of concurrent reduce tasks allowed.
-    pub reduce_slots: u32,
+    pub(crate) reduce_slots: u32,
 }
 
 impl NodeConfig {
     /// The paper's evaluation node: default OS model (4 GB RAM, swappiness 0)
     /// with a single map slot and a single reduce slot, so that the two jobs
     /// of the scenario contend for the same slot.
-    pub fn paper_node() -> Self {
+    pub(crate) fn paper_node() -> Self {
         NodeConfig {
             os: NodeOsConfig::default(),
             map_slots: 1,
@@ -284,7 +284,7 @@ impl FaultPlan {
 
     /// Validates the plan against the cluster shape it will be injected
     /// into, returning the first problem found.
-    pub fn validate(&self, node_count: usize, racks: u32) -> Result<(), String> {
+    pub(crate) fn validate(&self, node_count: usize, racks: u32) -> Result<(), String> {
         for ev in &self.events {
             match ev.kind.target() {
                 FaultTarget::Node(node) if node.0 as usize >= node_count => {
@@ -361,8 +361,8 @@ impl SpeculationConfig {
 /// The engine keeps one wait clock per job. The clock starts the first time
 /// the job *declines* an offered slot because launching there would not be
 /// node-local, escalates the job's allowed locality level with elapsed time
-/// (node → rack after [`DelayConfig::node_local_wait`], rack → any after an
-/// additional [`DelayConfig::rack_local_wait`]), and resets whenever the job
+/// (node → rack after the node-local wait, rack → any after an additional
+/// rack-local wait; see [`DelayConfig::waits`]), and resets whenever the job
 /// launches a node-local map task. Because escalation is purely a function
 /// of virtual time, a job whose replica holders all died still drains — the
 /// clock keeps running and the job eventually launches anywhere.
@@ -390,14 +390,14 @@ impl SpeculationConfig {
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DelayConfig {
     /// Master switch (default off: placement stays greedy, as in PR 2).
-    pub enabled: bool,
+    pub(crate) enabled: bool,
     /// How long a job waits for a node-local slot before rack-local
     /// launches are allowed.
-    pub node_local_wait: SimDuration,
+    pub(crate) node_local_wait: SimDuration,
     /// How much *additional* waiting (past `node_local_wait`) before
     /// off-rack launches are allowed. Zero collapses the rack tier: the job
     /// goes straight from node-local-only to anywhere.
-    pub rack_local_wait: SimDuration,
+    pub(crate) rack_local_wait: SimDuration,
 }
 
 impl Default for DelayConfig {
@@ -422,7 +422,7 @@ impl DelayConfig {
 
     /// Validates the knobs (no-op while the feature is off), returning the
     /// first problem found.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !self.enabled {
             return Ok(());
         }
@@ -471,7 +471,7 @@ impl DelayConfig {
 pub struct ShuffleConfig {
     /// Master switch (default off: map outputs survive node loss silently,
     /// as in the PR 3 fault model, and shuffle duration stays topology-blind).
-    pub enabled: bool,
+    pub(crate) enabled: bool,
 }
 
 impl ShuffleConfig {
@@ -502,7 +502,7 @@ impl ShuffleConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReliabilityConfig {
     /// Master switch (default off: placement ignores failure history).
-    pub enabled: bool,
+    pub(crate) enabled: bool,
 }
 
 impl ReliabilityConfig {
@@ -547,7 +547,7 @@ pub(crate) const MISSED_HEARTBEATS: u32 = 3;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct DetectorConfig {
     /// Master switch (default off: faults are observed instantaneously).
-    pub enabled: bool,
+    pub(crate) enabled: bool,
 }
 
 impl DetectorConfig {
@@ -564,9 +564,9 @@ impl DetectorConfig {
     }
 }
 
-/// Observability: the in-cluster metrics registry, virtual-time series
-/// sampler (one row every 10 s of virtual time), event-loop profiler and
-/// span trace (capped at 2^20 spans).
+/// Observability: the span trace (capped at 2^20 spans) with its duration
+/// histograms, virtual-time series sampler (one row every 10 s of virtual
+/// time) and event-loop profiler.
 ///
 /// Default-off the cluster allocates no observability state at all and every
 /// hot path skips recording behind a single `Option` check, so pinned
@@ -611,11 +611,11 @@ pub struct ClusterConfig {
     /// TaskTracker heartbeat interval (`mapreduce.jobtracker.heartbeat.interval`).
     pub heartbeat_interval: SimDuration,
     /// HDFS block size used when the harness creates input files.
-    pub dfs_block_size: u64,
+    pub(crate) dfs_block_size: u64,
     /// HDFS replication factor for created files.
     pub dfs_replication: u32,
     /// Seed for all randomised decisions (placement, tie-breaking).
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Schedule-trace verbosity (default [`TraceLevel::Schedule`]; set to
     /// [`TraceLevel::Off`] for throughput runs).
     pub trace_level: TraceLevel,
@@ -632,8 +632,8 @@ pub struct ClusterConfig {
     /// Suspicion-based failure-detection switch (default: off — faults are
     /// observed the instant they strike).
     pub detector: DetectorConfig,
-    /// Observability switch — metrics registry, series sampler, event-loop
-    /// profiler, span trace (default: off).
+    /// Observability switch — span trace and histograms, series sampler,
+    /// event-loop profiler (default: off).
     #[serde(default)]
     pub obs: ObsConfig,
 }
@@ -836,10 +836,9 @@ impl ClusterConfig {
 
     /// Validates the configuration, returning a description of the first
     /// problem found. Cluster-shape checks live here; the feature
-    /// sub-configs with settable values validate their own
-    /// ([`FaultPlan::validate`], [`DelayConfig::validate`],
-    /// [`mrp_simos::SwapConfig::validate`]) and are invoked from this single
-    /// entry point.
+    /// sub-configs with settable values (the fault plan, the delay
+    /// thresholds and [`mrp_simos::SwapConfig::validate`]) validate their
+    /// own and are invoked from this single entry point.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes.is_empty() {
             return Err("cluster must have at least one node".into());

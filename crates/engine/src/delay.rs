@@ -136,7 +136,7 @@ impl DelayScoreboard {
     /// Records that `job` declined a launch opportunity it could have used
     /// (a free slot of the right kind on a node below its allowed locality):
     /// starts the wait clock if it is not running and counts the skip.
-    pub fn note_skip(&self, job: JobId, now: SimTime) {
+    pub(crate) fn note_skip(&self, job: JobId, now: SimTime) {
         if !self.config.enabled {
             return;
         }
@@ -148,7 +148,7 @@ impl DelayScoreboard {
         self.total_skips.set(self.total_skips.get() + 1);
     }
 
-    /// [`DelayScoreboard::note_skip`] for each of `jobs` (all registered).
+    /// Records one declined offer for each of `jobs` (all registered).
     /// `stamp` is what this call returned the last time it was given the
     /// same jobs, or `None`: when no running wait was reset since, every one
     /// of their clocks is still running and the call is one addition.
@@ -175,7 +175,7 @@ impl DelayScoreboard {
     /// to free slots the waiting job would only decline again is pure churn.
     /// A job whose clock never started was never offered anything and *is*
     /// starved.
-    pub fn gated(&self, job: JobId, now: SimTime) -> bool {
+    pub(crate) fn gated(&self, job: JobId, now: SimTime) -> bool {
         self.job_waiting(job) && self.allowed(job, now) != Locality::OffRack
     }
 

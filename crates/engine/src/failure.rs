@@ -32,8 +32,8 @@ enum LinkState {
 /// node at `at`, carrying the suspicion `epoch` it was armed in.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct Timer {
-    pub at: SimTime,
-    pub epoch: u64,
+    pub(crate) at: SimTime,
+    pub(crate) epoch: u64,
 }
 
 /// What the cluster must do after a node is struck dead.

@@ -38,7 +38,7 @@ pub enum TaskKind {
 
 impl TaskKind {
     /// Single-letter code used in Hadoop attempt names (`m` / `r`).
-    pub fn code(self) -> char {
+    pub(crate) fn code(self) -> char {
         match self {
             TaskKind::Map => 'm',
             TaskKind::Reduce => 'r',
@@ -79,10 +79,10 @@ impl fmt::Display for TaskId {
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct AttemptId {
     /// The task being attempted.
-    pub task: TaskId,
+    pub(crate) task: TaskId,
     /// Attempt number, starting at 0 (kill-based preemption creates new
     /// attempts; suspend/resume keeps the same one).
-    pub number: u32,
+    pub(crate) number: u32,
 }
 
 impl fmt::Debug for AttemptId {
@@ -258,7 +258,7 @@ impl JobSpec {
     /// Validates the job's user-supplied values, returning the first problem
     /// found. [`Cluster::submit_job_at`](crate::Cluster::submit_job_at)
     /// panics on a job this rejects.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         // NaN must fail this check.
         if !(0.0..=1.0).contains(&self.profile.state_dirty_fraction) {
             return Err("state_dirty_fraction must be in [0, 1]".into());
@@ -292,12 +292,12 @@ pub enum TaskState {
 
 impl TaskState {
     /// True if the task is in a terminal state.
-    pub fn is_terminal(self) -> bool {
+    pub(crate) fn is_terminal(self) -> bool {
         matches!(self, TaskState::Succeeded)
     }
 
     /// True if the task currently occupies a slot on some TaskTracker.
-    pub fn occupies_slot(self) -> bool {
+    pub(crate) fn occupies_slot(self) -> bool {
         matches!(
             self,
             TaskState::Running | TaskState::MustSuspend | TaskState::MustKill
@@ -311,7 +311,7 @@ impl TaskState {
 
     /// Whether a transition from `self` to `next` is legal in the JobTracker
     /// state machine (including the suspend/resume extension).
-    pub fn can_transition_to(self, next: TaskState) -> bool {
+    pub(crate) fn can_transition_to(self, next: TaskState) -> bool {
         use TaskState::*;
         matches!(
             (self, next),
@@ -349,7 +349,7 @@ pub struct TaskRuntime {
     /// The task's identifier.
     pub id: TaskId,
     /// Bytes of input this task consumes.
-    pub input_bytes: u64,
+    pub(crate) input_bytes: u64,
     /// Nodes holding a local replica of the input (empty for synthetic input).
     pub preferred_nodes: Vec<NodeId>,
     /// Current JobTracker-side state.
@@ -359,27 +359,27 @@ pub struct TaskRuntime {
     /// Node where the current attempt runs or is suspended.
     pub node: Option<NodeId>,
     /// Number of attempts created so far.
-    pub attempts_made: u32,
+    pub(crate) attempts_made: u32,
     /// Identifier of the live attempt, if any.
-    pub current_attempt: Option<AttemptId>,
+    pub(crate) current_attempt: Option<AttemptId>,
     /// Identifier of the live speculative (backup) attempt, if any; always on
     /// a different node than [`TaskRuntime::node`].
-    pub spec_attempt: Option<AttemptId>,
+    pub(crate) spec_attempt: Option<AttemptId>,
     /// Node where the speculative attempt runs.
-    pub spec_node: Option<NodeId>,
+    pub(crate) spec_node: Option<NodeId>,
     /// When the first attempt started.
-    pub first_launched_at: Option<SimTime>,
+    pub(crate) first_launched_at: Option<SimTime>,
     /// When the task succeeded.
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
     /// Work thrown away because attempts were killed.
-    pub wasted_work: SimDuration,
+    pub(crate) wasted_work: SimDuration,
     /// Number of suspend/resume cycles the task went through.
-    pub suspend_cycles: u32,
+    pub(crate) suspend_cycles: u32,
     /// Cumulative bytes of this task's memory paged out to swap (over all
     /// attempts); the quantity reported in Figure 4.
-    pub paged_out_bytes: u64,
+    pub(crate) paged_out_bytes: u64,
     /// Cumulative bytes paged back in.
-    pub paged_in_bytes: u64,
+    pub(crate) paged_in_bytes: u64,
 }
 
 impl TaskRuntime {
@@ -408,7 +408,7 @@ impl TaskRuntime {
     /// Transitions the task to `next`, panicking on illegal transitions: an
     /// illegal transition is always an engine bug, never a recoverable
     /// runtime condition.
-    pub fn set_state(&mut self, next: TaskState) {
+    pub(crate) fn set_state(&mut self, next: TaskState) {
         assert!(
             self.state.can_transition_to(next),
             "illegal task state transition {:?} -> {:?} for {:?}",
@@ -423,7 +423,7 @@ impl TaskRuntime {
     /// once it succeeded, otherwise its input scaled by the progress not yet
     /// reported. Each task contributes a whole number of bytes, so a job's
     /// sum ([`JobRuntime::remaining_bytes`]) moves by exact deltas.
-    pub fn remaining_bytes(&self) -> u64 {
+    pub(crate) fn remaining_bytes(&self) -> u64 {
         if self.state.is_terminal() {
             0
         } else {
@@ -436,7 +436,7 @@ impl TaskRuntime {
     /// placement preference (synthetic input, reduces) counts as node-local,
     /// since every node is equally good. O(replicas) via the topology's
     /// dense rack index.
-    pub fn locality(&self, topology: &Topology, node: NodeId) -> Locality {
+    pub(crate) fn locality(&self, topology: &Topology, node: NodeId) -> Locality {
         if self.preferred_nodes.is_empty() {
             return Locality::NodeLocal;
         }
@@ -448,7 +448,7 @@ impl TaskRuntime {
     }
 
     /// The next attempt id for this task.
-    pub fn next_attempt(&mut self) -> AttemptId {
+    pub(crate) fn next_attempt(&mut self) -> AttemptId {
         let id = AttemptId {
             task: self.id,
             number: self.attempts_made,
@@ -486,18 +486,19 @@ pub struct JobRuntime {
     /// maintenance contract as [`JobRuntime::schedulable_count`]).
     pub suspended_count: u32,
     /// Number of tasks currently occupying a slot somewhere
-    /// ([`TaskState::occupies_slot`]; same maintenance contract).
+    /// (`Running`, `MustSuspend` or `MustKill`; same maintenance contract).
     pub occupying_count: u32,
     /// Number of live speculative (backup) attempts across the job's tasks
     /// (same maintenance contract); bounds speculation slot waste in O(1).
     pub speculative_live: u32,
-    /// Number of tasks in a terminal state ([`TaskState::is_terminal`];
-    /// same maintenance contract): the job is complete when it equals the
-    /// task count.
+    /// Number of tasks in the terminal state `Succeeded` (same maintenance
+    /// contract): the job is complete when it equals the task count.
     pub terminal_count: u32,
-    /// Sum of [`TaskRuntime::remaining_bytes`] over the job's tasks: its
-    /// remaining size, which HFSP orders jobs by. Maintained by the engine
-    /// on every task state *and progress* write (same contract otherwise).
+    /// Sum of the tasks' unprocessed input bytes (zero once a task
+    /// succeeded, otherwise its input scaled by the progress not yet
+    /// reported): the job's remaining size, which HFSP orders jobs by.
+    /// Maintained by the engine on every task state *and progress* write
+    /// (same contract otherwise).
     pub remaining_bytes: u64,
 }
 
@@ -575,7 +576,7 @@ impl JobRuntime {
     /// O(1) for tasks where the engine lays them out (maps first, then
     /// reduces, each at its index); the linear scan only remains as a
     /// fallback for hand-built task vectors in tests.
-    pub fn task(&self, id: TaskId) -> Option<&TaskRuntime> {
+    pub(crate) fn task(&self, id: TaskId) -> Option<&TaskRuntime> {
         match self.layout_position(id).and_then(|i| self.tasks.get(i)) {
             Some(t) if t.id == id => Some(t),
             _ => self.tasks.iter().find(|t| t.id == id),
@@ -583,7 +584,7 @@ impl JobRuntime {
     }
 
     /// Mutable task lookup (same O(1) fast path as [`JobRuntime::task`]).
-    pub fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskRuntime> {
+    pub(crate) fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskRuntime> {
         match self.layout_position(id) {
             Some(i) if self.tasks.get(i).is_some_and(|t| t.id == id) => self.tasks.get_mut(i),
             _ => self.tasks.iter_mut().find(|t| t.id == id),
@@ -595,7 +596,7 @@ impl JobRuntime {
     /// maintained by the engine, or recounted with
     /// [`JobRuntime::recount_task_states`] after editing tasks by hand.
     /// Debug builds check it against a scan of the tasks.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         let complete = !self.tasks.is_empty() && self.terminal_count as usize == self.tasks.len();
         debug_assert_eq!(
             complete,
@@ -608,22 +609,15 @@ impl JobRuntime {
     /// The engine stamps `completed_at` the moment the last task succeeds,
     /// so for jobs observed through a
     /// [`SchedulerContext`](crate::SchedulerContext) this is equivalent to
-    /// [`JobRuntime::is_complete`].
+    /// every task having succeeded.
     pub fn is_finished(&self) -> bool {
         self.completed_at.is_some()
     }
 
     /// Time from submission to completion, if the job is done — the paper's
     /// *sojourn time* metric.
-    pub fn sojourn(&self) -> Option<SimDuration> {
+    pub(crate) fn sojourn(&self) -> Option<SimDuration> {
         self.completed_at.map(|c| c - self.submitted_at)
-    }
-
-    /// Total work wasted by killed attempts across all tasks.
-    pub fn wasted_work(&self) -> SimDuration {
-        self.tasks
-            .iter()
-            .fold(SimDuration::ZERO, |acc, t| acc + t.wasted_work)
     }
 }
 
@@ -676,11 +670,6 @@ impl JobTable {
     /// All jobs in id (= submission) order.
     pub fn values(&self) -> std::slice::Iter<'_, JobRuntime> {
         self.jobs.iter()
-    }
-
-    /// Mutable iteration in id order.
-    pub fn values_mut(&mut self) -> std::slice::IterMut<'_, JobRuntime> {
-        self.jobs.iter_mut()
     }
 
     /// `(&id, &job)` pairs in id order.

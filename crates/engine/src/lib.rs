@@ -32,7 +32,7 @@
 //! assert!(report.all_jobs_complete());
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod attempt;
 mod cluster;
@@ -48,7 +48,7 @@ mod scheduler;
 mod shuffle;
 mod tasktracker;
 
-pub use attempt::{Attempt, AttemptPhase, AttemptState, ExecPlan, BASE_TASK_MEMORY};
+pub use attempt::{Attempt, BASE_TASK_MEMORY};
 pub use cluster::Cluster;
 pub use config::{
     ClusterConfig, DelayConfig, DetectorConfig, FaultEvent, FaultKind, FaultPlan, NodeConfig,
@@ -64,7 +64,7 @@ pub use metrics::{
     ClusterReport, FaultStats, JobReport, KillCause, LocalityStats, NodeLoss, NodeReport, Record,
     TaskReport, DELAY_WAIT_BUCKET_SECS,
 };
-pub use obs::{ObsState, Span, SpanKind, ACTION_KINDS, EVENT_KINDS, SERIES_COLUMNS};
+pub use obs::{ObsState, Span, SpanKind, ACTION_KINDS};
 pub use plugin::{TenantLedger, TenantShareStats};
 pub use reliability::ReliabilityTracker;
 pub use scheduler::{
@@ -72,9 +72,7 @@ pub use scheduler::{
     SchedulerPolicy,
 };
 pub use shuffle::ShuffleTracker;
-pub use tasktracker::{
-    AllocationOutcome, FailedAttempt, TaskTracker, TerminationOutcome, TrackerError,
-};
+pub use tasktracker::TaskTracker;
 
 // Re-exported so downstream crates can talk about placement without pulling
 // in the DFS crate explicitly.
@@ -82,7 +80,7 @@ pub use mrp_dfs::{Locality, NodeId, RackId, Topology};
 
 // Re-exported so downstream crates can configure the block-granular swap
 // device (see [`ClusterConfig::with_swap`]) without depending on `mrp-simos`.
-pub use mrp_simos::{SwapConfig, SwapStats};
+pub use mrp_simos::SwapConfig;
 
 #[cfg(test)]
 mod randomized_tests {

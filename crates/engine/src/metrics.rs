@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TaskReport {
     /// The task.
-    pub id: TaskId,
+    pub(crate) id: TaskId,
     /// Final reported progress (1.0 when successful).
     pub progress: f64,
     /// Number of attempts that were created.
@@ -28,35 +28,35 @@ pub struct TaskReport {
     /// Number of suspend/resume cycles.
     pub suspend_cycles: u32,
     /// Work thrown away because attempts were killed, in seconds.
-    pub wasted_work_secs: f64,
+    pub(crate) wasted_work_secs: f64,
     /// Cumulative bytes of this task's memory paged out to swap.
     pub paged_out_bytes: u64,
     /// Cumulative bytes paged back in from swap.
-    pub paged_in_bytes: u64,
+    pub(crate) paged_in_bytes: u64,
     /// When the first attempt launched.
-    pub first_launched_at: Option<SimTime>,
+    pub(crate) first_launched_at: Option<SimTime>,
     /// When the task succeeded.
-    pub finished_at: Option<SimTime>,
+    pub(crate) finished_at: Option<SimTime>,
 }
 
 /// Per-job outcome of a simulation run.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobReport {
     /// The job.
-    pub id: JobId,
+    pub(crate) id: JobId,
     /// The job's name (e.g. `th`, `tl`).
-    pub name: String,
+    pub(crate) name: String,
     /// Its priority.
     pub priority: i32,
     /// Tenant the job was charged to (mirrors [`crate::JobSpec::tenant`]).
     #[serde(default)]
-    pub tenant: u32,
+    pub(crate) tenant: u32,
     /// Whether the job ran best-effort (mirrors
     /// [`crate::JobSpec::best_effort`]).
     #[serde(default)]
     pub best_effort: bool,
     /// Submission time.
-    pub submitted_at: SimTime,
+    pub(crate) submitted_at: SimTime,
     /// Completion time, if the job finished.
     pub completed_at: Option<SimTime>,
     /// Sojourn time in seconds, if the job finished.
@@ -67,7 +67,7 @@ pub struct JobReport {
 
 impl JobReport {
     /// Builds a report from the JobTracker's bookkeeping.
-    pub fn from_runtime(job: &JobRuntime) -> Self {
+    pub(crate) fn from_runtime(job: &JobRuntime) -> Self {
         JobReport {
             id: job.id,
             name: job.spec.name.clone(),
@@ -143,7 +143,7 @@ pub struct LocalityStats {
 impl LocalityStats {
     /// Records one completed delay wait (a job's wait clock being reset by a
     /// node-local launch after `waited`).
-    pub fn record_delay_wait(&mut self, waited: mrp_sim::SimDuration) {
+    pub(crate) fn record_delay_wait(&mut self, waited: mrp_sim::SimDuration) {
         let secs = waited.as_secs_f64();
         let bucket = DELAY_WAIT_BUCKET_SECS
             .iter()
@@ -157,7 +157,7 @@ impl LocalityStats {
         self.delay_wait_hist.iter().sum()
     }
     /// Records one launch at the given locality.
-    pub fn record(&mut self, locality: mrp_dfs::Locality) {
+    pub(crate) fn record(&mut self, locality: mrp_dfs::Locality) {
         match locality {
             mrp_dfs::Locality::NodeLocal => self.node_local += 1,
             mrp_dfs::Locality::RackLocal => self.rack_local += 1,
@@ -181,7 +181,7 @@ impl LocalityStats {
     }
 
     /// Fraction of launches that were off-rack.
-    pub fn off_rack_ratio(&self) -> f64 {
+    pub(crate) fn off_rack_ratio(&self) -> f64 {
         self.ratio(self.off_rack)
     }
 
@@ -226,7 +226,7 @@ pub struct FaultStats {
     /// Block replicas re-created on surviving nodes after node loss.
     pub re_replicated_blocks: u64,
     /// Blocks whose last replica was lost in a crash.
-    pub lost_blocks: u64,
+    pub(crate) lost_blocks: u64,
     /// Committed map outputs destroyed by node crashes; each forces the map
     /// back to `Pending` (counted in `re_executed_tasks` as well).
     pub lost_map_outputs: u64,
@@ -242,7 +242,7 @@ pub struct FaultStats {
     /// Tasks finished by their speculative attempt (the backup won).
     pub speculative_won: u64,
     /// Work thrown away killing speculation losers, in seconds.
-    pub speculative_wasted_secs: f64,
+    pub(crate) speculative_wasted_secs: f64,
     /// Nodes the failure detector put under suspicion (missed-heartbeat
     /// timeout fired). Zero when [`crate::DetectorConfig`] is off.
     pub nodes_suspected: u64,
@@ -251,7 +251,7 @@ pub struct FaultStats {
     pub failures_detected: u64,
     /// Sum over detected failures of the lag between the fault striking and
     /// the master confirming it, in seconds.
-    pub detection_lag_secs_sum: f64,
+    pub(crate) detection_lag_secs_sum: f64,
     /// Largest single detection lag observed, in seconds.
     pub detection_lag_secs_max: f64,
     /// Network partitions injected (rack partitions count each member).
@@ -286,15 +286,15 @@ impl FaultStats {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct NodeReport {
     /// The node.
-    pub id: NodeId,
+    pub(crate) id: NodeId,
     /// Bytes written to the swap device over the whole run.
     pub swap_out_bytes: u64,
     /// Bytes read back from the swap device.
     pub swap_in_bytes: u64,
     /// Bytes read sequentially from disk (block reads).
-    pub disk_read_bytes: u64,
+    pub(crate) disk_read_bytes: u64,
     /// Bytes written sequentially to disk.
-    pub disk_write_bytes: u64,
+    pub(crate) disk_write_bytes: u64,
     /// Number of OOM-killer invocations on this node.
     pub oom_kills: u64,
     /// Times a process on this node cycled part of its own working set

@@ -1,5 +1,6 @@
-//! Engine-side observability state: the cluster's metrics registry, the
-//! virtual-time series sampler, the event-loop profiler and the span trace.
+//! Engine-side observability state: the span trace with one duration
+//! histogram per span family, the virtual-time series sampler and the
+//! event-loop profiler.
 //!
 //! The cluster owns at most one [`ObsState`], boxed behind an `Option` that
 //! is `None` unless [`ObsConfig`](crate::ObsConfig) is enabled — the
@@ -21,10 +22,7 @@
 use crate::job::AttemptId;
 use crate::metrics::{NodeLoss, Record};
 use mrp_dfs::NodeId;
-use mrp_sim::{
-    HistogramId, LoopProfiler, MetricsRegistry, ProfileReport, SimDuration, SimTime,
-    TimeSeriesSampler,
-};
+use mrp_sim::{LogHistogram, LoopProfiler, ProfileReport, SimDuration, SimTime, TimeSeriesSampler};
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -38,7 +36,7 @@ const MAX_SPANS: usize = 1 << 20;
 /// passes to `ObsState::note_event`. Index 0 is the heartbeat wheel (the
 /// computed periodic heartbeats that never touch the event queue); the rest
 /// mirror the `Event` enum.
-pub const EVENT_KINDS: [&str; 8] = [
+pub(crate) const EVENT_KINDS: [&str; 8] = [
     "heartbeat_wheel",
     "job_arrival",
     "heartbeat_oob",
@@ -61,7 +59,7 @@ pub const ACTION_KINDS: [&str; 6] = [
 ];
 
 /// The column names of the sampled time series, in row-value order.
-pub const SERIES_COLUMNS: [&str; 10] = [
+pub(crate) const SERIES_COLUMNS: [&str; 10] = [
     "schedulable_maps",
     "schedulable_reduces",
     "suspended_tasks",
@@ -131,7 +129,7 @@ pub struct Span {
     pub kind: SpanKind,
     /// The attempt the span belongs to; `None` for a partition window,
     /// which belongs to `node`.
-    pub attempt: Option<AttemptId>,
+    pub(crate) attempt: Option<AttemptId>,
     /// Node the span happened on — the Chrome-trace thread lane.
     pub node: NodeId,
     /// Virtual begin timestamp.
@@ -154,29 +152,19 @@ impl Span {
 
 /// The observability state owned by an observed cluster.
 pub struct ObsState {
-    registry: MetricsRegistry,
     profiler: LoopProfiler,
     sampler: TimeSeriesSampler,
     spans: Vec<Span>,
     open: HashMap<SpanKey, usize>,
     dropped_spans: u64,
-    // Registry handles for the per-family duration histograms, recorded
-    // when a span closes (micros of virtual time).
-    hist_attempt: HistogramId,
-    hist_suspend: HistogramId,
-    hist_shuffle: HistogramId,
-    hist_partition: HistogramId,
+    // Per-family duration histograms, indexed by `SpanKind as usize` and
+    // recorded when a span closes (micros of virtual time).
+    histograms: [LogHistogram; 4],
 }
 
 impl ObsState {
     pub(crate) fn new() -> Self {
-        let mut registry = MetricsRegistry::new();
-        let hist_attempt = registry.histogram("attempt_duration_us");
-        let hist_suspend = registry.histogram("suspend_cycle_us");
-        let hist_shuffle = registry.histogram("shuffle_stall_us");
-        let hist_partition = registry.histogram("partition_window_us");
         ObsState {
-            registry,
             profiler: LoopProfiler::new(&EVENT_KINDS, &ACTION_KINDS),
             sampler: TimeSeriesSampler::new(
                 SAMPLE_INTERVAL,
@@ -185,22 +173,14 @@ impl ObsState {
             spans: Vec::new(),
             open: HashMap::new(),
             dropped_spans: 0,
-            hist_attempt,
-            hist_suspend,
-            hist_shuffle,
-            hist_partition,
+            histograms: Default::default(),
         }
     }
 
-    /// The metrics registry (duration histograms per span family, plus
-    /// whatever callers register themselves).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Mutable registry access, for harnesses that record custom metrics.
-    pub fn registry_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.registry
+    /// Durations (virtual-time microseconds) of the closed spans of one
+    /// family.
+    pub fn histogram(&self, kind: SpanKind) -> &LogHistogram {
+        &self.histograms[kind as usize]
     }
 
     /// The sampled time series (always present on an observed cluster).
@@ -330,13 +310,7 @@ impl ObsState {
         let end = at.max(span.begin);
         span.end = Some(end);
         let micros = end.as_micros() - span.begin.as_micros();
-        let hist = match span.kind {
-            SpanKind::Attempt => self.hist_attempt,
-            SpanKind::SuspendCycle => self.hist_suspend,
-            SpanKind::ShuffleStall => self.hist_shuffle,
-            SpanKind::Partition => self.hist_partition,
-        };
-        self.registry.observe(hist, micros);
+        self.histograms[span.kind as usize].record(micros);
     }
 
     /// Number of spans still open (attempts running at `max_time`, unhealed

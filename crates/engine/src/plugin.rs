@@ -20,7 +20,7 @@ pub struct TenantShareStats {
     /// Its configured quota: `weight / Σ weights`.
     pub quota: f64,
     /// Time-weighted mean dominant share over steady-state time.
-    pub mean_dominant_share: f64,
+    pub(crate) mean_dominant_share: f64,
     /// Time-weighted mean of `max(0, dominant_share - quota)` over
     /// steady-state time where some *other* tenant had unmet demand past
     /// the reclaim grace period — the DRF fairness-gate quantity. Exceeding
@@ -29,7 +29,7 @@ pub struct TenantShareStats {
     /// briefer than a reclaim round are scheduling latency, not contention.
     pub mean_excess_over_quota: f64,
     /// Dominant share at the last observation.
-    pub final_dominant_share: f64,
+    pub(crate) final_dominant_share: f64,
 }
 
 /// Dominant-resource-fairness accounting over (map slots, reduce slots),
@@ -169,7 +169,7 @@ impl TenantLedger {
 
     /// True when `tenant` had unmet demand at the last observation: pending
     /// work of a kind it is below quota for.
-    pub fn starved(&self, tenant: usize) -> bool {
+    pub(crate) fn starved(&self, tenant: usize) -> bool {
         (self.demand_maps[tenant] > 0 && self.usage_maps[tenant] < self.quota_map_slots(tenant))
             || (self.demand_reduces[tenant] > 0
                 && self.usage_reduces[tenant] < self.quota_reduce_slots(tenant))
@@ -281,7 +281,7 @@ impl TenantLedger {
     /// Time-weighted mean of `max(0, dominant_share - quota)` for `tenant`
     /// over steady-state time where another tenant had unmet demand past
     /// the reclaim grace period. Zero when no such time was observed.
-    pub fn mean_excess_over_quota(&self, tenant: usize) -> f64 {
+    pub(crate) fn mean_excess_over_quota(&self, tenant: usize) -> f64 {
         if self.contended_secs[tenant] > 0.0 {
             self.excess_secs[tenant] / self.contended_secs[tenant]
         } else {

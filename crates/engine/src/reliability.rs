@@ -83,7 +83,7 @@ pub struct ReliabilityTracker {
 
 impl ReliabilityTracker {
     /// Creates the tracker for a cluster of the given shape.
-    pub fn new(config: ReliabilityConfig, node_count: usize, rack_count: usize) -> Self {
+    pub(crate) fn new(config: ReliabilityConfig, node_count: usize, rack_count: usize) -> Self {
         ReliabilityTracker {
             enabled: config.enabled,
             nodes: vec![Score::default(); node_count],
@@ -93,7 +93,7 @@ impl ReliabilityTracker {
 
     /// Whether the predictor is switched on at all.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
@@ -126,7 +126,7 @@ impl ReliabilityTracker {
 
     /// The node's combined flakiness estimate right now: its own decayed
     /// score plus `RACK_WEIGHT` times its rack's.
-    pub fn score(&self, node: NodeId, rack: RackId, now: SimTime) -> f64 {
+    pub(crate) fn score(&self, node: NodeId, rack: RackId, now: SimTime) -> f64 {
         if !self.enabled {
             return 0.0;
         }
@@ -145,7 +145,7 @@ impl ReliabilityTracker {
 
     /// True when the node's combined score is at or above the flaky
     /// threshold — the placement bias trigger.
-    pub fn flaky(&self, node: NodeId, rack: RackId, now: SimTime) -> bool {
+    pub(crate) fn flaky(&self, node: NodeId, rack: RackId, now: SimTime) -> bool {
         self.enabled && self.score(node, rack, now) >= FLAKY_THRESHOLD
     }
 }

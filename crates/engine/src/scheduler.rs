@@ -84,7 +84,7 @@ pub struct NodeView {
 
 impl NodeView {
     /// Free slots of the given kind.
-    pub fn free_slots(&self, kind: TaskKind) -> u32 {
+    pub(crate) fn free_slots(&self, kind: TaskKind) -> u32 {
         match kind {
             TaskKind::Map => self.free_map_slots,
             TaskKind::Reduce => self.free_reduce_slots,
@@ -99,13 +99,13 @@ impl NodeView {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RackView {
     /// The rack.
-    pub id: RackId,
+    pub(crate) id: RackId,
     /// Number of nodes in the rack.
-    pub nodes: u32,
+    pub(crate) nodes: u32,
     /// Free map slots across the rack right now.
-    pub free_map_slots: u32,
+    pub(crate) free_map_slots: u32,
     /// Free reduce slots across the rack right now.
-    pub free_reduce_slots: u32,
+    pub(crate) free_reduce_slots: u32,
 }
 
 /// Cluster-wide pending-work counters, maintained incrementally by the
@@ -120,7 +120,7 @@ pub struct PendingTotals {
     /// Schedulable reduce tasks across all jobs.
     pub schedulable_reduces: u32,
     /// Suspended tasks across all jobs.
-    pub suspended: u32,
+    pub(crate) suspended: u32,
 }
 
 impl PendingTotals {
@@ -213,7 +213,7 @@ impl<'a> SchedulerContext<'a> {
 
     /// The view of a specific rack, if it exists. Cluster-built slices are
     /// dense by rack id (O(1)); the scan is a fallback for hand-built slices.
-    pub fn rack(&self, id: RackId) -> Option<&RackView> {
+    pub(crate) fn rack(&self, id: RackId) -> Option<&RackView> {
         if let Some(view) = self.racks.get(id.0 as usize) {
             if view.id == id {
                 return Some(view);
@@ -317,15 +317,10 @@ impl<'a> SchedulerContext<'a> {
         out
     }
 
-    /// True when there is at least one incomplete job.
-    pub fn has_incomplete_jobs(&self) -> bool {
-        self.jobs.values().any(|j| !j.is_finished())
-    }
-
     /// True when delay scheduling is active for this cluster. Policies use
     /// this to keep every delay branch off the hot path when the feature is
     /// off.
-    pub fn delay_enabled(&self) -> bool {
+    pub(crate) fn delay_enabled(&self) -> bool {
         self.delay.is_some_and(|d| d.enabled())
     }
 
@@ -552,7 +547,7 @@ pub trait SchedulerPolicy {
 #[derive(Debug, Default, Clone)]
 pub struct FifoScheduler {
     /// Whether the policy resumes suspended tasks when slots are free.
-    pub resume_suspended: bool,
+    pub(crate) resume_suspended: bool,
     /// Simulated second of the last speculation scan (the O(tail-job tasks)
     /// straggler scan runs at most once per simulated second cluster-wide).
     spec_stamp: Option<u64>,
@@ -1152,7 +1147,6 @@ mod tests {
         };
         assert!(ctx.node(NodeId(0)).is_some());
         assert!(ctx.node(NodeId(4)).is_none());
-        assert!(ctx.has_incomplete_jobs());
         let tid = TaskId {
             job: JobId(1),
             kind: TaskKind::Map,

@@ -67,7 +67,7 @@ pub struct ShuffleTracker {
 
 impl ShuffleTracker {
     /// Creates the tracker for a cluster with the given shuffle config.
-    pub fn new(config: ShuffleConfig, rack_count: usize) -> Self {
+    pub(crate) fn new(config: ShuffleConfig, rack_count: usize) -> Self {
         ShuffleTracker {
             enabled: config.enabled,
             rack_count,
@@ -77,7 +77,7 @@ impl ShuffleTracker {
 
     /// Whether map-output tracking is switched on at all.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.enabled
     }
 
@@ -128,7 +128,7 @@ impl ShuffleTracker {
 
     /// True when the job has a live registry (reduce-carrying, tracking on,
     /// not yet retired).
-    pub fn tracked(&self, job: JobId) -> bool {
+    pub(crate) fn tracked(&self, job: JobId) -> bool {
         self.entry(job).is_some()
     }
 
@@ -211,7 +211,7 @@ impl ShuffleTracker {
 
     /// True when every map output of `job` is present (or the job is not
     /// tracked at all — untracked reduces never wait).
-    pub fn complete(&self, job: JobId) -> bool {
+    pub(crate) fn complete(&self, job: JobId) -> bool {
         match self.entry(job) {
             Some(state) => state.present as usize == state.map_holder.len(),
             None => true,
@@ -221,7 +221,7 @@ impl ShuffleTracker {
     /// The rack currently holding the most live map-output bytes of `job`
     /// (ties break towards the lowest rack id), or `None` when the job is
     /// untracked or no output has been committed yet.
-    pub fn preferred_rack(&self, job: JobId) -> Option<RackId> {
+    pub(crate) fn preferred_rack(&self, job: JobId) -> Option<RackId> {
         let state = self.entry(job)?;
         if state.live_bytes == 0 {
             return None;
@@ -237,7 +237,7 @@ impl ShuffleTracker {
     /// Fraction of the job's live map-output bytes that live **off** rack
     /// `rack` — the input to the cross-rack shuffle contention term. Zero for
     /// untracked jobs and for jobs with no committed output.
-    pub fn cross_rack_fraction(&self, job: JobId, rack: RackId) -> f64 {
+    pub(crate) fn cross_rack_fraction(&self, job: JobId, rack: RackId) -> f64 {
         let Some(state) = self.entry(job) else {
             return 0.0;
         };
@@ -246,18 +246,6 @@ impl ShuffleTracker {
         }
         let on_rack = state.bytes_by_rack[rack.0 as usize];
         (state.live_bytes - on_rack) as f64 / state.live_bytes as f64
-    }
-
-    /// Live map-output bytes of `job` on `rack` (test observability).
-    pub fn rack_bytes(&self, job: JobId, rack: RackId) -> u64 {
-        self.entry(job)
-            .map(|s| s.bytes_by_rack[rack.0 as usize])
-            .unwrap_or(0)
-    }
-
-    /// Number of currently present map outputs of `job` (test observability).
-    pub fn outputs_present(&self, job: JobId) -> u32 {
-        self.entry(job).map(|s| s.present).unwrap_or(0)
     }
 
     /// Retires the job's registry once the job completes (frees the per-map
@@ -272,6 +260,20 @@ impl ShuffleTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ShuffleTracker {
+        /// Number of currently present map outputs of `job` (test observability).
+        fn outputs_present(&self, job: JobId) -> u32 {
+            self.entry(job).map(|s| s.present).unwrap_or(0)
+        }
+
+        /// Live map-output bytes of `job` on `rack` (test observability).
+        fn rack_bytes(&self, job: JobId, rack: RackId) -> u64 {
+            self.entry(job)
+                .map(|s| s.bytes_by_rack[rack.0 as usize])
+                .unwrap_or(0)
+        }
+    }
 
     fn tracker() -> ShuffleTracker {
         let mut t = ShuffleTracker::new(ShuffleConfig::fault_tolerant(), 2);

@@ -18,52 +18,52 @@ use mrp_simos::{Kernel, NodeOsConfig, OsError, Pid, Signal};
 
 /// Result of allocating a task's memory at the end of its setup phase.
 #[derive(Clone, Debug, Default)]
-pub struct AllocationOutcome {
+pub(crate) struct AllocationOutcome {
     /// Paging stall charged to the allocating task.
-    pub stall: SimDuration,
+    pub(crate) stall: SimDuration,
     /// Bytes of other processes' memory paged out to make room.
-    pub paged_out_bytes: u64,
+    pub(crate) paged_out_bytes: u64,
     /// Attempts whose processes were killed by the OOM killer to satisfy the
     /// allocation (rare; only when swap is exhausted), each with the running
     /// time it had invested when it died — the work the kill wasted.
-    pub oom_killed: Vec<(AttemptId, SimDuration)>,
+    pub(crate) oom_killed: Vec<(AttemptId, SimDuration)>,
     /// The allocation ultimately failed (RAM and swap exhausted with no
     /// further OOM victim, or the OOM killer sacrificed the allocating task
     /// itself). Victims in `oom_killed` were still killed and must still be
     /// handled by the caller — the old `Err` return silently dropped them,
     /// leaving their tasks `Running` with no attempt behind them.
-    pub failed: bool,
+    pub(crate) failed: bool,
 }
 
 /// Everything the cluster needs to know about one attempt torn down by a
 /// node failure: which task it served, whether its suspended state was lost,
 /// and the accounting the attempt would otherwise have reported itself.
 #[derive(Clone, Debug)]
-pub struct FailedAttempt {
+pub(crate) struct FailedAttempt {
     /// The torn-down attempt.
-    pub id: AttemptId,
+    pub(crate) id: AttemptId,
     /// Its TaskTracker-side state at failure time.
-    pub state: AttemptState,
+    pub(crate) state: AttemptState,
     /// Running time invested in the attempt (setup + completed work).
-    pub invested: SimDuration,
+    pub(crate) invested: SimDuration,
     /// The pending phase-completion event to cancel, if any.
-    pub segment_event: Option<mrp_sim::EventId>,
+    pub(crate) segment_event: Option<mrp_sim::EventId>,
 }
 
 /// Result of terminating an attempt (kill or completion).
 #[derive(Clone, Debug, Default)]
-pub struct TerminationOutcome {
+pub(crate) struct TerminationOutcome {
     /// Cumulative bytes this attempt's process had paged out over its life.
-    pub paged_out_bytes: u64,
+    pub(crate) paged_out_bytes: u64,
     /// Cumulative bytes paged back in.
-    pub paged_in_bytes: u64,
+    pub(crate) paged_in_bytes: u64,
     /// Whether the attempt held a slot at termination time.
-    pub held_slot: bool,
+    pub(crate) held_slot: bool,
 }
 
 /// Errors surfaced by TaskTracker operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TrackerError {
+pub(crate) enum TrackerError {
     /// No free slot of the required kind.
     NoFreeSlot,
     /// The attempt is not present on this tracker.
@@ -106,7 +106,7 @@ impl From<OsError> for TrackerError {
 #[derive(Debug)]
 pub struct TaskTracker {
     /// The node this tracker runs on.
-    pub id: NodeId,
+    pub(crate) id: NodeId,
     kernel: Kernel,
     map_slots: u32,
     reduce_slots: u32,
@@ -133,7 +133,7 @@ pub struct TaskTracker {
 
 impl TaskTracker {
     /// Creates a TaskTracker with the given OS configuration and slot counts.
-    pub fn new(id: NodeId, os: NodeOsConfig, map_slots: u32, reduce_slots: u32) -> Self {
+    pub(crate) fn new(id: NodeId, os: NodeOsConfig, map_slots: u32, reduce_slots: u32) -> Self {
         TaskTracker {
             id,
             kernel: Kernel::new(os),
@@ -150,23 +150,23 @@ impl TaskTracker {
     }
 
     /// The current failure epoch (see the field docs).
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Whether the node is in service.
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.alive
     }
 
     /// Whether the master can reach the node (see the `reachable` field; an
     /// unreachable node is alive but torn down as a partition victim).
-    pub fn is_reachable(&self) -> bool {
+    pub(crate) fn is_reachable(&self) -> bool {
         self.reachable
     }
 
     /// Flips master-side reachability (confirmed partition teardown / heal).
-    pub fn set_reachable(&mut self, reachable: bool) {
+    pub(crate) fn set_reachable(&mut self, reachable: bool) {
         self.reachable = reachable;
         self.dirty = true;
     }
@@ -175,7 +175,7 @@ impl TaskTracker {
     /// attempt's process is killed, the attempt table is cleared, and all
     /// slots are freed. Returns what was torn down so the cluster can cancel
     /// events, account lost work, and reschedule the tasks.
-    pub fn fail(&mut self, now: SimTime) -> Vec<FailedAttempt> {
+    pub(crate) fn fail(&mut self, now: SimTime) -> Vec<FailedAttempt> {
         self.alive = false;
         self.dirty = true;
         self.epoch += 1;
@@ -199,7 +199,7 @@ impl TaskTracker {
     /// Returns the node to service with all slots free (its disks and any
     /// suspended-task state are gone; the kernel's cumulative statistics
     /// survive for the end-of-run report).
-    pub fn revive(&mut self) {
+    pub(crate) fn revive(&mut self) {
         self.alive = true;
         self.reachable = true;
         self.dirty = true;
@@ -207,17 +207,17 @@ impl TaskTracker {
 
     /// Returns (and clears) whether slot occupancy or the running/suspended
     /// attempt sets changed since the last call.
-    pub fn take_dirty(&mut self) -> bool {
+    pub(crate) fn take_dirty(&mut self) -> bool {
         std::mem::take(&mut self.dirty)
     }
 
     /// Read-only access to the node's kernel (for statistics).
-    pub fn kernel(&self) -> &Kernel {
+    pub(crate) fn kernel(&self) -> &Kernel {
         &self.kernel
     }
 
     /// Free map slots (a dead or unreachable node has none).
-    pub fn free_map_slots(&self) -> u32 {
+    pub(crate) fn free_map_slots(&self) -> u32 {
         if !self.alive || !self.reachable {
             return 0;
         }
@@ -225,7 +225,7 @@ impl TaskTracker {
     }
 
     /// Free reduce slots (a dead or unreachable node has none).
-    pub fn free_reduce_slots(&self) -> u32 {
+    pub(crate) fn free_reduce_slots(&self) -> u32 {
         if !self.alive || !self.reachable {
             return 0;
         }
@@ -233,7 +233,7 @@ impl TaskTracker {
     }
 
     /// Free slots of a kind.
-    pub fn free_slots(&self, kind: TaskKind) -> u32 {
+    pub(crate) fn free_slots(&self, kind: TaskKind) -> u32 {
         match kind {
             TaskKind::Map => self.free_map_slots(),
             TaskKind::Reduce => self.free_reduce_slots(),
@@ -256,7 +256,7 @@ impl TaskTracker {
 
     /// Releases a slot of the given kind (used by the cluster when a killed
     /// task's cleanup attempt finishes).
-    pub fn release_slot(&mut self, kind: TaskKind) {
+    pub(crate) fn release_slot(&mut self, kind: TaskKind) {
         self.dirty = true;
         match kind {
             TaskKind::Map => {
@@ -277,22 +277,22 @@ impl TaskTracker {
     }
 
     /// A live attempt, if present.
-    pub fn attempt(&self, id: AttemptId) -> Option<&Attempt> {
+    pub(crate) fn attempt(&self, id: AttemptId) -> Option<&Attempt> {
         self.attempts.get(&id)
     }
 
     /// Mutable access to a live attempt.
-    pub fn attempt_mut(&mut self, id: AttemptId) -> Option<&mut Attempt> {
+    pub(crate) fn attempt_mut(&mut self, id: AttemptId) -> Option<&mut Attempt> {
         self.attempts.get_mut(&id)
     }
 
     /// All live attempts on this node, in deterministic (id) order.
-    pub fn attempts(&self) -> impl Iterator<Item = &Attempt> {
+    pub(crate) fn attempts(&self) -> impl Iterator<Item = &Attempt> {
         self.attempts.values()
     }
 
     /// Attempts currently suspended on this node, in deterministic (id) order.
-    pub fn suspended_attempts(&self) -> impl Iterator<Item = AttemptId> + '_ {
+    pub(crate) fn suspended_attempts(&self) -> impl Iterator<Item = AttemptId> + '_ {
         self.attempts
             .values()
             .filter(|a| a.state == AttemptState::Suspended)
@@ -302,7 +302,7 @@ impl TaskTracker {
     /// Launches a new attempt: occupies a slot and forks the child process.
     /// The attempt starts in its setup phase; the caller schedules the
     /// corresponding phase-completion event.
-    pub fn launch(
+    pub(crate) fn launch(
         &mut self,
         id: AttemptId,
         kind: TaskKind,
@@ -336,7 +336,7 @@ impl TaskTracker {
     /// failure is known the OOM killer may already have sacrificed other
     /// attempts, and those victims must reach the caller either way. `Err` is
     /// reserved for an unknown attempt id.
-    pub fn allocate_task_memory(
+    pub(crate) fn allocate_task_memory(
         &mut self,
         id: AttemptId,
         now: SimTime,
@@ -400,20 +400,20 @@ impl TaskTracker {
 
     /// Records the input read of an attempt against the node's disk and file
     /// cache (the parse loop overlaps the read, so no extra time is charged).
-    pub fn record_input_read(&mut self, bytes: u64) {
+    pub(crate) fn record_input_read(&mut self, bytes: u64) {
         let _ = self.kernel.disk_read(bytes);
     }
 
     /// Queues background DFS re-replication traffic against this node's
     /// spindle; swap I/O contends with it until the backlog drains. No-op
     /// unless the disk's `background_share` is configured.
-    pub fn queue_background_io(&mut self, bytes: u64) {
+    pub(crate) fn queue_background_io(&mut self, bytes: u64) {
         self.kernel.queue_background_write(bytes);
     }
 
     /// Suspends a running attempt with `SIGTSTP`: releases its slot, freezes
     /// its progress. Returns the progress at suspension time.
-    pub fn suspend(&mut self, id: AttemptId, now: SimTime) -> Result<f64, TrackerError> {
+    pub(crate) fn suspend(&mut self, id: AttemptId, now: SimTime) -> Result<f64, TrackerError> {
         let attempt = self
             .attempts
             .get_mut(&id)
@@ -435,7 +435,11 @@ impl TaskTracker {
     /// Resumes a suspended attempt with `SIGCONT`: re-occupies a slot and
     /// faults its swapped memory back in. Returns the page-in stall; the
     /// caller schedules the remaining work after the stall.
-    pub fn resume(&mut self, id: AttemptId, now: SimTime) -> Result<SimDuration, TrackerError> {
+    pub(crate) fn resume(
+        &mut self,
+        id: AttemptId,
+        now: SimTime,
+    ) -> Result<SimDuration, TrackerError> {
         let (kind, pid) = {
             let attempt = self.attempts.get(&id).ok_or(TrackerError::UnknownAttempt)?;
             if attempt.state != AttemptState::Suspended {
@@ -463,7 +467,7 @@ impl TaskTracker {
     /// Faults in any of the attempt's own memory that ended up in swap (done
     /// at the start of the finalize phase, when stateful tasks read their
     /// state back).
-    pub fn fault_in_own_memory(
+    pub(crate) fn fault_in_own_memory(
         &mut self,
         id: AttemptId,
         now: SimTime,
@@ -478,7 +482,7 @@ impl TaskTracker {
     }
 
     /// Writes the attempt's output to the local disk.
-    pub fn write_output(&mut self, bytes: u64) {
+    pub(crate) fn write_output(&mut self, bytes: u64) {
         let _ = self.kernel.disk_write(bytes);
     }
 
@@ -486,7 +490,7 @@ impl TaskTracker {
     /// Hadoop runs a cleanup attempt to delete partial output; the caller
     /// schedules the cleanup completion and then calls
     /// [`TaskTracker::release_slot`].
-    pub fn kill(
+    pub(crate) fn kill(
         &mut self,
         id: AttemptId,
         now: SimTime,
@@ -516,7 +520,7 @@ impl TaskTracker {
 
     /// Completes an attempt successfully: the child process exits and the
     /// slot is released.
-    pub fn complete(
+    pub(crate) fn complete(
         &mut self,
         id: AttemptId,
         now: SimTime,

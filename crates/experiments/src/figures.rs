@@ -41,35 +41,21 @@ impl Figure {
         Figure::EvictionPolicies,
         Figure::ResumeLocality,
     ];
-
-    /// Short identifier used in file names and bench ids.
-    pub fn id(self) -> &'static str {
-        match self {
-            Figure::F2a => "fig2a",
-            Figure::F2b => "fig2b",
-            Figure::F3a => "fig3a",
-            Figure::F3b => "fig3b",
-            Figure::F4 => "fig4",
-            Figure::NatjamComparison => "natjam",
-            Figure::EvictionPolicies => "eviction",
-            Figure::ResumeLocality => "resume_locality",
-        }
-    }
 }
 
 /// A reproduced figure: a table of named columns, one row per x-axis point.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FigureData {
     /// Short identifier (e.g. `fig2a`).
-    pub id: String,
+    pub(crate) id: String,
     /// Human-readable title.
-    pub title: String,
+    pub(crate) title: String,
     /// Column names; the first column is the x axis.
-    pub columns: Vec<String>,
+    pub(crate) columns: Vec<String>,
     /// Rows of values, one per x-axis point.
     pub rows: Vec<Vec<f64>>,
     /// Free-form notes (what the paper reported, calibration caveats).
-    pub notes: String,
+    pub(crate) notes: String,
 }
 
 impl FigureData {
@@ -81,12 +67,12 @@ impl FigureData {
 }
 
 /// The x-axis of Figures 2 and 3: `tl` progress at launch of `th`, 10%–90%.
-pub fn paper_fractions() -> Vec<f64> {
+pub(crate) fn paper_fractions() -> Vec<f64> {
     (1..=9).map(|i| i as f64 / 10.0).collect()
 }
 
 /// The x-axis of Figure 4: memory allocated by `th`.
-pub fn figure4_memory_points() -> Vec<u64> {
+pub(crate) fn figure4_memory_points() -> Vec<u64> {
     vec![0, 625 * MIB, 1250 * MIB, 1875 * MIB, 2500 * MIB]
 }
 
@@ -461,14 +447,5 @@ mod tests {
             );
             assert!(natjam > 1.0 && natjam < 15.0);
         }
-    }
-
-    #[test]
-    fn figure_ids_are_unique() {
-        let ids: Vec<&str> = Figure::ALL.iter().map(|f| f.id()).collect();
-        let mut dedup = ids.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), ids.len());
     }
 }

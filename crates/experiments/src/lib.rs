@@ -29,10 +29,9 @@
 //! }
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod catalogue;
-mod faults;
 mod figures;
 mod locality;
 mod memory;
@@ -46,22 +45,17 @@ pub use catalogue::{
     sim_throughput_cluster, sim_throughput_config, FaultChurnConfig, PartitionDetectConfig,
     SwimClusterConfig, CATALOGUE_HORIZON,
 };
-pub use faults::{
-    detection_ablation, run_fault_scenario, sojourn_quantile, speculation_ablation,
-    FaultScenarioConfig, FaultScenarioOutcome,
-};
 pub use figures::{
-    eviction_ablation, figure2, figure3, figure4, figure4_memory_points, natjam_comparison,
-    paper_fractions, resume_locality_ablation, run_figure, Figure, FigureData,
+    eviction_ablation, figure2, figure3, figure4, natjam_comparison, resume_locality_ablation,
+    run_figure, Figure, FigureData,
 };
 pub use locality::{delay_locality_sweep, delay_sweep_table, DelaySweepConfig, DelaySweepRow};
 pub use memory::{
     memory_pressure_cluster, resume_ablation, resume_cost_curve, run_memory_pressure,
     MemoryPressureConfig, MemoryPressureOutcome, ResumeCostPoint,
 };
-pub use priority::PriorityPreemptingScheduler;
 pub use rack_outage::{
-    predictor_ablation, run_rack_outage, OutageWindow, RackOutageConfig, RackOutageOutcome,
+    predictor_ablation, run_rack_outage, sojourn_quantile, RackOutageConfig, RackOutageOutcome,
 };
 pub use report::{to_csv, to_table};
 pub use scenario::{run_once, run_scenario, ScenarioConfig, ScenarioOutcome, SingleRun};

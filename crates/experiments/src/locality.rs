@@ -12,7 +12,7 @@
 //! `docs/PERF.md`.
 
 use crate::catalogue::dfs_backed_cluster;
-use crate::faults::sojourn_quantile;
+use crate::rack_outage::sojourn_quantile;
 use mrp_engine::{ClusterConfig, TraceLevel};
 use mrp_sim::SimTime;
 use mrp_workload::{SwimConfig, SwimGenerator};
@@ -33,9 +33,9 @@ pub struct DelaySweepConfig {
     /// Total delay per sweep point, in heartbeat intervals; split evenly
     /// between the node-local and rack-local waits. `0.0` disables delay
     /// scheduling (the greedy baseline).
-    pub delay_intervals: Vec<f64>,
+    pub(crate) delay_intervals: Vec<f64>,
     /// Workload seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl DelaySweepConfig {
@@ -61,17 +61,17 @@ impl DelaySweepConfig {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DelaySweepRow {
     /// Total delay in heartbeat intervals (0 = greedy placement).
-    pub delay_intervals: f64,
+    pub(crate) delay_intervals: f64,
     /// Fraction of map launches that were node-local.
-    pub node_local_ratio: f64,
+    pub(crate) node_local_ratio: f64,
     /// Fraction of map launches that were rack-local.
-    pub rack_local_ratio: f64,
+    pub(crate) rack_local_ratio: f64,
     /// p99 of completed-job sojourn times, seconds.
-    pub p99_sojourn_secs: f64,
+    pub(crate) p99_sojourn_secs: f64,
     /// Workload makespan, seconds.
-    pub makespan_secs: f64,
+    pub(crate) makespan_secs: f64,
     /// Launch opportunities declined while waiting for locality.
-    pub delayed_skips: u64,
+    pub(crate) delayed_skips: u64,
 }
 
 /// Runs the sweep: one full simulation per delay point, same seed and

@@ -37,44 +37,44 @@ use crate::catalogue::hfsp;
 #[derive(Clone, Debug)]
 pub struct MemoryPressureConfig {
     /// Nodes in the (single-rack) cluster.
-    pub nodes: u32,
+    pub(crate) nodes: u32,
     /// Map slots per node. Two slots with `state_memory` sized so that two
     /// resident sets exceed usable RAM keeps every node under pressure.
-    pub map_slots: u32,
+    pub(crate) map_slots: u32,
     /// Physical RAM per node.
-    pub total_ram: u64,
+    pub(crate) total_ram: u64,
     /// Swap capacity per node (the block device the swap model manages).
-    pub swap_capacity: u64,
+    pub(crate) swap_capacity: u64,
     /// Dirty state each batch task allocates in its setup phase — the
     /// resident set that suspend/resume moves through swap.
-    pub state_memory: u64,
+    pub(crate) state_memory: u64,
     /// Memory-hungry batch jobs submitted at `t = 0`.
-    pub batch_jobs: u32,
+    pub(crate) batch_jobs: u32,
     /// Map tasks per batch job.
-    pub batch_tasks: u32,
+    pub(crate) batch_tasks: u32,
     /// Input bytes per batch task (sets task duration).
-    pub batch_bytes: u64,
+    pub(crate) batch_bytes: u64,
     /// Small queue-jumping jobs; one every `small_every_secs` from 45 s.
-    pub small_jobs: u32,
+    pub(crate) small_jobs: u32,
     /// Map tasks per small job (how many batch tasks each arrival suspends).
-    pub small_tasks: u32,
+    pub(crate) small_tasks: u32,
     /// Seconds between small-job arrivals.
-    pub small_every_secs: u64,
+    pub(crate) small_every_secs: u64,
     /// Swap-device knobs (`SwapConfig::default()` = legacy byte-granular
     /// accounting, the byte-identity baseline).
-    pub swap: SwapConfig,
+    pub(crate) swap: SwapConfig,
     /// Disk bandwidth share reserved for background DFS traffic while any is
     /// pending; `0.0` disables contention entirely.
-    pub background_share: f64,
+    pub(crate) background_share: f64,
     /// Kill one node mid-run so re-replication traffic contends with swap.
-    pub fault: bool,
+    pub(crate) fault: bool,
     /// Replicated DFS ballast written with the doomed node as first replica,
     /// so its loss forces re-replication onto the survivors' disks. Only
     /// materialized when `fault` is set (the batch jobs are synthetic and
     /// store nothing in the DFS themselves).
-    pub replicated_data: u64,
+    pub(crate) replicated_data: u64,
     /// Simulation seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl MemoryPressureConfig {
@@ -125,16 +125,6 @@ impl MemoryPressureConfig {
         }
     }
 
-    /// Overcommits so hard that a single task's resident set exceeds usable
-    /// RAM: reclaim runs out of other victims and must evict the allocating
-    /// task's own pages (`thrash_events` counts those self-evictions).
-    pub fn thrashing(mut self) -> Self {
-        self.state_memory = self.total_ram;
-        self.batch_tasks = self.batch_tasks.min(8);
-        self.small_jobs = 0;
-        self
-    }
-
     /// A calm variant: state fits comfortably, so nothing thrashes and the
     /// `thrash_events` counter must stay at zero (the bench gates on this).
     pub fn calm(mut self) -> Self {
@@ -157,8 +147,6 @@ impl MemoryPressureConfig {
 pub struct MemoryPressureOutcome {
     /// Discrete events the run processed (the bench's throughput unit).
     pub events_processed: u64,
-    /// Time to drain the whole workload.
-    pub makespan_secs: f64,
     /// Bytes written to swap across the cluster.
     pub swap_out_bytes: u64,
     /// Bytes read back from swap across the cluster.
@@ -180,7 +168,7 @@ pub struct MemoryPressureOutcome {
 impl MemoryPressureOutcome {
     /// Swap-in bytes per suspend cycle — the resume cost the paper's
     /// Figure 4 measures, here averaged over the whole run.
-    pub fn swap_in_per_cycle(&self) -> f64 {
+    pub(crate) fn swap_in_per_cycle(&self) -> f64 {
         if self.suspend_cycles == 0 {
             0.0
         } else {
@@ -265,7 +253,6 @@ pub fn run_memory_pressure(config: &MemoryPressureConfig) -> MemoryPressureOutco
     );
     MemoryPressureOutcome {
         events_processed,
-        makespan_secs: report.makespan_secs().unwrap_or(0.0),
         swap_out_bytes: report.nodes.iter().map(|n| n.swap_out_bytes).sum(),
         swap_in_bytes: report.nodes.iter().map(|n| n.swap_in_bytes).sum(),
         thrash_events: report.nodes.iter().map(|n| n.thrash_events).sum(),
@@ -307,14 +294,8 @@ pub fn resume_ablation(
 /// dirty-state size per batch task.
 #[derive(Clone, Debug)]
 pub struct ResumeCostPoint {
-    /// Dirty state per batch task.
-    pub state_memory: u64,
     /// Swap-in bytes per suspend cycle at this state size.
     pub swap_in_per_cycle: f64,
-    /// Makespan at this state size.
-    pub makespan_secs: f64,
-    /// Suspend cycles observed.
-    pub suspend_cycles: u64,
 }
 
 /// Sweeps `state_memory` and reports the per-cycle resume cost at each
@@ -332,10 +313,7 @@ pub fn resume_cost_curve(
                 ..config.clone()
             });
             ResumeCostPoint {
-                state_memory,
                 swap_in_per_cycle: outcome.swap_in_per_cycle(),
-                makespan_secs: outcome.makespan_secs,
-                suspend_cycles: outcome.suspend_cycles,
             }
         })
         .collect()
@@ -345,13 +323,25 @@ pub fn resume_cost_curve(
 mod tests {
     use super::*;
 
+    impl MemoryPressureConfig {
+        /// Overcommits so hard that a single task's resident set exceeds usable
+        /// RAM: reclaim runs out of other victims and must evict the allocating
+        /// task's own pages (`thrash_events` counts those self-evictions).
+        fn thrashing(mut self) -> Self {
+            self.state_memory = self.total_ram;
+            self.batch_tasks = self.batch_tasks.min(8);
+            self.small_jobs = 0;
+            self
+        }
+    }
+
     #[test]
     fn memory_pressure_scenario_is_deterministic() {
         let config = MemoryPressureConfig::small(SwapConfig::enabled());
         let a = run_memory_pressure(&config);
         let b = run_memory_pressure(&config);
         assert_eq!(a.events_processed, b.events_processed);
-        assert_eq!(a.makespan_secs, b.makespan_secs);
+        assert_eq!(a.report.makespan_secs(), b.report.makespan_secs());
         assert_eq!(a.swap_out_bytes, b.swap_out_bytes);
         assert_eq!(a.swap_in_bytes, b.swap_in_bytes);
         assert_eq!(a.suspend_cycles, b.suspend_cycles);

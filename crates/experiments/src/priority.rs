@@ -14,18 +14,18 @@ use mrp_preempt::{EvictionCandidate, EvictionPolicy, PreemptionPrimitive};
 use mrp_sim::SimRng;
 
 /// Priority scheduler with preemption of lower-priority tasks.
-pub struct PriorityPreemptingScheduler {
+pub(crate) struct PriorityPreemptingScheduler {
     /// Primitive used to evict lower-priority tasks.
-    pub primitive: PreemptionPrimitive,
+    pub(crate) primitive: PreemptionPrimitive,
     /// Victim selection policy.
-    pub eviction: EvictionPolicy,
+    pub(crate) eviction: EvictionPolicy,
     launcher: FifoScheduler,
     rng: SimRng,
 }
 
 impl PriorityPreemptingScheduler {
     /// Creates the scheduler.
-    pub fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
+    pub(crate) fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
         PriorityPreemptingScheduler {
             primitive,
             eviction,

@@ -20,20 +20,19 @@ use mrp_workload::{SwimConfig, SwimGenerator};
 use serde::{Deserialize, Serialize};
 
 use crate::catalogue::hfsp;
-use crate::faults::sojourn_quantile;
 
 /// One scripted dark window: the rack goes down `at` and rejoins `until`.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct OutageWindow {
+pub(crate) struct OutageWindow {
     /// When the outage strikes.
-    pub at: SimTime,
+    pub(crate) at: SimTime,
     /// When the rack rejoins.
-    pub until: SimTime,
+    pub(crate) until: SimTime,
 }
 
 impl OutageWindow {
     /// Convenience constructor from whole seconds.
-    pub fn from_secs(at: u64, until: u64) -> Self {
+    pub(crate) fn from_secs(at: u64, until: u64) -> Self {
         OutageWindow {
             at: SimTime::from_secs(at),
             until: SimTime::from_secs(until),
@@ -45,62 +44,32 @@ impl OutageWindow {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RackOutageConfig {
     /// Number of racks.
-    pub racks: u32,
+    pub(crate) racks: u32,
     /// Nodes per rack.
-    pub nodes_per_rack: u32,
+    pub(crate) nodes_per_rack: u32,
     /// Map slots per node.
-    pub map_slots: u32,
+    pub(crate) map_slots: u32,
     /// Reduce slots per node.
-    pub reduce_slots: u32,
+    pub(crate) reduce_slots: u32,
     /// The SWIM workload; give it a positive
     /// [`SwimConfig::reduce_ratio`] so the outage has shuffles to break.
-    pub swim: SwimConfig,
+    pub(crate) swim: SwimConfig,
     /// Which rack the scripted outages take down.
-    pub outage_rack: u32,
+    pub(crate) outage_rack: u32,
     /// Dark windows for `outage_rack`. A *repeat offender* (two or more
     /// windows) is what the reliability predictor is for: between windows
     /// the rack is up but still flaky, and keeping fresh work off it is the
     /// difference between losing one round of map outputs and two.
-    pub outages: Vec<OutageWindow>,
+    pub(crate) outages: Vec<OutageWindow>,
     /// Additional background churn (node kills with recovery), if any.
-    pub churn: Option<RandomFaults>,
+    pub(crate) churn: Option<RandomFaults>,
     /// Whether the ATLAS-style reliability predictor biases placement.
-    pub predictor: bool,
+    pub(crate) predictor: bool,
     /// Workload and cluster seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl RackOutageConfig {
-    /// A compact default: 4 racks under moderate reduce-heavy load, rack 1
-    /// lost for two minutes mid-trace, light background churn.
-    pub fn compact() -> Self {
-        RackOutageConfig {
-            racks: 4,
-            nodes_per_rack: 6,
-            map_slots: 2,
-            reduce_slots: 1,
-            swim: SwimConfig {
-                jobs: 48,
-                mean_interarrival_secs: 4.0,
-                reduce_ratio: 0.34,
-                slow_fraction: 0.1,
-                slow_parse_rate_bytes_per_sec: 1.6 * MIB as f64,
-                slow_max_tasks: 8,
-                ..SwimConfig::default()
-            },
-            outage_rack: 1,
-            outages: vec![OutageWindow::from_secs(120, 240)],
-            churn: Some(RandomFaults {
-                rack_mtbf_secs: 240.0,
-                mean_recovery_secs: Some(60.0),
-                horizon: SimTime::from_secs(900),
-                seed: 0xACED,
-            }),
-            predictor: true,
-            seed: 0x0514,
-        }
-    }
-
     /// The repeat-offender shape: 72 nodes in 6 racks under a reduce-heavy
     /// trace at moderate load, rack 1 dark twice with a rejoin in between,
     /// plus light background churn. Between the windows the rack is up but
@@ -152,9 +121,19 @@ pub struct RackOutageOutcome {
     /// Committed map outputs destroyed by node loss (each re-executed).
     pub lost_map_outputs: u64,
     /// Map outputs drained to a live node by graceful decommissions.
-    pub map_outputs_migrated: u64,
+    pub(crate) map_outputs_migrated: u64,
     /// Reduce shuffle re-fetch rounds (backoff waits on missing outputs).
     pub shuffle_refetches: u64,
+}
+
+/// The `q`-quantile (0..=1) of completed-job sojourn times, in seconds.
+pub fn sojourn_quantile(report: &ClusterReport, q: f64) -> f64 {
+    let mut sojourns: Vec<f64> = report.jobs.iter().filter_map(|j| j.sojourn_secs).collect();
+    if sojourns.is_empty() {
+        return 0.0;
+    }
+    sojourns.sort_by(|a, b| a.partial_cmp(b).expect("sojourns are finite"));
+    sojourns[((sojourns.len() - 1) as f64 * q).round() as usize]
 }
 
 /// Runs one rack-outage scenario to completion.
@@ -231,6 +210,38 @@ pub fn predictor_ablation(config: &RackOutageConfig) -> (RackOutageOutcome, Rack
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RackOutageConfig {
+        /// A compact default: 4 racks under moderate reduce-heavy load, rack 1
+        /// lost for two minutes mid-trace, light background churn.
+        fn compact() -> Self {
+            RackOutageConfig {
+                racks: 4,
+                nodes_per_rack: 6,
+                map_slots: 2,
+                reduce_slots: 1,
+                swim: SwimConfig {
+                    jobs: 48,
+                    mean_interarrival_secs: 4.0,
+                    reduce_ratio: 0.34,
+                    slow_fraction: 0.1,
+                    slow_parse_rate_bytes_per_sec: 1.6 * MIB as f64,
+                    slow_max_tasks: 8,
+                    ..SwimConfig::default()
+                },
+                outage_rack: 1,
+                outages: vec![OutageWindow::from_secs(120, 240)],
+                churn: Some(RandomFaults {
+                    rack_mtbf_secs: 240.0,
+                    mean_recovery_secs: Some(60.0),
+                    horizon: SimTime::from_secs(900),
+                    seed: 0xACED,
+                }),
+                predictor: true,
+                seed: 0x0514,
+            }
+        }
+    }
 
     #[test]
     fn compact_rack_outage_loses_and_reexecutes_map_outputs() {

@@ -17,19 +17,19 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioConfig {
     /// Preemption primitive under test.
-    pub primitive: PreemptionPrimitive,
+    pub(crate) primitive: PreemptionPrimitive,
     /// Progress fraction of `tl` at which `th` is launched (the paper's `r`).
-    pub preempt_at: f64,
+    pub(crate) preempt_at: f64,
     /// Dirty state memory allocated by `tl` in its setup phase.
-    pub tl_state_memory: u64,
+    pub(crate) tl_state_memory: u64,
     /// Dirty state memory allocated by `th` in its setup phase.
-    pub th_state_memory: u64,
+    pub(crate) th_state_memory: u64,
     /// Number of repetitions to average over (the paper uses 20).
-    pub repetitions: usize,
+    pub(crate) repetitions: usize,
     /// Base seed; repetition `i` uses `base_seed + i`.
-    pub base_seed: u64,
+    pub(crate) base_seed: u64,
     /// Cluster configuration (defaults to the paper's single node).
-    pub cluster: ClusterConfig,
+    pub(crate) cluster: ClusterConfig,
 }
 
 impl ScenarioConfig {
@@ -56,7 +56,7 @@ impl ScenarioConfig {
     }
 
     /// Sets the repetition count, builder style.
-    pub fn with_repetitions(mut self, repetitions: usize) -> Self {
+    pub(crate) fn with_repetitions(mut self, repetitions: usize) -> Self {
         self.repetitions = repetitions.max(1);
         self
     }
@@ -82,12 +82,12 @@ pub struct SingleRun {
     /// Work wasted by killed attempts, in seconds.
     pub wasted_work_secs: f64,
     /// Map-launch locality outcomes (node-local / rack-local / off-rack).
-    pub locality: mrp_engine::LocalityStats,
+    pub(crate) locality: mrp_engine::LocalityStats,
     /// Committed map outputs destroyed by node loss (0 on the failure-free
     /// paper scenario; the fault harnesses populate it).
-    pub lost_map_outputs: u64,
+    pub(crate) lost_map_outputs: u64,
     /// Reduce shuffle re-fetch rounds spent waiting on missing map outputs.
-    pub shuffle_refetches: u64,
+    pub(crate) shuffle_refetches: u64,
     /// The full engine report, for detailed inspection.
     pub report: ClusterReport,
 }
@@ -96,17 +96,17 @@ pub struct SingleRun {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioOutcome {
     /// The configuration that produced this outcome.
-    pub primitive: PreemptionPrimitive,
+    pub(crate) primitive: PreemptionPrimitive,
     /// The preemption point.
-    pub preempt_at: f64,
+    pub(crate) preempt_at: f64,
     /// Sojourn time of `th` (seconds) across repetitions.
-    pub sojourn_th_secs: Summary,
+    pub(crate) sojourn_th_secs: Summary,
     /// Makespan (seconds) across repetitions.
-    pub makespan_secs: Summary,
+    pub(crate) makespan_secs: Summary,
     /// `tl` paged-out bytes across repetitions.
-    pub tl_paged_out_bytes: Summary,
+    pub(crate) tl_paged_out_bytes: Summary,
     /// Wasted work (seconds) across repetitions.
-    pub wasted_work_secs: Summary,
+    pub(crate) wasted_work_secs: Summary,
 }
 
 /// Runs the scenario once with the given seed.

@@ -21,37 +21,37 @@ use mrp_sim::{SimDuration, SimTime, MIB};
 #[derive(Clone, Debug)]
 pub struct TenantScenarioConfig {
     /// Racks in the cluster.
-    pub racks: u32,
+    pub(crate) racks: u32,
     /// Nodes per rack.
-    pub nodes_per_rack: u32,
+    pub(crate) nodes_per_rack: u32,
     /// Map slots per node.
-    pub map_slots: u32,
+    pub(crate) map_slots: u32,
     /// Per-tenant weights; one stream of jobs per tenant. Tenant 0 also
     /// submits the saturating burst at `t = 0`.
-    pub weights: Vec<f64>,
+    pub(crate) weights: Vec<f64>,
     /// How reclaim evicts (the scenario's headline knob).
-    pub primitive: PreemptionPrimitive,
+    pub(crate) primitive: PreemptionPrimitive,
     /// Simulation seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Warm-up horizon excluded from the ledger's steady-state statistics
     /// (set past the first reclaim adjustment).
-    pub steady_after: SimTime,
+    pub(crate) steady_after: SimTime,
     /// Jobs in the tenant-0 saturating burst.
-    pub burst_jobs: u32,
+    pub(crate) burst_jobs: u32,
     /// Map tasks per burst job (long tasks: 768 MiB ≈ 115 s each).
-    pub burst_tasks: u32,
+    pub(crate) burst_tasks: u32,
     /// Per-tenant stream: one job every `stream_every` from the tenant's
     /// start time until `horizon`.
-    pub stream_every: SimDuration,
+    pub(crate) stream_every: SimDuration,
     /// Map tasks per stream job.
-    pub stream_tasks: u32,
+    pub(crate) stream_tasks: u32,
     /// Input bytes per stream-job task (sets task duration).
-    pub stream_bytes: u64,
+    pub(crate) stream_bytes: u64,
     /// One 2-task best-effort job every `best_effort_every` from 30 s
     /// until `horizon`.
-    pub best_effort_every: SimDuration,
+    pub(crate) best_effort_every: SimDuration,
     /// When arrivals stop (the cluster then drains).
-    pub horizon: SimTime,
+    pub(crate) horizon: SimTime,
 }
 
 impl TenantScenarioConfig {
@@ -103,7 +103,7 @@ impl TenantScenarioConfig {
     }
 
     /// Total map slots across the cluster.
-    pub fn total_map_slots(&self) -> u32 {
+    pub(crate) fn total_map_slots(&self) -> u32 {
         self.racks * self.nodes_per_rack * self.map_slots
     }
 

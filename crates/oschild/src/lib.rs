@@ -15,7 +15,7 @@
 //! Everything here is Unix-only; on other platforms the API returns
 //! [`OsChildError::Unsupported`].
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -113,20 +113,8 @@ impl WorkerProcess {
         Self::spawn_command(Command::new("sh").args(["-c", "i=0; while true; do i=$((i+1)); done"]))
     }
 
-    /// Spawns a worker that allocates roughly `mib` MiB of dirty memory and
-    /// then idles, for memory-retention experiments.
-    pub fn spawn_memory_hog(mib: usize) -> Result<Self, OsChildError> {
-        // `head -c` from /dev/zero into a shell variable keeps the allocation
-        // alive in the shell's memory; fall back to a sleep loop afterwards.
-        let script = format!(
-            "data=$(head -c {} /dev/zero | tr '\\0' 'x'); while true; do sleep 1; done",
-            mib * 1024 * 1024
-        );
-        Self::spawn_command(Command::new("sh").args(["-c", &script]))
-    }
-
     /// Spawns an arbitrary command as the worker.
-    pub fn spawn_command(command: &mut Command) -> Result<Self, OsChildError> {
+    pub(crate) fn spawn_command(command: &mut Command) -> Result<Self, OsChildError> {
         if !cfg!(unix) {
             return Err(OsChildError::Unsupported);
         }
@@ -188,7 +176,7 @@ impl WorkerProcess {
     }
 
     /// Resident set size in bytes, from `/proc/<pid>/statm`.
-    pub fn rss_bytes(&self) -> Result<u64, OsChildError> {
+    pub(crate) fn rss_bytes(&self) -> Result<u64, OsChildError> {
         let path = format!("/proc/{}/statm", self.child.id());
         let statm = std::fs::read_to_string(&path).map_err(OsChildError::ProcRead)?;
         let pages: u64 = statm
@@ -228,14 +216,14 @@ impl WorkerProcess {
 
     /// Suspends the worker with `SIGTSTP` and waits for the `T` state.
     /// Returns the observed suspension latency.
-    pub fn suspend(&self) -> Result<Duration, OsChildError> {
+    pub(crate) fn suspend(&self) -> Result<Duration, OsChildError> {
         self.send_signal(SIGTSTP)?;
         self.wait_for(|s| s == WorkerState::Stopped, 'T')
     }
 
     /// Resumes the worker with `SIGCONT` and waits for it to leave the `T`
     /// state. Returns the observed resume latency.
-    pub fn resume(&self) -> Result<Duration, OsChildError> {
+    pub(crate) fn resume(&self) -> Result<Duration, OsChildError> {
         self.send_signal(SIGCONT)?;
         self.wait_for(|s| s != WorkerState::Stopped, 'R')
     }
@@ -345,7 +333,12 @@ mod tests {
         if skip() {
             return;
         }
-        let w = match WorkerProcess::spawn_memory_hog(32) {
+        // A shell that holds ~32 MiB of dirty memory in a variable, then idles.
+        let script = format!(
+            "data=$(head -c {} /dev/zero | tr '\\0' 'x'); while true; do sleep 1; done",
+            32 * 1024 * 1024
+        );
+        let w = match WorkerProcess::spawn_command(Command::new("sh").args(["-c", &script])) {
             Ok(w) => w,
             Err(_) => return, // the helper tools may be missing in minimal containers
         };

@@ -32,8 +32,8 @@
 //! * `cancel()` of an id whose event already fired (or whose slot was
 //!   recycled) is a guaranteed no-op — the generation no longer matches, so
 //!   nothing leaks and nothing is mis-cancelled;
-//! * [`EventQueue::len`] is an exact counter maintained on schedule / cancel /
-//!   pop, never an approximation derived from tombstone bookkeeping;
+//! * a cancelled event's payload is dropped at once, so the queue holds no
+//!   tombstone bookkeeping;
 //! * memory for cancelled events is reclaimed at once (payload) or as the
 //!   heap drains (key), and slots are reused, so long-running simulations
 //!   with heavy cancellation churn (suspend/resume preemption cancels a timer
@@ -123,7 +123,6 @@ pub struct EventQueue<E> {
     slots: Vec<Slot<E>>,
     free_slots: Vec<u32>,
     next_seq: u64,
-    pending: usize,
     now: SimTime,
 }
 
@@ -141,7 +140,6 @@ impl<E> EventQueue<E> {
             slots: Vec::new(),
             free_slots: Vec::new(),
             next_seq: 0,
-            pending: 0,
             now: SimTime::ZERO,
         }
     }
@@ -208,7 +206,6 @@ impl<E> EventQueue<E> {
         };
         self.next_seq += 1;
         self.heap.push(Reverse(Key::new(at, seq, slot)));
-        self.pending += 1;
         EventId::new(slot, self.slots[slot as usize].generation)
     }
 
@@ -217,8 +214,8 @@ impl<E> EventQueue<E> {
     /// the id no longer matches the slot, so the handle is simply stale.
     pub fn cancel(&mut self, id: EventId) {
         if let Some(slot) = self.slots.get_mut(id.slot() as usize) {
-            if slot.generation == id.generation() && slot.payload.take().is_some() {
-                self.pending -= 1;
+            if slot.generation == id.generation() {
+                slot.payload = None;
             }
         }
     }
@@ -238,7 +235,6 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(Reverse(key)) = self.heap.pop() {
             if let Some(payload) = self.retire_slot(key.slot()) {
-                self.pending -= 1;
                 self.now = key.at;
                 return Some((key.at, payload));
             }
@@ -259,23 +255,20 @@ impl<E> EventQueue<E> {
         }
         None
     }
-
-    /// Number of pending (non-cancelled) events. Exact: maintained as a
-    /// counter across schedule, cancel and pop, with no tombstone drift.
-    pub fn len(&self) -> usize {
-        self.pending
-    }
-
-    /// True if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.pending == 0
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::time::SimDuration;
+
+    impl<E> EventQueue<E> {
+        /// Number of pending (non-cancelled) events: the slots holding a
+        /// payload.
+        pub(crate) fn len(&self) -> usize {
+            self.slots.iter().filter(|s| s.payload.is_some()).count()
+        }
+    }
 
     #[test]
     fn pops_in_time_order() {
@@ -326,7 +319,7 @@ mod tests {
         let a = q.schedule(SimTime::from_secs(1), "a");
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "a")));
         q.cancel(a);
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]
@@ -357,7 +350,7 @@ mod tests {
         assert_eq!(q.len(), 1, "the stale cancel must not kill the new event");
         assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
         q.cancel(b); // now b itself is stale too: no-op
-        assert!(q.is_empty());
+        assert_eq!(q.len(), 0);
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! [`SimDuration`]), a deterministic cancellable event queue
 //! ([`EventQueue`]), a sorted-vector map for small per-node tables
 //! ([`VecMap`]), a seeded random number generator ([`SimRng`]), the
-//! statistics helpers ([`Summary`], [`OnlineStats`]) used by the experiment
+//! statistics helpers ([`Summary`], [`percentile`]) used by the experiment
 //! harness to reproduce the paper's figures, and the observability
-//! primitives ([`MetricsRegistry`], [`TimeSeriesSampler`], [`LoopProfiler`])
+//! primitives ([`LogHistogram`], [`TimeSeriesSampler`], [`LoopProfiler`])
 //! that the engine threads through its event loop.
 //!
 //! Determinism is a design goal throughout: same seed, same configuration ⇒
@@ -24,7 +24,7 @@
 //! assert_eq!(queue.now(), SimTime::from_secs(1));
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod events;
 mod metrics;
@@ -35,12 +35,10 @@ mod time;
 mod vecmap;
 
 pub use events::{EventId, EventQueue};
-pub use metrics::{
-    CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry, SeriesRow, TimeSeriesSampler,
-};
+pub use metrics::{LogHistogram, SeriesRow, TimeSeriesSampler};
 pub use profile::{LoopProfiler, ProfileReport, ProfileRow, ACTION_SAMPLE_EVERY};
 pub use rng::SimRng;
-pub use stats::{percentile, OnlineStats, Summary};
+pub use stats::{percentile, Summary};
 pub use time::{SimDuration, SimTime};
 pub use vecmap::VecMap;
 
@@ -242,7 +240,7 @@ mod randomized_tests {
             assert!(fast.keys().eq(reference.keys()));
             assert!(fast.values().eq(reference.values()));
             fast.clear();
-            assert!(fast.is_empty());
+            assert_eq!(fast.len(), 0);
         }
     }
 

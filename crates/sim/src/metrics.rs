@@ -1,25 +1,19 @@
-//! Metrics primitives for the observability layer: a registry of named
-//! counters, gauges and log-bucketed histograms with cheap handle-based
-//! recording, plus a virtual-time [`TimeSeriesSampler`].
+//! Metrics primitives for the observability layer: a log-bucketed
+//! [`LogHistogram`] and a virtual-time [`TimeSeriesSampler`].
 //!
-//! Hot paths register a metric once (a linear name lookup, amortised to
-//! nothing) and then record through a copyable integer handle — no string
-//! hashing per event. Everything here is plain in-memory state: the
-//! simulation engine owns a registry per cluster and higher layers decide
-//! when to snapshot or export it, so recording never perturbs simulation
-//! state and a run with metrics enabled stays bit-identical to one without.
+//! Everything here is plain in-memory state: the engine owns one histogram
+//! per span family and one sampler per observed cluster, and higher layers
+//! decide when to snapshot or export them, so recording never perturbs
+//! simulation state and a run with metrics enabled stays bit-identical to
+//! one without.
 //!
 //! ```
-//! use mrp_sim::{MetricsRegistry, SimDuration, SimTime, TimeSeriesSampler};
+//! use mrp_sim::{LogHistogram, SimDuration, SimTime, TimeSeriesSampler};
 //!
-//! let mut reg = MetricsRegistry::new();
-//! let launches = reg.counter("tasks_launched");
-//! reg.inc(launches, 3);
-//! assert_eq!(reg.counter_value("tasks_launched"), Some(3));
-//!
-//! let lat = reg.histogram("suspend_latency_us");
-//! reg.observe(lat, 1_500);
-//! assert_eq!(reg.histogram_stats("suspend_latency_us").unwrap().count, 1);
+//! let mut latency = LogHistogram::default();
+//! latency.record(1_500);
+//! assert_eq!(latency.count, 1);
+//! assert_eq!(latency.percentile_bound(50.0), Some(2_047));
 //!
 //! let mut sampler = TimeSeriesSampler::new(
 //!     SimDuration::from_secs(10),
@@ -32,18 +26,6 @@
 //! ```
 
 use crate::{SimDuration, SimTime};
-
-/// Handle to a counter registered in a [`MetricsRegistry`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CounterId(u32);
-
-/// Handle to a gauge registered in a [`MetricsRegistry`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct GaugeId(u32);
-
-/// Handle to a histogram registered in a [`MetricsRegistry`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct HistogramId(u32);
 
 /// A histogram over `u64` samples with power-of-two ("log2") buckets.
 ///
@@ -61,14 +43,13 @@ pub struct LogHistogram {
     /// Saturating sum of all recorded samples.
     pub sum: u64,
     /// Smallest recorded sample (`u64::MAX` when empty).
-    pub min: u64,
+    pub(crate) min: u64,
     /// Largest recorded sample (0 when empty).
-    pub max: u64,
+    pub(crate) max: u64,
 }
 
-impl LogHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
+impl Default for LogHistogram {
+    fn default() -> Self {
         LogHistogram {
             buckets: [0; 65],
             count: 0,
@@ -77,7 +58,9 @@ impl LogHistogram {
             max: 0,
         }
     }
+}
 
+impl LogHistogram {
     fn bucket_of(value: u64) -> usize {
         (64 - value.leading_zeros()) as usize
     }
@@ -89,15 +72,6 @@ impl LogHistogram {
         self.sum = self.sum.saturating_add(value);
         self.min = self.min.min(value);
         self.max = self.max.max(value);
-    }
-
-    /// Mean of the recorded samples, or 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Upper bound of the bucket containing the `p`-th percentile
@@ -123,132 +97,6 @@ impl LogHistogram {
             }
         }
         Some(self.max)
-    }
-
-    /// Non-empty buckets as `(lower_bound, upper_bound, count)` triples.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        let mut out = Vec::new();
-        for (i, &n) in self.buckets.iter().enumerate() {
-            if n == 0 {
-                continue;
-            }
-            let (lo, hi) = match i {
-                0 => (0, 0),
-                64 => (1u64 << 63, u64::MAX),
-                _ => (1u64 << (i - 1), (1u64 << i) - 1),
-            };
-            out.push((lo, hi, n));
-        }
-        out
-    }
-}
-
-impl Default for LogHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A registry of named counters, gauges and histograms.
-///
-/// Names are looked up only at registration time; recording goes through
-/// the returned copyable handles. Registering the same name twice returns
-/// the same handle.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsRegistry {
-    counters: Vec<(String, u64)>,
-    gauges: Vec<(String, i64)>,
-    histograms: Vec<(String, LogHistogram)>,
-}
-
-impl MetricsRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register (or look up) a counter by name.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
-            return CounterId(i as u32);
-        }
-        self.counters.push((name.to_string(), 0));
-        CounterId((self.counters.len() - 1) as u32)
-    }
-
-    /// Increment a counter by `by`.
-    pub fn inc(&mut self, id: CounterId, by: u64) {
-        self.counters[id.0 as usize].1 += by;
-    }
-
-    /// Register (or look up) a gauge by name.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(i as u32);
-        }
-        self.gauges.push((name.to_string(), 0));
-        GaugeId((self.gauges.len() - 1) as u32)
-    }
-
-    /// Set a gauge to an absolute value.
-    pub fn set_gauge(&mut self, id: GaugeId, value: i64) {
-        self.gauges[id.0 as usize].1 = value;
-    }
-
-    /// Adjust a gauge by a signed delta.
-    pub fn add_gauge(&mut self, id: GaugeId, delta: i64) {
-        self.gauges[id.0 as usize].1 += delta;
-    }
-
-    /// Register (or look up) a histogram by name.
-    pub fn histogram(&mut self, name: &str) -> HistogramId {
-        if let Some(i) = self.histograms.iter().position(|(n, _)| n == name) {
-            return HistogramId(i as u32);
-        }
-        self.histograms
-            .push((name.to_string(), LogHistogram::new()));
-        HistogramId((self.histograms.len() - 1) as u32)
-    }
-
-    /// Record a sample into a histogram.
-    pub fn observe(&mut self, id: HistogramId, value: u64) {
-        self.histograms[id.0 as usize].1.record(value);
-    }
-
-    /// Current value of a counter by name.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-    }
-
-    /// Current value of a gauge by name.
-    pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
-    }
-
-    /// Stats for a histogram by name.
-    pub fn histogram_stats(&self, name: &str) -> Option<&LogHistogram> {
-        self.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h)
-    }
-
-    /// All counters as `(name, value)` pairs, in registration order.
-    pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// All gauges as `(name, value)` pairs, in registration order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, i64)> {
-        self.gauges.iter().map(|(n, v)| (n.as_str(), *v))
-    }
-
-    /// All histograms as `(name, histogram)` pairs, in registration order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
-        self.histograms.iter().map(|(n, h)| (n.as_str(), h))
     }
 }
 
@@ -333,9 +181,28 @@ impl TimeSeriesSampler {
 mod tests {
     use super::*;
 
+    impl LogHistogram {
+        /// Non-empty buckets as `(lower_bound, upper_bound, count)` triples.
+        fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
+            let mut out = Vec::new();
+            for (i, &n) in self.buckets.iter().enumerate() {
+                if n == 0 {
+                    continue;
+                }
+                let (lo, hi) = match i {
+                    0 => (0, 0),
+                    64 => (1u64 << 63, u64::MAX),
+                    _ => (1u64 << (i - 1), (1u64 << i) - 1),
+                };
+                out.push((lo, hi, n));
+            }
+            out
+        }
+    }
+
     #[test]
     fn histogram_buckets_are_powers_of_two() {
-        let mut h = LogHistogram::new();
+        let mut h = LogHistogram::default();
         for v in [0u64, 1, 2, 3, 4, 7, 8, 1023, 1024] {
             h.record(v);
         }
@@ -360,25 +227,6 @@ mod tests {
         assert_eq!(h.percentile_bound(50.0), Some(7));
         assert_eq!(h.percentile_bound(100.0), Some(2047));
         assert_eq!(h.percentile_bound(0.0), Some(0));
-    }
-
-    #[test]
-    fn registry_handles_are_stable_and_deduplicated() {
-        let mut reg = MetricsRegistry::new();
-        let a = reg.counter("a");
-        let b = reg.counter("b");
-        assert_eq!(reg.counter("a"), a);
-        reg.inc(a, 2);
-        reg.inc(b, 5);
-        reg.inc(a, 1);
-        assert_eq!(reg.counter_value("a"), Some(3));
-        assert_eq!(reg.counter_value("b"), Some(5));
-        assert_eq!(reg.counter_value("missing"), None);
-
-        let g = reg.gauge("g");
-        reg.set_gauge(g, 10);
-        reg.add_gauge(g, -3);
-        assert_eq!(reg.gauge_value("g"), Some(7));
     }
 
     #[test]

@@ -225,11 +225,11 @@ pub struct ProfileReport {
     /// overlaps the event rows rather than adding to the loop total).
     pub actions: Vec<ProfileRow>,
     /// Total wall time spent inside `begin_loop`/`end_loop` windows.
-    pub loop_wall_secs: f64,
+    pub(crate) loop_wall_secs: f64,
     /// Wall time attributed to some event kind.
-    pub attributed_secs: f64,
+    pub(crate) attributed_secs: f64,
     /// Loop wall time observed in windows that processed no events.
-    pub idle_secs: f64,
+    pub(crate) idle_secs: f64,
 }
 
 impl ProfileReport {

@@ -38,11 +38,6 @@ impl SimRng {
         SimRng { state, seed }
     }
 
-    /// The seed this generator was created with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derives an independent child generator; `stream` distinguishes
     /// subsystems (e.g. workload generation vs. placement decisions) so adding
     /// randomness in one place does not perturb the others.
@@ -63,12 +58,6 @@ impl SimRng {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-
-    /// The next 32 random bits.
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
     }
 
     /// A uniformly random index in `[0, n)`.
@@ -105,16 +94,6 @@ impl SimRng {
         assert!(mean > 0.0);
         // 1 - unit() lies in (0, 1], so the logarithm is always finite.
         -mean * (1.0 - self.unit()).ln()
-    }
-
-    /// Samples from a (truncated at zero) normal distribution using the
-    /// Box-Muller transform.
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(std_dev >= 0.0);
-        let u1 = 1.0 - self.unit(); // (0, 1]
-        let u2 = self.unit();
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (mean + std_dev * z).max(0.0)
     }
 
     /// Samples from a bounded Pareto distribution (shape `alpha`, bounds
@@ -213,14 +192,6 @@ mod tests {
             (empirical - mean).abs() < 0.25,
             "empirical mean {empirical}"
         );
-    }
-
-    #[test]
-    fn normal_is_truncated_at_zero() {
-        let mut r = SimRng::new(13);
-        for _ in 0..1000 {
-            assert!(r.normal(1.0, 5.0) >= 0.0);
-        }
     }
 
     #[test]

@@ -13,11 +13,11 @@ pub struct Summary {
     /// Arithmetic mean.
     pub mean: f64,
     /// Smallest observation.
-    pub min: f64,
+    pub(crate) min: f64,
     /// Largest observation.
-    pub max: f64,
+    pub(crate) max: f64,
     /// Sample standard deviation (zero when fewer than two observations).
-    pub std_dev: f64,
+    pub(crate) std_dev: f64,
 }
 
 impl Summary {
@@ -56,73 +56,6 @@ impl Summary {
         } else {
             ((self.max - self.min) / 2.0) / self.mean.abs()
         }
-    }
-}
-
-/// Streaming mean/min/max accumulator (Welford's algorithm) for metrics that
-/// are produced one observation at a time.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: usize,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of observations so far.
-    pub fn count(&self) -> usize {
-        self.count
-    }
-
-    /// Mean of the observations so far (zero when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Converts the accumulator into a [`Summary`], or `None` if empty.
-    pub fn summary(&self) -> Option<Summary> {
-        if self.count == 0 {
-            return None;
-        }
-        let std_dev = if self.count > 1 {
-            (self.m2 / (self.count - 1) as f64).sqrt()
-        } else {
-            0.0
-        };
-        Some(Summary {
-            count: self.count,
-            mean: self.mean,
-            min: self.min,
-            max: self.max,
-            std_dev,
-        })
     }
 }
 
@@ -176,30 +109,6 @@ mod tests {
     fn relative_spread_matches_paper_check() {
         let s = Summary::of(&[95.0, 100.0, 105.0]).unwrap();
         assert!((s.relative_spread() - 0.05).abs() < 1e-9);
-    }
-
-    #[test]
-    fn online_matches_batch() {
-        let data = [1.0, 2.0, 3.5, 8.0, 13.0, 21.5];
-        let mut o = OnlineStats::new();
-        for v in data {
-            o.push(v);
-        }
-        let batch = Summary::of(&data).unwrap();
-        let online = o.summary().unwrap();
-        assert_eq!(online.count, batch.count);
-        assert!((online.mean - batch.mean).abs() < 1e-9);
-        assert!((online.std_dev - batch.std_dev).abs() < 1e-9);
-        assert_eq!(online.min, batch.min);
-        assert_eq!(online.max, batch.max);
-    }
-
-    #[test]
-    fn online_empty() {
-        let o = OnlineStats::new();
-        assert_eq!(o.count(), 0);
-        assert_eq!(o.mean(), 0.0);
-        assert!(o.summary().is_none());
     }
 
     #[test]

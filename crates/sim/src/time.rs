@@ -56,7 +56,7 @@ impl SimTime {
 
     /// The duration elapsed since `earlier`, saturating at zero if `earlier`
     /// is in the future.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
+    pub(crate) fn duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
 

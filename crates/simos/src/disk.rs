@@ -40,7 +40,7 @@ pub struct DiskConfig {
     /// Fraction of the spindle's bandwidth that queued background traffic
     /// (DFS re-replication after a node failure) steals from swap I/O while
     /// a backlog is pending, in `[0, 1)`. `0.0` (the default) disables the
-    /// contention model entirely: [`Disk::queue_background`] becomes a no-op
+    /// contention model entirely: queued background bytes are dropped
     /// and swap timings are byte-identical to the legacy model.
     #[serde(default)]
     pub background_share: f64,
@@ -59,7 +59,7 @@ pub struct DiskStats {
     pub swap_bytes_in: u64,
     /// Background (re-replication) bytes ever queued against this spindle.
     #[serde(default)]
-    pub background_bytes: u64,
+    pub(crate) background_bytes: u64,
 }
 
 fn transfer_time(bytes: u64, bytes_per_sec: f64) -> SimDuration {
@@ -82,7 +82,7 @@ pub struct Disk {
 
 impl Disk {
     /// Creates a disk with the given configuration.
-    pub fn new(config: DiskConfig) -> Self {
+    pub(crate) fn new(config: DiskConfig) -> Self {
         assert!(config.background_share >= 0.0 && config.background_share < 1.0);
         Disk {
             config,
@@ -91,24 +91,19 @@ impl Disk {
         }
     }
 
-    /// The disk's configuration.
-    pub fn config(&self) -> &DiskConfig {
-        &self.config
-    }
-
     /// Cumulative I/O statistics.
-    pub fn stats(&self) -> &DiskStats {
+    pub(crate) fn stats(&self) -> &DiskStats {
         &self.stats
     }
 
     /// Time to sequentially read `bytes` (e.g. an HDFS block), and records it.
-    pub fn read(&mut self, bytes: u64) -> SimDuration {
+    pub(crate) fn read(&mut self, bytes: u64) -> SimDuration {
         self.stats.bytes_read += bytes;
         transfer_time(bytes, SEQ_READ_BYTES_PER_SEC)
     }
 
     /// Time to sequentially write `bytes` (e.g. task output), and records it.
-    pub fn write(&mut self, bytes: u64) -> SimDuration {
+    pub(crate) fn write(&mut self, bytes: u64) -> SimDuration {
         self.stats.bytes_written += bytes;
         transfer_time(bytes, SEQ_WRITE_BYTES_PER_SEC)
     }
@@ -128,14 +123,14 @@ impl Disk {
     }
 
     /// Time to page out `bytes` of dirty anonymous memory to swap.
-    pub fn swap_out(&mut self, bytes: u64) -> SimDuration {
+    pub(crate) fn swap_out(&mut self, bytes: u64) -> SimDuration {
         self.stats.swap_bytes_out += bytes;
         let bw = SEQ_WRITE_BYTES_PER_SEC * SWAP_OUT_EFFICIENCY;
         self.contended(bytes, bw)
     }
 
     /// Time to page `bytes` back in from swap.
-    pub fn swap_in(&mut self, bytes: u64) -> SimDuration {
+    pub(crate) fn swap_in(&mut self, bytes: u64) -> SimDuration {
         self.stats.swap_bytes_in += bytes;
         let bw = SEQ_READ_BYTES_PER_SEC * SWAP_IN_EFFICIENCY;
         self.contended(bytes, bw)
@@ -144,7 +139,7 @@ impl Disk {
     /// Queues `bytes` of background traffic (DFS re-replication) against the
     /// spindle. No-op while [`DiskConfig::background_share`] is zero, so the
     /// default configuration never perturbs swap timings.
-    pub fn queue_background(&mut self, bytes: u64) {
+    pub(crate) fn queue_background(&mut self, bytes: u64) {
         if self.config.background_share > 0.0 {
             self.background_pending += bytes;
             self.stats.background_bytes += bytes;
@@ -154,18 +149,6 @@ impl Disk {
     /// Background bytes still pending on the spindle.
     pub fn background_pending(&self) -> u64 {
         self.background_pending
-    }
-
-    /// Estimates (without recording) how long paging out `bytes` would take.
-    pub fn estimate_swap_out(&self, bytes: u64) -> SimDuration {
-        let bw = SEQ_WRITE_BYTES_PER_SEC * SWAP_OUT_EFFICIENCY;
-        transfer_time(bytes, bw)
-    }
-
-    /// Estimates (without recording) how long paging in `bytes` would take.
-    pub fn estimate_swap_in(&self, bytes: u64) -> SimDuration {
-        let bw = SEQ_READ_BYTES_PER_SEC * SWAP_IN_EFFICIENCY;
-        transfer_time(bytes, bw)
     }
 }
 
@@ -223,18 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn estimates_match_actuals_without_recording() {
-        let mut d = Disk::default();
-        let est = d.estimate_swap_out(512 * MIB);
-        let act = d.swap_out(512 * MIB);
-        assert_eq!(est, act);
-        assert_eq!(d.stats().swap_bytes_out, 512 * MIB);
-        let est_in = d.estimate_swap_in(256 * MIB);
-        let act_in = d.swap_in(256 * MIB);
-        assert_eq!(est_in, act_in);
-    }
-
-    #[test]
     fn gigabyte_swap_takes_seconds_not_minutes() {
         let mut d = Disk::default();
         let t = d.swap_out(GIB).as_secs_f64();
@@ -270,7 +241,6 @@ mod tests {
         d.queue_background(GIB);
         assert_eq!(d.background_pending(), 0);
         assert_eq!(d.stats().background_bytes, 0);
-        let calm = d.estimate_swap_out(GIB);
-        assert_eq!(d.swap_out(GIB), calm);
+        assert_eq!(d.swap_out(GIB), Disk::default().swap_out(GIB));
     }
 }

@@ -42,9 +42,9 @@ pub struct MemOutcome {
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SignalOutcome {
     /// What the signal did to the target.
-    pub effect: SignalEffect,
+    pub(crate) effect: SignalEffect,
     /// Bytes of RAM and swap released, if the signal terminated the process.
-    pub released_bytes: u64,
+    pub(crate) released_bytes: u64,
 }
 
 /// The first pid a kernel hands out; pids then count up by one and are
@@ -110,7 +110,7 @@ impl Kernel {
     }
 
     /// Looks up a process table entry.
-    pub fn process(&self, pid: Pid) -> Option<&Process> {
+    pub(crate) fn process(&self, pid: Pid) -> Option<&Process> {
         let index = pid.0.checked_sub(FIRST_PID)?;
         self.processes.get(index as usize)
     }
@@ -121,7 +121,7 @@ impl Kernel {
     }
 
     /// The run state of a process, or an error if it never existed.
-    pub fn state(&self, pid: Pid) -> Result<ProcessState, OsError> {
+    pub(crate) fn state(&self, pid: Pid) -> Result<ProcessState, OsError> {
         self.process(pid)
             .map(|p| p.state)
             .ok_or(OsError::NoSuchProcess)
@@ -235,11 +235,6 @@ impl Kernel {
             self.memory.check_invariants()
         );
         Ok(MemOutcome { charge, stall })
-    }
-
-    /// Releases part of a process's memory (e.g. disposing of a buffer).
-    pub fn release(&mut self, pid: Pid, bytes: u64) -> Result<(), OsError> {
-        self.memory.release(pid, bytes)
     }
 
     /// Faults back in everything `pid` has in swap — what happens when a

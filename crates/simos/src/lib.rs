@@ -40,13 +40,12 @@
 //! assert!(kernel.swapped_bytes(low) > 0);
 //! ```
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 mod disk;
 mod kernel;
 mod memory;
 mod process;
-mod refmodel;
 mod signal;
 mod swapdev;
 
@@ -54,9 +53,11 @@ pub use disk::{Disk, DiskConfig, DiskStats, SEQ_READ_BYTES_PER_SEC, SEQ_WRITE_BY
 pub use kernel::{Kernel, MemOutcome, NodeOsConfig, SignalOutcome};
 pub use memory::{MemoryCharge, MemoryConfig, MemoryManager, MemoryStats, ProcMemory, OS_RESERVE};
 pub use process::{Pid, Process};
-pub use refmodel::ReferenceMemoryModel;
 pub use signal::{transition, OsError, ProcessState, Signal, SignalEffect};
 pub use swapdev::{SwapConfig, SwapDevice, SwapStats};
+
+#[cfg(test)]
+mod refmodel;
 
 #[cfg(test)]
 mod randomized_tests {

@@ -77,7 +77,7 @@ impl Default for MemoryConfig {
 
 impl MemoryConfig {
     /// RAM usable by task processes and the file cache.
-    pub fn usable_ram(&self) -> u64 {
+    pub(crate) fn usable_ram(&self) -> u64 {
         self.total_ram.saturating_sub(OS_RESERVE)
     }
 }
@@ -87,33 +87,33 @@ impl MemoryConfig {
 pub struct ProcMemory {
     /// Resident anonymous bytes that have been written (must go to swap if
     /// evicted).
-    pub resident_dirty: u64,
+    pub(crate) resident_dirty: u64,
     /// Resident bytes that can be dropped without writing (code, mmapped
     /// read-only data, or anonymous pages already backed by swap).
-    pub resident_clean: u64,
+    pub(crate) resident_clean: u64,
     /// Bytes currently in the swap area.
     pub swapped: u64,
     /// Whether the process is suspended (its pages are preferred eviction
     /// victims).
-    pub suspended: bool,
+    pub(crate) suspended: bool,
     /// Last time the process touched its memory; used for LRU ordering among
     /// same-priority victims.
-    pub last_touch: SimTime,
+    pub(crate) last_touch: SimTime,
     /// Cumulative bytes this process has had paged out (the quantity plotted
     /// on the left axis of Figure 4).
-    pub total_paged_out: u64,
+    pub(crate) total_paged_out: u64,
     /// Cumulative bytes paged back in.
     pub total_paged_in: u64,
 }
 
 impl ProcMemory {
     /// Total resident bytes.
-    pub fn resident(&self) -> u64 {
+    pub(crate) fn resident(&self) -> u64 {
         self.resident_dirty + self.resident_clean
     }
 
     /// Total virtual size (resident + swapped).
-    pub fn virtual_size(&self) -> u64 {
+    pub(crate) fn virtual_size(&self) -> u64 {
         self.resident() + self.swapped
     }
 }
@@ -126,44 +126,29 @@ impl ProcMemory {
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MemoryCharge {
     /// File-cache bytes reclaimed (no I/O charge).
-    pub cache_reclaimed: u64,
+    pub(crate) cache_reclaimed: u64,
     /// Clean pages dropped (no I/O charge).
     pub clean_dropped: u64,
     /// Dirty pages written to the swap area.
     pub dirty_paged_out: u64,
     /// Bytes paged in from swap (on touch/resume).
-    pub paged_in: u64,
+    pub(crate) paged_in: u64,
     /// Bytes the allocating process had to cycle through swap itself because
     /// its own working set exceeds usable RAM (thrashing).
-    pub self_thrash_bytes: u64,
+    pub(crate) self_thrash_bytes: u64,
     /// Per-victim paged-out bytes `(pid, bytes)`, suspended victims first.
-    pub victims: Vec<(Pid, u64)>,
+    pub(crate) victims: Vec<(Pid, u64)>,
 }
 
 impl MemoryCharge {
     /// Total bytes that will be written to the swap device.
-    pub fn swap_write_bytes(&self) -> u64 {
+    pub(crate) fn swap_write_bytes(&self) -> u64 {
         self.dirty_paged_out + self.self_thrash_bytes
     }
 
     /// Total bytes that will be read from the swap device.
-    pub fn swap_read_bytes(&self) -> u64 {
+    pub(crate) fn swap_read_bytes(&self) -> u64 {
         self.paged_in + self.self_thrash_bytes
-    }
-
-    /// Merges another charge into this one.
-    pub fn merge(&mut self, other: MemoryCharge) {
-        self.cache_reclaimed += other.cache_reclaimed;
-        self.clean_dropped += other.clean_dropped;
-        self.dirty_paged_out += other.dirty_paged_out;
-        self.paged_in += other.paged_in;
-        self.self_thrash_bytes += other.self_thrash_bytes;
-        self.victims.extend(other.victims);
-    }
-
-    /// True if the operation required no paging at all.
-    pub fn is_free(&self) -> bool {
-        self.swap_write_bytes() == 0 && self.swap_read_bytes() == 0
     }
 }
 
@@ -171,13 +156,13 @@ impl MemoryCharge {
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct MemoryStats {
     /// Total bytes ever written to swap.
-    pub swap_out_bytes: u64,
+    pub(crate) swap_out_bytes: u64,
     /// Total bytes ever read back from swap.
-    pub swap_in_bytes: u64,
+    pub(crate) swap_in_bytes: u64,
     /// Total file-cache bytes reclaimed under pressure.
-    pub cache_reclaimed_bytes: u64,
+    pub(crate) cache_reclaimed_bytes: u64,
     /// Number of allocation requests that needed reclaim.
-    pub pressure_events: u64,
+    pub(crate) pressure_events: u64,
     /// Number of OOM-killer invocations.
     pub oom_kills: u64,
     /// Number of operations in which a process cycled part of its own working
@@ -233,7 +218,7 @@ pub struct MemoryManager {
 
 impl MemoryManager {
     /// Creates a memory manager for a node with the given configuration.
-    pub fn new(config: MemoryConfig) -> Self {
+    pub(crate) fn new(config: MemoryConfig) -> Self {
         assert!(
             config.total_ram > OS_RESERVE,
             "RAM must exceed the OS reserve"
@@ -276,19 +261,9 @@ impl MemoryManager {
         Ok(out)
     }
 
-    /// The node's memory configuration.
-    pub fn config(&self) -> &MemoryConfig {
-        &self.config
-    }
-
     /// Node-wide statistics.
-    pub fn stats(&self) -> &MemoryStats {
+    pub(crate) fn stats(&self) -> &MemoryStats {
         &self.stats
-    }
-
-    /// Current file-cache size in bytes.
-    pub fn file_cache(&self) -> u64 {
-        self.file_cache
     }
 
     /// Current swap-area occupancy in bytes. With the block-granular device
@@ -303,7 +278,7 @@ impl MemoryManager {
     }
 
     /// Mutable device access; the kernel records swap I/O timings through it.
-    pub fn swap_device_mut(&mut self) -> Option<&mut SwapDevice> {
+    pub(crate) fn swap_device_mut(&mut self) -> Option<&mut SwapDevice> {
         self.swapdev.as_mut()
     }
 
@@ -323,7 +298,7 @@ impl MemoryManager {
     }
 
     /// Registers a new process with an empty address space.
-    pub fn register(&mut self, pid: Pid, now: SimTime) {
+    pub(crate) fn register(&mut self, pid: Pid, now: SimTime) {
         if let Some(old) = self.procs.get(&pid) {
             // Re-registering an existing pid replaces its accounting.
             self.lru.remove(&victim_key(old, pid));
@@ -354,21 +329,21 @@ impl MemoryManager {
     }
 
     /// RAM not used by processes, the file cache, or the OS reserve.
-    pub fn free_ram(&self) -> u64 {
+    pub(crate) fn free_ram(&self) -> u64 {
         self.config
             .usable_ram()
             .saturating_sub(self.total_resident() + self.file_cache)
     }
 
     /// Marks a process as suspended or running for victim-selection purposes.
-    pub fn set_suspended(&mut self, pid: Pid, suspended: bool) -> Result<(), OsError> {
+    pub(crate) fn set_suspended(&mut self, pid: Pid, suspended: bool) -> Result<(), OsError> {
         self.reindex(pid, |p| p.suspended = suspended)
     }
 
     /// Inserts bytes into the file cache (called when HDFS blocks are read);
     /// the cache only grows into otherwise-free RAM, so this never causes
     /// paging.
-    pub fn populate_file_cache(&mut self, bytes: u64) {
+    pub(crate) fn populate_file_cache(&mut self, bytes: u64) {
         let room = self.free_ram();
         self.file_cache += bytes.min(room);
     }
@@ -498,7 +473,7 @@ impl MemoryManager {
     ///
     /// Returns the byte movements the allocation caused; the caller charges
     /// the corresponding stall time to the allocating process.
-    pub fn allocate(
+    pub(crate) fn allocate(
         &mut self,
         pid: Pid,
         bytes: u64,
@@ -541,31 +516,10 @@ impl MemoryManager {
         Ok(charge)
     }
 
-    /// Releases `bytes` of `pid`'s memory (dirty first), e.g. when a task
-    /// disposes of a large buffer.
-    pub fn release(&mut self, pid: Pid, bytes: u64) -> Result<(), OsError> {
-        let pm = self.procs.get_mut(&pid).ok_or(OsError::NoSuchProcess)?;
-        let from_dirty = pm.resident_dirty.min(bytes);
-        pm.resident_dirty -= from_dirty;
-        let mut left = bytes - from_dirty;
-        let from_clean = pm.resident_clean.min(left);
-        pm.resident_clean -= from_clean;
-        left -= from_clean;
-        let from_swap = pm.swapped.min(left);
-        pm.swapped -= from_swap;
-        self.resident_total -= from_dirty + from_clean;
-        if self.swapdev.is_some() {
-            self.sync_backing(pid, false);
-        } else {
-            self.swap_used = self.swap_used.saturating_sub(from_swap);
-        }
-        Ok(())
-    }
-
     /// Removes a terminated process, freeing all its resident and swapped
     /// memory instantly (the kernel tears down the address space without any
     /// disk I/O).
-    pub fn remove(&mut self, pid: Pid) -> Result<(), OsError> {
+    pub(crate) fn remove(&mut self, pid: Pid) -> Result<(), OsError> {
         let pm = self.procs.remove(&pid).ok_or(OsError::NoSuchProcess)?;
         self.lru.remove(&victim_key(&pm, pid));
         self.resident_total -= pm.resident();
@@ -584,14 +538,14 @@ impl MemoryManager {
     /// Returns the charge whose `paged_in` field is the number of bytes read
     /// back from the swap device; bringing them in may in turn evict memory of
     /// other (suspended) processes.
-    pub fn page_in_all(&mut self, pid: Pid, now: SimTime) -> Result<MemoryCharge, OsError> {
+    pub(crate) fn page_in_all(&mut self, pid: Pid, now: SimTime) -> Result<MemoryCharge, OsError> {
         self.page_in_some(pid, u64::MAX, now)
     }
 
     /// Faults in at most `max_bytes` of `pid`'s swapped memory — the lazy
     /// resume path: only the configured prefetch window is read eagerly at
     /// `SIGCONT` time, everything else faults back in on touch.
-    pub fn page_in_partial(
+    pub(crate) fn page_in_partial(
         &mut self,
         pid: Pid,
         max_bytes: u64,
@@ -642,14 +596,14 @@ impl MemoryManager {
     }
 
     /// Marks `pid`'s memory as recently used (it is actively computing).
-    pub fn touch(&mut self, pid: Pid, now: SimTime) -> Result<(), OsError> {
+    pub(crate) fn touch(&mut self, pid: Pid, now: SimTime) -> Result<(), OsError> {
         self.reindex(pid, |pm| pm.last_touch = now)
     }
 
     /// Chooses the process the OOM killer would sacrifice: the one with the
     /// largest virtual size, preferring suspended processes (smallest harm to
     /// the running workload).
-    pub fn oom_victim(&self) -> Option<Pid> {
+    pub(crate) fn oom_victim(&self) -> Option<Pid> {
         self.procs
             .iter()
             .max_by_key(|(pid, pm)| (pm.suspended, pm.virtual_size(), std::cmp::Reverse(pid.0)))
@@ -740,6 +694,13 @@ impl MemoryManager {
 mod tests {
     use super::*;
 
+    impl MemoryManager {
+        /// Current file-cache size in bytes.
+        pub(crate) fn file_cache(&self) -> u64 {
+            self.file_cache
+        }
+    }
+
     fn mgr() -> MemoryManager {
         MemoryManager::new(MemoryConfig::default())
     }
@@ -749,7 +710,10 @@ mod tests {
         let mut m = mgr();
         m.register(Pid(1), SimTime::ZERO);
         let charge = m.allocate(Pid(1), GIB, 1.0, SimTime::ZERO).unwrap();
-        assert!(charge.is_free());
+        assert_eq!(
+            (charge.swap_write_bytes(), charge.swap_read_bytes()),
+            (0, 0)
+        );
         assert_eq!(m.process(Pid(1)).unwrap().resident_dirty, GIB);
         assert_eq!(m.swap_used(), 0);
         m.check_invariants().unwrap();
@@ -883,16 +847,18 @@ mod tests {
         m.register(Pid(1), SimTime::ZERO);
         m.allocate(Pid(1), GIB, 1.0, SimTime::ZERO).unwrap();
         let charge = m.page_in_all(Pid(1), SimTime::from_secs(1)).unwrap();
-        assert!(charge.is_free());
+        assert_eq!(
+            (charge.swap_write_bytes(), charge.swap_read_bytes()),
+            (0, 0)
+        );
     }
 
     #[test]
-    fn release_and_remove_free_memory() {
+    fn remove_frees_memory() {
         let mut m = mgr();
         m.register(Pid(1), SimTime::ZERO);
         m.allocate(Pid(1), GIB, 1.0, SimTime::ZERO).unwrap();
-        m.release(Pid(1), 512 * MIB).unwrap();
-        assert_eq!(m.process(Pid(1)).unwrap().resident(), GIB - 512 * MIB);
+        assert_eq!(m.process(Pid(1)).unwrap().resident(), GIB);
         m.remove(Pid(1)).unwrap();
         assert!(m.process(Pid(1)).is_none());
         assert_eq!(m.total_resident(), 0);
@@ -940,7 +906,6 @@ mod tests {
             m.page_in_all(Pid(9), SimTime::ZERO).unwrap_err(),
             OsError::NoSuchProcess
         );
-        assert_eq!(m.release(Pid(9), 1).unwrap_err(), OsError::NoSuchProcess);
         assert_eq!(m.remove(Pid(9)).unwrap_err(), OsError::NoSuchProcess);
         assert_eq!(
             m.set_suspended(Pid(9), true).unwrap_err(),

@@ -48,7 +48,7 @@ pub struct Process {
 
 impl Process {
     /// Creates a new running process entry.
-    pub fn new(pid: Pid, name: impl Into<String>, now: SimTime) -> Self {
+    pub(crate) fn new(pid: Pid, name: impl Into<String>, now: SimTime) -> Self {
         Process {
             pid,
             name: name.into(),
@@ -60,14 +60,9 @@ impl Process {
         }
     }
 
-    /// True if the process has not terminated.
-    pub fn is_alive(&self) -> bool {
-        self.state.is_alive()
-    }
-
     /// Records a state change at `now`, updating suspend/resume counters when
     /// the transition stops or continues the process.
-    pub fn set_state(&mut self, state: ProcessState, now: SimTime) {
+    pub(crate) fn set_state(&mut self, state: ProcessState, now: SimTime) {
         if self.state.is_alive()
             && state == ProcessState::Stopped
             && self.state != ProcessState::Stopped
@@ -82,12 +77,12 @@ impl Process {
     }
 
     /// Terminal exit triggered by the process itself.
-    pub fn exit(&mut self, code: i32, now: SimTime) {
+    pub(crate) fn exit(&mut self, code: i32, now: SimTime) {
         self.set_state(ProcessState::Exited(code), now);
     }
 
     /// Terminal exit caused by a signal.
-    pub fn killed_by(&mut self, signal: Signal, now: SimTime) {
+    pub(crate) fn killed_by(&mut self, signal: Signal, now: SimTime) {
         self.set_state(ProcessState::Killed(signal), now);
     }
 }
@@ -99,7 +94,7 @@ mod tests {
     #[test]
     fn new_process_is_running() {
         let p = Process::new(Pid(1), "attempt_0001_m_000000_0", SimTime::from_secs(5));
-        assert!(p.is_alive());
+        assert!(p.state.is_alive());
         assert_eq!(p.state, ProcessState::Running);
         assert_eq!(p.spawned_at, SimTime::from_secs(5));
         assert_eq!(p.suspend_count, 0);
@@ -128,7 +123,7 @@ mod tests {
     fn termination() {
         let mut p = Process::new(Pid(2), "t", SimTime::ZERO);
         p.exit(0, SimTime::from_secs(1));
-        assert!(!p.is_alive());
+        assert!(!p.state.is_alive());
         assert_eq!(p.state, ProcessState::Exited(0));
         let mut q = Process::new(Pid(3), "t", SimTime::ZERO);
         q.killed_by(Signal::Sigkill, SimTime::from_secs(1));

@@ -15,7 +15,7 @@
 //!
 //! The randomized differential test in this module drives both models
 //! through thousands of seeded allocate / touch / suspend / resume /
-//! release / page-in / OOM steps and asserts identical charges, errors,
+//! remove / page-in / OOM steps and asserts identical charges, errors,
 //! victim order, per-process accounting, per-process active and cached
 //! block counts and statistics after every step — the same methodology as
 //! the reference event queue.
@@ -35,7 +35,7 @@ type Slot = Option<(Pid, bool)>;
 /// The naive O(n) re-implementation of the memory manager. See the
 /// module docs.
 #[derive(Clone, Debug)]
-pub struct ReferenceMemoryModel {
+pub(crate) struct ReferenceMemoryModel {
     config: MemoryConfig,
     /// Insertion-ordered process table; every lookup is a linear scan.
     procs: Vec<(Pid, ProcMemory)>,
@@ -49,7 +49,7 @@ pub struct ReferenceMemoryModel {
 
 impl ReferenceMemoryModel {
     /// Creates the reference model for the given configuration.
-    pub fn new(config: MemoryConfig) -> Self {
+    pub(crate) fn new(config: MemoryConfig) -> Self {
         let blocks = config.swap.enabled.then(|| {
             let n = config.swap_capacity / config.swap.block_size;
             vec![None; usize::try_from(n).expect("swap area fits in usize")]
@@ -74,38 +74,38 @@ impl ReferenceMemoryModel {
     }
 
     /// Per-process memory view.
-    pub fn process(&self, pid: Pid) -> Option<&ProcMemory> {
+    pub(crate) fn process(&self, pid: Pid) -> Option<&ProcMemory> {
         self.pm(pid)
     }
 
     /// Node-wide statistics.
-    pub fn stats(&self) -> &MemoryStats {
+    pub(crate) fn stats(&self) -> &MemoryStats {
         &self.stats
     }
 
     /// Current file-cache size.
-    pub fn file_cache(&self) -> u64 {
+    pub(crate) fn file_cache(&self) -> u64 {
         self.file_cache
     }
 
     /// Blocks ever re-activated from the swap cache (device model only).
-    pub fn cache_reactivated_blocks(&self) -> u64 {
+    pub(crate) fn cache_reactivated_blocks(&self) -> u64 {
         self.cache_reactivated
     }
 
     /// Cached blocks ever dropped for new swap-outs (device model only).
-    pub fn cache_dropped_blocks(&self) -> u64 {
+    pub(crate) fn cache_dropped_blocks(&self) -> u64 {
         self.cache_dropped
     }
 
     /// Total resident bytes, recomputed by scanning every process.
-    pub fn total_resident(&self) -> u64 {
+    pub(crate) fn total_resident(&self) -> u64 {
         self.procs.iter().map(|(_, pm)| pm.resident()).sum()
     }
 
     /// Swap occupancy: the block count when the device is on, the byte sum
     /// otherwise — recomputed from scratch on every call.
-    pub fn swap_used(&self) -> u64 {
+    pub(crate) fn swap_used(&self) -> u64 {
         match &self.blocks {
             Some(blocks) => {
                 blocks.iter().filter(|s| s.is_some()).count() as u64 * self.config.swap.block_size
@@ -115,7 +115,7 @@ impl ReferenceMemoryModel {
     }
 
     /// Free RAM, recomputed from scratch.
-    pub fn free_ram(&self) -> u64 {
+    pub(crate) fn free_ram(&self) -> u64 {
         self.config
             .usable_ram()
             .saturating_sub(self.total_resident() + self.file_cache)
@@ -222,7 +222,7 @@ impl ReferenceMemoryModel {
     }
 
     /// Registers (or re-registers) a process.
-    pub fn register(&mut self, pid: Pid, now: SimTime) {
+    pub(crate) fn register(&mut self, pid: Pid, now: SimTime) {
         self.drop_backing(pid);
         let pm = ProcMemory {
             last_touch: now,
@@ -235,27 +235,27 @@ impl ReferenceMemoryModel {
     }
 
     /// Marks a process suspended / resumed.
-    pub fn set_suspended(&mut self, pid: Pid, suspended: bool) -> Result<(), OsError> {
+    pub(crate) fn set_suspended(&mut self, pid: Pid, suspended: bool) -> Result<(), OsError> {
         let i = self.find(pid).ok_or(OsError::NoSuchProcess)?;
         self.procs[i].1.suspended = suspended;
         Ok(())
     }
 
     /// Grows the file cache into free RAM only.
-    pub fn populate_file_cache(&mut self, bytes: u64) {
+    pub(crate) fn populate_file_cache(&mut self, bytes: u64) {
         let room = self.free_ram();
         self.file_cache += bytes.min(room);
     }
 
     /// Refreshes a process's `last_touch` stamp.
-    pub fn touch(&mut self, pid: Pid, now: SimTime) -> Result<(), OsError> {
+    pub(crate) fn touch(&mut self, pid: Pid, now: SimTime) -> Result<(), OsError> {
         let i = self.find(pid).ok_or(OsError::NoSuchProcess)?;
         self.procs[i].1.last_touch = now;
         Ok(())
     }
 
     /// Victim order, rebuilt by fully sorting the process table every call.
-    pub fn victim_order_snapshot(&self) -> Vec<Pid> {
+    pub(crate) fn victim_order_snapshot(&self) -> Vec<Pid> {
         let mut keyed: Vec<_> = self
             .procs
             .iter()
@@ -344,7 +344,7 @@ impl ReferenceMemoryModel {
     }
 
     /// Mirrors [`MemoryManager::allocate`](crate::MemoryManager::allocate).
-    pub fn allocate(
+    pub(crate) fn allocate(
         &mut self,
         pid: Pid,
         bytes: u64,
@@ -376,24 +376,8 @@ impl ReferenceMemoryModel {
         Ok(charge)
     }
 
-    /// Mirrors [`MemoryManager::release`](crate::MemoryManager::release).
-    pub fn release(&mut self, pid: Pid, bytes: u64) -> Result<(), OsError> {
-        let i = self.find(pid).ok_or(OsError::NoSuchProcess)?;
-        let pm = &mut self.procs[i].1;
-        let from_dirty = pm.resident_dirty.min(bytes);
-        pm.resident_dirty -= from_dirty;
-        let mut left = bytes - from_dirty;
-        let from_clean = pm.resident_clean.min(left);
-        pm.resident_clean -= from_clean;
-        left -= from_clean;
-        let from_swap = pm.swapped.min(left);
-        pm.swapped -= from_swap;
-        self.sync_backing(pid, false);
-        Ok(())
-    }
-
     /// Mirrors [`MemoryManager::remove`](crate::MemoryManager::remove).
-    pub fn remove(&mut self, pid: Pid) -> Result<(), OsError> {
+    pub(crate) fn remove(&mut self, pid: Pid) -> Result<(), OsError> {
         let i = self.find(pid).ok_or(OsError::NoSuchProcess)?;
         self.procs.remove(i);
         self.drop_backing(pid);
@@ -401,13 +385,13 @@ impl ReferenceMemoryModel {
     }
 
     /// Mirrors [`MemoryManager::page_in_all`](crate::MemoryManager::page_in_all).
-    pub fn page_in_all(&mut self, pid: Pid, now: SimTime) -> Result<MemoryCharge, OsError> {
+    pub(crate) fn page_in_all(&mut self, pid: Pid, now: SimTime) -> Result<MemoryCharge, OsError> {
         self.page_in_some(pid, u64::MAX, now)
     }
 
     /// Mirrors
     /// [`MemoryManager::page_in_partial`](crate::MemoryManager::page_in_partial).
-    pub fn page_in_partial(
+    pub(crate) fn page_in_partial(
         &mut self,
         pid: Pid,
         max_bytes: u64,
@@ -445,7 +429,7 @@ impl ReferenceMemoryModel {
     }
 
     /// Mirrors [`MemoryManager::oom_victim`](crate::MemoryManager::oom_victim).
-    pub fn oom_victim(&self) -> Option<Pid> {
+    pub(crate) fn oom_victim(&self) -> Option<Pid> {
         self.procs
             .iter()
             .max_by_key(|(pid, pm)| (pm.suspended, pm.virtual_size(), std::cmp::Reverse(pid.0)))
@@ -489,23 +473,13 @@ mod tests {
                     fast.register(pid, now);
                     reference.register(pid, now);
                 }
-                2..=4 => {
+                2..=5 => {
                     if let Some(pid) = pick {
                         let bytes = (1 + rng.index(600)) as u64 * MIB;
                         let dirty = [0.0, 0.3, 1.0][rng.index(3)];
                         let f = fast.allocate(pid, bytes, dirty, now);
                         let r = reference.allocate(pid, bytes, dirty, now);
                         assert_eq!(f, r, "{ctx}: allocate({bytes}, {dirty})");
-                    }
-                }
-                5 => {
-                    if let Some(pid) = pick {
-                        let bytes = (1 + rng.index(400)) as u64 * MIB;
-                        assert_eq!(
-                            fast.release(pid, bytes),
-                            reference.release(pid, bytes),
-                            "{ctx}: release"
-                        );
                     }
                 }
                 6 => {

@@ -57,22 +57,8 @@ pub enum ProcessState {
 
 impl ProcessState {
     /// True if the process still exists (is not a terminated entry).
-    pub fn is_alive(self) -> bool {
+    pub(crate) fn is_alive(self) -> bool {
         matches!(self, ProcessState::Running | ProcessState::Stopped)
-    }
-
-    /// True if the process is currently stopped (suspended).
-    pub fn is_stopped(self) -> bool {
-        matches!(self, ProcessState::Stopped)
-    }
-
-    /// One-letter code in the style of `/proc/<pid>/stat` (`R`, `T`, `Z`).
-    pub fn proc_code(self) -> char {
-        match self {
-            ProcessState::Running => 'R',
-            ProcessState::Stopped => 'T',
-            ProcessState::Exited(_) | ProcessState::Killed(_) => 'Z',
-        }
     }
 }
 
@@ -197,13 +183,6 @@ mod tests {
                 assert_eq!(transition(st, sig), Err(OsError::NoSuchProcess));
             }
         }
-    }
-
-    #[test]
-    fn proc_codes_match_linux_convention() {
-        assert_eq!(ProcessState::Running.proc_code(), 'R');
-        assert_eq!(ProcessState::Stopped.proc_code(), 'T');
-        assert_eq!(ProcessState::Exited(0).proc_code(), 'Z');
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! Nothing reads which block holds which page, so the device keeps counts,
 //! not a block map: every operation is O(1) except dropping other
 //! processes' cache, which walks them in pid order. The differential tests
-//! hold these counts to the slot-per-block [`crate::ReferenceMemoryModel`].
+//! in `refmodel.rs` hold these counts to a slot-per-block reference model.
 //!
 //! Everything is gated behind [`SwapConfig::enabled`], which defaults to
 //! `false` so every pre-existing fixed-seed pin stays byte-identical.
@@ -133,18 +133,18 @@ impl SwapConfig {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SwapStats {
     /// Swap-out (write) operations charged to the device.
-    pub swap_out_ops: u64,
+    pub(crate) swap_out_ops: u64,
     /// Swap-in (read) operations charged to the device.
-    pub swap_in_ops: u64,
+    pub(crate) swap_in_ops: u64,
     /// Cumulative simulated time spent writing to swap.
     pub swap_out_time: SimDuration,
     /// Cumulative simulated time spent reading from swap.
     pub swap_in_time: SimDuration,
     /// Blocks re-activated from the swap cache (clean pages evicted again
     /// without a fresh block allocation).
-    pub cache_reactivated_blocks: u64,
+    pub(crate) cache_reactivated_blocks: u64,
     /// Cached blocks dropped to make room for new swap-outs.
-    pub cache_dropped_blocks: u64,
+    pub(crate) cache_dropped_blocks: u64,
 }
 
 /// Blocks one process holds: `active` blocks back its swapped-out bytes,
@@ -178,7 +178,7 @@ pub struct SwapDevice {
 impl SwapDevice {
     /// A device covering `capacity` bytes in blocks of `block_size` (partial
     /// trailing blocks are not usable).
-    pub fn new(capacity: u64, block_size: u64) -> Self {
+    pub(crate) fn new(capacity: u64, block_size: u64) -> Self {
         assert!(block_size > 0, "swap block size must be positive");
         let total_blocks = u32::try_from(capacity / block_size).expect("swap area fits in u32");
         SwapDevice {
@@ -192,28 +192,13 @@ impl SwapDevice {
     }
 
     /// Size of one block in bytes.
-    pub fn block_size(&self) -> u64 {
+    pub(crate) fn block_size(&self) -> u64 {
         self.block_size
     }
 
-    /// Total blocks the device can hold.
-    pub fn total_blocks(&self) -> u32 {
-        self.total_blocks
-    }
-
-    /// Blocks currently allocated (active + cached).
-    pub fn allocated_blocks(&self) -> u32 {
-        self.allocated
-    }
-
     /// Bytes of swap area occupied (`allocated_blocks * block_size`).
-    pub fn allocated_bytes(&self) -> u64 {
+    pub(crate) fn allocated_bytes(&self) -> u64 {
         u64::from(self.allocated) * self.block_size
-    }
-
-    /// Blocks currently held as swap cache across all processes.
-    pub fn cached_blocks(&self) -> u32 {
-        self.cached
     }
 
     /// The device's I/O and cache counters.
@@ -222,24 +207,24 @@ impl SwapDevice {
     }
 
     /// Records one swap write of `time` against the KernelX-style counters.
-    pub fn record_out(&mut self, time: SimDuration) {
+    pub(crate) fn record_out(&mut self, time: SimDuration) {
         self.stats.swap_out_ops += 1;
         self.stats.swap_out_time += time;
     }
 
     /// Records one swap read of `time` against the KernelX-style counters.
-    pub fn record_in(&mut self, time: SimDuration) {
+    pub(crate) fn record_in(&mut self, time: SimDuration) {
         self.stats.swap_in_ops += 1;
         self.stats.swap_in_time += time;
     }
 
     /// Blocks backing `pid`'s swapped-out bytes.
-    pub fn active_blocks_of(&self, pid: Pid) -> u32 {
+    pub(crate) fn active_blocks_of(&self, pid: Pid) -> u32 {
         self.held.get(&pid).map_or(0, |h| h.active)
     }
 
     /// Swap-cache blocks held for `pid`.
-    pub fn cached_blocks_of(&self, pid: Pid) -> u32 {
+    pub(crate) fn cached_blocks_of(&self, pid: Pid) -> u32 {
         self.held.get(&pid).map_or(0, |h| h.cached)
     }
 
@@ -271,7 +256,7 @@ impl SwapDevice {
 
     /// Could `pid`'s backing grow to cover `swapped_bytes`, counting free
     /// blocks plus every droppable cached block (its own included)?
-    pub fn can_back(&self, pid: Pid, swapped_bytes: u64) -> bool {
+    pub(crate) fn can_back(&self, pid: Pid, swapped_bytes: u64) -> bool {
         let want = self.blocks_for(swapped_bytes);
         let need = want.saturating_sub(self.active_blocks_of(pid));
         need <= self.total_blocks - self.allocated + self.cached
@@ -284,7 +269,7 @@ impl SwapDevice {
     /// free blocks, then drops other processes' cache. Shrink sends blocks
     /// to the swap cache when `to_cache` is set (page-in: content now lives
     /// in both places) and frees them otherwise (release/exit).
-    pub fn set_backing(
+    pub(crate) fn set_backing(
         &mut self,
         pid: Pid,
         swapped_bytes: u64,
@@ -328,7 +313,7 @@ impl SwapDevice {
 
     /// Caps `pid`'s swap cache at what `resident_clean_bytes` can still
     /// mirror; excess blocks are freed.
-    pub fn trim_cache(&mut self, pid: Pid, resident_clean_bytes: u64) {
+    pub(crate) fn trim_cache(&mut self, pid: Pid, resident_clean_bytes: u64) {
         let cap = self.blocks_for(resident_clean_bytes);
         let Some(held) = self.held.get_mut(&pid) else {
             return;
@@ -344,7 +329,7 @@ impl SwapDevice {
     }
 
     /// Frees everything the process held (exit / OOM kill).
-    pub fn remove(&mut self, pid: Pid) {
+    pub(crate) fn remove(&mut self, pid: Pid) {
         if let Some(held) = self.held.remove(&pid) {
             self.allocated -= held.active + held.cached;
             self.cached -= held.cached;
@@ -356,7 +341,7 @@ impl SwapDevice {
     ///
     /// # Panics
     /// On any violated invariant (used by tests and debug assertions).
-    pub fn check_invariants(&self) {
+    pub(crate) fn check_invariants(&self) {
         let (mut active, mut cached) = (0u64, 0u64);
         for (pid, held) in self.held.iter() {
             assert!(!held.is_empty(), "{pid:?}: entry holds no block");
@@ -380,6 +365,18 @@ impl SwapDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SwapDevice {
+        /// Blocks currently allocated (active + cached).
+        pub(crate) fn allocated_blocks(&self) -> u32 {
+            self.allocated
+        }
+
+        /// Blocks currently held as swap cache across all processes.
+        pub(crate) fn cached_blocks(&self) -> u32 {
+            self.cached
+        }
+    }
 
     const PID: Pid = Pid(1);
     const OTHER: Pid = Pid(2);

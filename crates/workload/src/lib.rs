@@ -11,7 +11,7 @@
 //!   Poisson arrivals, a mix of stateless and stateful (memory-hungry) jobs —
 //!   used by the multi-job scheduler examples and the ablation benches.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, unreachable_pub)]
 
 use mrp_engine::{JobSpec, MapInput, TaskProfile};
 use mrp_sim::{SimRng, SimTime, GIB, MIB};
@@ -152,11 +152,6 @@ impl SwimGenerator {
         }
     }
 
-    /// The generator's configuration.
-    pub fn config(&self) -> &SwimConfig {
-        &self.config
-    }
-
     /// Generates the trace: jobs with arrival times, sizes, priorities and
     /// memory profiles.
     pub fn generate(&mut self) -> Vec<TraceJob> {
@@ -284,7 +279,7 @@ pub struct TraceSummary {
     /// Number of stateful (memory-hungry) jobs.
     pub stateful_jobs: usize,
     /// Time of the last arrival, in seconds.
-    pub last_arrival_secs: f64,
+    pub(crate) last_arrival_secs: f64,
 }
 
 /// Summarises a trace.

@@ -10,7 +10,7 @@
 
 use hadoop_os_preempt::prelude::*;
 use mrp_engine::{
-    Cluster, DetectorConfig, FaultEvent, FaultKind, NodeId, RackId, ShuffleConfig,
+    Cluster, DetectorConfig, FaultEvent, FaultKind, NodeId, RackId, ShuffleConfig, SpanKind,
     SpeculationConfig, SwapConfig,
 };
 use mrp_experiments::{sim_throughput_cluster, sim_throughput_config, SwimClusterConfig};
@@ -223,13 +223,13 @@ fn span_traces_export_as_valid_chrome_json() {
 
         let closed = obs.spans().iter().filter(|s| s.end.is_some()).count() as u64;
         let histogrammed: u64 = [
-            "attempt_duration_us",
-            "suspend_cycle_us",
-            "shuffle_stall_us",
-            "partition_window_us",
+            SpanKind::Attempt,
+            SpanKind::SuspendCycle,
+            SpanKind::ShuffleStall,
+            SpanKind::Partition,
         ]
         .iter()
-        .map(|h| obs.registry().histogram_stats(h).map_or(0, |s| s.count))
+        .map(|&kind| obs.histogram(kind).count)
         .sum();
         assert_eq!(
             histogrammed, closed,
@@ -241,9 +241,9 @@ fn span_traces_export_as_valid_chrome_json() {
     cluster.run(SimTime::from_secs(24 * 3_600));
     let obs = cluster.observability().unwrap();
     for kind in [
-        mrp_engine::SpanKind::Attempt,
-        mrp_engine::SpanKind::SuspendCycle,
-        mrp_engine::SpanKind::Partition,
+        SpanKind::Attempt,
+        SpanKind::SuspendCycle,
+        SpanKind::Partition,
     ] {
         assert!(
             obs.spans().iter().any(|s| s.kind == kind),
@@ -373,7 +373,7 @@ struct StreamPins {
 /// recorded must reproduce them exactly.
 #[test]
 fn trace_and_span_streams_are_pinned() {
-    use mrp_engine::{SpanKind, TraceLevel};
+    use mrp_engine::TraceLevel;
     let suites: [(Suite, StreamPins); 4] = [
         (
             ("churn", churn_config, churn_cluster),
@@ -489,12 +489,12 @@ fn trace_and_span_streams_are_pinned() {
         ]
         .map(|kind| obs.spans().iter().filter(|s| s.kind == kind).count());
         let histograms = [
-            "attempt_duration_us",
-            "suspend_cycle_us",
-            "shuffle_stall_us",
-            "partition_window_us",
+            SpanKind::Attempt,
+            SpanKind::SuspendCycle,
+            SpanKind::ShuffleStall,
+            SpanKind::Partition,
         ]
-        .map(|h| obs.registry().histogram_stats(h).map_or(0, |s| s.count));
+        .map(|kind| obs.histogram(kind).count);
 
         assert_eq!(kinds, pins.kinds, "{name}: trace lines per kind");
         assert_eq!(fnv1a(&text), pins.trace, "{name}: trace text");
@@ -540,14 +540,11 @@ fn partition_window_closes_when_the_node_dies_behind_it() {
         assert!(cluster.report().all_jobs_complete(), "kill at {kill_at:?}");
         let obs = cluster.observability().expect("obs enabled");
         assert_eq!(obs.open_spans(), 0, "kill at {kill_at:?}: spans left open");
-        let windows = obs
-            .registry()
-            .histogram_stats("partition_window_us")
-            .map(|h| (h.count, h.sum));
+        let windows = obs.histogram(SpanKind::Partition);
         let closed_at = kill_at.unwrap_or(30);
         assert_eq!(
-            windows,
-            Some((1, (closed_at - 10) * 1_000_000)),
+            (windows.count, windows.sum),
+            (1, (closed_at - 10) * 1_000_000),
             "kill at {kill_at:?}: one window, partition to heal or death"
         );
     }
