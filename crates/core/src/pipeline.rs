@@ -103,10 +103,10 @@ impl JobOrder for HfspJobOrder {
     ) -> bool {
         // Skip the rebuild entirely when this node has nothing to hand
         // out — the common case at cluster scale.
-        let Some(view) = ctx.node(node) else {
+        let Some(tt) = ctx.node(node) else {
             return false;
         };
-        if view.free_map_slots == 0 && view.free_reduce_slots == 0 {
+        if tt.free_slots(TaskKind::Map) == 0 && tt.free_slots(TaskKind::Reduce) == 0 {
             return false;
         }
         let bucket = ctx.now.as_micros() / 1_000_000;
@@ -189,14 +189,14 @@ impl JobOrder for DrfJobOrder {
         // only counts when pending work of its kind exists somewhere (the
         // always-free reduce slots of a map-only workload must not defeat
         // the cache).
-        let can_place = ctx.node(node).is_some_and(|view| {
-            view.free_map_slots > 0
+        let can_place = ctx.node(node).is_some_and(|tt| {
+            let suspended = |kind| tt.suspended_tasks().any(|t| t.kind == kind);
+            tt.free_slots(TaskKind::Map) > 0
                 && (ctx.totals.schedulable_maps > 0
                     || ctx.speculation.enabled
-                    || view.suspended.iter().any(|t| t.kind == TaskKind::Map))
-                || view.free_reduce_slots > 0
-                    && (ctx.totals.schedulable_reduces > 0
-                        || view.suspended.iter().any(|t| t.kind == TaskKind::Reduce))
+                    || suspended(TaskKind::Map))
+                || tt.free_slots(TaskKind::Reduce) > 0
+                    && (ctx.totals.schedulable_reduces > 0 || suspended(TaskKind::Reduce))
         });
         let bucket = ctx.now.as_micros() / 1_000_000;
         if !can_place && self.stamp == Some(bucket) && !self.dirty {
@@ -642,14 +642,14 @@ impl Backfill {
         if self.best_effort_alive.is_empty() {
             return;
         }
-        let Some(view) = ctx.node(node) else {
+        let Some(tt) = ctx.node(node) else {
             return;
         };
         // Slots the stages before us already claimed this round (actions
-        // apply only after the whole round returns, so the view alone
+        // apply only after the whole round returns, so the tracker alone
         // over-counts).
-        let mut free_map = view.free_map_slots as usize;
-        let mut free_reduce = view.free_reduce_slots as usize;
+        let mut free_map = tt.free_slots(TaskKind::Map) as usize;
+        let mut free_reduce = tt.free_slots(TaskKind::Reduce) as usize;
         for a in out.iter() {
             let claimed_kind = match a {
                 SchedulerAction::Launch { task, node: n }

@@ -434,25 +434,32 @@ pub(crate) fn fill_node(
     generation: Option<u64>,
     index: &mut LocalityIndex,
 ) -> Vec<SchedulerAction> {
-    let Some(view) = ctx.node(node) else {
+    let Some(tt) = ctx.node(node) else {
         return Vec::new();
     };
+    let mut free_map = tt.free_slots(TaskKind::Map);
+    let mut free_reduce = tt.free_slots(TaskKind::Reduce);
     // Hot-path early exit, O(1) via the engine-maintained cluster totals:
     // skip everything when this node's free slots provably cannot be used —
     // no pending work of a matching kind exists anywhere and nothing is
     // suspended *on this node*. At 10k-node scale the overwhelming majority
     // of heartbeats hit this case (e.g. the always-free reduce slot of a
     // map-only workload).
-    let any_slot_free = view.free_map_slots > 0 || view.free_reduce_slots > 0;
+    let any_slot_free = free_map > 0 || free_reduce > 0;
     let mut maps_unclaimed = ctx.totals.schedulable_maps;
     let mut reduces_unclaimed = ctx.totals.schedulable_reduces;
-    let can_launch_map = view.free_map_slots > 0 && maps_unclaimed > 0;
-    let can_launch_reduce = view.free_reduce_slots > 0 && reduces_unclaimed > 0;
-    let can_resume = any_slot_free && !view.suspended.is_empty();
+    let can_launch_map = free_map > 0 && maps_unclaimed > 0;
+    let can_launch_reduce = free_reduce > 0 && reduces_unclaimed > 0;
+    let mut resumable = if any_slot_free {
+        tt.suspended_tasks().count()
+    } else {
+        0
+    };
+    let can_resume = resumable > 0;
     // Speculation (when enabled) inspects only tail-phase jobs, and only
     // when this node still has a free map slot after regular assignment —
     // Hadoop's trigger: a slot nothing pending can use.
-    let can_speculate = ctx.speculation.enabled && view.free_map_slots > 0;
+    let can_speculate = ctx.speculation.enabled && free_map > 0;
     if !can_launch_map && !can_launch_reduce && !can_resume && !can_speculate {
         return Vec::new();
     }
@@ -465,9 +472,6 @@ pub(crate) fn fill_node(
     // state already lives here.
     let avoid_map = ctx.reliability_avoid(node, TaskKind::Map);
     let avoid_reduce = ctx.reliability_avoid(node, TaskKind::Reduce);
-    let mut free_map = view.free_map_slots;
-    let mut free_reduce = view.free_reduce_slots;
-    let mut resumable = view.suspended.len();
     let mut actions = Vec::new();
     // The window only answers for rounds with a map slot to decline.
     let (start, mut declines) = match (board, generation) {
@@ -505,15 +509,15 @@ pub(crate) fn fill_node(
         }
         // Resume the job's own suspended tasks before launching new ones: a
         // suspended task already holds memory on its node and finishing it
-        // releases that memory soonest. The node view lists exactly the
-        // tasks suspended *here*, so the match is O(suspended-on-node), not
-        // O(job tasks). The view is attempt-level and may still list a task
+        // releases that memory soonest. The tracker lists exactly the tasks
+        // suspended *here*, so the match is O(suspended-on-node), not O(job
+        // tasks). The tracker is attempt-level and may still list a task
         // whose JobTracker state moved on to MustResume/MustKill (a resume
         // that could not be delivered retries via the command path, not
         // here), so re-check the task state before spending a slot on a
         // Resume the engine would discard.
         if job_resumes {
-            for &task in view.suspended.iter().filter(|t| t.job == *job_id) {
+            for task in tt.suspended_tasks().filter(|t| t.job == *job_id) {
                 if !ctx
                     .task(task)
                     .is_some_and(|t| t.state == TaskState::Suspended)
@@ -1163,7 +1167,7 @@ mod tests {
         order: Vec<JobId>,
         generation: u64,
         topology: mrp_engine::Topology,
-        views: Vec<mrp_engine::NodeView>,
+        nodes: Vec<mrp_engine::TaskTracker>,
         /// `[window, walk]`.
         boards: [mrp_engine::DelayScoreboard; 2],
         indices: [LocalityIndex; 2],
@@ -1185,14 +1189,9 @@ mod tests {
                 order: Vec::new(),
                 generation: 0,
                 topology: mrp_engine::Topology::blocked(16, 4),
-                views: (0..16)
-                    .map(|n| mrp_engine::NodeView {
-                        id: NodeId(n),
-                        free_map_slots: 1,
-                        free_reduce_slots: 0,
-                        running: vec![],
-                        suspended: vec![],
-                    })
+                nodes: (0..)
+                    .zip(&mrp_engine::ClusterConfig::racked_cluster(4, 4, 1, 0).nodes)
+                    .map(|(n, config)| mrp_engine::TaskTracker::new(NodeId(n), config))
                     .collect(),
                 boards: [board(), board()],
                 indices: Default::default(),
@@ -1274,7 +1273,7 @@ mod tests {
                 let ctx = SchedulerContext {
                     now,
                     jobs: &self.jobs,
-                    nodes: &self.views,
+                    nodes: &self.nodes,
                     racks: &[],
                     topology: &self.topology,
                     totals: mrp_engine::PendingTotals::from_jobs(&self.jobs),

@@ -18,10 +18,10 @@
 //!
 //! * TaskTrackers live in a `Vec` indexed by node id (node ids are dense by
 //!   construction), not a tree;
-//! * per-node [`NodeView`] snapshots for scheduler policies are reusable
-//!   buffers refreshed only for trackers whose occupancy changed since the
-//!   last refresh (dirty tracking), instead of being rebuilt from scratch on
-//!   every scheduler invocation;
+//! * scheduler policies read the TaskTrackers themselves, and the per-rack
+//!   free-slot totals they ask cluster-wide capacity questions of move by
+//!   each tracker mutation's before/after difference
+//!   ([`Cluster::edit_tracker`]), so a scheduling round refreshes nothing;
 //! * pending `MUST_*` commands are indexed per node, so a heartbeat delivers
 //!   its commands in O(commands) instead of scanning every task of every job;
 //! * "all jobs complete" is an incrementally maintained counter, not an
@@ -34,8 +34,8 @@
 //!   ([`TraceLevel`](crate::config::TraceLevel)) and observability are off,
 //!   so throughput runs pay nothing for either.
 
-use crate::attempt::{AttemptPhase, AttemptState, ExecPlan, OUTPUT_RATIO};
-use crate::config::{ClusterConfig, FaultKind, FaultTarget, RefreshMode, TraceLevel};
+use crate::attempt::{Attempt, AttemptPhase, AttemptState, ExecPlan, OUTPUT_RATIO};
+use crate::config::{ClusterConfig, FaultKind, FaultTarget, TraceLevel};
 use crate::delay::DelayScoreboard;
 use crate::failure::{FailureDomain, Strike, Timer, Verdict};
 use crate::job::{
@@ -48,7 +48,7 @@ use crate::metrics::{
 use crate::obs::ObsState;
 use crate::reliability::ReliabilityTracker;
 use crate::scheduler::{
-    NodeView, PendingTotals, RackView, SchedulerAction, SchedulerContext, SchedulerPolicy,
+    PendingTotals, RackSlots, SchedulerAction, SchedulerContext, SchedulerPolicy,
     MAX_LIVE_SPECULATIONS_PER_JOB,
 };
 use crate::shuffle::ShuffleTracker;
@@ -124,21 +124,6 @@ struct ProgressTrigger {
     state: TriggerState,
 }
 
-/// Per-rack shard of the cluster's heartbeat bookkeeping: the rack's member
-/// nodes and a dirty list of members whose tracker state changed since the
-/// last view refresh. Shards keep a scheduling round O(changed nodes): racks
-/// with an empty dirty list are never even visited.
-#[derive(Debug, Default)]
-struct RackShard {
-    /// Node indices (dense ids) in this rack.
-    members: Vec<u32>,
-    /// Members whose tracker state changed since the last refresh (may
-    /// contain duplicates; the tracker's dirty flag dedups the rebuild).
-    dirty: Vec<u32>,
-    /// Whether this shard is already queued on the cluster's dirty-rack list.
-    queued: bool,
-}
-
 /// O(1) source of the periodic heartbeat schedule: every node heartbeats
 /// every `interval`, staggered evenly over one interval, so the rotation is
 /// pure arithmetic — node `idx` of cycle `c` fires at
@@ -211,19 +196,9 @@ pub struct Cluster {
     triggers: Vec<ProgressTrigger>,
     trace: Vec<Record>,
     next_job_id: u32,
-    /// Reusable per-node scheduler views, refreshed via dirty tracking.
-    views: Vec<NodeView>,
-    /// Rack of each node (dense rack ids, indexed by dense node id).
-    node_rack: Vec<u32>,
-    /// Per-rack shards: members plus the rack-local dirty list.
-    shards: Vec<RackShard>,
-    /// Racks with a non-empty dirty list (no duplicates; `RackShard::queued`
-    /// guards the push).
-    dirty_racks: Vec<u32>,
-    /// Per-rack aggregate free-slot counters, maintained by delta whenever a
-    /// member view is rebuilt; handed to schedulers as
-    /// [`RackView`](crate::scheduler::RackView) slices.
-    rack_views: Vec<RackView>,
+    /// Per-rack free-slot totals indexed by rack id, moved by every tracker
+    /// mutation in [`Cluster::edit_tracker`].
+    rack_slots: Vec<RackSlots>,
     /// Pending `MUST_*` commands indexed by node; delivered at heartbeats.
     pending_cmds: Vec<Vec<TaskId>>,
     /// Reusable buffer for per-heartbeat progress refreshes (attempt id,
@@ -273,67 +248,29 @@ impl Cluster {
             .unwrap_or_else(|e| panic!("invalid cluster configuration: {e}"));
         let node_count = config.nodes.len();
         let topology = Topology::blocked(node_count as u32, config.racks);
-        let mut trackers = Vec::with_capacity(node_count);
-        let mut views = Vec::with_capacity(node_count);
+        let trackers: Vec<TaskTracker> = (0..)
+            .zip(&config.nodes)
+            .map(|(id, node)| TaskTracker::new(NodeId(id), node))
+            .collect();
+        let rack_slots = RackSlots::recount(&trackers, &topology);
         let mut queue = EventQueue::new();
         // First heartbeats are staggered evenly over one interval by the
         // wheel, so they neither all land on the same instant nor (as a
         // fixed per-node offset would at 10k nodes) stretch the cluster's
         // start-up over many minutes of virtual time.
         let wheel = HeartbeatWheel::new(config.heartbeat_interval.as_micros(), node_count as u64);
-        for (i, node_cfg) in config.nodes.iter().enumerate() {
-            let id = NodeId(i as u32);
-            trackers.push(TaskTracker::new(
-                id,
-                node_cfg.os.clone(),
-                node_cfg.map_slots,
-                node_cfg.reduce_slots,
-            ));
-            views.push(NodeView {
-                id,
-                free_map_slots: node_cfg.map_slots,
-                free_reduce_slots: node_cfg.reduce_slots,
-                running: Vec::new(),
-                suspended: Vec::new(),
-            });
-        }
-        // Per-rack shards and aggregate free-slot counters.
-        let mut node_rack = vec![0u32; node_count];
-        let mut shards: Vec<RackShard> = Vec::with_capacity(topology.rack_count());
-        let mut rack_views: Vec<RackView> = Vec::with_capacity(topology.rack_count());
-        for rack in 0..topology.rack_count() {
-            let members: Vec<u32> = topology
-                .members_of(RackId(rack as u32))
-                .iter()
-                .map(|n| n.0)
-                .collect();
-            let mut rv = RackView {
-                id: RackId(rack as u32),
-                nodes: members.len() as u32,
-                free_map_slots: 0,
-                free_reduce_slots: 0,
-            };
-            for &m in &members {
-                node_rack[m as usize] = rack as u32;
-                rv.free_map_slots += config.nodes[m as usize].map_slots;
-                rv.free_reduce_slots += config.nodes[m as usize].reduce_slots;
-            }
-            shards.push(RackShard {
-                dirty: members.clone(),
-                members,
-                queued: true,
-            });
-            rack_views.push(rv);
-        }
-        let namenode = NameNode::new(topology, config.dfs_block_size, config.dfs_replication);
-        let rng = SimRng::new(config.seed);
-        let rack_count = shards.len();
+        let rack_count = topology.rack_count();
         // Fault events go through the ordinary event heap; whether they fire
         // is decided by the run loop like any other event.
-        let failure = FailureDomain::new(&config, shards.iter().map(|s| s.members.as_slice()));
+        let failure = FailureDomain::new(
+            &config,
+            (0..rack_count as u32).map(|rack| topology.members_of(RackId(rack))),
+        );
         for (index, at) in failure.schedule() {
             queue.schedule(at, Event::Fault { index });
         }
+        let namenode = NameNode::new(topology, config.dfs_block_size, config.dfs_replication);
+        let rng = SimRng::new(config.seed);
         Cluster {
             queue,
             namenode,
@@ -346,11 +283,7 @@ impl Cluster {
             triggers: Vec::new(),
             trace: Vec::new(),
             next_job_id: 1,
-            views,
-            node_rack,
-            shards,
-            dirty_racks: (0..rack_count as u32).collect(),
-            rack_views,
+            rack_slots,
             pending_cmds: vec![Vec::new(); node_count],
             progress_buf: Vec::new(),
             incomplete_jobs: 0,
@@ -417,6 +350,19 @@ impl Cluster {
         self.totals
     }
 
+    /// The TaskTrackers, indexed by dense node id: what scheduler policies
+    /// read through the [`SchedulerContext`].
+    pub fn trackers(&self) -> &[TaskTracker] {
+        &self.trackers
+    }
+
+    /// The engine-maintained per-rack free-slot totals, indexed by rack id;
+    /// exposed so tests can assert they match [`RackSlots::recount`] over
+    /// [`Cluster::trackers`].
+    pub fn rack_slots(&self) -> &[RackSlots] {
+        &self.rack_slots
+    }
+
     /// The observability state — span trace and histograms, sampled time
     /// series and event-loop profile — accumulated so far; `None` unless
     /// [`ObsConfig`](crate::ObsConfig) is enabled.
@@ -449,8 +395,49 @@ impl Cluster {
         self.trackers.get(node.0 as usize)
     }
 
-    fn tracker_mut(&mut self, node: NodeId) -> Option<&mut TaskTracker> {
-        self.trackers.get_mut(node.0 as usize)
+    /// The rack of a cluster node (every node is racked at construction).
+    fn rack_of(&self, node: NodeId) -> RackId {
+        self.namenode
+            .topology()
+            .rack_of(node)
+            .expect("cluster nodes are racked")
+    }
+
+    /// Applies `edit` to `node`'s tracker and moves its rack's free-slot
+    /// totals by the tracker's before/after difference. Every engine-side
+    /// call of a mutating `TaskTracker` method goes through here, so the
+    /// O(racks) capacity answers policies get from [`RackSlots`] stay exact
+    /// without a rescan. `None` if the node is unknown.
+    #[inline]
+    fn edit_tracker<R>(
+        &mut self,
+        node: NodeId,
+        edit: impl FnOnce(&mut TaskTracker) -> R,
+    ) -> Option<R> {
+        let rack = self.namenode.topology().rack_of(node)?;
+        let tt = self.trackers.get_mut(node.0 as usize)?;
+        let free = |tt: &TaskTracker| {
+            (
+                tt.free_slots(TaskKind::Map),
+                tt.free_slots(TaskKind::Reduce),
+            )
+        };
+        let before = free(tt);
+        let out = edit(tt);
+        let after = free(tt);
+        if after != before {
+            let slots = &mut self.rack_slots[rack.0 as usize];
+            slots.free_map = slots.free_map + after.0 - before.0;
+            slots.free_reduce = slots.free_reduce + after.1 - before.1;
+        }
+        Some(out)
+    }
+
+    /// A live attempt on `node`, for edits of its phase bookkeeping. An
+    /// attempt holds no slot counts, so these edits never move the rack
+    /// totals and need no [`Cluster::edit_tracker`].
+    fn attempt_mut(&mut self, node: NodeId, attempt: AttemptId) -> Option<&mut Attempt> {
+        self.trackers.get_mut(node.0 as usize)?.attempt_mut(attempt)
     }
 
     /// Creates an input file in the simulated HDFS, writing it from node 0 so
@@ -570,9 +557,9 @@ impl Cluster {
         }
         let mut free_map_slots = 0u64;
         let mut free_reduce_slots = 0u64;
-        for rv in &self.rack_views {
-            free_map_slots += u64::from(rv.free_map_slots);
-            free_reduce_slots += u64::from(rv.free_reduce_slots);
+        for rack in &self.rack_slots {
+            free_map_slots += u64::from(rack.free_map);
+            free_reduce_slots += u64::from(rack.free_reduce);
         }
         let mut swapped_bytes = 0u64;
         let mut swap_backlog_bytes = 0u64;
@@ -648,88 +635,6 @@ impl Cluster {
         }
         if let Some(obs) = self.obs.as_mut() {
             obs.observe(&record);
-        }
-    }
-
-    /// Marks `node`'s view stale; the next [`Cluster::refresh_views`] rebuilds
-    /// it. Call sites are the cluster paths that mutate tracker occupancy.
-    /// The node goes on its rack's dirty list, and the rack on the cluster's
-    /// dirty-rack list, so the refresh touches only racks with actual dirt.
-    #[inline]
-    fn mark_node_dirty(&mut self, node: NodeId) {
-        let Some(&rack) = self.node_rack.get(node.0 as usize) else {
-            return;
-        };
-        let shard = &mut self.shards[rack as usize];
-        shard.dirty.push(node.0);
-        if !shard.queued {
-            shard.queued = true;
-            self.dirty_racks.push(rack);
-        }
-    }
-
-    /// Refreshes the reusable per-node scheduler views and the per-rack
-    /// free-slot counters before a scheduling round.
-    ///
-    /// In the default [`RefreshMode::Sharded`] only racks on the dirty-rack
-    /// list are visited, only nodes on their shards' dirty lists are
-    /// inspected, and only trackers whose occupancy actually changed are
-    /// rebuilt — O(changed nodes), not O(nodes). Rack counters are adjusted
-    /// by the delta between a view's old and new free-slot counts.
-    /// [`RefreshMode::Full`] instead rebuilds everything from scratch; it
-    /// exists as the naive reference for equivalence tests.
-    fn refresh_views(&mut self) {
-        match self.config.refresh_mode {
-            RefreshMode::Sharded => self.refresh_views_sharded(),
-            RefreshMode::Full => self.refresh_views_full(),
-        }
-    }
-
-    fn refresh_views_sharded(&mut self) {
-        while let Some(rack) = self.dirty_racks.pop() {
-            let shard = &mut self.shards[rack as usize];
-            shard.queued = false;
-            // Take the dirty list so the shard borrow does not overlap the
-            // tracker/view borrows; nothing re-dirties nodes mid-refresh, and
-            // the buffer (and its capacity) is handed back afterwards.
-            let mut dirty = std::mem::take(&mut shard.dirty);
-            for idx in dirty.drain(..) {
-                let Some(tt) = self.trackers.get_mut(idx as usize) else {
-                    continue;
-                };
-                if !tt.take_dirty() {
-                    continue;
-                }
-                let view = &mut self.views[idx as usize];
-                let rv = &mut self.rack_views[rack as usize];
-                rv.free_map_slots = rv.free_map_slots + tt.free_map_slots() - view.free_map_slots;
-                rv.free_reduce_slots =
-                    rv.free_reduce_slots + tt.free_reduce_slots() - view.free_reduce_slots;
-                fill_view(view, tt);
-            }
-            self.shards[rack as usize].dirty = dirty;
-        }
-    }
-
-    fn refresh_views_full(&mut self) {
-        self.dirty_racks.clear();
-        for rack in 0..self.shards.len() {
-            let shard = &mut self.shards[rack];
-            shard.dirty.clear();
-            shard.queued = false;
-            let rv = &mut self.rack_views[rack];
-            rv.free_map_slots = 0;
-            rv.free_reduce_slots = 0;
-            for mi in 0..self.shards[rack].members.len() {
-                let idx = self.shards[rack].members[mi] as usize;
-                let tt = &mut self.trackers[idx];
-                let _ = tt.take_dirty();
-                let view = &mut self.views[idx];
-                fill_view(view, tt);
-                let rv = &mut self.rack_views[rack];
-                rv.free_map_slots += view.free_map_slots;
-                rv.free_reduce_slots += view.free_reduce_slots;
-            }
         }
     }
 
@@ -938,14 +843,13 @@ impl Cluster {
                 if self.failure.is_silent(node) {
                     return; // dead but undetected; the teardown frees slots
                 }
-                let Some(tt) = self.tracker_mut(node) else {
+                let Some(tt) = self.tracker(node) else {
                     return;
                 };
                 if !tt.is_alive() || tt.epoch() != epoch {
                     return; // the node failed since; its slots were all freed
                 }
-                tt.release_slot(kind);
-                self.mark_node_dirty(node);
+                self.edit_tracker(node, |tt| tt.release_slot(kind));
                 self.schedule_out_of_band_heartbeat(node, now);
             }
             Event::ProgressTrigger { index } => {
@@ -968,13 +872,9 @@ impl Cluster {
         match kind.target() {
             FaultTarget::Node(node) => self.apply_fault(kind, node, scripted, now),
             FaultTarget::Rack(rack) => {
-                let members = self
-                    .shards
-                    .get(rack.0 as usize)
-                    .map(|s| s.members.clone())
-                    .unwrap_or_default();
+                let members = self.namenode.topology().members_of(rack).to_vec();
                 for m in members {
-                    self.apply_fault(kind, NodeId(m), scripted, now);
+                    self.apply_fault(kind, m, scripted, now);
                 }
             }
         }
@@ -1040,7 +940,6 @@ impl Cluster {
                         self.queue.cancel(ev);
                     }
                 }
-                self.mark_node_dirty(node);
             }
         }
         self.record(Record::NodeSilent(now, node));
@@ -1057,7 +956,8 @@ impl Cluster {
     /// partition die with them.
     fn stop_node(&mut self, node: NodeId, now: SimTime) -> Vec<FailedAttempt> {
         self.failure.node_died(node);
-        self.trackers[node.0 as usize].fail(now)
+        self.edit_tracker(node, |tt| tt.fail(now))
+            .unwrap_or_default()
     }
 
     /// Takes a node out of service: tears down its attempts (suspended-to-
@@ -1084,9 +984,7 @@ impl Cluster {
     /// Writes off the master's view of a lost node: resolves the attempts it
     /// knew there, drops the node's pending commands, drains or loses its map
     /// outputs, feeds crashes to the reliability predictor and repairs its
-    /// blocks. Keeps every incremental index reconciled so sharded and full
-    /// refresh stay equivalent under churn. Returns the re-replicated and
-    /// lost block counts.
+    /// blocks. Returns the re-replicated and lost block counts.
     fn write_off(
         &mut self,
         node: NodeId,
@@ -1095,7 +993,6 @@ impl Cluster {
         now: SimTime,
     ) -> (u64, u64) {
         let idx = node.0 as usize;
-        self.mark_node_dirty(node);
         // Commands addressed to this node can never be delivered now; the
         // teardown below resets their tasks, so drop them wholesale.
         if let Some(cmds) = self.pending_cmds.get_mut(idx) {
@@ -1109,7 +1006,7 @@ impl Cluster {
         // for re-execution, while a graceful decommission drains them to a
         // live node first so no re-execution is needed — mirroring the
         // NameNode's graceful-vs-crash block handling below.
-        let rack = RackId(self.node_rack[idx]);
+        let rack = self.rack_of(node);
         let drain = if decommission && self.shuffle.enabled() {
             self.drain_target(node)
         } else {
@@ -1157,18 +1054,18 @@ impl Cluster {
     /// lowest-id live node on the leaving node's rack, else the lowest-id
     /// live node anywhere, else `None` (nothing left to drain to).
     fn drain_target(&self, leaving: NodeId) -> Option<(NodeId, RackId)> {
-        let rack = self.node_rack[leaving.0 as usize];
+        let rack = self.rack_of(leaving);
         let mut fallback = None;
-        for (i, tt) in self.trackers.iter().enumerate() {
-            if i == leaving.0 as usize || !tt.is_alive() {
+        for tt in &self.trackers {
+            if tt.id == leaving || !tt.is_alive() {
                 continue;
             }
-            let r = self.node_rack[i];
+            let r = self.rack_of(tt.id);
             if r == rack {
-                return Some((NodeId(i as u32), RackId(r)));
+                return Some((tt.id, r));
             }
             if fallback.is_none() {
-                fallback = Some((NodeId(i as u32), RackId(r)));
+                fallback = Some((tt.id, r));
             }
         }
         fallback
@@ -1180,7 +1077,7 @@ impl Cluster {
         if !self.shuffle.enabled() {
             return;
         }
-        let rack = RackId(self.node_rack[node.0 as usize]);
+        let rack = self.rack_of(node);
         for job in self.live_jobs() {
             for index in self.shuffle.on_node_lost(job, node, rack) {
                 let map = TaskId {
@@ -1307,7 +1204,7 @@ impl Cluster {
     /// heal and `node_failures` stays untouched (the partition counter
     /// family tracks it instead).
     fn teardown_partitioned(&mut self, node: NodeId, now: SimTime) {
-        let tt = &mut self.trackers[node.0 as usize];
+        let tt = &self.trackers[node.0 as usize];
         // Synthesize the master-side view of the teardown. `segment_event`
         // stays `None`: the attempts really are still running out there, and
         // their node-side phase events keep firing toward the heal.
@@ -1320,7 +1217,7 @@ impl Cluster {
                 segment_event: None,
             })
             .collect();
-        tt.set_reachable(false);
+        self.edit_tracker(node, |tt| tt.set_reachable(false));
         self.write_off(node, failed, false, now);
         self.record(Record::NodeFailed(now, node, NodeLoss::PartitionConfirmed));
     }
@@ -1340,8 +1237,12 @@ impl Cluster {
             return;
         }
         let per_node = total / alive;
-        for tt in self.trackers.iter_mut().filter(|tt| tt.is_alive()) {
-            tt.queue_background_io(per_node);
+        for node in (0..self.trackers.len() as u32).map(NodeId) {
+            self.edit_tracker(node, |tt| {
+                if tt.is_alive() {
+                    tt.queue_background_io(per_node);
+                }
+            });
         }
     }
 
@@ -1356,7 +1257,7 @@ impl Cluster {
         self.fault_stats.partition_heals += 1;
         let torn_down = !self.trackers[idx].is_reachable();
         if torn_down {
-            self.trackers[idx].set_reachable(true);
+            self.edit_tracker(node, |tt| tt.set_reachable(true));
             self.namenode.rejoin(node);
         }
         // Reconcile in completion order: the first committed attempt of a
@@ -1368,12 +1269,13 @@ impl Cluster {
             // Suspended orphans hold no slot and nothing will ever resume
             // them (the master re-ran their tasks at teardown); running
             // orphans keep going — they may still win first-commit-wins.
-            let suspended: Vec<AttemptId> = self.trackers[idx].suspended_attempts().collect();
-            for a in suspended {
-                let _ = self.trackers[idx].kill(a, now);
-            }
+            self.edit_tracker(node, |tt| {
+                let suspended: Vec<AttemptId> = tt.suspended_attempts().collect();
+                for a in suspended {
+                    let _ = tt.kill(a, now);
+                }
+            });
         }
-        self.mark_node_dirty(node);
         self.record(Record::PartitionHealed(now, node));
         // The node reconnects: an immediate heartbeat reintroduces it to the
         // scheduler.
@@ -1423,13 +1325,12 @@ impl Cluster {
                 self.fail_node(node, now, false);
             }
         }
-        match self.tracker_mut(node) {
-            Some(tt) if !tt.is_alive() => tt.revive(),
-            _ => return,
+        if self.tracker(node).is_none_or(|tt| tt.is_alive()) {
+            return;
         }
+        self.edit_tracker(node, |tt| tt.revive());
         self.failure.revived(node, now);
         self.namenode.rejoin(node);
-        self.mark_node_dirty(node);
         self.fault_stats.node_rejoins += 1;
         self.record(Record::NodeRejoined(now, node));
     }
@@ -1518,8 +1419,8 @@ impl Cluster {
 
     fn handle_heartbeat(&mut self, node: NodeId, now: SimTime) {
         // Dead nodes do not heartbeat. The wheel keeps computing their
-        // periodic slots (same event count in every refresh mode), but the
-        // cluster ignores them until the node rejoins.
+        // periodic slots, but the cluster ignores them until the node
+        // rejoins.
         if !self.node_is_alive(node) || !self.failure.heartbeat(node, now) {
             return;
         }
@@ -1596,13 +1497,11 @@ impl Cluster {
         let Some(attempt_id) = self.task(task).and_then(|t| t.current_attempt) else {
             return;
         };
-        let Some(tt) = self.tracker_mut(node) else {
+        let Some(attempt) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
             return;
         };
-        let Some(attempt) = tt.attempt(attempt_id) else {
-            return;
-        };
-        match attempt.phase {
+        let (phase, pending_event) = (attempt.phase, attempt.segment_event);
+        match phase {
             // Too early: retry at the next heartbeat once the task is in its
             // work phase (a task that has not started working has nothing
             // worth preserving yet, and Hadoop cannot stop a task mid-setup).
@@ -1611,12 +1510,10 @@ impl Cluster {
             // the completion heartbeat resolves the race (Section III-B).
             AttemptPhase::Finalize => {}
             AttemptPhase::Work => {
-                let pending_event = tt.attempt(attempt_id).and_then(|a| a.segment_event);
-                let progress = match tt.suspend(attempt_id, now) {
-                    Ok(p) => p,
-                    Err(_) => return,
+                let Some(Ok(progress)) = self.edit_tracker(node, |tt| tt.suspend(attempt_id, now))
+                else {
+                    return;
                 };
-                self.mark_node_dirty(node);
                 if let Some(ev) = pending_event {
                     self.queue.cancel(ev);
                 }
@@ -1636,17 +1533,12 @@ impl Cluster {
         let Some(attempt_id) = self.task(task).and_then(|t| t.current_attempt) else {
             return;
         };
-        let Some(tt) = self.tracker_mut(node) else {
+        // No free slot (or similar): stay in MUST_RESUME and retry at the
+        // next heartbeat from this tracker.
+        let Some(Ok(stall)) = self.edit_tracker(node, |tt| tt.resume(attempt_id, now)) else {
             return;
         };
-        let stall = match tt.resume(attempt_id, now) {
-            Ok(stall) => stall,
-            // No free slot (or similar): stay in MUST_RESUME and retry at the
-            // next heartbeat from this tracker.
-            Err(_) => return,
-        };
         self.enter_phase(node, attempt_id, AttemptPhase::Work, stall, now);
-        self.mark_node_dirty(node);
         self.set_task_state(task, TaskState::Running);
         self.record(Record::Resumed(now, attempt_id, node, stall));
     }
@@ -1657,7 +1549,7 @@ impl Cluster {
         };
         // Killing a task kills the whole task: any live backup dies with it.
         self.abort_speculation(task, now);
-        let Some(tt) = self.tracker_mut(node) else {
+        let Some(tt) = self.tracker(node) else {
             return;
         };
         let Some(attempt) = tt.attempt(attempt_id) else {
@@ -1668,11 +1560,9 @@ impl Cluster {
         };
         let pending_event = attempt.segment_event;
         let invested = attempt.invested_time(now);
-        let outcome = match tt.kill(attempt_id, now) {
-            Ok(o) => o,
-            Err(_) => return,
+        let Some(Ok(outcome)) = self.edit_tracker(node, |tt| tt.kill(attempt_id, now)) else {
+            return;
         };
-        self.mark_node_dirty(node);
         if let Some(ev) = pending_event {
             self.queue.cancel(ev);
         }
@@ -1705,10 +1595,7 @@ impl Cluster {
         // Defensive: the attempt may have been suspended, killed or OOM-killed
         // since this event was scheduled; its cancellation normally removes
         // the event, but a removed attempt cannot be cancelled, so re-check.
-        let Some(tt) = self.tracker_mut(node) else {
-            return;
-        };
-        let Some(attempt) = tt.attempt(attempt_id) else {
+        let Some(attempt) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
             return;
         };
         if attempt.state != AttemptState::Running || attempt.phase != phase {
@@ -1717,20 +1604,20 @@ impl Cluster {
         let task = attempt_id.task;
         match phase {
             AttemptPhase::Setup => {
-                let alloc = match tt.allocate_task_memory(attempt_id, now) {
-                    Ok(a) => a,
-                    Err(_) => return, // unknown attempt: nothing to clean up
+                let alloc = self.edit_tracker(node, |tt| {
+                    let alloc = tt.allocate_task_memory(attempt_id, now).ok()?;
+                    if !alloc.failed {
+                        let input_bytes = tt
+                            .attempt(attempt_id)
+                            .map(|a| a.plan.input_bytes)
+                            .unwrap_or(0);
+                        tt.record_input_read(input_bytes);
+                    }
+                    Some(alloc)
+                });
+                let Some(alloc) = alloc.flatten() else {
+                    return; // unknown attempt: nothing to clean up
                 };
-                if !alloc.failed {
-                    let input_bytes = tt
-                        .attempt(attempt_id)
-                        .map(|a| a.plan.input_bytes)
-                        .unwrap_or(0);
-                    tt.record_input_read(input_bytes);
-                }
-                if !alloc.oom_killed.is_empty() {
-                    self.mark_node_dirty(node);
-                }
                 // The allocating attempt itself may be among the victims (the
                 // OOM killer sacrificed it); the failure path below resolves
                 // it, so only the *other* victims are handled here.
@@ -1777,10 +1664,7 @@ impl Cluster {
                 // exponential backoff while the JobTracker re-executes the
                 // lost maps, and proceeds once every output is back.
                 if !self.shuffle.complete(task.job) {
-                    let Some(a) = self
-                        .tracker_mut(node)
-                        .and_then(|tt| tt.attempt_mut(attempt_id))
-                    else {
+                    let Some(a) = self.attempt_mut(node, attempt_id) else {
                         return;
                     };
                     let retries = a.shuffle_retries;
@@ -1812,17 +1696,21 @@ impl Cluster {
             AttemptPhase::Work => {
                 // Work finished: fault the task's own state back in (stateful
                 // tasks read their memory when finalizing) and write output.
-                let stall = tt
-                    .fault_in_own_memory(attempt_id, now)
-                    .unwrap_or(SimDuration::ZERO);
-                let output = tt
-                    .attempt(attempt_id)
-                    .map(|a| a.plan.output_bytes)
-                    .unwrap_or(0);
-                tt.write_output(output);
-                if let Some(a) = tt.attempt_mut(attempt_id) {
-                    a.work_completed = a.plan.work;
-                }
+                let stall = self.edit_tracker(node, |tt| {
+                    let stall = tt
+                        .fault_in_own_memory(attempt_id, now)
+                        .unwrap_or(SimDuration::ZERO);
+                    let output = tt
+                        .attempt(attempt_id)
+                        .map(|a| a.plan.output_bytes)
+                        .unwrap_or(0);
+                    tt.write_output(output);
+                    if let Some(a) = tt.attempt_mut(attempt_id) {
+                        a.work_completed = a.plan.work;
+                    }
+                    stall
+                });
+                let stall = stall.unwrap_or(SimDuration::ZERO);
                 self.enter_phase(node, attempt_id, AttemptPhase::Finalize, stall, now);
             }
             AttemptPhase::Finalize => {
@@ -1841,10 +1729,7 @@ impl Cluster {
         stall: SimDuration,
         now: SimTime,
     ) {
-        let Some(tt) = self.tracker_mut(node) else {
-            return;
-        };
-        let Some(attempt) = tt.attempt_mut(attempt_id) else {
+        let Some(attempt) = self.attempt_mut(node, attempt_id) else {
             return;
         };
         attempt.phase = phase;
@@ -1878,10 +1763,7 @@ impl Cluster {
                 phase,
             },
         );
-        if let Some(a) = self
-            .tracker_mut(node)
-            .and_then(|tt| tt.attempt_mut(attempt))
-        {
+        if let Some(a) = self.attempt_mut(node, attempt) {
             a.segment_start = start;
             a.segment_duration = duration;
             a.segment_event = Some(event);
@@ -1940,14 +1822,15 @@ impl Cluster {
         attempt: AttemptId,
         now: SimTime,
     ) -> Option<(TerminationOutcome, u64)> {
-        let tt = self.tracker_mut(node)?;
-        let output_bytes = tt
-            .attempt(attempt)
-            .map(|a| a.plan.output_bytes)
-            .unwrap_or(0);
-        let outcome = tt.complete(attempt, now).ok()?;
-        self.mark_node_dirty(node);
-        Some((outcome, output_bytes))
+        self.edit_tracker(node, |tt| {
+            let output_bytes = tt
+                .attempt(attempt)
+                .map(|a| a.plan.output_bytes)
+                .unwrap_or(0);
+            let outcome = tt.complete(attempt, now).ok()?;
+            Some((outcome, output_bytes))
+        })
+        .flatten()
     }
 
     /// Commits a task's success: marks it `Succeeded` — through the checked
@@ -1980,7 +1863,7 @@ impl Cluster {
         // registry is what makes that output a fault domain (and what feeds
         // rack-aware reduce placement).
         if task.kind == TaskKind::Map && self.shuffle.tracked(task.job) {
-            let rack = RackId(self.node_rack[node.0 as usize]);
+            let rack = self.rack_of(node);
             self.shuffle
                 .record_map_output(task.job, task.index as usize, node, rack, output_bytes);
         }
@@ -2029,10 +1912,9 @@ impl Cluster {
             // Discard: someone else committed first (or the job is gone).
             // The duplicate-commit tripwire in FaultStats stays at zero
             // because this path never touches task state.
-            if let Some(tt) = self.tracker_mut(node) {
+            self.edit_tracker(node, |tt| {
                 let _ = tt.complete(attempt_id, now);
-            }
-            self.mark_node_dirty(node);
+            });
             self.fault_stats.reconciled_discards += 1;
             self.record(Record::Killed(
                 now,
@@ -2095,20 +1977,18 @@ impl Cluster {
         self.lose_attempt(attempt_id, invested, false);
     }
 
-    /// Consults the scheduling policy: refreshes the views, hands `hook` the
-    /// policy and a context over the current state, and applies the actions
-    /// it returns.
+    /// Consults the scheduling policy: hands `hook` the policy and a context
+    /// over the current state, and applies the actions it returns.
     fn consult(
         &mut self,
         now: SimTime,
         hook: impl FnOnce(&mut dyn SchedulerPolicy, &SchedulerContext<'_>) -> Vec<SchedulerAction>,
     ) {
-        self.refresh_views();
         let ctx = SchedulerContext {
             now,
             jobs: &self.jobs,
-            nodes: &self.views,
-            racks: &self.rack_views,
+            nodes: &self.trackers,
+            racks: &self.rack_slots,
             topology: self.namenode.topology(),
             totals: self.totals,
             speculation: self.config.speculation,
@@ -2217,7 +2097,7 @@ impl Cluster {
         let plan = match task.kind {
             TaskKind::Map => ExecPlan::for_map(profile, t.input_bytes, locality),
             TaskKind::Reduce => {
-                let rack = RackId(self.node_rack[node.0 as usize]);
+                let rack = self.rack_of(node);
                 let contention = self.shuffle.reduce_contention(task.job, rack);
                 ExecPlan::for_reduce_contended(profile, t.input_bytes, contention)
             }
@@ -2226,10 +2106,8 @@ impl Cluster {
         let attempt = self.task_mut(task)?.next_attempt();
         // A failed launch leaves the attempt counter bumped: attempt ids only
         // need to be unique.
-        self.trackers[node.0 as usize]
-            .launch(attempt, task.kind, plan, now)
-            .ok()?;
-        self.mark_node_dirty(node);
+        self.edit_tracker(node, |tt| tt.launch(attempt, task.kind, plan, now).ok())
+            .flatten()?;
         self.enter_phase(node, attempt, AttemptPhase::Setup, SimDuration::ZERO, now);
         Some((attempt, locality))
     }
@@ -2296,16 +2174,15 @@ impl Cluster {
     /// aborted speculation), wherever it is and whatever state it is in.
     /// Charges its invested time to the speculation-waste counter.
     fn kill_sibling_attempt(&mut self, attempt: AttemptId, node: NodeId, now: SimTime) {
-        let Some(tt) = self.tracker_mut(node) else {
+        let Some(a) = self.tracker(node).and_then(|tt| tt.attempt(attempt)) else {
             return;
         };
-        let Some(a) = tt.attempt(attempt) else { return };
         let pending_event = a.segment_event;
         let invested = a.invested_time(now);
-        if tt.kill(attempt, now).map(|o| o.held_slot).unwrap_or(false) {
+        let killed = self.edit_tracker(node, |tt| tt.kill(attempt, now));
+        if killed.is_some_and(|k| k.is_ok_and(|o| o.held_slot)) {
             self.hold_cleanup_slot(node, attempt.task.kind, now);
         }
-        self.mark_node_dirty(node);
         if let Some(ev) = pending_event {
             self.queue.cancel(ev);
         }
@@ -2391,26 +2268,6 @@ impl Cluster {
     }
 }
 
-/// Rebuilds one node view from its tracker's current state.
-fn fill_view(view: &mut NodeView, tt: &TaskTracker) {
-    view.free_map_slots = tt.free_map_slots();
-    view.free_reduce_slots = tt.free_reduce_slots();
-    view.running.clear();
-    view.suspended.clear();
-    if !tt.is_reachable() {
-        // A torn-down partition victim advertises nothing: its attempts are
-        // written off master-side even though they still run node-side.
-        return;
-    }
-    for a in tt.attempts() {
-        match a.state {
-            AttemptState::Running => view.running.push(a.task),
-            AttemptState::Suspended => view.suspended.push(a.task),
-            _ => {}
-        }
-    }
-}
-
 impl std::fmt::Debug for Cluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cluster")
@@ -2430,12 +2287,6 @@ mod tests {
     use mrp_sim::{GIB, MIB};
 
     impl Cluster {
-        /// The per-rack aggregate free-slot counters, as schedulers see them
-        /// after the most recent refresh.
-        pub(crate) fn rack_views(&self) -> &[RackView] {
-            &self.rack_views
-        }
-
         /// Read access to the node-reliability predictor's failure-history
         /// scores.
         pub(crate) fn reliability_tracker(&self) -> &ReliabilityTracker {
@@ -2616,7 +2467,7 @@ mod tests {
         cfg.dfs_replication = 2;
         let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
         assert_eq!(c.namenode().topology().rack_count(), 2);
-        assert_eq!(c.rack_views().len(), 2);
+        assert_eq!(c.rack_slots().len(), 2);
         // Write the input from a node in rack 1; replicas then prefer to
         // span racks, so launches land in every locality bucket over time.
         c.create_input_file_from("/in", 512 * MIB, Some(NodeId(3)))
@@ -2628,30 +2479,12 @@ mod tests {
         // 4 x 128 MB blocks -> 4 map launches, all recorded.
         assert_eq!(report.locality.total(), 4);
         assert_eq!(c.locality_stats(), report.locality);
-        // With everything idle again, the maintained rack counters must add
-        // back up to the configured slots.
-        let total_free: u32 = c.rack_views().iter().map(|r| r.free_map_slots).sum();
-        assert_eq!(total_free, 4);
-        for rv in c.rack_views() {
-            assert_eq!(rv.nodes, 2);
+        // With everything idle again, the maintained rack totals must add
+        // back up to the configured slots: two nodes of one map and one
+        // reduce slot per rack.
+        for rack in c.rack_slots() {
+            assert_eq!((rack.free_map, rack.free_reduce), (2, 2));
         }
-    }
-
-    #[test]
-    fn full_refresh_mode_matches_sharded_mode() {
-        let run = |mode| {
-            let mut cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
-            cfg.refresh_mode = mode;
-            let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
-            c.create_input_file("/a", 512 * MIB).unwrap();
-            c.submit_job(JobSpec::map_only("a", "/a"));
-            c.submit_job_at(JobSpec::synthetic("b", 6, 64 * MIB), SimTime::from_secs(15));
-            c.run(SimTime::from_secs(3_600));
-            (c.report(), c.events_processed())
-        };
-        let sharded = run(crate::config::RefreshMode::Sharded);
-        let full = run(crate::config::RefreshMode::Full);
-        assert_eq!(sharded, full, "refresh sharding must not change outcomes");
     }
 
     #[test]

@@ -53,24 +53,6 @@ pub enum TraceLevel {
     Schedule,
 }
 
-/// How the cluster refreshes the per-node scheduler views and per-rack
-/// free-slot counters between events.
-///
-/// [`RefreshMode::Sharded`] is the production path: per-rack dirty lists, so
-/// a scheduling round touches only racks and nodes whose tracker state
-/// changed since the last round. [`RefreshMode::Full`] rebuilds every view
-/// and recomputes every rack counter from scratch on each round — the naive
-/// O(nodes) reference, kept so tests can assert the sharded bookkeeping
-/// changes nothing but cost.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
-pub enum RefreshMode {
-    /// O(changed nodes) per round via per-rack dirty lists (default).
-    #[default]
-    Sharded,
-    /// O(nodes) per round; reference implementation for equivalence tests.
-    Full,
-}
-
 /// What happens to a node (or a whole rack) at a scripted fault time.
 ///
 /// Beyond the clean crash/decommission/rejoin events, two *ambiguous* fault
@@ -367,9 +349,12 @@ impl SpeculationConfig {
 /// of virtual time, a job whose replica holders all died still drains — the
 /// clock keeps running and the job eventually launches anywhere.
 ///
-/// FIFO, FAIR and HFSP all enforce the policy through the shared
-/// [`SchedulerContext`](crate::SchedulerContext) helpers; no per-scheduler
-/// forks.
+/// FIFO, FAIR and HFSP read the allowed level and record declines through
+/// the shared [`SchedulerContext`](crate::SchedulerContext) helpers, but tier
+/// placements in two ways: FIFO buckets the whole schedulable list by
+/// locality, so a node-local task of a later job goes before a rack-local
+/// one of an earlier job; FAIR and HFSP fill a node job by job in their own
+/// order, tiering only within each job.
 ///
 /// ```
 /// use mrp_engine::{ClusterConfig, DelayConfig};
@@ -606,8 +591,6 @@ pub struct ClusterConfig {
     /// equal size, rack 0 first). `1` reproduces the paper's single-rack
     /// setup; the `swim_cluster` bench runs 100 racks x 100 nodes.
     pub racks: u32,
-    /// View/counter refresh strategy (see [`RefreshMode`]).
-    pub refresh_mode: RefreshMode,
     /// TaskTracker heartbeat interval (`mapreduce.jobtracker.heartbeat.interval`).
     pub heartbeat_interval: SimDuration,
     /// HDFS block size used when the harness creates input files.
@@ -656,7 +639,6 @@ impl ClusterConfig {
         ClusterConfig {
             nodes: vec![NodeConfig::paper_node()],
             racks: 1,
-            refresh_mode: RefreshMode::Sharded,
             heartbeat_interval: SimDuration::from_secs(3),
             dfs_block_size: 512 * MIB,
             dfs_replication: 1,
@@ -684,7 +666,6 @@ impl ClusterConfig {
                 })
                 .collect(),
             racks: 1,
-            refresh_mode: RefreshMode::Sharded,
             heartbeat_interval: SimDuration::from_secs(3),
             dfs_block_size: 128 * MIB,
             dfs_replication: 3.min(nodes),
@@ -1165,7 +1146,6 @@ mod tests {
         assert!(c.validate().is_ok());
         assert_eq!(c.node_count(), 12);
         assert_eq!(c.racks, 4);
-        assert_eq!(c.refresh_mode, RefreshMode::Sharded);
         assert_eq!(c.dfs_replication, 3);
     }
 }

@@ -42,14 +42,13 @@
 //!
 //! Scheduling policies reach the scoreboard through the
 //! [`SchedulerContext`](crate::SchedulerContext) helpers (`delay_allowed`,
-//! `note_delay_skip`, `delay_gated`), which keeps FIFO, FAIR and HFSP on the
-//! exact same placement policy with no per-scheduler forks; the HFSP decline
-//! window reads the epochs through `SchedulerContext::delay` directly.
-//! Interior mutability (`RefCell`/`Cell`) lets the policies record skips
-//! through the shared context; the simulation is single-threaded and every
-//! mutation is a deterministic function of the event sequence, so
-//! fixed-seed determinism and `RefreshMode::Sharded == Full` equivalence are
-//! preserved.
+//! `note_delay_skip`, `delay_gated`), so FIFO, FAIR and HFSP share one wait
+//! clock and one escalation rule (how each tiers its placements is on
+//! [`DelayConfig`]); the HFSP decline window reads the epochs through
+//! `SchedulerContext::delay` directly. Interior mutability (`RefCell`/`Cell`)
+//! lets the policies record skips through the shared context; the
+//! simulation is single-threaded and every mutation is a deterministic
+//! function of the event sequence, so fixed-seed determinism is preserved.
 
 use crate::config::DelayConfig;
 use crate::job::JobId;

@@ -104,7 +104,10 @@ impl FailureDomain {
     /// per-rack random churn drawn from a dedicated seed (one derived stream
     /// per rack, so adding a rack never perturbs another rack's failure
     /// times).
-    pub(crate) fn new<'a>(config: &ClusterConfig, racks: impl Iterator<Item = &'a [u32]>) -> Self {
+    pub(crate) fn new<'a>(
+        config: &ClusterConfig,
+        racks: impl Iterator<Item = &'a [NodeId]>,
+    ) -> Self {
         let node_count = config.nodes.len();
         let mut events = config.faults.events.clone();
         // Events below this index are the user's scripted ones; everything
@@ -137,7 +140,7 @@ impl FailureDomain {
                     }
                     // A strike is a kill plus, when recovery is configured,
                     // its paired rejoin.
-                    let node = NodeId(members[member]);
+                    let node = members[member];
                     events.push(FaultEvent {
                         at,
                         kind: FaultKind::Kill { node },
@@ -596,7 +599,7 @@ mod tests {
         assert!(c.node_is_alive(NodeId(1)));
         assert!(c.namenode().is_live(NodeId(1)));
         // Both nodes active again at the end: total free map slots add up.
-        let total_free: u32 = c.rack_views().iter().map(|r| r.free_map_slots).sum();
+        let total_free: u32 = c.rack_slots().iter().map(|r| r.free_map).sum();
         assert_eq!(total_free, 2);
     }
 

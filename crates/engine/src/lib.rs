@@ -52,8 +52,7 @@ pub use attempt::{Attempt, BASE_TASK_MEMORY};
 pub use cluster::Cluster;
 pub use config::{
     ClusterConfig, DelayConfig, DetectorConfig, FaultEvent, FaultKind, FaultPlan, NodeConfig,
-    ObsConfig, RandomFaults, RefreshMode, ReliabilityConfig, ShuffleConfig, SpeculationConfig,
-    TraceLevel,
+    ObsConfig, RandomFaults, ReliabilityConfig, ShuffleConfig, SpeculationConfig, TraceLevel,
 };
 pub use delay::DelayScoreboard;
 pub use job::{
@@ -68,8 +67,7 @@ pub use obs::{ObsState, Span, SpanKind, ACTION_KINDS};
 pub use plugin::{TenantLedger, TenantShareStats};
 pub use reliability::ReliabilityTracker;
 pub use scheduler::{
-    FifoScheduler, NodeView, PendingTotals, RackView, SchedulerAction, SchedulerContext,
-    SchedulerPolicy,
+    FifoScheduler, PendingTotals, RackSlots, SchedulerAction, SchedulerContext, SchedulerPolicy,
 };
 pub use shuffle::ShuffleTracker;
 pub use tasktracker::TaskTracker;

@@ -254,8 +254,8 @@ impl TenantLedger {
             self.demand_maps[t] += job.schedulable_maps;
             self.demand_reduces[t] += job.schedulable_reduces;
         }
-        for view in ctx.nodes {
-            for tid in &view.running {
+        for tt in ctx.nodes {
+            for tid in tt.running_tasks() {
                 let Some(job) = ctx.jobs.get(&tid.job) else {
                     continue;
                 };
@@ -310,10 +310,15 @@ impl TenantLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobId, JobRuntime, JobSpec, JobTable, TaskId, TaskRuntime, TaskState};
-    use crate::scheduler::{NodeView, PendingTotals};
+    use crate::attempt::ExecPlan;
+    use crate::config::NodeConfig;
+    use crate::job::{
+        AttemptId, JobId, JobRuntime, JobSpec, JobTable, TaskId, TaskRuntime, TaskState,
+    };
+    use crate::scheduler::PendingTotals;
+    use crate::tasktracker::TaskTracker;
     use crate::SpeculationConfig;
-    use mrp_dfs::{NodeId, Topology};
+    use mrp_dfs::{Locality, NodeId, Topology};
 
     fn make_job(id: u32, tenant: u32, best_effort: bool, maps: u32, running: u32) -> JobRuntime {
         let mut spec = JobSpec::synthetic(format!("j{id}"), maps, 1024).with_tenant(tenant);
@@ -358,7 +363,7 @@ mod tests {
     fn ctx_at<'a>(
         now: SimTime,
         jobs: &'a JobTable,
-        nodes: &'a [NodeView],
+        nodes: &'a [TaskTracker],
         topology: &'a Topology,
     ) -> SchedulerContext<'a> {
         SchedulerContext {
@@ -375,22 +380,28 @@ mod tests {
         }
     }
 
-    fn running_view(jobs: &JobTable) -> NodeView {
-        let mut running = Vec::new();
-        for job in jobs.values() {
-            for t in &job.tasks {
-                if t.state == TaskState::Running {
-                    running.push(t.id);
-                }
-            }
+    /// Node 0's tracker, running one attempt of every `Running` task.
+    fn running_tracker(jobs: &JobTable) -> TaskTracker {
+        let running: Vec<&TaskRuntime> = jobs
+            .values()
+            .flat_map(|j| &j.tasks)
+            .filter(|t| t.state == TaskState::Running)
+            .collect();
+        let config = NodeConfig {
+            os: Default::default(),
+            map_slots: running.len() as u32,
+            reduce_slots: 0,
+        };
+        let mut tt = TaskTracker::new(NodeId(0), &config);
+        for t in running {
+            let attempt = AttemptId {
+                task: t.id,
+                number: 0,
+            };
+            let plan = ExecPlan::for_map(&Default::default(), t.input_bytes, Locality::NodeLocal);
+            tt.launch(attempt, t.id.kind, plan, SimTime::ZERO).unwrap();
         }
-        NodeView {
-            id: NodeId(0),
-            free_map_slots: 0,
-            free_reduce_slots: 0,
-            running,
-            suspended: vec![],
-        }
+        tt
     }
 
     #[test]
@@ -413,7 +424,7 @@ mod tests {
         // Tenant 0 uses the whole cluster; tenant 1 has no demand yet.
         let mut jobs = JobTable::new();
         jobs.insert(JobId(1), make_job(1, 0, false, 4, 4));
-        let nodes = vec![running_view(&jobs)];
+        let nodes = [running_tracker(&jobs)];
         ledger.observe(&ctx_at(SimTime::ZERO, &jobs, &nodes, &topology));
         ledger.observe(&ctx_at(SimTime::from_secs(100), &jobs, &nodes, &topology));
         assert!((ledger.dominant_share(0) - 1.0).abs() < 1e-12);
@@ -439,7 +450,7 @@ mod tests {
         let mut ledger = TenantLedger::new(vec![1.0, 1.0], 4, 1, SimTime::ZERO);
         let mut jobs = JobTable::new();
         jobs.insert(JobId(1), make_job(1, 0, true, 4, 2));
-        let nodes = vec![running_view(&jobs)];
+        let nodes = [running_tracker(&jobs)];
         ledger.observe(&ctx_at(SimTime::ZERO, &jobs, &nodes, &topology));
         assert_eq!(ledger.usage_maps(0), 0);
         assert_eq!(ledger.demand_maps(0), 0);
@@ -453,7 +464,7 @@ mod tests {
         let mut jobs = JobTable::new();
         jobs.insert(JobId(1), make_job(1, 0, false, 4, 4));
         jobs.insert(JobId(2), make_job(2, 1, false, 4, 0));
-        let nodes = vec![running_view(&jobs)];
+        let nodes = [running_tracker(&jobs)];
         ledger.observe(&ctx_at(SimTime::ZERO, &jobs, &nodes, &topology));
         ledger.observe(&ctx_at(SimTime::from_secs(100), &jobs, &nodes, &topology));
         // Only the 50s past steady_after count.

@@ -13,6 +13,7 @@ use crate::delay::DelayScoreboard;
 use crate::job::{JobId, JobRuntime, JobSpec, JobTable, TaskId, TaskKind, TaskRuntime, TaskState};
 use crate::reliability::ReliabilityTracker;
 use crate::shuffle::ShuffleTracker;
+use crate::tasktracker::TaskTracker;
 use mrp_dfs::{Locality, NodeId, RackId, Topology};
 use mrp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -67,45 +68,38 @@ pub enum SchedulerAction {
     },
 }
 
-/// Snapshot of one node's slot occupancy, given to scheduler policies.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct NodeView {
-    /// The node.
-    pub id: NodeId,
-    /// Free map slots right now.
-    pub free_map_slots: u32,
-    /// Free reduce slots right now.
-    pub free_reduce_slots: u32,
-    /// Tasks currently occupying slots on this node.
-    pub running: Vec<TaskId>,
-    /// Tasks suspended on this node (they occupy memory but no slot).
-    pub suspended: Vec<TaskId>,
-}
-
-impl NodeView {
-    /// Free slots of the given kind.
-    pub(crate) fn free_slots(&self, kind: TaskKind) -> u32 {
-        match kind {
-            TaskKind::Map => self.free_map_slots,
-            TaskKind::Reduce => self.free_reduce_slots,
-        }
-    }
-}
-
-/// Aggregate slot occupancy of one rack, maintained incrementally by the
-/// engine (per-rack counters updated only for nodes whose tracker state
-/// changed). Policies use these to answer cluster-wide capacity questions in
+/// Free slots of one rack, summed over its member TaskTrackers. The engine
+/// keeps one per rack and moves it by the before/after difference of every
+/// tracker mutation, so policies answer cluster-wide capacity questions in
 /// O(racks) instead of O(nodes).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct RackView {
-    /// The rack.
-    pub(crate) id: RackId,
-    /// Number of nodes in the rack.
-    pub(crate) nodes: u32,
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RackSlots {
     /// Free map slots across the rack right now.
-    pub(crate) free_map_slots: u32,
+    pub(crate) free_map: u32,
     /// Free reduce slots across the rack right now.
-    pub(crate) free_reduce_slots: u32,
+    pub(crate) free_reduce: u32,
+}
+
+impl RackSlots {
+    /// Recounts every rack's free slots from its members' trackers (for
+    /// hand-built harnesses and invariant checks; the engine maintains the
+    /// totals incrementally). `nodes` is indexed by dense node id.
+    pub fn recount(nodes: &[TaskTracker], topology: &Topology) -> Vec<RackSlots> {
+        (0..topology.rack_count() as u32)
+            .map(|rack| {
+                let mut slots = RackSlots::default();
+                for tt in topology
+                    .members_of(RackId(rack))
+                    .iter()
+                    .filter_map(|m| nodes.get(m.0 as usize))
+                {
+                    slots.free_map += tt.free_slots(TaskKind::Map);
+                    slots.free_reduce += tt.free_slots(TaskKind::Reduce);
+                }
+                slots
+            })
+            .collect()
+    }
 }
 
 /// Cluster-wide pending-work counters, maintained incrementally by the
@@ -143,12 +137,13 @@ pub struct SchedulerContext<'a> {
     pub now: SimTime,
     /// All jobs the JobTracker knows about, keyed by id (insertion ordered).
     pub jobs: &'a JobTable,
-    /// Per-node slot occupancy snapshots.
-    pub nodes: &'a [NodeView],
-    /// Per-rack aggregate slot counters (empty slices are fine for
-    /// hand-built single-node harnesses; only cluster-wide capacity helpers
-    /// read them).
-    pub racks: &'a [RackView],
+    /// The TaskTrackers, indexed by dense node id: policies read each node's
+    /// free slots and its running and suspended tasks straight from them.
+    pub nodes: &'a [TaskTracker],
+    /// Per-rack free-slot totals, indexed by rack id (an empty slice is fine
+    /// for hand-built harnesses; only cluster-wide capacity helpers read
+    /// them).
+    pub racks: &'a [RackSlots],
     /// The cluster topology, for rack-aware placement decisions.
     pub topology: &'a Topology,
     /// Cluster-wide pending-work counters (see [`PendingTotals`]).
@@ -181,18 +176,10 @@ pub struct SchedulerContext<'a> {
 }
 
 impl<'a> SchedulerContext<'a> {
-    /// The view of a specific node, if it exists.
-    ///
-    /// Cluster-built view slices are indexed by dense node id, so the lookup
-    /// is O(1); the scan only remains as a fallback for hand-built slices in
-    /// tests and custom harnesses.
-    pub fn node(&self, id: NodeId) -> Option<&NodeView> {
-        if let Some(view) = self.nodes.get(id.0 as usize) {
-            if view.id == id {
-                return Some(view);
-            }
-        }
-        self.nodes.iter().find(|n| n.id == id)
+    /// The TaskTracker of a node, if it exists (O(1): trackers are indexed
+    /// by dense node id).
+    pub fn node(&self, id: NodeId) -> Option<&TaskTracker> {
+        self.nodes.get(id.0 as usize)
     }
 
     /// Looks up a task across all jobs.
@@ -203,23 +190,12 @@ impl<'a> SchedulerContext<'a> {
     /// Free map slots across the whole cluster, from the maintained per-rack
     /// counters: O(racks), not O(nodes).
     pub fn free_map_slots_total(&self) -> u32 {
-        self.racks.iter().map(|r| r.free_map_slots).sum()
+        self.racks.iter().map(|r| r.free_map).sum()
     }
 
     /// Free reduce slots across the whole cluster (O(racks)).
     pub fn free_reduce_slots_total(&self) -> u32 {
-        self.racks.iter().map(|r| r.free_reduce_slots).sum()
-    }
-
-    /// The view of a specific rack, if it exists. Cluster-built slices are
-    /// dense by rack id (O(1)); the scan is a fallback for hand-built slices.
-    pub(crate) fn rack(&self, id: RackId) -> Option<&RackView> {
-        if let Some(view) = self.racks.get(id.0 as usize) {
-            if view.id == id {
-                return Some(view);
-            }
-        }
-        self.racks.iter().find(|r| r.id == id)
+        self.racks.iter().map(|r| r.free_reduce).sum()
     }
 
     /// True when the node-reliability predictor says fresh launches of `kind`
@@ -240,7 +216,7 @@ impl<'a> SchedulerContext<'a> {
         if !r.flaky(node, rack, self.now) {
             return false;
         }
-        let free_here = self.node(node).map_or(0, |v| v.free_slots(kind));
+        let free_here = self.node(node).map_or(0, |tt| tt.free_slots(kind));
         let total = match kind {
             TaskKind::Map => self.free_map_slots_total(),
             TaskKind::Reduce => self.free_reduce_slots_total(),
@@ -262,7 +238,11 @@ impl<'a> SchedulerContext<'a> {
         let (Some(pref), Some(here)) = (s.preferred_rack(job), self.topology.rack_of(node)) else {
             return false;
         };
-        pref != here && self.rack(pref).is_some_and(|r| r.free_reduce_slots > 0)
+        pref != here
+            && self
+                .racks
+                .get(pref.0 as usize)
+                .is_some_and(|r| r.free_reduce > 0)
     }
 
     /// All tasks in a schedulable state, ordered by (priority desc, job
@@ -574,32 +554,32 @@ impl FifoScheduler {
 
 impl SchedulerPolicy for FifoScheduler {
     fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
-        let Some(view) = ctx.node(node) else {
+        let Some(tt) = ctx.node(node) else {
             return Vec::new();
         };
+        let mut free_map = tt.free_slots(TaskKind::Map);
+        let mut free_reduce = tt.free_slots(TaskKind::Reduce);
         // Hot-path early exit: skip the whole-cluster task scans below when
         // this node's free slots provably cannot be used — no pending work of
         // the matching kind exists anywhere (the cluster-wide totals are
         // engine-maintained, O(1) to consult) and nothing is suspended here.
         // At scale most heartbeats hit this case.
-        let can_launch_map = view.free_map_slots > 0 && ctx.totals.schedulable_maps > 0;
-        let can_launch_reduce = view.free_reduce_slots > 0 && ctx.totals.schedulable_reduces > 0;
+        let can_launch_map = free_map > 0 && ctx.totals.schedulable_maps > 0;
+        let can_launch_reduce = free_reduce > 0 && ctx.totals.schedulable_reduces > 0;
         let can_resume = self.resume_suspended
-            && !view.suspended.is_empty()
-            && (view.free_map_slots > 0 || view.free_reduce_slots > 0);
+            && (free_map > 0 || free_reduce > 0)
+            && tt.suspended_tasks().next().is_some();
         // Speculation (when enabled) looks only at tail-phase jobs, and only
         // when map slots survive regular assignment — Hadoop's trigger: a
         // slot nothing pending can use.
-        let can_speculate = ctx.speculation.enabled && view.free_map_slots > 0;
+        let can_speculate = ctx.speculation.enabled && free_map > 0;
         if !can_launch_map && !can_launch_reduce && !can_resume && !can_speculate {
             return Vec::new();
         }
         let mut actions = Vec::new();
-        let mut free_map = view.free_map_slots;
-        let mut free_reduce = view.free_reduce_slots;
 
         // First give slots back to suspended tasks stranded on this node.
-        if self.resume_suspended && !view.suspended.is_empty() {
+        if can_resume {
             for task in ctx.suspended_tasks() {
                 let Some(t) = ctx.task(task) else { continue };
                 if t.node != Some(node) {
@@ -744,7 +724,9 @@ impl SchedulerPolicy for FifoScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{JobSpec, TaskRuntime};
+    use crate::attempt::ExecPlan;
+    use crate::config::NodeConfig;
+    use crate::job::{AttemptId, JobSpec, TaskRuntime};
 
     fn make_job(id: u32, priority: i32, submitted: u64, tasks: usize) -> JobRuntime {
         let spec =
@@ -780,14 +762,31 @@ mod tests {
         job
     }
 
-    fn view(id: u32, free_map: u32) -> NodeView {
-        NodeView {
-            id: NodeId(id),
-            free_map_slots: free_map,
-            free_reduce_slots: 0,
-            running: vec![],
-            suspended: vec![],
+    /// Idle trackers for nodes 0, 1, ... with the given (map, reduce) slot
+    /// counts.
+    fn trackers(slots: &[(u32, u32)]) -> Vec<TaskTracker> {
+        slots
+            .iter()
+            .zip(0..)
+            .map(|(&(map_slots, reduce_slots), id)| {
+                let config = NodeConfig {
+                    os: Default::default(),
+                    map_slots,
+                    reduce_slots,
+                };
+                TaskTracker::new(NodeId(id), &config)
+            })
+            .collect()
+    }
+
+    /// Idle trackers for `n` nodes, with one map slot on each node in
+    /// `free_map` and no other slot anywhere.
+    fn map_slots_on(n: usize, free_map: &[u32]) -> Vec<TaskTracker> {
+        let mut slots = vec![(0, 0); n];
+        for &node in free_map {
+            slots[node as usize].0 = 1;
         }
+        trackers(&slots)
     }
 
     #[test]
@@ -796,7 +795,7 @@ mod tests {
         jobs.insert(JobId(1), make_job(1, 0, 0, 1));
         jobs.insert(JobId(2), make_job(2, 5, 10, 1));
         jobs.insert(JobId(3), make_job(3, 0, 5, 1));
-        let nodes = [view(0, 1)];
+        let nodes = trackers(&[(1, 0)]);
         let topo = Topology::single_rack(10);
         let ctx = SchedulerContext {
             now: SimTime::from_secs(20),
@@ -820,7 +819,7 @@ mod tests {
     fn fifo_fills_free_slots_only() {
         let mut jobs = JobTable::new();
         jobs.insert(JobId(1), make_job(1, 0, 0, 3));
-        let nodes = [view(0, 2)];
+        let nodes = trackers(&[(2, 0)]);
         let topo = Topology::single_rack(10);
         let ctx = SchedulerContext {
             now: SimTime::ZERO,
@@ -850,7 +849,7 @@ mod tests {
         job.tasks[0].preferred_nodes = vec![NodeId(5)];
         job.tasks[1].preferred_nodes = vec![NodeId(0)];
         jobs.insert(JobId(1), job);
-        let nodes = [view(0, 1)];
+        let nodes = trackers(&[(1, 0)]);
         let topo = Topology::single_rack(10);
         let ctx = SchedulerContext {
             now: SimTime::ZERO,
@@ -886,14 +885,19 @@ mod tests {
         job.tasks[0].set_state(TaskState::Suspended);
         job.tasks[0].node = Some(NodeId(0));
         job.recount_task_states();
+        // Node 0 holds the task's suspended attempt; node 9 has a free slot
+        // but nothing suspended.
+        let mut nodes = map_slots_on(10, &[0, 9]);
+        let attempt = AttemptId {
+            task: job.tasks[0].id,
+            number: 0,
+        };
+        let plan = ExecPlan::for_map(&job.spec.profile, 100, Locality::NodeLocal);
         jobs.insert(JobId(1), job);
-        let mut v = view(0, 1);
-        v.suspended = vec![TaskId {
-            job: JobId(1),
-            kind: TaskKind::Map,
-            index: 0,
-        }];
-        let nodes = [v];
+        nodes[0]
+            .launch(attempt, TaskKind::Map, plan, SimTime::ZERO)
+            .unwrap();
+        nodes[0].suspend(attempt, SimTime::ZERO).unwrap();
         let topo = Topology::single_rack(10);
         let ctx = SchedulerContext {
             now: SimTime::ZERO,
@@ -931,7 +935,7 @@ mod tests {
         // of a 2-rack topology: a launch on node 0 would be off-rack.
         job.tasks[0].preferred_nodes = vec![NodeId(5)];
         jobs.insert(JobId(1), job);
-        let nodes = [view(0, 1)];
+        let nodes = trackers(&[(1, 0)]);
         let topo = Topology::blocked(10, 2);
         let ctx_at = |now: SimTime| SchedulerContext {
             now,
@@ -971,22 +975,10 @@ mod tests {
         tracker.record_failure(NodeId(1), RackId(0), SimTime::from_secs(100));
         let mut jobs = JobTable::new();
         jobs.insert(JobId(1), make_job(1, 0, 0, 2));
-        let nodes = [view(0, 1), view(1, 1)];
-        let racks = [
-            RackView {
-                id: RackId(0),
-                nodes: 5,
-                free_map_slots: 2,
-                free_reduce_slots: 0,
-            },
-            RackView {
-                id: RackId(1),
-                nodes: 5,
-                free_map_slots: 0,
-                free_reduce_slots: 0,
-            },
-        ];
+        // Free map slots on nodes 0 and 1, both in rack 0.
+        let nodes = map_slots_on(10, &[0, 1]);
         let topo = Topology::blocked(10, 2);
+        let racks = RackSlots::recount(&nodes, &topo);
         let ctx = SchedulerContext {
             now: SimTime::from_secs(100),
             jobs: &jobs,
@@ -1011,15 +1003,11 @@ mod tests {
         assert!(!fifo.on_heartbeat(&ctx, NodeId(0)).is_empty());
         // Starvation guard: when the flaky node holds the only free capacity,
         // work lands on it anyway.
-        let only_here = [RackView {
-            id: RackId(0),
-            nodes: 5,
-            free_map_slots: 1,
-            free_reduce_slots: 0,
-        }];
+        let only_here = map_slots_on(10, &[1]);
+        let only_here_racks = RackSlots::recount(&only_here, &topo);
         let ctx2 = SchedulerContext {
-            racks: &only_here,
-            nodes: &nodes[1..],
+            racks: &only_here_racks,
+            nodes: &only_here,
             ..ctx
         };
         assert!(!ctx2.reliability_avoid(NodeId(1), TaskKind::Map));
@@ -1060,36 +1048,18 @@ mod tests {
         };
         job.recount_task_states();
         jobs.insert(job_id, job);
-        let mut v0 = view(0, 0);
-        v0.free_reduce_slots = 1;
-        let mut v5 = NodeView {
-            id: NodeId(5),
-            free_map_slots: 0,
-            free_reduce_slots: 1,
-            running: vec![],
-            suspended: vec![],
-        };
-        let racks_with_capacity = [
-            RackView {
-                id: RackId(0),
-                nodes: 5,
-                free_map_slots: 0,
-                free_reduce_slots: 1,
-            },
-            RackView {
-                id: RackId(1),
-                nodes: 5,
-                free_map_slots: 0,
-                free_reduce_slots: 1,
-            },
-        ];
+        // Free reduce slots on node 0 (rack 0) and node 5 (rack 1).
+        let mut slots = vec![(0, 0); 10];
+        slots[0] = (0, 1);
+        slots[5] = (0, 1);
+        let nodes = trackers(&slots);
         let topo = Topology::blocked(10, 2);
-        let nodes = [v0.clone()];
+        let racks = RackSlots::recount(&nodes, &topo);
         let ctx = SchedulerContext {
             now: SimTime::ZERO,
             jobs: &jobs,
             nodes: &nodes,
-            racks: &racks_with_capacity,
+            racks: &racks,
             topology: &topo,
             totals: PendingTotals::from_jobs(&jobs),
             speculation: SpeculationConfig::default(),
@@ -1103,26 +1073,15 @@ mod tests {
         assert!(fifo.on_heartbeat(&ctx, NodeId(0)).is_empty());
         // On the byte-holding rack the reduce launches.
         assert!(!ctx.prefer_reduce_elsewhere(JobId(1), NodeId(5)));
-        v5.free_reduce_slots = 1;
-        let nodes5 = [v0.clone(), v5];
-        let ctx5 = SchedulerContext {
-            nodes: &nodes5,
-            ..ctx
-        };
-        assert_eq!(fifo.on_heartbeat(&ctx5, NodeId(5)).len(), 1);
+        assert_eq!(fifo.on_heartbeat(&ctx, NodeId(5)).len(), 1);
         // Once rack 1 is full, rack 0 stops declining (starvation guard).
-        let full = [
-            racks_with_capacity[0].clone(),
-            RackView {
-                id: RackId(1),
-                nodes: 5,
-                free_map_slots: 0,
-                free_reduce_slots: 0,
-            },
-        ];
+        slots[5] = (0, 0);
+        let full = trackers(&slots);
+        let full_racks = RackSlots::recount(&full, &topo);
         let ctx_full = SchedulerContext {
-            racks: &full,
-            ..ctx5
+            nodes: &full,
+            racks: &full_racks,
+            ..ctx
         };
         assert!(!ctx_full.prefer_reduce_elsewhere(JobId(1), NodeId(0)));
     }
@@ -1131,7 +1090,7 @@ mod tests {
     fn context_helpers() {
         let mut jobs = JobTable::new();
         jobs.insert(JobId(1), make_job(1, 0, 0, 1));
-        let nodes = [view(0, 1)];
+        let nodes = trackers(&[(1, 0)]);
         let topo = Topology::single_rack(10);
         let ctx = SchedulerContext {
             now: SimTime::ZERO,

@@ -11,10 +11,11 @@
 //! [`Cluster`](crate::cluster::Cluster).
 
 use crate::attempt::{Attempt, AttemptState, ExecPlan};
-use crate::job::{AttemptId, TaskKind};
+use crate::config::NodeConfig;
+use crate::job::{AttemptId, TaskId, TaskKind};
 use mrp_dfs::NodeId;
 use mrp_sim::{SimDuration, SimTime, VecMap};
-use mrp_simos::{Kernel, NodeOsConfig, OsError, Pid, Signal};
+use mrp_simos::{Kernel, OsError, Pid, Signal};
 
 /// Result of allocating a task's memory at the end of its setup phase.
 #[derive(Clone, Debug, Default)]
@@ -100,9 +101,10 @@ impl From<OsError> for TrackerError {
 /// beats any keyed tree or hash on the per-task path, and every iteration is
 /// in deterministic id order (std `HashMap` ordering varies per process run,
 /// which would leak nondeterminism into scheduler decisions and reports).
-/// The tracker also maintains a `dirty` flag so the cluster can refresh only
-/// the per-node scheduler views whose slot occupancy actually changed since
-/// the last heartbeat, instead of rebuilding every view on every event.
+/// Scheduler policies read a tracker directly, as the JobTracker reads the
+/// slot state a TaskTracker reports on its heartbeat: free slots per kind
+/// and the running and suspended tasks, all empty on a node that is dead or
+/// cut off from the master.
 #[derive(Debug)]
 pub struct TaskTracker {
     /// The node this tracker runs on.
@@ -113,7 +115,6 @@ pub struct TaskTracker {
     used_map_slots: u32,
     used_reduce_slots: u32,
     attempts: VecMap<AttemptId, Attempt>,
-    dirty: bool,
     /// False while the node is failed or decommissioned: a dead tracker
     /// reports zero free slots, accepts no launches, and its heartbeats are
     /// ignored by the cluster.
@@ -132,17 +133,17 @@ pub struct TaskTracker {
 }
 
 impl TaskTracker {
-    /// Creates a TaskTracker with the given OS configuration and slot counts.
-    pub(crate) fn new(id: NodeId, os: NodeOsConfig, map_slots: u32, reduce_slots: u32) -> Self {
+    /// Creates an idle TaskTracker for node `id` with the node's OS model
+    /// and slot counts.
+    pub fn new(id: NodeId, config: &NodeConfig) -> Self {
         TaskTracker {
             id,
-            kernel: Kernel::new(os),
-            map_slots,
-            reduce_slots,
+            kernel: Kernel::new(config.os.clone()),
+            map_slots: config.map_slots,
+            reduce_slots: config.reduce_slots,
             used_map_slots: 0,
             used_reduce_slots: 0,
             attempts: VecMap::new(),
-            dirty: true,
             alive: true,
             epoch: 0,
             reachable: true,
@@ -168,7 +169,6 @@ impl TaskTracker {
     /// Flips master-side reachability (confirmed partition teardown / heal).
     pub(crate) fn set_reachable(&mut self, reachable: bool) {
         self.reachable = reachable;
-        self.dirty = true;
     }
 
     /// Takes the node out of service (crash or decommission): every live
@@ -177,7 +177,6 @@ impl TaskTracker {
     /// events, account lost work, and reschedule the tasks.
     pub(crate) fn fail(&mut self, now: SimTime) -> Vec<FailedAttempt> {
         self.alive = false;
-        self.dirty = true;
         self.epoch += 1;
         let mut torn_down = Vec::with_capacity(self.attempts.len());
         for attempt in self.attempts.values() {
@@ -202,13 +201,6 @@ impl TaskTracker {
     pub(crate) fn revive(&mut self) {
         self.alive = true;
         self.reachable = true;
-        self.dirty = true;
-    }
-
-    /// Returns (and clears) whether slot occupancy or the running/suspended
-    /// attempt sets changed since the last call.
-    pub(crate) fn take_dirty(&mut self) -> bool {
-        std::mem::take(&mut self.dirty)
     }
 
     /// Read-only access to the node's kernel (for statistics).
@@ -216,28 +208,42 @@ impl TaskTracker {
         &self.kernel
     }
 
-    /// Free map slots (a dead or unreachable node has none).
-    pub(crate) fn free_map_slots(&self) -> u32 {
-        if !self.alive || !self.reachable {
-            return 0;
-        }
-        self.map_slots - self.used_map_slots
+    /// Whether the master sees the node: in service and reachable. A node
+    /// it does not see advertises no slots and no tasks.
+    fn advertised(&self) -> bool {
+        self.alive && self.reachable
     }
 
-    /// Free reduce slots (a dead or unreachable node has none).
-    pub(crate) fn free_reduce_slots(&self) -> u32 {
-        if !self.alive || !self.reachable {
+    /// Free slots of a kind (none on a dead or unreachable node).
+    pub fn free_slots(&self, kind: TaskKind) -> u32 {
+        if !self.advertised() {
             return 0;
         }
-        self.reduce_slots - self.used_reduce_slots
-    }
-
-    /// Free slots of a kind.
-    pub(crate) fn free_slots(&self, kind: TaskKind) -> u32 {
         match kind {
-            TaskKind::Map => self.free_map_slots(),
-            TaskKind::Reduce => self.free_reduce_slots(),
+            TaskKind::Map => self.map_slots - self.used_map_slots,
+            TaskKind::Reduce => self.reduce_slots - self.used_reduce_slots,
         }
+    }
+
+    /// Tasks whose attempts occupy a slot here, in attempt-id order (none on
+    /// a dead or unreachable node: a torn-down partition victim's attempts
+    /// are written off master-side even though they still run node-side).
+    pub(crate) fn running_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.advertised_tasks(AttemptState::Running)
+    }
+
+    /// Tasks suspended here (holding memory but no slot), in attempt-id
+    /// order (none on a dead or unreachable node).
+    pub fn suspended_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.advertised_tasks(AttemptState::Suspended)
+    }
+
+    fn advertised_tasks(&self, state: AttemptState) -> impl Iterator<Item = TaskId> + '_ {
+        let advertised = self.advertised();
+        self.attempts
+            .values()
+            .filter(move |a| advertised && a.state == state)
+            .map(|a| a.task)
     }
 
     fn occupy_slot(&mut self, kind: TaskKind) -> Result<(), TrackerError> {
@@ -257,7 +263,6 @@ impl TaskTracker {
     /// Releases a slot of the given kind (used by the cluster when a killed
     /// task's cleanup attempt finishes).
     pub(crate) fn release_slot(&mut self, kind: TaskKind) {
-        self.dirty = true;
         match kind {
             TaskKind::Map => {
                 debug_assert!(
@@ -316,7 +321,6 @@ impl TaskTracker {
             return Err(TrackerError::InvalidState);
         }
         self.occupy_slot(kind)?;
-        self.dirty = true;
         // The simulated process name is never read on any engine path, and
         // formatting the attempt id per launch shows up in cluster-scale
         // profiles; attempts are identified through the attempt table instead.
@@ -367,7 +371,6 @@ impl TaskTracker {
                         .find(|a| a.pid == victim_pid)
                         .map(|a| a.id);
                     if let Some(victim) = victim {
-                        self.dirty = true;
                         let v = self.attempts.remove(&victim).expect("found above");
                         if v.state == AttemptState::Running {
                             // It held a slot; the caller must reschedule it.
@@ -448,7 +451,6 @@ impl TaskTracker {
             (attempt.kind, attempt.pid)
         };
         self.occupy_slot(kind)?;
-        self.dirty = true;
         self.kernel.signal(pid, Signal::Sigcont, now)?;
         // Lazy resume (block swap device only): page in just the prefetch
         // window; the rest faults back on touch, at the latest when the task
@@ -499,7 +501,6 @@ impl TaskTracker {
             .attempts
             .get_mut(&id)
             .ok_or(TrackerError::UnknownAttempt)?;
-        self.dirty = true;
         attempt.interrupt_work(now);
         let pid = attempt.pid;
         let held_slot = attempt.state == AttemptState::Running;
@@ -558,6 +559,7 @@ mod tests {
     use crate::job::{JobId, TaskId, TaskProfile};
     use mrp_dfs::Locality;
     use mrp_sim::{GIB, MIB};
+    use mrp_simos::NodeOsConfig;
 
     fn attempt_id(n: u32) -> AttemptId {
         AttemptId {
@@ -578,8 +580,17 @@ mod tests {
         )
     }
 
+    fn with_slots(os: NodeOsConfig, map_slots: u32, reduce_slots: u32) -> TaskTracker {
+        let config = NodeConfig {
+            os,
+            map_slots,
+            reduce_slots,
+        };
+        TaskTracker::new(NodeId(0), &config)
+    }
+
     fn tracker() -> TaskTracker {
-        TaskTracker::new(NodeId(0), NodeOsConfig::default(), 1, 1)
+        with_slots(NodeOsConfig::default(), 1, 1)
     }
 
     fn running(tt: &TaskTracker) -> usize {
@@ -591,11 +602,11 @@ mod tests {
     #[test]
     fn launch_occupies_a_slot() {
         let mut tt = tracker();
-        assert_eq!(tt.free_map_slots(), 1);
+        assert_eq!(tt.free_slots(TaskKind::Map), 1);
         tt.launch(attempt_id(0), TaskKind::Map, plan(0), SimTime::ZERO)
             .unwrap();
-        assert_eq!(tt.free_map_slots(), 0);
-        assert_eq!(tt.free_reduce_slots(), 1);
+        assert_eq!(tt.free_slots(TaskKind::Map), 0);
+        assert_eq!(tt.free_slots(TaskKind::Reduce), 1);
         assert_eq!(running(&tt), 1);
         // Second map launch fails: no free slot.
         assert_eq!(
@@ -626,7 +637,7 @@ mod tests {
         }
         let progress = tt.suspend(attempt_id(0), SimTime::from_secs(43)).unwrap();
         assert!(progress > 0.4 && progress < 0.7, "progress {progress}");
-        assert_eq!(tt.free_map_slots(), 1);
+        assert_eq!(tt.free_slots(TaskKind::Map), 1);
         assert_eq!(tt.suspended_attempts().count(), 1);
         // Suspending again is invalid.
         assert_eq!(
@@ -640,12 +651,12 @@ mod tests {
             SimDuration::ZERO,
             "no paging happened, resume is free"
         );
-        assert_eq!(tt.free_map_slots(), 0);
+        assert_eq!(tt.free_slots(TaskKind::Map), 0);
     }
 
     #[test]
     fn resume_needs_a_free_slot() {
-        let mut tt = TaskTracker::new(NodeId(0), NodeOsConfig::default(), 1, 0);
+        let mut tt = with_slots(NodeOsConfig::default(), 1, 0);
         tt.launch(attempt_id(0), TaskKind::Map, plan(0), SimTime::ZERO)
             .unwrap();
         {
@@ -723,9 +734,9 @@ mod tests {
         assert!(out.held_slot);
         assert_eq!(out.paged_out_bytes, 0);
         // Slot is still occupied until the cleanup attempt finishes.
-        assert_eq!(tt.free_map_slots(), 0);
+        assert_eq!(tt.free_slots(TaskKind::Map), 0);
         tt.release_slot(TaskKind::Map);
-        assert_eq!(tt.free_map_slots(), 1);
+        assert_eq!(tt.free_slots(TaskKind::Map), 1);
         assert!(tt.attempt(attempt_id(0)).is_none());
     }
 
@@ -738,7 +749,7 @@ mod tests {
             .unwrap();
         let out = tt.complete(attempt_id(0), SimTime::from_secs(90)).unwrap();
         assert!(out.held_slot);
-        assert_eq!(tt.free_map_slots(), 1);
+        assert_eq!(tt.free_slots(TaskKind::Map), 1);
         assert_eq!(tt.kernel().memory().total_resident(), 0);
         assert!(tt.attempt(attempt_id(0)).is_none());
         // Completing twice is an error.
@@ -777,7 +788,7 @@ mod tests {
 
     #[test]
     fn fail_tears_down_attempts_and_revive_restores_capacity() {
-        let mut tt = TaskTracker::new(NodeId(0), NodeOsConfig::default(), 2, 1);
+        let mut tt = with_slots(NodeOsConfig::default(), 2, 1);
         tt.launch(attempt_id(0), TaskKind::Map, plan(0), SimTime::ZERO)
             .unwrap();
         tt.allocate_task_memory(attempt_id(0), SimTime::ZERO)
@@ -801,8 +812,8 @@ mod tests {
         assert!(torn_down[1].invested > SimDuration::ZERO);
         assert_eq!(tt.attempts().count(), 0);
         // Dead nodes expose no capacity and refuse launches.
-        assert_eq!(tt.free_map_slots(), 0);
-        assert_eq!(tt.free_reduce_slots(), 0);
+        assert_eq!(tt.free_slots(TaskKind::Map), 0);
+        assert_eq!(tt.free_slots(TaskKind::Reduce), 0);
         assert_eq!(
             tt.launch(
                 attempt_id(2),
@@ -818,8 +829,8 @@ mod tests {
 
         tt.revive();
         assert!(tt.is_alive());
-        assert_eq!(tt.free_map_slots(), 2);
-        assert_eq!(tt.free_reduce_slots(), 1);
+        assert_eq!(tt.free_slots(TaskKind::Map), 2);
+        assert_eq!(tt.free_slots(TaskKind::Reduce), 1);
         tt.launch(
             attempt_id(3),
             TaskKind::Map,
@@ -827,20 +838,20 @@ mod tests {
             SimTime::from_secs(40),
         )
         .unwrap();
-        assert_eq!(tt.free_map_slots(), 1);
+        assert_eq!(tt.free_slots(TaskKind::Map), 1);
     }
 
     #[test]
     fn unreachable_tracker_hides_capacity_but_keeps_attempts_running() {
-        let mut tt = TaskTracker::new(NodeId(0), NodeOsConfig::default(), 2, 1);
+        let mut tt = with_slots(NodeOsConfig::default(), 2, 1);
         tt.launch(attempt_id(0), TaskKind::Map, plan(0), SimTime::ZERO)
             .unwrap();
         tt.set_reachable(false);
         assert!(tt.is_alive());
         assert!(!tt.is_reachable());
         // The scheduler sees no capacity and launches are refused...
-        assert_eq!(tt.free_map_slots(), 0);
-        assert_eq!(tt.free_reduce_slots(), 0);
+        assert_eq!(tt.free_slots(TaskKind::Map), 0);
+        assert_eq!(tt.free_slots(TaskKind::Reduce), 0);
         assert_eq!(
             tt.launch(attempt_id(1), TaskKind::Map, plan(0), SimTime::from_secs(1))
                 .unwrap_err(),
@@ -849,8 +860,8 @@ mod tests {
         // ...but the node-side attempt is still there, still running.
         assert_eq!(running(&tt), 1);
         tt.set_reachable(true);
-        assert_eq!(tt.free_map_slots(), 1);
-        assert_eq!(tt.free_reduce_slots(), 1);
+        assert_eq!(tt.free_slots(TaskKind::Map), 1);
+        assert_eq!(tt.free_slots(TaskKind::Reduce), 1);
     }
 
     #[test]
@@ -863,7 +874,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut tt = TaskTracker::new(NodeId(0), os, 2, 0);
+        let mut tt = with_slots(os, 2, 0);
         tt.launch(
             attempt_id(0),
             TaskKind::Map,
@@ -920,7 +931,7 @@ mod tests {
     /// node's cumulative swap-read bytes right after the resume, plus the
     /// resumed attempt's still-swapped bytes.
     fn pressured_resume(swap: mrp_simos::SwapConfig) -> (u64, u64) {
-        let mut tt = TaskTracker::new(NodeId(0), os_with_swap(swap), 2, 0);
+        let mut tt = with_slots(os_with_swap(swap), 2, 0);
         tt.launch(
             attempt_id(0),
             TaskKind::Map,
@@ -972,7 +983,7 @@ mod tests {
 
     #[test]
     fn lazy_remainder_faults_in_at_finalize() {
-        let mut tt = TaskTracker::new(NodeId(0), os_with_swap(mrp_simos::SwapConfig::lazy()), 2, 0);
+        let mut tt = with_slots(os_with_swap(mrp_simos::SwapConfig::lazy()), 2, 0);
         tt.launch(
             attempt_id(0),
             TaskKind::Map,
@@ -1009,7 +1020,7 @@ mod tests {
 
     #[test]
     fn suspended_first_victim_order_survives_lazy_resume() {
-        let mut tt = TaskTracker::new(NodeId(0), os_with_swap(mrp_simos::SwapConfig::lazy()), 3, 0);
+        let mut tt = with_slots(os_with_swap(mrp_simos::SwapConfig::lazy()), 3, 0);
         for (i, t) in [(0u32, 0u64), (1, 1)] {
             tt.launch(
                 attempt_id(i),
@@ -1065,7 +1076,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let mut tt = TaskTracker::new(NodeId(0), os, 2, 0);
+        let mut tt = with_slots(os, 2, 0);
         tt.launch(
             attempt_id(0),
             TaskKind::Map,
@@ -1106,12 +1117,7 @@ mod tests {
 
     #[test]
     fn overcommitted_attempt_thrashes_and_is_counted() {
-        let mut tt = TaskTracker::new(
-            NodeId(0),
-            os_with_swap(mrp_simos::SwapConfig::enabled()),
-            1,
-            0,
-        );
+        let mut tt = with_slots(os_with_swap(mrp_simos::SwapConfig::enabled()), 1, 0);
         // A single working set larger than usable RAM: the attempt thrashes
         // against itself instead of OOMing (swap has room).
         tt.launch(attempt_id(0), TaskKind::Map, plan(3 * GIB), SimTime::ZERO)

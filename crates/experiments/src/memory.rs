@@ -147,21 +147,10 @@ impl MemoryPressureConfig {
 pub struct MemoryPressureOutcome {
     /// Discrete events the run processed (the bench's throughput unit).
     pub events_processed: u64,
-    /// Bytes written to swap across the cluster.
-    pub swap_out_bytes: u64,
-    /// Bytes read back from swap across the cluster.
-    pub swap_in_bytes: u64,
-    /// Self-eviction reclaim passes (nonzero only under overcommit).
-    pub thrash_events: u64,
-    /// Tasks sacrificed by the OOM killer.
-    pub oom_kills: u64,
     /// Suspend/resume cycles across all tasks.
     pub suspend_cycles: u64,
-    /// Virtual seconds spent stalled on swap I/O across the cluster (from
-    /// the swap device's timing counters; disk contention inflates this for
-    /// the same byte flow).
-    pub swap_io_secs: f64,
-    /// The full engine report, for detailed inspection.
+    /// The full engine report: per-node swap traffic, swap-stall time,
+    /// thrash events and OOM kills, summed by its `total_*` helpers.
     pub report: ClusterReport,
 }
 
@@ -172,7 +161,7 @@ impl MemoryPressureOutcome {
         if self.suspend_cycles == 0 {
             0.0
         } else {
-            self.swap_in_bytes as f64 / self.suspend_cycles as f64
+            self.report.total_swap_in_bytes() as f64 / self.suspend_cycles as f64
         }
     }
 }
@@ -253,11 +242,6 @@ pub fn run_memory_pressure(config: &MemoryPressureConfig) -> MemoryPressureOutco
     );
     MemoryPressureOutcome {
         events_processed,
-        swap_out_bytes: report.nodes.iter().map(|n| n.swap_out_bytes).sum(),
-        swap_in_bytes: report.nodes.iter().map(|n| n.swap_in_bytes).sum(),
-        thrash_events: report.nodes.iter().map(|n| n.thrash_events).sum(),
-        swap_io_secs: report.nodes.iter().map(|n| n.swap_io_secs).sum(),
-        oom_kills: report.nodes.iter().map(|n| n.oom_kills).sum(),
         suspend_cycles: report
             .jobs
             .iter()
@@ -342,8 +326,7 @@ mod tests {
         let b = run_memory_pressure(&config);
         assert_eq!(a.events_processed, b.events_processed);
         assert_eq!(a.report.makespan_secs(), b.report.makespan_secs());
-        assert_eq!(a.swap_out_bytes, b.swap_out_bytes);
-        assert_eq!(a.swap_in_bytes, b.swap_in_bytes);
+        assert_eq!(a.report, b.report);
         assert_eq!(a.suspend_cycles, b.suspend_cycles);
     }
 
@@ -354,22 +337,26 @@ mod tests {
             outcome.suspend_cycles >= 4,
             "small jobs must keep suspending batch tasks: {outcome:?}"
         );
+        let report = &outcome.report;
         assert!(
-            outcome.swap_out_bytes > GIB,
+            report.total_swap_out_bytes() > GIB,
             "suspended resident sets must page out: {}",
-            outcome.swap_out_bytes
+            report.total_swap_out_bytes()
         );
-        assert_eq!(outcome.oom_kills, 0, "swap is sized to absorb the churn");
+        let oom_kills: u64 = report.nodes.iter().map(|n| n.oom_kills).sum();
+        assert_eq!(oom_kills, 0, "swap is sized to absorb the churn");
     }
 
     #[test]
     fn lazy_resume_reads_strictly_fewer_swap_bytes() {
         let (eager, lazy) = resume_ablation(&MemoryPressureConfig::small(SwapConfig::enabled()));
+        let (lazy, eager) = (
+            lazy.report.total_swap_in_bytes(),
+            eager.report.total_swap_in_bytes(),
+        );
         assert!(
-            lazy.swap_in_bytes < eager.swap_in_bytes,
-            "lazy resume must skip pages never touched again: lazy {} vs eager {}",
-            lazy.swap_in_bytes,
-            eager.swap_in_bytes
+            lazy < eager,
+            "lazy resume must skip pages never touched again: lazy {lazy} vs eager {eager}"
         );
     }
 
@@ -377,15 +364,17 @@ mod tests {
     fn calm_variant_never_thrashes() {
         let outcome =
             run_memory_pressure(&MemoryPressureConfig::small(SwapConfig::enabled()).calm());
-        assert_eq!(outcome.thrash_events, 0, "no overcommit, no thrash");
+        let thrash_events: u64 = outcome.report.nodes.iter().map(|n| n.thrash_events).sum();
+        assert_eq!(thrash_events, 0, "no overcommit, no thrash");
     }
 
     #[test]
     fn thrashing_variant_is_detected() {
         let outcome =
             run_memory_pressure(&MemoryPressureConfig::small(SwapConfig::enabled()).thrashing());
+        let thrash_events: u64 = outcome.report.nodes.iter().map(|n| n.thrash_events).sum();
         assert!(
-            outcome.thrash_events > 0,
+            thrash_events > 0,
             "a resident set larger than RAM must self-evict: {outcome:?}"
         );
     }
@@ -405,11 +394,13 @@ mod tests {
         let base = MemoryPressureConfig::small(SwapConfig::enabled());
         let fault_only = run_memory_pressure(&base.clone().contended(0.0));
         let contended = run_memory_pressure(&base.clone().contended(0.5));
+        let (contended, fault_only) = (
+            contended.report.total_swap_io_secs(),
+            fault_only.report.total_swap_io_secs(),
+        );
         assert!(
-            contended.swap_io_secs > fault_only.swap_io_secs,
-            "re-replication sharing the disk must slow swap traffic: {:.1}s vs {:.1}s",
-            contended.swap_io_secs,
-            fault_only.swap_io_secs
+            contended > fault_only,
+            "re-replication sharing the disk must slow swap traffic: {contended:.1}s vs {fault_only:.1}s"
         );
     }
 }

@@ -8,7 +8,7 @@
 
 use mrp_engine::{
     FifoScheduler, JobRuntime, NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy,
-    TaskState, BASE_TASK_MEMORY,
+    TaskKind, TaskState, BASE_TASK_MEMORY,
 };
 use mrp_preempt::{EvictionCandidate, EvictionPolicy, PreemptionPrimitive};
 use mrp_sim::SimRng;
@@ -45,14 +45,15 @@ impl PriorityPreemptingScheduler {
         node: NodeId,
         launches_here: usize,
     ) -> Vec<SchedulerAction> {
-        let Some(view) = ctx.node(node) else {
+        let Some(tt) = ctx.node(node) else {
             return Vec::new();
         };
-        let mut free = (view.free_map_slots as usize).saturating_sub(launches_here);
+        let mut free = (tt.free_slots(TaskKind::Map) as usize).saturating_sub(launches_here);
         let mut actions = Vec::new();
         // Any schedulable task still waiting means slots are contended; do not
         // hand them to suspended low-priority work.
-        let still_waiting = ctx.schedulable_tasks().len() > launches_here;
+        let schedulable = ctx.totals.schedulable_maps + ctx.totals.schedulable_reduces;
+        let still_waiting = schedulable as usize > launches_here;
         if still_waiting {
             return actions;
         }
@@ -85,7 +86,7 @@ impl PriorityPreemptingScheduler {
     }
 
     fn preemption_actions(&mut self, ctx: &SchedulerContext<'_>) -> Vec<SchedulerAction> {
-        let free_slots: u32 = ctx.nodes.iter().map(|n| n.free_map_slots).sum();
+        let free_slots = ctx.free_map_slots_total();
         let demand = Self::unmet_high_priority_demand(ctx);
         let mut actions = Vec::new();
         for (priority, waiting) in demand {

@@ -118,12 +118,6 @@ pub struct RackOutageOutcome {
     pub events: u64,
     /// p50, p95, p99, max of job sojourn time (seconds).
     pub sojourn_quantiles: [f64; 4],
-    /// Committed map outputs destroyed by node loss (each re-executed).
-    pub lost_map_outputs: u64,
-    /// Map outputs drained to a live node by graceful decommissions.
-    pub(crate) map_outputs_migrated: u64,
-    /// Reduce shuffle re-fetch rounds (backoff waits on missing outputs).
-    pub shuffle_refetches: u64,
 }
 
 /// The `q`-quantile (0..=1) of completed-job sojourn times, in seconds.
@@ -186,13 +180,9 @@ pub fn run_rack_outage(config: &RackOutageConfig) -> RackOutageOutcome {
         sojourn_quantile(&report, 0.99),
         sojourn_quantile(&report, 1.0),
     ];
-    let faults = report.faults;
     RackOutageOutcome {
         events: cluster.events_processed(),
         sojourn_quantiles,
-        lost_map_outputs: faults.lost_map_outputs,
-        map_outputs_migrated: faults.map_outputs_migrated,
-        shuffle_refetches: faults.shuffle_refetches,
         report,
     }
 }
@@ -249,20 +239,18 @@ mod tests {
         let a = run_rack_outage(&cfg);
         let b = run_rack_outage(&cfg);
         assert_eq!(a, b, "fixed-seed rack outage must be deterministic");
+        let f = a.report.faults;
         assert!(
-            a.lost_map_outputs >= 1,
-            "the outage must destroy committed map outputs: {:?}",
-            a.report.faults
+            f.lost_map_outputs >= 1,
+            "the outage must destroy committed map outputs: {f:?}"
         );
         assert!(
-            a.shuffle_refetches >= 1,
-            "stalled reduces must re-fetch: {:?}",
-            a.report.faults
+            f.shuffle_refetches >= 1,
+            "stalled reduces must re-fetch: {f:?}"
         );
         assert!(
-            a.report.faults.re_executed_tasks >= a.lost_map_outputs,
-            "every lost output re-executes its map: {:?}",
-            a.report.faults
+            f.re_executed_tasks >= f.lost_map_outputs,
+            "every lost output re-executes its map: {f:?}"
         );
         assert!(a.sojourn_quantiles[0] <= a.sojourn_quantiles[3]);
     }

@@ -81,13 +81,6 @@ pub struct SingleRun {
     pub tl_suspend_cycles: u32,
     /// Work wasted by killed attempts, in seconds.
     pub wasted_work_secs: f64,
-    /// Map-launch locality outcomes (node-local / rack-local / off-rack).
-    pub(crate) locality: mrp_engine::LocalityStats,
-    /// Committed map outputs destroyed by node loss (0 on the failure-free
-    /// paper scenario; the fault harnesses populate it).
-    pub(crate) lost_map_outputs: u64,
-    /// Reduce shuffle re-fetch rounds spent waiting on missing map outputs.
-    pub(crate) shuffle_refetches: u64,
     /// The full engine report, for detailed inspection.
     pub report: ClusterReport,
 }
@@ -148,9 +141,6 @@ pub fn run_once(config: &ScenarioConfig, seed: u64) -> SingleRun {
         tl_attempts: tl_report.tasks[0].attempts,
         tl_suspend_cycles: tl_report.tasks[0].suspend_cycles,
         wasted_work_secs: report.total_wasted_work_secs(),
-        locality: report.locality,
-        lost_map_outputs: report.faults.lost_map_outputs,
-        shuffle_refetches: report.faults.shuffle_refetches,
         report,
     }
 }
@@ -204,8 +194,8 @@ mod tests {
         assert_eq!(run.swap_out_bytes, 0, "light-weight tasks never page");
         // Both jobs' single-block inputs are written from node 0 of a
         // single-node cluster: all launches are node-local.
-        assert_eq!(run.locality.total(), 2);
-        assert_eq!(run.locality.node_local_ratio(), 1.0);
+        assert_eq!(run.report.locality.total(), 2);
+        assert_eq!(run.report.locality.node_local_ratio(), 1.0);
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Golden fixed-seed determinism tests.
 //!
-//! The allocation-lean core refactor (slab/generation event queue, dirty-
-//! tracked scheduler views, per-node command index, incremental completion
-//! counting) and the rack-sharded engine (per-rack dirty lists and free-slot
-//! counters, rack-aware assignment, interval-spread heartbeat staggering)
-//! must not change *what* the simulator computes, only how fast. These tests
+//! The allocation-lean core refactor (slab/generation event queue, per-node
+//! command index, incremental completion counting) and the rack-aware engine
+//! (per-rack free-slot totals, rack-aware assignment, interval-spread
+//! heartbeat staggering) must not change *what* the simulator computes,
+//! only how fast. These tests
 //! pin concrete fixed-seed outcomes so any future change to the hot path
 //! that perturbs scheduling order or timing is caught immediately — the same
 //! role a golden `ClusterReport` diff would play.
 
+mod common;
+
+use common::assert_counters_match_recount_per_second;
 use hadoop_os_preempt::prelude::*;
 use mrp_engine::{
-    Cluster, DetectorConfig, FaultEvent, FaultKind, NodeId, PendingTotals, RackId, RandomFaults,
-    RefreshMode, ReliabilityConfig, ShuffleConfig, SpeculationConfig, SwapConfig,
+    Cluster, DetectorConfig, FaultEvent, FaultKind, NodeId, RackId, RandomFaults,
+    ReliabilityConfig, ShuffleConfig, SpeculationConfig, SwapConfig,
 };
 use mrp_experiments::{
     memory_pressure_cluster, run_memory_pressure, run_once, MemoryPressureConfig,
@@ -330,13 +333,11 @@ const PINNED_SHUFFLE_EVENTS: u64 = 751;
 const PINNED_SHUFFLE_FINISH: u64 = 79_687_322;
 const PINNED_SHUFFLE_COUNTS: (u64, u64) = (4, 74);
 
-/// The rack-sharded refresh path must also be observationally identical to
-/// the naive reference *under fault injection*: node teardown, rejoin,
-/// re-replication and speculative re-execution all mutate the incremental
-/// indexes (RackView counters, PendingTotals, per-job counters, dirty
-/// lists), and none of it may depend on the refresh strategy.
+/// The maintained counters and rack free-slot totals must also match a
+/// recount every simulated second *under fault injection*: node teardown,
+/// rejoin, re-replication and speculative re-execution all move them.
 #[test]
-fn sharded_and_full_refresh_match_under_fault_injection() {
+fn rack_totals_match_a_recount_under_fault_injection() {
     for case in 0..6u64 {
         let mut rng = SimRng::new(0xFA57 + case);
         let racks = 2 + rng.index(3) as u32; // 2..=4
@@ -350,9 +351,8 @@ fn sharded_and_full_refresh_match_under_fault_injection() {
         }
         let mtbf = 30.0 + rng.index(60) as f64;
         let use_speculation = rng.chance(0.5);
-        let run = |mode: RefreshMode| {
+        let build = || {
             let mut cfg = ClusterConfig::racked_cluster(racks, per_rack, 2, 1);
-            cfg.refresh_mode = mode;
             cfg.trace_level = mrp_engine::TraceLevel::Off;
             if use_speculation {
                 cfg.speculation = SpeculationConfig::enabled();
@@ -376,26 +376,18 @@ fn sharded_and_full_refresh_match_under_fault_injection() {
                     SimTime::from_secs(arrival),
                 );
             }
-            cluster.run(SimTime::from_secs(24 * 3_600));
-            (cluster.events_processed(), cluster.report())
+            cluster
         };
-        let sharded = run(RefreshMode::Sharded);
-        let full = run(RefreshMode::Full);
-        assert!(sharded.1.all_jobs_complete(), "case {case} must complete");
-        assert_eq!(
-            sharded, full,
-            "sharded vs full refresh diverged under faults in case {case}"
-        );
+        assert_counters_match_recount_per_second(&format!("faults, case {case}"), build);
     }
 }
 
-/// ...and identical once more with this PR's shuffle fault domain switched
-/// on: map-output registry teardown, shuffle re-fetch backoff scheduling,
-/// reliability-biased placement, rack-aware reduce placement and delay
-/// scheduling all interact with the incremental indexes, and none of it may
-/// depend on the refresh strategy.
+/// ...and once more with the shuffle fault domain switched on: map-output
+/// registry teardown, shuffle re-fetch backoff scheduling, reliability-biased
+/// placement, rack-aware reduce placement and delay scheduling all read or
+/// move the maintained totals.
 #[test]
-fn sharded_and_full_refresh_match_under_shuffle_fault_paths() {
+fn rack_totals_match_a_recount_under_shuffle_fault_paths() {
     for case in 0..6u64 {
         let mut rng = SimRng::new(0x5F1E + case);
         let racks = 2 + rng.index(3) as u32; // 2..=4
@@ -412,12 +404,11 @@ fn sharded_and_full_refresh_match_under_shuffle_fault_paths() {
         let mtbf = 40.0 + rng.index(60) as f64;
         let use_delay = rng.chance(0.5);
         let use_predictor = rng.chance(0.67);
-        let run = |mode: RefreshMode| {
+        let build = || {
             let mut cfg = ClusterConfig::racked_cluster(racks, per_rack, 2, 1);
             if use_delay {
                 cfg = cfg.with_delay_intervals(1.0, 1.0);
             }
-            cfg.refresh_mode = mode;
             cfg.trace_level = mrp_engine::TraceLevel::Off;
             cfg.speculation = SpeculationConfig::enabled();
             cfg.shuffle = ShuffleConfig::fault_tolerant();
@@ -455,16 +446,9 @@ fn sharded_and_full_refresh_match_under_shuffle_fault_paths() {
                     SimTime::from_secs(arrival),
                 );
             }
-            cluster.run(SimTime::from_secs(24 * 3_600));
-            (cluster.events_processed(), cluster.report())
+            cluster
         };
-        let sharded = run(RefreshMode::Sharded);
-        let full = run(RefreshMode::Full);
-        assert!(sharded.1.all_jobs_complete(), "case {case} must complete");
-        assert_eq!(
-            sharded, full,
-            "sharded vs full refresh diverged under shuffle faults in case {case}"
-        );
+        assert_counters_match_recount_per_second(&format!("shuffle faults, case {case}"), build);
     }
 }
 
@@ -589,12 +573,11 @@ const PINNED_DETECTOR_FINISH: u64 = 262_341_232;
 const PINNED_DETECTOR_COUNTS: (u64, u64) = (6, 6);
 const PINNED_DETECTOR_RECONCILED: u64 = 8;
 
-/// ...and the sharded refresh must stay observationally identical to the
-/// naive reference with the detector, partitions and gray failures switched
-/// on: deferred teardown, partition buffering, heal reconciliation and
-/// unreachable-node view filtering all mutate the incremental indexes.
+/// ...and with the detector, partitions and gray failures switched on:
+/// deferred teardown, partition buffering, heal reconciliation and the
+/// unreachable node advertising no slots all move the maintained totals.
 #[test]
-fn sharded_and_full_refresh_match_under_detector_and_partitions() {
+fn rack_totals_match_a_recount_under_detector_and_partitions() {
     for case in 0..6u64 {
         let mut rng = SimRng::new(0xDE7EC7 + case);
         let racks = 2 + rng.index(3) as u32; // 2..=4
@@ -616,10 +599,9 @@ fn sharded_and_full_refresh_match_under_detector_and_partitions() {
         // An unused draw, kept so the values drawn after it stay the same.
         let _ = rng.chance(0.5);
         let mtbf = 50.0 + rng.index(60) as f64;
-        let run = |mode: RefreshMode| {
+        let build = || {
             let mut cfg =
                 ClusterConfig::racked_cluster(racks, per_rack, 2, 1).with_delay_intervals(1.0, 1.0);
-            cfg.refresh_mode = mode;
             cfg.trace_level = mrp_engine::TraceLevel::Off;
             cfg.speculation = SpeculationConfig::enabled();
             cfg.shuffle = ShuffleConfig::fault_tolerant();
@@ -664,16 +646,9 @@ fn sharded_and_full_refresh_match_under_detector_and_partitions() {
                     SimTime::from_secs(arrival),
                 );
             }
-            cluster.run(SimTime::from_secs(24 * 3_600));
-            (cluster.events_processed(), cluster.report())
+            cluster
         };
-        let sharded = run(RefreshMode::Sharded);
-        let full = run(RefreshMode::Full);
-        assert!(sharded.1.all_jobs_complete(), "case {case} must complete");
-        assert_eq!(
-            sharded, full,
-            "sharded vs full refresh diverged under the detector in case {case}"
-        );
+        assert_counters_match_recount_per_second(&format!("detector, case {case}"), build);
     }
 }
 
@@ -933,12 +908,11 @@ fn fixed_seed_multi_tenant_runs_are_pinned() {
     }
 }
 
-/// The rack-sharded refresh path (per-rack dirty lists, delta-maintained
-/// free-slot counters) must be observationally identical to the naive
-/// rebuild-everything reference, across randomized topologies, schedulers
+/// The delta-maintained counters and rack free-slot totals must match a
+/// recount every simulated second across randomized topologies, schedulers
 /// and workload mixes.
 #[test]
-fn sharded_and_full_refresh_produce_identical_reports() {
+fn rack_totals_match_a_recount_across_random_topologies() {
     for case in 0..8u64 {
         let mut rng = SimRng::new(0x5AAD + case);
         let racks = 2 + rng.index(3) as u32; // 2..=4
@@ -955,9 +929,8 @@ fn sharded_and_full_refresh_produce_identical_reports() {
             jobs.push((i, dfs, size_mib, arrival, writer));
         }
         let use_fifo = rng.chance(0.33);
-        let run = |mode: RefreshMode| {
+        let build = || {
             let mut cfg = ClusterConfig::racked_cluster(racks, per_rack, 2, 1);
-            cfg.refresh_mode = mode;
             cfg.trace_level = mrp_engine::TraceLevel::Off;
             let scheduler: Box<dyn SchedulerPolicy> = if use_fifo {
                 Box::new(mrp_engine::FifoScheduler::new())
@@ -981,16 +954,9 @@ fn sharded_and_full_refresh_produce_identical_reports() {
                 };
                 cluster.submit_job_at(spec, SimTime::from_secs(arrival));
             }
-            cluster.run(SimTime::from_secs(24 * 3_600));
-            (cluster.events_processed(), cluster.report())
+            cluster
         };
-        let sharded = run(RefreshMode::Sharded);
-        let full = run(RefreshMode::Full);
-        assert!(sharded.1.all_jobs_complete(), "case {case} must complete");
-        assert_eq!(
-            sharded, full,
-            "sharded vs full refresh diverged in case {case}"
-        );
+        assert_counters_match_recount_per_second(&format!("topologies, case {case}"), build);
     }
 }
 
@@ -1006,13 +972,19 @@ fn fixed_seed_swap_device_run_is_pinned() {
     assert!(run.report.all_jobs_complete());
     assert_eq!(run.events_processed, PINNED_SWAP_EVENTS);
     assert_eq!(run.report.finished_at.as_micros(), PINNED_SWAP_FINISH);
-    assert_eq!((run.swap_out_bytes, run.swap_in_bytes), PINNED_SWAP_TRAFFIC);
+    assert_eq!(
+        (
+            run.report.total_swap_out_bytes(),
+            run.report.total_swap_in_bytes()
+        ),
+        PINNED_SWAP_TRAFFIC
+    );
     assert_eq!(run.suspend_cycles, PINNED_SWAP_CYCLES);
-    assert_eq!(run.oom_kills, 0);
+    assert_eq!(run.report.nodes.iter().map(|n| n.oom_kills).sum::<u64>(), 0);
     // Virtual seconds stalled on swap I/O, accumulated by the device's
     // timing model (f64, but derived from integer-microsecond durations —
     // exact equality is deterministic).
-    assert_eq!(run.swap_io_secs, PINNED_SWAP_IO_SECS);
+    assert_eq!(run.report.total_swap_io_secs(), PINNED_SWAP_IO_SECS);
 
     let again = run_memory_pressure(&cfg);
     assert_eq!(again.report, run.report);
@@ -1057,57 +1029,14 @@ fn disabled_swap_device_is_byte_identical() {
     assert_eq!(tweaked.events_processed(), stock.events_processed());
 }
 
-/// Drives `build`'s cluster in one-second slices of virtual time through
-/// repeated `Cluster::run` calls. After every slice, each job's seven
-/// engine-maintained counters must equal a recount from its task list, and
-/// the cluster-wide pending totals a recount from the jobs. The sliced run
-/// must also end with the same report and event count as one uninterrupted
-/// run, which is returned.
-fn assert_counters_match_recount_per_second(
-    name: &str,
-    build: impl Fn() -> Cluster,
-) -> ClusterReport {
-    let mut whole = build();
-    whole.run(SimTime::from_secs(24 * 3_600));
-    let expected = whole.report();
-    assert!(expected.all_jobs_complete(), "{name}: run must drain");
-
-    let mut sliced = build();
-    let mut until = SimTime::ZERO;
-    loop {
-        sliced.run(until);
-        for job in sliced.jobs().values() {
-            let mut fresh = job.clone();
-            fresh.recount_task_states();
-            assert_eq!(
-                job.counters(),
-                fresh.counters(),
-                "{name}: counters of {:?} drifted by {until:?}",
-                job.id
-            );
-        }
-        assert_eq!(
-            sliced.pending_totals(),
-            PendingTotals::from_jobs(sliced.jobs()),
-            "{name}: pending totals drifted by {until:?}"
-        );
-        if until >= expected.finished_at {
-            break;
-        }
-        until += SimDuration::from_secs(1);
-    }
-    assert_eq!(sliced.report(), expected, "{name}: slicing changed the run");
-    assert_eq!(sliced.events_processed(), whole.events_processed());
-    expected
-}
-
 /// The maintained job counters (`schedulable_maps`, `schedulable_reduces`,
 /// `suspended_count`, `occupying_count`, `speculative_live`,
-/// `remaining_bytes`) checked against a recount throughout the fixed-seed
-/// suites that exercise every path writing task state or progress: kill and
-/// suspend churn, faults and partitions with speculation, and the swap
-/// device. Unlike the debug-only check at job completion, this also runs in
-/// release builds.
+/// `remaining_bytes`) and rack free-slot totals checked against a recount
+/// throughout the fixed-seed suites that exercise every path writing task
+/// state, progress or tracker occupancy: kill and suspend churn, faults and
+/// partitions with speculation, the swap device, and two FIFO jobs (one
+/// DFS-backed, one synthetic) on two racks. Unlike the debug-only check at
+/// job completion, this also runs in release builds.
 #[test]
 fn maintained_job_counters_match_a_recount_throughout_runs() {
     let suspend = assert_counters_match_recount_per_second("suspend churn", churn_cluster);
@@ -1127,5 +1056,13 @@ fn maintained_job_counters_match_a_recount_throughout_runs() {
     assert_counters_match_recount_per_second("detector + partitions", detector_partition_cluster);
     assert_counters_match_recount_per_second("swap device", || {
         memory_pressure_cluster(&MemoryPressureConfig::small(SwapConfig::enabled()))
+    });
+    assert_counters_match_recount_per_second("two FIFO jobs on two racks", || {
+        let cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
+        let mut c = Cluster::new(cfg, Box::new(mrp_engine::FifoScheduler::new()));
+        c.create_input_file("/a", 512 * MIB).unwrap();
+        c.submit_job(JobSpec::map_only("a", "/a"));
+        c.submit_job_at(JobSpec::synthetic("b", 6, 64 * MIB), SimTime::from_secs(15));
+        c
     });
 }
