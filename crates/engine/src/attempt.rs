@@ -73,10 +73,6 @@ pub(crate) enum AttemptState {
     Running,
     /// Stopped by `SIGTSTP`; keeps its memory, holds no slot.
     Suspended,
-    /// Finished successfully.
-    Succeeded,
-    /// Terminated by `SIGKILL`.
-    Killed,
 }
 
 /// Pre-computed durations and memory plan for an attempt.
@@ -243,7 +239,7 @@ impl Attempt {
         if self.phase == AttemptPhase::Work && self.state == AttemptState::Running {
             done += now - self.segment_start;
         }
-        if self.phase == AttemptPhase::Finalize || self.state == AttemptState::Succeeded {
+        if self.phase == AttemptPhase::Finalize {
             return 1.0;
         }
         (done.as_secs_f64() / self.plan.work.as_secs_f64()).clamp(0.0, 1.0)

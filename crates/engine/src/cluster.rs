@@ -11,6 +11,14 @@
 //! deployments — send an out-of-band heartbeat whenever a task completes, is
 //! suspended, or is killed.
 //!
+//! This file holds the event loop, the job and task bookkeeping, the glue
+//! to the failure domain (faults, detector, partitions), policy
+//! consultation and the report. The attempt lifecycle (launch and
+//! speculation, command delivery, phase events, completion, commit and
+//! reconciliation, loss and OOM, progress triggers) lives in the child
+//! module `lifecycle`. There, every way an attempt leaves its tracker comes
+//! back as one end record that a single retire step applies.
+//!
 //! # Hot-path design
 //!
 //! The event loop is the inner loop of every experiment, so its per-event
@@ -34,7 +42,7 @@
 //!   ([`TraceLevel`](crate::config::TraceLevel)) and observability are off,
 //!   so throughput runs pay nothing for either.
 
-use crate::attempt::{Attempt, AttemptPhase, AttemptState, ExecPlan, OUTPUT_RATIO};
+use crate::attempt::{Attempt, AttemptPhase, OUTPUT_RATIO};
 use crate::config::{ClusterConfig, FaultKind, FaultTarget, TraceLevel};
 use crate::delay::DelayScoreboard;
 use crate::failure::{FailureDomain, Strike, Timer, Verdict};
@@ -43,18 +51,20 @@ use crate::job::{
     TaskState,
 };
 use crate::metrics::{
-    ClusterReport, FaultStats, JobReport, KillCause, LocalityStats, NodeLoss, NodeReport, Record,
+    ClusterReport, FaultStats, JobReport, LocalityStats, NodeLoss, NodeReport, Record,
 };
 use crate::obs::ObsState;
 use crate::reliability::ReliabilityTracker;
 use crate::scheduler::{
     PendingTotals, RackSlots, SchedulerAction, SchedulerContext, SchedulerPolicy,
-    MAX_LIVE_SPECULATIONS_PER_JOB,
 };
 use crate::shuffle::ShuffleTracker;
-use crate::tasktracker::{FailedAttempt, TaskTracker, TerminationOutcome};
-use mrp_dfs::{Locality, NameNode, NodeId, RackId, Topology};
-use mrp_sim::{EventId, EventQueue, SimDuration, SimRng, SimTime};
+use crate::tasktracker::{AttemptEnd, TaskTracker};
+use lifecycle::ProgressTrigger;
+use mrp_dfs::{NameNode, NodeId, RackId, Topology};
+use mrp_sim::{EventQueue, SimRng, SimTime};
+
+mod lifecycle;
 
 /// Events driving the cluster simulation.
 #[derive(Clone, Debug)]
@@ -104,24 +114,6 @@ impl Event {
             Self::Detector { .. } => 7,
         }
     }
-}
-
-#[derive(Clone, Debug)]
-enum TriggerState {
-    Waiting,
-    Armed { event: EventId, task: TaskId },
-    Fired,
-}
-
-/// A progress watch: fires when the named task first reaches the given
-/// fraction of its work phase. Used by trigger-driven experiment schedulers
-/// to reproduce the paper's "preempt tl at r% progress" scenarios exactly.
-#[derive(Clone, Debug)]
-struct ProgressTrigger {
-    job_name: String,
-    task_index: u32,
-    fraction: f64,
-    state: TriggerState,
 }
 
 /// O(1) source of the periodic heartbeat schedule: every node heartbeats
@@ -482,24 +474,6 @@ impl Cluster {
         self.submit_job_at(spec, SimTime::ZERO);
     }
 
-    /// Registers a progress trigger: when map task `task_index` of the job
-    /// named `job_name` first reaches `fraction` of its work phase, the
-    /// scheduler's `on_progress_trigger` hook is invoked. The trigger fires at
-    /// most once; if the watched task is suspended or killed before reaching
-    /// the fraction, the watch re-arms when it runs again.
-    pub fn add_progress_trigger(&mut self, job_name: &str, task_index: u32, fraction: f64) {
-        assert!(
-            (0.0..=1.0).contains(&fraction),
-            "fraction must be in [0, 1]"
-        );
-        self.triggers.push(ProgressTrigger {
-            job_name: job_name.to_string(),
-            task_index,
-            fraction,
-            state: TriggerState::Waiting,
-        });
-    }
-
     /// Runs the simulation until every submitted job completes, the event
     /// queue drains, or `max_time` is reached. Returns the final virtual time.
     pub fn run(&mut self, max_time: SimTime) -> SimTime {
@@ -755,29 +729,6 @@ impl Cluster {
         });
     }
 
-    /// Forces a task into `next` without the legality check, keeping the job
-    /// counters in sync. Used by the fault paths, where a node vanishing
-    /// under a task produces transitions the heartbeat protocol never would
-    /// (e.g. `Suspended` → `Running` when a speculative backup is promoted).
-    fn force_task_state(&mut self, task: TaskId, next: TaskState) {
-        self.edit_task(task, |t| t.state = next);
-    }
-
-    /// Clears a task's speculative-attempt fields and decrements the owning
-    /// job's live-speculation counter. Does *not* touch the backup attempt on
-    /// its tracker — callers either killed it already or are promoting it.
-    fn clear_speculation_fields(&mut self, task: TaskId) {
-        let Some(job) = self.jobs.get_mut(&task.job) else {
-            return;
-        };
-        let Some(t) = job.task_mut(task) else { return };
-        if t.spec_attempt.take().is_some() {
-            t.spec_node = None;
-            debug_assert!(job.speculative_live > 0);
-            job.speculative_live = job.speculative_live.saturating_sub(1);
-        }
-    }
-
     /// Debug-build invariant: the incrementally maintained job counters match
     /// a recount from the task list.
     #[cfg(debug_assertions)]
@@ -840,17 +791,7 @@ impl Cluster {
                 self.handle_phase_done(node, attempt, phase, now);
             }
             Event::CleanupDone { node, kind, epoch } => {
-                if self.failure.is_silent(node) {
-                    return; // dead but undetected; the teardown frees slots
-                }
-                let Some(tt) = self.tracker(node) else {
-                    return;
-                };
-                if !tt.is_alive() || tt.epoch() != epoch {
-                    return; // the node failed since; its slots were all freed
-                }
-                self.edit_tracker(node, |tt| tt.release_slot(kind));
-                self.schedule_out_of_band_heartbeat(node, now);
+                self.finish_cleanup(node, kind, epoch, now);
             }
             Event::ProgressTrigger { index } => {
                 self.handle_progress_trigger(index, now);
@@ -935,10 +876,8 @@ impl Cluster {
             Strike::BehindPartition => {
                 // The master already resolved every attempt at the partition
                 // teardown; the node-side remnants die quietly.
-                for f in self.stop_node(node, now) {
-                    if let Some(ev) = f.segment_event {
-                        self.queue.cancel(ev);
-                    }
+                for end in self.stop_node(node, now) {
+                    self.retire(node, &end, now);
                 }
             }
         }
@@ -954,7 +893,7 @@ impl Cluster {
 
     /// Kills every process on the node; the completions it buffered behind a
     /// partition die with them.
-    fn stop_node(&mut self, node: NodeId, now: SimTime) -> Vec<FailedAttempt> {
+    fn stop_node(&mut self, node: NodeId, now: SimTime) -> Vec<AttemptEnd> {
         self.failure.node_died(node);
         self.edit_tracker(node, |tt| tt.fail(now))
             .unwrap_or_default()
@@ -988,7 +927,7 @@ impl Cluster {
     fn write_off(
         &mut self,
         node: NodeId,
-        failed: Vec<FailedAttempt>,
+        lost: Vec<AttemptEnd>,
         decommission: bool,
         now: SimTime,
     ) -> (u64, u64) {
@@ -998,8 +937,8 @@ impl Cluster {
         if let Some(cmds) = self.pending_cmds.get_mut(idx) {
             cmds.clear();
         }
-        for f in failed {
-            self.resolve_failed_attempt(f, node, now);
+        for end in lost {
+            self.lose_attempt(node, end, true, now);
         }
         // Map outputs are node-local artifacts, not HDFS blocks: a crash
         // destroys them and the affected *completed* maps go back to Pending
@@ -1098,75 +1037,6 @@ impl Cluster {
         }
     }
 
-    /// Reconciles one attempt torn down by node loss with the JobTracker
-    /// state (see [`Cluster::lose_attempt`]).
-    fn resolve_failed_attempt(&mut self, failed: FailedAttempt, node: NodeId, now: SimTime) {
-        self.fault_stats.attempts_lost += 1;
-        self.record(Record::AttemptLost(now, failed.id, node));
-        if let Some(ev) = failed.segment_event {
-            self.queue.cancel(ev);
-        }
-        self.unarm_triggers(failed.id.task);
-        if failed.state == AttemptState::Suspended {
-            self.fault_stats.suspended_tasks_lost += 1;
-            self.fault_stats.lost_suspended_work_secs += failed.invested.as_secs_f64();
-        }
-        self.lose_attempt(failed.id, failed.invested, true);
-    }
-
-    /// The JobTracker's side of losing `attempt` — with its node
-    /// (`node_lost`) or to the OOM killer on a live node. A lost backup only
-    /// clears the task's speculation fields; the original attempt continues.
-    /// A lost original promotes the task's backup — the payoff of
-    /// speculative re-execution under churn — if there is one (after a node
-    /// loss, only if the backup's node is in service: a backup torn down by
-    /// the same rack outage is resolved by its own entry); otherwise the task
-    /// restarts from scratch as `Pending`. The original's `wasted` time is
-    /// charged to the task; node losses also count the waste and the
-    /// re-execution in the fault stats.
-    fn lose_attempt(&mut self, attempt: AttemptId, wasted: SimDuration, node_lost: bool) {
-        let task = attempt.task;
-        let Some(t) = self.task(task) else { return };
-        let (is_current, backup) = (
-            t.current_attempt == Some(attempt),
-            t.spec_attempt.zip(t.spec_node),
-        );
-        if t.spec_attempt == Some(attempt) {
-            if node_lost {
-                self.fault_stats.speculative_wasted_secs += wasted.as_secs_f64();
-            }
-            self.clear_speculation_fields(task);
-            return;
-        }
-        if !is_current {
-            return;
-        }
-        self.unarm_triggers(task);
-        if backup.is_some() {
-            self.clear_speculation_fields(task);
-        }
-        if let Some(t) = self.task_mut(task) {
-            t.wasted_work += wasted;
-        }
-        match backup {
-            Some((spec_attempt, spec_node)) if !node_lost || self.node_in_service(spec_node) => {
-                // Progress watches re-arm against the promoted attempt.
-                if let Some(t) = self.task_mut(task) {
-                    t.current_attempt = Some(spec_attempt);
-                    t.node = Some(spec_node);
-                }
-                self.force_task_state(task, TaskState::Running);
-                self.arm_triggers(task, spec_node, spec_attempt);
-            }
-            _ => {
-                if node_lost {
-                    self.fault_stats.re_executed_tasks += 1;
-                }
-                self.force_task_pending(task);
-            }
-        }
-    }
-
     // ----- suspicion-based failure detection & partitions -------------------
 
     fn handle_detector(&mut self, node: NodeId, epoch: u64, now: SimTime) {
@@ -1204,21 +1074,8 @@ impl Cluster {
     /// heal and `node_failures` stays untouched (the partition counter
     /// family tracks it instead).
     fn teardown_partitioned(&mut self, node: NodeId, now: SimTime) {
-        let tt = &self.trackers[node.0 as usize];
-        // Synthesize the master-side view of the teardown. `segment_event`
-        // stays `None`: the attempts really are still running out there, and
-        // their node-side phase events keep firing toward the heal.
-        let failed: Vec<FailedAttempt> = tt
-            .attempts()
-            .map(|a| FailedAttempt {
-                id: a.id,
-                state: a.state,
-                invested: a.invested_time(now),
-                segment_event: None,
-            })
-            .collect();
-        self.edit_tracker(node, |tt| tt.set_reachable(false));
-        self.write_off(node, failed, false, now);
+        let written_off = self.edit_tracker(node, |tt| tt.cut_off(now));
+        self.write_off(node, written_off.unwrap_or_default(), false, now);
         self.record(Record::NodeFailed(now, node, NodeLoss::PartitionConfirmed));
     }
 
@@ -1257,7 +1114,7 @@ impl Cluster {
         self.fault_stats.partition_heals += 1;
         let torn_down = !self.trackers[idx].is_reachable();
         if torn_down {
-            self.edit_tracker(node, |tt| tt.set_reachable(true));
+            self.edit_tracker(node, |tt| tt.reconnect());
             self.namenode.rejoin(node);
         }
         // Reconcile in completion order: the first committed attempt of a
@@ -1269,12 +1126,10 @@ impl Cluster {
             // Suspended orphans hold no slot and nothing will ever resume
             // them (the master re-ran their tasks at teardown); running
             // orphans keep going — they may still win first-commit-wins.
-            self.edit_tracker(node, |tt| {
-                let suspended: Vec<AttemptId> = tt.suspended_attempts().collect();
-                for a in suspended {
-                    let _ = tt.kill(a, now);
-                }
-            });
+            let orphans: Vec<AttemptId> = self.trackers[idx].suspended_attempts().collect();
+            for a in orphans {
+                self.end_attempt(node, now, |tt| tt.kill(a, now));
+            }
         }
         self.record(Record::PartitionHealed(now, node));
         // The node reconnects: an immediate heartbeat reintroduces it to the
@@ -1424,557 +1279,10 @@ impl Cluster {
         if !self.node_is_alive(node) || !self.failure.heartbeat(node, now) {
             return;
         }
-        let node_idx = node.0 as usize;
-
-        // 1. Refresh reported progress for tasks on this node (reusable
-        //    buffer: no per-heartbeat allocation).
-        let mut buf = std::mem::take(&mut self.progress_buf);
-        buf.clear();
-        for a in self.trackers[node_idx].attempts() {
-            if matches!(a.state, AttemptState::Running | AttemptState::Suspended) {
-                buf.push((a.id, a.task, a.progress(now)));
-            }
-        }
-        for &(attempt, task, progress) in &buf {
-            self.edit_task(task, |t| {
-                // Only attempts the JobTracker still tracks may report: an
-                // orphan left running on a healed partition victim must not
-                // overwrite the progress of a task that already succeeded
-                // (or re-ran) elsewhere.
-                if t.current_attempt != Some(attempt) && t.spec_attempt != Some(attempt) {
-                    return;
-                }
-                // With a live backup attempt the task's progress is the best
-                // of the two attempts, whichever node reports it.
-                if t.spec_attempt.is_some() {
-                    t.progress = t.progress.max(progress);
-                } else {
-                    t.progress = progress;
-                }
-            });
-        }
-        buf.clear();
-        self.progress_buf = buf;
-
-        // 2. Deliver pending MUST_* commands piggybacked on this heartbeat.
-        //    The per-node command index replaces the old O(jobs x tasks) scan.
-        let mut pending = std::mem::take(&mut self.pending_cmds[node_idx]);
-        for &task in &pending {
-            let Some(t) = self.task(task) else { continue };
-            if t.node != Some(node) {
-                continue;
-            }
-            match t.state {
-                TaskState::MustSuspend => self.deliver_suspend(task, node, now),
-                TaskState::MustResume => self.deliver_resume(task, node, now),
-                TaskState::MustKill => self.deliver_kill(task, node, now),
-                _ => {}
-            }
-        }
-        // Keep commands that could not be delivered yet (e.g. suspend during
-        // setup, resume without a free slot); they retry next heartbeat.
-        pending.retain(|&task| {
-            self.task(task).is_some_and(|t| {
-                t.node == Some(node)
-                    && matches!(
-                        t.state,
-                        TaskState::MustSuspend | TaskState::MustResume | TaskState::MustKill
-                    )
-            })
-        });
-        let list = &mut self.pending_cmds[node_idx];
-        for task in pending {
-            if !list.contains(&task) {
-                list.push(task);
-            }
-        }
-
-        // 3. Let the scheduling policy hand out work for this node.
+        self.refresh_progress(node, now);
+        self.deliver_commands(node, now);
+        // Then let the scheduling policy hand out work for this node.
         self.consult(now, |s, ctx| s.on_heartbeat(ctx, node));
-    }
-
-    fn deliver_suspend(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        let Some(attempt_id) = self.task(task).and_then(|t| t.current_attempt) else {
-            return;
-        };
-        let Some(attempt) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
-            return;
-        };
-        let (phase, pending_event) = (attempt.phase, attempt.segment_event);
-        match phase {
-            // Too early: retry at the next heartbeat once the task is in its
-            // work phase (a task that has not started working has nothing
-            // worth preserving yet, and Hadoop cannot stop a task mid-setup).
-            AttemptPhase::Setup | AttemptPhase::Shuffle => {}
-            // Too late: the task will complete before the suspension matters;
-            // the completion heartbeat resolves the race (Section III-B).
-            AttemptPhase::Finalize => {}
-            AttemptPhase::Work => {
-                let Some(Ok(progress)) = self.edit_tracker(node, |tt| tt.suspend(attempt_id, now))
-                else {
-                    return;
-                };
-                if let Some(ev) = pending_event {
-                    self.queue.cancel(ev);
-                }
-                self.unarm_triggers(task);
-                self.edit_task(task, |t| {
-                    t.set_state(TaskState::Suspended);
-                    t.progress = progress;
-                    t.suspend_cycles += 1;
-                });
-                self.record(Record::Suspended(now, attempt_id, node, progress));
-                self.schedule_out_of_band_heartbeat(node, now);
-            }
-        }
-    }
-
-    fn deliver_resume(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        let Some(attempt_id) = self.task(task).and_then(|t| t.current_attempt) else {
-            return;
-        };
-        // No free slot (or similar): stay in MUST_RESUME and retry at the
-        // next heartbeat from this tracker.
-        let Some(Ok(stall)) = self.edit_tracker(node, |tt| tt.resume(attempt_id, now)) else {
-            return;
-        };
-        self.enter_phase(node, attempt_id, AttemptPhase::Work, stall, now);
-        self.set_task_state(task, TaskState::Running);
-        self.record(Record::Resumed(now, attempt_id, node, stall));
-    }
-
-    fn deliver_kill(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        let Some(attempt_id) = self.task(task).and_then(|t| t.current_attempt) else {
-            return;
-        };
-        // Killing a task kills the whole task: any live backup dies with it.
-        self.abort_speculation(task, now);
-        let Some(tt) = self.tracker(node) else {
-            return;
-        };
-        let Some(attempt) = tt.attempt(attempt_id) else {
-            // The attempt vanished underneath us (e.g. the OOM killer took
-            // it); make the task schedulable again so it restarts from scratch.
-            self.force_task_pending(task);
-            return;
-        };
-        let pending_event = attempt.segment_event;
-        let invested = attempt.invested_time(now);
-        let Some(Ok(outcome)) = self.edit_tracker(node, |tt| tt.kill(attempt_id, now)) else {
-            return;
-        };
-        if let Some(ev) = pending_event {
-            self.queue.cancel(ev);
-        }
-        self.unarm_triggers(task);
-        if outcome.held_slot {
-            self.hold_cleanup_slot(node, task.kind, now);
-        }
-        self.edit_task(task, |t| {
-            t.set_state(TaskState::Killed);
-            t.wasted_work += invested;
-            t.paged_out_bytes += outcome.paged_out_bytes;
-            t.paged_in_bytes += outcome.paged_in_bytes;
-            t.progress = 0.0;
-            t.node = None;
-            t.current_attempt = None;
-            // The task itself is rescheduled from scratch.
-            t.set_state(TaskState::Pending);
-        });
-        let cause = KillCause::Signal(invested);
-        self.record(Record::Killed(now, attempt_id, node, cause));
-    }
-
-    fn handle_phase_done(
-        &mut self,
-        node: NodeId,
-        attempt_id: AttemptId,
-        phase: AttemptPhase,
-        now: SimTime,
-    ) {
-        // Defensive: the attempt may have been suspended, killed or OOM-killed
-        // since this event was scheduled; its cancellation normally removes
-        // the event, but a removed attempt cannot be cancelled, so re-check.
-        let Some(attempt) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
-            return;
-        };
-        if attempt.state != AttemptState::Running || attempt.phase != phase {
-            return;
-        }
-        let task = attempt_id.task;
-        match phase {
-            AttemptPhase::Setup => {
-                let alloc = self.edit_tracker(node, |tt| {
-                    let alloc = tt.allocate_task_memory(attempt_id, now).ok()?;
-                    if !alloc.failed {
-                        let input_bytes = tt
-                            .attempt(attempt_id)
-                            .map(|a| a.plan.input_bytes)
-                            .unwrap_or(0);
-                        tt.record_input_read(input_bytes);
-                    }
-                    Some(alloc)
-                });
-                let Some(alloc) = alloc.flatten() else {
-                    return; // unknown attempt: nothing to clean up
-                };
-                // The allocating attempt itself may be among the victims (the
-                // OOM killer sacrificed it); the failure path below resolves
-                // it, so only the *other* victims are handled here.
-                let mut self_killed = None;
-                for &(victim, invested) in &alloc.oom_killed {
-                    if victim == attempt_id {
-                        self_killed = Some(invested);
-                    } else {
-                        self.handle_oom_victim(victim, invested, node, now);
-                    }
-                }
-                // An unrecoverable allocation failure: an allocating attempt
-                // the OOM killer took is one more victim; a backup that
-                // failed is dropped while the original continues; an
-                // original still on the tracker goes through the kill path.
-                if alloc.failed {
-                    if let Some(invested) = self_killed {
-                        self.handle_oom_victim(attempt_id, invested, node, now);
-                    } else if self.task(task).and_then(|t| t.spec_attempt) == Some(attempt_id) {
-                        self.abort_speculation(task, now);
-                    } else {
-                        // Index the command in case the immediate delivery
-                        // cannot complete (the retry rides the next heartbeat).
-                        let state = self.task(task).map(|t| t.state);
-                        if matches!(state, Some(TaskState::Running | TaskState::MustSuspend)) {
-                            self.set_task_state(task, TaskState::MustKill);
-                            self.enqueue_command(node, task);
-                        }
-                        self.deliver_kill(task, node, now);
-                    }
-                    return;
-                }
-                let next_phase = if task.kind == TaskKind::Reduce {
-                    AttemptPhase::Shuffle
-                } else {
-                    AttemptPhase::Work
-                };
-                self.enter_phase(node, attempt_id, next_phase, alloc.stall, now);
-            }
-            AttemptPhase::Shuffle => {
-                // The reduce finished copying, but map outputs may have died
-                // with a node mid-shuffle. Graceful degradation: the reduce
-                // does not fail — it stalls in Shuffle re-fetching with
-                // exponential backoff while the JobTracker re-executes the
-                // lost maps, and proceeds once every output is back.
-                if !self.shuffle.complete(task.job) {
-                    let Some(a) = self.attempt_mut(node, attempt_id) else {
-                        return;
-                    };
-                    let retries = a.shuffle_retries;
-                    a.shuffle_retries = retries.saturating_add(1);
-                    // A gray-failed NIC stretches every re-fetch round too.
-                    let wait = ShuffleTracker::refetch_delay(retries);
-                    let wait = self.failure.stretch_net(wait, node);
-                    let phase = AttemptPhase::Shuffle;
-                    self.schedule_segment(node, attempt_id, phase, now, wait);
-                    self.fault_stats.shuffle_refetches += 1;
-                    self.record(Record::ShuffleStalled(
-                        now,
-                        attempt_id,
-                        node,
-                        retries + 1,
-                        wait,
-                    ));
-                    return;
-                }
-                let stalled = self
-                    .tracker(node)
-                    .and_then(|tt| tt.attempt(attempt_id))
-                    .is_some_and(|a| a.shuffle_retries > 0);
-                if stalled {
-                    self.record(Record::ShuffleRecovered(now, attempt_id, node));
-                }
-                self.enter_phase(node, attempt_id, AttemptPhase::Work, SimDuration::ZERO, now);
-            }
-            AttemptPhase::Work => {
-                // Work finished: fault the task's own state back in (stateful
-                // tasks read their memory when finalizing) and write output.
-                let stall = self.edit_tracker(node, |tt| {
-                    let stall = tt
-                        .fault_in_own_memory(attempt_id, now)
-                        .unwrap_or(SimDuration::ZERO);
-                    let output = tt
-                        .attempt(attempt_id)
-                        .map(|a| a.plan.output_bytes)
-                        .unwrap_or(0);
-                    tt.write_output(output);
-                    if let Some(a) = tt.attempt_mut(attempt_id) {
-                        a.work_completed = a.plan.work;
-                    }
-                    stall
-                });
-                let stall = stall.unwrap_or(SimDuration::ZERO);
-                self.enter_phase(node, attempt_id, AttemptPhase::Finalize, stall, now);
-            }
-            AttemptPhase::Finalize => {
-                self.complete_attempt(node, attempt_id, now);
-            }
-        }
-    }
-
-    /// Moves an attempt into `phase`, scheduling its completion after
-    /// `stall + <phase duration>`.
-    fn enter_phase(
-        &mut self,
-        node: NodeId,
-        attempt_id: AttemptId,
-        phase: AttemptPhase,
-        stall: SimDuration,
-        now: SimTime,
-    ) {
-        let Some(attempt) = self.attempt_mut(node, attempt_id) else {
-            return;
-        };
-        attempt.phase = phase;
-        let duration = match phase {
-            AttemptPhase::Setup => attempt.plan.setup,
-            AttemptPhase::Shuffle => attempt.plan.shuffle,
-            AttemptPhase::Work => attempt.remaining_work(),
-            AttemptPhase::Finalize => attempt.plan.finalize,
-        };
-        self.schedule_segment(node, attempt_id, phase, now + stall, duration);
-        if phase == AttemptPhase::Work {
-            self.arm_triggers(attempt_id.task, node, attempt_id);
-        }
-    }
-
-    /// Starts a phase segment of `duration` at `start`: schedules its
-    /// completion and records the segment on the attempt.
-    fn schedule_segment(
-        &mut self,
-        node: NodeId,
-        attempt: AttemptId,
-        phase: AttemptPhase,
-        start: SimTime,
-        duration: SimDuration,
-    ) {
-        let event = self.queue.schedule(
-            start + duration,
-            Event::PhaseDone {
-                node,
-                attempt,
-                phase,
-            },
-        );
-        if let Some(a) = self.attempt_mut(node, attempt) {
-            a.segment_start = start;
-            a.segment_duration = duration;
-            a.segment_event = Some(event);
-        }
-    }
-
-    fn complete_attempt(&mut self, node: NodeId, attempt_id: AttemptId, now: SimTime) {
-        let task = attempt_id.task;
-        // Behind a partition the node finishes work the master cannot see:
-        // the completion buffers until the heal reconciles it.
-        if self.failure.buffer_completion(node, attempt_id) {
-            return;
-        }
-        // An attempt the JobTracker no longer tracks (its task was re-run
-        // after a partition teardown) completing on a healed node goes
-        // through first-commit-wins reconciliation instead.
-        let orphan = match self.task(task) {
-            None => true,
-            Some(t) => t.current_attempt != Some(attempt_id) && t.spec_attempt != Some(attempt_id),
-        };
-        if orphan {
-            self.reconcile_completion(attempt_id, node, now);
-            return;
-        }
-        let Some(finished) = self.finish_attempt(node, attempt_id, now) else {
-            return;
-        };
-        // First finisher wins: a completing attempt kills its sibling (the
-        // original kills the backup; a winning backup kills the original,
-        // wherever — running or suspended — it currently sits).
-        let (is_spec, sibling) = {
-            let t = self.task(task).expect("tracked above");
-            let sibling = if t.current_attempt == Some(attempt_id) {
-                t.spec_attempt.zip(t.spec_node)
-            } else {
-                t.current_attempt.zip(t.node)
-            };
-            (t.spec_attempt == Some(attempt_id), sibling)
-        };
-        if let Some((loser, loser_node)) = sibling {
-            self.kill_sibling_attempt(loser, loser_node, now);
-        }
-        self.clear_speculation_fields(task);
-        if is_spec {
-            self.fault_stats.speculative_won += 1;
-        }
-        self.commit(attempt_id, node, finished, false, now);
-    }
-
-    /// Takes a finished attempt off its tracker. Returns its termination
-    /// outcome and the output bytes it leaves on the node, captured before
-    /// `complete` consumes the attempt.
-    fn finish_attempt(
-        &mut self,
-        node: NodeId,
-        attempt: AttemptId,
-        now: SimTime,
-    ) -> Option<(TerminationOutcome, u64)> {
-        self.edit_tracker(node, |tt| {
-            let output_bytes = tt
-                .attempt(attempt)
-                .map(|a| a.plan.output_bytes)
-                .unwrap_or(0);
-            let outcome = tt.complete(attempt, now).ok()?;
-            Some((outcome, output_bytes))
-        })
-        .flatten()
-    }
-
-    /// Commits a task's success: marks it `Succeeded` — through the checked
-    /// state machine on the live path, forced for a `reconciled` completion,
-    /// whose task may sit in any state — registers a map's output, then runs
-    /// job-completion bookkeeping and the scheduler hooks.
-    fn commit(
-        &mut self,
-        attempt: AttemptId,
-        node: NodeId,
-        (outcome, output_bytes): (TerminationOutcome, u64),
-        reconciled: bool,
-        now: SimTime,
-    ) {
-        let task = attempt.task;
-        self.edit_task(task, |t| {
-            if reconciled {
-                t.state = TaskState::Succeeded;
-            } else {
-                t.set_state(TaskState::Succeeded);
-            }
-            t.progress = 1.0;
-            t.finished_at = Some(now);
-            t.current_attempt = None;
-            t.node = Some(node);
-            t.paged_out_bytes += outcome.paged_out_bytes;
-            t.paged_in_bytes += outcome.paged_in_bytes;
-        });
-        // A committed map leaves its output on this node's local disks; the
-        // registry is what makes that output a fault domain (and what feeds
-        // rack-aware reduce placement).
-        if task.kind == TaskKind::Map && self.shuffle.tracked(task.job) {
-            let rack = self.rack_of(node);
-            self.shuffle
-                .record_map_output(task.job, task.index as usize, node, rack, output_bytes);
-        }
-        self.record(Record::Completed(now, attempt, node, reconciled));
-        let job_complete = self
-            .jobs
-            .get(&task.job)
-            .map(|j| j.is_complete())
-            .unwrap_or(false);
-        if job_complete {
-            if let Some(job) = self.jobs.get_mut(&task.job) {
-                job.completed_at = Some(now);
-            }
-            self.shuffle.job_finished(task.job);
-            self.incomplete_jobs = self.incomplete_jobs.saturating_sub(1);
-            #[cfg(debug_assertions)]
-            self.debug_check_job_counters(task.job);
-            self.record(Record::JobCompleted(now, task.job));
-        }
-        self.consult(now, |s, ctx| {
-            let mut actions = s.on_task_finished(ctx, task);
-            if job_complete {
-                actions.extend(s.on_job_finished(ctx, task.job));
-            }
-            actions
-        });
-        self.schedule_out_of_band_heartbeat(node, now);
-    }
-
-    /// First-commit-wins reconciliation of a completion the master did not
-    /// witness live: either buffered behind a partition and drained at the
-    /// heal, or finished by an orphaned attempt the teardown already wrote
-    /// off. Exactly one commit per task ever happens — if the task already
-    /// succeeded elsewhere (or its job retired), this completion is
-    /// discarded and only frees the node-side slot.
-    fn reconcile_completion(&mut self, attempt_id: AttemptId, node: NodeId, now: SimTime) {
-        let task = attempt_id.task;
-        let job_retired = self
-            .jobs
-            .get(&task.job)
-            .map(|j| j.completed_at.is_some())
-            .unwrap_or(true);
-        let task_state = self.task(task).map(|t| t.state);
-        let already_succeeded = task_state == Some(TaskState::Succeeded);
-        if job_retired || already_succeeded || task_state.is_none() {
-            // Discard: someone else committed first (or the job is gone).
-            // The duplicate-commit tripwire in FaultStats stays at zero
-            // because this path never touches task state.
-            self.edit_tracker(node, |tt| {
-                let _ = tt.complete(attempt_id, now);
-            });
-            self.fault_stats.reconciled_discards += 1;
-            self.record(Record::Killed(
-                now,
-                attempt_id,
-                node,
-                KillCause::StaleCompletion,
-            ));
-            return;
-        }
-        // Commit: this attempt is the first finisher. Kill whatever
-        // re-execution the teardown started — first commit wins.
-        let (current, spec) = {
-            let Some(t) = self.task(task) else { return };
-            (
-                t.current_attempt.zip(t.node),
-                t.spec_attempt.zip(t.spec_node),
-            )
-        };
-        for (a, n) in current.into_iter().chain(spec) {
-            if a != attempt_id {
-                self.kill_sibling_attempt(a, n, now);
-            }
-        }
-        self.clear_speculation_fields(task);
-        self.unarm_triggers(task);
-        let Some(finished) = self.finish_attempt(node, attempt_id, now) else {
-            return;
-        };
-        // Tripwire, not control flow: if the task somehow reached Succeeded
-        // between the routing check above and here, committing again would
-        // be a double commit. The bench quality gate asserts this is zero.
-        if self.task(task).map(|t| t.state) == Some(TaskState::Succeeded) {
-            self.fault_stats.duplicate_commits += 1;
-        }
-        self.fault_stats.reconciled_commits += 1;
-        self.commit(attempt_id, node, finished, true, now);
-    }
-
-    /// Handles a task whose process was sacrificed by the OOM killer while
-    /// a task was allocating memory (see [`Cluster::lose_attempt`]).
-    /// `invested` is the attempt's running time when it died, which the kill
-    /// wasted, as [`Cluster::deliver_kill`] charges it.
-    fn handle_oom_victim(
-        &mut self,
-        attempt_id: AttemptId,
-        invested: SimDuration,
-        node: NodeId,
-        now: SimTime,
-    ) {
-        let Some(t) = self.task(attempt_id.task) else {
-            return;
-        };
-        let cause = if t.spec_attempt == Some(attempt_id) {
-            KillCause::SpeculativeOom
-        } else {
-            KillCause::Oom
-        };
-        self.record(Record::Killed(now, attempt_id, node, cause));
-        // The OOM happened on this node, so a backup elsewhere is promoted.
-        self.lose_attempt(attempt_id, invested, false);
     }
 
     /// Consults the scheduling policy: hands `hook` the policy and a context
@@ -2053,219 +1361,6 @@ impl Cluster {
             obs.record_actions(&acted, timer);
         }
     }
-
-    /// Moves a task whose state `from` accepts to the `MUST_*` state `next`;
-    /// its node gets the command at its next heartbeat.
-    fn issue_command(&mut self, task: TaskId, next: TaskState, from: impl Fn(TaskState) -> bool) {
-        let Some(node) = self
-            .task(task)
-            .filter(|t| from(t.state))
-            .and_then(|t| t.node)
-        else {
-            return;
-        };
-        self.set_task_state(task, next);
-        self.enqueue_command(node, task);
-    }
-
-    /// Starts a new attempt of `task` on `node` if the link is up, `admit`
-    /// accepts the task and the node has a free slot of its kind: plans it
-    /// for the input locality it gets there (stretched on a gray-failed
-    /// node) and launches it on the tracker, in its setup phase. Returns the
-    /// attempt and its locality.
-    fn start_attempt(
-        &mut self,
-        task: TaskId,
-        node: NodeId,
-        now: SimTime,
-        admit: impl FnOnce(&JobRuntime, &TaskRuntime) -> bool,
-    ) -> Option<(AttemptId, Locality)> {
-        // A dark node cannot receive a launch: the scheduler's view of it is
-        // stale until the detector tears it down or the link heals.
-        if !self.failure.is_up(node) {
-            return None;
-        }
-        // Build the execution plan from borrowed state: no clones of the
-        // profile or the preferred-node list on this path.
-        let job = self.jobs.get(&task.job)?;
-        let t = job.task(task)?;
-        if !admit(job, t) || self.tracker(node)?.free_slots(task.kind) == 0 {
-            return None;
-        }
-        let locality = t.locality(self.namenode.topology(), node);
-        let profile = &job.spec.profile;
-        let plan = match task.kind {
-            TaskKind::Map => ExecPlan::for_map(profile, t.input_bytes, locality),
-            TaskKind::Reduce => {
-                let rack = self.rack_of(node);
-                let contention = self.shuffle.reduce_contention(task.job, rack);
-                ExecPlan::for_reduce_contended(profile, t.input_bytes, contention)
-            }
-        };
-        let plan = self.failure.stretch(plan, node);
-        let attempt = self.task_mut(task)?.next_attempt();
-        // A failed launch leaves the attempt counter bumped: attempt ids only
-        // need to be unique.
-        self.edit_tracker(node, |tt| tt.launch(attempt, task.kind, plan, now).ok())
-            .flatten()?;
-        self.enter_phase(node, attempt, AttemptPhase::Setup, SimDuration::ZERO, now);
-        Some((attempt, locality))
-    }
-
-    fn launch_task(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        let admit = |_: &JobRuntime, t: &TaskRuntime| t.state.is_schedulable();
-        let Some((attempt_id, locality)) = self.start_attempt(task, node, now, admit) else {
-            return;
-        };
-        if task.kind == TaskKind::Map {
-            self.locality.record(locality);
-            // Delay scheduling: a node-local launch ends the job's wait
-            // (reset-on-local-launch); the wait it paid goes into the
-            // histogram. Preference-less tasks count as node-local but never
-            // start a wait, so they record nothing.
-            if locality == Locality::NodeLocal {
-                if let Some(waited) = self.delay.local_launch(task.job, now) {
-                    self.locality.record_delay_wait(waited);
-                }
-            }
-        }
-        self.edit_task(task, |t| {
-            t.set_state(TaskState::Running);
-            t.node = Some(node);
-            t.current_attempt = Some(attempt_id);
-            t.progress = 0.0;
-            if t.first_launched_at.is_none() {
-                t.first_launched_at = Some(now);
-            }
-        })
-        .expect("task exists");
-        self.record(Record::Launched(now, attempt_id, node));
-    }
-
-    // ----- speculative re-execution -----------------------------------------
-
-    /// Launches a speculative (backup) attempt of `task` on `node`. The task
-    /// keeps its JobTracker state (`Running` or `Suspended`); the backup is
-    /// tracked through [`TaskRuntime::spec_attempt`] and the first attempt to
-    /// finish wins.
-    fn launch_speculative(&mut self, task: TaskId, node: NodeId, now: SimTime) {
-        let admit = |job: &JobRuntime, t: &TaskRuntime| {
-            job.speculative_live < MAX_LIVE_SPECULATIONS_PER_JOB
-                && t.spec_attempt.is_none()
-                && matches!(
-                    t.state,
-                    TaskState::Running | TaskState::Suspended | TaskState::MustResume
-                )
-                && t.node != Some(node)
-        };
-        let Some((attempt_id, _)) = self.start_attempt(task, node, now, admit) else {
-            return;
-        };
-        let job = self.jobs.get_mut(&task.job).expect("checked above");
-        job.speculative_live += 1;
-        let t = job.task_mut(task).expect("checked above");
-        t.spec_attempt = Some(attempt_id);
-        t.spec_node = Some(node);
-        self.fault_stats.speculative_launched += 1;
-        self.record(Record::Speculated(now, attempt_id, node));
-    }
-
-    /// Kills the losing attempt of a first-finisher-wins race (or of an
-    /// aborted speculation), wherever it is and whatever state it is in.
-    /// Charges its invested time to the speculation-waste counter.
-    fn kill_sibling_attempt(&mut self, attempt: AttemptId, node: NodeId, now: SimTime) {
-        let Some(a) = self.tracker(node).and_then(|tt| tt.attempt(attempt)) else {
-            return;
-        };
-        let pending_event = a.segment_event;
-        let invested = a.invested_time(now);
-        let killed = self.edit_tracker(node, |tt| tt.kill(attempt, now));
-        if killed.is_some_and(|k| k.is_ok_and(|o| o.held_slot)) {
-            self.hold_cleanup_slot(node, attempt.task.kind, now);
-        }
-        if let Some(ev) = pending_event {
-            self.queue.cancel(ev);
-        }
-        self.fault_stats.speculative_wasted_secs += invested.as_secs_f64();
-        self.record(Record::SiblingKilled(now, attempt, node, invested));
-        self.schedule_out_of_band_heartbeat(node, now);
-    }
-
-    /// A killed attempt that held a slot leaves it to a cleanup attempt,
-    /// which occupies it until the partial output is deleted.
-    fn hold_cleanup_slot(&mut self, node: NodeId, kind: TaskKind, now: SimTime) {
-        let epoch = self.tracker(node).map(|tt| tt.epoch()).unwrap_or(0);
-        self.queue.schedule(
-            now + crate::attempt::CLEANUP_DURATION,
-            Event::CleanupDone { node, kind, epoch },
-        );
-    }
-
-    /// Tears down a task's live backup attempt (if any) and clears the
-    /// speculation fields; the original attempt is unaffected.
-    fn abort_speculation(&mut self, task: TaskId, now: SimTime) {
-        let backup = self
-            .task(task)
-            .and_then(|t| t.spec_attempt.zip(t.spec_node));
-        if let Some((spec_attempt, spec_node)) = backup {
-            self.kill_sibling_attempt(spec_attempt, spec_node, now);
-            self.clear_speculation_fields(task);
-        }
-    }
-
-    // ----- progress triggers -----------------------------------------------
-
-    fn arm_triggers(&mut self, task: TaskId, node: NodeId, attempt_id: AttemptId) {
-        if self.triggers.is_empty() || task.kind != TaskKind::Map {
-            return;
-        }
-        let Some(a) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
-            return;
-        };
-        let (segment_start, work, work_completed) =
-            (a.segment_start, a.plan.work, a.work_completed);
-        let Some(job) = self.jobs.get(&task.job) else {
-            return;
-        };
-        for (index, trigger) in self.triggers.iter_mut().enumerate() {
-            if !matches!(trigger.state, TriggerState::Waiting)
-                || trigger.job_name != job.spec.name
-                || trigger.task_index != task.index
-            {
-                continue;
-            }
-            let target = work.mul_f64(trigger.fraction);
-            let fire_at = segment_start + target.saturating_sub(work_completed);
-            let event = self
-                .queue
-                .schedule(fire_at, Event::ProgressTrigger { index });
-            trigger.state = TriggerState::Armed { event, task };
-        }
-    }
-
-    fn unarm_triggers(&mut self, task: TaskId) {
-        for trigger in &mut self.triggers {
-            if let TriggerState::Armed {
-                event,
-                task: armed_task,
-            } = trigger.state
-            {
-                if armed_task == task {
-                    self.queue.cancel(event);
-                    trigger.state = TriggerState::Waiting;
-                }
-            }
-        }
-    }
-
-    fn handle_progress_trigger(&mut self, index: usize, now: SimTime) {
-        let (task, fraction) = match &self.triggers[index].state {
-            TriggerState::Armed { task, .. } => (*task, self.triggers[index].fraction),
-            _ => return,
-        };
-        self.triggers[index].state = TriggerState::Fired;
-        self.consult(now, |s, ctx| s.on_progress_trigger(ctx, task, fraction));
-    }
 }
 
 impl std::fmt::Debug for Cluster {
@@ -2283,8 +1378,9 @@ impl std::fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use crate::job::TaskProfile;
+    use crate::metrics::KillCause;
     use crate::scheduler::FifoScheduler;
-    use mrp_sim::{GIB, MIB};
+    use mrp_sim::{SimDuration, GIB, MIB};
 
     impl Cluster {
         /// Read access to the node-reliability predictor's failure-history
@@ -2577,6 +1673,14 @@ mod tests {
         assert_eq!(victim_task(&c).wasted_work, SimDuration::ZERO);
         c.run(killed_at);
         assert_eq!(victim_task(&c).wasted_work, invested);
+        // The kill retired the victim: the work-phase event it was running
+        // toward was cancelled with it.
+        while let Some((_, event)) = c.queue.pop() {
+            assert!(
+                !matches!(event, Event::PhaseDone { attempt: a, .. } if a == attempt),
+                "the OOM victim's phase event is still pending: {event:?}"
+            );
+        }
     }
 
     #[test]

@@ -1,0 +1,900 @@
+//! The attempt lifecycle: how an attempt reaches a node, moves through its
+//! phases and leaves it again.
+//!
+//! An attempt starts with a launch (or a speculative backup launch), takes
+//! `MUST_*` commands at its node's heartbeats, and advances phase by phase
+//! through [`Event::PhaseDone`]. It leaves its tracker exactly one way: a
+//! [`TaskTracker`] method that removes it (`kill`, `complete`, `fail` or the
+//! OOM killer in `allocate_task_memory`) returns an [`AttemptEnd`], and
+//! [`Cluster::retire`] cancels the phase event and schedules the cleanup
+//! slot's release from it. What the JobTracker then does with the task
+//! depends on how the attempt ended:
+//!
+//! * a completion commits first-commit-wins, killing the task's other
+//!   attempts ([`Cluster::kill_other_attempts`]);
+//! * a kill command resets the task to `Pending` and charges its invested
+//!   time as wasted work;
+//! * a loss with its node or to the OOM killer promotes a live backup or
+//!   re-runs the task ([`Cluster::lose_attempt`]).
+
+use super::{Cluster, Event};
+use crate::attempt::{AttemptPhase, AttemptState, ExecPlan, CLEANUP_DURATION};
+use crate::job::{AttemptId, JobRuntime, TaskId, TaskKind, TaskRuntime, TaskState};
+use crate::metrics::{KillCause, Record};
+use crate::scheduler::MAX_LIVE_SPECULATIONS_PER_JOB;
+use crate::shuffle::ShuffleTracker;
+use crate::tasktracker::{AttemptEnd, TaskTracker, TrackerError};
+use mrp_dfs::{Locality, NodeId};
+use mrp_sim::{EventId, SimDuration, SimTime};
+
+#[derive(Clone, Debug)]
+enum TriggerState {
+    Waiting,
+    Armed { event: EventId, task: TaskId },
+    Fired,
+}
+
+/// A progress watch: fires when the named task first reaches the given
+/// fraction of its work phase. Used by trigger-driven experiment schedulers
+/// to reproduce the paper's "preempt tl at r% progress" scenarios exactly.
+#[derive(Clone, Debug)]
+pub(super) struct ProgressTrigger {
+    job_name: String,
+    task_index: u32,
+    fraction: f64,
+    state: TriggerState,
+}
+
+impl Cluster {
+    /// Registers a progress trigger: when map task `task_index` of the job
+    /// named `job_name` first reaches `fraction` of its work phase, the
+    /// scheduler's `on_progress_trigger` hook is invoked. The trigger fires at
+    /// most once; if the watched task is suspended or killed before reaching
+    /// the fraction, the watch re-arms when it runs again.
+    pub fn add_progress_trigger(&mut self, job_name: &str, task_index: u32, fraction: f64) {
+        assert!(
+            (0.0..=1.0).contains(&fraction),
+            "fraction must be in [0, 1]"
+        );
+        self.triggers.push(ProgressTrigger {
+            job_name: job_name.to_string(),
+            task_index,
+            fraction,
+            state: TriggerState::Waiting,
+        });
+    }
+
+    // ----- launch and speculation -------------------------------------------
+
+    /// Moves a task whose state `from` accepts to the `MUST_*` state `next`;
+    /// its node gets the command at its next heartbeat.
+    pub(super) fn issue_command(
+        &mut self,
+        task: TaskId,
+        next: TaskState,
+        from: impl Fn(TaskState) -> bool,
+    ) {
+        let Some(node) = self
+            .task(task)
+            .filter(|t| from(t.state))
+            .and_then(|t| t.node)
+        else {
+            return;
+        };
+        self.set_task_state(task, next);
+        self.enqueue_command(node, task);
+    }
+
+    /// Starts a new attempt of `task` on `node` if the link is up, `admit`
+    /// accepts the task and the node has a free slot of its kind: plans it
+    /// for the input locality it gets there (stretched on a gray-failed
+    /// node) and launches it on the tracker, in its setup phase. Returns the
+    /// attempt and its locality.
+    fn start_attempt(
+        &mut self,
+        task: TaskId,
+        node: NodeId,
+        now: SimTime,
+        admit: impl FnOnce(&JobRuntime, &TaskRuntime) -> bool,
+    ) -> Option<(AttemptId, Locality)> {
+        // A dark node cannot receive a launch: the scheduler's view of it is
+        // stale until the detector tears it down or the link heals.
+        if !self.failure.is_up(node) {
+            return None;
+        }
+        // Build the execution plan from borrowed state: no clones of the
+        // profile or the preferred-node list on this path.
+        let job = self.jobs.get(&task.job)?;
+        let t = job.task(task)?;
+        if !admit(job, t) || self.tracker(node)?.free_slots(task.kind) == 0 {
+            return None;
+        }
+        let locality = t.locality(self.namenode.topology(), node);
+        let profile = &job.spec.profile;
+        let plan = match task.kind {
+            TaskKind::Map => ExecPlan::for_map(profile, t.input_bytes, locality),
+            TaskKind::Reduce => {
+                let rack = self.rack_of(node);
+                let contention = self.shuffle.reduce_contention(task.job, rack);
+                ExecPlan::for_reduce_contended(profile, t.input_bytes, contention)
+            }
+        };
+        let plan = self.failure.stretch(plan, node);
+        let attempt = self.task_mut(task)?.next_attempt();
+        // A failed launch leaves the attempt counter bumped: attempt ids only
+        // need to be unique.
+        self.edit_tracker(node, |tt| tt.launch(attempt, task.kind, plan, now).ok())
+            .flatten()?;
+        self.enter_phase(node, attempt, AttemptPhase::Setup, SimDuration::ZERO, now);
+        Some((attempt, locality))
+    }
+
+    pub(super) fn launch_task(&mut self, task: TaskId, node: NodeId, now: SimTime) {
+        let admit = |_: &JobRuntime, t: &TaskRuntime| t.state.is_schedulable();
+        let Some((attempt_id, locality)) = self.start_attempt(task, node, now, admit) else {
+            return;
+        };
+        if task.kind == TaskKind::Map {
+            self.locality.record(locality);
+            // Delay scheduling: a node-local launch ends the job's wait
+            // (reset-on-local-launch); the wait it paid goes into the
+            // histogram. Preference-less tasks count as node-local but never
+            // start a wait, so they record nothing.
+            if locality == Locality::NodeLocal {
+                if let Some(waited) = self.delay.local_launch(task.job, now) {
+                    self.locality.record_delay_wait(waited);
+                }
+            }
+        }
+        self.edit_task(task, |t| {
+            t.set_state(TaskState::Running);
+            t.node = Some(node);
+            t.current_attempt = Some(attempt_id);
+            t.progress = 0.0;
+            if t.first_launched_at.is_none() {
+                t.first_launched_at = Some(now);
+            }
+        })
+        .expect("task exists");
+        self.record(Record::Launched(now, attempt_id, node));
+    }
+
+    /// Launches a speculative (backup) attempt of `task` on `node`. The task
+    /// keeps its JobTracker state (`Running` or `Suspended`); the backup is
+    /// tracked through [`TaskRuntime::spec_attempt`] and the first attempt to
+    /// finish wins.
+    pub(super) fn launch_speculative(&mut self, task: TaskId, node: NodeId, now: SimTime) {
+        let admit = |job: &JobRuntime, t: &TaskRuntime| {
+            job.speculative_live < MAX_LIVE_SPECULATIONS_PER_JOB
+                && t.spec_attempt.is_none()
+                && matches!(
+                    t.state,
+                    TaskState::Running | TaskState::Suspended | TaskState::MustResume
+                )
+                && t.node != Some(node)
+        };
+        let Some((attempt_id, _)) = self.start_attempt(task, node, now, admit) else {
+            return;
+        };
+        let job = self.jobs.get_mut(&task.job).expect("checked above");
+        job.speculative_live += 1;
+        let t = job.task_mut(task).expect("checked above");
+        t.spec_attempt = Some(attempt_id);
+        t.spec_node = Some(node);
+        self.fault_stats.speculative_launched += 1;
+        self.record(Record::Speculated(now, attempt_id, node));
+    }
+
+    /// Clears a task's speculative-attempt fields and decrements the owning
+    /// job's live-speculation counter. Does *not* touch the backup attempt on
+    /// its tracker — callers either killed it already or are promoting it.
+    fn clear_speculation_fields(&mut self, task: TaskId) {
+        let Some(job) = self.jobs.get_mut(&task.job) else {
+            return;
+        };
+        let Some(t) = job.task_mut(task) else { return };
+        if t.spec_attempt.take().is_some() {
+            t.spec_node = None;
+            debug_assert!(job.speculative_live > 0);
+            job.speculative_live = job.speculative_live.saturating_sub(1);
+        }
+    }
+
+    // ----- heartbeat: progress reports and command delivery -----------------
+
+    /// Refreshes the reported progress of the tasks whose attempts run or
+    /// sit suspended on `node` (reusable buffer: no per-heartbeat
+    /// allocation).
+    pub(super) fn refresh_progress(&mut self, node: NodeId, now: SimTime) {
+        let mut buf = std::mem::take(&mut self.progress_buf);
+        buf.clear();
+        for a in self.trackers[node.0 as usize].attempts() {
+            buf.push((a.id, a.task, a.progress(now)));
+        }
+        for &(attempt, task, progress) in &buf {
+            self.edit_task(task, |t| {
+                // Only attempts the JobTracker still tracks may report: an
+                // orphan left running on a healed partition victim must not
+                // overwrite the progress of a task that already succeeded
+                // (or re-ran) elsewhere.
+                if t.current_attempt != Some(attempt) && t.spec_attempt != Some(attempt) {
+                    return;
+                }
+                // With a live backup attempt the task's progress is the best
+                // of the two attempts, whichever node reports it.
+                if t.spec_attempt.is_some() {
+                    t.progress = t.progress.max(progress);
+                } else {
+                    t.progress = progress;
+                }
+            });
+        }
+        buf.clear();
+        self.progress_buf = buf;
+    }
+
+    /// Delivers the `MUST_*` commands pending for `node`, piggybacked on its
+    /// heartbeat. Commands that cannot be delivered yet (suspend during
+    /// setup, resume without a free slot) stay indexed and retry at the next
+    /// heartbeat.
+    pub(super) fn deliver_commands(&mut self, node: NodeId, now: SimTime) {
+        let must = |t: &TaskRuntime| {
+            t.node == Some(node)
+                && matches!(
+                    t.state,
+                    TaskState::MustSuspend | TaskState::MustResume | TaskState::MustKill
+                )
+        };
+        let mut pending = std::mem::take(&mut self.pending_cmds[node.0 as usize]);
+        pending.retain(|&task| {
+            let Some(t) = self.task(task).filter(|t| must(t)) else {
+                return false;
+            };
+            if let Some(attempt) = t.current_attempt {
+                match t.state {
+                    TaskState::MustSuspend => self.deliver_suspend(task, attempt, node, now),
+                    TaskState::MustResume => self.deliver_resume(task, attempt, node, now),
+                    _ => self.deliver_kill(task, attempt, node, now),
+                }
+            }
+            self.task(task).is_some_and(must)
+        });
+        // Delivering a command enqueues none.
+        debug_assert!(self.pending_cmds[node.0 as usize].is_empty());
+        self.pending_cmds[node.0 as usize] = pending;
+    }
+
+    fn deliver_suspend(&mut self, task: TaskId, attempt_id: AttemptId, node: NodeId, now: SimTime) {
+        // Only the work phase stops. Too early (setup, shuffle): retry at the
+        // next heartbeat (a task that has not started working has nothing
+        // worth preserving yet, and Hadoop cannot stop a task mid-setup). Too
+        // late (finalize): the task will complete before the suspension
+        // matters; the completion heartbeat resolves the race (Section III-B).
+        let Some(pending_event) = self
+            .tracker(node)
+            .and_then(|tt| tt.attempt(attempt_id))
+            .filter(|a| a.phase == AttemptPhase::Work)
+            .map(|a| a.segment_event)
+        else {
+            return;
+        };
+        let Some(Ok(progress)) = self.edit_tracker(node, |tt| tt.suspend(attempt_id, now)) else {
+            return;
+        };
+        // The attempt stays on its tracker: the one phase event not cancelled
+        // by `retire`.
+        if let Some(ev) = pending_event {
+            self.queue.cancel(ev);
+        }
+        self.unarm_triggers(task);
+        self.edit_task(task, |t| {
+            t.set_state(TaskState::Suspended);
+            t.progress = progress;
+            t.suspend_cycles += 1;
+        });
+        self.record(Record::Suspended(now, attempt_id, node, progress));
+        self.schedule_out_of_band_heartbeat(node, now);
+    }
+
+    fn deliver_resume(&mut self, task: TaskId, attempt_id: AttemptId, node: NodeId, now: SimTime) {
+        // No free slot (or similar): stay in MUST_RESUME and retry at the
+        // next heartbeat from this tracker.
+        let Some(Ok(stall)) = self.edit_tracker(node, |tt| tt.resume(attempt_id, now)) else {
+            return;
+        };
+        self.enter_phase(node, attempt_id, AttemptPhase::Work, stall, now);
+        self.set_task_state(task, TaskState::Running);
+        self.record(Record::Resumed(now, attempt_id, node, stall));
+    }
+
+    fn deliver_kill(&mut self, task: TaskId, attempt_id: AttemptId, node: NodeId, now: SimTime) {
+        // Killing a task kills the whole task: any live backup dies with it.
+        self.kill_other_attempts(task, Some(attempt_id), now);
+        let Some(end) = self.end_attempt(node, now, |tt| tt.kill(attempt_id, now)) else {
+            // The attempt vanished underneath us (e.g. the OOM killer took
+            // it); make the task schedulable again so it restarts from scratch.
+            self.force_task_pending(task);
+            return;
+        };
+        self.unarm_triggers(task);
+        self.edit_task(task, |t| {
+            t.set_state(TaskState::Killed);
+            t.wasted_work += end.invested;
+            t.paged_out_bytes += end.paged_out_bytes;
+            t.paged_in_bytes += end.paged_in_bytes;
+            t.progress = 0.0;
+            t.node = None;
+            t.current_attempt = None;
+            // The task itself is rescheduled from scratch.
+            t.set_state(TaskState::Pending);
+        });
+        let cause = KillCause::Signal(end.invested);
+        self.record(Record::Killed(now, attempt_id, node, cause));
+    }
+
+    // ----- phase events -----------------------------------------------------
+
+    pub(super) fn handle_phase_done(
+        &mut self,
+        node: NodeId,
+        attempt_id: AttemptId,
+        phase: AttemptPhase,
+        now: SimTime,
+    ) {
+        // Defensive: an attempt that left its tracker had its event
+        // cancelled on retirement, but re-check that it is still there and
+        // still in this phase.
+        let Some(attempt) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
+            return;
+        };
+        if attempt.state != AttemptState::Running || attempt.phase != phase {
+            return;
+        }
+        let task = attempt_id.task;
+        match phase {
+            AttemptPhase::Setup => {
+                let alloc = self.edit_tracker(node, |tt| {
+                    let alloc = tt.allocate_task_memory(attempt_id, now).ok()?;
+                    if !alloc.failed {
+                        let input_bytes = tt
+                            .attempt(attempt_id)
+                            .map(|a| a.plan.input_bytes)
+                            .unwrap_or(0);
+                        tt.record_input_read(input_bytes);
+                    }
+                    Some(alloc)
+                });
+                let Some(alloc) = alloc.flatten() else {
+                    return; // unknown attempt: nothing to clean up
+                };
+                // The allocating attempt itself may be among the victims (the
+                // OOM killer sacrificed it); the failure path below resolves
+                // it after the others.
+                let (mut own, others): (Vec<_>, Vec<_>) = alloc
+                    .oom_killed
+                    .into_iter()
+                    .partition(|v| v.id == attempt_id);
+                for victim in others {
+                    self.lose_attempt(node, victim, false, now);
+                }
+                // An unrecoverable allocation failure: an allocating attempt
+                // the OOM killer took is one more victim; a backup that
+                // failed is dropped while the original continues; an
+                // original still on the tracker goes through the kill path.
+                if alloc.failed {
+                    let t = self.task(task);
+                    let state = t.map(|t| t.state);
+                    let (current, spec) = (
+                        t.and_then(|t| t.current_attempt),
+                        t.and_then(|t| t.spec_attempt),
+                    );
+                    if let Some(own) = own.pop() {
+                        self.lose_attempt(node, own, false, now);
+                    } else if spec == Some(attempt_id) {
+                        self.kill_other_attempts(task, current, now);
+                    } else {
+                        // Index the command in case the immediate delivery
+                        // cannot complete (the retry rides the next heartbeat).
+                        if matches!(state, Some(TaskState::Running | TaskState::MustSuspend)) {
+                            self.set_task_state(task, TaskState::MustKill);
+                            self.enqueue_command(node, task);
+                        }
+                        if let Some(current) = current {
+                            self.deliver_kill(task, current, node, now);
+                        }
+                    }
+                    return;
+                }
+                let next_phase = if task.kind == TaskKind::Reduce {
+                    AttemptPhase::Shuffle
+                } else {
+                    AttemptPhase::Work
+                };
+                self.enter_phase(node, attempt_id, next_phase, alloc.stall, now);
+            }
+            AttemptPhase::Shuffle => {
+                // The reduce finished copying, but map outputs may have died
+                // with a node mid-shuffle. Graceful degradation: the reduce
+                // does not fail — it stalls in Shuffle re-fetching with
+                // exponential backoff while the JobTracker re-executes the
+                // lost maps, and proceeds once every output is back.
+                if !self.shuffle.complete(task.job) {
+                    let Some(a) = self.attempt_mut(node, attempt_id) else {
+                        return;
+                    };
+                    let retries = a.shuffle_retries;
+                    a.shuffle_retries = retries.saturating_add(1);
+                    // A gray-failed NIC stretches every re-fetch round too.
+                    let wait = ShuffleTracker::refetch_delay(retries);
+                    let wait = self.failure.stretch_net(wait, node);
+                    let phase = AttemptPhase::Shuffle;
+                    self.schedule_segment(node, attempt_id, phase, now, wait);
+                    self.fault_stats.shuffle_refetches += 1;
+                    self.record(Record::ShuffleStalled(
+                        now,
+                        attempt_id,
+                        node,
+                        retries + 1,
+                        wait,
+                    ));
+                    return;
+                }
+                let stalled = self
+                    .tracker(node)
+                    .and_then(|tt| tt.attempt(attempt_id))
+                    .is_some_and(|a| a.shuffle_retries > 0);
+                if stalled {
+                    self.record(Record::ShuffleRecovered(now, attempt_id, node));
+                }
+                self.enter_phase(node, attempt_id, AttemptPhase::Work, SimDuration::ZERO, now);
+            }
+            AttemptPhase::Work => {
+                // Work finished: fault the task's own state back in (stateful
+                // tasks read their memory when finalizing) and write output.
+                let stall = self.edit_tracker(node, |tt| {
+                    let stall = tt
+                        .fault_in_own_memory(attempt_id, now)
+                        .unwrap_or(SimDuration::ZERO);
+                    let output = tt
+                        .attempt(attempt_id)
+                        .map(|a| a.plan.output_bytes)
+                        .unwrap_or(0);
+                    tt.write_output(output);
+                    if let Some(a) = tt.attempt_mut(attempt_id) {
+                        a.work_completed = a.plan.work;
+                    }
+                    stall
+                });
+                let stall = stall.unwrap_or(SimDuration::ZERO);
+                self.enter_phase(node, attempt_id, AttemptPhase::Finalize, stall, now);
+            }
+            AttemptPhase::Finalize => {
+                self.complete_attempt(node, attempt_id, now);
+            }
+        }
+    }
+
+    /// Moves an attempt into `phase`, scheduling its completion after
+    /// `stall + <phase duration>`.
+    fn enter_phase(
+        &mut self,
+        node: NodeId,
+        attempt_id: AttemptId,
+        phase: AttemptPhase,
+        stall: SimDuration,
+        now: SimTime,
+    ) {
+        let Some(attempt) = self.attempt_mut(node, attempt_id) else {
+            return;
+        };
+        attempt.phase = phase;
+        let duration = match phase {
+            AttemptPhase::Setup => attempt.plan.setup,
+            AttemptPhase::Shuffle => attempt.plan.shuffle,
+            AttemptPhase::Work => attempt.remaining_work(),
+            AttemptPhase::Finalize => attempt.plan.finalize,
+        };
+        self.schedule_segment(node, attempt_id, phase, now + stall, duration);
+        if phase == AttemptPhase::Work {
+            self.arm_triggers(attempt_id.task, node, attempt_id);
+        }
+    }
+
+    /// Starts a phase segment of `duration` at `start`: schedules its
+    /// completion and records the segment on the attempt.
+    fn schedule_segment(
+        &mut self,
+        node: NodeId,
+        attempt: AttemptId,
+        phase: AttemptPhase,
+        start: SimTime,
+        duration: SimDuration,
+    ) {
+        let event = self.queue.schedule(
+            start + duration,
+            Event::PhaseDone {
+                node,
+                attempt,
+                phase,
+            },
+        );
+        if let Some(a) = self.attempt_mut(node, attempt) {
+            a.segment_start = start;
+            a.segment_duration = duration;
+            a.segment_event = Some(event);
+        }
+    }
+
+    // ----- completion, commit and reconciliation ----------------------------
+
+    fn complete_attempt(&mut self, node: NodeId, attempt_id: AttemptId, now: SimTime) {
+        let task = attempt_id.task;
+        // Behind a partition the node finishes work the master cannot see:
+        // the completion buffers until the heal reconciles it.
+        if self.failure.buffer_completion(node, attempt_id) {
+            return;
+        }
+        // An attempt the JobTracker no longer tracks (its task was re-run
+        // after a partition teardown) completing on a healed node goes
+        // through first-commit-wins reconciliation instead.
+        let is_spec = match self.task(task) {
+            Some(t) if t.current_attempt == Some(attempt_id) => false,
+            Some(t) if t.spec_attempt == Some(attempt_id) => true,
+            _ => {
+                self.reconcile_completion(attempt_id, node, now);
+                return;
+            }
+        };
+        let Some(finished) = self.finish_attempt(node, attempt_id, now) else {
+            return;
+        };
+        // First finisher wins: the original kills the backup; a winning
+        // backup kills the original, wherever — running or suspended — it
+        // currently sits.
+        self.kill_other_attempts(task, Some(attempt_id), now);
+        if is_spec {
+            self.fault_stats.speculative_won += 1;
+        }
+        self.commit(attempt_id, node, finished, false, now);
+    }
+
+    /// Completes `attempt` on its tracker and retires it. Returns its end
+    /// record and the output bytes it leaves on the node, read before the
+    /// attempt is gone.
+    fn finish_attempt(
+        &mut self,
+        node: NodeId,
+        attempt: AttemptId,
+        now: SimTime,
+    ) -> Option<(AttemptEnd, u64)> {
+        let output_bytes = self.tracker(node)?.attempt(attempt)?.plan.output_bytes;
+        let end = self.end_attempt(node, now, |tt| tt.complete(attempt, now))?;
+        Some((end, output_bytes))
+    }
+
+    /// Commits a task's success: marks it `Succeeded` — through the checked
+    /// state machine on the live path, forced for a `reconciled` completion,
+    /// whose task may sit in any state — registers a map's output, then runs
+    /// job-completion bookkeeping and the scheduler hooks.
+    fn commit(
+        &mut self,
+        attempt: AttemptId,
+        node: NodeId,
+        (end, output_bytes): (AttemptEnd, u64),
+        reconciled: bool,
+        now: SimTime,
+    ) {
+        let task = attempt.task;
+        self.edit_task(task, |t| {
+            if reconciled {
+                t.state = TaskState::Succeeded;
+            } else {
+                t.set_state(TaskState::Succeeded);
+            }
+            t.progress = 1.0;
+            t.finished_at = Some(now);
+            t.current_attempt = None;
+            t.node = Some(node);
+            t.paged_out_bytes += end.paged_out_bytes;
+            t.paged_in_bytes += end.paged_in_bytes;
+        });
+        // A committed map leaves its output on this node's local disks; the
+        // registry is what makes that output a fault domain (and what feeds
+        // rack-aware reduce placement).
+        if task.kind == TaskKind::Map && self.shuffle.tracked(task.job) {
+            let rack = self.rack_of(node);
+            self.shuffle
+                .record_map_output(task.job, task.index as usize, node, rack, output_bytes);
+        }
+        self.record(Record::Completed(now, attempt, node, reconciled));
+        let job_complete = match self.jobs.get_mut(&task.job) {
+            Some(job) if job.is_complete() => {
+                job.completed_at = Some(now);
+                true
+            }
+            _ => false,
+        };
+        if job_complete {
+            self.shuffle.job_finished(task.job);
+            self.incomplete_jobs = self.incomplete_jobs.saturating_sub(1);
+            #[cfg(debug_assertions)]
+            self.debug_check_job_counters(task.job);
+            self.record(Record::JobCompleted(now, task.job));
+        }
+        self.consult(now, |s, ctx| {
+            let mut actions = s.on_task_finished(ctx, task);
+            if job_complete {
+                actions.extend(s.on_job_finished(ctx, task.job));
+            }
+            actions
+        });
+        self.schedule_out_of_band_heartbeat(node, now);
+    }
+
+    /// First-commit-wins reconciliation of a completion the master did not
+    /// witness live: either buffered behind a partition and drained at the
+    /// heal, or finished by an orphaned attempt the teardown already wrote
+    /// off. Exactly one commit per task ever happens — if the task already
+    /// succeeded elsewhere (or its job retired), this completion is
+    /// discarded and only frees the node-side slot.
+    pub(super) fn reconcile_completion(
+        &mut self,
+        attempt_id: AttemptId,
+        node: NodeId,
+        now: SimTime,
+    ) {
+        let task = attempt_id.task;
+        let job_retired = self
+            .jobs
+            .get(&task.job)
+            .is_none_or(|j| j.completed_at.is_some());
+        let state = self.task(task).map(|t| t.state);
+        if job_retired || matches!(state, None | Some(TaskState::Succeeded)) {
+            // Discard: someone else committed first (or the job is gone).
+            // The duplicate-commit tripwire in FaultStats stays at zero
+            // because this path never touches task state.
+            self.finish_attempt(node, attempt_id, now);
+            self.fault_stats.reconciled_discards += 1;
+            self.record(Record::Killed(
+                now,
+                attempt_id,
+                node,
+                KillCause::StaleCompletion,
+            ));
+            return;
+        }
+        // Commit: this attempt is the first finisher. Kill whatever
+        // re-execution the teardown started — first commit wins.
+        self.kill_other_attempts(task, Some(attempt_id), now);
+        self.unarm_triggers(task);
+        let Some(finished) = self.finish_attempt(node, attempt_id, now) else {
+            return;
+        };
+        // Tripwire, not control flow: if the task somehow reached Succeeded
+        // between the routing check above and here, committing again would
+        // be a double commit. The bench quality gate asserts this is zero.
+        if self.task(task).map(|t| t.state) == Some(TaskState::Succeeded) {
+            self.fault_stats.duplicate_commits += 1;
+        }
+        self.fault_stats.reconciled_commits += 1;
+        self.commit(attempt_id, node, finished, true, now);
+    }
+
+    // ----- ends: retirement, kills and losses -------------------------------
+
+    /// Retires an attempt that left `node`'s tracker: cancels its pending
+    /// phase event and, when a cleanup attempt keeps its slot, schedules the
+    /// slot's release. Every end record passes through here.
+    pub(super) fn retire(&mut self, node: NodeId, end: &AttemptEnd, now: SimTime) {
+        if let Some(event) = end.phase_event {
+            self.queue.cancel(event);
+        }
+        if end.cleanup {
+            let epoch = self.tracker(node).map_or(0, |tt| tt.epoch());
+            self.queue.schedule(
+                now + CLEANUP_DURATION,
+                Event::CleanupDone {
+                    node,
+                    kind: end.id.task.kind,
+                    epoch,
+                },
+            );
+        }
+    }
+
+    /// The cleanup attempt of a killed task finished: its slot is free
+    /// again, unless the node failed since (`epoch` moved), which freed
+    /// every slot already.
+    pub(super) fn finish_cleanup(
+        &mut self,
+        node: NodeId,
+        kind: TaskKind,
+        epoch: u64,
+        now: SimTime,
+    ) {
+        if self.failure.is_silent(node) {
+            return; // dead but undetected; the teardown frees slots
+        }
+        if !self
+            .tracker(node)
+            .is_some_and(|tt| tt.is_alive() && tt.epoch() == epoch)
+        {
+            return;
+        }
+        self.edit_tracker(node, |tt| tt.release_slot(kind));
+        self.schedule_out_of_band_heartbeat(node, now);
+    }
+
+    /// Ends an attempt on `node` through `end` (a tracker kill or
+    /// completion) and retires it. `None` if the tracker refused.
+    pub(super) fn end_attempt(
+        &mut self,
+        node: NodeId,
+        now: SimTime,
+        end: impl FnOnce(&mut TaskTracker) -> Result<AttemptEnd, TrackerError>,
+    ) -> Option<AttemptEnd> {
+        let end = self.edit_tracker(node, end)?.ok()?;
+        self.retire(node, &end, now);
+        Some(end)
+    }
+
+    /// Kills every live attempt of `task` except `keep` (the winner of a
+    /// first-commit-wins race, or the original when its backup is dropped),
+    /// wherever it sits and whatever its state, then clears the task's
+    /// speculation fields. Each loser's invested time is charged to the
+    /// speculation-waste counter; progress triggers stay armed.
+    fn kill_other_attempts(&mut self, task: TaskId, keep: Option<AttemptId>, now: SimTime) {
+        let Some(t) = self.task(task) else { return };
+        let live = [
+            t.current_attempt.zip(t.node),
+            t.spec_attempt.zip(t.spec_node),
+        ];
+        for (attempt, node) in live.into_iter().flatten() {
+            if Some(attempt) == keep {
+                continue;
+            }
+            let Some(end) = self.end_attempt(node, now, |tt| tt.kill(attempt, now)) else {
+                continue;
+            };
+            self.fault_stats.speculative_wasted_secs += end.invested.as_secs_f64();
+            self.record(Record::SiblingKilled(now, attempt, node, end.invested));
+            self.schedule_out_of_band_heartbeat(node, now);
+        }
+        self.clear_speculation_fields(task);
+    }
+
+    /// The JobTracker's side of losing an attempt — with its node
+    /// (`node_lost`: a crash, a decommission or a confirmed partition) or to
+    /// the OOM killer on a live node. Retires the attempt and records the
+    /// loss. A lost backup only clears the task's speculation fields; the
+    /// original attempt continues. A lost original promotes the task's
+    /// backup — the payoff of speculative re-execution under churn — if
+    /// there is one (after a node loss, only if the backup's node is in
+    /// service: a backup torn down by the same rack outage is resolved by
+    /// its own end record); otherwise the task restarts from scratch as
+    /// `Pending`. The original's invested time is charged to the task as
+    /// wasted work; node losses also count the waste and the re-execution
+    /// in the fault stats.
+    pub(super) fn lose_attempt(
+        &mut self,
+        node: NodeId,
+        end: AttemptEnd,
+        node_lost: bool,
+        now: SimTime,
+    ) {
+        self.retire(node, &end, now);
+        let (attempt, task) = (end.id, end.id.task);
+        if node_lost {
+            self.fault_stats.attempts_lost += 1;
+            self.record(Record::AttemptLost(now, attempt, node));
+            self.unarm_triggers(task);
+            if end.state == AttemptState::Suspended {
+                self.fault_stats.suspended_tasks_lost += 1;
+                self.fault_stats.lost_suspended_work_secs += end.invested.as_secs_f64();
+            }
+        }
+        let Some(t) = self.task(task) else { return };
+        let (is_current, is_backup, backup) = (
+            t.current_attempt == Some(attempt),
+            t.spec_attempt == Some(attempt),
+            t.spec_attempt.zip(t.spec_node),
+        );
+        if !node_lost {
+            let cause = if is_backup {
+                KillCause::SpeculativeOom
+            } else {
+                KillCause::Oom
+            };
+            self.record(Record::Killed(now, attempt, node, cause));
+        }
+        if is_backup {
+            if node_lost {
+                self.fault_stats.speculative_wasted_secs += end.invested.as_secs_f64();
+            }
+            self.clear_speculation_fields(task);
+            return;
+        }
+        if !is_current {
+            return;
+        }
+        self.unarm_triggers(task);
+        self.clear_speculation_fields(task);
+        if let Some(t) = self.task_mut(task) {
+            t.wasted_work += end.invested;
+        }
+        match backup {
+            Some((spec_attempt, spec_node)) if !node_lost || self.node_in_service(spec_node) => {
+                // A node vanishing under a task can promote a suspended one's
+                // backup: `Suspended` to `Running`, a transition the heartbeat
+                // protocol never makes, hence no legality check.
+                self.edit_task(task, |t| {
+                    t.current_attempt = Some(spec_attempt);
+                    t.node = Some(spec_node);
+                    t.state = TaskState::Running;
+                });
+                // Progress watches re-arm against the promoted attempt.
+                self.arm_triggers(task, spec_node, spec_attempt);
+            }
+            _ => {
+                if node_lost {
+                    self.fault_stats.re_executed_tasks += 1;
+                }
+                self.force_task_pending(task);
+            }
+        }
+    }
+
+    // ----- progress triggers ------------------------------------------------
+
+    fn arm_triggers(&mut self, task: TaskId, node: NodeId, attempt_id: AttemptId) {
+        if self.triggers.is_empty() || task.kind != TaskKind::Map {
+            return;
+        }
+        let Some(a) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
+            return;
+        };
+        let (segment_start, work, work_completed) =
+            (a.segment_start, a.plan.work, a.work_completed);
+        let Some(job) = self.jobs.get(&task.job) else {
+            return;
+        };
+        for (index, trigger) in self.triggers.iter_mut().enumerate() {
+            if !matches!(trigger.state, TriggerState::Waiting)
+                || trigger.job_name != job.spec.name
+                || trigger.task_index != task.index
+            {
+                continue;
+            }
+            let target = work.mul_f64(trigger.fraction);
+            let fire_at = segment_start + target.saturating_sub(work_completed);
+            let event = self
+                .queue
+                .schedule(fire_at, Event::ProgressTrigger { index });
+            trigger.state = TriggerState::Armed { event, task };
+        }
+    }
+
+    fn unarm_triggers(&mut self, task: TaskId) {
+        for trigger in &mut self.triggers {
+            if let TriggerState::Armed {
+                event,
+                task: armed_task,
+            } = trigger.state
+            {
+                if armed_task == task {
+                    self.queue.cancel(event);
+                    trigger.state = TriggerState::Waiting;
+                }
+            }
+        }
+    }
+
+    pub(super) fn handle_progress_trigger(&mut self, index: usize, now: SimTime) {
+        let (task, fraction) = match &self.triggers[index].state {
+            TriggerState::Armed { task, .. } => (*task, self.triggers[index].fraction),
+            _ => return,
+        };
+        self.triggers[index].state = TriggerState::Fired;
+        self.consult(now, |s, ctx| s.on_progress_trigger(ctx, task, fraction));
+    }
+}

@@ -17,6 +17,7 @@ use crate::tasktracker::TaskTracker;
 use mrp_dfs::{Locality, NodeId, RackId, Topology};
 use mrp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// A map task is a straggler when its progress rate is below this fraction
 /// of its job's mean progress rate.
@@ -175,6 +176,12 @@ pub struct SchedulerContext<'a> {
     pub reliability: Option<&'a ReliabilityTracker>,
 }
 
+/// The order a priority-aware FIFO serves jobs in: priority descending,
+/// then submission time, then job id.
+fn priority_order(job: &JobRuntime) -> (Reverse<i32>, SimTime, JobId) {
+    (Reverse(job.spec.priority), job.submitted_at, job.id)
+}
+
 impl<'a> SchedulerContext<'a> {
     /// The TaskTracker of a node, if it exists (O(1): trackers are indexed
     /// by dense node id).
@@ -250,13 +257,7 @@ impl<'a> SchedulerContext<'a> {
     /// scheduler would serve them in.
     pub fn schedulable_tasks(&self) -> Vec<TaskId> {
         let mut jobs: Vec<&JobRuntime> = self.jobs.values().collect();
-        jobs.sort_by(|a, b| {
-            b.spec
-                .priority
-                .cmp(&a.spec.priority)
-                .then(a.submitted_at.cmp(&b.submitted_at))
-                .then(a.id.cmp(&b.id))
-        });
+        jobs.sort_by_key(|j| priority_order(j));
         let mut out = Vec::new();
         for job in jobs {
             // The engine-maintained counter lets exhausted jobs be skipped
@@ -273,28 +274,27 @@ impl<'a> SchedulerContext<'a> {
         out
     }
 
-    /// All tasks currently suspended, in the same priority order.
-    pub fn suspended_tasks(&self) -> Vec<TaskId> {
-        let mut jobs: Vec<&JobRuntime> = self.jobs.values().collect();
-        jobs.sort_by(|a, b| {
-            b.spec
-                .priority
-                .cmp(&a.spec.priority)
-                .then(a.submitted_at.cmp(&b.submitted_at))
-                .then(a.id.cmp(&b.id))
-        });
-        let mut out = Vec::new();
-        for job in jobs {
-            if job.suspended_count == 0 {
-                continue;
-            }
-            for t in &job.tasks {
-                if t.state == TaskState::Suspended {
-                    out.push(t.id);
-                }
-            }
-        }
-        out
+    /// The tasks suspended on `node` (holding memory there, no slot), in the
+    /// priority order of [`SchedulerContext::schedulable_tasks`]. Reads the
+    /// node's tracker, so it costs O(suspended here), not a job scan.
+    pub fn suspended_on(&self, node: NodeId) -> Vec<TaskId> {
+        let Some(tt) = self.node(node) else {
+            return Vec::new();
+        };
+        let mut tasks: Vec<_> = tt
+            .suspended_tasks()
+            .filter_map(|id| {
+                let job = self.jobs.get(&id.job)?;
+                let t = job.task(id)?;
+                // A task whose resume is already issued is `MustResume`.
+                (t.state == TaskState::Suspended && t.node == Some(node))
+                    .then(|| (priority_order(job), id))
+            })
+            .collect();
+        // Within a job, task ids order maps before reduces by index: the
+        // job's task-list order.
+        tasks.sort_unstable();
+        tasks.into_iter().map(|(_, id)| id).collect()
     }
 
     /// True when delay scheduling is active for this cluster. Policies use
@@ -580,11 +580,7 @@ impl SchedulerPolicy for FifoScheduler {
 
         // First give slots back to suspended tasks stranded on this node.
         if can_resume {
-            for task in ctx.suspended_tasks() {
-                let Some(t) = ctx.task(task) else { continue };
-                if t.node != Some(node) {
-                    continue;
-                }
+            for task in ctx.suspended_on(node) {
                 let free = match task.kind {
                     TaskKind::Map => &mut free_map,
                     TaskKind::Reduce => &mut free_reduce,

@@ -6,15 +6,15 @@
 //! deliver `SIGTSTP` and `SIGCONT` to them like to any other process.
 //!
 //! The TaskTracker owns the node's [`Kernel`] (process table + memory + disk)
-//! and its map/reduce slots. All methods mutate state and return durations or
-//! byte counts; event scheduling stays in the
-//! [`Cluster`](crate::cluster::Cluster).
+//! and its map/reduce slots. All methods mutate state and return durations,
+//! byte counts or, for an attempt that leaves the node, an [`AttemptEnd`];
+//! event scheduling stays in the [`Cluster`](crate::cluster::Cluster).
 
 use crate::attempt::{Attempt, AttemptState, ExecPlan};
 use crate::config::NodeConfig;
 use crate::job::{AttemptId, TaskId, TaskKind};
 use mrp_dfs::NodeId;
-use mrp_sim::{SimDuration, SimTime, VecMap};
+use mrp_sim::{EventId, SimDuration, SimTime, VecMap};
 use mrp_simos::{Kernel, OsError, Pid, Signal};
 
 /// Result of allocating a task's memory at the end of its setup phase.
@@ -24,42 +24,57 @@ pub(crate) struct AllocationOutcome {
     pub(crate) stall: SimDuration,
     /// Bytes of other processes' memory paged out to make room.
     pub(crate) paged_out_bytes: u64,
-    /// Attempts whose processes were killed by the OOM killer to satisfy the
-    /// allocation (rare; only when swap is exhausted), each with the running
-    /// time it had invested when it died — the work the kill wasted.
-    pub(crate) oom_killed: Vec<(AttemptId, SimDuration)>,
+    /// Attempts whose processes the OOM killer took to satisfy the
+    /// allocation (rare; only when swap is exhausted), in kill order.
+    pub(crate) oom_killed: Vec<AttemptEnd>,
     /// The allocation ultimately failed (RAM and swap exhausted with no
     /// further OOM victim, or the OOM killer sacrificed the allocating task
     /// itself). Victims in `oom_killed` were still killed and must still be
-    /// handled by the caller — the old `Err` return silently dropped them,
-    /// leaving their tasks `Running` with no attempt behind them.
+    /// handled by the caller.
     pub(crate) failed: bool,
 }
 
-/// Everything the cluster needs to know about one attempt torn down by a
-/// node failure: which task it served, whether its suspended state was lost,
-/// and the accounting the attempt would otherwise have reported itself.
-#[derive(Clone, Debug)]
-pub(crate) struct FailedAttempt {
-    /// The torn-down attempt.
+/// How an attempt left its tracker. Every method that removes an attempt
+/// ([`TaskTracker::kill`], [`TaskTracker::complete`], [`TaskTracker::fail`]
+/// and the OOM killer behind [`TaskTracker::allocate_task_memory`]) returns
+/// one, and the cluster retires the attempt from it in one step: it cancels
+/// the pending phase event and, for a cleanup attempt, schedules the slot's
+/// release.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct AttemptEnd {
+    /// The attempt.
     pub(crate) id: AttemptId,
-    /// Its TaskTracker-side state at failure time.
+    /// Its state on the tracker when it ended: `Running` or `Suspended`.
     pub(crate) state: AttemptState,
-    /// Running time invested in the attempt (setup + completed work).
+    /// Running time invested in it (setup + completed work): what a kill or
+    /// a loss wastes.
     pub(crate) invested: SimDuration,
-    /// The pending phase-completion event to cancel, if any.
-    pub(crate) segment_event: Option<mrp_sim::EventId>,
+    /// Its pending phase-completion event, for the cluster to cancel.
+    pub(crate) phase_event: Option<EventId>,
+    /// Cumulative bytes its process paged out over its life (zero for an
+    /// OOM victim, whose memory the kernel has already reclaimed).
+    pub(crate) paged_out_bytes: u64,
+    /// Cumulative bytes paged back in (zero for an OOM victim).
+    pub(crate) paged_in_bytes: u64,
+    /// A cleanup attempt keeps the slot until it has deleted the partial
+    /// output: true for a killed running attempt, whose slot the cluster
+    /// releases after [`CLEANUP_DURATION`](crate::attempt::CLEANUP_DURATION).
+    pub(crate) cleanup: bool,
 }
 
-/// Result of terminating an attempt (kill or completion).
-#[derive(Clone, Debug, Default)]
-pub(crate) struct TerminationOutcome {
-    /// Cumulative bytes this attempt's process had paged out over its life.
-    pub(crate) paged_out_bytes: u64,
-    /// Cumulative bytes paged back in.
-    pub(crate) paged_in_bytes: u64,
-    /// Whether the attempt held a slot at termination time.
-    pub(crate) held_slot: bool,
+impl AttemptEnd {
+    /// The end record of `a` at `now`, read before its process exits.
+    fn new(a: &Attempt, kernel: &Kernel, now: SimTime) -> Self {
+        AttemptEnd {
+            id: a.id,
+            state: a.state,
+            invested: a.invested_time(now),
+            phase_event: a.segment_event,
+            paged_out_bytes: kernel.total_paged_out(a.pid),
+            paged_in_bytes: kernel.proc_memory(a.pid).map_or(0, |m| m.total_paged_in),
+            cleanup: false,
+        }
+    }
 }
 
 /// Errors surfaced by TaskTracker operations.
@@ -166,26 +181,37 @@ impl TaskTracker {
         self.reachable
     }
 
-    /// Flips master-side reachability (confirmed partition teardown / heal).
-    pub(crate) fn set_reachable(&mut self, reachable: bool) {
-        self.reachable = reachable;
+    /// Makes the node reachable again when its partition heals.
+    pub(crate) fn reconnect(&mut self) {
+        self.reachable = true;
+    }
+
+    /// The master confirms the node partitioned and writes off every attempt
+    /// it knew here: the node stops advertising, and the end records, in id
+    /// order, carry no phase event because the attempts keep running
+    /// node-side toward the heal.
+    pub(crate) fn cut_off(&mut self, now: SimTime) -> Vec<AttemptEnd> {
+        self.reachable = false;
+        self.attempts
+            .values()
+            .map(|a| AttemptEnd {
+                phase_event: None,
+                ..AttemptEnd::new(a, &self.kernel, now)
+            })
+            .collect()
     }
 
     /// Takes the node out of service (crash or decommission): every live
     /// attempt's process is killed, the attempt table is cleared, and all
-    /// slots are freed. Returns what was torn down so the cluster can cancel
-    /// events, account lost work, and reschedule the tasks.
-    pub(crate) fn fail(&mut self, now: SimTime) -> Vec<FailedAttempt> {
+    /// slots are freed. Returns an end record per attempt, in id order, so
+    /// the cluster can cancel events, account lost work, and reschedule the
+    /// tasks.
+    pub(crate) fn fail(&mut self, now: SimTime) -> Vec<AttemptEnd> {
         self.alive = false;
         self.epoch += 1;
         let mut torn_down = Vec::with_capacity(self.attempts.len());
         for attempt in self.attempts.values() {
-            torn_down.push(FailedAttempt {
-                id: attempt.id,
-                state: attempt.state,
-                invested: attempt.invested_time(now),
-                segment_event: attempt.segment_event,
-            });
+            torn_down.push(AttemptEnd::new(attempt, &self.kernel, now));
             // The process dies with the node; ignore already-dead errors.
             let _ = self.kernel.signal(attempt.pid, Signal::Sigkill, now);
         }
@@ -372,19 +398,13 @@ impl TaskTracker {
                         .map(|a| a.id);
                     if let Some(victim) = victim {
                         let v = self.attempts.remove(&victim).expect("found above");
+                        // A running victim held a slot; a suspended one did not.
                         if v.state == AttemptState::Running {
-                            // It held a slot; the caller must reschedule it.
-                            match v.kind {
-                                TaskKind::Map => {
-                                    self.used_map_slots = self.used_map_slots.saturating_sub(1)
-                                }
-                                TaskKind::Reduce => {
-                                    self.used_reduce_slots =
-                                        self.used_reduce_slots.saturating_sub(1)
-                                }
-                            }
+                            self.release_slot(v.kind);
                         }
-                        outcome.oom_killed.push((victim, v.invested_time(now)));
+                        outcome
+                            .oom_killed
+                            .push(AttemptEnd::new(&v, &self.kernel, now));
                         if victim == id {
                             // The OOM killer took the allocating attempt
                             // itself; there is nothing left to retry for.
@@ -488,67 +508,42 @@ impl TaskTracker {
         let _ = self.kernel.disk_write(bytes);
     }
 
-    /// Kills an attempt with `SIGKILL`. The slot (if held) stays occupied —
-    /// Hadoop runs a cleanup attempt to delete partial output; the caller
-    /// schedules the cleanup completion and then calls
-    /// [`TaskTracker::release_slot`].
-    pub(crate) fn kill(
-        &mut self,
-        id: AttemptId,
-        now: SimTime,
-    ) -> Result<TerminationOutcome, TrackerError> {
-        let attempt = self
-            .attempts
-            .get_mut(&id)
-            .ok_or(TrackerError::UnknownAttempt)?;
-        attempt.interrupt_work(now);
-        let pid = attempt.pid;
-        let held_slot = attempt.state == AttemptState::Running;
-        attempt.state = AttemptState::Killed;
-        let outcome = TerminationOutcome {
-            paged_out_bytes: self.kernel.total_paged_out(pid),
-            paged_in_bytes: self
-                .kernel
-                .proc_memory(pid)
-                .map(|m| m.total_paged_in)
-                .unwrap_or(0),
-            held_slot,
+    /// Kills an attempt with `SIGKILL`. A running attempt's slot stays
+    /// occupied: Hadoop runs a cleanup attempt to delete the partial output,
+    /// so the end record asks for the cleanup and the cluster schedules its
+    /// completion, then calls [`TaskTracker::release_slot`].
+    pub(crate) fn kill(&mut self, id: AttemptId, now: SimTime) -> Result<AttemptEnd, TrackerError> {
+        let attempt = self.attempts.get(&id).ok_or(TrackerError::UnknownAttempt)?;
+        let end = AttemptEnd {
+            cleanup: attempt.state == AttemptState::Running,
+            ..AttemptEnd::new(attempt, &self.kernel, now)
         };
-        self.kernel.signal(pid, Signal::Sigkill, now)?;
+        self.kernel.signal(attempt.pid, Signal::Sigkill, now)?;
         self.attempts.remove(&id);
-        Ok(outcome)
+        Ok(end)
     }
 
-    /// Completes an attempt successfully: the child process exits and the
-    /// slot is released.
+    /// Completes a running attempt successfully: the child process exits and
+    /// the slot is released.
     pub(crate) fn complete(
         &mut self,
         id: AttemptId,
         now: SimTime,
-    ) -> Result<TerminationOutcome, TrackerError> {
-        let attempt = self
-            .attempts
-            .get_mut(&id)
-            .ok_or(TrackerError::UnknownAttempt)?;
+    ) -> Result<AttemptEnd, TrackerError> {
+        let attempt = self.attempts.get(&id).ok_or(TrackerError::UnknownAttempt)?;
         if attempt.state != AttemptState::Running {
             return Err(TrackerError::InvalidState);
         }
-        attempt.state = AttemptState::Succeeded;
-        let pid = attempt.pid;
-        let kind = attempt.kind;
-        let outcome = TerminationOutcome {
-            paged_out_bytes: self.kernel.total_paged_out(pid),
-            paged_in_bytes: self
-                .kernel
-                .proc_memory(pid)
-                .map(|m| m.total_paged_in)
-                .unwrap_or(0),
-            held_slot: true,
+        let end = AttemptEnd {
+            // Its last phase event is the one that just fired.
+            phase_event: None,
+            ..AttemptEnd::new(attempt, &self.kernel, now)
         };
-        self.kernel.exit(pid, 0, now)?;
+        let kind = attempt.kind;
+        self.kernel.exit(attempt.pid, 0, now)?;
         self.attempts.remove(&id);
         self.release_slot(kind);
-        Ok(outcome)
+        Ok(end)
     }
 }
 
@@ -591,6 +586,14 @@ mod tests {
 
     fn tracker() -> TaskTracker {
         with_slots(NodeOsConfig::default(), 1, 1)
+    }
+
+    /// Gives `id` a pending phase event, as the cluster does when it
+    /// schedules a segment, and returns the event.
+    fn with_phase_event(tt: &mut TaskTracker, id: AttemptId) -> EventId {
+        let event = mrp_sim::EventQueue::new().schedule(SimTime::ZERO, ());
+        tt.attempt_mut(id).unwrap().segment_event = Some(event);
+        event
     }
 
     fn running(tt: &TaskTracker) -> usize {
@@ -730,14 +733,36 @@ mod tests {
             .unwrap();
         tt.allocate_task_memory(attempt_id(0), SimTime::ZERO)
             .unwrap();
+        let event = with_phase_event(&mut tt, attempt_id(0));
         let out = tt.kill(attempt_id(0), SimTime::from_secs(10)).unwrap();
-        assert!(out.held_slot);
+        assert_eq!(out.id, attempt_id(0));
+        assert_eq!(out.state, AttemptState::Running);
+        assert_eq!(out.invested, SimDuration::from_secs(10));
+        assert_eq!(out.phase_event, Some(event), "the cluster cancels it");
+        assert!(out.cleanup, "a cleanup attempt keeps the slot");
         assert_eq!(out.paged_out_bytes, 0);
         // Slot is still occupied until the cleanup attempt finishes.
         assert_eq!(tt.free_slots(TaskKind::Map), 0);
         tt.release_slot(TaskKind::Map);
         assert_eq!(tt.free_slots(TaskKind::Map), 1);
         assert!(tt.attempt(attempt_id(0)).is_none());
+
+        // A suspended attempt holds no slot and has no pending phase event.
+        tt.launch(
+            attempt_id(1),
+            TaskKind::Map,
+            plan(0),
+            SimTime::from_secs(20),
+        )
+        .unwrap();
+        tt.attempt_mut(attempt_id(1)).unwrap().phase = AttemptPhase::Work;
+        with_phase_event(&mut tt, attempt_id(1));
+        tt.suspend(attempt_id(1), SimTime::from_secs(30)).unwrap();
+        let out = tt.kill(attempt_id(1), SimTime::from_secs(40)).unwrap();
+        assert_eq!(out.state, AttemptState::Suspended);
+        assert_eq!(out.phase_event, None);
+        assert!(!out.cleanup);
+        assert_eq!(tt.free_slots(TaskKind::Map), 1);
     }
 
     #[test]
@@ -747,8 +772,12 @@ mod tests {
             .unwrap();
         tt.allocate_task_memory(attempt_id(0), SimTime::ZERO)
             .unwrap();
+        with_phase_event(&mut tt, attempt_id(0));
         let out = tt.complete(attempt_id(0), SimTime::from_secs(90)).unwrap();
-        assert!(out.held_slot);
+        assert_eq!(out.id, attempt_id(0));
+        // The finalize event that completed it has already fired.
+        assert_eq!(out.phase_event, None);
+        assert!(!out.cleanup, "completion releases the slot itself");
         assert_eq!(tt.free_slots(TaskKind::Map), 1);
         assert_eq!(tt.kernel().memory().total_resident(), 0);
         assert!(tt.attempt(attempt_id(0)).is_none());
@@ -802,14 +831,20 @@ mod tests {
             a.segment_start = SimTime::from_secs(3);
         }
         tt.suspend(attempt_id(1), SimTime::from_secs(20)).unwrap();
+        let event = with_phase_event(&mut tt, attempt_id(0));
 
         let torn_down = tt.fail(SimTime::from_secs(30));
         assert!(!tt.is_alive());
         assert_eq!(torn_down.len(), 2);
         assert_eq!(torn_down[0].id, attempt_id(0));
         assert_eq!(torn_down[0].state, AttemptState::Running);
+        assert_eq!(torn_down[0].phase_event, Some(event));
+        assert_eq!(torn_down[1].id, attempt_id(1));
         assert_eq!(torn_down[1].state, AttemptState::Suspended);
+        assert_eq!(torn_down[1].phase_event, None);
         assert!(torn_down[1].invested > SimDuration::ZERO);
+        // The node's slots all come back at once: no cleanup attempts.
+        assert!(torn_down.iter().all(|end| !end.cleanup));
         assert_eq!(tt.attempts().count(), 0);
         // Dead nodes expose no capacity and refuse launches.
         assert_eq!(tt.free_slots(TaskKind::Map), 0);
@@ -846,7 +881,13 @@ mod tests {
         let mut tt = with_slots(NodeOsConfig::default(), 2, 1);
         tt.launch(attempt_id(0), TaskKind::Map, plan(0), SimTime::ZERO)
             .unwrap();
-        tt.set_reachable(false);
+        with_phase_event(&mut tt, attempt_id(0));
+        let written_off = tt.cut_off(SimTime::from_secs(1));
+        assert_eq!(written_off.len(), 1);
+        assert_eq!(
+            written_off[0].phase_event, None,
+            "the attempt keeps running node-side, so its phase event stays"
+        );
         assert!(tt.is_alive());
         assert!(!tt.is_reachable());
         // The scheduler sees no capacity and launches are refused...
@@ -859,7 +900,7 @@ mod tests {
         );
         // ...but the node-side attempt is still there, still running.
         assert_eq!(running(&tt), 1);
-        tt.set_reachable(true);
+        tt.reconnect();
         assert_eq!(tt.free_slots(TaskKind::Map), 1);
         assert_eq!(tt.free_slots(TaskKind::Reduce), 1);
     }
@@ -906,12 +947,40 @@ mod tests {
         let out = tt
             .allocate_task_memory(attempt_id(1), SimTime::from_secs(14))
             .unwrap();
+        let [victim] = &out.oom_killed[..] else {
+            panic!("one victim expected: {:?}", out.oom_killed);
+        };
+        assert_eq!(victim.id, attempt_id(0));
+        assert_eq!(victim.state, AttemptState::Suspended);
         assert_eq!(
-            out.oom_killed,
-            vec![(attempt_id(0), invested)],
+            victim.invested, invested,
             "the victim is reported with the time it had invested"
         );
+        assert_eq!((victim.phase_event, victim.cleanup), (None, false));
         assert!(tt.attempt(attempt_id(0)).is_none());
+
+        // A running victim is reported with its pending phase event, and its
+        // slot is free at once.
+        tt.attempt_mut(attempt_id(1)).unwrap().phase = AttemptPhase::Work;
+        let event = with_phase_event(&mut tt, attempt_id(1));
+        tt.launch(
+            attempt_id(2),
+            TaskKind::Map,
+            plan(2 * GIB),
+            SimTime::from_secs(20),
+        )
+        .unwrap();
+        assert_eq!(tt.free_slots(TaskKind::Map), 0);
+        let out = tt
+            .allocate_task_memory(attempt_id(2), SimTime::from_secs(23))
+            .unwrap();
+        let [victim] = &out.oom_killed[..] else {
+            panic!("one victim expected: {:?}", out.oom_killed);
+        };
+        assert_eq!(victim.id, attempt_id(1));
+        assert_eq!(victim.state, AttemptState::Running);
+        assert_eq!((victim.phase_event, victim.cleanup), (Some(event), false));
+        assert_eq!(tt.free_slots(TaskKind::Map), 1);
     }
 
     /// Builds an OS config with plenty of swap and the given swap-device
@@ -1103,7 +1172,7 @@ mod tests {
             .allocate_task_memory(attempt_id(1), SimTime::from_secs(14))
             .unwrap();
         assert_eq!(
-            out.oom_killed.iter().map(|&(id, _)| id).collect::<Vec<_>>(),
+            out.oom_killed.iter().map(|v| v.id).collect::<Vec<_>>(),
             vec![attempt_id(0)],
             "exactly the suspended hog dies, exactly once"
         );

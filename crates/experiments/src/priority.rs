@@ -48,25 +48,18 @@ impl PriorityPreemptingScheduler {
         let Some(tt) = ctx.node(node) else {
             return Vec::new();
         };
-        let mut free = (tt.free_slots(TaskKind::Map) as usize).saturating_sub(launches_here);
-        let mut actions = Vec::new();
+        let free = (tt.free_slots(TaskKind::Map) as usize).saturating_sub(launches_here);
         // Any schedulable task still waiting means slots are contended; do not
         // hand them to suspended low-priority work.
         let schedulable = ctx.totals.schedulable_maps + ctx.totals.schedulable_reduces;
-        let still_waiting = schedulable as usize > launches_here;
-        if still_waiting {
-            return actions;
+        if schedulable as usize > launches_here {
+            return Vec::new();
         }
-        for task in ctx.suspended_tasks() {
-            if free == 0 {
-                break;
-            }
-            if ctx.task(task).map(|t| t.node) == Some(Some(node)) {
-                actions.push(SchedulerAction::Resume { task });
-                free -= 1;
-            }
-        }
-        actions
+        ctx.suspended_on(node)
+            .into_iter()
+            .take(free)
+            .map(|task| SchedulerAction::Resume { task })
+            .collect()
     }
 
     fn unmet_high_priority_demand(ctx: &SchedulerContext<'_>) -> Vec<(i32, usize)> {
@@ -74,12 +67,8 @@ impl PriorityPreemptingScheduler {
             .values()
             .filter(|j| !j.is_finished())
             .map(|j| {
-                let waiting = j
-                    .tasks
-                    .iter()
-                    .filter(|t| t.state.is_schedulable() || t.state == TaskState::Suspended)
-                    .count();
-                (j.spec.priority, waiting)
+                let waiting = j.schedulable_count() + j.suspended_count;
+                (j.spec.priority, waiting as usize)
             })
             .filter(|(_, waiting)| *waiting > 0)
             .collect()

@@ -71,17 +71,12 @@ pub struct SingleRun {
     pub makespan_secs: f64,
     /// Bytes of `tl`'s memory paged out to swap.
     pub tl_paged_out_bytes: u64,
-    /// Bytes written to swap across the node.
-    pub swap_out_bytes: u64,
-    /// Bytes read back from swap across the node.
-    pub swap_in_bytes: u64,
     /// Attempts used by `tl` (2 means it was killed and re-run).
     pub tl_attempts: u32,
     /// Suspend/resume cycles `tl` went through.
     pub tl_suspend_cycles: u32,
-    /// Work wasted by killed attempts, in seconds.
-    pub wasted_work_secs: f64,
-    /// The full engine report, for detailed inspection.
+    /// The full engine report: node-wide swap traffic, wasted work and
+    /// everything else not summarised above.
     pub report: ClusterReport,
 }
 
@@ -136,11 +131,8 @@ pub fn run_once(config: &ScenarioConfig, seed: u64) -> SingleRun {
             .expect("th completed"),
         makespan_secs: report.makespan_secs().expect("all jobs completed"),
         tl_paged_out_bytes: tl_report.paged_out_bytes(),
-        swap_out_bytes: report.total_swap_out_bytes(),
-        swap_in_bytes: report.total_swap_in_bytes(),
         tl_attempts: tl_report.tasks[0].attempts,
         tl_suspend_cycles: tl_report.tasks[0].suspend_cycles,
-        wasted_work_secs: report.total_wasted_work_secs(),
         report,
     }
 }
@@ -156,7 +148,7 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioOutcome {
         sojourn.push(run.sojourn_th_secs);
         makespan.push(run.makespan_secs);
         paged.push(run.tl_paged_out_bytes as f64);
-        wasted.push(run.wasted_work_secs);
+        wasted.push(run.report.total_wasted_work_secs());
     }
     ScenarioOutcome {
         primitive: config.primitive,
@@ -191,7 +183,11 @@ mod tests {
         );
         assert_eq!(run.tl_suspend_cycles, 1);
         assert_eq!(run.tl_attempts, 1);
-        assert_eq!(run.swap_out_bytes, 0, "light-weight tasks never page");
+        assert_eq!(
+            run.report.total_swap_out_bytes(),
+            0,
+            "light-weight tasks never page"
+        );
         // Both jobs' single-block inputs are written from node 0 of a
         // single-node cluster: all launches are node-local.
         assert_eq!(run.report.locality.total(), 2);
@@ -217,10 +213,10 @@ mod tests {
             &ScenarioConfig::memory_hungry(PreemptionPrimitive::SuspendResume, 0.5, 2 * GIB),
             1,
         );
-        assert!(run.swap_out_bytes > 0);
+        assert!(run.report.total_swap_out_bytes() > 0);
         assert!(run.tl_paged_out_bytes > 0);
         assert!(
-            run.swap_in_bytes > 0,
+            run.report.total_swap_in_bytes() > 0,
             "the resumed task must fault its memory back in"
         );
     }
@@ -233,7 +229,7 @@ mod tests {
         );
         assert_eq!(run.tl_paged_out_bytes, 0);
         assert_eq!(run.tl_attempts, 2);
-        assert!(run.wasted_work_secs > 20.0);
+        assert!(run.report.total_wasted_work_secs() > 20.0);
     }
 
     #[test]

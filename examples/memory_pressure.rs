@@ -26,7 +26,7 @@ fn main() {
             run.sojourn_th_secs,
             run.makespan_secs,
             run.tl_paged_out_bytes / MIB,
-            run.swap_in_bytes / MIB,
+            run.report.total_swap_in_bytes() / MIB,
         );
         results.push((primitive, run));
     }
@@ -56,6 +56,6 @@ fn main() {
     );
     println!(
         "…but kill threw away {:.1}s of work, suspend/resume none.",
-        kill.wasted_work_secs
+        kill.report.total_wasted_work_secs()
     );
 }

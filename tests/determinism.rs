@@ -38,7 +38,7 @@ fn fixed_seed_paper_scenario_is_pinned() {
     assert_eq!(run.makespan_secs, 163.162_486);
     assert_eq!(run.tl_suspend_cycles, 1);
     assert_eq!(run.tl_attempts, 1);
-    assert_eq!(run.swap_out_bytes, 0);
+    assert_eq!(run.report.total_swap_out_bytes(), 0);
 }
 
 fn churn_cluster() -> Cluster {
