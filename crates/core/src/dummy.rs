@@ -34,6 +34,7 @@ use mrp_engine::{
 use mrp_sim::SimRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::RangeBounds;
 
 /// One trigger of the dummy scheduler's static plan.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -198,6 +199,28 @@ fn u64_field(obj: &Json, key: &str) -> Result<u64, PlanJsonError> {
         .ok_or_else(|| invalid(format!("missing integer field '{key}'")))
 }
 
+/// An optional field: absent or `null` is `None`; any other value must
+/// parse, never silently turning into `None`.
+fn opt_field<T>(
+    obj: &Json,
+    key: &str,
+    parse: fn(&Json, &str) -> Result<T, PlanJsonError>,
+) -> Result<Option<T>, PlanJsonError> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(_) => parse(obj, key).map(Some),
+    }
+}
+
+/// A numeric field that must lie in `range`.
+fn ranged_field(obj: &Json, key: &str, range: impl RangeBounds<f64>) -> Result<f64, PlanJsonError> {
+    let n = num_field(obj, key)?;
+    if !range.contains(&n) {
+        return Err(invalid(format!("field '{key}' is out of range: {n}")));
+    }
+    Ok(n)
+}
+
 /// An integer field of type `T`: fractions and values outside `T`'s range
 /// are errors, never truncated.
 fn int_field<T: TryFrom<i64>>(obj: &Json, key: &str) -> Result<T, PlanJsonError> {
@@ -281,11 +304,12 @@ fn profile_to_json(p: &TaskProfile) -> Json {
 }
 
 fn profile_from_json(v: &Json) -> Result<TaskProfile, PlanJsonError> {
+    let non_negative = |v: &Json, key: &str| ranged_field(v, key, 0.0..);
     Ok(TaskProfile {
-        parse_rate_bytes_per_sec: v.get("parse_rate_bytes_per_sec").and_then(Json::as_f64),
+        parse_rate_bytes_per_sec: opt_field(v, "parse_rate_bytes_per_sec", non_negative)?,
         state_memory: u64_field(v, "state_memory")?,
         state_dirty_fraction: num_field(v, "state_dirty_fraction")?,
-        output_ratio: v.get("output_ratio").and_then(Json::as_f64),
+        output_ratio: opt_field(v, "output_ratio", non_negative)?,
     })
 }
 
@@ -342,8 +366,9 @@ fn spec_to_json(spec: &JobSpec) -> Json {
     Json::obj(fields)
 }
 
+/// A job spec, held to the checks job submission makes.
 fn spec_from_json(v: &Json) -> Result<JobSpec, PlanJsonError> {
-    Ok(JobSpec {
+    let spec = JobSpec {
         name: str_field(v, "name")?.to_string(),
         priority: int_field(v, "priority")?,
         input: input_from_json(
@@ -360,7 +385,9 @@ fn spec_from_json(v: &Json) -> Result<JobSpec, PlanJsonError> {
             None => 0,
         },
         best_effort: matches!(v.get("best_effort"), Some(Json::Bool(true))),
-    })
+    };
+    spec.validate().map_err(invalid)?;
+    Ok(spec)
 }
 
 fn trigger_to_json(rule: &TriggerRule) -> Json {
@@ -395,7 +422,7 @@ fn trigger_from_json(v: &Json) -> Result<TriggerRule, PlanJsonError> {
     Ok(TriggerRule {
         watch_job: str_field(v, "watch_job")?.to_string(),
         watch_task: int_field(v, "watch_task")?,
-        fraction: num_field(v, "fraction")?,
+        fraction: ranged_field(v, "fraction", 0.0..=1.0)?,
         submit: arr_field(v, "submit")?
             .iter()
             .map(spec_from_json)
@@ -408,10 +435,7 @@ fn trigger_from_json(v: &Json) -> Result<TriggerRule, PlanJsonError> {
                     .ok_or_else(|| invalid("preempt_jobs entries must be strings"))
             })
             .collect::<Result<_, _>>()?,
-        max_victims: v
-            .get("max_victims")
-            .and_then(Json::as_u64)
-            .map(|n| n as usize),
+        max_victims: opt_field(v, "max_victims", int_field::<usize>)?,
     })
 }
 
@@ -685,6 +709,41 @@ mod tests {
         );
         assert_rejected("\"tenant\": 2", "\"tenant\": -3");
         assert_rejected("\"tenant\": 2", "\"tenant\": 0.5");
+    }
+
+    #[test]
+    fn trigger_fraction_outside_the_unit_interval_is_rejected() {
+        assert!(parse_edited("\"fraction\": 0.5", "\"fraction\": 1").is_ok());
+        assert_rejected("\"fraction\": 0.5", "\"fraction\": 1.5");
+        assert_rejected("\"fraction\": 0.5", "\"fraction\": -0.1");
+    }
+
+    #[test]
+    fn a_submitted_spec_job_submission_would_refuse_is_rejected() {
+        let dirty = "\"state_dirty_fraction\": 1";
+        assert!(parse_edited(dirty, "\"state_dirty_fraction\": 0.25").is_ok());
+        assert_rejected(dirty, "\"state_dirty_fraction\": 1.5");
+    }
+
+    #[test]
+    fn optional_numbers_are_absent_null_or_valid() {
+        let victims = "\"max_victims\": null";
+        let plan = parse_edited(victims, "\"max_victims\": 2").unwrap();
+        assert_eq!(plan.triggers[0].max_victims, Some(2));
+        assert_eq!(
+            parse_edited(victims, "\"absent\": null").unwrap().triggers[0].max_victims,
+            None
+        );
+        for bad in ["-1", "1.5", "\"all\""] {
+            assert_rejected(victims, &format!("\"max_victims\": {bad}"));
+        }
+        for key in ["parse_rate_bytes_per_sec", "output_ratio"] {
+            let field = format!("\"{key}\": null");
+            assert!(parse_edited(&field, &format!("\"{key}\": 0.5")).is_ok());
+            for bad in ["-0.5", "\"fast\"", "true"] {
+                assert_rejected(&field, &format!("\"{key}\": {bad}"));
+            }
+        }
     }
 
     #[test]

@@ -279,13 +279,9 @@ pub(crate) struct LocalityIndex {
     /// from the current job (guards against double-launching a task that
     /// appears on several candidate lists).
     chosen: Vec<usize>,
-    /// Reusable per-round buffer of speculative-launch candidates.
-    spec_buf: Vec<mrp_engine::TaskId>,
-    /// Simulated second of the last speculation scan. The O(tail-job tasks)
-    /// straggler scan runs at most once per simulated second cluster-wide:
-    /// straggler rates move on task timescales, while free-slot heartbeats
-    /// arrive hundreds of times per second at cluster scale.
-    spec_stamp: Option<u64>,
+    /// Simulated second of the last speculation scan
+    /// ([`SchedulerContext::speculate`]).
+    last_spec_scan: Option<u64>,
 }
 
 impl LocalityIndex {
@@ -727,34 +723,12 @@ pub(crate) fn fill_node(
         }
     }
 
-    // Map slots still free after regular assignment: nothing pending can
-    // use them, so offer them to stragglers as speculative backups. All
-    // incomplete jobs are considered (not just `ordered_jobs`, which
-    // policies prune to jobs with launchable/resumable work): a tail-phase
-    // job whose tasks are all running or suspended is exactly the
-    // speculation target.
-    if can_speculate && free_map > 0 && !avoid_map {
-        let second = ctx.now.as_micros() / 1_000_000;
-        if index.spec_stamp != Some(second) {
-            index.spec_stamp = Some(second);
-            let mut candidates = std::mem::take(&mut index.spec_buf);
-            for job in ctx.jobs.values() {
-                if free_map == 0 {
-                    break;
-                }
-                if job.is_finished() {
-                    continue;
-                }
-                candidates.clear();
-                ctx.push_speculative_candidates(job, node, free_map as usize, &mut candidates);
-                for &task in &candidates {
-                    free_map -= 1;
-                    actions.push(SchedulerAction::LaunchSpeculative { task, node });
-                }
-            }
-            candidates.clear();
-            index.spec_buf = candidates;
-        }
+    // Speculation considers every incomplete job, not just `ordered_jobs`
+    // (which policies prune to jobs with launchable/resumable work): a
+    // tail-phase job whose tasks are all running or suspended is exactly
+    // the speculation target.
+    if !avoid_map {
+        ctx.speculate(node, free_map, &mut index.last_spec_scan, &mut actions);
     }
     actions
 }
@@ -1218,21 +1192,12 @@ mod tests {
                     mrp_engine::TaskRuntime::new(task, 128 * MIB, vec![NodeId(holder)])
                 })
                 .collect();
-            let mut job = JobRuntime {
+            let job = JobRuntime::new(
                 id,
-                spec: JobSpec::map_only(format!("job{}", id.0), "/in"),
-                submitted_at: SimTime::ZERO,
-                completed_at: None,
+                JobSpec::map_only(format!("job{}", id.0), "/in"),
+                SimTime::ZERO,
                 tasks,
-                schedulable_maps: 0,
-                schedulable_reduces: 0,
-                suspended_count: 0,
-                occupying_count: 0,
-                speculative_live: 0,
-                terminal_count: 0,
-                remaining_bytes: 0,
-            };
-            job.recount_task_states();
+            );
             self.jobs.insert(id, job);
             for board in &self.boards {
                 board.register_job();

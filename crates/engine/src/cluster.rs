@@ -753,16 +753,6 @@ impl Cluster {
         self.jobs.get(&id.job).and_then(|j| j.task(id))
     }
 
-    /// Records that `task` has a pending `MUST_*` command awaiting delivery
-    /// at `node`'s next heartbeat.
-    fn enqueue_command(&mut self, node: NodeId, task: TaskId) {
-        if let Some(list) = self.pending_cmds.get_mut(node.0 as usize) {
-            if !list.contains(&task) {
-                list.push(task);
-            }
-        }
-    }
-
     fn schedule_out_of_band_heartbeat(&mut self, node: NodeId, now: SimTime) {
         self.queue.schedule(now, Event::Heartbeat { node });
     }
@@ -1128,7 +1118,9 @@ impl Cluster {
             // orphans keep going — they may still win first-commit-wins.
             let orphans: Vec<AttemptId> = self.trackers[idx].suspended_attempts().collect();
             for a in orphans {
-                self.end_attempt(node, now, |tt| tt.kill(a, now));
+                if let Some(Ok(end)) = self.edit_tracker(node, |tt| tt.kill(a, now)) {
+                    self.retire(node, &end, now);
+                }
             }
         }
         self.record(Record::PartitionHealed(now, node));
@@ -1241,30 +1233,13 @@ impl Cluster {
         assert!(!tasks.is_empty(), "job {} has no tasks", spec.name);
 
         // Freshly registered tasks are all Pending, hence schedulable.
-        let map_count = tasks.iter().filter(|t| t.id.kind == TaskKind::Map).count() as u32;
-        let reduce_count = tasks.len() as u32 - map_count;
-        let remaining_bytes = tasks.iter().map(TaskRuntime::remaining_bytes).sum();
-        self.totals.schedulable_maps += map_count;
-        self.totals.schedulable_reduces += reduce_count;
+        let job = JobRuntime::new(id, spec, now, tasks);
+        let (maps, reduces) = (job.schedulable_maps, job.schedulable_reduces);
+        self.totals.schedulable_maps += maps;
+        self.totals.schedulable_reduces += reduces;
         self.delay.register_job();
-        self.shuffle.register_job(map_count, reduce_count);
-        self.jobs.insert(
-            id,
-            JobRuntime {
-                id,
-                spec,
-                submitted_at: now,
-                completed_at: None,
-                tasks,
-                schedulable_maps: map_count,
-                schedulable_reduces: reduce_count,
-                suspended_count: 0,
-                occupying_count: 0,
-                speculative_live: 0,
-                terminal_count: 0,
-                remaining_bytes,
-            },
-        );
+        self.shuffle.register_job(maps, reduces);
+        self.jobs.insert(id, job);
         self.incomplete_jobs += 1;
         self.record(Record::JobSubmitted(now, id));
 

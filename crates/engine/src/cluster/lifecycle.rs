@@ -4,33 +4,36 @@
 //! An attempt starts with a launch (or a speculative backup launch), takes
 //! `MUST_*` commands at its node's heartbeats, and advances phase by phase
 //! through [`Event::PhaseDone`]. It leaves its tracker exactly one way: a
-//! [`TaskTracker`] method that removes it (`kill`, `complete`, `fail` or the
-//! OOM killer in `allocate_task_memory`) returns an [`AttemptEnd`], and
-//! [`Cluster::retire`] cancels the phase event and schedules the cleanup
-//! slot's release from it. What the JobTracker then does with the task
-//! depends on how the attempt ended:
+//! tracker method that removes it (`kill`, `complete`, `fail`, or
+//! `allocate_task_memory` for its OOM victims and a failed allocating
+//! attempt) returns an [`AttemptEnd`], and [`Cluster::retire`] is where
+//! everything scoped to the attempt dies: its phase event, its progress
+//! watch and, after the cleanup attempt, its slot. What the JobTracker then
+//! does depends on how the attempt ended and on its [`AttemptRole`]; an
+//! orphan is retired and leaves its task alone:
 //!
 //! * a completion commits first-commit-wins, killing the task's other
 //!   attempts ([`Cluster::kill_other_attempts`]);
-//! * a kill command resets the task to `Pending` and charges its invested
-//!   time as wasted work;
+//! * a kill command, or a failed setup allocation of the current attempt,
+//!   resets the task to `Pending` and charges its invested time as wasted
+//!   work ([`Cluster::reset_killed`]);
 //! * a loss with its node or to the OOM killer promotes a live backup or
 //!   re-runs the task ([`Cluster::lose_attempt`]).
 
 use super::{Cluster, Event};
 use crate::attempt::{AttemptPhase, AttemptState, ExecPlan, CLEANUP_DURATION};
-use crate::job::{AttemptId, JobRuntime, TaskId, TaskKind, TaskRuntime, TaskState};
+use crate::job::{AttemptId, AttemptRole, JobRuntime, TaskId, TaskKind, TaskRuntime, TaskState};
 use crate::metrics::{KillCause, Record};
 use crate::scheduler::MAX_LIVE_SPECULATIONS_PER_JOB;
 use crate::shuffle::ShuffleTracker;
-use crate::tasktracker::{AttemptEnd, TaskTracker, TrackerError};
+use crate::tasktracker::AttemptEnd;
 use mrp_dfs::{Locality, NodeId};
 use mrp_sim::{EventId, SimDuration, SimTime};
 
 #[derive(Clone, Debug)]
 enum TriggerState {
     Waiting,
-    Armed { event: EventId, task: TaskId },
+    Armed { event: EventId, attempt: AttemptId },
     Fired,
 }
 
@@ -49,8 +52,9 @@ impl Cluster {
     /// Registers a progress trigger: when map task `task_index` of the job
     /// named `job_name` first reaches `fraction` of its work phase, the
     /// scheduler's `on_progress_trigger` hook is invoked. The trigger fires at
-    /// most once; if the watched task is suspended or killed before reaching
-    /// the fraction, the watch re-arms when it runs again.
+    /// most once. The watch is armed on one attempt's work phase at a time,
+    /// and it is released unfired when that attempt is retired or
+    /// suspended; it re-arms when the task's work runs again.
     pub fn add_progress_trigger(&mut self, job_name: &str, task_index: u32, fraction: f64) {
         assert!(
             (0.0..=1.0).contains(&fraction),
@@ -82,7 +86,10 @@ impl Cluster {
             return;
         };
         self.set_task_state(task, next);
-        self.enqueue_command(node, task);
+        let pending = &mut self.pending_cmds[node.0 as usize];
+        if !pending.contains(&task) {
+            pending.push(task);
+        }
     }
 
     /// Starts a new attempt of `task` on `node` if the link is up, `admit`
@@ -212,21 +219,15 @@ impl Cluster {
             buf.push((a.id, a.task, a.progress(now)));
         }
         for &(attempt, task, progress) in &buf {
-            self.edit_task(task, |t| {
-                // Only attempts the JobTracker still tracks may report: an
-                // orphan left running on a healed partition victim must not
-                // overwrite the progress of a task that already succeeded
-                // (or re-ran) elsewhere.
-                if t.current_attempt != Some(attempt) && t.spec_attempt != Some(attempt) {
-                    return;
-                }
+            self.edit_task(task, |t| match t.role(attempt) {
+                // An orphan left running on a healed partition victim must
+                // not overwrite the progress of a task that already
+                // succeeded (or re-ran) elsewhere.
+                AttemptRole::Orphan => {}
                 // With a live backup attempt the task's progress is the best
                 // of the two attempts, whichever node reports it.
-                if t.spec_attempt.is_some() {
-                    t.progress = t.progress.max(progress);
-                } else {
-                    t.progress = progress;
-                }
+                _ if t.spec_attempt.is_some() => t.progress = t.progress.max(progress),
+                _ => t.progress = progress,
             });
         }
         buf.clear();
@@ -286,7 +287,7 @@ impl Cluster {
         if let Some(ev) = pending_event {
             self.queue.cancel(ev);
         }
-        self.unarm_triggers(task);
+        self.release_watches(attempt_id);
         self.edit_task(task, |t| {
             t.set_state(TaskState::Suspended);
             t.progress = progress;
@@ -310,14 +311,20 @@ impl Cluster {
     fn deliver_kill(&mut self, task: TaskId, attempt_id: AttemptId, node: NodeId, now: SimTime) {
         // Killing a task kills the whole task: any live backup dies with it.
         self.kill_other_attempts(task, Some(attempt_id), now);
-        let Some(end) = self.end_attempt(node, now, |tt| tt.kill(attempt_id, now)) else {
+        match self.edit_tracker(node, |tt| tt.kill(attempt_id, now)) {
+            Some(Ok(end)) => self.reset_killed(node, end, now),
             // The attempt vanished underneath us (e.g. the OOM killer took
-            // it); make the task schedulable again so it restarts from scratch.
-            self.force_task_pending(task);
-            return;
-        };
-        self.unarm_triggers(task);
-        self.edit_task(task, |t| {
+            // it); make the task schedulable again so it restarts from
+            // scratch.
+            _ => self.force_task_pending(task),
+        }
+    }
+
+    /// Retires the killed current attempt of a task and reschedules the task
+    /// from scratch, charging the attempt's invested time as wasted work.
+    fn reset_killed(&mut self, node: NodeId, end: AttemptEnd, now: SimTime) {
+        self.retire(node, &end, now);
+        self.edit_task(end.id.task, |t| {
             t.set_state(TaskState::Killed);
             t.wasted_work += end.invested;
             t.paged_out_bytes += end.paged_out_bytes;
@@ -329,7 +336,7 @@ impl Cluster {
             t.set_state(TaskState::Pending);
         });
         let cause = KillCause::Signal(end.invested);
-        self.record(Record::Killed(now, attempt_id, node, cause));
+        self.record(Record::Killed(now, end.id, node, cause));
     }
 
     // ----- phase events -----------------------------------------------------
@@ -355,11 +362,7 @@ impl Cluster {
             AttemptPhase::Setup => {
                 let alloc = self.edit_tracker(node, |tt| {
                     let alloc = tt.allocate_task_memory(attempt_id, now).ok()?;
-                    if !alloc.failed {
-                        let input_bytes = tt
-                            .attempt(attempt_id)
-                            .map(|a| a.plan.input_bytes)
-                            .unwrap_or(0);
+                    if let Some(input_bytes) = tt.attempt(attempt_id).map(|a| a.plan.input_bytes) {
                         tt.record_input_read(input_bytes);
                     }
                     Some(alloc)
@@ -367,42 +370,13 @@ impl Cluster {
                 let Some(alloc) = alloc.flatten() else {
                     return; // unknown attempt: nothing to clean up
                 };
-                // The allocating attempt itself may be among the victims (the
-                // OOM killer sacrificed it); the failure path below resolves
-                // it after the others.
-                let (mut own, others): (Vec<_>, Vec<_>) = alloc
-                    .oom_killed
-                    .into_iter()
-                    .partition(|v| v.id == attempt_id);
-                for victim in others {
+                // The OOM killer may have taken the allocating attempt itself,
+                // last; `enter_phase` below then finds it gone.
+                for victim in alloc.oom_killed {
                     self.lose_attempt(node, victim, false, now);
                 }
-                // An unrecoverable allocation failure: an allocating attempt
-                // the OOM killer took is one more victim; a backup that
-                // failed is dropped while the original continues; an
-                // original still on the tracker goes through the kill path.
-                if alloc.failed {
-                    let t = self.task(task);
-                    let state = t.map(|t| t.state);
-                    let (current, spec) = (
-                        t.and_then(|t| t.current_attempt),
-                        t.and_then(|t| t.spec_attempt),
-                    );
-                    if let Some(own) = own.pop() {
-                        self.lose_attempt(node, own, false, now);
-                    } else if spec == Some(attempt_id) {
-                        self.kill_other_attempts(task, current, now);
-                    } else {
-                        // Index the command in case the immediate delivery
-                        // cannot complete (the retry rides the next heartbeat).
-                        if matches!(state, Some(TaskState::Running | TaskState::MustSuspend)) {
-                            self.set_task_state(task, TaskState::MustKill);
-                            self.enqueue_command(node, task);
-                        }
-                        if let Some(current) = current {
-                            self.deliver_kill(task, current, node, now);
-                        }
-                    }
+                if let Some(end) = alloc.aborted {
+                    self.abort_setup(node, end, now);
                     return;
                 }
                 let next_phase = if task.kind == TaskKind::Reduce {
@@ -496,7 +470,7 @@ impl Cluster {
         };
         self.schedule_segment(node, attempt_id, phase, now + stall, duration);
         if phase == AttemptPhase::Work {
-            self.arm_triggers(attempt_id.task, node, attempt_id);
+            self.arm_watches(node, attempt_id);
         }
     }
 
@@ -534,17 +508,14 @@ impl Cluster {
         if self.failure.buffer_completion(node, attempt_id) {
             return;
         }
-        // An attempt the JobTracker no longer tracks (its task was re-run
-        // after a partition teardown) completing on a healed node goes
-        // through first-commit-wins reconciliation instead.
-        let is_spec = match self.task(task) {
-            Some(t) if t.current_attempt == Some(attempt_id) => false,
-            Some(t) if t.spec_attempt == Some(attempt_id) => true,
-            _ => {
-                self.reconcile_completion(attempt_id, node, now);
-                return;
-            }
-        };
+        // An orphan (its task was re-run after a partition teardown)
+        // completing on a healed node goes through first-commit-wins
+        // reconciliation instead.
+        let role = self.role(attempt_id);
+        if role == AttemptRole::Orphan {
+            self.reconcile_completion(attempt_id, node, now);
+            return;
+        }
         let Some(finished) = self.finish_attempt(node, attempt_id, now) else {
             return;
         };
@@ -552,7 +523,7 @@ impl Cluster {
         // backup kills the original, wherever — running or suspended — it
         // currently sits.
         self.kill_other_attempts(task, Some(attempt_id), now);
-        if is_spec {
+        if role == AttemptRole::Backup {
             self.fault_stats.speculative_won += 1;
         }
         self.commit(attempt_id, node, finished, false, now);
@@ -568,7 +539,10 @@ impl Cluster {
         now: SimTime,
     ) -> Option<(AttemptEnd, u64)> {
         let output_bytes = self.tracker(node)?.attempt(attempt)?.plan.output_bytes;
-        let end = self.end_attempt(node, now, |tt| tt.complete(attempt, now))?;
+        let end = self
+            .edit_tracker(node, |tt| tt.complete(attempt, now))?
+            .ok()?;
+        self.retire(node, &end, now);
         Some((end, output_bytes))
     }
 
@@ -666,7 +640,6 @@ impl Cluster {
         // Commit: this attempt is the first finisher. Kill whatever
         // re-execution the teardown started — first commit wins.
         self.kill_other_attempts(task, Some(attempt_id), now);
-        self.unarm_triggers(task);
         let Some(finished) = self.finish_attempt(node, attempt_id, now) else {
             return;
         };
@@ -683,12 +656,14 @@ impl Cluster {
     // ----- ends: retirement, kills and losses -------------------------------
 
     /// Retires an attempt that left `node`'s tracker: cancels its pending
-    /// phase event and, when a cleanup attempt keeps its slot, schedules the
-    /// slot's release. Every end record passes through here.
+    /// phase event, releases its progress watch and, when a cleanup attempt
+    /// keeps its slot, schedules the slot's release. Every end record passes
+    /// through here.
     pub(super) fn retire(&mut self, node: NodeId, end: &AttemptEnd, now: SimTime) {
         if let Some(event) = end.phase_event {
             self.queue.cancel(event);
         }
+        self.release_watches(end.id);
         if end.cleanup {
             let epoch = self.tracker(node).map_or(0, |tt| tt.epoch());
             self.queue.schedule(
@@ -725,24 +700,10 @@ impl Cluster {
         self.schedule_out_of_band_heartbeat(node, now);
     }
 
-    /// Ends an attempt on `node` through `end` (a tracker kill or
-    /// completion) and retires it. `None` if the tracker refused.
-    pub(super) fn end_attempt(
-        &mut self,
-        node: NodeId,
-        now: SimTime,
-        end: impl FnOnce(&mut TaskTracker) -> Result<AttemptEnd, TrackerError>,
-    ) -> Option<AttemptEnd> {
-        let end = self.edit_tracker(node, end)?.ok()?;
-        self.retire(node, &end, now);
-        Some(end)
-    }
-
     /// Kills every live attempt of `task` except `keep` (the winner of a
     /// first-commit-wins race, or the original when its backup is dropped),
     /// wherever it sits and whatever its state, then clears the task's
-    /// speculation fields. Each loser's invested time is charged to the
-    /// speculation-waste counter; progress triggers stay armed.
+    /// speculation fields.
     fn kill_other_attempts(&mut self, task: TaskId, keep: Option<AttemptId>, now: SimTime) {
         let Some(t) = self.task(task) else { return };
         let live = [
@@ -753,14 +714,47 @@ impl Cluster {
             if Some(attempt) == keep {
                 continue;
             }
-            let Some(end) = self.end_attempt(node, now, |tt| tt.kill(attempt, now)) else {
-                continue;
-            };
-            self.fault_stats.speculative_wasted_secs += end.invested.as_secs_f64();
-            self.record(Record::SiblingKilled(now, attempt, node, end.invested));
-            self.schedule_out_of_band_heartbeat(node, now);
+            if let Some(Ok(end)) = self.edit_tracker(node, |tt| tt.kill(attempt, now)) {
+                self.retire_sibling(node, &end, now);
+            }
         }
         self.clear_speculation_fields(task);
+    }
+
+    /// Retires an attempt killed so that a sibling attempt of its task wins
+    /// or carries on, charging its invested time to the speculation-waste
+    /// counter.
+    fn retire_sibling(&mut self, node: NodeId, end: &AttemptEnd, now: SimTime) {
+        self.retire(node, end, now);
+        self.fault_stats.speculative_wasted_secs += end.invested.as_secs_f64();
+        self.record(Record::SiblingKilled(now, end.id, node, end.invested));
+        self.schedule_out_of_band_heartbeat(node, now);
+    }
+
+    /// What `attempt` is to the JobTracker; an attempt of a task it does not
+    /// know is an orphan.
+    fn role(&self, attempt: AttemptId) -> AttemptRole {
+        self.task(attempt.task)
+            .map_or(AttemptRole::Orphan, |t| t.role(attempt))
+    }
+
+    /// An unrecoverable setup allocation killed `end`'s attempt on `node`.
+    /// A current attempt takes its task down as a kill command would; a
+    /// backup is dropped while the original carries on; an orphan is retired
+    /// quietly.
+    fn abort_setup(&mut self, node: NodeId, end: AttemptEnd, now: SimTime) {
+        let task = end.id.task;
+        match self.role(end.id) {
+            AttemptRole::Current => {
+                self.kill_other_attempts(task, Some(end.id), now);
+                self.reset_killed(node, end, now);
+            }
+            AttemptRole::Backup => {
+                self.retire_sibling(node, &end, now);
+                self.clear_speculation_fields(task);
+            }
+            AttemptRole::Orphan => self.retire(node, &end, now),
+        }
     }
 
     /// The JobTracker's side of losing an attempt — with its node
@@ -774,7 +768,7 @@ impl Cluster {
     /// its own end record); otherwise the task restarts from scratch as
     /// `Pending`. The original's invested time is charged to the task as
     /// wasted work; node losses also count the waste and the re-execution
-    /// in the fault stats.
+    /// in the fault stats. A lost orphan leaves its task alone.
     pub(super) fn lose_attempt(
         &mut self,
         node: NodeId,
@@ -787,37 +781,34 @@ impl Cluster {
         if node_lost {
             self.fault_stats.attempts_lost += 1;
             self.record(Record::AttemptLost(now, attempt, node));
-            self.unarm_triggers(task);
             if end.state == AttemptState::Suspended {
                 self.fault_stats.suspended_tasks_lost += 1;
                 self.fault_stats.lost_suspended_work_secs += end.invested.as_secs_f64();
             }
         }
-        let Some(t) = self.task(task) else { return };
-        let (is_current, is_backup, backup) = (
-            t.current_attempt == Some(attempt),
-            t.spec_attempt == Some(attempt),
-            t.spec_attempt.zip(t.spec_node),
-        );
+        let role = self.role(attempt);
         if !node_lost {
-            let cause = if is_backup {
+            let cause = if role == AttemptRole::Backup {
                 KillCause::SpeculativeOom
             } else {
                 KillCause::Oom
             };
             self.record(Record::Killed(now, attempt, node, cause));
         }
-        if is_backup {
-            if node_lost {
-                self.fault_stats.speculative_wasted_secs += end.invested.as_secs_f64();
+        match role {
+            AttemptRole::Current => {}
+            AttemptRole::Backup => {
+                if node_lost {
+                    self.fault_stats.speculative_wasted_secs += end.invested.as_secs_f64();
+                }
+                self.clear_speculation_fields(task);
+                return;
             }
-            self.clear_speculation_fields(task);
-            return;
+            AttemptRole::Orphan => return,
         }
-        if !is_current {
-            return;
-        }
-        self.unarm_triggers(task);
+        let backup = self
+            .task(task)
+            .and_then(|t| t.spec_attempt.zip(t.spec_node));
         self.clear_speculation_fields(task);
         if let Some(t) = self.task_mut(task) {
             t.wasted_work += end.invested;
@@ -832,8 +823,9 @@ impl Cluster {
                     t.node = Some(spec_node);
                     t.state = TaskState::Running;
                 });
-                // Progress watches re-arm against the promoted attempt.
-                self.arm_triggers(task, spec_node, spec_attempt);
+                // The original's watch died with it; it re-arms against the
+                // promoted attempt.
+                self.arm_watches(spec_node, spec_attempt);
             }
             _ => {
                 if node_lost {
@@ -844,13 +836,15 @@ impl Cluster {
         }
     }
 
-    // ----- progress triggers ------------------------------------------------
+    // ----- progress watches -------------------------------------------------
 
-    fn arm_triggers(&mut self, task: TaskId, node: NodeId, attempt_id: AttemptId) {
+    /// Arms every waiting watch on `attempt`'s task against `attempt`'s work.
+    fn arm_watches(&mut self, node: NodeId, attempt: AttemptId) {
+        let task = attempt.task;
         if self.triggers.is_empty() || task.kind != TaskKind::Map {
             return;
         }
-        let Some(a) = self.tracker(node).and_then(|tt| tt.attempt(attempt_id)) else {
+        let Some(a) = self.tracker(node).and_then(|tt| tt.attempt(attempt)) else {
             return;
         };
         let (segment_start, work, work_completed) =
@@ -870,31 +864,200 @@ impl Cluster {
             let event = self
                 .queue
                 .schedule(fire_at, Event::ProgressTrigger { index });
-            trigger.state = TriggerState::Armed { event, task };
+            trigger.state = TriggerState::Armed { event, attempt };
         }
     }
 
-    fn unarm_triggers(&mut self, task: TaskId) {
+    /// Releases the watches armed on `attempt`, unfired: they wait for the
+    /// task's work to run again.
+    fn release_watches(&mut self, attempt: AttemptId) {
         for trigger in &mut self.triggers {
-            if let TriggerState::Armed {
-                event,
-                task: armed_task,
-            } = trigger.state
-            {
-                if armed_task == task {
+            match trigger.state {
+                TriggerState::Armed {
+                    event,
+                    attempt: armed,
+                } if armed == attempt => {
                     self.queue.cancel(event);
                     trigger.state = TriggerState::Waiting;
                 }
+                _ => {}
             }
         }
     }
 
     pub(super) fn handle_progress_trigger(&mut self, index: usize, now: SimTime) {
         let (task, fraction) = match &self.triggers[index].state {
-            TriggerState::Armed { task, .. } => (*task, self.triggers[index].fraction),
+            TriggerState::Armed { attempt, .. } => (attempt.task, self.triggers[index].fraction),
             _ => return,
         };
         self.triggers[index].state = TriggerState::Fired;
         self.consult(now, |s, ctx| s.on_progress_trigger(ctx, task, fraction));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::ClusterConfig;
+    use crate::job::{JobId, JobSpec, TaskProfile};
+    use crate::scheduler::{SchedulerAction, SchedulerContext, SchedulerPolicy};
+    use mrp_sim::{GIB, MIB};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// The progress triggers that fired, in order.
+    type Fired = Rc<RefCell<Vec<(TaskId, f64)>>>;
+
+    /// Launches nothing on its own and records every progress trigger that
+    /// fires, so a test drives launches and faults by hand.
+    struct Watcher(Fired);
+
+    impl SchedulerPolicy for Watcher {
+        fn on_heartbeat(&mut self, _: &SchedulerContext<'_>, _: NodeId) -> Vec<SchedulerAction> {
+            Vec::new()
+        }
+
+        fn on_progress_trigger(
+            &mut self,
+            _: &SchedulerContext<'_>,
+            task: TaskId,
+            fraction: f64,
+        ) -> Vec<SchedulerAction> {
+            self.0.borrow_mut().push((task, fraction));
+            Vec::new()
+        }
+    }
+
+    /// A cluster driven by a [`Watcher`], the jobs registered, and the
+    /// watcher's record of fired triggers.
+    fn cluster(cfg: ClusterConfig, jobs: Vec<JobSpec>) -> (Cluster, Fired) {
+        let fired = Rc::default();
+        let mut c = Cluster::new(cfg, Box::new(Watcher(Rc::clone(&fired))));
+        for spec in jobs {
+            c.submit_job(spec);
+        }
+        c.run(SimTime::ZERO);
+        (c, fired)
+    }
+
+    fn map(job: u32, index: u32) -> TaskId {
+        TaskId {
+            job: JobId(job),
+            kind: TaskKind::Map,
+            index,
+        }
+    }
+
+    fn secs(s: u64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    #[test]
+    fn an_orphan_whose_setup_allocation_fails_leaves_and_frees_its_slot() {
+        // Node 0 runs four small maps and starts a task that needs 8 GiB
+        // more than it can ever hold. The master tears the partitioned node
+        // down and re-runs that task on node 1, which has room; the orphan
+        // on node 0 then fails its allocation even after the OOM killer took
+        // the four others.
+        let mut cfg = ClusterConfig::small_cluster(2, 5, 1);
+        cfg.nodes[0].os.memory.total_ram = 3 * GIB;
+        cfg.nodes[0].os.memory.swap_capacity = 64 * MIB;
+        cfg.nodes[1].os.memory.total_ram = 16 * GIB;
+        let big = TaskProfile::memory_hungry(8 * GIB);
+        let (mut c, _) = cluster(
+            cfg,
+            vec![
+                JobSpec::synthetic("small", 4, 512 * MIB),
+                JobSpec::synthetic("big", 1, 512 * MIB).with_profile(big),
+            ],
+        );
+        let node0 = NodeId(0);
+        for index in 0..4 {
+            c.launch_task(map(1, index), node0, SimTime::ZERO);
+        }
+        c.run(secs(10));
+        let task = map(2, 0);
+        c.launch_task(task, node0, secs(10));
+        let orphan = c.task(task).unwrap().current_attempt.unwrap();
+        c.partition_node(node0, secs(10));
+        c.teardown_partitioned(node0, secs(10));
+        c.launch_task(task, NodeId(1), secs(10));
+        let current = c.task(task).unwrap().current_attempt.unwrap();
+        assert_ne!(orphan, current);
+
+        c.run(secs(30));
+        let oom_kills = c.trace().iter().filter(|r| {
+            matches!(r, Record::Killed(_, a, n, KillCause::Oom) if *n == node0 && a.task.job == JobId(1))
+        });
+        assert_eq!(
+            oom_kills.count(),
+            4,
+            "the OOM killer takes the small maps first"
+        );
+        assert!(c.trackers[0].attempt(orphan).is_none(), "the orphan left");
+        let t = c.task(task).unwrap();
+        assert_eq!(
+            (t.state, t.node, t.current_attempt),
+            (TaskState::Running, Some(NodeId(1)), Some(current)),
+            "the task keeps running on node 1"
+        );
+        assert!(c.trackers[1].attempt(current).is_some());
+        c.heal_partition(node0, secs(30));
+        assert_eq!(
+            c.trackers[0].free_slots(TaskKind::Map),
+            5,
+            "the orphan's cleanup released its slot"
+        );
+    }
+
+    #[test]
+    fn losing_a_backups_node_keeps_the_originals_watch() {
+        let (mut c, fired) = cluster(
+            ClusterConfig::small_cluster(2, 1, 1),
+            vec![JobSpec::synthetic("watched", 1, 512 * MIB)],
+        );
+        c.add_progress_trigger("watched", 0, 0.5);
+        let task = map(1, 0);
+        c.launch_task(task, NodeId(0), SimTime::ZERO);
+        c.run(secs(10));
+        c.launch_speculative(task, NodeId(1), secs(10));
+        assert!(c.task(task).unwrap().spec_attempt.is_some());
+        c.run(secs(15));
+        assert!(c.fail_node(NodeId(1), secs(15), false));
+        assert!(c.task(task).unwrap().spec_attempt.is_none());
+        c.run(secs(600));
+        assert_eq!(*fired.borrow(), [(task, 0.5)]);
+        assert_eq!(c.task(task).unwrap().state, TaskState::Succeeded);
+    }
+
+    #[test]
+    fn a_watch_dies_with_the_original_its_backup_beat() {
+        // Node 0's slow disk stretches the original's work fourfold: the
+        // backup on node 1 commits long before the original would reach 90%.
+        // A second job that never runs keeps the simulation going past that
+        // point.
+        let (mut c, fired) = cluster(
+            ClusterConfig::small_cluster(2, 1, 1),
+            vec![
+                JobSpec::synthetic("watched", 1, 512 * MIB),
+                JobSpec::synthetic("idle", 1, 512 * MIB),
+            ],
+        );
+        c.add_progress_trigger("watched", 0, 0.9);
+        let task = map(1, 0);
+        c.degrade_node(NodeId(0), 4.0, 1.0, SimTime::ZERO);
+        c.launch_task(task, NodeId(0), SimTime::ZERO);
+        c.run(secs(10));
+        c.launch_speculative(task, NodeId(1), secs(10));
+        c.run(secs(1_200));
+        let t = c.task(task).unwrap();
+        assert_eq!(t.state, TaskState::Succeeded);
+        assert!(
+            c.trace()
+                .iter()
+                .any(|r| matches!(r, Record::SiblingKilled(_, a, n, _) if a.task == task && *n == NodeId(0))),
+            "the backup won and killed the original"
+        );
+        assert_eq!(*fired.borrow(), []);
     }
 }

@@ -258,7 +258,7 @@ impl JobSpec {
     /// Validates the job's user-supplied values, returning the first problem
     /// found. [`Cluster::submit_job_at`](crate::Cluster::submit_job_at)
     /// panics on a job this rejects.
-    pub(crate) fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), String> {
         // NaN must fail this check.
         if !(0.0..=1.0).contains(&self.profile.state_dirty_fraction) {
             return Err("state_dirty_fraction must be in [0, 1]".into());
@@ -456,6 +456,29 @@ impl TaskRuntime {
         self.attempts_made += 1;
         id
     }
+
+    /// What `attempt` is to the JobTracker.
+    pub(crate) fn role(&self, attempt: AttemptId) -> AttemptRole {
+        if self.current_attempt == Some(attempt) {
+            AttemptRole::Current
+        } else if self.spec_attempt == Some(attempt) {
+            AttemptRole::Backup
+        } else {
+            AttemptRole::Orphan
+        }
+    }
+}
+
+/// What an attempt is to the JobTracker, asked at each of its ends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum AttemptRole {
+    /// The task's current attempt.
+    Current,
+    /// The task's live speculative backup.
+    Backup,
+    /// An attempt the JobTracker no longer tracks: written off at a
+    /// partition teardown, its task re-run elsewhere since.
+    Orphan,
 }
 
 /// JobTracker-side bookkeeping for one job.
@@ -476,7 +499,7 @@ pub struct JobRuntime {
     /// schedulers can skip exhausted jobs in O(1) instead of scanning their
     /// (potentially huge) task lists per heartbeat — and, split by kind, so
     /// a node with only a free reduce slot never scans a map-only job. After
-    /// hand-building a `JobRuntime` or mutating task states directly, call
+    /// mutating task states directly, call
     /// [`JobRuntime::recount_task_states`].
     pub schedulable_maps: u32,
     /// Number of reduce tasks currently in a schedulable state (same
@@ -503,6 +526,29 @@ pub struct JobRuntime {
 }
 
 impl JobRuntime {
+    /// A job submitted at `submitted_at`, its maintained counters counted
+    /// from `tasks`. The engine finds a task at the position it lays it out
+    /// at, so `tasks` holds the maps first, then the spec's reduces, each at
+    /// its index.
+    pub fn new(id: JobId, spec: JobSpec, submitted_at: SimTime, tasks: Vec<TaskRuntime>) -> Self {
+        let mut job = JobRuntime {
+            id,
+            spec,
+            submitted_at,
+            completed_at: None,
+            tasks,
+            schedulable_maps: 0,
+            schedulable_reduces: 0,
+            suspended_count: 0,
+            occupying_count: 0,
+            speculative_live: 0,
+            terminal_count: 0,
+            remaining_bytes: 0,
+        };
+        job.recount_task_states();
+        job
+    }
+
     /// Tasks of either kind currently in a schedulable state.
     pub fn schedulable_count(&self) -> u32 {
         self.schedulable_maps + self.schedulable_reduces
@@ -510,34 +556,16 @@ impl JobRuntime {
 
     /// Recomputes the maintained counters from the task list.
     /// The engine keeps them in sync incrementally; tests and harnesses that
-    /// build or mutate `JobRuntime` values by hand call this afterwards.
+    /// mutate task states by hand call this afterwards.
     pub fn recount_task_states(&mut self) {
-        self.schedulable_maps = self
-            .tasks
-            .iter()
-            .filter(|t| t.id.kind == TaskKind::Map && t.state.is_schedulable())
-            .count() as u32;
-        self.schedulable_reduces = self
-            .tasks
-            .iter()
-            .filter(|t| t.id.kind == TaskKind::Reduce && t.state.is_schedulable())
-            .count() as u32;
-        self.suspended_count = self
-            .tasks
-            .iter()
-            .filter(|t| t.state == TaskState::Suspended)
-            .count() as u32;
-        self.occupying_count = self
-            .tasks
-            .iter()
-            .filter(|t| t.state.occupies_slot())
-            .count() as u32;
-        self.speculative_live = self
-            .tasks
-            .iter()
-            .filter(|t| t.spec_attempt.is_some())
-            .count() as u32;
-        self.terminal_count = self.tasks.iter().filter(|t| t.state.is_terminal()).count() as u32;
+        let count = |f: fn(&TaskRuntime) -> bool| self.tasks.iter().filter(|t| f(t)).count() as u32;
+        self.schedulable_maps = count(|t| t.id.kind == TaskKind::Map && t.state.is_schedulable());
+        self.schedulable_reduces =
+            count(|t| t.id.kind == TaskKind::Reduce && t.state.is_schedulable());
+        self.suspended_count = count(|t| t.state == TaskState::Suspended);
+        self.occupying_count = count(|t| t.state.occupies_slot());
+        self.speculative_live = count(|t| t.spec_attempt.is_some());
+        self.terminal_count = count(|t| t.state.is_terminal());
         self.remaining_bytes = self.tasks.iter().map(TaskRuntime::remaining_bytes).sum();
     }
 
@@ -571,24 +599,17 @@ impl JobRuntime {
         }
     }
 
-    /// Looks up a task by id.
-    ///
-    /// O(1) for tasks where the engine lays them out (maps first, then
-    /// reduces, each at its index); the linear scan only remains as a
-    /// fallback for hand-built task vectors in tests.
+    /// Looks up a task by id, in O(1) at the position the engine lays it
+    /// out at (maps first, then reduces, each at its index).
     pub(crate) fn task(&self, id: TaskId) -> Option<&TaskRuntime> {
-        match self.layout_position(id).and_then(|i| self.tasks.get(i)) {
-            Some(t) if t.id == id => Some(t),
-            _ => self.tasks.iter().find(|t| t.id == id),
-        }
+        let i = self.layout_position(id)?;
+        self.tasks.get(i).filter(|t| t.id == id)
     }
 
-    /// Mutable task lookup (same O(1) fast path as [`JobRuntime::task`]).
+    /// Mutable task lookup (see [`JobRuntime::task`]).
     pub(crate) fn task_mut(&mut self, id: TaskId) -> Option<&mut TaskRuntime> {
-        match self.layout_position(id) {
-            Some(i) if self.tasks.get(i).is_some_and(|t| t.id == id) => self.tasks.get_mut(i),
-            _ => self.tasks.iter_mut().find(|t| t.id == id),
-        }
+        let i = self.layout_position(id)?;
+        self.tasks.get_mut(i).filter(|t| t.id == id)
     }
 
     /// True when every task has succeeded: O(1) from
@@ -857,21 +878,12 @@ mod tests {
                 vec![],
             )
         };
-        let mut job = JobRuntime {
-            id: JobId(1),
-            spec: JobSpec::synthetic("x", 2, 100 * MIB),
-            submitted_at: SimTime::ZERO,
-            completed_at: None,
-            tasks: vec![task(0), task(1)],
-            schedulable_maps: 0,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            terminal_count: 0,
-            remaining_bytes: 0,
-        };
-        job.recount_task_states();
+        let mut job = JobRuntime::new(
+            JobId(1),
+            JobSpec::synthetic("x", 2, 100 * MIB),
+            SimTime::ZERO,
+            vec![task(0), task(1)],
+        );
         assert_eq!(job.remaining_bytes, 200 * MIB);
         job.tasks[0].set_state(TaskState::Running);
         job.tasks[0].progress = 0.5;
@@ -886,21 +898,12 @@ mod tests {
     #[test]
     fn job_runtime_completion_and_sojourn() {
         let spec = JobSpec::synthetic("j", 1, 100);
-        let mut job = JobRuntime {
-            id: JobId(1),
+        let mut job = JobRuntime::new(
+            JobId(1),
             spec,
-            submitted_at: SimTime::from_secs(10),
-            completed_at: None,
-            tasks: vec![TaskRuntime::new(tid(), 100, vec![])],
-            schedulable_maps: 0,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            terminal_count: 0,
-            remaining_bytes: 0,
-        };
-        job.recount_task_states();
+            SimTime::from_secs(10),
+            vec![TaskRuntime::new(tid(), 100, vec![])],
+        );
         assert_eq!(job.schedulable_count(), 1);
         assert_eq!(job.schedulable_maps, 1);
         assert_eq!(job.schedulable_reduces, 0);
@@ -919,35 +922,21 @@ mod tests {
     }
 
     #[test]
-    fn reduce_lookup_is_direct_in_the_engine_layout_and_scans_otherwise() {
+    fn reduce_lookup_is_direct_in_the_engine_layout() {
         let id = |kind, index| TaskId {
             job: JobId(1),
             kind,
             index,
         };
         let task = |kind, index, bytes| TaskRuntime::new(id(kind, index), bytes, vec![]);
-        let job = |reduces, tasks| JobRuntime {
-            id: JobId(1),
-            spec: JobSpec::synthetic("r", 2, MIB).with_reduces(reduces),
-            submitted_at: SimTime::ZERO,
-            completed_at: None,
-            tasks,
-            schedulable_maps: 0,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            terminal_count: 0,
-            remaining_bytes: 0,
-        };
         let (m, r) = (TaskKind::Map, TaskKind::Reduce);
-        let all = [id(m, 0), id(m, 1), id(r, 0), id(r, 1), id(r, 2)];
-
-        // Engine layout, with a decoy copy of reduce 1 in the map region: a
-        // scan would return the decoy, the direct lookup returns the task
-        // at the reduce's layout position.
-        let mut engine = job(
-            3,
+        // A decoy copy of reduce 1 in the map region: a scan would return
+        // the decoy, the direct lookup returns the task at the reduce's
+        // layout position.
+        let mut job = JobRuntime::new(
+            JobId(1),
+            JobSpec::synthetic("r", 2, MIB).with_reduces(3),
+            SimTime::ZERO,
             vec![
                 task(m, 0, 1),
                 task(r, 1, 99),
@@ -956,33 +945,15 @@ mod tests {
                 task(r, 2, 5),
             ],
         );
-        assert_eq!(engine.task(id(r, 1)).unwrap().input_bytes, 4);
-        engine.task_mut(id(r, 1)).unwrap().progress = 0.5;
-        assert_eq!(engine.tasks[3].progress, 0.5);
-        assert_eq!(engine.task(id(r, 2)).unwrap().input_bytes, 5);
-        assert_eq!(engine.task(id(m, 0)).unwrap().input_bytes, 1);
-
-        // Hand-built lists: reduces first, or a spec naming more reduces
-        // than the list holds. Every task is still found by the scan.
-        let shuffled = || {
-            vec![
-                task(r, 2, 5),
-                task(r, 0, 3),
-                task(m, 1, 2),
-                task(r, 1, 4),
-                task(m, 0, 1),
-            ]
-        };
-        for reduces in [3, 2, 9] {
-            let mut hand = job(reduces, shuffled());
-            for (want, tid) in all.iter().enumerate() {
-                let want = want as u64 + 1;
-                assert_eq!(hand.task(*tid).unwrap().input_bytes, want, "{tid:?}");
-                assert_eq!(hand.task_mut(*tid).unwrap().input_bytes, want);
-            }
-            assert!(hand.task(id(r, 3)).is_none());
-            assert!(hand.task_mut(id(r, u32::MAX)).is_none());
-            assert!(hand.task(id(m, 2)).is_none());
-        }
+        assert_eq!(job.task(id(r, 1)).unwrap().input_bytes, 4);
+        job.task_mut(id(r, 1)).unwrap().progress = 0.5;
+        assert_eq!(job.tasks[3].progress, 0.5);
+        assert_eq!(job.task(id(r, 2)).unwrap().input_bytes, 5);
+        assert_eq!(job.task(id(m, 0)).unwrap().input_bytes, 1);
+        // A position holding another task, or none, finds nothing.
+        assert!(job.task(id(m, 1)).is_none());
+        assert!(job.task_mut(id(m, 2)).is_none());
+        assert!(job.task(id(r, 3)).is_none());
+        assert!(job.task_mut(id(r, u32::MAX)).is_none());
     }
 }

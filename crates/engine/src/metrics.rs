@@ -661,32 +661,22 @@ mod tests {
     use crate::job::{JobSpec, TaskKind, TaskRuntime, TaskState};
 
     fn job_runtime(id: u32, name: &str, submit: u64, complete: Option<u64>) -> JobRuntime {
-        let mut job = JobRuntime {
-            id: JobId(id),
-            spec: JobSpec::synthetic(name, 1, 100),
-            submitted_at: SimTime::from_secs(submit),
-            completed_at: complete.map(SimTime::from_secs),
-            tasks: vec![TaskRuntime::new(
-                TaskId {
-                    job: JobId(id),
-                    kind: TaskKind::Map,
-                    index: 0,
-                },
-                100,
-                vec![],
-            )],
-            schedulable_maps: 1,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            terminal_count: 0,
-            remaining_bytes: 0,
-        };
+        let mut task = TaskRuntime::new(
+            TaskId {
+                job: JobId(id),
+                kind: TaskKind::Map,
+                index: 0,
+            },
+            100,
+            vec![],
+        );
         if complete.is_some() {
-            job.tasks[0].set_state(TaskState::Running);
-            job.tasks[0].set_state(TaskState::Succeeded);
+            task.set_state(TaskState::Running);
+            task.set_state(TaskState::Succeeded);
         }
+        let spec = JobSpec::synthetic(name, 1, 100);
+        let mut job = JobRuntime::new(JobId(id), spec, SimTime::from_secs(submit), vec![task]);
+        job.completed_at = complete.map(SimTime::from_secs);
         job
     }
 

@@ -342,22 +342,7 @@ mod tests {
             t.set_state(TaskState::Running);
             t.node = Some(NodeId(0));
         }
-        let mut job = JobRuntime {
-            id: JobId(id),
-            spec,
-            submitted_at: SimTime::ZERO,
-            completed_at: None,
-            tasks,
-            schedulable_maps: 0,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            terminal_count: 0,
-            remaining_bytes: 0,
-        };
-        job.recount_task_states();
-        job
+        JobRuntime::new(JobId(id), spec, SimTime::ZERO, tasks)
     }
 
     fn ctx_at<'a>(

@@ -151,8 +151,7 @@ pub struct SchedulerContext<'a> {
     pub totals: PendingTotals,
     /// Speculative-execution switch (from
     /// [`ClusterConfig::speculation`](crate::ClusterConfig)); policies use
-    /// [`SchedulerContext::push_speculative_candidates`] and never need to
-    /// read this directly.
+    /// [`SchedulerContext::speculate`] and never need to read this directly.
     pub speculation: SpeculationConfig,
     /// The engine-owned delay-scheduling scoreboard (from
     /// [`ClusterConfig::delay`](crate::ClusterConfig)), if the cluster has
@@ -356,28 +355,49 @@ impl<'a> SchedulerContext<'a> {
         d.gated(job.id, self.now)
     }
 
-    /// Appends up to `max` speculative-launch candidates from `job` for a
-    /// backup on `node`, using the job's mean progress rate as the straggler
-    /// baseline (Hadoop-style, but rate-based so tasks frozen in `Suspended`
-    /// decay into candidacy — the re-execution opportunity preemption churn
-    /// and node loss create).
-    ///
-    /// Policies call this only for tail-phase jobs (nothing schedulable
-    /// left) with free slots remaining after regular assignment, so the
-    /// O(job tasks) scan stays off the saturated hot path.
-    pub fn push_speculative_candidates(
+    /// Offers `node`'s `free_map` map slots left after regular assignment,
+    /// which nothing pending can use (Hadoop's trigger), to stragglers of
+    /// tail-phase jobs: appends a `LaunchSpeculative` per backup. Straggler
+    /// rates move on task timescales while free-slot heartbeats arrive
+    /// hundreds of times per second at cluster scale, so the scan runs at
+    /// most once per simulated second; `last_scan` holds the policy's last.
+    pub fn speculate(
+        &self,
+        node: NodeId,
+        free_map: u32,
+        last_scan: &mut Option<u64>,
+        out: &mut Vec<SchedulerAction>,
+    ) {
+        let second = self.now.as_micros() / 1_000_000;
+        if !self.speculation.enabled || free_map == 0 || last_scan.replace(second) == Some(second) {
+            return;
+        }
+        let mut free = free_map as usize;
+        for job in self.jobs.values().filter(|j| !j.is_finished()) {
+            if free == 0 {
+                break;
+            }
+            free -= self.push_speculative_candidates(job, node, free, out);
+        }
+    }
+
+    /// Appends up to `max` speculative launches on `node` of stragglers of
+    /// `job` and returns how many, using the job's mean progress rate as the
+    /// straggler baseline (Hadoop-style, but rate-based so tasks frozen in
+    /// `Suspended` decay into candidacy — the re-execution opportunity
+    /// preemption churn and node loss create).
+    fn push_speculative_candidates(
         &self,
         job: &JobRuntime,
         node: NodeId,
         max: usize,
-        out: &mut Vec<TaskId>,
-    ) {
-        if !self.speculation.enabled
-            || max == 0
+        out: &mut Vec<SchedulerAction>,
+    ) -> usize {
+        if max == 0
             || job.speculative_live >= MAX_LIVE_SPECULATIONS_PER_JOB
             || job.schedulable_maps > 0
         {
-            return;
+            return 0;
         }
         let min_runtime = SPECULATION_MIN_RUNTIME.as_secs_f64();
         // Pass 1: the job's mean progress rate. Completed tasks anchor the
@@ -424,7 +444,7 @@ impl<'a> SchedulerContext<'a> {
             count += 1;
         }
         if count < 2 {
-            return; // no population to call anything a straggler against
+            return 0; // no population to call anything a straggler against
         }
         let threshold = SPECULATION_SLOWNESS_RATIO * (rate_sum / f64::from(count));
         // Pass 2: tasks whose rate fell below the threshold and that can
@@ -458,10 +478,11 @@ impl<'a> SchedulerContext<'a> {
                 continue;
             }
             if t.progress / elapsed < threshold {
-                out.push(t.id);
+                out.push(SchedulerAction::LaunchSpeculative { task: t.id, node });
                 pushed += 1;
             }
         }
+        pushed
     }
 }
 
@@ -528,9 +549,9 @@ pub trait SchedulerPolicy {
 pub struct FifoScheduler {
     /// Whether the policy resumes suspended tasks when slots are free.
     pub(crate) resume_suspended: bool,
-    /// Simulated second of the last speculation scan (the O(tail-job tasks)
-    /// straggler scan runs at most once per simulated second cluster-wide).
-    spec_stamp: Option<u64>,
+    /// Simulated second of the last speculation scan
+    /// ([`SchedulerContext::speculate`]).
+    last_spec_scan: Option<u64>,
 }
 
 impl FifoScheduler {
@@ -538,7 +559,7 @@ impl FifoScheduler {
     pub fn new() -> Self {
         FifoScheduler {
             resume_suspended: true,
-            spec_stamp: None,
+            last_spec_scan: None,
         }
     }
 
@@ -547,7 +568,7 @@ impl FifoScheduler {
     pub fn non_resuming() -> Self {
         FifoScheduler {
             resume_suspended: false,
-            spec_stamp: None,
+            last_spec_scan: None,
         }
     }
 }
@@ -687,27 +708,8 @@ impl SchedulerPolicy for FifoScheduler {
             }
         }
 
-        // Map slots still free after regular assignment: nothing pending can
-        // use them, so offer them to stragglers as speculative backups
-        // (candidate scans stay per-job-gated to tail-phase jobs, and run at
-        // most once per simulated second cluster-wide).
-        if ctx.speculation.enabled && free_map > 0 && !avoid_map {
-            let second = ctx.now.as_micros() / 1_000_000;
-            if self.spec_stamp != Some(second) {
-                self.spec_stamp = Some(second);
-                let mut candidates = Vec::new();
-                for job in ctx.jobs.values().filter(|j| !j.is_finished()) {
-                    if free_map == 0 {
-                        break;
-                    }
-                    candidates.clear();
-                    ctx.push_speculative_candidates(job, node, free_map as usize, &mut candidates);
-                    for &task in &candidates {
-                        free_map -= 1;
-                        actions.push(SchedulerAction::LaunchSpeculative { task, node });
-                    }
-                }
-            }
+        if !avoid_map {
+            ctx.speculate(node, free_map, &mut self.last_spec_scan, &mut actions);
         }
         actions
     }
@@ -728,12 +730,11 @@ mod tests {
         let spec =
             JobSpec::synthetic(format!("job{id}"), tasks as u32, 100).with_priority(priority);
         let job_id = JobId(id);
-        let mut job = JobRuntime {
-            id: job_id,
+        JobRuntime::new(
+            job_id,
             spec,
-            submitted_at: SimTime::from_secs(submitted),
-            completed_at: None,
-            tasks: (0..tasks)
+            SimTime::from_secs(submitted),
+            (0..tasks)
                 .map(|i| {
                     TaskRuntime::new(
                         TaskId {
@@ -746,16 +747,7 @@ mod tests {
                     )
                 })
                 .collect(),
-            schedulable_maps: 0,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            terminal_count: 0,
-            remaining_bytes: 0,
-        };
-        job.recount_task_states();
-        job
+        )
     }
 
     /// Idle trackers for nodes 0, 1, ... with the given (map, reduce) slot
@@ -1020,12 +1012,11 @@ mod tests {
         let mut jobs = JobTable::new();
         let spec = JobSpec::synthetic("red", 0, 100).with_reduces(1);
         let job_id = JobId(1);
-        let mut job = JobRuntime {
-            id: job_id,
+        let job = JobRuntime::new(
+            job_id,
             spec,
-            submitted_at: SimTime::ZERO,
-            completed_at: None,
-            tasks: vec![TaskRuntime::new(
+            SimTime::ZERO,
+            vec![TaskRuntime::new(
                 TaskId {
                     job: job_id,
                     kind: TaskKind::Reduce,
@@ -1034,15 +1025,7 @@ mod tests {
                 100,
                 vec![],
             )],
-            schedulable_maps: 0,
-            schedulable_reduces: 0,
-            suspended_count: 0,
-            occupying_count: 0,
-            speculative_live: 0,
-            terminal_count: 0,
-            remaining_bytes: 0,
-        };
-        job.recount_task_states();
+        );
         jobs.insert(job_id, job);
         // Free reduce slots on node 0 (rack 0) and node 5 (rack 1).
         let mut slots = vec![(0, 0); 10];

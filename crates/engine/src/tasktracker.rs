@@ -22,24 +22,23 @@ use mrp_simos::{Kernel, OsError, Pid, Signal};
 pub(crate) struct AllocationOutcome {
     /// Paging stall charged to the allocating task.
     pub(crate) stall: SimDuration,
-    /// Bytes of other processes' memory paged out to make room.
-    pub(crate) paged_out_bytes: u64,
     /// Attempts whose processes the OOM killer took to satisfy the
-    /// allocation (rare; only when swap is exhausted), in kill order.
+    /// allocation (rare; only when swap is exhausted), in kill order. The
+    /// allocating attempt itself, if the OOM killer took it, comes last.
     pub(crate) oom_killed: Vec<AttemptEnd>,
-    /// The allocation ultimately failed (RAM and swap exhausted with no
-    /// further OOM victim, or the OOM killer sacrificed the allocating task
-    /// itself). Victims in `oom_killed` were still killed and must still be
-    /// handled by the caller.
-    pub(crate) failed: bool,
+    /// The allocating attempt, killed because its allocation failed for good
+    /// (RAM and swap exhausted and no further OOM victim); its slot stays
+    /// held for the cleanup attempt.
+    pub(crate) aborted: Option<AttemptEnd>,
 }
 
 /// How an attempt left its tracker. Every method that removes an attempt
 /// ([`TaskTracker::kill`], [`TaskTracker::complete`], [`TaskTracker::fail`]
-/// and the OOM killer behind [`TaskTracker::allocate_task_memory`]) returns
-/// one, and the cluster retires the attempt from it in one step: it cancels
-/// the pending phase event and, for a cleanup attempt, schedules the slot's
-/// release.
+/// and [`TaskTracker::allocate_task_memory`], for its OOM victims and a
+/// failed allocating attempt) returns one, and the cluster retires the
+/// attempt from it in one step: it cancels the pending phase event, releases
+/// the attempt's progress watch and, for a cleanup attempt, schedules the
+/// slot's release.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct AttemptEnd {
     /// The attempt.
@@ -361,9 +360,9 @@ impl TaskTracker {
     /// the end of its setup phase. Handles OOM by invoking the OOM killer and
     /// reporting which attempts died.
     ///
-    /// An unrecoverable allocation failure is reported through
-    /// [`AllocationOutcome::failed`], never through `Err`: by the time the
-    /// failure is known the OOM killer may already have sacrificed other
+    /// An unrecoverable allocation failure kills the attempt and reports it
+    /// in [`AllocationOutcome::aborted`], never through `Err`: by the time
+    /// the failure is known the OOM killer may already have sacrificed other
     /// attempts, and those victims must reach the caller either way. `Err` is
     /// reserved for an unknown attempt id.
     pub(crate) fn allocate_task_memory(
@@ -381,15 +380,12 @@ impl TaskTracker {
             match self.kernel.allocate(pid, bytes, dirty, now) {
                 Ok(res) => {
                     outcome.stall += res.stall;
-                    outcome.paged_out_bytes +=
-                        res.charge.dirty_paged_out + res.charge.clean_dropped;
                     return Ok(outcome);
                 }
                 Err(OsError::OutOfMemory) if remaining_oom_retries > 0 => {
                     remaining_oom_retries -= 1;
                     let Some(victim_pid) = self.kernel.oom_kill(now) else {
-                        outcome.failed = true;
-                        return Ok(outcome);
+                        break;
                     };
                     let victim = self
                         .attempts
@@ -408,17 +404,15 @@ impl TaskTracker {
                         if victim == id {
                             // The OOM killer took the allocating attempt
                             // itself; there is nothing left to retry for.
-                            outcome.failed = true;
                             return Ok(outcome);
                         }
                     }
                 }
-                Err(_) => {
-                    outcome.failed = true;
-                    return Ok(outcome);
-                }
+                Err(_) => break,
             }
         }
+        outcome.aborted = self.kill(id, now).ok();
+        Ok(outcome)
     }
 
     /// Records the input read of an attempt against the node's disk and file
@@ -710,7 +704,6 @@ mod tests {
             .allocate_task_memory(attempt_id(1), SimTime::from_secs(34))
             .unwrap();
         assert!(out.stall > SimDuration::ZERO);
-        assert!(out.paged_out_bytes > 0);
         assert!(out.oom_killed.is_empty());
         let victim_pid = tt.attempt(attempt_id(0)).unwrap().pid;
         assert!(tt.kernel().swapped_bytes(victim_pid) > 0);
@@ -1177,7 +1170,7 @@ mod tests {
             "exactly the suspended hog dies, exactly once"
         );
         assert!(
-            !out.failed,
+            out.aborted.is_none(),
             "after the kill the allocation retries and succeeds"
         );
         assert!(tt.attempt(attempt_id(0)).is_none());
@@ -1194,7 +1187,7 @@ mod tests {
         let out = tt
             .allocate_task_memory(attempt_id(0), SimTime::ZERO)
             .unwrap();
-        assert!(!out.failed);
+        assert!(out.aborted.is_none());
         assert!(out.oom_killed.is_empty());
         assert_eq!(tt.kernel().memory_stats().thrash_events, 1);
         assert!(out.stall > SimDuration::ZERO);
