@@ -21,7 +21,8 @@ use crate::pipeline::{
 use crate::primitive::PreemptionPrimitive;
 use mrp_engine::{
     DelayScoreboard, JobId, JobRuntime, Locality, NodeId, RackId, SchedulerAction,
-    SchedulerContext, SchedulerPolicy, TaskKind, TaskState, TenantLedger, BASE_TASK_MEMORY,
+    SchedulerContext, SchedulerPolicy, TaskId, TaskKind, TaskState, TaskTracker, TenantLedger,
+    BASE_TASK_MEMORY,
 };
 use mrp_sim::{SimDuration, SimTime, VecMap};
 use std::cell::RefCell;
@@ -152,7 +153,10 @@ fn or_into(dst: &mut Vec<u64>, src: &[u64]) {
 
 impl JobIndex {
     fn build(job: &JobRuntime, ctx: &SchedulerContext<'_>) -> Self {
-        let (mut nodes, mut racks) = (Vec::new(), Vec::new());
+        // One node pair per replica and at most one rack pair per replica:
+        // both vectors are sized once instead of regrowing from empty.
+        let replicas = job.tasks.iter().map(|t| t.preferred_nodes.len()).sum();
+        let (mut nodes, mut racks) = (Vec::with_capacity(replicas), Vec::with_capacity(replicas));
         let mut racks_seen: Vec<u32> = Vec::with_capacity(4);
         for (pos, t) in (0u64..).zip(&job.tasks) {
             racks_seen.clear();
@@ -219,6 +223,35 @@ fn fast_declines(
         && !test_bit(&index.by_node.bits, node.0)
         && !(allowed >= Locality::RackLocal
             && rack.is_some_and(|r| test_bit(&index.by_rack.bits, r.0)))
+}
+
+/// Whether `task`, listed as suspended by the heartbeating node's tracker,
+/// is `Suspended` at the JobTracker too. The tracker is attempt-level and may
+/// still list a task whose JobTracker state moved on to MustResume/MustKill
+/// (a resume that could not be delivered retries via the command path, not
+/// here); a slot spent on its Resume would be discarded by the engine.
+fn resumable(ctx: &SchedulerContext<'_>, task: TaskId) -> bool {
+    ctx.task(task)
+        .is_some_and(|t| t.state == TaskState::Suspended)
+}
+
+/// Whether a job in `rest` owns a task suspended on `tt`'s node that a free
+/// slot of its kind could resume: the debug-build check behind every walk
+/// that stops with suspended tasks left on the node.
+fn resume_ahead(
+    ctx: &SchedulerContext<'_>,
+    tt: &TaskTracker,
+    rest: &[JobId],
+    free_map: u32,
+    free_reduce: u32,
+) -> bool {
+    tt.suspended_tasks().any(|task| {
+        let free = match task.kind {
+            TaskKind::Map => free_map,
+            TaskKind::Reduce => free_reduce,
+        };
+        free > 0 && resumable(ctx, task) && rest.contains(&task.job)
+    })
 }
 
 /// Up to [`WINDOW_BLOCK`] consecutive jobs of a [`DeclineWindow`].
@@ -419,6 +452,13 @@ impl LocalityIndex {
 /// declining job reaches `OffRack` within the configured waits, even when
 /// all its replica holders are dead.
 ///
+/// Suspended tasks on `node` resume ahead of their job's fresh launches, but
+/// only into a free slot of their own kind: the round counts, per kind, the
+/// tasks a free slot could resume, and the walk stops once no count is left
+/// that a free slot could still use and nothing can launch. A suspended map
+/// on a node with busy map slots therefore never drags a reduce-slot
+/// heartbeat across the whole order.
+///
 /// `generation` identifies `ordered_jobs` across rounds (see
 /// [`JobOrder::generation`](crate::pipeline::JobOrder)); when given, the
 /// round first skips the order's provably declining head through the
@@ -435,23 +475,35 @@ pub(crate) fn fill_node(
     };
     let mut free_map = tt.free_slots(TaskKind::Map);
     let mut free_reduce = tt.free_slots(TaskKind::Reduce);
-    // Hot-path early exit, O(1) via the engine-maintained cluster totals:
-    // skip everything when this node's free slots provably cannot be used —
-    // no pending work of a matching kind exists anywhere and nothing is
-    // suspended *on this node*. At 10k-node scale the overwhelming majority
+    // Hot-path early exit, O(1) via the engine-maintained cluster totals
+    // plus a pass over the tasks suspended *on this node*: skip everything
+    // when this node's free slots provably cannot be used — no pending work
+    // of a matching kind exists anywhere and no suspended task here has a
+    // free slot of its own kind. At 10k-node scale the overwhelming majority
     // of heartbeats hit this case (e.g. the always-free reduce slot of a
-    // map-only workload).
-    let any_slot_free = free_map > 0 || free_reduce > 0;
+    // map-only workload, or of a node whose busy map slots keep a suspended
+    // map waiting).
     let mut maps_unclaimed = ctx.totals.schedulable_maps;
     let mut reduces_unclaimed = ctx.totals.schedulable_reduces;
     let can_launch_map = free_map > 0 && maps_unclaimed > 0;
     let can_launch_reduce = free_reduce > 0 && reduces_unclaimed > 0;
-    let mut resumable = if any_slot_free {
-        tt.suspended_tasks().count()
-    } else {
-        0
-    };
-    let can_resume = resumable > 0;
+    // Per kind, the suspended tasks here that a free slot could resume.
+    // Slots only fill during a round and task states only change once its
+    // actions are applied, so a task not counted now cannot resume later in
+    // the round.
+    let (mut resumable_maps, mut resumable_reduces) = (0u32, 0u32);
+    if free_map > 0 || free_reduce > 0 {
+        for task in tt.suspended_tasks() {
+            let (free, count) = match task.kind {
+                TaskKind::Map => (free_map, &mut resumable_maps),
+                TaskKind::Reduce => (free_reduce, &mut resumable_reduces),
+            };
+            if free > 0 && resumable(ctx, task) {
+                *count += 1;
+            }
+        }
+    }
+    let can_resume = resumable_maps > 0 || resumable_reduces > 0;
     // Speculation (when enabled) inspects only tail-phase jobs, and only
     // when this node still has a free map slot after regular assignment —
     // Hadoop's trigger: a slot nothing pending can use.
@@ -481,14 +533,20 @@ pub(crate) fn fill_node(
     } else {
         &[]
     };
-    for job_id in walk {
+    for (at, job_id) in walk.iter().enumerate() {
         // Stop as soon as the remaining slots provably cannot be used by
         // anything further down the list (per-kind: a free reduce slot must
-        // not keep the loop scanning map-only jobs).
+        // not keep the loop scanning map-only jobs, nor for a suspended map
+        // it cannot resume).
         let want_map = free_map > 0 && maps_unclaimed > 0;
         let want_reduce = free_reduce > 0 && reduces_unclaimed > 0;
-        let want_resume = resumable > 0 && (free_map > 0 || free_reduce > 0);
+        let want_resume =
+            free_map > 0 && resumable_maps > 0 || free_reduce > 0 && resumable_reduces > 0;
         if !want_map && !want_reduce && !want_resume {
+            debug_assert!(
+                !resume_ahead(ctx, tt, &walk[at..], free_map, free_reduce),
+                "a later job could resume a task on {node:?}"
+            );
             break;
         }
         let Some(job) = ctx.jobs.get(job_id) else {
@@ -507,26 +565,16 @@ pub(crate) fn fill_node(
         // suspended task already holds memory on its node and finishing it
         // releases that memory soonest. The tracker lists exactly the tasks
         // suspended *here*, so the match is O(suspended-on-node), not O(job
-        // tasks). The tracker is attempt-level and may still list a task
-        // whose JobTracker state moved on to MustResume/MustKill (a resume
-        // that could not be delivered retries via the command path, not
-        // here), so re-check the task state before spending a slot on a
-        // Resume the engine would discard.
+        // tasks).
         if job_resumes {
             for task in tt.suspended_tasks().filter(|t| t.job == *job_id) {
-                if !ctx
-                    .task(task)
-                    .is_some_and(|t| t.state == TaskState::Suspended)
-                {
-                    continue;
-                }
-                let free = match task.kind {
-                    TaskKind::Map => &mut free_map,
-                    TaskKind::Reduce => &mut free_reduce,
+                let (free, count) = match task.kind {
+                    TaskKind::Map => (&mut free_map, &mut resumable_maps),
+                    TaskKind::Reduce => (&mut free_reduce, &mut resumable_reduces),
                 };
-                if *free > 0 {
+                if *free > 0 && resumable(ctx, task) {
                     *free -= 1;
-                    resumable -= 1;
+                    *count -= 1;
                     actions.push(SchedulerAction::Resume { task });
                 }
             }
@@ -1130,6 +1178,63 @@ mod tests {
             "speculative re-execution must shrink the makespan: {} vs {}",
             with_spec.makespan_secs().unwrap(),
             without.makespan_secs().unwrap()
+        );
+    }
+
+    #[test]
+    fn a_suspended_map_neither_blocks_nor_loses_its_node() {
+        // One node with one map and one reduce slot. "b" suspends the larger
+        // "a" and takes the map slot. "f", larger than "a", sits behind it
+        // in HFSP's order with a pending map and reduce; "g" has no maps
+        // and sits ahead of everything with one pending reduce.
+        let mut cluster = Cluster::new(
+            ClusterConfig::small_cluster(1, 1, 1),
+            Box::new(HfspScheduler::new(
+                PreemptionPrimitive::SuspendResume,
+                EvictionPolicy::ClosestToCompletion,
+            )),
+        );
+        cluster.submit_job(JobSpec::synthetic("a", 1, 512 * MIB));
+        let at = SimTime::from_secs;
+        cluster.submit_job_at(JobSpec::synthetic("b", 1, 64 * MIB), at(20));
+        let f = JobSpec::synthetic("f", 1, 1024 * MIB).with_reduces(1);
+        cluster.submit_job_at(f, at(25));
+        cluster.submit_job_at(JobSpec::synthetic("g", 0, 0).with_reduces(1), at(30));
+        cluster.run(SimTime::from_secs(4 * 3_600));
+        assert!(cluster.report().all_jobs_complete());
+        let lines: Vec<String> = cluster
+            .trace()
+            .iter()
+            .map(|r| r.to_line(cluster.jobs()))
+            .collect();
+        // Where in the (chronological) trace `task` was first `what`.
+        let first = |what: &str, task: &str| {
+            lines
+                .iter()
+                .position(|l| l.contains(&format!("] {what} ")) && l.contains(&format!(" {task} ")))
+                .unwrap_or_else(|| panic!("{task} never {what}"))
+        };
+        let a_map = "task_0001_m_000000";
+        let a_suspended = first("Suspended", a_map);
+        let a_resumed = first("Resumed", a_map);
+        let b_done = first("Completed", "task_0002_m_000000");
+        let f_reduce = first("Launched", "task_0003_r_000000");
+        assert!(
+            a_suspended < f_reduce && f_reduce < b_done,
+            "with the map slot busy and a map suspended, f's reduce takes the \
+             free reduce slot:\n{}",
+            lines.join("\n")
+        );
+        let g_reduce = first("Launched", "task_0004_r_000000");
+        assert!(
+            b_done < a_resumed && a_resumed < g_reduce,
+            "a resumes into the freed map slot while g, ahead of it, has \
+             nothing to place:\n{}",
+            lines.join("\n")
+        );
+        assert!(
+            first("Launched", "task_0003_m_000000") > first("Completed", a_map),
+            "f's fresh map waits for the resumed one"
         );
     }
 

@@ -839,9 +839,13 @@ impl Cluster {
     // ----- progress watches -------------------------------------------------
 
     /// Arms every waiting watch on `attempt`'s task against `attempt`'s work.
+    /// An orphan's work is not its task's: the watch waits for the re-run.
     fn arm_watches(&mut self, node: NodeId, attempt: AttemptId) {
         let task = attempt.task;
-        if self.triggers.is_empty() || task.kind != TaskKind::Map {
+        if self.triggers.is_empty()
+            || task.kind != TaskKind::Map
+            || self.role(attempt) == AttemptRole::Orphan
+        {
             return;
         }
         let Some(a) = self.tracker(node).and_then(|tt| tt.attempt(attempt)) else {
@@ -1008,6 +1012,38 @@ mod tests {
             5,
             "the orphan's cleanup released its slot"
         );
+    }
+
+    #[test]
+    fn an_orphans_progress_does_not_fire_its_tasks_watch() {
+        // Node 0 is torn down as a partition victim while the attempt is in
+        // setup: the attempt runs on there as an orphan, past the watch's
+        // 50%, while its task waits as pending. Only the re-run on node 1
+        // fires the watch.
+        let (mut c, fired) = cluster(
+            ClusterConfig::small_cluster(2, 1, 1),
+            vec![JobSpec::synthetic("watched", 1, 512 * MIB)],
+        );
+        c.add_progress_trigger("watched", 0, 0.5);
+        let task = map(1, 0);
+        let node0 = NodeId(0);
+        c.launch_task(task, node0, SimTime::ZERO);
+        let orphan = c.task(task).unwrap().current_attempt.unwrap();
+        c.partition_node(node0, SimTime::ZERO);
+        c.teardown_partitioned(node0, SimTime::ZERO);
+        assert_eq!(c.task(task).unwrap().state, TaskState::Pending);
+        c.run(secs(60));
+        let a = c.trackers[0].attempt(orphan).expect("the orphan runs on");
+        assert_eq!(a.phase, AttemptPhase::Work);
+        assert!(
+            a.work_completed + (secs(60) - a.segment_start) > a.plan.work.mul_f64(0.5),
+            "the orphan is past the watch's fraction"
+        );
+        assert_eq!(*fired.borrow(), [], "the orphan fired the watch");
+        c.launch_task(task, NodeId(1), secs(60));
+        c.run(secs(600));
+        assert_eq!(*fired.borrow(), [(task, 0.5)]);
+        assert_eq!(c.task(task).unwrap().state, TaskState::Succeeded);
     }
 
     #[test]
