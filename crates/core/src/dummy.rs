@@ -25,13 +25,12 @@
 
 use crate::eviction::EvictionPolicy;
 use crate::json::{Json, JsonError};
+use crate::pipeline::Evictor;
 use crate::primitive::PreemptionPrimitive;
-use crate::schedulers::candidates_of;
 use mrp_engine::{
     FifoScheduler, JobSpec, MapInput, NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy,
     TaskId, TaskProfile,
 };
-use mrp_sim::SimRng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::RangeBounds;
@@ -475,19 +474,19 @@ fn restore_from_json(v: &Json) -> Result<RestoreRule, PlanJsonError> {
 pub struct DummyScheduler {
     plan: DummyPlan,
     launcher: FifoScheduler,
-    rng: SimRng,
+    evictor: Evictor,
 }
 
 impl DummyScheduler {
     /// Creates a dummy scheduler from a static plan.
     pub fn new(plan: DummyPlan) -> Self {
         DummyScheduler {
+            evictor: Evictor::new(plan.primitive, plan.eviction, 0x0D_D0),
             plan,
             // The dummy scheduler controls resumption explicitly through its
             // restore rules, so the underlying launcher must not resume
             // suspended tasks on its own.
             launcher: FifoScheduler::non_resuming(),
-            rng: SimRng::new(0x0D_D0),
         }
     }
 
@@ -523,15 +522,10 @@ impl DummyScheduler {
         let Some(job_id) = Self::job_id_by_name(ctx, job_name) else {
             return Vec::new();
         };
-        let job = &ctx.jobs[&job_id];
-        let candidates = candidates_of(job);
-        let count = max_victims.unwrap_or(candidates.len());
-        self.plan
-            .eviction
-            .pick(&candidates, count, &mut self.rng)
-            .into_iter()
-            .filter_map(|task| self.plan.primitive.preempt_action(task))
-            .collect()
+        let mut out = Vec::new();
+        let take = max_victims.unwrap_or(usize::MAX);
+        self.evictor.evict_from(ctx, job_id, take, &mut out);
+        out
     }
 
     fn restore_job(&self, ctx: &SchedulerContext<'_>, job_name: &str) -> Vec<SchedulerAction> {
@@ -589,11 +583,11 @@ impl SchedulerPolicy for DummyScheduler {
         ctx: &SchedulerContext<'_>,
         job: mrp_engine::JobId,
     ) -> Vec<SchedulerAction> {
+        let mut actions = self.launcher.on_job_finished(ctx, job);
         let Some(finished) = ctx.jobs.get(&job) else {
-            return Vec::new();
+            return actions;
         };
         let name = finished.spec.name.clone();
-        let mut actions = Vec::new();
         let restores: Vec<RestoreRule> = self
             .plan
             .restores

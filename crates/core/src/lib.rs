@@ -23,7 +23,11 @@
 //! The mechanics of suspension (heartbeat-piggybacked commands, `SIGTSTP` /
 //! `SIGCONT` on the task processes, paging of suspended tasks under memory
 //! pressure) live in the `mrp-engine` and `mrp-simos` substrate crates; this
-//! crate supplies the policies and the user-facing vocabulary.
+//! crate supplies the policies and the user-facing vocabulary. Placement is
+//! the engine's too: the FAIR, HFSP and multi-tenant schedulers only supply
+//! a job order to its slot filler, [`mrp_engine::fill_node`], which the
+//! engine's FIFO default places through as well, and add their own
+//! preemption stages.
 //!
 //! ```
 //! use mrp_preempt::{DummyPlan, DummyScheduler, PreemptionPrimitive};

@@ -18,9 +18,10 @@
 
 use crate::eviction::{EvictionCandidate, EvictionPolicy};
 use crate::primitive::PreemptionPrimitive;
-use crate::schedulers::{candidates_of, fill_node, LocalityIndex};
+use crate::schedulers::candidates_of;
 use mrp_engine::{
-    JobId, JobRuntime, NodeId, SchedulerAction, SchedulerContext, TaskKind, TaskState, TenantLedger,
+    fill_node, JobId, JobRuntime, LocalityIndex, NodeId, SchedulerAction, SchedulerContext,
+    TaskKind, TaskState, TenantLedger,
 };
 use mrp_sim::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
@@ -242,8 +243,8 @@ impl JobOrder for DrfJobOrder {
 }
 
 /// The allocate stage: fills a heartbeating node's free slots with pending
-/// (or suspended) work, serving jobs in `O`'s order through `fill_node`
-/// (rack-aware, resume-first, delay- and reliability-gated).
+/// (or suspended) work, serving jobs in `O`'s order through the engine's
+/// `fill_node` (rack-aware, resume-first, delay- and reliability-gated).
 pub(crate) struct Allocate<O> {
     job_order: O,
     order: Vec<JobId>,
@@ -268,7 +269,7 @@ impl<O: JobOrder> Allocate<O> {
     ) -> Vec<SchedulerAction> {
         if self.job_order.refresh(ctx, node, &mut self.order) {
             let generation = self.job_order.generation();
-            fill_node(ctx, node, &self.order, generation, &mut self.locality)
+            fill_node(ctx, node, &self.order, generation, true, &mut self.locality)
         } else {
             Vec::new()
         }
@@ -287,14 +288,14 @@ impl<O: JobOrder> Allocate<O> {
 /// Turns victim choices into evictions: `eviction` ranks a job's running
 /// tasks (drawing from `rng` only where the policy is randomized) and
 /// `primitive` says how each victim is evicted.
-struct Evictor {
+pub(crate) struct Evictor {
     primitive: PreemptionPrimitive,
     eviction: EvictionPolicy,
     rng: SimRng,
 }
 
 impl Evictor {
-    fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy, seed: u64) -> Self {
+    pub(crate) fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy, seed: u64) -> Self {
         Evictor {
             primitive,
             eviction,
@@ -321,7 +322,7 @@ impl Evictor {
     }
 
     /// [`Evictor::evict`] over the running tasks of `job`.
-    fn evict_from(
+    pub(crate) fn evict_from(
         &mut self,
         ctx: &SchedulerContext<'_>,
         job: JobId,

@@ -768,7 +768,9 @@ impl Cluster {
     /// its own end record); otherwise the task restarts from scratch as
     /// `Pending`. The original's invested time is charged to the task as
     /// wasted work; node losses also count the waste and the re-execution
-    /// in the fault stats. A lost orphan leaves its task alone.
+    /// in the fault stats. A lost orphan leaves its task alone; one lost
+    /// with its node is only retired, since the teardown that orphaned it
+    /// already counted and recorded its loss.
     pub(super) fn lose_attempt(
         &mut self,
         node: NodeId,
@@ -778,6 +780,10 @@ impl Cluster {
     ) {
         self.retire(node, &end, now);
         let (attempt, task) = (end.id, end.id.task);
+        let role = self.role(attempt);
+        if node_lost && role == AttemptRole::Orphan {
+            return;
+        }
         if node_lost {
             self.fault_stats.attempts_lost += 1;
             self.record(Record::AttemptLost(now, attempt, node));
@@ -786,7 +792,6 @@ impl Cluster {
                 self.fault_stats.lost_suspended_work_secs += end.invested.as_secs_f64();
             }
         }
-        let role = self.role(attempt);
         if !node_lost {
             let cause = if role == AttemptRole::Backup {
                 KillCause::SpeculativeOom

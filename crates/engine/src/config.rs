@@ -349,12 +349,12 @@ impl SpeculationConfig {
 /// of virtual time, a job whose replica holders all died still drains — the
 /// clock keeps running and the job eventually launches anywhere.
 ///
-/// FIFO, FAIR and HFSP read the allowed level and record declines through
-/// the shared [`SchedulerContext`](crate::SchedulerContext) helpers, but tier
-/// placements in two ways: FIFO buckets the whole schedulable list by
-/// locality, so a node-local task of a later job goes before a rack-local
-/// one of an earlier job; FAIR and HFSP fill a node job by job in their own
-/// order, tiering only within each job.
+/// Every policy places through the engine's slot filler
+/// [`fill_node`](crate::fill_node). It fills a node job by job in the
+/// policy's order and tiers the launches within each job (node-local, then
+/// rack-local, then anywhere), declining the tiers the job's allowed level
+/// withholds and recording the skip. FIFO, FAIR, HFSP and DRF therefore share
+/// one wait clock, one escalation rule and one tiering.
 ///
 /// ```
 /// use mrp_engine::{ClusterConfig, DelayConfig};

@@ -40,12 +40,12 @@
 //!   still running, so a batch of declines by such jobs is a plain addition
 //!   to the skip total ([`DelayScoreboard::note_skips`]).
 //!
-//! Scheduling policies reach the scoreboard through the
+//! Every policy places through the slot filler
+//! [`fill_node`](crate::fill_node), which reaches the scoreboard through the
 //! [`SchedulerContext`](crate::SchedulerContext) helpers (`delay_allowed`,
-//! `note_delay_skip`, `delay_gated`), so FIFO, FAIR and HFSP share one wait
-//! clock and one escalation rule (how each tiers its placements is on
-//! [`DelayConfig`]); the HFSP decline window reads the epochs through
-//! `SchedulerContext::delay` directly. Interior mutability (`RefCell`/`Cell`)
+//! `note_delay_skip`) and whose decline window reads the epochs directly;
+//! FAIR's preemption asks `delay_gated`. So FIFO, FAIR, HFSP and DRF share
+//! one wait clock, one escalation rule and one tiering. Interior mutability (`RefCell`/`Cell`)
 //! lets the policies record skips through the shared context; the
 //! simulation is single-threaded and every mutation is a deterministic
 //! function of the event sequence, so fixed-seed determinism is preserved.
@@ -76,7 +76,7 @@ pub struct DelayScoreboard {
 
 impl DelayScoreboard {
     /// Creates the scoreboard for a cluster with the given delay knobs.
-    pub fn new(config: DelayConfig) -> Self {
+    pub(crate) fn new(config: DelayConfig) -> Self {
         DelayScoreboard {
             config,
             waits: RefCell::new(Vec::new()),
@@ -89,20 +89,20 @@ impl DelayScoreboard {
     /// Whether delay scheduling is switched on at all. Policies use this to
     /// keep the delay branches entirely off the hot path when disabled.
     #[inline]
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.config.enabled
     }
 
     /// Registers the next job (ids are dense; the engine calls this on job
     /// registration, hand-built harnesses once per job they create).
-    pub fn register_job(&self) {
+    pub(crate) fn register_job(&self) {
         self.waits.borrow_mut().push(None);
     }
 
     /// The loosest locality level the job may launch map tasks at right now.
     /// `NodeLocal` means node-local only; `OffRack` means anything goes
     /// (also the answer whenever delay scheduling is disabled).
-    pub fn allowed(&self, job: JobId, now: SimTime) -> Locality {
+    pub(crate) fn allowed(&self, job: JobId, now: SimTime) -> Locality {
         self.allowed_until(job, now).0
     }
 
@@ -111,7 +111,7 @@ impl DelayScoreboard {
     /// started yet starts no earlier than `now`, so such a job holds
     /// `NodeLocal` at least until `now + node_local_wait`; a reset only ever
     /// tightens the level. Additions saturate, so huge waits mean "never".
-    pub fn allowed_until(&self, job: JobId, now: SimTime) -> (Locality, SimTime) {
+    pub(crate) fn allowed_until(&self, job: JobId, now: SimTime) -> (Locality, SimTime) {
         if !self.config.enabled {
             return (Locality::OffRack, SimTime::MAX);
         }
@@ -152,7 +152,7 @@ impl DelayScoreboard {
     /// same jobs, or `None`: when no running wait was reset since, every one
     /// of their clocks is still running and the call is one addition.
     /// Returns the stamp for the next call.
-    pub fn note_skips(&self, jobs: &[JobId], now: SimTime, stamp: Option<u64>) -> u64 {
+    pub(crate) fn note_skips(&self, jobs: &[JobId], now: SimTime, stamp: Option<u64>) -> u64 {
         if !self.config.enabled {
             return self.resets.get();
         }
@@ -182,7 +182,7 @@ impl DelayScoreboard {
     /// long the job had been waiting (for the wait-time histogram), or
     /// `None` if no wait was running. The engine calls this on every
     /// node-local map launch.
-    pub fn local_launch(&self, job: JobId, now: SimTime) -> Option<SimDuration> {
+    pub(crate) fn local_launch(&self, job: JobId, now: SimTime) -> Option<SimDuration> {
         if !self.config.enabled {
             return None;
         }
@@ -198,7 +198,7 @@ impl DelayScoreboard {
     /// Records that some job's schedulable-map, schedulable-reduce or
     /// suspended count just crossed zero (a no-op while delay scheduling is
     /// off). The engine calls this from its single task-edit path.
-    pub fn note_shape_change(&self) {
+    pub(crate) fn note_shape_change(&self) {
         if self.config.enabled {
             self.shape_epoch.set(self.shape_epoch.get() + 1);
         }
@@ -207,7 +207,7 @@ impl DelayScoreboard {
     /// The shape epoch: changes whenever some job may have started or
     /// stopped having schedulable maps, schedulable reduces or suspended
     /// tasks.
-    pub fn shape_epoch(&self) -> u64 {
+    pub(crate) fn shape_epoch(&self) -> u64 {
         self.shape_epoch.get()
     }
 

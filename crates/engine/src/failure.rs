@@ -853,6 +853,51 @@ mod tests {
     }
 
     #[test]
+    fn an_orphan_lost_with_its_healed_node_is_counted_once() {
+        // Detector on: node 3 is cut off at t=10 mid-task, and the teardown
+        // after the timeout writes its attempt off as lost and re-runs the
+        // task elsewhere. The heal at t=40 leaves that orphan running on the
+        // node, which crashes at t=50, before the orphan's ~85 s map ends.
+        let mut cfg = ClusterConfig::racked_cluster(2, 2, 1, 1);
+        cfg.detector = DetectorConfig::enabled();
+        for (at, kind) in [
+            (10, FaultKind::Partition { node: NODE }),
+            (40, FaultKind::PartitionHeal { node: NODE }),
+            (50, FaultKind::Kill { node: NODE }),
+        ] {
+            let at = SimTime::from_secs(at);
+            cfg.faults.events.push(FaultEvent { at, kind });
+        }
+        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
+        c.submit_job(JobSpec::synthetic("orphaned", 4, 512 * MIB));
+        c.run(SimTime::from_secs(36_000));
+        let report = c.report();
+        assert!(report.all_jobs_complete(), "{:?}", report.faults);
+        let lost: Vec<(SimTime, AttemptId)> = c
+            .trace()
+            .iter()
+            .filter_map(|r| match *r {
+                Record::AttemptLost(at, attempt, node) if node == NODE => Some((at, attempt)),
+                _ => None,
+            })
+            .collect();
+        // The first loss on node 3 is the teardown's write-off.
+        let &(written_off_at, orphan) = lost.first().expect("the teardown loses an attempt");
+        assert!(written_off_at < SimTime::from_secs(40));
+        assert_eq!(
+            lost.iter().filter(|(_, a)| *a == orphan).count(),
+            1,
+            "the crash must not lose the orphan again: {lost:?}"
+        );
+        let all_lost = c
+            .trace()
+            .iter()
+            .filter(|r| matches!(r, Record::AttemptLost(..)))
+            .count();
+        assert_eq!(report.faults.attempts_lost, all_lost as u64);
+    }
+
+    #[test]
     fn partition_healed_before_timeout_never_penalizes_the_node() {
         // The heal lands before the suspicion timer fires: the master never
         // learns anything was wrong, so no teardown, no detection, and —

@@ -15,9 +15,12 @@
 //!
 //! Scheduling *policy* is pluggable through [`SchedulerPolicy`]; this crate
 //! only ships the non-preemptive priority-FIFO default ([`FifoScheduler`]).
-//! The paper's dummy trigger-driven scheduler, its preemption primitives
-//! (`wait`, `kill`, `suspend/resume`) and the preemptive job schedulers live
-//! in the `mrp-preempt` crate.
+//! Every policy places work through one slot filler, [`fill_node`], handing
+//! it the job order it serves; the filler owns locality tiers, delay
+//! declines, resume-first and the speculation trigger. The paper's dummy
+//! trigger-driven scheduler, its preemption primitives (`wait`, `kill`,
+//! `suspend/resume`) and the preemptive job schedulers live in the
+//! `mrp-preempt` crate.
 //!
 //! ```
 //! use mrp_engine::{Cluster, ClusterConfig, FifoScheduler, JobSpec};
@@ -42,6 +45,7 @@ mod failure;
 mod job;
 mod metrics;
 mod obs;
+mod placement;
 mod plugin;
 mod reliability;
 mod scheduler;
@@ -64,6 +68,7 @@ pub use metrics::{
     TaskReport, DELAY_WAIT_BUCKET_SECS,
 };
 pub use obs::{ObsState, Span, SpanKind, ACTION_KINDS};
+pub use placement::{fill_node, LocalityIndex};
 pub use plugin::{TenantLedger, TenantShareStats};
 pub use reliability::ReliabilityTracker;
 pub use scheduler::{

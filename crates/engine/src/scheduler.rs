@@ -6,11 +6,14 @@
 //! while a [`SchedulerPolicy`] decides *which* task runs or is preempted
 //! *where* and *when*. The paper's dummy trigger-driven scheduler, the
 //! preemptive FAIR scheduler and the HFSP-style size-based scheduler all live
-//! in the `mrp-preempt` crate and implement this trait.
+//! in the `mrp-preempt` crate and implement this trait. FIFO here and those
+//! policies all place work through the slot filler in `placement.rs`; FIFO
+//! is just its priority job order.
 
 use crate::config::SpeculationConfig;
 use crate::delay::DelayScoreboard;
 use crate::job::{JobId, JobRuntime, JobSpec, JobTable, TaskId, TaskKind, TaskRuntime, TaskState};
+use crate::placement::{fill_node, LocalityIndex};
 use crate::reliability::ReliabilityTracker;
 use crate::shuffle::ShuffleTracker;
 use crate::tasktracker::TaskTracker;
@@ -150,22 +153,22 @@ pub struct SchedulerContext<'a> {
     /// Cluster-wide pending-work counters (see [`PendingTotals`]).
     pub totals: PendingTotals,
     /// Speculative-execution switch (from
-    /// [`ClusterConfig::speculation`](crate::ClusterConfig)); policies use
-    /// [`SchedulerContext::speculate`] and never need to read this directly.
+    /// [`ClusterConfig::speculation`](crate::ClusterConfig)); the slot
+    /// filler [`fill_node`](crate::fill_node) runs the straggler scan, so
+    /// policies never need to read this directly.
     pub speculation: SpeculationConfig,
     /// The engine-owned delay-scheduling scoreboard (from
     /// [`ClusterConfig::delay`](crate::ClusterConfig)), if the cluster has
-    /// one. Policies consult it through [`SchedulerContext::delay_allowed`],
-    /// [`SchedulerContext::note_delay_skip`] and
-    /// [`SchedulerContext::delay_gated`]; a cache of declining jobs may read
-    /// its epochs and batch its skips directly. Hand-built harness contexts
-    /// pass `None` (delay scheduling off).
+    /// one. [`fill_node`](crate::fill_node) declines, records skips and
+    /// caches declining jobs through it; preempting policies consult
+    /// [`SchedulerContext::delay_gated`]. Hand-built harness contexts pass
+    /// `None` (delay scheduling off).
     pub delay: Option<&'a DelayScoreboard>,
     /// The engine-owned map-output registry (from
     /// [`ClusterConfig::shuffle`](crate::ClusterConfig)), if the cluster has
-    /// one. Policies consult it through
-    /// [`SchedulerContext::prefer_reduce_elsewhere`]; hand-built harness
-    /// contexts pass `None` (topology-blind shuffle).
+    /// one. [`fill_node`](crate::fill_node) consults it for rack-aware
+    /// reduce placement; hand-built harness contexts pass `None`
+    /// (topology-blind shuffle).
     pub shuffle: Option<&'a ShuffleTracker>,
     /// The engine-owned node-reliability predictor (from
     /// [`ClusterConfig::reliability`](crate::ClusterConfig)), if the cluster
@@ -237,7 +240,7 @@ impl<'a> SchedulerContext<'a> {
     /// starvation-free: when the byte-heavy rack is full, the reduce launches
     /// wherever it can). Always false while fault-tolerant shuffle is off or
     /// the job has no committed map output yet.
-    pub fn prefer_reduce_elsewhere(&self, job: JobId, node: NodeId) -> bool {
+    pub(crate) fn prefer_reduce_elsewhere(&self, job: JobId, node: NodeId) -> bool {
         let Some(s) = self.shuffle.filter(|s| s.enabled()) else {
             return false;
         };
@@ -251,31 +254,10 @@ impl<'a> SchedulerContext<'a> {
                 .is_some_and(|r| r.free_reduce > 0)
     }
 
-    /// All tasks in a schedulable state, ordered by (priority desc, job
-    /// submission order, task index): the order a priority-aware FIFO
-    /// scheduler would serve them in.
-    pub fn schedulable_tasks(&self) -> Vec<TaskId> {
-        let mut jobs: Vec<&JobRuntime> = self.jobs.values().collect();
-        jobs.sort_by_key(|j| priority_order(j));
-        let mut out = Vec::new();
-        for job in jobs {
-            // The engine-maintained counter lets exhausted jobs be skipped
-            // without touching their task lists.
-            if job.schedulable_count() == 0 {
-                continue;
-            }
-            for t in &job.tasks {
-                if t.state.is_schedulable() {
-                    out.push(t.id);
-                }
-            }
-        }
-        out
-    }
-
     /// The tasks suspended on `node` (holding memory there, no slot), in the
-    /// priority order of [`SchedulerContext::schedulable_tasks`]. Reads the
-    /// node's tracker, so it costs O(suspended here), not a job scan.
+    /// order [`FifoScheduler`] serves jobs (priority descending, then
+    /// submission), each job's maps before its reduces. Reads the node's
+    /// tracker, so it costs O(suspended here), not a job scan.
     pub fn suspended_on(&self, node: NodeId) -> Vec<TaskId> {
         let Some(tt) = self.node(node) else {
             return Vec::new();
@@ -296,13 +278,6 @@ impl<'a> SchedulerContext<'a> {
         tasks.into_iter().map(|(_, id)| id).collect()
     }
 
-    /// True when delay scheduling is active for this cluster. Policies use
-    /// this to keep every delay branch off the hot path when the feature is
-    /// off.
-    pub(crate) fn delay_enabled(&self) -> bool {
-        self.delay.is_some_and(|d| d.enabled())
-    }
-
     /// The loosest locality level `job` may launch map tasks at right now
     /// under delay scheduling: `NodeLocal` means node-local only,
     /// `RackLocal` adds same-rack nodes, `OffRack` means anything goes (and
@@ -310,7 +285,7 @@ impl<'a> SchedulerContext<'a> {
     /// placement preference (synthetic input) and reduce tasks are never
     /// restricted — the level only gates map tasks that actually have
     /// preferred replica holders.
-    pub fn delay_allowed(&self, job: JobId) -> Locality {
+    pub(crate) fn delay_allowed(&self, job: JobId) -> Locality {
         match self.delay {
             Some(d) => d.allowed(job, self.now),
             None => Locality::OffRack,
@@ -322,7 +297,7 @@ impl<'a> SchedulerContext<'a> {
     /// level): starts/continues the job's wait clock so its allowed level
     /// escalates, and counts the skip in
     /// [`LocalityStats::delayed_skips`](crate::LocalityStats).
-    pub fn note_delay_skip(&self, job: JobId) {
+    pub(crate) fn note_delay_skip(&self, job: JobId) {
         if let Some(d) = self.delay {
             d.note_skip(job, self.now);
         }
@@ -361,7 +336,7 @@ impl<'a> SchedulerContext<'a> {
     /// rates move on task timescales while free-slot heartbeats arrive
     /// hundreds of times per second at cluster scale, so the scan runs at
     /// most once per simulated second; `last_scan` holds the policy's last.
-    pub fn speculate(
+    pub(crate) fn speculate(
         &self,
         node: NodeId,
         free_map: u32,
@@ -541,17 +516,20 @@ pub trait SchedulerPolicy {
 
 /// The default policy: priority-aware FIFO without preemption.
 ///
-/// On every heartbeat it fills the node's free slots with schedulable tasks in
-/// (priority, submission order) order, preferring data-local tasks, and
-/// resumes suspended tasks when slots free up (so that externally requested
-/// suspensions — e.g. from the command-line API — eventually finish).
-#[derive(Debug, Default, Clone)]
+/// On every heartbeat it serves the jobs with work in (priority, submission
+/// order) order through the shared slot filler [`fill_node`]: each job in
+/// turn gets the node's free slots for its node-local, then rack-local,
+/// then any pending tasks, as Hadoop 1's `JobQueueTaskScheduler` does. It
+/// also resumes suspended tasks when slots free up (so that externally
+/// requested suspensions — e.g. from the command-line API — eventually
+/// finish).
+#[derive(Default)]
 pub struct FifoScheduler {
     /// Whether the policy resumes suspended tasks when slots are free.
-    pub(crate) resume_suspended: bool,
-    /// Simulated second of the last speculation scan
-    /// ([`SchedulerContext::speculate`]).
-    last_spec_scan: Option<u64>,
+    resume_suspended: bool,
+    /// The job order of the current round (a reused buffer).
+    order: Vec<JobId>,
+    locality: LocalityIndex,
 }
 
 impl FifoScheduler {
@@ -559,159 +537,49 @@ impl FifoScheduler {
     pub fn new() -> Self {
         FifoScheduler {
             resume_suspended: true,
-            last_spec_scan: None,
+            ..Default::default()
         }
     }
 
     /// A FIFO launcher that never resumes suspended tasks on its own (used
     /// by wrappers that control resumption themselves).
     pub fn non_resuming() -> Self {
-        FifoScheduler {
-            resume_suspended: false,
-            last_spec_scan: None,
-        }
+        FifoScheduler::default()
     }
 }
 
 impl SchedulerPolicy for FifoScheduler {
     fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
-        let Some(tt) = ctx.node(node) else {
-            return Vec::new();
-        };
-        let mut free_map = tt.free_slots(TaskKind::Map);
-        let mut free_reduce = tt.free_slots(TaskKind::Reduce);
-        // Hot-path early exit: skip the whole-cluster task scans below when
-        // this node's free slots provably cannot be used — no pending work of
-        // the matching kind exists anywhere (the cluster-wide totals are
-        // engine-maintained, O(1) to consult) and nothing is suspended here.
-        // At scale most heartbeats hit this case.
-        let can_launch_map = free_map > 0 && ctx.totals.schedulable_maps > 0;
-        let can_launch_reduce = free_reduce > 0 && ctx.totals.schedulable_reduces > 0;
-        let can_resume = self.resume_suspended
-            && (free_map > 0 || free_reduce > 0)
-            && tt.suspended_tasks().next().is_some();
-        // Speculation (when enabled) looks only at tail-phase jobs, and only
-        // when map slots survive regular assignment — Hadoop's trigger: a
-        // slot nothing pending can use.
-        let can_speculate = ctx.speculation.enabled && free_map > 0;
-        if !can_launch_map && !can_launch_reduce && !can_resume && !can_speculate {
+        // A node with no free slot gets nothing: skip building the order.
+        if ctx.node(node).is_none_or(|tt| {
+            tt.free_slots(TaskKind::Map) == 0 && tt.free_slots(TaskKind::Reduce) == 0
+        }) {
             return Vec::new();
         }
-        let mut actions = Vec::new();
+        self.order.clear();
+        self.order.extend(
+            ctx.jobs
+                .values()
+                .filter(|j| {
+                    !j.is_finished() && (j.schedulable_count() > 0 || j.suspended_count > 0)
+                })
+                .map(|j| j.id),
+        );
+        self.order
+            .sort_unstable_by_key(|id| priority_order(&ctx.jobs[id]));
+        fill_node(
+            ctx,
+            node,
+            &self.order,
+            None,
+            self.resume_suspended,
+            &mut self.locality,
+        )
+    }
 
-        // First give slots back to suspended tasks stranded on this node.
-        if can_resume {
-            for task in ctx.suspended_on(node) {
-                let free = match task.kind {
-                    TaskKind::Map => &mut free_map,
-                    TaskKind::Reduce => &mut free_reduce,
-                };
-                if *free > 0 {
-                    *free -= 1;
-                    actions.push(SchedulerAction::Resume { task });
-                }
-            }
-        }
-
-        // Then launch fresh work in three locality tiers: node-local first,
-        // then rack-local, then off-rack. One pass computes each task's
-        // locality exactly once and buckets it; draining the buckets in tier
-        // order preserves the within-tier priority order of the schedulable
-        // list. A task's locality is fixed, so every task lands in exactly
-        // one bucket and cannot be launched twice.
-        let schedulable = ctx.schedulable_tasks();
-        let mut tiers: [Vec<TaskId>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-        for &task in &schedulable {
-            let Some(t) = ctx.task(task) else { continue };
-            let bucket = match t.locality(ctx.topology, node) {
-                Locality::NodeLocal => 0,
-                Locality::RackLocal => 1,
-                Locality::OffRack => 2,
-            };
-            tiers[bucket].push(task);
-        }
-        // Delay scheduling: the rack-local and off-rack buckets only contain
-        // map tasks with real placement preferences (preference-less tasks
-        // and reduces all bucket as node-local), so gating those buckets on
-        // the job's allowed locality level is exactly the policy. A declined
-        // opportunity is recorded at most once per job per heartbeat — and
-        // not at all for a job that launched a node-local map this round:
-        // that launch resets the job's wait at apply time, so noting a skip
-        // would only mint a spurious zero-length histogram entry. Per-job
-        // flags are dense Vecs indexed by job id (ids are sequential from
-        // 1), and the allowed level is cached per job (tiers keep a job's
-        // tasks contiguous), so the decline path stays O(tasks) even with
-        // the whole backlog waiting.
-        // Failure-aware placement: fresh launches (and speculative backups
-        // below) avoid flaky nodes while capacity exists elsewhere. Resumes
-        // above are exempt — the suspended state already lives here.
-        let avoid_map = ctx.reliability_avoid(node, TaskKind::Map);
-        let avoid_reduce = ctx.reliability_avoid(node, TaskKind::Reduce);
-        let delay_on = ctx.delay_enabled();
-        let flag_len = if delay_on { ctx.jobs.len() } else { 0 };
-        let mut declined = vec![false; flag_len];
-        let mut launched_local = vec![false; flag_len];
-        let mut cached_allowed: Option<(crate::job::JobId, Locality)> = None;
-        for (level, tier) in tiers.iter().enumerate() {
-            if free_map == 0 && free_reduce == 0 {
-                break;
-            }
-            for &task in tier {
-                let free = match task.kind {
-                    TaskKind::Map => &mut free_map,
-                    TaskKind::Reduce => &mut free_reduce,
-                };
-                if *free == 0 {
-                    continue;
-                }
-                match task.kind {
-                    TaskKind::Map if avoid_map => continue,
-                    TaskKind::Reduce if avoid_reduce => continue,
-                    // Rack-aware reduce placement: wait for the rack holding
-                    // the job's map-output bytes while it has capacity.
-                    TaskKind::Reduce if ctx.prefer_reduce_elsewhere(task.job, node) => continue,
-                    _ => {}
-                }
-                let flag_idx = (task.job.0 as usize).wrapping_sub(1);
-                if delay_on && level > 0 {
-                    let allowed = match cached_allowed {
-                        Some((job, allowed)) if job == task.job => allowed,
-                        _ => {
-                            let allowed = ctx.delay_allowed(task.job);
-                            cached_allowed = Some((task.job, allowed));
-                            allowed
-                        }
-                    };
-                    let permitted = match level {
-                        1 => allowed >= Locality::RackLocal,
-                        _ => allowed == Locality::OffRack,
-                    };
-                    if !permitted {
-                        if let Some(flag) = declined.get_mut(flag_idx) {
-                            *flag = true;
-                        }
-                        continue;
-                    }
-                }
-                if delay_on && level == 0 && task.kind == TaskKind::Map {
-                    if let Some(flag) = launched_local.get_mut(flag_idx) {
-                        *flag = true;
-                    }
-                }
-                *free -= 1;
-                actions.push(SchedulerAction::Launch { task, node });
-            }
-        }
-        for (idx, declined) in declined.into_iter().enumerate() {
-            if declined && !launched_local[idx] {
-                ctx.note_delay_skip(crate::job::JobId(idx as u32 + 1));
-            }
-        }
-
-        if !avoid_map {
-            ctx.speculate(node, free_map, &mut self.last_spec_scan, &mut actions);
-        }
-        actions
+    fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
+        self.locality.forget(job);
+        Vec::new()
     }
 
     fn name(&self) -> &str {
@@ -777,30 +645,124 @@ mod tests {
         trackers(&slots)
     }
 
-    #[test]
-    fn schedulable_tasks_respect_priority_then_fifo() {
-        let mut jobs = JobTable::new();
-        jobs.insert(JobId(1), make_job(1, 0, 0, 1));
-        jobs.insert(JobId(2), make_job(2, 5, 10, 1));
-        jobs.insert(JobId(3), make_job(3, 0, 5, 1));
-        let nodes = trackers(&[(1, 0)]);
-        let topo = Topology::single_rack(10);
-        let ctx = SchedulerContext {
-            now: SimTime::from_secs(20),
-            jobs: &jobs,
-            nodes: &nodes,
+    /// A context over `jobs`, `nodes` and `topology` at time zero, with every
+    /// optional engine part off.
+    fn plain_ctx<'a>(
+        jobs: &'a JobTable,
+        nodes: &'a [TaskTracker],
+        topology: &'a Topology,
+    ) -> SchedulerContext<'a> {
+        SchedulerContext {
+            now: SimTime::ZERO,
+            jobs,
+            nodes,
             racks: &[],
-            topology: &topo,
-            totals: PendingTotals::from_jobs(&jobs),
+            topology,
+            totals: PendingTotals::from_jobs(jobs),
             speculation: SpeculationConfig::default(),
             delay: None,
             shuffle: None,
             reliability: None,
+        }
+    }
+
+    fn launched(actions: &[SchedulerAction]) -> Vec<TaskId> {
+        actions
+            .iter()
+            .filter_map(|a| match *a {
+                SchedulerAction::Launch { task, .. } => Some(task),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fifo_serves_jobs_by_priority_then_submission() {
+        let mut jobs = JobTable::new();
+        jobs.insert(JobId(1), make_job(1, 0, 0, 1));
+        jobs.insert(JobId(2), make_job(2, 5, 10, 1));
+        jobs.insert(JobId(3), make_job(3, 0, 5, 1));
+        let nodes = trackers(&[(3, 0)]);
+        let topo = Topology::single_rack(10);
+        let mut ctx = plain_ctx(&jobs, &nodes, &topo);
+        ctx.now = SimTime::from_secs(20);
+        let order: Vec<JobId> = launched(&FifoScheduler::new().on_heartbeat(&ctx, NodeId(0)))
+            .iter()
+            .map(|t| t.job)
+            .collect();
+        assert_eq!(
+            order,
+            [JobId(2), JobId(1), JobId(3)],
+            "highest priority first, then FIFO by submission"
+        );
+    }
+
+    #[test]
+    fn fifo_serves_an_earlier_jobs_rack_local_task_before_a_later_jobs_node_local_one() {
+        // Node 0 and node 1 share rack 0 of a two-rack topology. Job 1 has
+        // one map whose only replica is on node 1; job 2, submitted later,
+        // has one map with a replica on node 0. Jobs are served in order and
+        // tiered within each job, as Hadoop 1's FIFO does.
+        let mut jobs = JobTable::new();
+        let mut early = make_job(1, 0, 0, 1);
+        early.tasks[0].preferred_nodes = vec![NodeId(1)];
+        jobs.insert(JobId(1), early);
+        let mut late = make_job(2, 0, 5, 1);
+        late.tasks[0].preferred_nodes = vec![NodeId(0)];
+        jobs.insert(JobId(2), late);
+        let nodes = map_slots_on(10, &[0]);
+        let topo = Topology::blocked(10, 2);
+        let ctx = plain_ctx(&jobs, &nodes, &topo);
+        let launches = launched(&FifoScheduler::new().on_heartbeat(&ctx, NodeId(0)));
+        assert_eq!(launches.len(), 1, "one free slot");
+        assert_eq!(launches[0].job, JobId(1), "the earlier job wins the slot");
+    }
+
+    #[test]
+    fn non_resuming_fifo_launches_past_a_suspended_task() {
+        // Node 0 holds job 1's suspended map and has a free map slot; job 2
+        // has a pending map. The non-resuming launcher leaves the suspended
+        // task to its wrapper and fills the slot with job 2's map.
+        let mut jobs = JobTable::new();
+        let mut held = make_job(1, 0, 0, 1);
+        held.tasks[0].state = TaskState::Pending;
+        held.tasks[0].set_state(TaskState::Running);
+        held.tasks[0].set_state(TaskState::MustSuspend);
+        held.tasks[0].set_state(TaskState::Suspended);
+        held.tasks[0].node = Some(NodeId(0));
+        held.recount_task_states();
+        let mut nodes = map_slots_on(10, &[0]);
+        let attempt = AttemptId {
+            task: held.tasks[0].id,
+            number: 0,
         };
-        let order = ctx.schedulable_tasks();
-        assert_eq!(order[0].job, JobId(2), "highest priority first");
-        assert_eq!(order[1].job, JobId(1), "then FIFO by submission");
-        assert_eq!(order[2].job, JobId(3));
+        let plan = ExecPlan::for_map(&held.spec.profile, 100, Locality::NodeLocal);
+        jobs.insert(JobId(1), held);
+        jobs.insert(JobId(2), make_job(2, 0, 5, 1));
+        nodes[0]
+            .launch(attempt, TaskKind::Map, plan, SimTime::ZERO)
+            .unwrap();
+        nodes[0].suspend(attempt, SimTime::ZERO).unwrap();
+        let topo = Topology::single_rack(10);
+        let ctx = plain_ctx(&jobs, &nodes, &topo);
+        let actions = FifoScheduler::non_resuming().on_heartbeat(&ctx, NodeId(0));
+        assert!(
+            !actions
+                .iter()
+                .any(|a| matches!(a, SchedulerAction::Resume { .. })),
+            "{actions:?}"
+        );
+        assert_eq!(
+            launched(&actions),
+            [TaskId {
+                job: JobId(2),
+                kind: TaskKind::Map,
+                index: 0,
+            }]
+        );
+        // The resuming default gives the slot back to the suspended task.
+        let actions = FifoScheduler::new().on_heartbeat(&ctx, NodeId(0));
+        assert!(matches!(actions[..], [SchedulerAction::Resume { .. }]));
     }
 
     #[test]

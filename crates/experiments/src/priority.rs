@@ -135,6 +135,14 @@ impl SchedulerPolicy for PriorityPreemptingScheduler {
         self.preemption_actions(ctx)
     }
 
+    fn on_job_finished(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        job: mrp_engine::JobId,
+    ) -> Vec<SchedulerAction> {
+        self.launcher.on_job_finished(ctx, job)
+    }
+
     fn name(&self) -> &str {
         "priority-preempting"
     }
