@@ -17,14 +17,14 @@ use mrp_sim::SimRng;
 use serde::{Deserialize, Serialize};
 
 /// A task that could be evicted, with the attributes policies rank by.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct EvictionCandidate {
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct EvictionCandidate {
     /// The task.
-    pub task: TaskId,
+    pub(crate) task: TaskId,
     /// Its reported progress in `[0, 1]`.
-    pub progress: f64,
+    pub(crate) progress: f64,
     /// Its (estimated) memory footprint in bytes.
-    pub memory_bytes: u64,
+    pub(crate) memory_bytes: u64,
 }
 
 /// Which task(s) to evict when a higher-priority job needs slots.
@@ -95,7 +95,7 @@ impl EvictionPolicy {
     }
 
     /// Picks the first `count` victims according to the policy.
-    pub fn pick(
+    pub(crate) fn pick(
         self,
         candidates: &[EvictionCandidate],
         count: usize,

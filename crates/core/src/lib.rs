@@ -15,8 +15,12 @@
 //! * [`FairScheduler`] and [`HfspScheduler`] — preemptive fairness and
 //!   size-based schedulers showing the primitive plugged into realistic
 //!   policies (Section II's motivation and the HFSP follow-up);
+//! * [`PriorityScheduler`] — the Introduction's production-over-best-effort
+//!   case: FIFO by priority, evicting lower-priority tasks for waiting
+//!   higher-priority ones;
 //! * [`MultiTenantScheduler`] — weighted DRF across tenants, with quota
-//!   reclaim by kill or suspend and best-effort backfill;
+//!   reclaim by kill or suspend and best-effort jobs backfilled at the tail
+//!   of the DRF order;
 //! * [`NatjamModel`] — an analytical cost model of application-level
 //!   checkpointing for the comparison the paper makes qualitatively.
 //!
@@ -26,8 +30,9 @@
 //! crate supplies the policies and the user-facing vocabulary. Placement is
 //! the engine's too: the FAIR, HFSP and multi-tenant schedulers only supply
 //! a job order to its slot filler, [`mrp_engine::fill_node`], which the
-//! engine's FIFO default places through as well, and add their own
-//! preemption stages.
+//! engine's FIFO default (and so the priority scheduler) places through as
+//! well, and add their own preemption stages. Every eviction any of them
+//! issues goes through one evictor.
 //!
 //! ```
 //! use mrp_preempt::{DummyPlan, DummyScheduler, PreemptionPrimitive};
@@ -66,10 +71,12 @@ mod primitive;
 mod schedulers;
 
 pub use dummy::{DummyPlan, DummyScheduler, PlanJsonError};
-pub use eviction::{EvictionCandidate, EvictionPolicy};
+pub use eviction::EvictionPolicy;
 pub use natjam::NatjamModel;
 pub use primitive::{PreemptionPrimitive, UnknownPrimitive};
-pub use schedulers::{FairScheduler, HfspScheduler, MultiTenantConfig, MultiTenantScheduler};
+pub use schedulers::{
+    FairScheduler, HfspScheduler, MultiTenantConfig, MultiTenantScheduler, PriorityScheduler,
+};
 
 #[cfg(test)]
 mod randomized_tests {

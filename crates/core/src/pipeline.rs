@@ -1,20 +1,25 @@
 //! The scheduling stages the preemptive policies are built from.
 //!
-//! Each policy in `schedulers.rs` — FAIR, HFSP and the multi-tenant DRF
-//! scheduler — is one type that holds a few of these stages as plain fields
-//! and runs them in order on every `SchedulerPolicy` hook, appending to one
-//! action list over the same immutable [`SchedulerContext`]:
+//! Each policy in `schedulers.rs` — FAIR, HFSP, priority and the
+//! multi-tenant DRF scheduler — is one type that holds a few of these stages
+//! as plain fields and runs them in order on every `SchedulerPolicy` hook,
+//! appending to one action list over the same immutable
+//! [`SchedulerContext`]:
 //!
 //! * [`Allocate`] fills a heartbeating node's free slots with the pending
-//!   (or suspended) work of the jobs a [`JobOrder`] ranks first;
-//! * [`FairPreempt`] and [`SizePreempt`] evict running tasks of other jobs
-//!   when FAIR's starvation deficit or HFSP's arrival trigger fires;
-//! * [`Reclaim`] pulls tenants back toward their DRF quotas;
-//! * [`Backfill`] launches best-effort jobs into leftover capacity.
+//!   (or suspended) work of the jobs a [`JobOrder`] ranks first (the
+//!   priority policy places through the engine's FIFO, which is the same
+//!   call over the priority order);
+//! * [`FairPreempt`], [`SizePreempt`] and [`PriorityPreempt`] evict running
+//!   tasks of other jobs when FAIR's starvation deficit, HFSP's arrival
+//!   trigger or a higher-priority job's unmet demand fires;
+//! * [`Reclaim`] pulls tenants back toward their DRF quotas.
 //!
 //! Every preempting stage owns an [`Evictor`]: the policy's
 //! [`EvictionPolicy`], the configured [`PreemptionPrimitive`] and a
-//! [`SimRng`] seeded per stage, so victim streams are reproducible.
+//! [`SimRng`] seeded per stage, so victim streams are reproducible. Every
+//! `Suspend` and `Kill` a policy issues leaves through [`Evictor::evict`],
+//! over candidates built by `candidates_of`.
 
 use crate::eviction::{EvictionCandidate, EvictionPolicy};
 use crate::primitive::PreemptionPrimitive;
@@ -25,6 +30,7 @@ use mrp_engine::{
 };
 use mrp_sim::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -143,9 +149,9 @@ impl JobOrder for HfspJobOrder {
 }
 
 /// DRF's job order: jobs of the tenant with the lowest dominant share first
-/// (ties by submission order), best-effort jobs excluded — they only launch
-/// through [`Backfill`]. Also the stage that feeds the shared
-/// [`TenantLedger`] its usage observations.
+/// (ties by submission order), then the best-effort jobs in submission
+/// order, so they take only the slots quota'd work leaves. Also the stage
+/// that feeds the shared [`TenantLedger`] its usage observations.
 pub(crate) struct DrfJobOrder {
     ledger: Rc<RefCell<TenantLedger>>,
     scratch: Vec<(u64, SimTime, JobId)>,
@@ -186,19 +192,11 @@ impl JobOrder for DrfJobOrder {
         // keep the ledger current once per simulated second for Reclaim
         // (running after Allocate on that same cadence) and for the
         // time-integrated share statistics.
-        // "Can place" mirrors `fill_node`'s own early-exit: a free slot
+        // "Can place" is `fill_node`'s own early-exit condition: a free slot
         // only counts when pending work of its kind exists somewhere (the
         // always-free reduce slots of a map-only workload must not defeat
         // the cache).
-        let can_place = ctx.node(node).is_some_and(|tt| {
-            let suspended = |kind| tt.suspended_tasks().any(|t| t.kind == kind);
-            tt.free_slots(TaskKind::Map) > 0
-                && (ctx.totals.schedulable_maps > 0
-                    || ctx.speculation.enabled
-                    || suspended(TaskKind::Map))
-                || tt.free_slots(TaskKind::Reduce) > 0
-                    && (ctx.totals.schedulable_reduces > 0 || suspended(TaskKind::Reduce))
-        });
+        let can_place = ctx.can_place(node);
         let bucket = ctx.now.as_micros() / 1_000_000;
         if !can_place && self.stamp == Some(bucket) && !self.dirty {
             return false;
@@ -216,19 +214,22 @@ impl JobOrder for DrfJobOrder {
         }
         self.scratch.clear();
         for j in ctx.jobs.values() {
-            if j.is_finished() || j.spec.best_effort {
+            if j.is_finished() || j.schedulable_count() == 0 && j.suspended_count == 0 {
                 continue;
             }
-            if j.schedulable_count() == 0 && j.suspended_count == 0 {
-                continue;
-            }
-            let tenant = ledger.tenant_of(j.spec.tenant);
             // Weighted DRF: rank by dominant share *relative to quota*, so
             // free capacity fills tenants proportionally to their weights
             // instead of equalizing raw shares (progressive filling of
             // s_i / w_i). Fixed-point key keeps the sort total and
-            // deterministic.
-            let share_key = (ledger.dominant_share(tenant) / ledger.quota(tenant) * 1e9) as u64;
+            // deterministic. Best-effort jobs have no quota: they rank after
+            // every quota'd job, in submission order, so one `fill_node`
+            // pass backfills them into whatever the quota'd jobs leave.
+            let share_key = if j.spec.best_effort {
+                u64::MAX
+            } else {
+                let tenant = ledger.tenant_of(j.spec.tenant);
+                (ledger.dominant_share(tenant) / ledger.quota(tenant) * 1e9) as u64
+            };
             self.scratch.push((share_key, j.submitted_at, j.id));
         }
         self.scratch.sort_unstable();
@@ -491,6 +492,81 @@ impl SizePreempt {
     }
 }
 
+/// The priority policy's preemption: jobs waiting for slots (to launch or
+/// to resume) draw, highest priority first, on one supply — the free map
+/// slots plus the slots evictions already in flight will free — and the
+/// demand that supply cannot cover evicts running tasks of strictly
+/// lower-priority jobs. No task is evicted twice in one call.
+pub(crate) struct PriorityPreempt {
+    evictor: Evictor,
+}
+
+impl PriorityPreempt {
+    pub(crate) fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
+        PriorityPreempt {
+            evictor: Evictor::new(primitive, eviction, 0x9817),
+        }
+    }
+
+    pub(crate) fn preempt(&mut self, ctx: &SchedulerContext<'_>, out: &mut Vec<SchedulerAction>) {
+        // Only a job above the lowest priority still holding slots has
+        // anything to evict; lower ones come last in the order below, so
+        // leaving them out changes no earlier job's share of the supply.
+        let Some(lowest) = ctx
+            .jobs
+            .values()
+            .filter(|j| !j.is_finished() && j.occupying_count > 0)
+            .map(|j| j.spec.priority)
+            .min()
+        else {
+            return;
+        };
+        let mut waiting: Vec<(&JobRuntime, usize)> = ctx
+            .jobs
+            .values()
+            .filter(|j| !j.is_finished() && j.spec.priority > lowest)
+            .map(|j| (j, (j.schedulable_count() + j.suspended_count) as usize))
+            .filter(|&(_, waiting)| waiting > 0)
+            .collect();
+        let free = ctx.free_map_slots_total() as usize;
+        if waiting.iter().map(|&(_, waiting)| waiting).sum::<usize>() <= free {
+            return;
+        }
+        // FIFO's order: priority descending, then submission.
+        waiting.sort_unstable_by_key(|(j, _)| (Reverse(j.spec.priority), j.submitted_at, j.id));
+        let in_flight = ctx
+            .jobs
+            .values()
+            .filter(|j| j.occupying_count > 0)
+            .flat_map(|j| &j.tasks)
+            .filter(|t| matches!(t.state, TaskState::MustSuspend | TaskState::MustKill))
+            .count();
+        let mut supply = free + in_flight;
+        let first = out.len();
+        for (job, waiting) in waiting {
+            let needed = waiting.saturating_sub(supply);
+            supply = supply.saturating_sub(waiting);
+            if needed == 0 {
+                continue;
+            }
+            let evicted = &out[first..];
+            let candidates: Vec<EvictionCandidate> = ctx
+                .jobs
+                .values()
+                .filter(|j| j.spec.priority < job.spec.priority && !j.is_finished())
+                .flat_map(candidates_of)
+                .filter(|c| {
+                    !evicted.iter().any(|a| {
+                        matches!(a, SchedulerAction::Suspend { task }
+                            | SchedulerAction::Kill { task } if *task == c.task)
+                    })
+                })
+                .collect();
+            self.evictor.evict(&candidates, needed, out);
+        }
+    }
+}
+
 /// The reclaim stage: pulls tenants back toward their DRF quotas. Once per
 /// simulated second it compares each tenant's slot usage against its quota
 /// entitlement; when starved tenants' claims cannot be covered by free
@@ -615,128 +691,5 @@ impl Reclaim {
                 }
             }
         }
-    }
-}
-
-/// The backfill stage: launches best-effort (scavenger-class) jobs into
-/// whatever capacity is left after the stages before it — including slots
-/// freed by suspension, the paper's key enabler: a suspended task's memory
-/// pages out, its slot backfills, and no work is lost when the suspension
-/// ends. Resumes its own suspended tasks first and respects the engine's
-/// reliability veto for fresh launches.
-#[derive(Default)]
-pub(crate) struct Backfill {
-    /// Live best-effort jobs in submission order, maintained through the
-    /// submit/finish hooks: a backfill round visits exactly these instead
-    /// of scanning the whole job table, and a heartbeat with no scavenger
-    /// work costs O(1).
-    best_effort_alive: Vec<JobId>,
-}
-
-impl Backfill {
-    pub(crate) fn on_heartbeat(
-        &mut self,
-        ctx: &SchedulerContext<'_>,
-        node: NodeId,
-        out: &mut Vec<SchedulerAction>,
-    ) {
-        if self.best_effort_alive.is_empty() {
-            return;
-        }
-        let Some(tt) = ctx.node(node) else {
-            return;
-        };
-        // Slots the stages before us already claimed this round (actions
-        // apply only after the whole round returns, so the tracker alone
-        // over-counts).
-        let mut free_map = tt.free_slots(TaskKind::Map) as usize;
-        let mut free_reduce = tt.free_slots(TaskKind::Reduce) as usize;
-        for a in out.iter() {
-            let claimed_kind = match a {
-                SchedulerAction::Launch { task, node: n }
-                | SchedulerAction::LaunchSpeculative { task, node: n } => {
-                    (*n == node).then_some(task.kind)
-                }
-                SchedulerAction::Resume { task } => ctx
-                    .task(*task)
-                    .filter(|t| t.node == Some(node))
-                    .map(|t| t.id.kind),
-                _ => None,
-            };
-            match claimed_kind {
-                Some(TaskKind::Map) => free_map = free_map.saturating_sub(1),
-                Some(TaskKind::Reduce) => free_reduce = free_reduce.saturating_sub(1),
-                None => {}
-            }
-        }
-        if free_map == 0 && free_reduce == 0 {
-            return;
-        }
-
-        for job_id in &self.best_effort_alive {
-            if free_map == 0 && free_reduce == 0 {
-                break;
-            }
-            let Some(job) = ctx.jobs.get(job_id) else {
-                continue;
-            };
-            if job.is_finished() {
-                continue;
-            }
-            // O(1) skip on the engine-maintained counters: task lists are
-            // only walked when a slot of a kind this job can use is free.
-            let can_launch = (free_map > 0 && job.schedulable_maps > 0)
-                || (free_reduce > 0 && job.schedulable_reduces > 0);
-            if !can_launch && job.suspended_count == 0 {
-                continue;
-            }
-            // Resume-first: this node already holds the suspended task's
-            // paged-out state.
-            if job.suspended_count > 0 {
-                for t in &job.tasks {
-                    let free = match t.id.kind {
-                        TaskKind::Map => &mut free_map,
-                        TaskKind::Reduce => &mut free_reduce,
-                    };
-                    if *free == 0 {
-                        continue;
-                    }
-                    if t.state == TaskState::Suspended && t.node == Some(node) {
-                        out.push(SchedulerAction::Resume { task: t.id });
-                        *free -= 1;
-                    }
-                }
-            }
-            if job.schedulable_count() > 0 {
-                for t in &job.tasks {
-                    if !t.state.is_schedulable() {
-                        continue;
-                    }
-                    let kind = t.id.kind;
-                    let free = match kind {
-                        TaskKind::Map => &mut free_map,
-                        TaskKind::Reduce => &mut free_reduce,
-                    };
-                    if *free == 0 {
-                        continue;
-                    }
-                    if ctx.reliability_avoid(node, kind) {
-                        continue;
-                    }
-                    out.push(SchedulerAction::Launch { task: t.id, node });
-                    *free -= 1;
-                }
-            }
-        }
-    }
-
-    pub(crate) fn job_submitted(&mut self, ctx: &SchedulerContext<'_>, job: JobId) {
-        if ctx.jobs.get(&job).is_some_and(|j| j.spec.best_effort) {
-            self.best_effort_alive.push(job);
-        }
-    }
-
-    pub(crate) fn job_finished(&mut self, job: JobId) {
-        self.best_effort_alive.retain(|id| *id != job);
     }
 }

@@ -46,7 +46,7 @@ impl PreemptionPrimitive {
     ];
 
     /// The action (if any) that evicts a task under this primitive.
-    pub fn preempt_action(self, task: TaskId) -> Option<SchedulerAction> {
+    pub(crate) fn preempt_action(self, task: TaskId) -> Option<SchedulerAction> {
         match self {
             PreemptionPrimitive::Wait => None,
             PreemptionPrimitive::Kill => Some(SchedulerAction::Kill { task }),

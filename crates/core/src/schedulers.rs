@@ -4,31 +4,34 @@
 //! (Section II): fairness schedulers (Hadoop FAIR/Capacity), deadline
 //! schedulers, and size-based schedulers such as the authors' own HFSP. This
 //! module provides working preemptive implementations of a FAIR-style
-//! scheduler, an HFSP-style size-based scheduler and a multi-tenant DRF
-//! scheduler with quota reclaim, all parameterised by the
+//! scheduler, an HFSP-style size-based scheduler, a priority scheduler and
+//! a multi-tenant DRF scheduler with quota reclaim, all parameterised by the
 //! [`PreemptionPrimitive`] and the [`EvictionPolicy`], so the ablation
 //! benches can measure how the choice of primitive affects realistic
 //! scheduling policies rather than only the paper's two-job scenario.
 //!
-//! Each scheduler is one type whose allocate/preempt/reclaim/backfill
-//! stages (`pipeline.rs`) are plain fields, run in order on every hook.
+//! Each scheduler is one type whose allocate/preempt/reclaim stages
+//! (`pipeline.rs`) are plain fields, run in order on every hook.
 //! Allocation goes through the engine's [`fill_node`](mrp_engine::fill_node),
 //! the rack-aware slot filler the engine's FIFO default places through too;
 //! each policy here only supplies the job order it serves.
 
 use crate::eviction::{EvictionCandidate, EvictionPolicy};
 use crate::pipeline::{
-    Allocate, Backfill, DrfJobOrder, FairJobOrder, FairPreempt, HfspJobOrder, Reclaim, SizePreempt,
+    Allocate, DrfJobOrder, FairJobOrder, FairPreempt, HfspJobOrder, PriorityPreempt, Reclaim,
+    SizePreempt,
 };
 use crate::primitive::PreemptionPrimitive;
 use mrp_engine::{
-    JobId, JobRuntime, NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy, TaskState,
-    TenantLedger, BASE_TASK_MEMORY,
+    FifoScheduler, JobId, JobRuntime, NodeId, SchedulerAction, SchedulerContext, SchedulerPolicy,
+    TaskState, TenantLedger, BASE_TASK_MEMORY,
 };
 use mrp_sim::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
 
+/// The running tasks of `job` an [`Evictor`](crate::pipeline::Evictor) may
+/// pick from: the one place eviction candidates are built.
 pub(crate) fn candidates_of(job: &JobRuntime) -> Vec<EvictionCandidate> {
     job.tasks
         .iter()
@@ -140,6 +143,56 @@ impl SchedulerPolicy for HfspScheduler {
     }
 }
 
+/// A priority scheduler with preemption: the Introduction's motivating case
+/// (production jobs preempting best-effort work) as a policy.
+///
+/// Each heartbeat places work through the engine's [`FifoScheduler`], which
+/// serves jobs by priority, then submission, and resumes suspended tasks as
+/// their job's turn comes. Whenever a job arrives or a node heartbeats,
+/// jobs whose waiting tasks free slots and evictions already under way
+/// cannot cover evict running tasks of strictly lower-priority jobs with
+/// the configured primitive, victims chosen by the eviction policy.
+pub struct PriorityScheduler {
+    allocate: FifoScheduler,
+    preempt: PriorityPreempt,
+}
+
+impl PriorityScheduler {
+    /// Creates the scheduler.
+    pub fn new(primitive: PreemptionPrimitive, eviction: EvictionPolicy) -> Self {
+        PriorityScheduler {
+            allocate: FifoScheduler::new(),
+            preempt: PriorityPreempt::new(primitive, eviction),
+        }
+    }
+}
+
+impl SchedulerPolicy for PriorityScheduler {
+    fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
+        let mut out = self.allocate.on_heartbeat(ctx, node);
+        self.preempt.preempt(ctx, &mut out);
+        out
+    }
+
+    fn on_job_submitted(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        _job: JobId,
+    ) -> Vec<SchedulerAction> {
+        let mut out = Vec::new();
+        self.preempt.preempt(ctx, &mut out);
+        out
+    }
+
+    fn on_job_finished(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
+        self.allocate.on_job_finished(ctx, job)
+    }
+
+    fn name(&self) -> &str {
+        "priority-preempting"
+    }
+}
+
 /// Configuration of a [`MultiTenantScheduler`].
 pub struct MultiTenantConfig {
     /// Per-tenant weights; quota is `weight / Σ weights`.
@@ -161,17 +214,16 @@ pub struct MultiTenantConfig {
 /// and best-effort backfill — the shared-cluster setting the paper's
 /// primitive was built for.
 ///
-/// Each heartbeat allocates free slots to the tenant with the lowest
-/// dominant share relative to its quota, then (once per simulated second)
-/// evicts from best-effort jobs and over-quota tenants while starved tenants'
-/// claims exceed free capacity — by kill or by OS-assisted suspend, the
-/// paper's trade-off as the `primitive` knob — and finally backfills
-/// best-effort jobs into whatever capacity is left, including slots freed
-/// by suspension.
+/// Each heartbeat allocates free slots to the jobs of the tenant with the
+/// lowest dominant share relative to its quota first and to best-effort
+/// jobs last, so best-effort work backfills whatever capacity quota'd work
+/// leaves, including slots freed by suspension. Then (once per simulated
+/// second) it evicts from best-effort jobs and over-quota tenants while
+/// starved tenants' claims exceed free capacity — by kill or by OS-assisted
+/// suspend, the paper's trade-off as the `primitive` knob.
 pub struct MultiTenantScheduler {
     allocate: Allocate<DrfJobOrder>,
     reclaim: Reclaim,
-    backfill: Backfill,
 }
 
 impl MultiTenantScheduler {
@@ -187,7 +239,6 @@ impl MultiTenantScheduler {
         let scheduler = MultiTenantScheduler {
             allocate: Allocate::new(DrfJobOrder::new(ledger.clone())),
             reclaim: Reclaim::new(ledger.clone(), config.primitive, config.eviction),
-            backfill: Backfill::default(),
         };
         (scheduler, ledger)
     }
@@ -197,19 +248,20 @@ impl SchedulerPolicy for MultiTenantScheduler {
     fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
         let mut out = self.allocate.on_heartbeat(ctx, node);
         self.reclaim.on_heartbeat(ctx, &mut out);
-        self.backfill.on_heartbeat(ctx, node, &mut out);
         out
     }
 
-    fn on_job_submitted(&mut self, ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
+    fn on_job_submitted(
+        &mut self,
+        _ctx: &SchedulerContext<'_>,
+        _job: JobId,
+    ) -> Vec<SchedulerAction> {
         self.allocate.job_submitted();
-        self.backfill.job_submitted(ctx, job);
         Vec::new()
     }
 
     fn on_job_finished(&mut self, _ctx: &SchedulerContext<'_>, job: JobId) -> Vec<SchedulerAction> {
         self.allocate.job_finished(job);
-        self.backfill.job_finished(job);
         Vec::new()
     }
 
@@ -221,8 +273,11 @@ impl SchedulerPolicy for MultiTenantScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrp_engine::{Cluster, ClusterConfig, JobSpec};
-    use mrp_sim::{SimTime, MIB};
+    use mrp_engine::{
+        Cluster, ClusterConfig, JobSpec, JobTable, PendingTotals, RackSlots, SpeculationConfig,
+        TaskId, TaskKind, TaskProfile, TaskRuntime, TaskTracker, Topology,
+    };
+    use mrp_sim::{SimTime, GIB, MIB};
 
     fn two_job_cluster(scheduler: Box<dyn SchedulerPolicy>) -> mrp_engine::ClusterReport {
         let mut cluster = Cluster::new(ClusterConfig::paper_single_node(), scheduler);
@@ -496,5 +551,316 @@ mod tests {
             first("Launched", "task_0003_m_000000") > first("Completed", a_map),
             "f's fresh map waits for the resumed one"
         );
+    }
+
+    #[test]
+    fn high_priority_job_preempts_best_effort_work() {
+        let scheduler = PriorityScheduler::new(
+            PreemptionPrimitive::SuspendResume,
+            EvictionPolicy::SmallestMemory,
+        );
+        let mut cluster = Cluster::new(ClusterConfig::paper_single_node(), Box::new(scheduler));
+        cluster.submit_job(JobSpec::synthetic("best-effort", 1, 512 * MIB).with_priority(0));
+        cluster.submit_job_at(
+            JobSpec::synthetic("production", 1, 512 * MIB).with_priority(10),
+            SimTime::from_secs(30),
+        );
+        cluster.run(SimTime::from_secs(8 * 3_600));
+        let report = cluster.report();
+        assert!(report.all_jobs_complete());
+        let prod = report.sojourn_secs("production").unwrap();
+        assert!(
+            prod < 100.0,
+            "the production job must not wait for best-effort work, got {prod}"
+        );
+        assert_eq!(
+            report.job("best-effort").unwrap().tasks[0].suspend_cycles,
+            1
+        );
+        assert_eq!(report.total_wasted_work_secs(), 0.0);
+    }
+
+    #[test]
+    fn smallest_memory_eviction_pages_less_than_largest_memory() {
+        let run = |policy| {
+            let scheduler = PriorityScheduler::new(PreemptionPrimitive::SuspendResume, policy);
+            let mut cfg = ClusterConfig::paper_single_node();
+            cfg.nodes[0].map_slots = 3;
+            cfg.nodes[0].os.memory.total_ram = 8 * GIB;
+            let mut cluster = Cluster::new(cfg, Box::new(scheduler));
+            for (name, state) in [("small", 128 * MIB), ("medium", GIB), ("large", 3 * GIB)] {
+                cluster.submit_job(
+                    JobSpec::synthetic(name, 1, 512 * MIB)
+                        .with_priority(0)
+                        .with_profile(TaskProfile::memory_hungry(state)),
+                );
+            }
+            cluster.submit_job_at(
+                JobSpec::synthetic("hp", 1, 512 * MIB)
+                    .with_priority(10)
+                    .with_profile(TaskProfile::memory_hungry(2 * GIB)),
+                SimTime::from_secs(40),
+            );
+            cluster.run(SimTime::from_secs(24 * 3_600));
+            let r = cluster.report();
+            assert!(r.all_jobs_complete());
+            r.total_swap_out_bytes()
+        };
+        let small_first = run(EvictionPolicy::SmallestMemory);
+        let large_first = run(EvictionPolicy::LargestMemory);
+        assert!(
+            small_first <= large_first,
+            "evicting the small-footprint task should not page more ({small_first} vs {large_first})"
+        );
+    }
+
+    #[test]
+    fn priority_preemption_counts_evictions_already_in_flight() {
+        // Sixteen two-slot nodes run 32 of lo's tasks when hi arrives with
+        // three. The three suspensions issued then reach their nodes one
+        // heartbeat at a time; the heartbeats of other nodes in between
+        // must not evict again for the same demand.
+        let mut cluster = Cluster::new(
+            ClusterConfig::racked_cluster(1, 16, 2, 1),
+            Box::new(PriorityScheduler::new(
+                PreemptionPrimitive::SuspendResume,
+                EvictionPolicy::ClosestToCompletion,
+            )),
+        );
+        cluster.submit_job(JobSpec::synthetic("lo", 32, GIB).with_priority(0));
+        cluster.submit_job_at(
+            JobSpec::synthetic("hi", 3, 256 * MIB).with_priority(10),
+            SimTime::from_secs(30),
+        );
+        cluster.run(SimTime::from_secs(24 * 3_600));
+        let report = cluster.report();
+        assert!(report.all_jobs_complete());
+        let cycles: u32 = report
+            .job("lo")
+            .unwrap()
+            .tasks
+            .iter()
+            .map(|t| t.suspend_cycles)
+            .sum();
+        assert_eq!(cycles, 3, "one suspension per waiting hi task");
+        let hi = report.sojourn_secs("hi").unwrap();
+        assert!((hi - 42.868563).abs() < 1e-6, "hi sojourn {hi}");
+        let makespan = report.makespan_secs().unwrap();
+        assert!((makespan - 202.815429).abs() < 1e-6, "makespan {makespan}");
+    }
+
+    /// Delegates to a policy and fails when one of its calls returns two
+    /// evictions of the same task.
+    struct DistinctVictims<P>(P);
+
+    fn distinct_victims(actions: Vec<SchedulerAction>) -> Vec<SchedulerAction> {
+        let mut victims: Vec<TaskId> = actions
+            .iter()
+            .filter_map(|a| match a {
+                SchedulerAction::Suspend { task } | SchedulerAction::Kill { task } => Some(*task),
+                _ => None,
+            })
+            .collect();
+        let named = victims.len();
+        victims.sort_unstable();
+        victims.dedup();
+        assert_eq!(victims.len(), named, "a victim named twice: {actions:?}");
+        actions
+    }
+
+    impl<P: SchedulerPolicy> SchedulerPolicy for DistinctVictims<P> {
+        fn on_heartbeat(
+            &mut self,
+            ctx: &SchedulerContext<'_>,
+            node: NodeId,
+        ) -> Vec<SchedulerAction> {
+            distinct_victims(self.0.on_heartbeat(ctx, node))
+        }
+
+        fn on_job_submitted(
+            &mut self,
+            ctx: &SchedulerContext<'_>,
+            job: JobId,
+        ) -> Vec<SchedulerAction> {
+            distinct_victims(self.0.on_job_submitted(ctx, job))
+        }
+
+        fn on_job_finished(
+            &mut self,
+            ctx: &SchedulerContext<'_>,
+            job: JobId,
+        ) -> Vec<SchedulerAction> {
+            distinct_victims(self.0.on_job_finished(ctx, job))
+        }
+    }
+
+    #[test]
+    fn priority_preemption_names_each_victim_once_per_call() {
+        // lo runs on both slots of one node when two equal-priority jobs
+        // arrive together. The first arrival suspends one of lo's tasks;
+        // at the second, the first job must count that suspension rather
+        // than claim lo's other task alongside the second job.
+        let mut cfg = ClusterConfig::paper_single_node();
+        cfg.nodes[0].map_slots = 2;
+        let scheduler = PriorityScheduler::new(
+            PreemptionPrimitive::SuspendResume,
+            EvictionPolicy::ClosestToCompletion,
+        );
+        let mut cluster = Cluster::new(cfg, Box::new(DistinctVictims(scheduler)));
+        cluster.submit_job(JobSpec::synthetic("lo", 2, 512 * MIB).with_priority(0));
+        for name in ["hi-a", "hi-b"] {
+            cluster.submit_job_at(
+                JobSpec::synthetic(name, 1, 128 * MIB).with_priority(10),
+                SimTime::from_secs(30),
+            );
+        }
+        cluster.run(SimTime::from_secs(8 * 3_600));
+        let report = cluster.report();
+        assert!(report.all_jobs_complete());
+        let lo = report.job("lo").unwrap();
+        assert!(lo.tasks.iter().all(|t| t.suspend_cycles == 1), "{lo:?}");
+    }
+
+    #[test]
+    fn priority_preemption_never_evicts_a_task_twice_in_one_call() {
+        // No slot is free. hi and mid each wait with one map; lo runs two.
+        // Both are short in the same round and draw on the same victims.
+        let mut jobs = JobTable::new();
+        let mut lo = pending_job(1, JobSpec::synthetic("lo", 2, 0), 2, &[]);
+        for (t, progress) in lo.tasks.iter_mut().zip([0.8, 0.2]) {
+            t.state = TaskState::Running;
+            t.progress = progress;
+        }
+        lo.recount_task_states();
+        jobs.insert(JobId(1), lo);
+        let mid = JobSpec::synthetic("mid", 1, 0).with_priority(5);
+        jobs.insert(JobId(2), pending_job(2, mid, 1, &[]));
+        let hi = JobSpec::synthetic("hi", 1, 0).with_priority(10);
+        jobs.insert(JobId(3), pending_job(3, hi, 1, &[]));
+        let mut policy = PriorityScheduler::new(
+            PreemptionPrimitive::SuspendResume,
+            EvictionPolicy::ClosestToCompletion,
+        );
+        let suspended: Vec<u32> = round(&mut policy, &jobs, 0)
+            .iter()
+            .filter_map(|a| match a {
+                SchedulerAction::Suspend { task } => Some(task.index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            suspended,
+            [0, 1],
+            "hi takes the most progressed, mid the other"
+        );
+    }
+
+    /// One round of `policy` on node 0 of ten single-rack nodes, where only
+    /// node 0 has map slots (`map_slots` of them).
+    fn round(
+        policy: &mut dyn SchedulerPolicy,
+        jobs: &JobTable,
+        map_slots: u32,
+    ) -> Vec<SchedulerAction> {
+        let mut configs = ClusterConfig::small_cluster(10, 0, 0).nodes;
+        configs[0].map_slots = map_slots;
+        let nodes: Vec<TaskTracker> = configs
+            .iter()
+            .zip(0..)
+            .map(|(config, id)| TaskTracker::new(NodeId(id), config))
+            .collect();
+        let topology = Topology::single_rack(10);
+        let racks = RackSlots::recount(&nodes, &topology);
+        let ctx = SchedulerContext {
+            now: SimTime::ZERO,
+            jobs,
+            nodes: &nodes,
+            racks: &racks,
+            topology: &topology,
+            totals: PendingTotals::from_jobs(jobs),
+            speculation: SpeculationConfig::default(),
+            delay: None,
+            shuffle: None,
+            reliability: None,
+        };
+        policy.on_heartbeat(&ctx, NodeId(0))
+    }
+
+    /// One DRF round (see [`round`]) with one tenant owning every job.
+    fn drf_round(jobs: &JobTable, map_slots: u32) -> Vec<SchedulerAction> {
+        let (mut drf, _) = MultiTenantScheduler::new(MultiTenantConfig {
+            weights: vec![1.0],
+            total_map_slots: map_slots,
+            total_reduce_slots: 1,
+            steady_after: SimTime::ZERO,
+            primitive: PreemptionPrimitive::SuspendResume,
+            eviction: EvictionPolicy::ClosestToCompletion,
+        });
+        round(&mut drf, jobs, map_slots)
+    }
+
+    /// A job of `tasks` pending maps whose `i`-th task's only replica is on
+    /// `holders[i]`, if given.
+    fn pending_job(id: u32, spec: JobSpec, tasks: u32, holders: &[u32]) -> JobRuntime {
+        let job = JobId(id);
+        let tasks = (0..tasks)
+            .map(|index| {
+                let id = TaskId {
+                    job,
+                    kind: TaskKind::Map,
+                    index,
+                };
+                let replicas = holders.get(index as usize).map(|&n| NodeId(n));
+                TaskRuntime::new(id, 64 * MIB, replicas.into_iter().collect())
+            })
+            .collect();
+        JobRuntime::new(job, spec, SimTime::from_secs(u64::from(id)), tasks)
+    }
+
+    fn launches(actions: &[SchedulerAction]) -> Vec<TaskId> {
+        actions
+            .iter()
+            .filter_map(|a| match *a {
+                SchedulerAction::Launch { task, .. } => Some(task),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn drf_serves_best_effort_jobs_after_every_quota_d_job() {
+        // The best-effort job was submitted first; it still waits until the
+        // quota'd jobs' pending work is served in the round.
+        let mut jobs = JobTable::new();
+        let scavenger = JobSpec::synthetic("be", 3, 64 * MIB).with_best_effort();
+        jobs.insert(JobId(1), pending_job(1, scavenger, 3, &[]));
+        jobs.insert(
+            JobId(2),
+            pending_job(2, JobSpec::synthetic("a", 1, 0), 1, &[]),
+        );
+        jobs.insert(
+            JobId(3),
+            pending_job(3, JobSpec::synthetic("b", 1, 0), 1, &[]),
+        );
+        let served = |slots| -> Vec<JobId> {
+            launches(&drf_round(&jobs, slots))
+                .iter()
+                .map(|t| t.job)
+                .collect()
+        };
+        assert_eq!(served(2), [JobId(2), JobId(3)], "no slot left over");
+        assert_eq!(served(4), [JobId(2), JobId(3), JobId(1), JobId(1)]);
+    }
+
+    #[test]
+    fn drf_launches_a_best_effort_job_node_local_first() {
+        // The best-effort job's first map reads a block held by node 5, its
+        // second one held by node 0; node 0's one slot takes the second.
+        let mut jobs = JobTable::new();
+        let scavenger = JobSpec::synthetic("be", 2, 64 * MIB).with_best_effort();
+        jobs.insert(JobId(1), pending_job(1, scavenger, 2, &[5, 0]));
+        let launched = launches(&drf_round(&jobs, 1));
+        assert_eq!(launched.len(), 1);
+        assert_eq!(launched[0].index, 1, "the node-local map wins the slot");
     }
 }

@@ -4,11 +4,11 @@
 //! the JobTracker implements the mechanics of launching, killing, suspending
 //! and resuming tasks (including the heartbeat-piggybacked command protocol),
 //! while a [`SchedulerPolicy`] decides *which* task runs or is preempted
-//! *where* and *when*. The paper's dummy trigger-driven scheduler, the
-//! preemptive FAIR scheduler and the HFSP-style size-based scheduler all live
-//! in the `mrp-preempt` crate and implement this trait. FIFO here and those
-//! policies all place work through the slot filler in `placement.rs`; FIFO
-//! is just its priority job order.
+//! *where* and *when*. The paper's dummy trigger-driven scheduler and the
+//! preemptive FAIR, HFSP-style, priority and multi-tenant schedulers all
+//! live in the `mrp-preempt` crate and implement this trait. FIFO here and
+//! those policies all place work through the slot filler in
+//! `placement.rs`; FIFO is just its priority job order.
 
 use crate::config::SpeculationConfig;
 use crate::delay::DelayScoreboard;
@@ -254,28 +254,22 @@ impl<'a> SchedulerContext<'a> {
                 .is_some_and(|r| r.free_reduce > 0)
     }
 
-    /// The tasks suspended on `node` (holding memory there, no slot), in the
-    /// order [`FifoScheduler`] serves jobs (priority descending, then
-    /// submission), each job's maps before its reduces. Reads the node's
-    /// tracker, so it costs O(suspended here), not a job scan.
-    pub fn suspended_on(&self, node: NodeId) -> Vec<TaskId> {
-        let Some(tt) = self.node(node) else {
-            return Vec::new();
-        };
-        let mut tasks: Vec<_> = tt
-            .suspended_tasks()
-            .filter_map(|id| {
-                let job = self.jobs.get(&id.job)?;
-                let t = job.task(id)?;
-                // A task whose resume is already issued is `MustResume`.
-                (t.state == TaskState::Suspended && t.node == Some(node))
-                    .then(|| (priority_order(job), id))
-            })
-            .collect();
-        // Within a job, task ids order maps before reduces by index: the
-        // job's task-list order.
-        tasks.sort_unstable();
-        tasks.into_iter().map(|(_, id)| id).collect()
+    /// Whether [`fill_node`] could act on `node` this round: a free slot of a
+    /// kind with schedulable work somewhere in the cluster, a free map slot
+    /// while speculation is on, or a task suspended here with a free slot of
+    /// its kind. A necessary condition of `fill_node`'s own early exit, in
+    /// O(1) plus the node's suspended tasks, so a policy may skip building
+    /// its job order whenever this is false without changing a decision.
+    pub fn can_place(&self, node: NodeId) -> bool {
+        self.node(node).is_some_and(|tt| {
+            let suspended = |kind| tt.suspended_tasks().any(|t| t.kind == kind);
+            tt.free_slots(TaskKind::Map) > 0
+                && (self.totals.schedulable_maps > 0
+                    || self.speculation.enabled
+                    || suspended(TaskKind::Map))
+                || tt.free_slots(TaskKind::Reduce) > 0
+                    && (self.totals.schedulable_reduces > 0 || suspended(TaskKind::Reduce))
+        })
     }
 
     /// The loosest locality level `job` may launch map tasks at right now
@@ -550,10 +544,9 @@ impl FifoScheduler {
 
 impl SchedulerPolicy for FifoScheduler {
     fn on_heartbeat(&mut self, ctx: &SchedulerContext<'_>, node: NodeId) -> Vec<SchedulerAction> {
-        // A node with no free slot gets nothing: skip building the order.
-        if ctx.node(node).is_none_or(|tt| {
-            tt.free_slots(TaskKind::Map) == 0 && tt.free_slots(TaskKind::Reduce) == 0
-        }) {
+        // Most heartbeats offer nothing `fill_node` could use: skip building
+        // and sorting the order then.
+        if !ctx.can_place(node) {
             return Vec::new();
         }
         self.order.clear();

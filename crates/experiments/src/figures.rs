@@ -1,10 +1,9 @@
 //! One experiment definition per figure of the paper, plus the ablations
 //! suggested by its discussion section.
 
-use crate::priority::PriorityPreemptingScheduler;
 use crate::scenario::{run_scenario, ScenarioConfig};
 use mrp_engine::{Cluster, ClusterConfig, JobSpec, TaskProfile, BASE_TASK_MEMORY};
-use mrp_preempt::{EvictionPolicy, NatjamModel, PreemptionPrimitive};
+use mrp_preempt::{EvictionPolicy, NatjamModel, PreemptionPrimitive, PriorityScheduler};
 use mrp_sim::{SimDuration, SimTime, GIB, MIB};
 use serde::{Deserialize, Serialize};
 
@@ -266,8 +265,7 @@ pub fn eviction_ablation(_repetitions: usize) -> FigureData {
         // Give the node more RAM so three background tasks plus the
         // high-priority one are feasible at all: 8 GB instead of 4 GB.
         cfg.nodes[0].os.memory.total_ram = 8 * GIB;
-        let scheduler =
-            PriorityPreemptingScheduler::new(PreemptionPrimitive::SuspendResume, *policy);
+        let scheduler = PriorityScheduler::new(PreemptionPrimitive::SuspendResume, *policy);
         let mut cluster = Cluster::new(cfg, Box::new(scheduler));
         for (name, state) in [
             ("bg-small", 256 * MIB),

@@ -13,7 +13,11 @@
 //! | Resume-locality discussion (Sec. V-A) | [`resume_locality_ablation`] |
 //!
 //! Each experiment returns a [`FigureData`] table that [`to_table`] /
-//! [`to_csv`] render; the `paper_figures` example prints them all.
+//! [`to_csv`] render; the `paper_figures` example prints them all. The
+//! crate defines no scheduling policy of its own: the eviction ablation
+//! runs `mrp_preempt::PriorityScheduler`, the tenant scenarios
+//! `MultiTenantScheduler`, and the rest the dummy and HFSP schedulers of
+//! the same crate.
 //!
 //! The crate also holds the scenario catalogue: the fixed-seed cluster
 //! shapes ([`SwimClusterConfig`], [`PartitionDetectConfig`],
@@ -35,7 +39,6 @@ mod catalogue;
 mod figures;
 mod locality;
 mod memory;
-mod priority;
 mod rack_outage;
 mod report;
 mod scenario;

@@ -5,8 +5,9 @@
 //! needed it — a shared cluster. Three tenants with DRF dominant-share
 //! quotas submit staggered streams of jobs, the `reclaim` stage pulls
 //! over-quota tenants back (via kill *or* OS-assisted suspend — the paper's
-//! trade-off as a knob), and best-effort scavenger jobs `backfill` leftover
-//! capacity, including the slots freed by suspension.
+//! trade-off as a knob), and best-effort scavenger jobs, which the DRF order
+//! serves after every quota'd job, backfill leftover capacity, including
+//! the slots freed by suspension.
 //!
 //! The workload is built to make the kill-vs-suspend difference sharp: a
 //! tenant-0 burst saturates every map slot long before tenant 1 arrives, so
@@ -178,7 +179,7 @@ fn submit_workload(cluster: &mut Cluster, config: &TenantScenarioConfig) {
             j += 1;
         }
     }
-    // The scavenger class: small jobs only backfill may launch.
+    // The scavenger class: small jobs served only after every quota'd job.
     let mut at = SimTime::from_secs(30);
     let mut j = 0;
     while at <= config.horizon {
