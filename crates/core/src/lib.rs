@@ -60,6 +60,7 @@
 //! ```
 
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 mod dummy;
 mod eviction;

@@ -26,7 +26,7 @@ use crate::primitive::PreemptionPrimitive;
 use crate::schedulers::candidates_of;
 use mrp_engine::{
     fill_node, JobId, JobRuntime, LocalityIndex, NodeId, SchedulerAction, SchedulerContext,
-    TaskKind, TaskState, TenantLedger,
+    TaskKind, TaskRuntime, TaskState, TenantLedger,
 };
 use mrp_sim::{SimDuration, SimRng, SimTime};
 use std::cell::RefCell;
@@ -492,11 +492,13 @@ impl SizePreempt {
     }
 }
 
-/// The priority policy's preemption: jobs waiting for slots (to launch or
-/// to resume) draw, highest priority first, on one supply — the free map
-/// slots plus the slots evictions already in flight will free — and the
-/// demand that supply cannot cover evicts running tasks of strictly
-/// lower-priority jobs. No task is evicted twice in one call.
+/// The priority policy's preemption, kind by kind: jobs waiting for slots
+/// of a kind (to launch or to resume a task of it) draw, highest priority
+/// first, on one supply — the free slots of that kind plus the ones
+/// evictions of that kind already in flight will free — and the demand that
+/// supply cannot cover evicts running tasks of that kind from strictly
+/// lower-priority jobs. A waiting reduce never evicts a map, nor a map a
+/// reduce. No task is evicted twice in one call.
 pub(crate) struct PriorityPreempt {
     evictor: Evictor,
 }
@@ -521,14 +523,46 @@ impl PriorityPreempt {
         else {
             return;
         };
+        for kind in [TaskKind::Map, TaskKind::Reduce] {
+            self.preempt_kind(ctx, kind, lowest, out);
+        }
+    }
+
+    fn preempt_kind(
+        &mut self,
+        ctx: &SchedulerContext<'_>,
+        kind: TaskKind,
+        lowest: i32,
+        out: &mut Vec<SchedulerAction>,
+    ) {
+        let of_kind = |t: &&TaskRuntime| t.id.kind == kind;
+        let waiting_of = |j: &JobRuntime| {
+            let schedulable = match kind {
+                TaskKind::Map => j.schedulable_maps,
+                TaskKind::Reduce => j.schedulable_reduces,
+            } as usize;
+            let suspended = match j.suspended_count {
+                0 => 0,
+                _ => j
+                    .tasks
+                    .iter()
+                    .filter(of_kind)
+                    .filter(|t| t.state == TaskState::Suspended)
+                    .count(),
+            };
+            schedulable + suspended
+        };
         let mut waiting: Vec<(&JobRuntime, usize)> = ctx
             .jobs
             .values()
             .filter(|j| !j.is_finished() && j.spec.priority > lowest)
-            .map(|j| (j, (j.schedulable_count() + j.suspended_count) as usize))
+            .map(|j| (j, waiting_of(j)))
             .filter(|&(_, waiting)| waiting > 0)
             .collect();
-        let free = ctx.free_map_slots_total() as usize;
+        let free = match kind {
+            TaskKind::Map => ctx.free_map_slots_total(),
+            TaskKind::Reduce => ctx.free_reduce_slots_total(),
+        } as usize;
         if waiting.iter().map(|&(_, waiting)| waiting).sum::<usize>() <= free {
             return;
         }
@@ -539,6 +573,7 @@ impl PriorityPreempt {
             .values()
             .filter(|j| j.occupying_count > 0)
             .flat_map(|j| &j.tasks)
+            .filter(of_kind)
             .filter(|t| matches!(t.state, TaskState::MustSuspend | TaskState::MustKill))
             .count();
         let mut supply = free + in_flight;
@@ -555,6 +590,7 @@ impl PriorityPreempt {
                 .values()
                 .filter(|j| j.spec.priority < job.spec.priority && !j.is_finished())
                 .flat_map(candidates_of)
+                .filter(|c| c.task.kind == kind)
                 .filter(|c| {
                     !evicted.iter().any(|a| {
                         matches!(a, SchedulerAction::Suspend { task }

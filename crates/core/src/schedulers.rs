@@ -755,6 +755,66 @@ mod tests {
         );
     }
 
+    #[test]
+    fn priority_preemption_matches_waiting_tasks_to_slots_of_their_kind() {
+        // lo runs two maps and a reduce; hi waits with one reduce, its map
+        // done. No map slot is free.
+        let task = |job, kind, index, state| {
+            let mut t = TaskRuntime::new(TaskId { job, kind, index }, 64 * MIB, Vec::new());
+            t.state = state;
+            t.progress = 0.5;
+            t
+        };
+        let mut jobs = JobTable::new();
+        let lo = JobSpec::synthetic("lo", 2, 0).with_reduces(1);
+        let lo_tasks = vec![
+            task(JobId(1), TaskKind::Map, 0, TaskState::Running),
+            task(JobId(1), TaskKind::Map, 1, TaskState::Running),
+            task(JobId(1), TaskKind::Reduce, 0, TaskState::Running),
+        ];
+        jobs.insert(
+            JobId(1),
+            JobRuntime::new(JobId(1), lo, SimTime::ZERO, lo_tasks),
+        );
+        let hi = JobSpec::synthetic("hi", 1, 0)
+            .with_reduces(1)
+            .with_priority(10);
+        let hi_tasks = vec![
+            task(JobId(2), TaskKind::Map, 0, TaskState::Succeeded),
+            task(JobId(2), TaskKind::Reduce, 0, TaskState::Pending),
+        ];
+        jobs.insert(
+            JobId(2),
+            JobRuntime::new(JobId(2), hi, SimTime::ZERO, hi_tasks),
+        );
+        let victims = |reduce_slots| {
+            let mut policy = PriorityScheduler::new(
+                PreemptionPrimitive::SuspendResume,
+                EvictionPolicy::ClosestToCompletion,
+            );
+            round_with(&mut policy, &jobs, 0, reduce_slots)
+                .into_iter()
+                .filter_map(|a| match a {
+                    SchedulerAction::Suspend { task } | SchedulerAction::Kill { task } => {
+                        Some(task)
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            victims(1),
+            [],
+            "a free reduce slot serves the waiting reduce: full map slots are not its supply"
+        );
+        let reduce = TaskId {
+            job: JobId(1),
+            kind: TaskKind::Reduce,
+            index: 0,
+        };
+        assert_eq!(victims(0), [reduce], "only a reduce can free a reduce slot");
+    }
+
     /// One round of `policy` on node 0 of ten single-rack nodes, where only
     /// node 0 has map slots (`map_slots` of them).
     fn round(
@@ -762,7 +822,17 @@ mod tests {
         jobs: &JobTable,
         map_slots: u32,
     ) -> Vec<SchedulerAction> {
-        let mut configs = ClusterConfig::small_cluster(10, 0, 0).nodes;
+        round_with(policy, jobs, map_slots, 0)
+    }
+
+    /// [`round`] where every node also has `reduce_slots` reduce slots.
+    fn round_with(
+        policy: &mut dyn SchedulerPolicy,
+        jobs: &JobTable,
+        map_slots: u32,
+        reduce_slots: u32,
+    ) -> Vec<SchedulerAction> {
+        let mut configs = ClusterConfig::small_cluster(10, 0, reduce_slots).nodes;
         configs[0].map_slots = map_slots;
         let nodes: Vec<TaskTracker> = configs
             .iter()

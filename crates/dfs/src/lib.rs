@@ -30,6 +30,7 @@
 //! ```
 
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 mod block;
 mod namenode;

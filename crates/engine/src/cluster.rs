@@ -160,6 +160,15 @@ impl HeartbeatWheel {
         self.next_at
     }
 
+    /// Dense id of the node that beats after the next periodic heartbeat.
+    fn after_next(&self) -> usize {
+        if self.idx + 1 == self.nodes {
+            0
+        } else {
+            self.idx as usize + 1
+        }
+    }
+
     /// Consumes the next periodic heartbeat, returning its node.
     fn advance(&mut self) -> NodeId {
         let node = NodeId(self.idx as u32);
@@ -193,9 +202,6 @@ pub struct Cluster {
     rack_slots: Vec<RackSlots>,
     /// Pending `MUST_*` commands indexed by node; delivered at heartbeats.
     pending_cmds: Vec<Vec<TaskId>>,
-    /// Reusable buffer for per-heartbeat progress refreshes (attempt id,
-    /// task, reported progress).
-    progress_buf: Vec<(AttemptId, TaskId, f64)>,
     /// Jobs registered but not yet complete (incremental completion count).
     incomplete_jobs: usize,
     /// Events handled by [`Cluster::run`] so far (throughput accounting).
@@ -277,7 +283,6 @@ impl Cluster {
             next_job_id: 1,
             rack_slots,
             pending_cmds: vec![Vec::new(); node_count],
-            progress_buf: Vec::new(),
             incomplete_jobs: 0,
             events_processed: 0,
             locality: LocalityStats::default(),
@@ -488,8 +493,18 @@ impl Cluster {
             // computed periodic heartbeat; on a timestamp tie the heartbeat
             // fires first (either order would be deterministic).
             let wheel_at = self.wheel.peek();
-            let (next_at, take_wheel) = match self.queue.peek_time() {
-                Some(queue_at) if queue_at < wheel_at => (queue_at, false),
+            let queue_head = self.queue.peek();
+            // A phase event or an out-of-band heartbeat starts with the
+            // node's attempt table: start loading it now, whichever event
+            // fires first.
+            if let Some((_, Event::PhaseDone { node, .. } | Event::Heartbeat { node })) = queue_head
+            {
+                if let Some(tt) = self.trackers.get(node.0 as usize) {
+                    tt.prefetch_attempts();
+                }
+            }
+            let (next_at, take_wheel) = match queue_head {
+                Some((queue_at, _)) if queue_at < wheel_at => (queue_at, false),
                 _ => (wheel_at, true),
             };
             if next_at > max_time {
@@ -499,6 +514,11 @@ impl Cluster {
             if take_wheel {
                 self.queue.advance_to(wheel_at);
                 let node = self.wheel.advance();
+                // The node two beats ahead reports its progress after the
+                // next beat: start loading its attempt table now.
+                if let Some(tt) = self.trackers.get(self.wheel.after_next()) {
+                    tt.prefetch_attempts();
+                }
                 if let Some(obs) = self.obs.as_mut() {
                     obs.note_event(0);
                 }
@@ -676,16 +696,37 @@ impl Cluster {
     /// Applies `edit` to `task` and moves the owning job's maintained
     /// counters — the per-state counts, the cluster-wide pending totals and
     /// `remaining_bytes` — by the task's before/after difference. Every
-    /// engine-side write of a task's state or progress goes through here, so
-    /// the counters schedulers rely on for O(1) job skipping and HFSP's size
-    /// order stay exact without a rescan. `None` if the task is unknown.
+    /// engine-side write of a task's state or progress goes through here
+    /// (or through [`Cluster::edit_task_in`] where a caller holds another
+    /// part of the cluster), so the counters schedulers rely on for O(1)
+    /// job skipping and HFSP's size order stay exact without a rescan.
+    /// `None` if the task is unknown.
     #[inline]
     fn edit_task<R>(
         &mut self,
         task: TaskId,
         edit: impl FnOnce(&mut TaskRuntime) -> R,
     ) -> Option<R> {
-        let job = self.jobs.get_mut(&task.job)?;
+        Self::edit_task_in(
+            &mut self.jobs,
+            &mut self.totals,
+            &mut self.delay,
+            task,
+            edit,
+        )
+    }
+
+    /// [`Cluster::edit_task`] over the three parts of the cluster it writes,
+    /// for callers that borrow another part (a tracker) at the same time.
+    #[inline]
+    fn edit_task_in<R>(
+        jobs: &mut JobTable,
+        totals: &mut PendingTotals,
+        delay: &mut DelayScoreboard,
+        task: TaskId,
+        edit: impl FnOnce(&mut TaskRuntime) -> R,
+    ) -> Option<R> {
+        let job = jobs.get_mut(&task.job)?;
         let t = job.task_mut(task)?;
         let (state, bytes) = (t.state, t.remaining_bytes());
         let out = edit(t);
@@ -702,9 +743,9 @@ impl Cluster {
             };
             let shape_before = shape(job);
             let (before, after) = (Self::state_classes(state), Self::state_classes(after_state));
-            Self::apply_state_delta(job, &mut self.totals, task.kind, before, after);
+            Self::apply_state_delta(job, totals, task.kind, before, after);
             if shape(job) != shape_before {
-                self.delay.note_shape_change();
+                delay.note_shape_change();
             }
         }
         Some(out)
@@ -1687,6 +1728,34 @@ mod tests {
             512 * MIB,
             "a reset task counts in full again"
         );
+    }
+
+    /// The run loop prefetches at every peek and beat; this run also
+    /// prefetches every node's table each simulated second, through a
+    /// node's death (its table emptied), idle nodes' empty tables and
+    /// tables holding reduces.
+    #[test]
+    fn prefetch_steps_are_safe_on_dead_nodes_empty_tables_and_reduces() {
+        let mut cfg = ClusterConfig::small_cluster(4, 1, 1);
+        cfg.faults.events.push(crate::config::FaultEvent {
+            at: SimTime::from_secs(10),
+            kind: FaultKind::Kill { node: NodeId(1) },
+        });
+        let mut c = Cluster::new(cfg, Box::new(FifoScheduler::new()));
+        c.create_input_file("/in", 512 * MIB).unwrap();
+        c.submit_job(JobSpec::map_only("mr", "/in").with_reduces(2));
+        let (mut dead, mut empty, mut reduces) = (false, false, false);
+        for second in 0..3_600 {
+            c.run(SimTime::from_secs(second));
+            for tt in &c.trackers {
+                tt.prefetch_attempts();
+                dead |= !tt.is_alive();
+                empty |= tt.attempts().next().is_none();
+                reduces |= tt.attempts().any(|a| a.kind == TaskKind::Reduce);
+            }
+        }
+        assert!(c.report().all_jobs_complete());
+        assert!(dead && empty && reduces, "{dead} {empty} {reduces}");
     }
 
     #[test]

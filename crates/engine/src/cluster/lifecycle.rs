@@ -210,16 +210,19 @@ impl Cluster {
     // ----- heartbeat: progress reports and command delivery -----------------
 
     /// Refreshes the reported progress of the tasks whose attempts run or
-    /// sit suspended on `node` (reusable buffer: no per-heartbeat
-    /// allocation).
+    /// sit suspended on `node`, one task edit per attempt in attempt-id
+    /// order.
     pub(super) fn refresh_progress(&mut self, node: NodeId, now: SimTime) {
-        let mut buf = std::mem::take(&mut self.progress_buf);
-        buf.clear();
-        for a in self.trackers[node.0 as usize].attempts() {
-            buf.push((a.id, a.task, a.progress(now)));
-        }
-        for &(attempt, task, progress) in &buf {
-            self.edit_task(task, |t| match t.role(attempt) {
+        let Cluster {
+            trackers,
+            jobs,
+            totals,
+            delay,
+            ..
+        } = self;
+        for a in trackers[node.0 as usize].attempts() {
+            let (attempt, progress) = (a.id, a.progress(now));
+            Self::edit_task_in(jobs, totals, delay, a.task, |t| match t.role(attempt) {
                 // An orphan left running on a healed partition victim must
                 // not overwrite the progress of a task that already
                 // succeeded (or re-ran) elsewhere.
@@ -230,8 +233,6 @@ impl Cluster {
                 _ => t.progress = progress,
             });
         }
-        buf.clear();
-        self.progress_buf = buf;
     }
 
     /// Delivers the `MUST_*` commands pending for `node`, piggybacked on its

@@ -36,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 mod attempt;
 mod cluster;

@@ -108,6 +108,11 @@ impl From<OsError> for TrackerError {
     }
 }
 
+/// Attempts whose entries [`TaskTracker::prefetch_attempts`] loads. An
+/// entry spans two and a half 64-byte lines on x86_64, and a node seldom
+/// holds more than its slots' worth of attempts.
+const PREFETCHED_ATTEMPTS: usize = 3;
+
 /// The per-node TaskTracker.
 ///
 /// Attempts are kept in a [`VecMap`] sorted by attempt id: a node holds a
@@ -319,6 +324,27 @@ impl TaskTracker {
     /// All live attempts on this node, in deterministic (id) order.
     pub(crate) fn attempts(&self) -> impl Iterator<Item = &Attempt> {
         self.attempts.values()
+    }
+
+    /// Starts loading the first entries of the attempt table (at most
+    /// [`PREFETCHED_ATTEMPTS`]), which the node's next progress report or
+    /// phase event reads. Loads nothing for an empty table.
+    #[inline]
+    pub(crate) fn prefetch_attempts(&self) {
+        const LINE: usize = 64;
+        let table = self.attempts.as_slice();
+        let first = &table[..table.len().min(PREFETCHED_ATTEMPTS)];
+        let bytes = std::mem::size_of_val(first);
+        if bytes == 0 {
+            return;
+        }
+        // Every line holding a byte of those entries.
+        let start = first.as_ptr().cast::<u8>();
+        let misalign = start.addr() % LINE;
+        let line = start.wrapping_sub(misalign);
+        for offset in (0..misalign + bytes).step_by(LINE) {
+            mrp_sim::prefetch(line.wrapping_add(offset));
+        }
     }
 
     /// Attempts currently suspended on this node, in deterministic (id) order.

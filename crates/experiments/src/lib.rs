@@ -34,6 +34,7 @@
 //! ```
 
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 mod catalogue;
 mod figures;

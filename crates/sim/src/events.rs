@@ -242,13 +242,14 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// The timestamp of the next (non-cancelled) event, if any. Does not
-    /// advance the clock.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// The next (non-cancelled) event and its timestamp: what the next
+    /// [`Self::pop`] returns. Does not advance the clock.
+    pub fn peek(&mut self) -> Option<(SimTime, &E)> {
         // Drop cancelled events lazily so peek is accurate.
         while let Some(&Reverse(key)) = self.heap.peek() {
-            if self.slots[key.slot() as usize].payload.is_some() {
-                return Some(key.at);
+            let slot = key.slot() as usize;
+            if self.slots[slot].payload.is_some() {
+                return self.slots[slot].payload.as_ref().map(|e| (key.at, e));
             }
             self.heap.pop();
             self.retire_slot(key.slot());
@@ -369,9 +370,74 @@ mod tests {
         let mut q = EventQueue::new();
         let a = q.schedule(SimTime::from_secs(1), "a");
         q.schedule(SimTime::from_secs(2), "b");
+        let c = q.schedule(SimTime::from_secs(2), "c");
+        q.schedule(SimTime::from_secs(3), "d");
         q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(q.len(), 1);
+        q.cancel(c);
+        assert_eq!(q.peek(), Some((SimTime::from_secs(2), &"b")));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_secs(2), "b")));
+        assert_eq!(q.peek(), Some((SimTime::from_secs(3), &"d")));
+        assert_eq!(q.pop(), Some((SimTime::from_secs(3), "d")));
+        assert_eq!(q.peek(), None);
+    }
+
+    #[test]
+    fn peek_returns_what_pop_returns_and_keeps_the_clock() {
+        let mut q = EventQueue::new();
+        for (at, name) in [(4, "d"), (1, "a"), (1, "b"), (2, "c")] {
+            q.schedule(SimTime::from_secs(at), name);
+        }
+        let mut clock = q.now();
+        while let Some((at, &next)) = q.peek() {
+            assert_eq!(q.peek(), Some((at, &next)), "a second peek agrees");
+            assert_eq!(q.now(), clock, "peek must not advance the clock");
+            assert_eq!(q.pop(), Some((at, next)));
+            clock = at;
+        }
+        assert_eq!(q.pop(), None);
+        assert_eq!(q.now(), SimTime::from_secs(4));
+    }
+
+    /// Peeking between any two operations changes no pop: two queues driven
+    /// by the same random schedule/cancel/pop sequence, one peeked before
+    /// every operation, pop the same events at the same times.
+    #[test]
+    fn peeks_interleaved_with_every_operation_leave_the_pops_unchanged() {
+        use crate::rng::SimRng;
+        for case in 0..100u64 {
+            let mut rng = SimRng::new(0x9EE6 + case);
+            let mut plain = EventQueue::new();
+            let mut peeked = EventQueue::new();
+            let mut live: Vec<(EventId, EventId)> = Vec::new();
+            let mut payload = 0u32;
+            for _ in 0..300 {
+                let head = peeked.peek().map(|(at, &e)| (at, e));
+                match rng.index(10) {
+                    0..=4 => {
+                        let at = plain.now() + SimDuration::from_micros(rng.index(500) as u64);
+                        live.push((plain.schedule(at, payload), peeked.schedule(at, payload)));
+                        payload += 1;
+                    }
+                    5..=6 if !live.is_empty() => {
+                        let (a, b) = live.swap_remove(rng.index(live.len()));
+                        plain.cancel(a);
+                        peeked.cancel(b);
+                    }
+                    _ => {
+                        let popped = plain.pop();
+                        assert_eq!(popped, head, "peek foretold the pop (case {case})");
+                        assert_eq!(peeked.pop(), popped, "pop mismatch (case {case})");
+                    }
+                }
+                assert_eq!(plain.now(), peeked.now());
+                assert_eq!(plain.len(), peeked.len());
+            }
+            while let Some(popped) = plain.pop() {
+                assert_eq!(peeked.pop(), Some(popped), "drain mismatch (case {case})");
+            }
+            assert_eq!(peeked.pop(), None);
+        }
     }
 
     #[test]

@@ -8,7 +8,8 @@
 //! statistics helpers ([`Summary`], [`percentile`]) used by the experiment
 //! harness to reproduce the paper's figures, and the observability
 //! primitives ([`LogHistogram`], [`TimeSeriesSampler`], [`LoopProfiler`])
-//! that the engine threads through its event loop.
+//! that the engine threads through its event loop, plus the cache hint
+//! ([`prefetch`]) that loop issues for the state of its next events.
 //!
 //! Determinism is a design goal throughout: same seed, same configuration ⇒
 //! bit-identical simulation, which makes the reproduction of the paper's
@@ -25,9 +26,11 @@
 //! ```
 
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 mod events;
 mod metrics;
+mod prefetch;
 mod profile;
 mod rng;
 mod stats;
@@ -36,6 +39,7 @@ mod vecmap;
 
 pub use events::{EventId, EventQueue};
 pub use metrics::{LogHistogram, SeriesRow, TimeSeriesSampler};
+pub use prefetch::prefetch;
 pub use profile::{LoopProfiler, ProfileReport, ProfileRow, ACTION_SAMPLE_EVERY};
 pub use rng::SimRng;
 pub use stats::{percentile, Summary};

@@ -55,6 +55,11 @@ impl<K, V> VecMap<K, V> {
         self.entries.clear();
     }
 
+    /// The entries as one slice, in ascending key order.
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.entries
+    }
+
     /// Entries in ascending key order.
     pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
         self.entries.iter().map(|(k, v)| (k, v))

@@ -41,6 +41,7 @@
 //! ```
 
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 mod disk;
 mod kernel;

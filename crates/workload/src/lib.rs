@@ -12,6 +12,7 @@
 //!   used by the multi-job scheduler examples and the ablation benches.
 
 #![warn(missing_docs, unreachable_pub)]
+#![deny(unsafe_code)]
 
 use mrp_engine::{JobSpec, MapInput, TaskProfile};
 use mrp_sim::{SimRng, SimTime, GIB, MIB};
