@@ -493,12 +493,15 @@ impl SizePreempt {
 }
 
 /// The priority policy's preemption, kind by kind: jobs waiting for slots
-/// of a kind (to launch or to resume a task of it) draw, highest priority
-/// first, on one supply — the free slots of that kind plus the ones
-/// evictions of that kind already in flight will free — and the demand that
-/// supply cannot cover evicts running tasks of that kind from strictly
-/// lower-priority jobs. A waiting reduce never evicts a map, nor a map a
-/// reduce. No task is evicted twice in one call.
+/// of a kind draw on supply highest priority first, and the demand supply
+/// cannot cover evicts running tasks of that kind from strictly
+/// lower-priority jobs. A suspended task can resume only on its own node,
+/// so it draws on that node's free slots of its kind and the evictions of
+/// that kind in flight there, and its uncovered demand evicts there. A
+/// schedulable task draws on one cluster-wide supply — the free slots of
+/// its kind plus the ones evictions of that kind already in flight will
+/// free — and evicts anywhere. A waiting reduce never evicts a map, nor a
+/// map a reduce. No task is evicted twice in one call.
 pub(crate) struct PriorityPreempt {
     evictor: Evictor,
 }
@@ -536,71 +539,107 @@ impl PriorityPreempt {
         out: &mut Vec<SchedulerAction>,
     ) {
         let of_kind = |t: &&TaskRuntime| t.id.kind == kind;
-        let waiting_of = |j: &JobRuntime| {
-            let schedulable = match kind {
-                TaskKind::Map => j.schedulable_maps,
-                TaskKind::Reduce => j.schedulable_reduces,
-            } as usize;
-            let suspended = match j.suspended_count {
-                0 => 0,
+        // The nodes of a job's suspended tasks of this kind, one per task.
+        let suspended_on = |j: &JobRuntime| -> Vec<NodeId> {
+            match j.suspended_count {
+                0 => Vec::new(),
                 _ => j
                     .tasks
                     .iter()
                     .filter(of_kind)
                     .filter(|t| t.state == TaskState::Suspended)
-                    .count(),
-            };
-            schedulable + suspended
+                    .filter_map(|t| t.node)
+                    .collect(),
+            }
         };
-        let mut waiting: Vec<(&JobRuntime, usize)> = ctx
+        let mut waiting: Vec<(&JobRuntime, usize, Vec<NodeId>)> = ctx
             .jobs
             .values()
             .filter(|j| !j.is_finished() && j.spec.priority > lowest)
-            .map(|j| (j, waiting_of(j)))
-            .filter(|&(_, waiting)| waiting > 0)
+            .map(|j| {
+                let schedulable = match kind {
+                    TaskKind::Map => j.schedulable_maps,
+                    TaskKind::Reduce => j.schedulable_reduces,
+                } as usize;
+                (j, schedulable, suspended_on(j))
+            })
+            .filter(|(_, schedulable, suspended)| *schedulable > 0 || !suspended.is_empty())
             .collect();
         let free = match kind {
             TaskKind::Map => ctx.free_map_slots_total(),
             TaskKind::Reduce => ctx.free_reduce_slots_total(),
         } as usize;
-        if waiting.iter().map(|&(_, waiting)| waiting).sum::<usize>() <= free {
+        let any_suspended = waiting.iter().any(|(.., suspended)| !suspended.is_empty());
+        if !any_suspended && waiting.iter().map(|w| w.1).sum::<usize>() <= free {
             return;
         }
         // FIFO's order: priority descending, then submission.
-        waiting.sort_unstable_by_key(|(j, _)| (Reverse(j.spec.priority), j.submitted_at, j.id));
-        let in_flight = ctx
+        waiting.sort_unstable_by_key(|(j, ..)| (Reverse(j.spec.priority), j.submitted_at, j.id));
+        // The nodes of the evictions of this kind already in flight.
+        let in_flight: Vec<Option<NodeId>> = ctx
             .jobs
             .values()
             .filter(|j| j.occupying_count > 0)
             .flat_map(|j| &j.tasks)
             .filter(of_kind)
             .filter(|t| matches!(t.state, TaskState::MustSuspend | TaskState::MustKill))
-            .count();
-        let mut supply = free + in_flight;
+            .map(|t| t.node)
+            .collect();
+        let mut supply = free + in_flight.len();
+        // Per-node supply for suspended tasks, filled in as nodes come up.
+        let mut node_supply: Vec<(NodeId, usize)> = Vec::new();
         let first = out.len();
-        for (job, waiting) in waiting {
-            let needed = waiting.saturating_sub(supply);
-            supply = supply.saturating_sub(waiting);
-            if needed == 0 {
-                continue;
+        for (job, schedulable, suspended) in waiting {
+            for node in suspended {
+                let at = node_supply
+                    .iter()
+                    .position(|&(n, _)| n == node)
+                    .unwrap_or_else(|| {
+                        let free_there = ctx.node(node).map_or(0, |tt| tt.free_slots(kind));
+                        let flying = in_flight.iter().filter(|&&n| n == Some(node)).count();
+                        node_supply.push((node, free_there as usize + flying));
+                        node_supply.len() - 1
+                    });
+                if node_supply[at].1 > 0 {
+                    node_supply[at].1 -= 1;
+                    supply = supply.saturating_sub(1);
+                } else {
+                    let candidates = lower_candidates(ctx, job, kind, Some(node), &out[first..]);
+                    self.evictor.evict(&candidates, 1, out);
+                }
             }
-            let evicted = &out[first..];
-            let candidates: Vec<EvictionCandidate> = ctx
-                .jobs
-                .values()
-                .filter(|j| j.spec.priority < job.spec.priority && !j.is_finished())
-                .flat_map(candidates_of)
-                .filter(|c| c.task.kind == kind)
-                .filter(|c| {
-                    !evicted.iter().any(|a| {
-                        matches!(a, SchedulerAction::Suspend { task }
-                            | SchedulerAction::Kill { task } if *task == c.task)
-                    })
-                })
-                .collect();
-            self.evictor.evict(&candidates, needed, out);
+            let needed = schedulable.saturating_sub(supply);
+            supply = supply.saturating_sub(schedulable);
+            if needed > 0 {
+                let candidates = lower_candidates(ctx, job, kind, None, &out[first..]);
+                self.evictor.evict(&candidates, needed, out);
+            }
         }
     }
+}
+
+/// The running tasks of `kind` — on `node` when one is given — in jobs of
+/// strictly lower priority than `job`, less the victims already `evicted`.
+fn lower_candidates(
+    ctx: &SchedulerContext<'_>,
+    job: &JobRuntime,
+    kind: TaskKind,
+    node: Option<NodeId>,
+    evicted: &[SchedulerAction],
+) -> Vec<EvictionCandidate> {
+    ctx.jobs
+        .values()
+        .filter(|j| j.spec.priority < job.spec.priority && !j.is_finished())
+        .flat_map(candidates_of)
+        .filter(|c| c.task.kind == kind)
+        .filter(|c| node.is_none() || ctx.task(c.task).and_then(|t| t.node) == node)
+        .filter(|c| {
+            !evicted.iter().any(|a| {
+                matches!(a, SchedulerAction::Suspend { task }
+                    | SchedulerAction::Kill { task } if *task == c.task)
+            })
+        })
+        .collect()
 }
 
 /// The reclaim stage: pulls tenants back toward their DRF quotas. Once per

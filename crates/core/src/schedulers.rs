@@ -151,7 +151,8 @@ impl SchedulerPolicy for HfspScheduler {
 /// their job's turn comes. Whenever a job arrives or a node heartbeats,
 /// jobs whose waiting tasks free slots and evictions already under way
 /// cannot cover evict running tasks of strictly lower-priority jobs with
-/// the configured primitive, victims chosen by the eviction policy.
+/// the configured primitive, victims chosen by the eviction policy. A
+/// suspended task counts only the slots and evictions on its own node.
 pub struct PriorityScheduler {
     allocate: FifoScheduler,
     preempt: PriorityPreempt,
@@ -813,6 +814,63 @@ mod tests {
             index: 0,
         };
         assert_eq!(victims(0), [reduce], "only a reduce can free a reduce slot");
+    }
+
+    #[test]
+    fn a_suspended_task_is_covered_only_by_slots_on_its_own_node() {
+        // hi's map is suspended on node 1, which lo's maps fill; node 0's
+        // one map slot is free, but hi's map cannot resume there. lo also
+        // runs its most progressed map on node 2.
+        let task = |job, index, state, node, progress| {
+            let id = TaskId {
+                job,
+                kind: TaskKind::Map,
+                index,
+            };
+            let mut t = TaskRuntime::new(id, 64 * MIB, Vec::new());
+            t.state = state;
+            t.node = Some(NodeId(node));
+            t.progress = progress;
+            t
+        };
+        let mut jobs = JobTable::new();
+        let lo_tasks = vec![
+            task(JobId(1), 0, TaskState::Running, 2, 0.9),
+            task(JobId(1), 1, TaskState::Running, 1, 0.2),
+            task(JobId(1), 2, TaskState::Running, 1, 0.5),
+        ];
+        let lo = JobSpec::synthetic("lo", 3, 0);
+        jobs.insert(
+            JobId(1),
+            JobRuntime::new(JobId(1), lo, SimTime::ZERO, lo_tasks),
+        );
+        let hi = JobSpec::synthetic("hi", 1, 0).with_priority(10);
+        let hi_tasks = vec![task(JobId(2), 0, TaskState::Suspended, 1, 0.4)];
+        jobs.insert(
+            JobId(2),
+            JobRuntime::new(JobId(2), hi, SimTime::ZERO, hi_tasks),
+        );
+        let mut policy = PriorityScheduler::new(
+            PreemptionPrimitive::SuspendResume,
+            EvictionPolicy::ClosestToCompletion,
+        );
+        let suspended: Vec<TaskId> = round_with(&mut policy, &jobs, 1, 0)
+            .iter()
+            .filter_map(|a| match *a {
+                SchedulerAction::Suspend { task } => Some(task),
+                _ => None,
+            })
+            .collect();
+        let on_hi_node = TaskId {
+            job: JobId(1),
+            kind: TaskKind::Map,
+            index: 2,
+        };
+        assert_eq!(
+            suspended,
+            [on_hi_node],
+            "the free slot on node 0 cannot serve hi's map: evict the closest lo map on node 1"
+        );
     }
 
     /// One round of `policy` on node 0 of ten single-rack nodes, where only

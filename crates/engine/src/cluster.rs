@@ -293,7 +293,7 @@ impl Cluster {
             delay: DelayScoreboard::new(config.delay),
             shuffle: ShuffleTracker::new(config.shuffle, rack_count),
             reliability: ReliabilityTracker::new(config.reliability, node_count, rack_count),
-            obs: config.obs.enabled.then(|| Box::new(ObsState::new())),
+            obs: config.obs.enabled.then(|| ObsState::new(node_count).into()),
             config,
         }
     }
@@ -511,7 +511,7 @@ impl Cluster {
                 break;
             }
             self.events_processed += 1;
-            if take_wheel {
+            let kind = if take_wheel {
                 self.queue.advance_to(wheel_at);
                 let node = self.wheel.advance();
                 // The node two beats ahead reports its progress after the
@@ -519,21 +519,22 @@ impl Cluster {
                 if let Some(tt) = self.trackers.get(self.wheel.after_next()) {
                     tt.prefetch_attempts();
                 }
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.note_event(0);
-                }
                 self.handle_heartbeat(node, wheel_at);
+                0
             } else {
                 let (now, event) = self.queue.pop().expect("peeked event must exist");
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.note_event(event.kind());
-                }
+                let kind = event.kind();
                 self.handle_event(now, event);
-            }
-            // The series sampler piggybacks on loop iterations (virtual-time
-            // deadline polling) instead of scheduling events of its own, so
-            // an observed run processes exactly the same event sequence.
-            if self.obs.is_some() {
+                kind
+            };
+            // One observability call per event. The series sampler polls
+            // virtual-time deadlines here instead of scheduling events of
+            // its own, so an observed run processes the same event sequence.
+            let sample_due = self
+                .obs
+                .as_mut()
+                .is_some_and(|o| o.note_event(kind, next_at));
+            if sample_due {
                 self.obs_sample(next_at);
             }
         }
@@ -543,12 +544,9 @@ impl Cluster {
         self.queue.now()
     }
 
-    /// Polls the series sampler at `now`, recording one row when a sampling
-    /// deadline has passed. Reads only — never mutates simulation state.
+    /// Records one series row at `now`, a sampling deadline having passed.
+    /// Reads only — never mutates simulation state.
     fn obs_sample(&mut self, now: SimTime) {
-        if !self.obs.as_ref().is_some_and(|o| o.series_due(now)) {
-            return;
-        }
         let mut free_map_slots = 0u64;
         let mut free_reduce_slots = 0u64;
         for rack in &self.rack_slots {
@@ -1325,9 +1323,12 @@ impl Cluster {
     }
 
     fn apply_actions(&mut self, actions: Vec<SchedulerAction>, now: SimTime) {
+        if actions.is_empty() {
+            return;
+        }
         // Profiler bookkeeping: exact per-action counts, plus direct timing
-        // of one invocation in `ACTION_SAMPLE_EVERY` (scaled back up). The
-        // array indices mirror [`crate::obs::ACTION_KINDS`].
+        // of one non-empty round in `ACTION_SAMPLE_EVERY` (scaled back up).
+        // The array indices mirror [`crate::obs::ACTION_KINDS`].
         let timer = self.obs.as_mut().and_then(|o| o.action_timer());
         let mut acted = [0u32; 6];
         for action in actions {

@@ -93,9 +93,9 @@ impl LoopProfiler {
         self.loop_start = Some(now);
     }
 
-    /// Record one processed event of the given kind.
+    /// Record one processed event of the given kind, inside a
+    /// `begin_loop`/`end_loop` window: it is counted when its batch flushes.
     pub fn note(&mut self, kind: usize) {
-        self.kind_counts[kind] += 1;
         self.batch[kind] += 1;
         self.batch_events += 1;
         if self.batch_events >= BATCH_EVENTS {
@@ -117,6 +117,7 @@ impl LoopProfiler {
             let total = f64::from(self.batch_events);
             for (i, n) in self.batch.iter_mut().enumerate() {
                 if *n > 0 {
+                    self.kind_counts[i] += u64::from(*n);
                     self.kind_nanos[i] += elapsed * f64::from(*n) / total;
                     *n = 0;
                 }
@@ -140,8 +141,9 @@ impl LoopProfiler {
         self.batch_start = None;
     }
 
-    /// Called once per scheduler invocation; returns a start timestamp for
-    /// the one-in-[`ACTION_SAMPLE_EVERY`] invocations that are timed.
+    /// Called once per scheduler invocation that returned actions; returns
+    /// a start timestamp for the one-in-[`ACTION_SAMPLE_EVERY`] such
+    /// invocations that are timed.
     pub fn action_timer(&mut self) -> Option<Instant> {
         self.action_calls += 1;
         if self.action_calls.is_multiple_of(ACTION_SAMPLE_EVERY) {
